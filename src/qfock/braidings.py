@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -462,6 +463,16 @@ class CurrentBraiding:
         if self.flavor == RATIONAL:
             return uv - ONE
         return Q * uv - (Q - QINV) * Scalar.from_fraction(u)
+
+    # The grid certificates are pure functions of the braiding; each is
+    # computed once and shared by every check that rests on it.
+    @cached_property
+    def braid_certificate(self) -> dict:
+        return spectral_braid_certificate(self)
+
+    @cached_property
+    def unitarity_certificate(self) -> dict:
+        return unitarity_certificate(self)
 
 
 def baxterize(b: Braiding, flavor: str) -> CurrentBraiding:

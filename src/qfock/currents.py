@@ -31,8 +31,6 @@ from .braidings import (
     CurrentBraiding,
     TRIGONOMETRIC,
     dual_square_grid,
-    spectral_braid_certificate,
-    unitarity_certificate,
 )
 from .errors import WindowOverflow
 from .scalars import ONE, Q, QINV, ZERO, Scalar
@@ -612,8 +610,8 @@ def current_relation_check(cd: CurrentDouble, which: str) -> dict:
     (report-only).
     """
     if which == "b-side":
-        braid = spectral_braid_certificate(cd.cb)
-        unit = unitarity_certificate(cd.cb)
+        braid = cd.cb.braid_certificate
+        unit = cd.cb.unitarity_certificate
         return {"which": which, "passed": braid["passed"] and unit["passed"],
                 "braid": braid, "unitarity": unit}
     if which == "a-side":
@@ -622,8 +620,8 @@ def current_relation_check(cd: CurrentDouble, which: str) -> dict:
                         series=base.series, mu=base.mu, q=base.q,
                         name=f"dual({base.name})")
         dual_cb = CurrentBraiding(dual, cd.cb.flavor)
-        braid = spectral_braid_certificate(dual_cb)
-        unit = unitarity_certificate(dual_cb)
+        braid = dual_cb.braid_certificate
+        unit = dual_cb.unitarity_certificate
         return {"which": which, "passed": braid["passed"] and unit["passed"],
                 "braid": braid, "unitarity": unit}
     if which == "half-currents":

@@ -65,6 +65,14 @@ class RhatNotDetermined(QfockError):
     """The linear solve reconstructing the braided-Lie operator is singular."""
 
 
+class InvalidArgument(QfockError):
+    """A command-line value lies outside its admissible range."""
+
+
+class SizeLimitExceeded(QfockError):
+    """A dense computation would exceed its fixed size limit."""
+
+
 class WindowOverflow(QfockError):
     """A mode computation escaped its window; carries the needed size."""
 

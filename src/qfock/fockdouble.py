@@ -29,6 +29,7 @@ from .errors import (
     IncompatibleDouble,
     NotStrictlySkewInvertible,
     RhatNotDetermined,
+    SizeLimitExceeded,
     UnsupportedDouble,
 )
 from .quadalgebras import FreeAlgebra, GradedQuotient, Tensor, Word, make_algebra
@@ -857,6 +858,11 @@ def _kron(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
+# verify_lie builds dense (N^2)^3-square Kronecker products for the Jacobi
+# identity: 4096 rows at N = 4, 15625 at N = 5, which exhausts memory.
+LIE_MAX_N = 4
+
+
 def verify_lie(bl: BraidedLie) -> dict:
     """Full verification of the braided Lie data.
 
@@ -867,6 +873,10 @@ def verify_lie(bl: BraidedLie) -> dict:
     """
     b = bl.braiding
     N = b.N
+    if N > LIE_MAX_N:
+        raise SizeLimitExceeded(
+            f"verify_lie at N = {N} exceeds the limit N <= {LIE_MAX_N}: its "
+            f"Jacobi check builds dense {(N * N) ** 3}-square matrices")
     n2 = N * N
     n4 = n2 * n2
     report = {"defining": True, "trace_generators": True, "trace_brackets": True,

@@ -11,7 +11,12 @@ package a plain equality test:
   positive leading coefficient.
 
 Any power of q freed while normalizing the denominator migrates into the
-numerator, which is allowed to stay Laurent.  All computation is symbolic;
+numerator, which is allowed to stay Laurent.  When the denominator is a
+single term c*q^k (the Laurent case, which covers almost every scalar the
+verifiers produce), :meth:`Scalar.make` needs only the integer content, the
+sign of c and the shift by k; the primitive-PRS gcd runs only for true
+polynomial denominators, and sums and products of Laurent polynomials skip
+normalization altogether.  All computation is symbolic;
 :meth:`Scalar.evaluate` exists as a cross-check at rational points, never
 as a source of truth.  Scalars are immutable and all operations are pure,
 so they are safe to share across concurrent verification tasks.
@@ -20,6 +25,7 @@ so they are safe to share across concurrent verification tasks.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from fractions import Fraction
 
 from .errors import DivisionByZero, NonGenericPoint
@@ -36,9 +42,14 @@ def _freeze(p: dict[int, int]) -> Pairs:
     return tuple(sorted((e, c) for e, c in p.items() if c))
 
 
-def _padd(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+# The arithmetic helpers read (exponent, coefficient) pairs, a frozen tuple
+# or a dict's items(), and return a dict without zero terms.
+PairsIn = Collection[tuple[int, int]]
+
+
+def _padd(a: PairsIn, b: PairsIn) -> dict[int, int]:
     out = dict(a)
-    for e, c in b.items():
+    for e, c in b:
         s = out.get(e, 0) + c
         if s:
             out[e] = s
@@ -47,10 +58,10 @@ def _padd(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _pmul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+def _pmul(a: PairsIn, b: PairsIn) -> dict[int, int]:
     out: dict[int, int] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
+    for ea, ca in a:
+        for eb, cb in b:
             e = ea + eb
             s = out.get(e, 0) + ca * cb
             if s:
@@ -183,6 +194,15 @@ class Scalar:
             raise DivisionByZero("zero denominator")
         if not num:
             return ZERO
+        if len(den) == 1:
+            # Laurent case, den = d q^k: no polynomial gcd is needed, only
+            # the integer content, the sign of d and the shift by k.
+            ((k, d),) = den.items()
+            g = math.gcd(_content(num), d)
+            if d < 0:
+                g = -g
+            return Scalar(tuple(sorted((e - k, c // g) for e, c in num.items())),
+                          ((0, d // g),))
         ln, ld = min(num), min(den)
         num = _pshift(num, -ln)
         den = _pshift(den, -ld)
@@ -236,14 +256,18 @@ class Scalar:
             return other
         if not other.num:
             return self
-        a, b = dict(self.num), dict(self.den)
-        c, d = dict(other.num), dict(other.den)
         if self.den == other.den:
-            s = _padd(a, c)
+            s = _padd(self.num, other.num)
             if not s:
                 return ZERO
-            return Scalar.make(s, b)
-        return Scalar.make(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
+            if self.den == _ONE_POLY:
+                # a sum of Laurent polynomials is already canonical
+                return Scalar(tuple(sorted(s.items())), _ONE_POLY)
+            return Scalar.make(s, dict(self.den))
+        return Scalar.make(
+            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den).items()),
+            _pmul(self.den, other.den),
+        )
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
@@ -260,20 +284,18 @@ class Scalar:
             return self
         if self.is_one():
             return other
-        return Scalar.make(
-            _pmul(dict(self.num), dict(other.num)),
-            _pmul(dict(self.den), dict(other.den)),
-        )
+        num = _pmul(self.num, other.num)
+        if self.den == _ONE_POLY and other.den == _ONE_POLY:
+            # a product of Laurent polynomials is already canonical
+            return Scalar(tuple(sorted(num.items())), _ONE_POLY)
+        return Scalar.make(num, _pmul(self.den, other.den))
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         if not other.num:
             raise DivisionByZero("division by the zero scalar")
         if not self.num:
             return ZERO
-        return Scalar.make(
-            _pmul(dict(self.num), dict(other.den)),
-            _pmul(dict(self.den), dict(other.num)),
-        )
+        return Scalar.make(_pmul(self.num, other.den), _pmul(self.den, other.num))
 
     def inverse(self) -> "Scalar":
         if not self.num:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -79,8 +80,33 @@ class TestVerify:
         assert run(["verify", "--table", "/no/such/table.json",
                     "--suite", "braiding"]) in (1, 2)
 
+    def test_negative_kmax_rejected(self, capsys):
+        code = run(["verify", "--braiding", "std-hecke", "--n", "2",
+                    "--suite", "poincare", "--kmax", "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "InvalidArgument" in captured.err and "-1" in captured.err
+
+    def test_lie_size_limit(self, capsys):
+        t0 = time.perf_counter()
+        code = run(["verify", "--braiding", "std-hecke", "--n", "5",
+                    "--suite", "lie"])
+        assert code == 2
+        assert time.perf_counter() - t0 < 20
+        err = capsys.readouterr().err
+        assert "SizeLimitExceeded" in err and "N = 5" in err and "N <= 4" in err
+
 
 class TestPoincare:
+    def test_negative_kmax_rejected(self, capsys):
+        code = run(["poincare", "--braiding", "flip", "--n", "2",
+                    "--kmax", "-2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "InvalidArgument" in captured.err and "-2" in captured.err
+
     def test_flip_table(self, capsys):
         assert run(["poincare", "--braiding", "flip", "--n", "2",
                     "--kmax", "3"]) == 0

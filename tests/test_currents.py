@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfock import braidings
 from qfock.braidings import baxterize, make_flip, make_standard_hecke
 from qfock.currents import (
     CurrentDouble,
@@ -170,6 +171,26 @@ class TestRelationChecks:
         cd = maker()
         assert current_relation_check(cd, "b-side")["passed"]
         assert current_relation_check(cd, "a-side")["passed"]
+
+    @pytest.mark.parametrize("failing", ["spectral_braid_certificate",
+                                         "unitarity_certificate"])
+    def test_b_side_fails_with_either_certificate(self, monkeypatch, failing):
+        monkeypatch.setattr(braidings, failing, lambda cb: {"passed": False})
+        assert not current_relation_check(flip_double(), "b-side")["passed"]
+
+    def test_b_side_reuses_grid_certificates(self, monkeypatch):
+        calls = []
+        for name in ("spectral_braid_certificate", "unitarity_certificate"):
+            real = getattr(braidings, name)
+            monkeypatch.setattr(braidings, name,
+                                lambda cb, real=real, name=name:
+                                calls.append(name) or real(cb))
+        cd = flip_double()
+        assert cd.cb.braid_certificate["passed"]
+        assert cd.cb.unitarity_certificate["passed"]
+        assert current_relation_check(cd, "b-side")["passed"]
+        assert sorted(calls) == ["spectral_braid_certificate",
+                                 "unitarity_certificate"]
 
     @pytest.mark.parametrize("maker", [flip_double, hecke_double])
     def test_half_current_partition(self, maker):

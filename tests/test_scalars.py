@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfock.errors import DivisionByZero, NonGenericPoint
-from qfock.scalars import ONE, Q, QINV, ZERO, Scalar, field_arith
+from qfock.scalars import ONE, Q, QINV, ZERO, Scalar, _padd, _pgcd, _pmul, field_arith
 
 
 def poly(d):
@@ -136,7 +136,54 @@ def test_canonical_invariants(a):
     assert min(exps) == 0                      # denominator starts at q^0
     assert a.den[-1][1] > 0                    # positive leading coefficient
     if not a.is_zero():
-        from qfock.scalars import _pgcd
         low = min(e for e, _ in a.num)
         shifted_num = {e - low: c for e, c in a.num}
         assert _pgcd(shifted_num, dict(a.den)) == {0: 1}   # fully reduced
+
+
+# -- the Laurent fast path of Scalar.make ----------------------------------
+#
+# A monomial denominator takes the fast path; multiplying numerator and
+# denominator by a non-monomial factor f forces the same value through the
+# polynomial gcd.  Both must give the same canonical form.
+
+laurent = st.dictionaries(st.integers(-4, 4), st.integers(-6, 6), max_size=4)
+monomials = st.builds(lambda k, c: {k: c}, st.integers(-3, 3),
+                      st.integers(-6, 6).filter(bool))
+non_monomial_factors = st.sampled_from(
+    [{0: 1, 1: 1}, {0: 2, 2: -3}, {0: -1, 3: 5}, {1: 4, 2: 6}])
+
+
+def via_gcd(num: dict, den: dict, f: dict) -> Scalar:
+    return Scalar.make(_pmul(num.items(), f.items()), _pmul(den.items(), f.items()))
+
+
+@given(laurent, monomials, non_monomial_factors)
+@settings(max_examples=300)
+def test_laurent_make_matches_gcd_path(num, den, f):
+    assert Scalar.make(num, den) == via_gcd(num, den, f)
+
+
+@given(laurent, laurent, non_monomial_factors)
+@settings(max_examples=200)
+def test_laurent_add_and_mul_match_gcd_path(n1, n2, f):
+    a, b = poly(n1), poly(n2)
+    assert a + b == via_gcd(_padd(n1.items(), n2.items()), {0: 1}, f)
+    assert a * b == via_gcd(_pmul(n1.items(), n2.items()), {0: 1}, f)
+
+
+def test_monomial_denominator_skips_gcd(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return _pgcd(a, b)
+
+    monkeypatch.setattr("qfock.scalars._pgcd", counting)
+    # (4 - 6 q^3) / (-2 q^2) = (3 q^3 - 2) / q^2
+    assert Scalar.make({0: 4, 3: -6}, {2: -2}) == Scalar(((-2, -2), (1, 3)), ((0, 1),))
+    assert Scalar.make({1: 3}, {0: 6}) == Scalar(((1, 1),), ((0, 2),))
+    assert calls == []
+    # (q^2 - 1)/(q - 1) = q + 1 needs the gcd
+    assert Scalar.make({2: 1, 0: -1}, {1: 1, 0: -1}) == poly({1: 1, 0: 1})
+    assert len(calls) >= 1
