@@ -34,7 +34,7 @@ from .braidings import (
     projector_decomposition_ok,
 )
 from .currents import current_relation_check, make_current_double, verify_yang
-from .errors import InvalidArgument, QfockError
+from .errors import InvalidArgument, QfockError, SizeLimitExceeded
 from .fockdouble import (
     BOSONIC,
     FAMILY_BMW_ORTH,
@@ -304,6 +304,8 @@ def _suite_lie(rep: Report, b: Braiding, cfg: RunConfig):
         return
     try:
         bl, dt = _timed(braided_lie, b)
+    except SizeLimitExceeded:
+        raise
     except QfockError as exc:
         rep.add("rhat-reconstruction", "twist solved from its defining property",
                 False, True, witness=exc)

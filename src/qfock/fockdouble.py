@@ -38,7 +38,6 @@ from .tensorops import (
     LinOperator,
     Matrix,
     enc_index,
-    mat_identity,
     mat_inv,
     mat_mul,
     place,
@@ -771,17 +770,17 @@ def _formal_mul(a, b, n):
     return out
 
 
-def braided_lie(b: Braiding) -> BraidedLie:
-    """Reconstruct the braided-Lie operator on End(V) (x) End(V) by a
-    linear solve from its defining property, and assemble the composition,
-    bracket and R-trace data."""
-    if b.kind not in (HECKE, INVOLUTIVE):
-        raise UnsupportedDouble("braided Lie structure needs a Hecke or involutive braiding")
-    if not b.skew.strict:
-        raise NotStrictlySkewInvertible("braided Lie structure needs strictness")
+def _pair_code(key: tuple, N: int) -> int:
+    """Index in End(V) (x) End(V) of a quadratic key ((i, j), (k, m))."""
+    (i, j), (k, m) = key
+    return enc_index((i * N + j, k * N + m), N * N)
+
+
+def _defining_products(b: Braiding) -> tuple[list, list]:
+    """The written matrices R12 L1 R12 L1 and L1 R12 L1 R12, their entries
+    dicts {quadratic key: Scalar}; the twist maps the first to the second."""
     N = b.N
     n2 = N * N
-    n4 = n2 * n2
     rw = [[{(): v} if not (v := b.R.entries[y][x]).is_zero() else {}
            for y in range(n2)] for x in range(n2)]
     # l1 written matrix: entries linear in generator pairs
@@ -792,6 +791,31 @@ def braided_lie(b: Braiding) -> BraidedLie:
                 l1[enc_index((i, a), N)][enc_index((j, a), N)] = {((i, j),): ONE}
     m_rlrl = _formal_mul(_formal_mul(_formal_mul(rw, l1, n2), rw, n2), l1, n2)
     m_lrlr = _formal_mul(_formal_mul(_formal_mul(l1, rw, n2), l1, n2), rw, n2)
+    return m_rlrl, m_lrlr
+
+
+# The Jacobi check is leg-local, so the largest dense allocation of the Lie
+# suite is the N^4-square solve for the twist in braided_lie: 1296 rows at
+# N = 6 (a few seconds), 2401 rows at N = 7.
+LIE_MAX_N = 6
+
+
+def braided_lie(b: Braiding) -> BraidedLie:
+    """Reconstruct the braided-Lie operator on End(V) (x) End(V) by a
+    linear solve from its defining property, and assemble the composition,
+    bracket and R-trace data."""
+    if b.kind not in (HECKE, INVOLUTIVE):
+        raise UnsupportedDouble("braided Lie structure needs a Hecke or involutive braiding")
+    if not b.skew.strict:
+        raise NotStrictlySkewInvertible("braided Lie structure needs strictness")
+    N = b.N
+    if N > LIE_MAX_N:
+        raise SizeLimitExceeded(
+            f"braided Lie structure at N = {N} exceeds the limit N <= {LIE_MAX_N}: "
+            f"its twist is solved from a dense {N ** 4}-square linear system")
+    n2 = N * N
+    n4 = n2 * n2
+    m_rlrl, m_lrlr = _defining_products(b)
 
     def to_matrix(formal) -> Matrix:
         rows = []
@@ -799,8 +823,7 @@ def braided_lie(b: Braiding) -> BraidedLie:
             for y in range(n2):
                 row = [ZERO] * n4
                 for key, v in formal[x][y].items():
-                    (e1, e2) = key
-                    row[enc_index((e1[0] * N + e1[1], e2[0] * N + e2[1]), n2)] = v
+                    row[_pair_code(key, N)] = v
                 rows.append(row)
         return rows
 
@@ -822,9 +845,8 @@ def braided_lie(b: Braiding) -> BraidedLie:
                 for m in range(N):
                     phi = enc_index((i * N + j, k * N + m), n2)
                     comp[i * N + m][phi] = comp[i * N + m][phi] + bmat[k][j]
-    ident = mat_identity(n4)
-    im_minus_rhat = [[ident[r][c] - rhat[r][c] for c in range(n4)] for r in range(n4)]
-    bracket = mat_mul(comp, im_minus_rhat)
+    bracket = [[c - t for c, t in zip(rc, rt)]
+               for rc, rt in zip(comp, mat_mul(comp, rhat))]
 
     cmat = b.C
     rtrace = []
@@ -841,26 +863,77 @@ def braided_lie(b: Braiding) -> BraidedLie:
     return BraidedLie(b, rhat, comp, bracket, rtrace, alpha)
 
 
-def _kron(a: Matrix, b: Matrix) -> Matrix:
-    na, nb = len(a), len(b)
-    ma, mb = len(a[0]), len(b[0])
-    out = [[ZERO] * (ma * mb) for _ in range(na * nb)]
-    for i in range(na):
-        for j in range(ma):
-            v = a[i][j]
-            if v.is_zero():
-                continue
-            for r in range(nb):
-                for c in range(mb):
-                    w = b[r][c]
-                    if not w.is_zero():
-                        out[i * nb + r][j * mb + c] = v * w
+# A sparse matrix by columns: column c -> {row: nonzero entry}.
+Columns = list[dict[int, Scalar]]
+
+
+def _columns(m: Matrix) -> Columns:
+    cols: Columns = [{} for _ in range(len(m[0]))]
+    for r, row in enumerate(m):
+        for c, v in enumerate(row):
+            if not v.is_zero():
+                cols[c][r] = v
+    return cols
+
+
+def _lincomb(terms) -> dict[int, Scalar]:
+    """The sparse column sum of v * col over the (v, col) in terms."""
+    acc: dict[int, Scalar] = {}
+    for v, col in terms:
+        for r, w in col.items():
+            s = acc.get(r, ZERO) + v * w
+            if s.is_zero():
+                acc.pop(r, None)
+            else:
+                acc[r] = s
+    return acc
+
+
+def _after_12(x: Columns, op: Columns, n2: int) -> Columns:
+    """x o (op (x) id) for a two-leg op on legs 1, 2 of a three-leg space
+    with legs of dimension n2; column r*n2 + c of x is (op output r, leg c)."""
+    return [_lincomb((v, x[r * n2 + c]) for r, v in col.items())
+            for col in op for c in range(n2)]
+
+
+def _after_23(x: Columns, op: Columns, n2: int, n_out: int) -> Columns:
+    """x o (id (x) op) for a two-leg op on legs 2, 3 with n_out output
+    indices; column a*n_out + r of x is (leg a, op output r)."""
+    return [_lincomb((v, x[a * n_out + r]) for r, v in col.items())
+            for a in range(n2) for col in op]
+
+
+def _dense(cols: Columns, nrows: int) -> Matrix:
+    out = [[ZERO] * len(cols) for _ in range(nrows)]
+    for c, col in enumerate(cols):
+        for r, v in col.items():
+            out[r][c] = v
     return out
 
 
-# verify_lie builds dense (N^2)^3-square Kronecker products for the Jacobi
-# identity: 4096 rows at N = 4, 15625 at N = 5, which exhausts memory.
-LIE_MAX_N = 4
+def _jacobi_sides(bl: BraidedLie) -> tuple[Matrix, Matrix]:
+    """Both sides of the Jacobi identity as N^2 x N^6 matrices on
+    End(V)^(x)3.  Hecke form: [,][,]_23 (I - rhat_12) and [,][,]_12;
+    involutive form: [,][,]_23 (I + rhat_12 rhat_23 + rhat_23 rhat_12)
+    and 0.  Each [,] and rhat acts on its two legs through its nonzero
+    column entries; no N^6-square matrix is formed."""
+    n2 = bl.braiding.N ** 2
+    n4 = n2 * n2
+    br = _columns(bl.bracket)
+    rh = _columns(bl.rhat)
+    a = _after_23(br, br, n2, n2)
+    a12 = _after_12(a, rh, n2)
+    if bl.braiding.kind == HECKE:
+        minus = -ONE
+        lhs = [_lincomb(((ONE, p), (minus, t))) for p, t in zip(a, a12)]
+        rhs = _after_12(br, br, n2)
+    else:
+        cyc = _after_23(a12, rh, n2, n4)
+        cyc2 = _after_12(_after_23(a, rh, n2, n4), rh, n2)
+        lhs = [_lincomb(((ONE, p), (ONE, t), (ONE, u)))
+               for p, t, u in zip(a, cyc, cyc2)]
+        rhs = [{}] * len(a)
+    return _dense(lhs, n2), _dense(rhs, n2)
 
 
 def verify_lie(bl: BraidedLie) -> dict:
@@ -870,13 +943,11 @@ def verify_lie(bl: BraidedLie) -> dict:
     R-trace normalization on generators, vanishing of the R-trace on all
     basis brackets, the Jacobi identity in its Hecke or involutive form,
     and the consistency of the quadratic L-identity with the bracket.
+    The Jacobi identity is checked leg-locally: the bracket and the twist
+    act on two adjacent legs of End(V)^(x)3 at a time (_jacobi_sides).
     """
     b = bl.braiding
     N = b.N
-    if N > LIE_MAX_N:
-        raise SizeLimitExceeded(
-            f"verify_lie at N = {N} exceeds the limit N <= {LIE_MAX_N}: its "
-            f"Jacobi check builds dense {(N * N) ** 3}-square matrices")
     n2 = N * N
     n4 = n2 * n2
     report = {"defining": True, "trace_generators": True, "trace_brackets": True,
@@ -900,32 +971,13 @@ def verify_lie(bl: BraidedLie) -> dict:
             report["witnesses"].append(("trace-bracket", phi))
 
     # defining property, re-derived through the double-product expansion
-    rw = [[{(): v} if not (v := b.R.entries[y][x]).is_zero() else {}
-           for y in range(n2)] for x in range(n2)]
-    l1 = [[{} for _ in range(n2)] for _ in range(n2)]
-    for i in range(N):
-        for a in range(N):
-            for j in range(N):
-                l1[enc_index((i, a), N)][enc_index((j, a), N)] = {((i, j),): ONE}
-    m_rlrl = _formal_mul(_formal_mul(_formal_mul(rw, l1, n2), rw, n2), l1, n2)
-    m_lrlr = _formal_mul(_formal_mul(_formal_mul(l1, rw, n2), l1, n2), rw, n2)
+    m_rlrl, m_lrlr = _defining_products(b)
+    rh = _columns(bl.rhat)
     for x in range(n2):
         for y in range(n2):
-            vec = [ZERO] * n4
-            for key, v in m_rlrl[x][y].items():
-                e1, e2 = key
-                vec[enc_index((e1[0] * N + e1[1], e2[0] * N + e2[1]), n2)] = v
-            want = [ZERO] * n4
-            for key, v in m_lrlr[x][y].items():
-                e1, e2 = key
-                want[enc_index((e1[0] * N + e1[1], e2[0] * N + e2[1]), n2)] = v
-            got = [ZERO] * n4
-            for r in range(n4):
-                acc = ZERO
-                for c in range(n4):
-                    if not bl.rhat[r][c].is_zero() and not vec[c].is_zero():
-                        acc = acc + bl.rhat[r][c] * vec[c]
-                got[r] = acc
+            got = _lincomb((v, rh[_pair_code(key, N)])
+                           for key, v in m_rlrl[x][y].items())
+            want = {_pair_code(key, N): v for key, v in m_lrlr[x][y].items()}
             if got != want:
                 report["defining"] = False
                 report["witnesses"].append(("defining", x, y))
@@ -941,28 +993,11 @@ def verify_lie(bl: BraidedLie) -> dict:
     # Jacobi identity.  The Hecke form is the Leibniz one,
     #   [,] o [,]_23 o (I - rhat_12) = [,] o [,]_12,
     # whose q -> 1 limit is the classical [x,[y,z]] - [y,[x,z]] = [[x,y],z].
-    id2 = mat_identity(n2)
-    id6 = mat_identity(n2 ** 3)
-    br23 = _kron(id2, bl.bracket)
-    br12 = _kron(bl.bracket, id2)
-    rh23 = _kron(id2, bl.rhat)
-    rh12 = _kron(bl.rhat, id2)
-    if b.kind == HECKE:
-        im = [[id6[r][c] - rh12[r][c] for c in range(len(id6))] for r in range(len(id6))]
-        lhs = mat_mul(mat_mul(bl.bracket, br23), im)
-        rhs = mat_mul(bl.bracket, br12)
-        if lhs != rhs:
-            report["jacobi"] = False
-            report["witnesses"].append(("jacobi-hecke",))
-    else:
-        cyc = mat_mul(rh12, rh23)
-        cyc2 = mat_mul(rh23, rh12)
-        tot = [[id6[r][c] + cyc[r][c] + cyc2[r][c] for c in range(len(id6))]
-               for r in range(len(id6))]
-        lhs = mat_mul(mat_mul(bl.bracket, br23), tot)
-        if any(not v.is_zero() for row in lhs for v in row):
-            report["jacobi"] = False
-            report["witnesses"].append(("jacobi-involutive",))
+    lhs, rhs = _jacobi_sides(bl)
+    if lhs != rhs:
+        report["jacobi"] = False
+        report["witnesses"].append(
+            ("jacobi-hecke",) if b.kind == HECKE else ("jacobi-involutive",))
 
     report["passed"] = all(report[k] for k in
                            ("defining", "trace_generators", "trace_brackets",
@@ -980,8 +1015,7 @@ def _entry_coeff_matrix(formal, N: int) -> Matrix:
         for y in range(n2):
             col = x * n2 + y
             for key, v in formal[x][y].items():
-                e1, e2 = key
-                out[enc_index((e1[0] * N + e1[1], e2[0] * N + e2[1]), n2)][col] = v
+                out[_pair_code(key, N)][col] = v
     return out
 
 

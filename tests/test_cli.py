@@ -90,12 +90,12 @@ class TestVerify:
 
     def test_lie_size_limit(self, capsys):
         t0 = time.perf_counter()
-        code = run(["verify", "--braiding", "std-hecke", "--n", "5",
+        code = run(["verify", "--braiding", "std-hecke", "--n", "7",
                     "--suite", "lie"])
         assert code == 2
         assert time.perf_counter() - t0 < 20
         err = capsys.readouterr().err
-        assert "SizeLimitExceeded" in err and "N = 5" in err and "N <= 4" in err
+        assert "SizeLimitExceeded" in err and "N = 7" in err and "N <= 6" in err
 
 
 class TestPoincare:

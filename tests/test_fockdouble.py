@@ -1,13 +1,15 @@
+import copy
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfock.braidings import load_builtin, make_flip, make_standard_hecke, make_superflip
+from qfock.braidings import HECKE, load_builtin, make_flip, make_standard_hecke, make_superflip
 from qfock.errors import EmptyComponent, UnsupportedDouble
 from qfock.fockdouble import (
     BraidedLie,
+    _jacobi_sides,
     braided_lie,
     fock_representation,
     left_dual_variant_report,
@@ -18,7 +20,7 @@ from qfock.fockdouble import (
     verify_lie,
 )
 from qfock.scalars import ONE, Q, QINV, ZERO, Scalar
-from qfock.tensorops import enc_index
+from qfock.tensorops import enc_index, mat_identity, mat_mul
 
 
 def classical_weyl_normal_order(word, N):
@@ -383,6 +385,92 @@ class TestBraidedLie:
             for j in range(2):
                 want = bl.alpha if i == j else ZERO
                 assert bl.rtrace[i * 2 + j] == want
+
+    @pytest.mark.parametrize("maker", [lambda: make_standard_hecke(2),
+                                       lambda: make_flip(2)])
+    @pytest.mark.parametrize("field, flipped", [
+        ("bracket", {"trace_brackets", "jacobi", "quadratic_consistency"}),
+        ("rhat", {"defining", "jacobi"}),
+        ("rtrace", {"trace_generators", "trace_brackets"}),
+        ("alpha", {"trace_generators"}),
+    ])
+    def test_corruption_fails_its_checks(self, maker, field, flipped):
+        bl = braided_lie(maker())
+        assert verify_lie(bl)["passed"]
+        rep = verify_lie(_corrupt(bl, field))
+        failed = {k for k in ("defining", "trace_generators", "trace_brackets",
+                              "jacobi", "quadratic_consistency") if not rep[k]}
+        assert failed == flipped
+        assert not rep["passed"]
+
+    @pytest.mark.parametrize("maker", [
+        lambda: make_flip(2),
+        lambda: make_flip(3),
+        lambda: make_superflip(1, 1),
+        lambda: make_standard_hecke(2),
+        lambda: make_standard_hecke(3),
+    ])
+    def test_leg_local_jacobi_matches_dense(self, maker):
+        bl = braided_lie(maker())
+        broken = _corrupt(_corrupt(bl, "bracket"), "rhat")
+        for cur in (bl, broken):
+            assert _jacobi_sides(cur) == _dense_jacobi_sides(cur)
+        lhs, rhs = _jacobi_sides(broken)
+        assert lhs != rhs
+
+
+def _corrupt(bl: BraidedLie, field: str) -> BraidedLie:
+    """A copy of bl with ONE added to one entry of the named field: the
+    first nonzero entry of a matrix, rtrace[1], or alpha."""
+    out = copy.copy(bl)
+    if field == "alpha":
+        out.alpha = bl.alpha + ONE
+    elif field == "rtrace":
+        out.rtrace = list(bl.rtrace)
+        out.rtrace[1] = out.rtrace[1] + ONE
+    else:
+        mat = [list(row) for row in getattr(bl, field)]
+        r, c = next((r, c) for r, row in enumerate(mat)
+                    for c, v in enumerate(row) if not v.is_zero())
+        mat[r][c] = mat[r][c] + ONE
+        setattr(out, field, mat)
+    return out
+
+
+def _kron(a, b):
+    na, nb = len(a), len(b)
+    ma, mb = len(a[0]), len(b[0])
+    out = [[ZERO] * (ma * mb) for _ in range(na * nb)]
+    for i in range(na):
+        for j in range(ma):
+            v = a[i][j]
+            if v.is_zero():
+                continue
+            for r in range(nb):
+                for c in range(mb):
+                    w = b[r][c]
+                    if not w.is_zero():
+                        out[i * nb + r][j * mb + c] = v * w
+    return out
+
+
+def _dense_jacobi_sides(bl: BraidedLie):
+    """Reference for _jacobi_sides: every leg operator embedded as a dense
+    (N^2)^3-square Kronecker product."""
+    n2 = bl.braiding.N ** 2
+    id2 = mat_identity(n2)
+    id6 = mat_identity(n2 ** 3)
+    rh12 = _kron(bl.rhat, id2)
+    rh23 = _kron(id2, bl.rhat)
+    a = mat_mul(bl.bracket, _kron(id2, bl.bracket))
+    if bl.braiding.kind == HECKE:
+        rest = [[x - y for x, y in zip(ri, rr)] for ri, rr in zip(id6, rh12)]
+        return mat_mul(a, rest), mat_mul(bl.bracket, _kron(bl.bracket, id2))
+    cyc = mat_mul(rh12, rh23)
+    cyc2 = mat_mul(rh23, rh12)
+    rest = [[x + y + z for x, y, z in zip(ri, rc, rc2)]
+            for ri, rc, rc2 in zip(id6, cyc, cyc2)]
+    return mat_mul(a, rest), [[ZERO] * len(id6) for _ in range(n2)]
 
 
 class TestLeftDualVariant:
