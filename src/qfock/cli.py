@@ -557,8 +557,10 @@ def main(argv=None) -> int:
                     family=args.family, suite=args.suite, kmax=args.kmax,
                     window=args.window, degree=args.degree, out=args.out)
     try:
-        if cfg.kmax < 0:
-            raise InvalidArgument(f"--kmax must be >= 0, got {cfg.kmax}")
+        for flag in ("kmax", "window", "degree"):
+            if getattr(cfg, flag) < 0:
+                raise InvalidArgument(
+                    f"--{flag} must be >= 0, got {getattr(cfg, flag)}")
         return {"verify": cmd_verify, "poincare": cmd_poincare,
                 "repr": cmd_repr, "export": cmd_export}[args.command](cfg)
     except (QfockError, ValueError) as exc:

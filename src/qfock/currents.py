@@ -25,6 +25,8 @@ summation terminates on the nose.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import product
 
 from .braidings import (
     Braiding,
@@ -34,7 +36,7 @@ from .braidings import (
 )
 from .errors import WindowOverflow
 from .scalars import ONE, Q, QINV, ZERO, Scalar
-from .tensorops import enc_index
+from .tensorops import enc_index, row_reduce
 
 Mode = tuple[int, int]               # (generator index, mode number)
 ModeWord = tuple[Mode, ...]
@@ -67,12 +69,7 @@ class ModeState:
 
     def __add__(self, other: "ModeState") -> "ModeState":
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, ZERO) + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+        _sum_into(out, other.terms)
         return ModeState(out, max(self.window, other.window))
 
     def scale(self, s: Scalar) -> "ModeState":
@@ -93,6 +90,9 @@ class CurrentDouble:
     max_degree: int = 2
     exchange: dict = field(init=False)
     constant: dict = field(init=False)
+    # _annihilate memo keyed by (gen, k, word); lives as long as the double
+    annihilated: dict = field(init=False, default_factory=dict,
+                              repr=False, compare=False)
 
     def __post_init__(self):
         b = self.cb.base
@@ -128,6 +128,26 @@ def make_current_double(cb: CurrentBraiding, window: int,
 # mode-level rewriting
 # ---------------------------------------------------------------------------
 
+def _add_term(out: dict, key, c: Scalar) -> None:
+    """out[key] += c, dropping the key when the sum vanishes."""
+    s = out.get(key, ZERO) + c
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
+def _sum_into(out: dict, states: dict, scale: Scalar = ONE) -> None:
+    """out += scale * states, dropping keys whose sum vanishes."""
+    unit = scale.is_one()
+    for w, c in states.items():
+        s = out.get(w, ZERO) + (c if unit else scale * c)
+        if s.is_zero():
+            out.pop(w, None)
+        else:
+            out[w] = s
+
+
 def mode_permute(cd: CurrentDouble, a_mode: Mode, b_mode: Mode):
     """Normal-ordered form of x^a[k] x_b[l]: a list of (pair, coefficient)
     where pair is ((i, l), (j, k)) for exchange terms and None for the
@@ -144,23 +164,23 @@ def mode_permute(cd: CurrentDouble, a_mode: Mode, b_mode: Mode):
 
 def _annihilate(cd: CurrentDouble, gen: int, k: int, word: ModeWord) -> dict[ModeWord, Scalar]:
     """Action of the single dual mode x^gen[k] on a creation word; the
-    counit kills whatever reaches the vacuum."""
-    if not word:
-        return {}
-    (b0, m0) = word[0]
-    out: dict[ModeWord, Scalar] = {}
-    if k + m0 == 1:
-        c = cd.constant[(gen, b0)]
-        if not c.is_zero():
-            out[word[1:]] = c
-    for (i, j, c) in cd.exchange[(gen, b0)]:
-        for w2, c2 in _annihilate(cd, j, k, word[1:]).items():
-            key = ((i, m0),) + w2
-            s = out.get(key, ZERO) + c * c2
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+    counit kills whatever reaches the vacuum.  Memoized per double; callers
+    only read the returned dict."""
+    key = (gen, k, word)
+    out = cd.annihilated.get(key)
+    if out is not None:
+        return out
+    out = {}
+    if word:
+        (b0, m0) = word[0]
+        if k + m0 == 1:
+            c = cd.constant[(gen, b0)]
+            if not c.is_zero():
+                out[word[1:]] = c
+        for (i, j, c) in cd.exchange[(gen, b0)]:
+            for w2, c2 in _annihilate(cd, j, k, word[1:]).items():
+                _add_term(out, ((i, m0),) + w2, c * c2)
+    cd.annihilated[key] = out
     return out
 
 
@@ -172,12 +192,7 @@ def zf_act(cd: CurrentDouble, a_modes, state: ModeState) -> ModeState:
     for (gen, k) in reversed(list(a_modes)):
         new: dict[ModeWord, Scalar] = {}
         for w, c in terms.items():
-            for w2, c2 in _annihilate(cd, gen, k, w).items():
-                s = new.get(w2, ZERO) + c * c2
-                if s.is_zero():
-                    new.pop(w2, None)
-                else:
-                    new[w2] = s
+            _sum_into(new, _annihilate(cd, gen, k, w), c)
         terms = new
     return ModeState(terms, state.window)
 
@@ -186,8 +201,8 @@ def zf_act(cd: CurrentDouble, a_modes, state: ModeState) -> ModeState:
 # expression evaluation for the spectral identity
 # ---------------------------------------------------------------------------
 # A term is (coefficient, factors, dist): factors are current symbols
-# ('c'|'a', generator, 'u'|'v') multiplied in written order; dist is None,
-# "delta" for a delta(u-v) prefactor, or "pole" applied at extraction.
+# ('c'|'a', generator, 'u'|'v') multiplied in written order; dist is None
+# or "delta" for a delta(u-v) prefactor.  The pole multiplies all of T2.
 
 Factor = tuple[str, int, str]
 Term = tuple[Scalar, tuple[Factor, ...], str | None]
@@ -200,104 +215,104 @@ def _exp_shift(kind: str, mode: int) -> int:
 
 
 def _eval_factors(cd: CurrentDouble, factors: tuple[Factor, ...],
-                  ket: ModeWord, interior_clip: int) -> ExpDict:
+                  ket: ModeWord, interior_clip: int, window: int) -> ExpDict:
     """Apply current factors to a ket, rightmost first, tracking the
-    (u, v)-exponents.  Creation modes are enumerated within interior_clip;
-    final states are truncated to the declared window at extraction."""
+    (u, v)-exponents, and project the result to the window.
+
+    Creation modes are enumerated within interior_clip until no annihilator
+    is left to remove a mode (annihilation keeps mode labels); from there
+    on words outside the window are dropped and creation modes are
+    enumerated within it.  Only the exponent keys (a, b) that some
+    coefficient u^(-r-1) v^(-s-1), |r|, |s| <= window, reads are kept: all
+    of them have -2 window - 2 <= a + b <= 2 window - 1.
+    """
+    leftmost_a = min((p for p, f in enumerate(factors) if f[0] == "a"),
+                     default=len(factors))
     current: ExpDict = {(0, 0): {ket: ONE}}
-    for (kind, gen, var) in reversed(factors):
+    for pos in reversed(range(len(factors))):
+        kind, gen, var = factors[pos]
+        clip = interior_clip if pos > leftmost_a else min(interior_clip, window)
         new: ExpDict = {}
         for (eu, ev), states in current.items():
             for word, coeff in states.items():
                 if kind == "a":
-                    candidates = {1 - m for (_, m) in word}
-                    for k in candidates:
-                        shift = _exp_shift("a", k)
-                        key = (eu + shift, ev) if var == "u" else (eu, ev + shift)
+                    for k in {1 - m for (_, m) in word}:
                         acted = _annihilate(cd, gen, k, word)
-                        if not acted:
-                            continue
-                        slot = new.setdefault(key, {})
-                        for w2, c2 in acted.items():
-                            s = slot.get(w2, ZERO) + coeff * c2
-                            if s.is_zero():
-                                slot.pop(w2, None)
-                            else:
-                                slot[w2] = s
+                        if acted:
+                            shift = _exp_shift("a", k)
+                            key = (eu + shift, ev) if var == "u" else (eu, ev + shift)
+                            _sum_into(new.setdefault(key, {}), acted, coeff)
                 else:
-                    for m in range(-interior_clip, interior_clip + 1):
+                    for m in range(-clip, clip + 1):
                         shift = _exp_shift("c", m)
                         key = (eu + shift, ev) if var == "u" else (eu, ev + shift)
-                        slot = new.setdefault(key, {})
-                        w2 = ((gen, m),) + word
-                        s = slot.get(w2, ZERO) + coeff
-                        if s.is_zero():
-                            slot.pop(w2, None)
-                        else:
-                            slot[w2] = s
+                        _add_term(new.setdefault(key, {}), ((gen, m),) + word, coeff)
+        if pos == leftmost_a:
+            new = {key: {w: c for w, c in states.items()
+                         if all(abs(m) <= window for (_, m) in w)}
+                   for key, states in new.items()}
         current = {k: v for k, v in new.items() if v}
-    return current
+    return {(a, b): states for (a, b), states in current.items()
+            if -2 * window - 2 <= a + b <= 2 * window - 1}
 
 
-def _project_window(states: dict[ModeWord, Scalar], window: int) -> dict[ModeWord, Scalar]:
-    return {w: c for w, c in states.items()
-            if all(abs(m) <= window for (_, m) in w)}
+def _ket_evaluator(cd: CurrentDouble, ket: ModeWord):
+    """evaluate(factors, clip): the windowed evaluation of a current word on
+    `ket`, computed once per distinct (factors, clip)."""
+    return lru_cache(maxsize=None)(
+        lambda factors, clip: _eval_factors(cd, factors, ket, clip, cd.window))
 
 
-class _EvaluatedTerm:
-    __slots__ = ("coeff", "dist", "exps")
+def _readers(window: int, theta: int):
+    """Key filters of the T1 plain and the T2 buckets: every (eu, ev) lies
+    in [-window - 1, window - 1]^2 and the pole reads a >= eu + theta."""
+    lo, hi = -window - 1, window - 1
+    return (lambda a, b: lo <= a <= hi and lo <= b <= hi,
+            lambda a, b: a >= lo + theta and b <= hi)
 
-    def __init__(self, coeff: Scalar, dist: str | None, exps: ExpDict):
-        self.coeff = coeff
-        self.dist = dist
-        self.exps = exps
+
+def _buckets(terms: list[Term], evaluate, clip: int, reads):
+    """Sum c * states over a cell's terms, once per exponent key: plain
+    terms by (a, b) where reads(a, b), delta(u-v) terms by a + b."""
+    plain: ExpDict = {}
+    delta: dict[int, dict[ModeWord, Scalar]] = {}
+    for (c, factors, dist) in terms:
+        for (a, b), states in evaluate(factors, clip).items():
+            if dist is not None:
+                _sum_into(delta.setdefault(a + b, {}), states, c)
+            elif reads(a, b):
+                _sum_into(plain.setdefault((a, b), {}), states, c)
+    return plain, delta
 
 
-def _extract(cd: CurrentDouble, ev_terms: list[_EvaluatedTerm],
-             eu: int, ev: int, apply_pole: bool) -> dict[ModeWord, Scalar]:
-    """Coefficient of u^eu v^ev of a sum of evaluated terms, projected to
-    the declared window.  delta prefactors sum over their diagonal; the
-    pole prefactor sums over the region expansion."""
-    window = cd.window
-    trig = cd.cb.flavor == TRIGONOMETRIC
-    qdiff = Q - QINV
+def _by_sum(plain: ExpDict) -> dict[int, list]:
+    """Pole-side index of a plain bucket: a + b -> [(a, states)]."""
+    out: dict[int, list] = {}
+    for (a, b), states in plain.items():
+        out.setdefault(a + b, []).append((a, states))
+    return out
+
+
+def _lhs(plain: ExpDict, delta: dict, eu: int, ev: int) -> dict[ModeWord, Scalar]:
+    """Coefficient of u^eu v^ev of the T1 side.  delta(u-v) = sum_p v^p
+    u^(-p-1) carries the term at (a, b) to every (eu, ev) with
+    a + b = eu + ev + 1."""
+    out = dict(plain.get((eu, ev), {}))
+    _sum_into(out, delta.get(eu + ev + 1, {}))
+    return out
+
+
+def _rhs(by_sum: dict, eu: int, ev: int, theta: int, pole: Scalar) -> dict[ModeWord, Scalar]:
+    """Coefficient of u^eu v^ev of pole * T2, where the pole is
+    sum_{p>=0} v^p u^(-p-1) (rational, theta = 1) or (q - q^-1) sum_{p>=0}
+    v^p u^(-p) (trigonometric, theta = 0): it reads the keys (a, b) with
+    a + b = eu + ev + theta and a >= eu + theta."""
     out: dict[ModeWord, Scalar] = {}
-
-    def add_states(states, scale):
-        for w, c in _project_window(states, window).items():
-            s = out.get(w, ZERO) + scale * c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-
-    for term in ev_terms:
-        targets: list[tuple[int, int, Scalar]] = []
-        if apply_pole:
-            # h(u,v) = sum_{p>=0} v^p u^{-p-1} (rational)
-            #        = (q - q^{-1}) sum_{p>=0} v^p u^{-p} (trigonometric)
-            pole_coeff = qdiff if trig else ONE
-            offsets = {a - (eu + (0 if trig else 1)) for (a, _) in term.exps}
-            for p in sorted(offsets):
-                if p < 0:
-                    continue
-                ua = eu + p + (0 if trig else 1)
-                targets.append((ua, ev - p, pole_coeff))
-        else:
-            targets.append((eu, ev, ONE))
-        for (ua, va, scale0) in targets:
-            if term.dist is None:
-                states = term.exps.get((ua, va))
-                if states:
-                    add_states(states, term.coeff * scale0)
-            elif term.dist == "delta":
-                # delta(u-v) contributes v^p u^{-p-1} for every integer p
-                for (a, b), states in term.exps.items():
-                    p = va - b
-                    if a == ua + p + 1:
-                        add_states(states, term.coeff * scale0)
-            else:
-                raise AssertionError("pole terms are consumed at extraction")
+    for a, states in by_sum.get(eu + ev + theta, ()):
+        if a >= eu + theta:
+            _sum_into(out, states)
+    if not pole.is_one():
+        out = {w: pole * c for w, c in out.items()}
     return out
 
 
@@ -322,19 +337,10 @@ def _expr_mul(a, b, n):
     return out
 
 
-def _expr_scale(mat, s: Scalar, dist: str | None = None):
-    out = []
-    for row in mat:
-        new_row = []
-        for terms in row:
-            cell = []
-            for (c, f, d) in terms:
-                if dist is not None and d is not None:
-                    raise AssertionError("distribution already present")
-                cell.append((s * c, f, d or dist))
-            new_row.append(cell)
-        out.append(new_row)
-    return out
+def _times_delta(mat):
+    if any(d is not None for row in mat for terms in row for (_, _, d) in terms):
+        raise AssertionError("distribution already present")
+    return [[[(c, f, "delta") for (c, f, _) in terms] for terms in row] for row in mat]
 
 
 def _expr_sub(a, b):
@@ -378,49 +384,33 @@ def _yang_expressions(cd: CurrentDouble):
     lv = _l_current(b, "v")
     t1 = _expr_sub(_expr_mul(_expr_mul(_expr_mul(rw, lu, n2), rw, n2), lv, n2),
                    _expr_mul(_expr_mul(_expr_mul(lv, rw, n2), lu, n2), rw, n2))
-    t1 = _expr_sub(t1, _expr_scale(
-        _expr_sub(_expr_mul(rw, lu, n2), _expr_mul(lu, rw, n2)), ONE, "delta"))
+    t1 = _expr_sub(t1, _times_delta(
+        _expr_sub(_expr_mul(rw, lu, n2), _expr_mul(lu, rw, n2))))
 
     s = b.q.inverse()
     psi = b.psi
     t2 = [[[] for _ in range(n2)] for _ in range(n2)]
-    for x1 in range(N):
-        for x2 in range(N):
-            x = enc_index((x1, x2), N)
-            for y1 in range(N):
-                for y2 in range(N):
-                    y = enc_index((y1, y2), N)
-                    cell = t2[x][y]
-                    for z in range(N):
-                        for w in range(N):
-                            rv = b.R.entries[enc_index((w, y2), N)][enc_index((z, x2), N)]
-                            if rv.is_zero():
-                                continue
-                            for i in range(N):
-                                for j in range(N):
-                                    pv = psi.entries[enc_index((i, z), N)][enc_index((j, w), N)]
-                                    if pv.is_zero():
-                                        continue
-                                    coeff = s * rv * pv
-                                    cell.append((coeff,
-                                                 (("c", x1, "u"), ("c", i, "v"),
-                                                  ("a", j, "u"), ("a", y1, "v")),
-                                                 None))
-                                    cell.append((-coeff,
-                                                 (("c", x1, "v"), ("c", i, "u"),
-                                                  ("a", j, "v"), ("a", y1, "u")),
-                                                 None))
+    for x1, x2, y1, y2, z, w in product(range(N), repeat=6):
+        rv = b.R.entries[enc_index((w, y2), N)][enc_index((z, x2), N)]
+        if rv.is_zero():
+            continue
+        cell = t2[enc_index((x1, x2), N)][enc_index((y1, y2), N)]
+        for i, j in product(range(N), repeat=2):
+            pv = psi.entries[enc_index((i, z), N)][enc_index((j, w), N)]
+            if not pv.is_zero():
+                coeff = s * rv * pv
+                cell.append((coeff, (("c", x1, "u"), ("c", i, "v"),
+                                     ("a", j, "u"), ("a", y1, "v")), None))
+                cell.append((-coeff, (("c", x1, "v"), ("c", i, "u"),
+                                      ("a", j, "v"), ("a", y1, "u")), None))
     return t1, t2
 
 
 def _kets(N: int, window: int, degree: int) -> list[ModeWord]:
     singles = [((g, m),) for g in range(N) for m in range(-window, window + 1)]
-    kets: list[ModeWord] = [()]
-    kets.extend(singles)
+    kets: list[ModeWord] = [(), *singles]
     if degree >= 2:
-        for w1 in singles:
-            for w2 in singles:
-                kets.append(w1 + w2)
+        kets.extend(w1 + w2 for w1 in singles for w2 in singles)
     return kets
 
 
@@ -430,72 +420,79 @@ def _exchange_relation_span(cd: CurrentDouble, far: int):
     coefficients up to `far`.  Saturation is not derived from a bound; the
     caller compares ranks at two values of `far` and refuses to proceed if
     the span is still growing."""
-    from .tensorops import row_reduce
-
     b = cd.cb.base
     N = b.N
     M = cd.window
     trig = cd.cb.flavor == TRIGONOMETRIC
-    qdiff = Q - QINV
     theta = 0 if trig else 1
-    cf = qdiff if trig else ONE
+    cf = Q - QINV if trig else ONE
     qmain = Q if trig else ONE
     pairs = [((i, a), (j, b2)) for i in range(N) for a in range(-M, M + 1)
              for j in range(N) for b2 in range(-M, M + 1)]
     index = {p: t for t, p in enumerate(pairs)}
     rows = []
-    for m in range(-far, far + 1):
-        for n in range(-far, far + 1):
-            for i in range(N):
-                for j in range(N):
-                    row = [ZERO] * len(pairs)
-                    touched = False
+    coeffs = range(-far, far + 1)
+    for m, n, i, j in product(coeffs, coeffs, range(N), range(N)):
+        row = [ZERO] * len(pairs)
+        touched = False
 
-                    def add(k1: Mode, k2: Mode, c: Scalar):
-                        nonlocal touched
-                        t = index.get((k1, k2))
-                        if t is not None and not c.is_zero():
-                            row[t] = row[t] + c
-                            touched = True
+        def add(k1: Mode, k2: Mode, c: Scalar):
+            nonlocal touched
+            t = index.get((k1, k2))
+            if t is not None and not c.is_zero():
+                row[t] = row[t] + c
+                touched = True
 
-                    for k in range(N):
-                        for l in range(N):
-                            rv = b.R.entries[enc_index((k, l), N)][enc_index((i, j), N)]
-                            add((k, m), (l, n), rv)
-                    for p in range(0, far + 2 * M + 2):
-                        add((i, m - p - theta), (j, n + p), -cf)
-                        add((i, n + p), (j, m - p - theta), cf)
-                    add((i, n), (j, m), -qmain)
-                    if touched:
-                        rows.append(row)
+        for k, l in product(range(N), repeat=2):
+            add((k, m), (l, n), b.R.entries[enc_index((k, l), N)][enc_index((i, j), N)])
+        for p in range(0, far + 2 * M + 2):
+            add((i, m - p - theta), (j, n + p), -cf)
+            add((i, n + p), (j, m - p - theta), cf)
+        add((i, n), (j, m), -qmain)
+        if touched:
+            rows.append(row)
     return row_reduce(rows, len(pairs)), index
 
 
-def _reduce_mod_span(states: dict[ModeWord, Scalar], span, index) -> dict[ModeWord, Scalar]:
+def _difference(lhs: dict[ModeWord, Scalar],
+                rhs: dict[ModeWord, Scalar]) -> dict[ModeWord, Scalar]:
+    """lhs - rhs, without arithmetic when the two sides agree."""
+    if lhs == rhs:
+        return {}
+    out = dict(lhs)
+    for w, c in rhs.items():
+        _add_term(out, w, -c)
+    return out
+
+
+def _sparse_span(span, index):
+    """Pivot rows of a row-reduced span as {pivot col: {col: Scalar}},
+    with the column index and its inverse."""
+    rows = {pcol: {t: e for t, e in enumerate(prow) if not e.is_zero()}
+            for prow, pcol in zip(span.rows, span.pivots)}
+    return rows, index, {t: p for p, t in index.items()}
+
+
+def _reduce_mod_span(states: dict[ModeWord, Scalar], rows, index,
+                     inv_index) -> dict[ModeWord, Scalar]:
     """Remainder of a two-mode-word combination modulo the relation span;
-    words of other degrees pass through untouched."""
-    vec = [ZERO] * span.ncols
-    out = {w: c for w, c in states.items() if len(w) != 2}
+    words outside the span's index pass through untouched.  The span is in
+    reduced row echelon form, so the remainder subtracts vec[p] * row_p for
+    each pivot column p of the original vector."""
+    out: dict[ModeWord, Scalar] = {}
+    vec: dict[int, Scalar] = {}
     for w, c in states.items():
-        if len(w) == 2:
-            t = index.get((w[0], w[1]))
-            if t is None:
-                out[w] = c
-            else:
-                vec[t] = vec[t] + c
-    for prow, pcol in zip(span.rows, span.pivots):
-        f = vec[pcol]
-        if not f.is_zero():
-            vec = [a - f * bb for a, bb in zip(vec, prow)]
-    inv_index = {t: p for p, t in index.items()}
-    for t, c in enumerate(vec):
-        if not c.is_zero():
-            w = inv_index[t]
-            s = out.get(w, ZERO) + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+        t = index.get(w)
+        if t is None:
+            out[w] = c
+        else:
+            vec[t] = c
+    rem = dict(vec)
+    for t, f in vec.items():
+        row = rows.get(t)
+        if row is not None:
+            _sum_into(rem, row, -f)
+    out.update((inv_index[t], c) for t, c in rem.items())
     return out
 
 
@@ -505,56 +502,74 @@ def verify_yang(cd: CurrentDouble, window: int | None = None,
 
     Both sides are expanded in the region |u| > |v|; the coefficient of
     u^{-r-1} v^{-s-1} applied to every ket of degree <= `degree` with
-    modes in the window is compared for all r, s in the window.  Degree
-    <= 1 comparisons are strict equalities of free mode states.  Outputs
-    reached from degree-2 kets are only defined up to the defining
-    exchange relations, so those comparisons reduce both sides modulo the
-    window projection of the relation span first; the report records
-    which comparison was used.  Verdicts are window-monotone; with
+    modes in the window is compared for all r, s in the window.
+
+    Each distinct current word is evaluated once per ket, projected to the
+    window.  Each matrix cell (x, y) then sums c * states over its terms
+    once per exponent key (a, b), and every (r, s), with (eu, ev) =
+    (-r-1, -s-1), is read off by lookups:
+      - lhs: the T1 plain bucket at (eu, ev), plus the T1 delta(u-v)
+        bucket at a + b = eu + ev + 1;
+      - rhs: the T2 bucket summed over the keys with a + b = eu + ev +
+        theta and a >= eu + theta, scaled once by q - 1/q (trigonometric,
+        theta = 0) or 1 (rational, theta = 1).
+    The comparison is lhs - rhs against zero.  Degree <= 1 comparisons are
+    strict equalities of free mode states.  Outputs reached from degree-2
+    kets are only defined up to the defining exchange relations, so there
+    the difference is reduced modulo the window projection of the relation
+    span first (the span is in reduced row echelon form, so this equals
+    comparing the reduced sides) and a nonzero remainder is counted as a
+    residual class, not gated.  Verdicts are window-monotone; with
     spot_enlarge the interior mode enumeration is repeated with a larger
     clip and must agree.
     """
-    if degree > 2 or (window or cd.window) > 4:
-        raise WindowOverflow("desk scale is degree <= 2 and window <= 4")
     M = cd.window if window is None else window
+    if degree > 2 or M > 4:
+        raise WindowOverflow("desk scale is degree <= 2 and window <= 4")
     if M != cd.window:
         cd = CurrentDouble(cd.cb, M, cd.max_degree)
     N = cd.N
     n2 = N * N
+    trig = cd.cb.flavor == TRIGONOMETRIC
+    theta = 0 if trig else 1
+    pole = Q - QINV if trig else ONE
     t1, t2 = _yang_expressions(cd)
     interior = 2 * M + 2
     kets = _kets(N, M, degree)
-    span = index = None
+    coeffs = [(r, s, -r - 1, -s - 1) for r in range(-M, M + 1)
+              for s in range(-M, M + 1)]
+    span = None
     if degree >= 2:
-        span, index = _exchange_relation_span(cd, far=3 * M + 3)
+        dense, index = _exchange_relation_span(cd, far=3 * M + 3)
         span_big, _ = _exchange_relation_span(cd, far=3 * M + 5)
-        if span.rank != span_big.rank:
+        if dense.rank != span_big.rank:
             raise WindowOverflow("relation span did not stabilize", 3 * M + 5)
+        span = _sparse_span(dense, index)
+    lhs_reads, rhs_reads = _readers(M, theta)
+    spot_ket = kets[min(1, len(kets) - 1)]
     mismatches = []
     residual_classes = 0
     checked = 0
     for ket in kets:
         deg2_ket = len(ket) >= 2
+        evaluate = _ket_evaluator(cd, ket)
+        if ket == spot_ket:
+            spot_evaluate = evaluate
         for x in range(n2):
             for y in range(n2):
-                ev1 = [_EvaluatedTerm(c, d, _eval_factors(cd, f, ket, interior))
-                       for (c, f, d) in t1[x][y]]
-                ev2 = [_EvaluatedTerm(c, d, _eval_factors(cd, f, ket, M))
-                       for (c, f, d) in t2[x][y]]
-                for r in range(-M, M + 1):
-                    for s in range(-M, M + 1):
-                        eu, ev = -r - 1, -s - 1
-                        lhs = _extract(cd, ev1, eu, ev, apply_pole=False)
-                        rhs = _extract(cd, ev2, eu, ev, apply_pole=True)
-                        if deg2_ket and span is not None:
-                            lhs = _reduce_mod_span(lhs, span, index)
-                            rhs = _reduce_mod_span(rhs, span, index)
-                        checked += 1
-                        if lhs != rhs:
-                            if deg2_ket:
-                                residual_classes += 1
-                            else:
-                                mismatches.append((ket, (x, y), (r, s)))
+                plain, delta = _buckets(t1[x][y], evaluate, interior, lhs_reads)
+                by_sum = _by_sum(_buckets(t2[x][y], evaluate, M, rhs_reads)[0])
+                for (r, s, eu, ev) in coeffs:
+                    checked += 1
+                    diff = _difference(_lhs(plain, delta, eu, ev),
+                                       _rhs(by_sum, eu, ev, theta, pole))
+                    if deg2_ket and diff:
+                        diff = _reduce_mod_span(diff, *span)
+                    if diff:
+                        if deg2_ket:
+                            residual_classes += 1
+                        else:
+                            mismatches.append((ket, (x, y), (r, s)))
     report = {
         "passed": not mismatches,
         "matrix_elements": checked,
@@ -571,19 +586,13 @@ def verify_yang(cd: CurrentDouble, window: int | None = None,
         report["degree2_report_only"] = True
         report["degree2_residual_classes"] = residual_classes
     if spot_enlarge and not mismatches:
-        ket = kets[min(1, len(kets) - 1)]
         stable = True
         for x in range(n2):
-            ev1 = [_EvaluatedTerm(c, d, _eval_factors(cd, f, ket, interior))
-                   for (c, f, d) in t1[x][0]]
-            ev1_big = [_EvaluatedTerm(c, d, _eval_factors(cd, f, ket, interior + 3))
-                       for (c, f, d) in t1[x][0]]
-            for r in range(-M, M + 1):
-                for s in range(-M, M + 1):
-                    a = _extract(cd, ev1, -r - 1, -s - 1, apply_pole=False)
-                    b2 = _extract(cd, ev1_big, -r - 1, -s - 1, apply_pole=False)
-                    if a != b2:
-                        stable = False
+            small = _buckets(t1[x][0], spot_evaluate, interior, lhs_reads)
+            big = _buckets(t1[x][0], spot_evaluate, interior + 3, lhs_reads)
+            for (_, _, eu, ev) in coeffs:
+                if _lhs(*small, eu, ev) != _lhs(*big, eu, ev):
+                    stable = False
         report["window_monotone_spot_check"] = stable
         if not stable:
             report["passed"] = False
@@ -643,57 +652,43 @@ def _half_current_report(cd: CurrentDouble) -> dict:
 
     total_residual = 0
     in_window_ok = True
-    for m in range(-M, M + 1):
-        for n in range(-M, M + 1):
-            for i in range(N):
-                for j in range(N):
-                    # full relation at the (m, n) coefficient:
-                    # terms as {( (gen,mode), (gen,mode) ): Scalar}
-                    full: dict[tuple[Mode, Mode], Scalar] = {}
+    window = range(-M, M + 1)
+    for m, n, i, j in product(window, window, range(N), range(N)):
+        # full relation at the (m, n) coefficient, keyed by mode pairs
+        full: dict[tuple[Mode, Mode], Scalar] = {}
 
-                    def add(k1: Mode, k2: Mode, c: Scalar):
-                        nonlocal total_residual
-                        if c.is_zero():
-                            return
-                        if abs(k1[1]) > M or abs(k2[1]) > M:
-                            total_residual += 1
-                            return
-                        key = (k1, k2)
-                        s = full.get(key, ZERO) + c
-                        if s.is_zero():
-                            full.pop(key, None)
-                        else:
-                            full[key] = s
+        def add(k1: Mode, k2: Mode, c: Scalar):
+            nonlocal total_residual
+            if c.is_zero():
+                return
+            if abs(k1[1]) > M or abs(k2[1]) > M:
+                total_residual += 1
+            else:
+                _add_term(full, (k1, k2), c)
 
-                    # R-side: R_ij^kl x_k[m] x_l[n] minus the pole tail
-                    for k in range(N):
-                        for l in range(N):
-                            rv = b.R.entries[enc_index((k, l), N)][enc_index((i, j), N)]
-                            add((k, m), (l, n), rv)
-                    for p in range(0, 2 * M + 2):
-                        mu_ = m - p if trig else m - p - 1
-                        cf = qdiff if trig else ONE
-                        add((i, mu_), (j, n + p), -cf)
-                    # g-side: main term and its pole tail, subtracted
-                    add((i, n), (j, m), -(q if not trig else Q))
-                    for p in range(0, 2 * M + 2):
-                        mu_ = m - p if trig else m - p - 1
-                        cf = qdiff if trig else ONE
-                        add((i, n + p), (j, mu_), cf)
+        # R-side: R_ij^kl x_k[m] x_l[n] minus the pole tail
+        for k, l in product(range(N), repeat=2):
+            add((k, m), (l, n), b.R.entries[enc_index((k, l), N)][enc_index((i, j), N)])
+        for p in range(0, 2 * M + 2):
+            mu_ = m - p if trig else m - p - 1
+            cf = qdiff if trig else ONE
+            add((i, mu_), (j, n + p), -cf)
+        # g-side: main term and its pole tail, subtracted
+        add((i, n), (j, m), -(q if not trig else Q))
+        for p in range(0, 2 * M + 2):
+            mu_ = m - p if trig else m - p - 1
+            cf = qdiff if trig else ONE
+            add((i, n + p), (j, mu_), cf)
 
-                    # sector decomposition must partition the same terms
-                    sectors: dict[tuple[str, str], dict] = {}
-                    for (k1, k2), c in full.items():
-                        tag = (sector(k1[1]), sector(k2[1]))
-                        slot = sectors.setdefault(tag, {})
-                        slot[(k1, k2)] = slot.get((k1, k2), ZERO) + c
-                    merged: dict[tuple[Mode, Mode], Scalar] = {}
-                    for slot in sectors.values():
-                        for k, c in slot.items():
-                            merged[k] = merged.get(k, ZERO) + c
-                    merged = {k: c for k, c in merged.items() if not c.is_zero()}
-                    if merged != full:
-                        in_window_ok = False
+        # sector decomposition must partition the same terms
+        sectors: dict[tuple[str, str], dict] = {}
+        for (k1, k2), c in full.items():
+            sectors.setdefault((sector(k1[1]), sector(k2[1])), {})[(k1, k2)] = c
+        merged: dict[tuple[Mode, Mode], Scalar] = {}
+        for slot in sectors.values():
+            _sum_into(merged, slot)
+        if merged != full:
+            in_window_ok = False
     return {
         "which": "half-currents",
         "passed": in_window_ok,

@@ -278,13 +278,18 @@ def row_reduce(rows: Iterable[Sequence[Scalar]], ncols: int,
         if not piv.is_one():
             inv = piv.inverse()
             work[top] = [e * inv for e in work[top]]
+        prow = work[top]
+        # entries where the pivot row is zero stay as they are
+        support = [j for j, b in enumerate(prow) if not b.is_zero()]
         for i in range(len(work)):
             if i == top:
                 continue
             f = work[i][c]
             if f.is_zero():
                 continue
-            work[i] = [a - f * b for a, b in zip(work[i], work[top])]
+            row = work[i]
+            for j in support:
+                row[j] = row[j] - f * prow[j]
         pivots.append(c)
         top += 1
         if top == len(work):

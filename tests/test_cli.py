@@ -88,6 +88,15 @@ class TestVerify:
         assert "PASS" not in captured.out
         assert "InvalidArgument" in captured.err and "-1" in captured.err
 
+    @pytest.mark.parametrize("flag", ["--window", "--degree"])
+    def test_negative_window_or_degree_rejected(self, capsys, flag):
+        code = run(["verify", "--braiding", "std-hecke", "--n", "2",
+                    "--suite", "currents", flag, "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "InvalidArgument" in captured.err and flag in captured.err
+
     def test_lie_size_limit(self, capsys):
         t0 = time.perf_counter()
         code = run(["verify", "--braiding", "std-hecke", "--n", "7",

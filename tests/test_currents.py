@@ -4,11 +4,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfock import braidings
-from qfock.braidings import baxterize, make_flip, make_standard_hecke
+from qfock import braidings, currents
+from qfock.braidings import TRIGONOMETRIC, baxterize, make_flip, make_standard_hecke
 from qfock.currents import (
     CurrentDouble,
     ModeState,
+    _annihilate,
+    _buckets,
+    _by_sum,
+    _difference,
+    _exchange_relation_span,
+    _ket_evaluator,
+    _kets,
+    _lhs,
+    _readers,
+    _reduce_mod_span,
+    _rhs,
+    _sparse_span,
+    _yang_expressions,
     current_relation_check,
     make_current_double,
     mode_permute,
@@ -16,7 +29,7 @@ from qfock.currents import (
     zf_act,
 )
 from qfock.errors import WindowOverflow
-from qfock.scalars import ONE, ZERO, Scalar
+from qfock.scalars import ONE, Q, QINV, ZERO, Scalar
 
 
 def flip_double(window=2):
@@ -25,6 +38,126 @@ def flip_double(window=2):
 
 def hecke_double(window=2):
     return make_current_double(baxterize(make_standard_hecke(2), "trigonometric"), window)
+
+
+def bump_exchange(cd):
+    """Add ONE to the first coefficient of one exchange move."""
+    (i, j, c), *rest = cd.exchange[(0, 1)]
+    cd.exchange[(0, 1)] = [(i, j, c + ONE), *rest]
+    return cd
+
+
+def bump_constant(cd):
+    cd.constant[(0, 0)] = cd.constant[(0, 0)] + ONE
+    return cd
+
+
+# ---------------------------------------------------------------------------
+# The term-by-term path that the bucketed comparison of verify_yang replaced,
+# kept as a reference: every term re-extracts its (r, s) coefficient from
+# its unprojected evaluation, and each side is reduced modulo the dense
+# relation span on its own.
+# ---------------------------------------------------------------------------
+
+def _eval_factors(cd, factors, ket, interior_clip):
+    """Unprojected evaluation: every creation mode within interior_clip."""
+    current = {(0, 0): {ket: ONE}}
+    for (kind, gen, var) in reversed(factors):
+        new = {}
+        for (eu, ev), states in current.items():
+            for word, coeff in states.items():
+                if kind == "a":
+                    moves = [(1 - k, _annihilate(cd, gen, k, word))
+                             for k in {1 - m for (_, m) in word}]
+                else:
+                    moves = [(-m - 1, {((gen, m),) + word: ONE})
+                             for m in range(-interior_clip, interior_clip + 1)]
+                for shift, acted in moves:
+                    key = (eu + shift, ev) if var == "u" else (eu, ev + shift)
+                    slot = new.setdefault(key, {})
+                    for w2, c2 in acted.items():
+                        s = slot.get(w2, ZERO) + coeff * c2
+                        if s.is_zero():
+                            slot.pop(w2, None)
+                        else:
+                            slot[w2] = s
+        current = {k: v for k, v in new.items() if v}
+    return current
+
+
+def _project_window(states, window):
+    return {w: c for w, c in states.items()
+            if all(abs(m) <= window for (_, m) in w)}
+
+
+class _EvaluatedTerm:
+    __slots__ = ("coeff", "dist", "exps")
+
+    def __init__(self, coeff, dist, exps):
+        self.coeff = coeff
+        self.dist = dist
+        self.exps = exps
+
+
+def _extract(cd, ev_terms, eu, ev, apply_pole):
+    window = cd.window
+    trig = cd.cb.flavor == TRIGONOMETRIC
+    out = {}
+
+    def add_states(states, scale):
+        for w, c in _project_window(states, window).items():
+            s = out.get(w, ZERO) + scale * c
+            if s.is_zero():
+                out.pop(w, None)
+            else:
+                out[w] = s
+
+    for term in ev_terms:
+        targets = []
+        if apply_pole:
+            pole_coeff = Q - QINV if trig else ONE
+            offsets = {a - (eu + (0 if trig else 1)) for (a, _) in term.exps}
+            for p in sorted(offsets):
+                if p >= 0:
+                    targets.append((eu + p + (0 if trig else 1), ev - p, pole_coeff))
+        else:
+            targets.append((eu, ev, ONE))
+        for (ua, va, scale0) in targets:
+            if term.dist is None:
+                states = term.exps.get((ua, va))
+                if states:
+                    add_states(states, term.coeff * scale0)
+            else:
+                for (a, b), states in term.exps.items():
+                    if a == ua + (va - b) + 1:
+                        add_states(states, term.coeff * scale0)
+    return out
+
+
+def _dense_reduce_mod_span(states, span, index):
+    vec = [ZERO] * span.ncols
+    out = {w: c for w, c in states.items() if len(w) != 2}
+    for w, c in states.items():
+        if len(w) == 2:
+            t = index.get((w[0], w[1]))
+            if t is None:
+                out[w] = c
+            else:
+                vec[t] = vec[t] + c
+    for prow, pcol in zip(span.rows, span.pivots):
+        f = vec[pcol]
+        if not f.is_zero():
+            vec = [a - f * bb for a, bb in zip(vec, prow)]
+    inv_index = {t: p for p, t in index.items()}
+    for t, c in enumerate(vec):
+        if not c.is_zero():
+            w = inv_index[t]
+            s = out.get(w, ZERO) + c
+            if s.is_zero():
+                out.pop(w, None)
+            else:
+                out[w] = s
+    return out
 
 
 def classical_mode_normal_order(word):
@@ -142,27 +275,114 @@ class TestYang:
 
     def test_vacuum_elements_vanish_off_support(self):
         # the delta side on the vacuum has no support at all; both sides 0
-        from qfock.currents import _yang_expressions, _EvaluatedTerm, _eval_factors, _extract
         cd = flip_double()
         t1, t2 = _yang_expressions(cd)
-        ev1 = [_EvaluatedTerm(c, d, _eval_factors(cd, f, (), 6))
-               for (c, f, d) in t1[0][0]]
-        got = _extract(cd, ev1, -4 - 1, -4 - 1, apply_pole=False)
-        assert got == {}
+        evaluate = _ket_evaluator(cd, ())
+        lhs_reads, rhs_reads = _readers(2, 1)
+        plain, delta = _buckets(t1[0][0], evaluate, 6, lhs_reads)
+        by_sum = _by_sum(_buckets(t2[0][0], evaluate, 2, rhs_reads)[0])
+        for r, s in itertools.product(range(-2, 3), repeat=2):
+            assert _lhs(plain, delta, -r - 1, -s - 1) == {}
+            assert _rhs(by_sum, -r - 1, -s - 1, 1, ONE) == {}
 
     def test_desk_scale_guard(self):
         with pytest.raises(WindowOverflow):
             verify_yang(flip_double(), degree=3)
+        # the guard reads the resolved window, so an explicit 0 counts
+        assert verify_yang(flip_double(window=5), window=0)["window"] == 0
+        with pytest.raises(WindowOverflow):
+            verify_yang(flip_double(window=0), window=5)
 
     def test_degree_two_is_report_only(self):
         # degree-2 kets live in the free module, which the defining ideals
         # only cut down in the true double; the strict check covers
         # degree <= 1 and the degree-2 residue is reported, not gated
-        cd = flip_double(window=1)
+        for maker, residual in ((flip_double, 672), (hecke_double, 1104)):
+            rep = verify_yang(maker(window=1), degree=2, spot_enlarge=False)
+            assert rep["passed"]      # degree <= 1 part is strict and exact
+            assert rep["degree2_report_only"]
+            assert rep["degree2_residual_classes"] == residual
+
+    @pytest.mark.parametrize("maker", [flip_double, hecke_double])
+    def test_corrupted_constant_fails(self, maker):
+        rep = verify_yang(bump_constant(maker(window=1)), degree=1)
+        assert not rep["passed"]
+        assert rep["mismatches"]
+
+    @pytest.mark.parametrize("maker, residual", [(flip_double, 672),
+                                                 (hecke_double, 1104)])
+    def test_corrupted_exchange_moves_the_residue(self, maker, residual):
+        # an annihilator only reaches an exchange move on a word of degree
+        # >= 2, which degree <= 1 kets never produce: a corrupted exchange
+        # entry shows only in the report-only degree-2 residue
+        cd = bump_exchange(maker(window=1))
+        assert verify_yang(cd, degree=1)["passed"]
         rep = verify_yang(cd, degree=2, spot_enlarge=False)
-        assert rep["passed"]          # degree <= 1 part is strict and exact
-        assert rep["degree2_report_only"]
-        assert rep["degree2_residual_classes"] >= 0
+        assert rep["degree2_residual_classes"] != residual
+
+    def test_each_word_evaluated_once_per_ket(self, monkeypatch):
+        calls = []
+        real = currents._eval_factors
+        monkeypatch.setattr(currents, "_eval_factors",
+                            lambda cd, f, ket, clip, window:
+                            calls.append((ket, f, clip)) or real(cd, f, ket, clip, window))
+        cd = flip_double(window=1)
+        rep = verify_yang(cd, degree=1)
+        assert rep["passed"] and rep["window_monotone_spot_check"]
+        t1, t2 = _yang_expressions(cd)
+        interior = 4
+        words = {(f, interior) for row in t1 for cell in row for (_, f, _) in cell}
+        words |= {(f, 1) for row in t2 for cell in row for (_, f, _) in cell}
+        spot = {(f, interior + 3) for row in t1 for (_, f, _) in row[0]}
+        assert len(calls) == rep["kets"] * len(words) + len(spot)
+        assert len(set(calls)) == len(calls)
+        # without the memo: one evaluation per term and cell, and the spot
+        # check evaluates its cells at both clips
+        terms = sum(len(cell) for t in (t1, t2) for row in t for cell in row)
+        spot_terms = sum(len(row[0]) for row in t1)
+        assert len(calls) < rep["kets"] * terms + 2 * spot_terms
+
+
+class TestBucketedComparison:
+    @pytest.mark.parametrize("maker", [flip_double, hecke_double])
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_matches_term_by_term_reference(self, maker, corrupt):
+        M = 1
+        cd = maker(window=M)
+        if corrupt:
+            bump_exchange(cd)
+        trig = cd.cb.flavor == TRIGONOMETRIC
+        theta, pole = (0, Q - QINV) if trig else (1, ONE)
+        interior = 2 * M + 2
+        t1, t2 = _yang_expressions(cd)
+        dense, index = _exchange_relation_span(cd, far=3 * M + 3)
+        span = _sparse_span(dense, index)
+        lhs_reads, rhs_reads = _readers(M, theta)
+        n2 = cd.N * cd.N
+        nonzero = 0
+        for ket in _kets(cd.N, M, 2):
+            evaluate = _ket_evaluator(cd, ket)
+            for x, y in itertools.product(range(n2), repeat=2):
+                plain, delta = _buckets(t1[x][y], evaluate, interior, lhs_reads)
+                by_sum = _by_sum(_buckets(t2[x][y], evaluate, M, rhs_reads)[0])
+                ev1 = [_EvaluatedTerm(c, d, _eval_factors(cd, f, ket, interior))
+                       for (c, f, d) in t1[x][y]]
+                ev2 = [_EvaluatedTerm(c, d, _eval_factors(cd, f, ket, M))
+                       for (c, f, d) in t2[x][y]]
+                for r, s in itertools.product(range(-M, M + 1), repeat=2):
+                    eu, ev = -r - 1, -s - 1
+                    lhs = _lhs(plain, delta, eu, ev)
+                    rhs = _rhs(by_sum, eu, ev, theta, pole)
+                    want_lhs = _extract(cd, ev1, eu, ev, apply_pole=False)
+                    want_rhs = _extract(cd, ev2, eu, ev, apply_pole=True)
+                    assert lhs == want_lhs and rhs == want_rhs
+                    reduced = _reduce_mod_span(_difference(lhs, rhs), *span)
+                    want = _dense_reduce_mod_span(want_lhs, dense, index)
+                    for w, c in _dense_reduce_mod_span(want_rhs, dense, index).items():
+                        want[w] = want.get(w, ZERO) - c
+                    assert reduced == {w: c for w, c in want.items() if not c.is_zero()}
+                    nonzero += bool(reduced)
+        assert nonzero
 
 
 class TestRelationChecks:

@@ -141,6 +141,35 @@ class TestMatHelpers:
     def test_singular(self):
         assert mat_inv([[ONE, ONE], [ONE, ONE]]) is None
 
+    @given(st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -2, 3, "q"]),
+                             min_size=5, max_size=5), min_size=1, max_size=6),
+           st.permutations(range(5)))
+    @settings(max_examples=60)
+    def test_row_reduce_matches_dense_elimination(self, raw, order):
+        rows = [[Q if v == "q" else sc(v) for v in row] for row in raw]
+        before = [list(r) for r in rows]
+        # dense reference: every entry of every other row is updated
+        work = [list(r) for r in rows if any(not e.is_zero() for e in r)]
+        pivots, top = [], 0
+        for c in order:
+            sel = next((i for i in range(top, len(work)) if not work[i][c].is_zero()), None)
+            if sel is None:
+                continue
+            work[top], work[sel] = work[sel], work[top]
+            inv = work[top][c].inverse()
+            work[top] = [e * inv for e in work[top]]
+            for i in range(len(work)):
+                f = work[i][c]
+                if i != top and not f.is_zero():
+                    work[i] = [a - f * b for a, b in zip(work[i], work[top])]
+            pivots.append(c)
+            top += 1
+            if top == len(work):
+                break
+        red = row_reduce(rows, 5, col_order=order)
+        assert red.pivots == pivots and red.rows == work[:top]
+        assert rows == before
+
     def test_row_reduce_col_order(self):
         # pivot on the last column first
         rows = [[ONE, ONE]]
