@@ -23,7 +23,6 @@ from .fockdouble import (  # noqa: F401
     FockDouble,
     braided_lie,
     fock_representation,
-    l_generators,
     make_double,
     verify_compatibility,
     verify_l_relations,

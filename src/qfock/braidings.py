@@ -358,6 +358,31 @@ def dual_pairings(b: Braiding) -> DualPairings:
 
 
 # ---------------------------------------------------------------------------
+# the permutation rule of the doubles
+# ---------------------------------------------------------------------------
+
+Moves = dict[tuple[int, int], list[tuple[int, int, Scalar]]]
+
+
+def exchange_table(psi: Matrix, s: Scalar,
+                   const: Matrix) -> tuple[Moves, dict[tuple[int, int], Scalar]]:
+    """The permutation rule  x^l x_k = s Psi_jk^il x_i x^j + const_k^l  in
+    solved form, for a grid psi[(i, l)][(j, k)] on the pairs of a space of
+    dimension N: moves[(l, k)] lists the (i, j, s Psi_jk^il) with nonzero
+    Psi, i outer and j inner, and constants[(l, k)] = const[k][l]."""
+    N = len(const)
+    moves: Moves = {}
+    constants: dict[tuple[int, int], Scalar] = {}
+    for l in range(N):
+        for k in range(N):
+            moves[(l, k)] = [
+                (i, j, s * c) for i in range(N) for j in range(N)
+                if not (c := psi[enc_index((i, l), N)][enc_index((j, k), N)]).is_zero()]
+            constants[(l, k)] = const[k][l]
+    return moves, constants
+
+
+# ---------------------------------------------------------------------------
 # spectral projectors
 # ---------------------------------------------------------------------------
 

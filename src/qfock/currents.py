@@ -33,9 +33,10 @@ from .braidings import (
     CurrentBraiding,
     TRIGONOMETRIC,
     dual_square_grid,
+    exchange_table,
 )
 from .errors import WindowOverflow
-from .scalars import ONE, Q, QINV, ZERO, Scalar
+from .scalars import ONE, Q, QINV, ZERO, Scalar, add_term, sum_into
 from .tensorops import enc_index, row_reduce
 
 Mode = tuple[int, int]               # (generator index, mode number)
@@ -69,7 +70,7 @@ class ModeState:
 
     def __add__(self, other: "ModeState") -> "ModeState":
         out = dict(self.terms)
-        _sum_into(out, other.terms)
+        sum_into(out, other.terms)
         return ModeState(out, max(self.window, other.window))
 
     def scale(self, s: Scalar) -> "ModeState":
@@ -96,23 +97,8 @@ class CurrentDouble:
 
     def __post_init__(self):
         b = self.cb.base
-        N = b.N
-        psi = b.psi
-        s = b.q.inverse()
-        exch = {}
-        const = {}
-        for a in range(N):
-            for bb in range(N):
-                moves = []
-                for i in range(N):
-                    for j in range(N):
-                        c = psi.entries[enc_index((i, a), N)][enc_index((j, bb), N)]
-                        if not c.is_zero():
-                            moves.append((i, j, s * c))
-                exch[(a, bb)] = moves
-                const[(a, bb)] = b.B[bb][a]
-        self.exchange = exch
-        self.constant = const
+        self.exchange, self.constant = exchange_table(
+            b.psi.entries, b.q.inverse(), b.B)
 
     @property
     def N(self) -> int:
@@ -127,26 +113,6 @@ def make_current_double(cb: CurrentBraiding, window: int,
 # ---------------------------------------------------------------------------
 # mode-level rewriting
 # ---------------------------------------------------------------------------
-
-def _add_term(out: dict, key, c: Scalar) -> None:
-    """out[key] += c, dropping the key when the sum vanishes."""
-    s = out.get(key, ZERO) + c
-    if s.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = s
-
-
-def _sum_into(out: dict, states: dict, scale: Scalar = ONE) -> None:
-    """out += scale * states, dropping keys whose sum vanishes."""
-    unit = scale.is_one()
-    for w, c in states.items():
-        s = out.get(w, ZERO) + (c if unit else scale * c)
-        if s.is_zero():
-            out.pop(w, None)
-        else:
-            out[w] = s
-
 
 def mode_permute(cd: CurrentDouble, a_mode: Mode, b_mode: Mode):
     """Normal-ordered form of x^a[k] x_b[l]: a list of (pair, coefficient)
@@ -179,7 +145,7 @@ def _annihilate(cd: CurrentDouble, gen: int, k: int, word: ModeWord) -> dict[Mod
                 out[word[1:]] = c
         for (i, j, c) in cd.exchange[(gen, b0)]:
             for w2, c2 in _annihilate(cd, j, k, word[1:]).items():
-                _add_term(out, ((i, m0),) + w2, c * c2)
+                add_term(out, ((i, m0),) + w2, c * c2)
     cd.annihilated[key] = out
     return out
 
@@ -192,7 +158,7 @@ def zf_act(cd: CurrentDouble, a_modes, state: ModeState) -> ModeState:
     for (gen, k) in reversed(list(a_modes)):
         new: dict[ModeWord, Scalar] = {}
         for w, c in terms.items():
-            _sum_into(new, _annihilate(cd, gen, k, w), c)
+            sum_into(new, _annihilate(cd, gen, k, w), c)
         terms = new
     return ModeState(terms, state.window)
 
@@ -241,12 +207,12 @@ def _eval_factors(cd: CurrentDouble, factors: tuple[Factor, ...],
                         if acted:
                             shift = _exp_shift("a", k)
                             key = (eu + shift, ev) if var == "u" else (eu, ev + shift)
-                            _sum_into(new.setdefault(key, {}), acted, coeff)
+                            sum_into(new.setdefault(key, {}), acted, coeff)
                 else:
                     for m in range(-clip, clip + 1):
                         shift = _exp_shift("c", m)
                         key = (eu + shift, ev) if var == "u" else (eu, ev + shift)
-                        _add_term(new.setdefault(key, {}), ((gen, m),) + word, coeff)
+                        add_term(new.setdefault(key, {}), ((gen, m),) + word, coeff)
         if pos == leftmost_a:
             new = {key: {w: c for w, c in states.items()
                          if all(abs(m) <= window for (_, m) in w)}
@@ -279,9 +245,9 @@ def _buckets(terms: list[Term], evaluate, clip: int, reads):
     for (c, factors, dist) in terms:
         for (a, b), states in evaluate(factors, clip).items():
             if dist is not None:
-                _sum_into(delta.setdefault(a + b, {}), states, c)
+                sum_into(delta.setdefault(a + b, {}), states, c)
             elif reads(a, b):
-                _sum_into(plain.setdefault((a, b), {}), states, c)
+                sum_into(plain.setdefault((a, b), {}), states, c)
     return plain, delta
 
 
@@ -298,7 +264,7 @@ def _lhs(plain: ExpDict, delta: dict, eu: int, ev: int) -> dict[ModeWord, Scalar
     u^(-p-1) carries the term at (a, b) to every (eu, ev) with
     a + b = eu + ev + 1."""
     out = dict(plain.get((eu, ev), {}))
-    _sum_into(out, delta.get(eu + ev + 1, {}))
+    sum_into(out, delta.get(eu + ev + 1, {}))
     return out
 
 
@@ -310,7 +276,7 @@ def _rhs(by_sum: dict, eu: int, ev: int, theta: int, pole: Scalar) -> dict[ModeW
     out: dict[ModeWord, Scalar] = {}
     for a, states in by_sum.get(eu + ev + theta, ()):
         if a >= eu + theta:
-            _sum_into(out, states)
+            sum_into(out, states)
     if not pole.is_one():
         out = {w: pole * c for w, c in out.items()}
     return out
@@ -414,41 +380,48 @@ def _kets(N: int, window: int, degree: int) -> list[ModeWord]:
     return kets
 
 
+def _relation_instances(cd: CurrentDouble, modes: range, tail: int):
+    """The (m, n) coefficient, m, n in `modes`, of the defining relation
+    R(u,v) x1(u) x2(v) = g(u,v) x2(v) x1(u) for each generator pair (i, j):
+    R_ij^kl x_k[m] x_l[n], minus the pole tail, minus the g side and its
+    tail, each tail cut after `tail` terms.  Yields one list of nonzero
+    ((mode, mode), c) terms per instance."""
+    b = cd.cb.base
+    N = b.N
+    trig = cd.cb.flavor == TRIGONOMETRIC
+    theta = 0 if trig else 1
+    cf = Q - QINV if trig else ONE
+    qmain = Q if trig else ONE
+    for m, n, i, j in product(modes, modes, range(N), range(N)):
+        terms = [(((k, m), (l, n)), b.R.entries[enc_index((k, l), N)][enc_index((i, j), N)])
+                 for k, l in product(range(N), repeat=2)]
+        for p in range(tail):
+            terms.append((((i, m - p - theta), (j, n + p)), -cf))
+            terms.append((((i, n + p), (j, m - p - theta)), cf))
+        terms.append((((i, n), (j, m)), -qmain))
+        yield [(pair, c) for pair, c in terms if not c.is_zero()]
+
+
 def _exchange_relation_span(cd: CurrentDouble, far: int):
     """Row-reduced span of the window projections of the defining exchange
     relations on two-mode words, collected from relation instances with
     coefficients up to `far`.  Saturation is not derived from a bound; the
     caller compares ranks at two values of `far` and refuses to proceed if
     the span is still growing."""
-    b = cd.cb.base
-    N = b.N
+    N = cd.N
     M = cd.window
-    trig = cd.cb.flavor == TRIGONOMETRIC
-    theta = 0 if trig else 1
-    cf = Q - QINV if trig else ONE
-    qmain = Q if trig else ONE
     pairs = [((i, a), (j, b2)) for i in range(N) for a in range(-M, M + 1)
              for j in range(N) for b2 in range(-M, M + 1)]
     index = {p: t for t, p in enumerate(pairs)}
     rows = []
-    coeffs = range(-far, far + 1)
-    for m, n, i, j in product(coeffs, coeffs, range(N), range(N)):
+    for terms in _relation_instances(cd, range(-far, far + 1), far + 2 * M + 2):
         row = [ZERO] * len(pairs)
         touched = False
-
-        def add(k1: Mode, k2: Mode, c: Scalar):
-            nonlocal touched
-            t = index.get((k1, k2))
-            if t is not None and not c.is_zero():
+        for pair, c in terms:
+            t = index.get(pair)
+            if t is not None:
                 row[t] = row[t] + c
                 touched = True
-
-        for k, l in product(range(N), repeat=2):
-            add((k, m), (l, n), b.R.entries[enc_index((k, l), N)][enc_index((i, j), N)])
-        for p in range(0, far + 2 * M + 2):
-            add((i, m - p - theta), (j, n + p), -cf)
-            add((i, n + p), (j, m - p - theta), cf)
-        add((i, n), (j, m), -qmain)
         if touched:
             rows.append(row)
     return row_reduce(rows, len(pairs)), index
@@ -461,7 +434,7 @@ def _difference(lhs: dict[ModeWord, Scalar],
         return {}
     out = dict(lhs)
     for w, c in rhs.items():
-        _add_term(out, w, -c)
+        add_term(out, w, -c)
     return out
 
 
@@ -491,7 +464,7 @@ def _reduce_mod_span(states: dict[ModeWord, Scalar], rows, index,
     for t, f in vec.items():
         row = rows.get(t)
         if row is not None:
-            _sum_into(rem, row, -f)
+            sum_into(rem, row, -f)
     out.update((inv_index[t], c) for t, c in rem.items())
     return out
 
@@ -640,45 +613,21 @@ def current_relation_check(cd: CurrentDouble, which: str) -> dict:
 
 def _half_current_report(cd: CurrentDouble) -> dict:
     """Truncation bookkeeping for the half-current sector relations."""
-    b = cd.cb.base
-    N = b.N
     M = cd.window
-    trig = cd.cb.flavor == TRIGONOMETRIC
-    qdiff = Q - QINV
-    q = b.q
 
     def sector(mode: int) -> str:
         return "+" if mode < 0 else "-"
 
     total_residual = 0
     in_window_ok = True
-    window = range(-M, M + 1)
-    for m, n, i, j in product(window, window, range(N), range(N)):
+    for terms in _relation_instances(cd, range(-M, M + 1), 2 * M + 2):
         # full relation at the (m, n) coefficient, keyed by mode pairs
         full: dict[tuple[Mode, Mode], Scalar] = {}
-
-        def add(k1: Mode, k2: Mode, c: Scalar):
-            nonlocal total_residual
-            if c.is_zero():
-                return
+        for (k1, k2), c in terms:
             if abs(k1[1]) > M or abs(k2[1]) > M:
                 total_residual += 1
             else:
-                _add_term(full, (k1, k2), c)
-
-        # R-side: R_ij^kl x_k[m] x_l[n] minus the pole tail
-        for k, l in product(range(N), repeat=2):
-            add((k, m), (l, n), b.R.entries[enc_index((k, l), N)][enc_index((i, j), N)])
-        for p in range(0, 2 * M + 2):
-            mu_ = m - p if trig else m - p - 1
-            cf = qdiff if trig else ONE
-            add((i, mu_), (j, n + p), -cf)
-        # g-side: main term and its pole tail, subtracted
-        add((i, n), (j, m), -(q if not trig else Q))
-        for p in range(0, 2 * M + 2):
-            mu_ = m - p if trig else m - p - 1
-            cf = qdiff if trig else ONE
-            add((i, n + p), (j, mu_), cf)
+                add_term(full, (k1, k2), c)
 
         # sector decomposition must partition the same terms
         sectors: dict[tuple[str, str], dict] = {}
@@ -686,7 +635,7 @@ def _half_current_report(cd: CurrentDouble) -> dict:
             sectors.setdefault((sector(k1[1]), sector(k2[1])), {})[(k1, k2)] = c
         merged: dict[tuple[Mode, Mode], Scalar] = {}
         for slot in sectors.values():
-            _sum_into(merged, slot)
+            sum_into(merged, slot)
         if merged != full:
             in_window_ok = False
     return {

@@ -7,10 +7,16 @@ The permutation rule is stored in solved form
 
     x^l x_k  =  s * Psi_jk^il  x_i x^j  +  B_k^l,
 
-with s = q^{-1} for the bosonic flavor and s = -q for the fermionic one.
+with s = q^{-1} for the bosonic flavor and s = -q for the fermionic one
+(braidings.exchange_table builds it, for the left-dual variant too).
 Every rewrite either moves an annihilation generator rightward past a
-creation generator or drops the pair, so normal ordering terminates; the
-diamond tests assert that the result does not depend on the rewrite order.
+creation generator or drops the pair, so normal ordering terminates.  The
+rule's left-hand sides never overlap, so on free words every rewrite order
+gives the same result (Bergman's diamond lemma) and one loop, _rewrite,
+serves both rules.  What can fail is compatibility with the quotients: the
+diamond test compares, on every mixed degree-3 word, normal ordering the
+free word and then reducing (exchange first) with reducing each same-tag
+run in its quotient and then normal ordering (reduce first).
 
 All identity verifications here are exact comparisons of normal-ordered
 elements; nothing is truncated or approximated.  A double is immutable
@@ -20,10 +26,19 @@ quotients and its normal-order memo; verification suites are pure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
-from .braidings import BMW, HECKE, INVOLUTIVE, Braiding, projectors
+from .braidings import (
+    BMW,
+    HECKE,
+    INVOLUTIVE,
+    Braiding,
+    Moves,
+    exchange_table,
+    projectors,
+)
 from .errors import (
     EmptyComponent,
     IncompatibleDouble,
@@ -33,10 +48,11 @@ from .errors import (
     UnsupportedDouble,
 )
 from .quadalgebras import FreeAlgebra, GradedQuotient, Tensor, Word, make_algebra
-from .scalars import ONE, Q, ZERO, Scalar
+from .scalars import ONE, Q, ZERO, Scalar, add_term, sum_into
 from .tensorops import (
     LinOperator,
     Matrix,
+    dec_index,
     enc_index,
     mat_inv,
     mat_mul,
@@ -68,12 +84,7 @@ class DoubleElement:
 
     def __add__(self, other: "DoubleElement") -> "DoubleElement":
         out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, ZERO) + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+        sum_into(out, other.terms)
         return DoubleElement(self.double, out)
 
     def __sub__(self, other: "DoubleElement") -> "DoubleElement":
@@ -129,28 +140,9 @@ class FockDouble:
             self.B = make_algebra(braiding, kind, "V")
         qpar = braiding.q  # ONE for involutive braidings
         self.sign_coeff = qpar.inverse() if flavor == BOSONIC else -qpar
-        self._build_exchange_table()
+        self.exchange, self.constant = exchange_table(
+            braiding.psi.entries, self.sign_coeff, braiding.B)
         self._order_cache: dict[tuple[Token, ...], dict[Key, Scalar]] = {}
-
-    def _build_exchange_table(self):
-        N = self.braiding.N
-        psi = self.braiding.psi
-        bmat = self.braiding.B
-        s = self.sign_coeff
-        exch: dict[tuple[int, int], list[tuple[int, int, Scalar]]] = {}
-        const: dict[tuple[int, int], Scalar] = {}
-        for l in range(N):
-            for k in range(N):
-                moves = []
-                for i in range(N):
-                    for j in range(N):
-                        c = psi.entries[enc_index((i, l), N)][enc_index((j, k), N)]
-                        if not c.is_zero():
-                            moves.append((i, j, s * c))
-                exch[(l, k)] = moves
-                const[(l, k)] = bmat[k][l]
-        self.exchange = exch
-        self.constant = const
 
     # -- element constructors -------------------------------------------
 
@@ -174,69 +166,28 @@ class FockDouble:
 
     # -- normal ordering --------------------------------------------------
 
-    def normal_order(self, word: tuple[Token, ...] | list[Token],
-                     strategy: str = "leftmost") -> DoubleElement:
+    def normal_order(self, word: tuple[Token, ...] | list[Token]) -> DoubleElement:
         """Rewrite a mixed generator word into the reduced normal form."""
         word = tuple(word)
-        cache_key = word if strategy == "leftmost" else None
-        if cache_key is not None:
-            hit = self._order_cache.get(cache_key)
-            if hit is not None:
-                return DoubleElement(self, dict(hit))
-        done: dict[Key, Scalar] = {}
-        pending: dict[tuple[Token, ...], Scalar] = {word: ONE}
-        while pending:
-            w, coeff = pending.popitem()
-            pos = _find_disorder(w, strategy)
-            if pos is None:
-                self._reduce_sorted(w, coeff, done)
-                continue
-            l = w[pos][1]
-            k = w[pos + 1][1]
-            for (i, j, c) in self.exchange[(l, k)]:
-                w2 = w[:pos] + (("b", i), ("a", j)) + w[pos + 2:]
-                _acc_word(pending, w2, coeff * c)
-            cst = self.constant[(l, k)]
-            if not cst.is_zero():
-                w2 = w[:pos] + w[pos + 2:]
-                _acc_word(pending, w2, coeff * cst)
-        if cache_key is not None:
-            self._order_cache[cache_key] = dict(done)
+        done = self._order_cache.get(word)
+        if done is None:
+            done = _reduce_keys(_rewrite(word, self.exchange, self.constant, "a", "b"),
+                                self.B, self.A)
+            self._order_cache[word] = done
         return DoubleElement(self, done)
-
-    def _reduce_sorted(self, w: tuple[Token, ...], coeff: Scalar,
-                       done: dict[Key, Scalar]):
-        bword = tuple(t[1] for t in w if t[0] == "b")
-        aword = tuple(t[1] for t in w if t[0] == "a")
-        for bw, cb in self.B.normal_form_word(bword).items():
-            for aw, ca in self.A.normal_form_word(aword).items():
-                k = (bw, aw)
-                s = done.get(k, ZERO) + coeff * cb * ca
-                if s.is_zero():
-                    done.pop(k, None)
-                else:
-                    done[k] = s
 
     # -- algebra ----------------------------------------------------------
 
     def multiply(self, e1: DoubleElement, e2: DoubleElement) -> DoubleElement:
-        out: dict[Key, Scalar] = {}
+        words: dict[Key, Scalar] = {}
         for (b1, a1), c1 in e1.terms.items():
             for (b2, a2), c2 in e2.terms.items():
                 c12 = c1 * c2
                 mid = self.normal_order(
                     tuple(("a", j) for j in a1) + tuple(("b", i) for i in b2))
                 for (bm, am), d in mid.terms.items():
-                    coeff = c12 * d
-                    for bw, cb in self.B.normal_form_word(b1 + bm).items():
-                        for aw, ca in self.A.normal_form_word(am + a2).items():
-                            k = (bw, aw)
-                            s = out.get(k, ZERO) + coeff * cb * ca
-                            if s.is_zero():
-                                out.pop(k, None)
-                            else:
-                                out[k] = s
-        return DoubleElement(self, out)
+                    add_term(words, (b1 + bm, am + a2), c12 * d)
+        return DoubleElement(self, _reduce_keys(words, self.B, self.A))
 
     def act(self, a_elem: Tensor | Word, v: Tensor | Word) -> Tensor:
         """The annihilation action a |> v, an element of B."""
@@ -250,13 +201,8 @@ class FockDouble:
                 word = tuple(("a", j) for j in aw) + tuple(("b", i) for i in bw)
                 ordered = self.normal_order(word)
                 for (bw2, aw2), c in ordered.terms.items():
-                    if aw2:
-                        continue  # the counit kills surviving annihilators
-                    s = out.get(bw2, ZERO) + ca * cb * c
-                    if s.is_zero():
-                        out.pop(bw2, None)
-                    else:
-                        out[bw2] = s
+                    if not aw2:  # the counit kills surviving annihilators
+                        add_term(out, bw2, ca * cb * c)
         return out
 
     # -- L-matrix ----------------------------------------------------------
@@ -266,21 +212,46 @@ class FockDouble:
         return [[self.l_gen(i, j) for j in range(N)] for i in range(N)]
 
 
-def _acc_word(pending: dict, w: tuple[Token, ...], c: Scalar):
-    s = pending.get(w, ZERO) + c
-    if s.is_zero():
-        pending.pop(w, None)
-    else:
-        pending[w] = s
+def _rewrite(word: tuple[Token, ...], exchange: Moves, constant: dict,
+             hi: str, lo: str) -> dict[Key, Scalar]:
+    """Sort a word by the permutation rule: a `hi` token (l) directly before
+    a `lo` token (k) becomes sum c (lo, i) (hi, j) over exchange[(l, k)],
+    plus constant[(l, k)] times the word without the pair.  Returns the
+    sorted words keyed (lo-word, hi-word), before any quotient reduction.
+
+    The left-hand sides of the rule never overlap, so by the diamond lemma
+    (Bergman 1978) every rewrite order gives this result; the leftmost
+    disorder is rewritten first."""
+    done: dict[Key, Scalar] = {}
+    pending: dict[tuple[Token, ...], Scalar] = {word: ONE}
+    while pending:
+        w, coeff = pending.popitem()
+        for p in range(len(w) - 1):
+            if w[p][0] == hi and w[p + 1][0] == lo:
+                break
+        else:
+            add_term(done, (tuple(i for t, i in w if t == lo),
+                            tuple(i for t, i in w if t == hi)), coeff)
+            continue
+        l, k = w[p][1], w[p + 1][1]
+        head, tail = w[:p], w[p + 2:]
+        for (i, j, c) in exchange[(l, k)]:
+            add_term(pending, head + ((lo, i), (hi, j)) + tail, coeff * c)
+        cst = constant[(l, k)]
+        if not cst.is_zero():
+            add_term(pending, head + tail, coeff * cst)
+    return done
 
 
-def _find_disorder(w: tuple[Token, ...], strategy: str) -> int | None:
-    positions = range(len(w) - 1) if strategy == "leftmost" else \
-        range(len(w) - 2, -1, -1)
-    for p in positions:
-        if w[p][0] == "a" and w[p + 1][0] == "b":
-            return p
-    return None
+def _reduce_keys(words: dict[Key, Scalar], lo: GradedQuotient,
+                 hi: GradedQuotient) -> dict[Key, Scalar]:
+    """Map sorted words keyed (lo-word, hi-word) into the two quotients."""
+    out: dict[Key, Scalar] = {}
+    for (lw, hw), c in words.items():
+        for lw2, cl in lo.normal_form_word(lw).items():
+            for hw2, ch in hi.normal_form_word(hw).items():
+                add_term(out, (lw2, hw2), c * cl * ch)
+    return out
 
 
 def _check_admissible(b: Braiding, flavor: str, family: str):
@@ -309,14 +280,11 @@ def make_double(b: Braiding, flavor: str, family: str,
     return FockDouble(b, flavor, family, free_b=free_b)
 
 
-def l_generators(d: FockDouble) -> list[list[DoubleElement]]:
-    """The N x N matrix of normal-ordered generators l_i^j = x_i x^j."""
-    return d.l_matrix()
-
-
 # ---------------------------------------------------------------------------
-# written-matrix helpers: matrices of double elements multiplied in the
-# written order, with grids read as (M)_x^y = entries[y][x]
+# L-relation verification.  Matrices are multiplied in the written order,
+# with grids read as (M)_x^y = entries[y][x]; a formal entry is a dict
+# {tuple of generator pairs (i, j): Scalar}, the tuple standing for the
+# product of the l_i^j in that order.
 # ---------------------------------------------------------------------------
 
 def _written_scalar_grid(op: LinOperator) -> Matrix:
@@ -324,63 +292,60 @@ def _written_scalar_grid(op: LinOperator) -> Matrix:
     return [[op.entries[y][x] for y in range(n)] for x in range(n)]
 
 
-def _dmat_from_scalars(d: FockDouble, grid: Matrix) -> list[list[DoubleElement]]:
-    return [[d.scalar(v) for v in row] for row in grid]
+def _formal_grid(op: LinOperator) -> list:
+    return [[{(): v} if not v.is_zero() else {} for v in row]
+            for row in _written_scalar_grid(op)]
 
 
-def _dmat_l1(d: FockDouble) -> list[list[DoubleElement]]:
-    N = d.braiding.N
+def _formal_l1(N: int) -> list:
     n2 = N * N
-    out = [[d.zero() for _ in range(n2)] for _ in range(n2)]
-    for i in range(N):
-        for a in range(N):
-            for j in range(N):
-                out[enc_index((i, a), N)][enc_index((j, a), N)] = d.l_gen(i, j)
-    return out
+    l1 = [[{} for _ in range(n2)] for _ in range(n2)]
+    for i, a, j in itertools.product(range(N), repeat=3):
+        l1[enc_index((i, a), N)][enc_index((j, a), N)] = {((i, j),): ONE}
+    return l1
 
 
-def _dmat_mul(a: list[list[DoubleElement]], b: list[list[DoubleElement]]) -> list[list[DoubleElement]]:
-    n = len(a)
-    m = len(b[0])
+def _formal_mul(a, b, n):
+    """Written product of formal matrices; keys concatenate."""
     out = []
     for x in range(n):
         row = []
-        for y in range(m):
-            acc = None
-            for z in range(len(b)):
-                e1 = a[x][z]
-                if e1.is_zero():
+        for y in range(n):
+            acc: dict[tuple, Scalar] = {}
+            for z in range(n):
+                ea = a[x][z]
+                if not ea:
                     continue
-                e2 = b[z][y]
-                if e2.is_zero():
+                eb = b[z][y]
+                if not eb:
                     continue
-                prod = e1 * e2
-                acc = prod if acc is None else acc + prod
-            row.append(acc if acc is not None else a[x][0].double.zero())
+                for ka, va in ea.items():
+                    for kb, vb in eb.items():
+                        add_term(acc, ka + kb, va * vb)
+            row.append(acc)
         out.append(row)
     return out
 
 
-def _dmat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def _defining_products(b: Braiding, outer: LinOperator) -> tuple[list, list]:
+    """The written matrices O12 L1 R12 L1 and L1 R12 L1 O12 for an outer
+    grid O.  With O = R the twist maps the first to the second."""
+    n2 = b.N ** 2
+    rw, ow, l1 = _formal_grid(b.R), _formal_grid(outer), _formal_l1(b.N)
+    return (_formal_mul(_formal_mul(_formal_mul(ow, l1, n2), rw, n2), l1, n2),
+            _formal_mul(_formal_mul(_formal_mul(l1, rw, n2), l1, n2), ow, n2))
 
 
-# ---------------------------------------------------------------------------
-# L-relation verification
-# ---------------------------------------------------------------------------
-
-def _reflection_partner(d: FockDouble) -> Matrix:
-    """The written grid multiplying L in the quadratic identity: R itself
-    for the Hecke family, the two-eigenvalue idempotent sum for BMW."""
+def _reflection_partner(d: FockDouble) -> LinOperator:
+    """The outer grid of the quadratic identity: R itself for the Hecke
+    family, the two-eigenvalue idempotent sum for BMW."""
     b = d.braiding
     if d.family == FAMILY_HECKE:
-        return _written_scalar_grid(b.R)
+        return b.R
     pr = projectors(b)
     if d.family == FAMILY_BMW_ORTH:
-        combo = pr["q"] + pr["mu"]
-    else:
-        combo = pr["-1/q"] + pr["mu"]
-    return _written_scalar_grid(combo)
+        return pr["q"] + pr["mu"]
+    return pr["-1/q"] + pr["mu"]
 
 
 def verify_l_relations(d: FockDouble) -> dict:
@@ -390,25 +355,36 @@ def verify_l_relations(d: FockDouble) -> dict:
     BMW family:    PP12 L1 R12 L1 - L1 R12 L1 PP12 = PP12 L1 - L1 PP12,
     with PP the sum of the q and mu idempotents (orthogonal) or of the
     -1/q and mu idempotents (symplectic).
+
+    Both sides are formed as formal products; each entry's net coefficient
+    of every generator-pair key is then evaluated in the double, each
+    distinct key once.
     """
-    rw = _dmat_from_scalars(d, _written_scalar_grid(d.braiding.R))
-    l1 = _dmat_l1(d)
-    if d.family == FAMILY_HECKE:
-        left_outer = rw
-    else:
-        left_outer = _dmat_from_scalars(d, _reflection_partner(d))
-    lhs = _dmat_sub(
-        _dmat_mul(_dmat_mul(_dmat_mul(left_outer, l1), rw), l1),
-        _dmat_mul(_dmat_mul(_dmat_mul(l1, rw), l1), left_outer),
-    )
-    rhs = _dmat_sub(_dmat_mul(left_outer, l1), _dmat_mul(l1, left_outer))
+    n2 = d.braiding.N ** 2
+    outer = _reflection_partner(d)
+    quad_lhs, quad_rhs = _defining_products(d.braiding, outer)
+    ow, l1 = _formal_grid(outer), _formal_l1(d.braiding.N)
+    lin_lhs, lin_rhs = _formal_mul(ow, l1, n2), _formal_mul(l1, ow, n2)
+    values: dict[tuple, DoubleElement] = {}
     failures = []
-    n = len(lhs)
-    for x in range(n):
-        for y in range(n):
-            if lhs[x][y] != rhs[x][y]:
+    for x in range(n2):
+        for y in range(n2):
+            net: dict[tuple, Scalar] = {}
+            for side, sign in ((quad_lhs, ONE), (quad_rhs, _MINUS_ONE),
+                               (lin_lhs, _MINUS_ONE), (lin_rhs, ONE)):
+                sum_into(net, side[x][y], sign)
+            diff: dict[Key, Scalar] = {}
+            for key, c in net.items():
+                value = values.get(key)
+                if value is None:
+                    value = d.l_gen(*key[0])
+                    for pair in key[1:]:
+                        value = value * d.l_gen(*pair)
+                    values[key] = value
+                sum_into(diff, value.terms, c)
+            if diff:
                 failures.append((x, y))
-    return {"passed": not failures, "entries": n * n, "failures": failures,
+    return {"passed": not failures, "entries": n2 * n2, "failures": failures,
             "family": d.family}
 
 
@@ -436,16 +412,65 @@ def _ideal_generator_operator(d: FockDouble) -> tuple[LinOperator, Scalar]:
     return g, coeff
 
 
+def _ideal_failures(relations: list[Tensor], tag: str, other: str,
+                    before: bool, N: int, order) -> list[tuple[int, Tensor]]:
+    """The (generator, relation) pairs for which a quadratic relation in
+    the `tag` tokens, times an `other` generator placed before or after it,
+    does not normal-order to zero."""
+    out = []
+    for rel in relations:
+        for g in range(N):
+            total: dict[Key, Scalar] = {}
+            for (i, j), c in rel.items():
+                pair = ((tag, i), (tag, j))
+                sum_into(total, order(((other, g),) + pair if before
+                                      else pair + ((other, g),)), c)
+            if total:
+                out.append((g, rel))
+    return out
+
+
+def _reduce_first(word: tuple[Token, ...], algebras: dict, order) -> dict[Key, Scalar]:
+    """Reduce each maximal same-tag run of a word in its quotient, then
+    normal-order every resulting word."""
+    words: dict[tuple[Token, ...], Scalar] = {(): ONE}
+    for tag, run in itertools.groupby(word, key=lambda t: t[0]):
+        nf = algebras[tag].normal_form_word(tuple(i for _, i in run))
+        words = {w + tuple((tag, i) for i in rw): c * cr
+                 for w, c in words.items() for rw, cr in nf.items()}
+    out: dict[Key, Scalar] = {}
+    for w, c in words.items():
+        sum_into(out, order(w), c)
+    return out
+
+
+def _diamond_failures(N: int, hi: str, lo: str, algebras: dict,
+                      order) -> list[tuple[Token, ...]]:
+    """The mixed degree-3 words whose exchange-first normal form (rewrite,
+    then reduce in the quotients) differs from the reduce-first one."""
+    out = []
+    for pattern in itertools.product((hi, lo), repeat=3):
+        if hi not in pattern or lo not in pattern:
+            continue
+        for idx in itertools.product(range(N), repeat=3):
+            word = tuple(zip(pattern, idx))
+            if order(word) != _reduce_first(word, algebras, order):
+                out.append(word)
+    return out
+
+
 def verify_compatibility(d: FockDouble, raise_on_failure: bool = False) -> dict:
-    """Two independent exact checks that the permutation rule respects the
-    quotient relations on both sides.
+    """Three exact checks that the permutation rule respects the quotient
+    relations on both sides.
 
     (i) the closed matrix identity behind the compatibility proof, checked
         in the free-creation variant of the same double, where both sides
         are nonzero;
-    (ii) ideal annihilation in the quotient double (each relation times a
-        generator normal-orders to zero) together with a full diamond test
-        on degree-3 mixed words under two opposite rewrite strategies.
+    (ii) ideal annihilation in the quotient double: each relation times a
+        generator normal-orders to zero;
+    (iii) the diamond test on every mixed degree-3 word: normal ordering
+        the free word (exchange first) agrees with reducing each same-tag
+        run in its quotient first and then normal ordering.
     """
     b = d.braiding
     N = b.N
@@ -455,58 +480,36 @@ def verify_compatibility(d: FockDouble, raise_on_failure: bool = False) -> dict:
     free = d if d.free_b else FockDouble(b, d.flavor, d.family, free_b=True)
     g, coeff = _ideal_generator_operator(d)
     m3 = place(g, (1, 2), 3) @ place(b.R, (2, 3), 3) @ place(b.R, (1, 2), 3)
-    for i2 in range(N):
-        for i3 in range(N):
-            for j3 in range(N):
-                lhs = free.zero()
-                for a in range(N):
-                    for bb in range(N):
-                        c = g.entries[enc_index((a, bb), N)][enc_index((i2, i3), N)]
-                        if c.is_zero():
-                            continue
-                        lhs = lhs + free.normal_order(
-                            (("b", a), ("b", bb), ("a", j3))).scale(c)
-                rhs = free.zero()
-                for a in range(N):
-                    for bb in range(N):
-                        for e in range(N):
-                            c = m3.entries[enc_index((bb, e, j3), N)][enc_index((a, i2, i3), N)]
-                            if c.is_zero():
-                                continue
-                            rhs = rhs + free.normal_order(
-                                (("a", a), ("b", bb), ("b", e))).scale(c)
-                if lhs != rhs.scale(coeff):
-                    report["closed_identity"] = False
-                    report["witnesses"].append(("closed", (i2, i3, j3)))
+    for i2, i3, j3 in itertools.product(range(N), repeat=3):
+        lhs: dict[Key, Scalar] = {}
+        for a, bb in itertools.product(range(N), repeat=2):
+            c = g.entries[enc_index((a, bb), N)][enc_index((i2, i3), N)]
+            if not c.is_zero():
+                sum_into(lhs, free.normal_order(
+                    (("b", a), ("b", bb), ("a", j3))).terms, c)
+        rhs: dict[Key, Scalar] = {}
+        for a, bb, e in itertools.product(range(N), repeat=3):
+            c = m3.entries[enc_index((bb, e, j3), N)][enc_index((a, i2, i3), N)]
+            if not c.is_zero():
+                sum_into(rhs, free.normal_order(
+                    (("a", a), ("b", bb), ("b", e))).terms, c * coeff)
+        if lhs != rhs:
+            report["closed_identity"] = False
+            report["witnesses"].append(("closed", (i2, i3, j3)))
 
+    def order(word):
+        return d.normal_order(word).terms
+
+    ideal = []
     if not d.free_b:
-        for rel in d.B.relations:
-            for l in range(N):
-                acc = d.zero()
-                for (i, j), c in rel.items():
-                    acc = acc + d.normal_order(
-                        (("a", l), ("b", i), ("b", j))).scale(c)
-                if not acc.is_zero():
-                    report["ideal_checks"] = False
-                    report["witnesses"].append(("b-ideal", l, tuple(rel)))
-    for rel in d.A.relations:
-        for k in range(N):
-            acc = d.zero()
-            for (i, j), c in rel.items():
-                acc = acc + d.normal_order(
-                    (("a", i), ("a", j), ("b", k))).scale(c)
-            if not acc.is_zero():
-                report["ideal_checks"] = False
-                report["witnesses"].append(("a-ideal", k, tuple(rel)))
-
-    for pattern in itertools.product("ab", repeat=3):
-        if "a" not in pattern or "b" not in pattern:
-            continue
-        for idx in itertools.product(range(N), repeat=3):
-            word = tuple((t, i) for t, i in zip(pattern, idx))
-            if d.normal_order(word, "leftmost") != d.normal_order(word, "rightmost"):
-                report["diamond"] = False
-                report["witnesses"].append(("diamond", word))
+        ideal += [("b-ideal", l, tuple(rel))
+                  for l, rel in _ideal_failures(d.B.relations, "b", "a", True, N, order)]
+    ideal += [("a-ideal", k, tuple(rel))
+              for k, rel in _ideal_failures(d.A.relations, "a", "b", False, N, order)]
+    diamond = _diamond_failures(N, "a", "b", {"a": d.A, "b": d.B}, order)
+    report["ideal_checks"] = not ideal
+    report["diamond"] = not diamond
+    report["witnesses"] += ideal + [("diamond", w) for w in diamond]
 
     report["passed"] = (report["closed_identity"] and report["ideal_checks"]
                         and report["diamond"])
@@ -576,7 +579,8 @@ def representation_l_relations_ok(d: FockDouble, k: int) -> bool:
         return big
 
     rw = flat_scalar(_written_scalar_grid(d.braiding.R))
-    outer = rw if d.family == FAMILY_HECKE else flat_scalar(_reflection_partner(d))
+    outer = rw if d.family == FAMILY_HECKE else \
+        flat_scalar(_written_scalar_grid(_reflection_partner(d)))
     l1 = flat_l1()
     lhs1 = mat_mul(mat_mul(mat_mul(outer, l1), rw), l1)
     lhs2 = mat_mul(mat_mul(mat_mul(l1, rw), l1), outer)
@@ -609,123 +613,38 @@ def left_dual_variant_report(b: Braiding) -> dict:
     if not b.skew.strict:
         raise NotStrictlySkewInvertible("left-dual basis needs invertible B")
     N = b.N
-    psi = b.psi
-    s = b.q.inverse()
-    exch: dict[tuple[int, int], list[tuple[int, int, Scalar]]] = {}
-    const: dict[tuple[int, int], Scalar] = {}
-    for k in range(N):
-        for l in range(N):
-            moves = []
-            for j in range(N):
-                for i in range(N):
-                    c = psi.entries[enc_index((l, i), N)][enc_index((k, j), N)]
-                    if not c.is_zero():
-                        moves.append((j, i, s * c))
-            exch[(k, l)] = moves
-            const[(k, l)] = b.C[k][l]
-
-    def order(word: tuple[Token, ...], strategy: str) -> dict:
-        done: dict[Key, Scalar] = {}
-        pending: dict[tuple[Token, ...], Scalar] = {tuple(word): ONE}
-        while pending:
-            w, coeff = pending.popitem()
-            pos = None
-            rng = range(len(w) - 1) if strategy == "leftmost" else \
-                range(len(w) - 2, -1, -1)
-            for p in rng:
-                if w[p][0] == "b" and w[p + 1][0] == "t":
-                    pos = p
-                    break
-            if pos is None:
-                key = (tuple(t[1] for t in w if t[0] == "t"),
-                       tuple(t[1] for t in w if t[0] == "b"))
-                v = done.get(key, ZERO) + coeff
-                if v.is_zero():
-                    done.pop(key, None)
-                else:
-                    done[key] = v
-                continue
-            k0, l0 = w[pos][1], w[pos + 1][1]
-            for (j, i, c) in exch[(k0, l0)]:
-                _acc_word(pending, w[:pos] + (("t", j), ("b", i)) + w[pos + 2:],
-                          coeff * c)
-            cst = const[(k0, l0)]
-            if not cst.is_zero():
-                _acc_word(pending, w[:pos] + w[pos + 2:], coeff * cst)
-        return done
-
+    n2 = N * N
+    # the variant rule is the generic rule on F Psi^T F and C^T (F the
+    # flip), with the left-dual generators "t" in the place of creators
+    swap = [enc_index(dec_index(x, N, 2)[::-1], N) for x in range(n2)]
+    exch, const = exchange_table(
+        [[b.psi.entries[swap[y]][swap[x]] for y in range(n2)] for x in range(n2)],
+        b.q.inverse(), [list(col) for col in zip(*b.C)])
     balg = make_algebra(b, "sym", "V")
     astar = make_algebra(b, "sym", "V*")
     trels = []
     for rel in astar.relations:
         out: Tensor = {}
         for (a, bb), c in rel.items():
-            for t in range(N):
-                for u in range(N):
-                    v = c * b.B[t][a] * b.B[u][bb]
-                    if not v.is_zero():
-                        key = (t, u)
-                        sv = out.get(key, ZERO) + v
-                        if sv.is_zero():
-                            out.pop(key, None)
-                        else:
-                            out[key] = sv
+            for t, u in itertools.product(range(N), repeat=2):
+                v = c * b.B[t][a] * b.B[u][bb]
+                if not v.is_zero():
+                    add_term(out, (t, u), v)
         trels.append(out)
     atilde = GradedQuotient(N, "V*", "sym", trels, name="left-dual side")
 
-    def reduce_pairs(done: dict) -> dict:
-        acc: dict[Key, Scalar] = {}
-        for (tw, bw), c in done.items():
-            for t2, ct in atilde.normal_form_word(tw).items():
-                for b2, cb in balg.normal_form_word(bw).items():
-                    key = (t2, b2)
-                    sv = acc.get(key, ZERO) + c * ct * cb
-                    if sv.is_zero():
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = sv
-        return acc
+    @functools.lru_cache(maxsize=None)
+    def order(word: tuple[Token, ...]) -> dict[Key, Scalar]:
+        return _reduce_keys(_rewrite(word, exch, const, "b", "t"), atilde, balg)
 
-    report = {"diamond": True, "ideal_checks": True, "witnesses": []}
-    for pattern in itertools.product("bt", repeat=3):
-        if "b" not in pattern or "t" not in pattern:
-            continue
-        for idx in itertools.product(range(N), repeat=3):
-            word = tuple((t, i) for t, i in zip(pattern, idx))
-            if reduce_pairs(order(word, "leftmost")) != \
-                    reduce_pairs(order(word, "rightmost")):
-                report["diamond"] = False
-                report["witnesses"].append(("diamond", word))
-    for rel in balg.relations:
-        for l in range(N):
-            total: dict[Key, Scalar] = {}
-            for (i, j), c in rel.items():
-                for key, v in reduce_pairs(
-                        order((("b", i), ("b", j), ("t", l)), "leftmost")).items():
-                    sv = total.get(key, ZERO) + c * v
-                    if sv.is_zero():
-                        total.pop(key, None)
-                    else:
-                        total[key] = sv
-            if total:
-                report["ideal_checks"] = False
-                report["witnesses"].append(("b-ideal", l))
-    for rel in trels:
-        for k in range(N):
-            total = {}
-            for (t, u), c in rel.items():
-                for key, v in reduce_pairs(
-                        order((("b", k), ("t", t), ("t", u)), "leftmost")).items():
-                    sv = total.get(key, ZERO) + c * v
-                    if sv.is_zero():
-                        total.pop(key, None)
-                    else:
-                        total[key] = sv
-            if total:
-                report["ideal_checks"] = False
-                report["witnesses"].append(("tilde-ideal", k))
-    report["passed"] = report["diamond"] and report["ideal_checks"]
-    return report
+    diamond = _diamond_failures(N, "b", "t", {"b": balg, "t": atilde}, order)
+    ideal = ([("b-ideal", l) for l, _ in
+              _ideal_failures(balg.relations, "b", "t", False, N, order)]
+             + [("tilde-ideal", k) for k, _ in
+                _ideal_failures(trels, "t", "b", True, N, order)])
+    return {"diamond": not diamond, "ideal_checks": not ideal,
+            "witnesses": [("diamond", w) for w in diamond] + ideal,
+            "passed": not diamond and not ideal}
 
 
 # ---------------------------------------------------------------------------
@@ -742,56 +661,10 @@ class BraidedLie:
     alpha: Scalar
 
 
-def _formal_mul(a, b, n):
-    """Written product of matrices whose entries are dicts
-    {tuple_of_generator_pairs: Scalar}; keys concatenate."""
-    out = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            acc: dict[tuple, Scalar] = {}
-            for z in range(n):
-                ea = a[x][z]
-                if not ea:
-                    continue
-                eb = b[z][y]
-                if not eb:
-                    continue
-                for ka, va in ea.items():
-                    for kb, vb in eb.items():
-                        k = ka + kb
-                        s = acc.get(k, ZERO) + va * vb
-                        if s.is_zero():
-                            acc.pop(k, None)
-                        else:
-                            acc[k] = s
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def _pair_code(key: tuple, N: int) -> int:
     """Index in End(V) (x) End(V) of a quadratic key ((i, j), (k, m))."""
     (i, j), (k, m) = key
     return enc_index((i * N + j, k * N + m), N * N)
-
-
-def _defining_products(b: Braiding) -> tuple[list, list]:
-    """The written matrices R12 L1 R12 L1 and L1 R12 L1 R12, their entries
-    dicts {quadratic key: Scalar}; the twist maps the first to the second."""
-    N = b.N
-    n2 = N * N
-    rw = [[{(): v} if not (v := b.R.entries[y][x]).is_zero() else {}
-           for y in range(n2)] for x in range(n2)]
-    # l1 written matrix: entries linear in generator pairs
-    l1 = [[{} for _ in range(n2)] for _ in range(n2)]
-    for i in range(N):
-        for a in range(N):
-            for j in range(N):
-                l1[enc_index((i, a), N)][enc_index((j, a), N)] = {((i, j),): ONE}
-    m_rlrl = _formal_mul(_formal_mul(_formal_mul(rw, l1, n2), rw, n2), l1, n2)
-    m_lrlr = _formal_mul(_formal_mul(_formal_mul(l1, rw, n2), l1, n2), rw, n2)
-    return m_rlrl, m_lrlr
 
 
 # The Jacobi check is leg-local, so the largest dense allocation of the Lie
@@ -815,7 +688,7 @@ def braided_lie(b: Braiding) -> BraidedLie:
             f"its twist is solved from a dense {N ** 4}-square linear system")
     n2 = N * N
     n4 = n2 * n2
-    m_rlrl, m_lrlr = _defining_products(b)
+    m_rlrl, m_lrlr = _defining_products(b, b.R)
 
     def to_matrix(formal) -> Matrix:
         rows = []
@@ -880,12 +753,7 @@ def _lincomb(terms) -> dict[int, Scalar]:
     """The sparse column sum of v * col over the (v, col) in terms."""
     acc: dict[int, Scalar] = {}
     for v, col in terms:
-        for r, w in col.items():
-            s = acc.get(r, ZERO) + v * w
-            if s.is_zero():
-                acc.pop(r, None)
-            else:
-                acc[r] = s
+        sum_into(acc, col, v)
     return acc
 
 
@@ -971,7 +839,7 @@ def verify_lie(bl: BraidedLie) -> dict:
             report["witnesses"].append(("trace-bracket", phi))
 
     # defining property, re-derived through the double-product expansion
-    m_rlrl, m_lrlr = _defining_products(b)
+    m_rlrl, m_lrlr = _defining_products(b, b.R)
     rh = _columns(bl.rhat)
     for x in range(n2):
         for y in range(n2):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .braidings import BMW, HECKE, INVOLUTIVE, Braiding, dual_square_grid
 from .errors import SpaceMismatch, UnsupportedConstruction
-from .scalars import ONE, Q, ZERO, Scalar
+from .scalars import ONE, Q, ZERO, Scalar, add_term
 from .tensorops import LinOperator, kernel_image, row_reduce
 
 Word = tuple[int, ...]
@@ -120,10 +120,10 @@ class GradedQuotient:
             for y, c in prefix_nf.items():
                 cand = y + (g,)
                 if cand in comp.basis_index:
-                    _accumulate(acc, cand, c)
+                    add_term(acc, cand, c)
                 else:
                     for w2, d in comp.reduction[cand].items():
-                        _accumulate(acc, w2, c * d)
+                        add_term(acc, w2, c * d)
             out = acc
         self._nf_cache[word] = out
         return out
@@ -145,7 +145,7 @@ class GradedQuotient:
             if coeff.is_zero():
                 continue
             for w2, d in self.normal_form_word(word).items():
-                _accumulate(out, w2, coeff * d)
+                add_term(out, w2, coeff * d)
         return out
 
     def dim(self, k: int) -> int:
@@ -156,14 +156,6 @@ class GradedQuotient:
 
     def __repr__(self) -> str:
         return f"GradedQuotient({self.name or self.kind}, N={self.N}, {self.space})"
-
-
-def _accumulate(acc: Tensor, word: Word, coeff: Scalar):
-    s = acc.get(word, ZERO) + coeff
-    if s.is_zero():
-        acc.pop(word, None)
-    else:
-        acc[word] = s
 
 
 # ---------------------------------------------------------------------------

@@ -393,14 +393,25 @@ Q = Scalar(((1, 1),), _ONE_POLY)
 QINV = Scalar(((-1, 1),), _ONE_POLY)
 
 
-def field_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Dispatch form of the four field operations, used by table tooling."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
+# ---------------------------------------------------------------------------
+# sparse accumulation: dicts {key: nonzero Scalar}
+# ---------------------------------------------------------------------------
+
+def add_term(out: dict, key, c: Scalar) -> None:
+    """out[key] += c, dropping the key when the sum vanishes."""
+    s = out.get(key, ZERO) + c
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
+def sum_into(out: dict, src: dict, scale: Scalar = ONE) -> None:
+    """out += scale * src, dropping keys whose sum vanishes."""
+    unit = scale.is_one()
+    for key, c in src.items():
+        s = out.get(key, ZERO) + (c if unit else scale * c)
+        if s.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = s

@@ -4,7 +4,9 @@ import time
 import pytest
 
 from qfock.braidings import braiding_to_table, load_braiding_table, make_standard_hecke
-from qfock.cli import main
+from qfock.cli import _deforms_flip, main
+from qfock.errors import NonGenericPoint
+from qfock.tensorops import LinOperator
 from qfock.scalars import Q, ONE
 
 
@@ -128,6 +130,21 @@ class TestPoincare:
                     "--kmax", "3"]) == 0
         table = json.loads(capsys.readouterr().out)
         assert table["sym(V)"]["comparison"] == "report-only"
+
+    def test_pole_at_one_turns_the_gate_off(self, monkeypatch):
+        def pole(self, q0):
+            raise NonGenericPoint(f"q0 = {q0} is a root of the denominator")
+
+        monkeypatch.setattr(LinOperator, "evaluate", pole)
+        assert _deforms_flip(make_standard_hecke(2)) is False
+
+    def test_other_evaluation_errors_propagate(self, monkeypatch):
+        def broken(self, q0):
+            raise RuntimeError("evaluation bug")
+
+        monkeypatch.setattr(LinOperator, "evaluate", broken)
+        with pytest.raises(RuntimeError, match="evaluation bug"):
+            _deforms_flip(make_standard_hecke(2))
 
 
 class TestReprExport:

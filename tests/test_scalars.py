@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfock.errors import DivisionByZero, NonGenericPoint
-from qfock.scalars import ONE, Q, QINV, ZERO, Scalar, _padd, _pgcd, _pmul, field_arith
+from qfock.scalars import (
+    ONE, Q, QINV, ZERO, Scalar, _padd, _pgcd, _pmul, add_term, sum_into,
+)
 
 
 def poly(d):
@@ -51,24 +53,40 @@ class TestCanonicalForm:
 class TestFieldArith:
     def test_q_minus_qinv(self):
         # q - q^{-1} = (q^2 - 1)/q
-        got = field_arith(Q, QINV, "sub")
+        got = Q - QINV
         assert got == Scalar.make({2: 1, 0: -1}, {1: 1})
 
     def test_mul_identity(self):
         a = Scalar.make({2: 3, -1: 5}, {1: 1, 0: 7})
-        assert field_arith(a, ONE, "mul") == a
+        assert a * ONE == a
 
     def test_div_clears_denominators(self):
         # 1 / (q + q^{-1}) = q/(q^2 + 1)
-        got = field_arith(ONE, Q + QINV, "div")
+        got = ONE / (Q + QINV)
         assert got == Scalar.make({1: 1}, {2: 1, 0: 1})
 
     def test_div_by_zero(self):
         with pytest.raises(DivisionByZero):
-            field_arith(ONE, ZERO, "div")
+            ONE / ZERO
 
     def test_pow_negative(self):
         assert Q ** -2 == QINV * QINV
+
+
+class TestSparseAccumulator:
+    def test_add_term_drops_cancelled_keys(self):
+        out = {}
+        add_term(out, "x", Q)
+        add_term(out, "y", ONE)
+        add_term(out, "x", -Q)
+        assert out == {"y": ONE}
+
+    def test_sum_into_scales_and_cancels(self):
+        out = {"x": Q, "y": ONE}
+        sum_into(out, {"x": ONE, "z": QINV}, -Q)
+        assert out == {"y": ONE, "z": -ONE}
+        sum_into(out, {"y": -ONE})
+        assert out == {"z": -ONE}
 
 
 class TestEvaluate:
