@@ -200,7 +200,7 @@ class TestAcceptance:
             assert out["matrix_elements"] == 16 * 25 * 11   # entries*(r,s)*kets
         elapsed = time.perf_counter() - t0
         assert elapsed < 300.0
-        report(8, "current certificates (grid method) and spectral "
+        report(8, "current certificates (expansion in u, v, w) and spectral "
                   "L-identity matrix elements, degree <= 1, window 2, "
                   "all (r,s), including the pole-delta cancellation",
                elapsed, 300)

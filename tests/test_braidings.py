@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -344,6 +345,167 @@ class TestBaxterize:
         cb = cb_maker()
         assert unitarity_certificate(cb)["passed"]
         assert spectral_braid_certificate(cb)["passed"]
+
+
+
+# ---------------------------------------------------------------------------
+# The grid certificates that the expansion in u, v, w replaced, kept as a
+# reference.  Cleared by (u-v)(u-w)(v-w), every entry of the spectral braid
+# relation is a polynomial of degree <= 2 in each spectral variable, so
+# agreement on 4 points per variable (64 points; 16 for unitarity) is a
+# proof of identity.
+# ---------------------------------------------------------------------------
+
+_GRID = [Fraction(x) for x in (2, 3, 5, 7)]
+
+
+def _grid_cleared_r(cb, u, v):
+    ident = LinOperator.identity(cb.base.N, 2, cb.base.R.labels)
+    uv = Scalar.from_fraction(u - v)
+    if cb.flavor == "rational":
+        return cb.base.R.scale(uv) - ident
+    return cb.base.R.scale(uv) - ident.scale((Q - QINV) * Scalar.from_fraction(u))
+
+
+def _grid_cleared_g(cb, u, v):
+    uv = Scalar.from_fraction(u - v)
+    if cb.flavor == "rational":
+        return uv - ONE
+    return Q * uv - (Q - QINV) * Scalar.from_fraction(u)
+
+
+def grid_braid_passed(cb):
+    lab3 = (cb.base.R.labels[0],) * 3
+    for u, v, w in itertools.product(_GRID, repeat=3):
+        l1 = place(_grid_cleared_r(cb, u, v), (1, 2), 3, labels=lab3)
+        l2 = place(_grid_cleared_r(cb, u, w), (2, 3), 3, labels=lab3)
+        l3 = place(_grid_cleared_r(cb, v, w), (1, 2), 3, labels=lab3)
+        r1 = place(_grid_cleared_r(cb, v, w), (2, 3), 3, labels=lab3)
+        r2 = place(_grid_cleared_r(cb, u, w), (1, 2), 3, labels=lab3)
+        r3 = place(_grid_cleared_r(cb, u, v), (2, 3), 3, labels=lab3)
+        if l1 @ l2 @ l3 != r1 @ r2 @ r3:
+            return False
+    return True
+
+
+def grid_unitarity_passed(cb):
+    """The 16-point grid and the three-point spot check of the normalized
+    form, as the grid certificate ran them."""
+    ident = LinOperator.identity(cb.base.N, 2, cb.base.R.labels)
+    for u, v in itertools.product(_GRID, repeat=2):
+        lhs = _grid_cleared_r(cb, u, v) @ _grid_cleared_r(cb, v, u)
+        if lhs != ident.scale(_grid_cleared_g(cb, u, v) * _grid_cleared_g(cb, v, u)):
+            return False
+    checked = 0
+    for u, v in ((2, 3), (5, 7), (3, 11), (2, 5), (3, 7), (11, 2)):
+        u, v = Fraction(u), Fraction(v)
+        if cb.g_at(u, v).is_zero() or cb.g_at(v, u).is_zero():
+            continue
+        if cb.normalized_at(u, v) @ cb.normalized_at(v, u) != ident:
+            return False
+        checked += 1
+        if checked == 3:
+            break
+    return True
+
+
+def dual_transport(b):
+    """The braiding of the a-side certificates: R on V* (x) V*."""
+    return Braiding(b.N, dual_square_grid(b), b.kind, series=b.series,
+                    mu=b.mu, q=b.q, name=f"dual({b.name})")
+
+
+def bumped(b, out, inp):
+    """b with ONE added to its R entry at (out, in); not validated."""
+    rows = [list(r) for r in b.R.entries]
+    rows[out][inp] = rows[out][inp] + ONE
+    return Braiding(b.N, LinOperator.from_rows(rows, b.N, 2), b.kind,
+                    q=b.q, name=f"bumped({b.name})")
+
+
+def flavor_of(b):
+    return "trigonometric" if b.kind == "hecke" else "rational"
+
+
+_CERTIFIED = {
+    "flip-2": lambda: make_flip(2),
+    "flip-3": lambda: make_flip(3),
+    "superflip-1|1": lambda: make_superflip(1, 1),
+    "std-hecke-2": lambda: make_standard_hecke(2),
+    "std-hecke-3": lambda: make_standard_hecke(3),
+}
+
+
+def _bumps():
+    for name in ("flip-2", "superflip-1|1", "std-hecke-2"):
+        b = _CERTIFIED[name]()
+        for out, row in enumerate(b.R.entries):
+            for inp, e in enumerate(row):
+                if not e.is_zero():
+                    yield pytest.param(name, out, inp, id=f"{name}-{out}-{inp}")
+
+
+class TestSpectralCertificates:
+    @pytest.mark.parametrize("transport", [False, True], ids=["R", "dual"])
+    @pytest.mark.parametrize("name", sorted(_CERTIFIED))
+    def test_expansion_matches_grid_on_true_data(self, name, transport):
+        b = _CERTIFIED[name]()
+        if transport:
+            b = dual_transport(b)
+        cb = CurrentBraiding(b, flavor_of(b))
+        assert spectral_braid_certificate(cb)["passed"] is grid_braid_passed(cb) is True
+        assert unitarity_certificate(cb)["passed"] is grid_unitarity_passed(cb) is True
+
+    @pytest.mark.parametrize("transport", [False, True], ids=["R", "dual"])
+    @pytest.mark.parametrize("name,out,inp", list(_bumps()))
+    def test_expansion_matches_grid_on_bumped_entries(self, name, out, inp, transport):
+        b = bumped(_CERTIFIED[name](), out, inp)
+        if transport:
+            b = dual_transport(b)
+        cb = CurrentBraiding(b, flavor_of(b))
+        assert spectral_braid_certificate(cb)["passed"] is grid_braid_passed(cb)
+        assert unitarity_certificate(cb)["passed"] is grid_unitarity_passed(cb)
+
+    @pytest.mark.parametrize("name,braid_failures", [
+        ("flip-2", [(0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0)]),
+        ("std-hecke-2", [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 1, 1), (1, 2, 0),
+                         (2, 0, 1), (2, 1, 0)]),
+    ])
+    def test_one_corrupted_entry_fails_both(self, name, braid_failures):
+        """R_10^01 bumped.  The failing monomials are the exponents of
+        u, v, w whose coefficient is a nonzero operator; for unitarity
+        they are those of the -(u - v)^2 in front of R^2."""
+        b = _CERTIFIED[name]()
+        cb = baxterize(bumped(b, enc_index((0, 1), 2), enc_index((1, 0), 2)),
+                       flavor_of(b))
+        braid, unit = spectral_braid_certificate(cb), unitarity_certificate(cb)
+        assert braid == {"passed": False, "failures": braid_failures}
+        assert not unit["passed"]
+        assert unit["failures"] == [(0, 2, 0), (1, 1, 0), (2, 0, 0)]
+        assert len(unit["spot_failures"]) == 3
+
+    def test_operator_work_of_one_certificate_pair(self, monkeypatch):
+        """R is placed once at (1,2) and once at (2,3); the braid relation
+        forms its six word products, unitarity R^2 and its three spot
+        products.  Nothing depends on a grid size."""
+        import qfock.braidings as braidings
+        calls = {"place": 0, "matmul": 0}
+        real_place, real_matmul = braidings.place, LinOperator.__matmul__
+
+        def counted_place(*args, **kwargs):
+            calls["place"] += 1
+            return real_place(*args, **kwargs)
+
+        def counted_matmul(a, b):
+            calls["matmul"] += 1
+            return real_matmul(a, b)
+
+        cb = baxterize(make_standard_hecke(3), "trigonometric")
+        monkeypatch.setattr(braidings, "place", counted_place)
+        monkeypatch.setattr(LinOperator, "__matmul__", counted_matmul)
+        assert cb.braid_certificate["passed"]
+        assert cb.unitarity_certificate["passed"]
+        assert calls == {"place": 2, "matmul": 6 + 1 + 3}
 
 
 class TestStrictness:

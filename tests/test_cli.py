@@ -3,11 +3,17 @@ import time
 
 import pytest
 
-from qfock.braidings import braiding_to_table, load_braiding_table, make_standard_hecke
+from qfock.braidings import (
+    Braiding,
+    braiding_to_table,
+    load_braiding_table,
+    make_flip,
+    make_standard_hecke,
+)
 from qfock.cli import _deforms_flip, main
 from qfock.errors import NonGenericPoint
 from qfock.tensorops import LinOperator
-from qfock.scalars import Q, ONE
+from qfock.scalars import Q, ONE, Scalar
 
 
 def run(argv):
@@ -45,6 +51,39 @@ class TestVerify:
         rep = json.loads(out.read_text())
         assert rep["exit_status"] == 1
         assert rep["checks"][0]["verdict"] == "fail"
+
+    @pytest.mark.parametrize("make", [lambda: make_standard_hecke(2),
+                                      lambda: make_flip(2)],
+                             ids=["std-hecke-2", "flip-2"])
+    def test_corrupted_table_fails_the_current_certificates(
+            self, tmp_path, monkeypatch, make):
+        """One R entry bumped by ONE.  The table loader rejects the copy
+        on its own braid and minimal-polynomial checks; with those turned
+        off, the spectral certificates and both relation checks that rest
+        on them fail."""
+        doc = braiding_to_table(make())
+        for ent in doc["entries"]:
+            if (ent["i"], ent["j"], ent["k"], ent["l"]) == (1, 2, 2, 1):
+                ent["value"] = (Scalar.from_pairs(ent["value"]) + ONE).to_pairs()
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "rep.json"
+        argv = ["verify", "--table", str(path), "--suite", "currents",
+                "--out", str(out)]
+
+        def verdicts():
+            return {c["check_id"]: c["verdict"]
+                    for c in json.loads(out.read_text())["checks"]}
+
+        assert run(argv) == 1
+        assert verdicts() == {"load-braiding": "fail"}
+        monkeypatch.setattr(Braiding, "validate", lambda self: [])
+        assert run(argv) == 1
+        got = verdicts()
+        assert got["load-braiding"] == "pass"
+        for check in ("spectral-braid-grid", "spectral-unitarity-grid",
+                      "current-relations-b-side", "current-relations-a-side"):
+            assert got[check] == "fail"
 
     def test_report_deterministic_modulo_timing(self, tmp_path):
         outs = []

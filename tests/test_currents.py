@@ -19,8 +19,8 @@ from qfock.currents import (
     _lhs,
     _readers,
     _reduce_mod_span,
+    _relation_instances,
     _rhs,
-    _sparse_span,
     _yang_expressions,
     current_relation_check,
     make_current_double,
@@ -30,6 +30,7 @@ from qfock.currents import (
 )
 from qfock.errors import WindowOverflow
 from qfock.scalars import ONE, Q, QINV, ZERO, Scalar
+from qfock.tensorops import row_reduce
 
 
 def flip_double(window=2):
@@ -132,6 +133,34 @@ def _extract(cd, ev_terms, eu, ev, apply_pole):
                     if a == ua + (va - b) + 1:
                         add_states(states, term.coeff * scale0)
     return out
+
+
+def _dense_relation_span(cd, far):
+    """The relation span as the dense path built it: one dense row per
+    relation instance with coefficients up to `far`, row-reduced whole."""
+    N, M = cd.N, cd.window
+    pairs = [((i, a), (j, b2)) for i in range(N) for a in range(-M, M + 1)
+             for j in range(N) for b2 in range(-M, M + 1)]
+    index = {p: t for t, p in enumerate(pairs)}
+    rows = []
+    modes = range(-far, far + 1)
+    for terms in _relation_instances(cd, itertools.product(modes, modes),
+                                     far + 2 * M + 2):
+        row = [ZERO] * len(pairs)
+        touched = False
+        for pair, c in terms:
+            t = index.get(pair)
+            if t is not None:
+                row[t] = row[t] + c
+                touched = True
+        if touched:
+            rows.append(row)
+    return row_reduce(rows, len(pairs)), index
+
+
+def _dense_pivot_rows(span):
+    return {pcol: {t: e for t, e in enumerate(prow) if not e.is_zero()}
+            for prow, pcol in zip(span.rows, span.pivots)}
 
 
 def _dense_reduce_mod_span(states, span, index):
@@ -355,8 +384,8 @@ class TestBucketedComparison:
         theta, pole = (0, Q - QINV) if trig else (1, ONE)
         interior = 2 * M + 2
         t1, t2 = _yang_expressions(cd)
-        dense, index = _exchange_relation_span(cd, far=3 * M + 3)
-        span = _sparse_span(dense, index)
+        dense, index = _dense_relation_span(cd, far=3 * M + 3)
+        span = _exchange_relation_span(cd)
         lhs_reads, rhs_reads = _readers(M, theta)
         n2 = cd.N * cd.N
         nonzero = 0
@@ -383,6 +412,38 @@ class TestBucketedComparison:
                     assert reduced == {w: c for w, c in want.items() if not c.is_zero()}
                     nonzero += bool(reduced)
         assert nonzero
+
+
+class TestRelationSpan:
+    @pytest.mark.parametrize("maker", [flip_double, hecke_double])
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_matches_dense_reduction(self, maker, window):
+        cd = maker(window)
+        rows, index, inv_index = _exchange_relation_span(cd)
+        near, _ = _dense_relation_span(cd, 3 * window + 3)
+        far, dense_index = _dense_relation_span(cd, 3 * window + 5)
+        assert near.rank == far.rank == len(rows)
+        assert index == dense_index
+        assert inv_index == {t: p for p, t in index.items()}
+        assert rows == _dense_pivot_rows(near)
+
+    def test_growing_rank_raises(self, monkeypatch):
+        """A relation row that only the instances beyond 3M + 3 bring, on
+        a word outside the span, makes the rank grow."""
+        cd = flip_double(window=1)
+        rows, _, inv_index = _exchange_relation_span(cd)
+        free = min(set(inv_index) - set(rows))
+        real = currents._relation_instances
+
+        def with_extra_row(cd, mode_pairs, tail):
+            mode_pairs = list(mode_pairs)
+            yield from real(cd, mode_pairs, tail)
+            if max(max(abs(m), abs(n)) for m, n in mode_pairs) > 3 * cd.window + 3:
+                yield [(inv_index[free], ONE)]
+
+        monkeypatch.setattr(currents, "_relation_instances", with_extra_row)
+        with pytest.raises(WindowOverflow):
+            _exchange_relation_span(cd)
 
 
 class TestRelationChecks:
@@ -414,10 +475,13 @@ class TestRelationChecks:
 
     @pytest.mark.parametrize("maker", [flip_double, hecke_double])
     def test_half_current_partition(self, maker):
-        rep = current_relation_check(maker(), "half-currents")
-        assert rep["passed"]
-        assert rep["report_only"]
-        assert rep["residual_out_of_window_terms"] > 0
+        residual = {flip_double: {1: 224, 2: 880},
+                    hecke_double: {1: 176, 2: 760}}[maker]
+        for window, count in residual.items():
+            rep = current_relation_check(maker(window), "half-currents")
+            assert rep == {"which": "half-currents", "report_only": True,
+                           "window": window,
+                           "residual_out_of_window_terms": count}
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
