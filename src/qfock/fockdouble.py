@@ -143,6 +143,7 @@ class FockDouble:
         self.exchange, self.constant = exchange_table(
             braiding.psi.entries, self.sign_coeff, braiding.B)
         self._order_cache: dict[tuple[Token, ...], dict[Key, Scalar]] = {}
+        self._l_cells: dict[tuple[int, int], dict[tuple, Scalar]] | None = None
 
     # -- element constructors -------------------------------------------
 
@@ -284,7 +285,12 @@ def make_double(b: Braiding, flavor: str, family: str,
 # L-relation verification.  Matrices are multiplied in the written order,
 # with grids read as (M)_x^y = entries[y][x]; a formal entry is a dict
 # {tuple of generator pairs (i, j): Scalar}, the tuple standing for the
-# product of the l_i^j in that order.
+# product of the l_i^j in that order.  Both checks evaluate one net formal
+# combination per cell (_l_identity_cells), built once per double with the
+# outer grid's polynomial denominators cleared: the identity is linear and
+# homogeneous in the outer grid O, so for a nonzero scalar D the grid D*O
+# satisfies it in exactly the cells where O does, and with D the product of
+# O's non-monomial denominators every coefficient stays Laurent.
 # ---------------------------------------------------------------------------
 
 def _written_scalar_grid(op: LinOperator) -> Matrix:
@@ -348,6 +354,57 @@ def _reflection_partner(d: FockDouble) -> LinOperator:
     return pr["-1/q"] + pr["mu"]
 
 
+def _cleared(op: LinOperator) -> LinOperator:
+    """D * op, with D the product of the distinct non-monomial denominators
+    among op's entries (D = 1 when op is Laurent, as every Hecke R is)."""
+    dens = {v.den for row in op.entries for v in row if len(v.den) > 1}
+    if not dens:
+        return op
+    clear = ONE
+    for den in dens:
+        clear = clear * Scalar(den, ONE.den)
+    return op.scale(clear)
+
+
+def _l_identity_cells(d: FockDouble) -> dict[tuple[int, int], dict[tuple, Scalar]]:
+    """The nonzero net combinations O L1 R12 L1 - L1 R12 L1 O - O L1 + L1 O
+    by cell (x, y), O the cleared outer grid; built once per double."""
+    if d._l_cells is None:
+        n2 = d.braiding.N ** 2
+        outer = _cleared(_reflection_partner(d))
+        quad_lhs, quad_rhs = _defining_products(d.braiding, outer)
+        ow, l1 = _formal_grid(outer), _formal_l1(d.braiding.N)
+        lin_lhs, lin_rhs = _formal_mul(ow, l1, n2), _formal_mul(l1, ow, n2)
+        cells = {}
+        for x, y in itertools.product(range(n2), repeat=2):
+            net: dict[tuple, Scalar] = {}
+            for side, sign in ((quad_lhs, ONE), (quad_rhs, _MINUS_ONE),
+                               (lin_lhs, _MINUS_ONE), (lin_rhs, ONE)):
+                sum_into(net, side[x][y], sign)
+            if net:
+                cells[(x, y)] = net
+        d._l_cells = cells
+    return d._l_cells
+
+
+def _failing_cells(d: FockDouble, value_of) -> list[tuple[int, int]]:
+    """The cells whose net combination is not zero once each generator-pair
+    key is replaced by value_of(key), a sparse dict; each distinct key is
+    evaluated once."""
+    values: dict[tuple, dict] = {}
+    failures = []
+    for cell, net in _l_identity_cells(d).items():
+        total: dict = {}
+        for key, c in net.items():
+            value = values.get(key)
+            if value is None:
+                value = values[key] = value_of(key)
+            sum_into(total, value, c)
+        if total:
+            failures.append(cell)
+    return failures
+
+
 def verify_l_relations(d: FockDouble) -> dict:
     """Exact check of the quadratic L-identity satisfied by l_i^j = x_i x^j.
 
@@ -358,34 +415,19 @@ def verify_l_relations(d: FockDouble) -> dict:
 
     Both sides are formed as formal products; each entry's net coefficient
     of every generator-pair key is then evaluated in the double, each
-    distinct key once.
+    distinct key once.  The outer grid enters scaled by the product D of its
+    non-monomial denominators: both sides are linear in it, so D * PP fails
+    in exactly the cells where PP does, and every product stays Laurent.
     """
-    n2 = d.braiding.N ** 2
-    outer = _reflection_partner(d)
-    quad_lhs, quad_rhs = _defining_products(d.braiding, outer)
-    ow, l1 = _formal_grid(outer), _formal_l1(d.braiding.N)
-    lin_lhs, lin_rhs = _formal_mul(ow, l1, n2), _formal_mul(l1, ow, n2)
-    values: dict[tuple, DoubleElement] = {}
-    failures = []
-    for x in range(n2):
-        for y in range(n2):
-            net: dict[tuple, Scalar] = {}
-            for side, sign in ((quad_lhs, ONE), (quad_rhs, _MINUS_ONE),
-                               (lin_lhs, _MINUS_ONE), (lin_rhs, ONE)):
-                sum_into(net, side[x][y], sign)
-            diff: dict[Key, Scalar] = {}
-            for key, c in net.items():
-                value = values.get(key)
-                if value is None:
-                    value = d.l_gen(*key[0])
-                    for pair in key[1:]:
-                        value = value * d.l_gen(*pair)
-                    values[key] = value
-                sum_into(diff, value.terms, c)
-            if diff:
-                failures.append((x, y))
-    return {"passed": not failures, "entries": n2 * n2, "failures": failures,
-            "family": d.family}
+    def element(key: tuple) -> dict[Key, Scalar]:
+        value = d.l_gen(*key[0])
+        for pair in key[1:]:
+            value = value * d.l_gen(*pair)
+        return value.terms
+
+    failures = _failing_cells(d, element)
+    return {"passed": not failures, "entries": d.braiding.N ** 4,
+            "failures": failures, "family": d.family}
 
 
 # ---------------------------------------------------------------------------
@@ -545,53 +587,46 @@ def fock_representation(d: FockDouble, k: int) -> dict[tuple[int, int], Matrix]:
     return out
 
 
+# A sparse matrix by columns: column c -> {row: nonzero entry}.
+Columns = list[dict[int, Scalar]]
+
+
+def _columns(m: Matrix) -> Columns:
+    cols: Columns = [{} for _ in range(len(m[0]))]
+    for r, row in enumerate(m):
+        for c, v in enumerate(row):
+            if not v.is_zero():
+                cols[c][r] = v
+    return cols
+
+
+def _lincomb(terms) -> dict[int, Scalar]:
+    """The sparse column sum of v * col over the (v, col) in terms."""
+    acc: dict[int, Scalar] = {}
+    for v, col in terms:
+        sum_into(acc, col, v)
+    return acc
+
+
+def _written_product(a: Columns, b: Columns) -> Columns:
+    """The matrix product a b, column by column."""
+    return [_lincomb((v, a[z]) for z, v in col.items()) for col in b]
+
+
 def representation_l_relations_ok(d: FockDouble, k: int) -> bool:
     """Check the family L-identity for the representing matrices on
-    component k, via flattened block matrices over the scalars."""
-    reps = fock_representation(d, k)
-    N = d.braiding.N
-    dim = len(d.B.component(k).basis)
-    n2 = N * N
+    component k.  Every cell's net combination, the one verify_l_relations
+    evaluates (outer grid cleared of its denominators, which is exact as the
+    identity is linear in that grid), must give the zero matrix once each
+    generator-pair key is replaced by the written product of the sparse
+    representing matrices, each distinct key formed once."""
+    reps = {pair: _columns(m) for pair, m in fock_representation(d, k).items()}
 
-    def flat_scalar(grid: Matrix) -> Matrix:
-        big = [[ZERO] * (n2 * dim) for _ in range(n2 * dim)]
-        for x in range(n2):
-            for y in range(n2):
-                v = grid[x][y]
-                if v.is_zero():
-                    continue
-                for r in range(dim):
-                    big[x * dim + r][y * dim + r] = v
-        return big
+    def matrix(key: tuple) -> dict[tuple[int, int], Scalar]:
+        cols = functools.reduce(_written_product, (reps[pair] for pair in key))
+        return {(r, c): v for c, col in enumerate(cols) for r, v in col.items()}
 
-    def flat_l1() -> Matrix:
-        big = [[ZERO] * (n2 * dim) for _ in range(n2 * dim)]
-        for i in range(N):
-            for a in range(N):
-                for j in range(N):
-                    blk = reps[(i, j)]
-                    x = enc_index((i, a), N)
-                    y = enc_index((j, a), N)
-                    for r in range(dim):
-                        for c in range(dim):
-                            if not blk[r][c].is_zero():
-                                big[x * dim + r][y * dim + c] = blk[r][c]
-        return big
-
-    rw = flat_scalar(_written_scalar_grid(d.braiding.R))
-    outer = rw if d.family == FAMILY_HECKE else \
-        flat_scalar(_written_scalar_grid(_reflection_partner(d)))
-    l1 = flat_l1()
-    lhs1 = mat_mul(mat_mul(mat_mul(outer, l1), rw), l1)
-    lhs2 = mat_mul(mat_mul(mat_mul(l1, rw), l1), outer)
-    rhs1 = mat_mul(outer, l1)
-    rhs2 = mat_mul(l1, outer)
-    size = n2 * dim
-    for r in range(size):
-        for c in range(size):
-            if lhs1[r][c] - lhs2[r][c] != rhs1[r][c] - rhs2[r][c]:
-                return False
-    return True
+    return not _failing_cells(d, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -734,27 +769,6 @@ def braided_lie(b: Braiding) -> BraidedLie:
     if alpha is None:
         raise RhatNotDetermined("B*C is not scalar; the R-trace is not normalized")
     return BraidedLie(b, rhat, comp, bracket, rtrace, alpha)
-
-
-# A sparse matrix by columns: column c -> {row: nonzero entry}.
-Columns = list[dict[int, Scalar]]
-
-
-def _columns(m: Matrix) -> Columns:
-    cols: Columns = [{} for _ in range(len(m[0]))]
-    for r, row in enumerate(m):
-        for c, v in enumerate(row):
-            if not v.is_zero():
-                cols[c][r] = v
-    return cols
-
-
-def _lincomb(terms) -> dict[int, Scalar]:
-    """The sparse column sum of v * col over the (v, col) in terms."""
-    acc: dict[int, Scalar] = {}
-    for v, col in terms:
-        sum_into(acc, col, v)
-    return acc
 
 
 def _after_12(x: Columns, op: Columns, n2: int) -> Columns:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfock.braidings import HECKE, load_builtin, make_flip, make_standard_hecke, make_superflip
-from qfock import fockdouble
+from qfock import fockdouble, scalars
 from qfock.errors import EmptyComponent, UnsupportedDouble
 from qfock.fockdouble import (
     BraidedLie,
@@ -21,7 +21,7 @@ from qfock.fockdouble import (
     verify_lie,
 )
 from qfock.scalars import ONE, Q, QINV, ZERO, Scalar
-from qfock.tensorops import enc_index, mat_identity, mat_mul
+from qfock.tensorops import LinOperator, enc_index, mat_identity, mat_mul
 
 
 def classical_weyl_normal_order(word, N):
@@ -343,8 +343,8 @@ class TestDoubleMutations:
         assert len(lrel["failures"]) == l_failures
         # the representations see the pairing constant, not the exchange
         reps_ok = corrupt is bump_exchange
-        assert representation_l_relations_ok(d, 1) is reps_ok
-        assert representation_l_relations_ok(d, 2) is reps_ok
+        for k in _nonempty_degrees(d):
+            assert representation_l_relations_ok(d, k) is reps_ok
 
     @pytest.mark.parametrize("corrupt", [bump_exchange, bump_constant])
     @pytest.mark.parametrize("name", sorted(MUTATION_DOUBLES))
@@ -416,6 +416,147 @@ class TestRepresentations:
         dim = len(d.B.component(2).basis)
         for mat in reps.values():
             assert len(mat) == dim and all(len(r) == dim for r in mat)
+
+
+def _dense_representation_ok(d, k):
+    """Reference: the L-identity on component k through flattened
+    (N^2 dim)-square block matrices over the scalars, outer grid uncleared."""
+    reps = fock_representation(d, k)
+    N = d.braiding.N
+    dim = len(d.B.component(k).basis)
+    n2 = N * N
+
+    def flat_scalar(grid):
+        big = [[ZERO] * (n2 * dim) for _ in range(n2 * dim)]
+        for x in range(n2):
+            for y in range(n2):
+                v = grid[x][y]
+                if v.is_zero():
+                    continue
+                for r in range(dim):
+                    big[x * dim + r][y * dim + r] = v
+        return big
+
+    def flat_l1():
+        big = [[ZERO] * (n2 * dim) for _ in range(n2 * dim)]
+        for i, a, j in itertools.product(range(N), repeat=3):
+            blk = reps[(i, j)]
+            x, y = enc_index((i, a), N), enc_index((j, a), N)
+            for r in range(dim):
+                for c in range(dim):
+                    if not blk[r][c].is_zero():
+                        big[x * dim + r][y * dim + c] = blk[r][c]
+        return big
+
+    rw = flat_scalar(fockdouble._written_scalar_grid(d.braiding.R))
+    outer = flat_scalar(fockdouble._written_scalar_grid(fockdouble._reflection_partner(d)))
+    l1 = flat_l1()
+    lhs1 = mat_mul(mat_mul(mat_mul(outer, l1), rw), l1)
+    lhs2 = mat_mul(mat_mul(mat_mul(l1, rw), l1), outer)
+    rhs1 = mat_mul(outer, l1)
+    rhs2 = mat_mul(l1, outer)
+    size = n2 * dim
+    return all(lhs1[r][c] - lhs2[r][c] == rhs1[r][c] - rhs2[r][c]
+               for r in range(size) for c in range(size))
+
+
+EQUIVALENCE_DOUBLES = {
+    "hecke2-bos": lambda: make_double(make_standard_hecke(2), "bosonic", "hecke"),
+    "hecke2-ferm": lambda: make_double(make_standard_hecke(2), "fermionic", "hecke"),
+    "hecke3-bos": lambda: make_double(make_standard_hecke(3), "bosonic", "hecke"),
+    "hecke3-ferm": lambda: make_double(make_standard_hecke(3), "fermionic", "hecke"),
+    "flip3-bos": lambda: make_double(make_flip(3), "bosonic", "hecke"),
+    "flip3-ferm": lambda: make_double(make_flip(3), "fermionic", "hecke"),
+    "superflip11-bos": lambda: make_double(make_superflip(1, 1), "bosonic", "hecke"),
+    "superflip11-ferm": lambda: make_double(make_superflip(1, 1), "fermionic", "hecke"),
+    "bmw-orth": lambda: make_double(load_builtin("bmw-orth-3"), "bosonic", "bmw-orthogonal"),
+    "bmw-sympl": lambda: make_double(load_builtin("bmw-sympl-2"), "fermionic", "bmw-symplectic"),
+}
+
+HECKE_DOUBLES = [n for n in EQUIVALENCE_DOUBLES if not n.startswith("bmw")]
+
+
+def _nonempty_degrees(d):
+    return [k for k in (1, 2, 3) if d.B.component(k).basis]
+
+
+def _pgcd_counter(monkeypatch):
+    calls = []
+    original = scalars._pgcd
+
+    def counting(a, b):
+        calls.append(None)
+        return original(a, b)
+
+    monkeypatch.setattr(scalars, "_pgcd", counting)
+    return calls
+
+
+def _bump_outer(monkeypatch):
+    """Patch the outer grid: ONE added to its first non-Laurent entry."""
+    original = fockdouble._reflection_partner
+
+    def bumped(d):
+        op = original(d)
+        rows = [list(row) for row in op.entries]
+        r, c = next((r, c) for r, row in enumerate(rows)
+                    for c, v in enumerate(row) if len(v.den) > 1)
+        rows[r][c] = rows[r][c] + ONE
+        return LinOperator.from_rows(rows, op.dim, op.legs, op.labels, op.labels_out)
+
+    monkeypatch.setattr(fockdouble, "_reflection_partner", bumped)
+
+
+class TestRepresentationFastPath:
+    """The representation check evaluates the cached formal cell
+    combinations on sparse representing matrices, with the outer grid's
+    denominators cleared; the dense flattened check is the reference."""
+
+    @pytest.mark.parametrize("corrupt", [None, bump_exchange, bump_constant])
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_DOUBLES))
+    def test_same_verdict_as_dense_reference(self, name, corrupt):
+        d = EQUIVALENCE_DOUBLES[name]()
+        if corrupt is not None:
+            corrupt(d)
+        for k in _nonempty_degrees(d):
+            fast = representation_l_relations_ok(d, k)
+            assert fast is _dense_representation_ok(d, k), k
+            if corrupt is None:
+                assert fast
+
+    @pytest.mark.parametrize("name, l_failures", [("bmw-orth", 16), ("bmw-sympl", 2)])
+    def test_bumped_outer_entry_fails(self, name, l_failures, monkeypatch):
+        _bump_outer(monkeypatch)
+        d = EQUIVALENCE_DOUBLES[name]()
+        lrel = verify_l_relations(d)
+        assert not lrel["passed"]
+        assert len(lrel["failures"]) == l_failures
+        verdicts = {k: representation_l_relations_ok(d, k) for k in _nonempty_degrees(d)}
+        assert verdicts == {k: k == 1 for k in verdicts}
+        assert verdicts == {k: _dense_representation_ok(d, k) for k in verdicts}
+
+    def test_bmw_gcd_count_does_not_grow_with_k(self, monkeypatch):
+        # the outer grid is built and cleared once per double; the dense
+        # reference makes 499, 2028 and 4932 gcd calls at k = 1, 2, 3
+        calls = _pgcd_counter(monkeypatch)
+        counts = []
+        for k in (1, 2, 3):
+            d = EQUIVALENCE_DOUBLES["bmw-orth"]()
+            del calls[:]
+            representation_l_relations_ok(d, k)
+            counts.append(len(calls))
+            del calls[:]
+            representation_l_relations_ok(d, k)
+            assert not calls      # the cell combinations are cached
+        assert counts == [74, 74, 74]
+
+    @pytest.mark.parametrize("name", HECKE_DOUBLES)
+    def test_hecke_doubles_make_no_gcd_call(self, name, monkeypatch):
+        d = EQUIVALENCE_DOUBLES[name]()
+        calls = _pgcd_counter(monkeypatch)
+        for k in _nonempty_degrees(d):
+            representation_l_relations_ok(d, k)
+        assert not calls
 
 
 class TestBraidedLie:
