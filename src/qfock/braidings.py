@@ -78,14 +78,21 @@ class Braiding:
         self.q = q if q is not None else (ONE if kind == INVOLUTIVE else Q)
         self.name = name
         self._skew: SkewData | None = None
+        self._projectors: dict[str, LinOperator] | None = None
 
-    # -- cached skew inverse -------------------------------------------
+    # -- cached skew inverse and spectral projectors ---------------------
 
     @property
     def skew(self) -> SkewData:
         if self._skew is None:
             self._skew = skew_inverse(self)
         return self._skew
+
+    @property
+    def spectral_projectors(self) -> dict[str, LinOperator]:
+        if self._projectors is None:
+            self._projectors = projectors(self)
+        return self._projectors
 
     @property
     def psi(self) -> LinOperator:
@@ -272,16 +279,19 @@ class DualExtensions:
     vstar_vstar: LinOperator  # acts on V* (x) V*
 
 
-def dual_square_grid(b: Braiding) -> LinOperator:
-    """R transported to V* (x) V*: R(x^i (x) x^j) = R_lk^ji x^k (x) x^l."""
-    N = b.N
+def dual_square(op: LinOperator) -> LinOperator:
+    """The transport X -> F X^T F of an operator on V (x) V to V* (x) V*,
+    F the flip; for R, R(x^i (x) x^j) = R_lk^ji x^k (x) x^l.  The map
+    reverses products and fixes I, so it carries every polynomial in R to
+    the same polynomial in the transported R."""
+    N = op.dim
     size = N * N
     rows = [[ZERO] * size for _ in range(size)]
     for i in range(N):
         for j in range(N):
             for k in range(N):
                 for l in range(N):
-                    v = b.R.entries[enc_index((j, i), N)][enc_index((l, k), N)]
+                    v = op.entries[enc_index((j, i), N)][enc_index((l, k), N)]
                     if not v.is_zero():
                         rows[enc_index((k, l), N)][enc_index((i, j), N)] = v
     return LinOperator.from_rows(rows, N, 2, ("V*", "V*"))
@@ -323,7 +333,7 @@ def extend_to_duals(b: Braiding) -> DualExtensions:
                         rows[enc_index((l, k), N)][enc_index((i, j), N)] = v
     vstar_v = LinOperator.from_rows(rows, N, 2, ("V*", "V"), ("V", "V*"))
 
-    return DualExtensions(v_vstar, vstar_v, dual_square_grid(b))
+    return DualExtensions(v_vstar, vstar_v, dual_square(b.R))
 
 
 @dataclass
@@ -416,7 +426,7 @@ def projectors(b: Braiding) -> dict[str, LinOperator]:
 
 
 def projector_decomposition_ok(b: Braiding) -> bool:
-    projs = projectors(b)
+    projs = b.spectral_projectors
     ident = LinOperator.identity(b.N, 2)
     total = None
     for p in projs.values():

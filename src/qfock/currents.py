@@ -32,12 +32,12 @@ from .braidings import (
     Braiding,
     CurrentBraiding,
     TRIGONOMETRIC,
-    dual_square_grid,
+    dual_square,
     exchange_table,
 )
 from .errors import WindowOverflow
 from .scalars import ONE, Q, QINV, Scalar, add_term, sum_into
-from .tensorops import enc_index
+from .tensorops import echelon_insert, enc_index, remainder
 
 Mode = tuple[int, int]               # (generator index, mode number)
 ModeWord = tuple[Mode, ...]
@@ -431,43 +431,11 @@ def _exchange_relation_span(cd: CurrentDouble):
                 t = index.get(pair)
                 if t is not None:
                     add_term(row, t, c)
-            _echelon_insert(rows, row)
+            echelon_insert(rows, row)
         ranks.append(len(rows))
     if ranks[0] != ranks[1]:
         raise WindowOverflow("relation span did not stabilize", far)
     return rows, index, {t: p for p, t in index.items()}
-
-
-def _remainder(vec: dict[int, Scalar], rows: dict[int, dict[int, Scalar]]):
-    """vec minus vec[p] * row_p for each pivot column p of vec.  The rows
-    are reduced (no pivot row has an entry at another pivot column), so
-    the result has none at a pivot column."""
-    rem = dict(vec)
-    for t, f in vec.items():
-        row = rows.get(t)
-        if row is not None:
-            sum_into(rem, row, -f)
-    return rem
-
-
-def _echelon_insert(rows: dict[int, dict[int, Scalar]], row: dict[int, Scalar]):
-    """Add a sparse row to the pivot rows {pivot col: row} of a reduced
-    row echelon form.  Each pivot row has a unit entry at its pivot
-    column, its leading column; a nonzero remainder of the new row
-    becomes a pivot row at its leading column, cleared from the others.
-    The reduced form of a row space is unique, so the result does not
-    depend on the order in which rows arrive."""
-    rem = _remainder(row, rows)
-    if not rem:
-        return
-    c = min(rem)
-    inv = rem[c].inverse()
-    new = {t: e * inv for t, e in rem.items()}
-    for prow in rows.values():
-        f = prow.get(c)
-        if f is not None:
-            sum_into(prow, new, -f)
-    rows[c] = new
 
 
 def _difference(lhs: dict[ModeWord, Scalar],
@@ -493,7 +461,7 @@ def _reduce_mod_span(states: dict[ModeWord, Scalar], rows, index,
             out[w] = c
         else:
             vec[t] = c
-    out.update((inv_index[t], c) for t, c in _remainder(vec, rows).items())
+    out.update((inv_index[t], c) for t, c in remainder(vec, rows).items())
     return out
 
 
@@ -625,7 +593,7 @@ def current_relation_check(cd: CurrentDouble, which: str) -> dict:
                 "braid": braid, "unitarity": unit}
     if which == "a-side":
         base = cd.cb.base
-        dual = Braiding(base.N, dual_square_grid(base), base.kind,
+        dual = Braiding(base.N, dual_square(base.R), base.kind,
                         series=base.series, mu=base.mu, q=base.q,
                         name=f"dual({base.name})")
         dual_cb = CurrentBraiding(dual, cd.cb.flavor)

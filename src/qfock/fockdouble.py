@@ -37,7 +37,6 @@ from .braidings import (
     Braiding,
     Moves,
     exchange_table,
-    projectors,
 )
 from .errors import (
     EmptyComponent,
@@ -54,9 +53,9 @@ from .tensorops import (
     Matrix,
     dec_index,
     enc_index,
-    mat_inv,
     mat_mul,
     place,
+    solve,
 )
 
 BOSONIC = "bosonic"
@@ -348,7 +347,7 @@ def _reflection_partner(d: FockDouble) -> LinOperator:
     b = d.braiding
     if d.family == FAMILY_HECKE:
         return b.R
-    pr = projectors(b)
+    pr = b.spectral_projectors
     if d.family == FAMILY_BMW_ORTH:
         return pr["q"] + pr["mu"]
     return pr["-1/q"] + pr["mu"]
@@ -446,9 +445,9 @@ def _ideal_generator_operator(d: FockDouble) -> tuple[LinOperator, Scalar]:
         else:
             g = b.R + ident.scale(q.inverse())
     elif d.family == FAMILY_BMW_ORTH:
-        g = projectors(b)["-1/q"]
+        g = b.spectral_projectors["-1/q"]
     else:
-        g = projectors(b)["q"]
+        g = b.spectral_projectors["q"]
     qpar = b.q
     coeff = (qpar * qpar) if d.flavor == BOSONIC else (qpar * qpar).inverse()
     return g, coeff
@@ -737,12 +736,11 @@ def braided_lie(b: Braiding) -> BraidedLie:
 
     m1 = to_matrix(m_rlrl)
     m2 = to_matrix(m_lrlr)
-    m1_inv = mat_inv(m1)
-    if m1_inv is None:
-        raise RhatNotDetermined("coefficient matrix of the defining property is singular")
     # rhat applied to the coefficient vector of each entry of m_rlrl gives
-    # the corresponding entry of m_lrlr: rhat = (M1^{-1} M2)^T
-    x = mat_mul(m1_inv, m2)
+    # the corresponding entry of m_lrlr: rhat = X^T with M1 X = M2
+    x = solve(m1, m2)
+    if x is None:
+        raise RhatNotDetermined("coefficient matrix of the defining property is singular")
     rhat = [[x[c][r] for c in range(n4)] for r in range(n4)]
 
     bmat = b.B

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .braidings import BMW, HECKE, INVOLUTIVE, Braiding, dual_square_grid
+from .braidings import BMW, HECKE, INVOLUTIVE, Braiding, dual_square
 from .errors import SpaceMismatch, UnsupportedConstruction
-from .scalars import ONE, Q, ZERO, Scalar, add_term
+from .scalars import ONE, Q, Scalar, add_term
 from .tensorops import LinOperator, kernel_image, row_reduce
 
 Word = tuple[int, ...]
@@ -72,32 +72,28 @@ class GradedQuotient:
     def _build_component(self, k: int) -> Component:
         prev = self.component(k - 1)
         below = self.component(k - 2)
-        candidates = [w + (g,) for w in prev.basis for g in range(self.N)]
-        candidates.sort()
-        col_of = {w: i for i, w in enumerate(candidates)}
-        ncols = len(candidates)
+        # candidates in descending word order: the row reduction pivots on
+        # the smallest column, i.e. on the lexicographically largest word
+        words = sorted((w + (g,) for w in prev.basis for g in range(self.N)),
+                       reverse=True)
+        col_of = {w: i for i, w in enumerate(words)}
         rows = []
         for w2 in below.basis:
             for rel in self.relations:
-                row = [ZERO] * ncols
-                touched = False
+                row: dict[int, Scalar] = {}
                 for (i, j), c in rel.items():
                     for y, d in self.normal_form_word(w2 + (i,)).items():
-                        col = col_of[y + (j,)]
-                        row[col] = row[col] + c * d
-                        touched = True
-                if touched:
+                        add_term(row, col_of[y + (j,)], c * d)
+                if row:
                     rows.append(row)
-        red = row_reduce(rows, ncols, col_order=list(range(ncols - 1, -1, -1)))
-        pivot_set = set(red.pivots)
-        basis = [w for i, w in enumerate(candidates) if i not in pivot_set]
+        red = row_reduce(rows, len(words))
+        lead = {words[p] for p in red.pivots}
+        basis = [w for w in reversed(words) if w not in lead]
         comp = Component(k, basis, {w: i for i, w in enumerate(basis)})
         for prow, pcol in zip(red.rows, red.pivots):
-            expr: Tensor = {}
-            for col, coeff in enumerate(prow):
-                if col != pcol and not coeff.is_zero():
-                    expr[candidates[col]] = -coeff
-            comp.reduction[candidates[pcol]] = expr
+            comp.reduction[words[pcol]] = {
+                words[col]: -coeff
+                for col, coeff in sorted(prow.items(), reverse=True) if col != pcol}
         return comp
 
     # -- projection -------------------------------------------------------
@@ -162,32 +158,25 @@ class GradedQuotient:
 # construction from a braiding
 # ---------------------------------------------------------------------------
 
-def _square_operator(b: Braiding, space: str) -> LinOperator:
+def _on_square(op: LinOperator, space: str) -> LinOperator:
+    """A polynomial in R, carried from V (x) V to the square of `space`."""
     if space == "V":
-        return b.R
+        return op
     if space == "V*":
-        return dual_square_grid(b)
+        return dual_square(op)
     raise UnsupportedConstruction(f"unknown space {space!r}")
 
 
 def _image_vectors(op: LinOperator) -> list[Tensor]:
-    ki = kernel_image([list(r) for r in op.entries])
     n = op.dim
-    out = []
-    for col in ki.image_basis:
-        vec = {divmod(row, n): v for row, v in enumerate(col) if not v.is_zero()}
-        out.append(vec)
-    return out
+    return [{divmod(row, n): v for row, v in col.items()}
+            for col in kernel_image(op.entries).image_basis]
 
 
 def _kernel_vectors(op: LinOperator) -> list[Tensor]:
-    ki = kernel_image([list(r) for r in op.entries])
     n = op.dim
-    out = []
-    for v in ki.kernel_basis:
-        vec = {divmod(i, n): c for i, c in enumerate(v) if not c.is_zero()}
-        out.append(vec)
-    return out
+    return [{divmod(i, n): c for i, c in v.items()}
+            for v in kernel_image(op.entries).kernel_basis]
 
 
 def make_algebra(b: Braiding, kind: str, space: str) -> GradedQuotient:
@@ -196,13 +185,14 @@ def make_algebra(b: Braiding, kind: str, space: str) -> GradedQuotient:
     Hecke and involutive braidings use the eigenvalue ideals Im(q I - R)
     and Im(q^{-1} I + R) (with q = 1 in the involutive case).  BMW
     braidings use the middle idempotent: orthogonal series quotients by
-    Im / Ker of P^{-1/q}, symplectic ones by Ker / Im of P^q.
+    Im / Ker of P^{-1/q}, symplectic ones by Ker / Im of P^q, read from
+    the braiding's spectral projectors (transported to V* (x) V* for V*).
     """
     if kind not in (SYM, LAMBDA):
         raise UnsupportedConstruction(f"unknown algebra kind {kind!r}")
-    op = _square_operator(b, space)
-    ident = LinOperator.identity(b.N, 2, op.labels)
     if b.kind in (HECKE, INVOLUTIVE):
+        op = _on_square(b.R, space)
+        ident = LinOperator.identity(b.N, 2, op.labels)
         q = Q if b.kind == HECKE else ONE
         if kind == SYM:
             rel_op = ident.scale(q) - op
@@ -210,15 +200,11 @@ def make_algebra(b: Braiding, kind: str, space: str) -> GradedQuotient:
             rel_op = ident.scale(q.inverse()) + op
         relations = _image_vectors(rel_op)
     elif b.kind == BMW:
-        q, mu = b.q, b.mu
-        qi = q.inverse()
         if b.series == "orthogonal":
-            middle = ((op - ident.scale(q)) @ (op - ident.scale(mu))).scale(
-                ((q + qi) * (qi + mu)).inverse())
+            middle = _on_square(b.spectral_projectors["-1/q"], space)
             relations = _image_vectors(middle) if kind == SYM else _kernel_vectors(middle)
         elif b.series == "symplectic":
-            top = ((op + ident.scale(qi)) @ (op - ident.scale(mu))).scale(
-                ((q + qi) * (q - mu)).inverse())
+            top = _on_square(b.spectral_projectors["q"], space)
             relations = _kernel_vectors(top) if kind == SYM else _image_vectors(top)
         else:
             raise UnsupportedConstruction(f"BMW braiding lacks a series: {b.series!r}")
@@ -231,20 +217,12 @@ def make_algebra(b: Braiding, kind: str, space: str) -> GradedQuotient:
 
 
 def _canonical_relations(relations: list[Tensor], N: int) -> list[Tensor]:
-    """Row-reduce the degree-2 relation span to a canonical basis."""
-    ncols = N * N
-    rows = []
-    for rel in relations:
-        row = [ZERO] * ncols
-        for (i, j), c in rel.items():
-            row[i * N + j] = c
-        rows.append(row)
-    red = row_reduce(rows, ncols, col_order=list(range(ncols - 1, -1, -1)))
-    out = []
-    for r in red.rows:
-        vec = {divmod(col, N): v for col, v in enumerate(r) if not v.is_zero()}
-        out.append(vec)
-    return out
+    """Row-reduce the degree-2 relation span to a canonical basis.  Words
+    are numbered in descending order, so pivots fall on the largest words."""
+    top = N * N - 1
+    rows = [{top - (i * N + j): c for (i, j), c in rel.items()} for rel in relations]
+    return [{divmod(top - col, N): v for col, v in sorted(r.items(), reverse=True)}
+            for r in row_reduce(rows, N * N).rows]
 
 
 class FreeAlgebra(GradedQuotient):
@@ -268,9 +246,7 @@ def mu_eigenspace_degree2_report(b: Braiding) -> dict:
     """
     if b.kind != BMW:
         raise UnsupportedConstruction("mu eigenspace exists only for BMW braidings")
-    from .braidings import projectors
-    pmu = projectors(b)["mu"]
-    mu_vectors = _image_vectors(pmu)
+    mu_vectors = _image_vectors(b.spectral_projectors["mu"])
     surviving_kind = SYM if b.series == "orthogonal" else LAMBDA
     dying_kind = LAMBDA if b.series == "orthogonal" else SYM
     surv = make_algebra(b, surviving_kind, "V")

@@ -1,4 +1,4 @@
-"""Dense exact linear algebra on tensor-leg-structured operators.
+"""Exact linear algebra on tensor-leg-structured operators.
 
 A :class:`LinOperator` acts on a tensor power of an N-dimensional space,
 each leg labeled ``"V"`` or ``"V*"``.  The entry grid uses the global index
@@ -11,8 +11,12 @@ and ``entries[out][in]`` holds ``R_ij^kl`` with ``out`` the row multi-index
 upper indices are outputs, multi-indices are encoded row-major with the
 first leg most significant.
 
-Everything is exact over Q(q); the row-reduction engine keeps entries
-gcd-canonical at every elimination step to control coefficient growth.
+Everything is exact over Q(q).  Operators keep dense entry grids; every
+elimination (row reduction, kernel and image, solve, inverse, and the
+relation spans of the quotient and current algebras) runs on one sparse
+engine: rows are {column: Scalar} dicts, inserted one at a time into a
+reduced row echelon form in which each pivot row leads at its smallest
+column (`echelon_insert`, `row_reduce`).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BadPlacement, NotInvertible
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, sum_into
 
 Matrix = list[list[Scalar]]
 
@@ -150,7 +154,7 @@ class LinOperator:
         return all(e.is_zero() for r in self.entries for e in r)
 
     def inverse(self) -> "LinOperator":
-        inv = mat_inv([list(r) for r in self.entries])
+        inv = mat_inv(self.entries)
         if inv is None:
             raise NotInvertible("operator is singular")
         return LinOperator.from_rows(inv, self.dim, self.legs, self.labels_out,
@@ -238,14 +242,49 @@ def partial_trace(op: LinOperator, legs: set[int]) -> LinOperator | Scalar:
 
 
 # ---------------------------------------------------------------------------
-# row reduction
+# sparse elimination
 # ---------------------------------------------------------------------------
+
+Row = dict[int, Scalar]      # {column: nonzero entry}; absent columns are zero
+
+
+def remainder(vec: Row, rows: dict[int, Row]) -> Row:
+    """vec minus vec[p] * row_p for each pivot column p of vec.  The rows
+    are reduced (no pivot row has an entry at another pivot column), so
+    the result has none at a pivot column."""
+    rem = dict(vec)
+    for t, f in vec.items():
+        row = rows.get(t)
+        if row is not None:
+            sum_into(rem, row, -f)
+    return rem
+
+
+def echelon_insert(rows: dict[int, Row], row: Row) -> None:
+    """Add a sparse row to the pivot rows {pivot col: row} of a reduced
+    row echelon form.  Each pivot row has a unit entry at its pivot
+    column, its leading column; a nonzero remainder of the new row
+    becomes a pivot row at its leading column, cleared from the others.
+    The reduced form of a row space is unique, so the result does not
+    depend on the order in which rows arrive."""
+    rem = remainder(row, rows)
+    if not rem:
+        return
+    c = min(rem)
+    inv = rem[c].inverse()
+    new = {t: e * inv for t, e in rem.items()}
+    for prow in rows.values():
+        f = prow.get(c)
+        if f is not None:
+            sum_into(prow, new, -f)
+    rows[c] = new
+
 
 @dataclass
 class Reduced:
-    """Reduced row-echelon data: unit pivots, eliminated above and below."""
-    pivots: list[int]           # pivot column of each row, in row order
-    rows: list[list[Scalar]]
+    """Reduced row echelon form: unit pivots, eliminated above and below."""
+    pivots: list[int]           # pivot column of each row, ascending
+    rows: list[Row]
     ncols: int
 
     @property
@@ -253,82 +292,73 @@ class Reduced:
         return len(self.pivots)
 
 
-def row_reduce(rows: Iterable[Sequence[Scalar]], ncols: int,
-               col_order: Sequence[int] | None = None) -> Reduced:
-    """Exact reduced row echelon form, scanning columns in `col_order`.
+def row_reduce(rows: Iterable[Row], ncols: int) -> Reduced:
+    """Exact reduced row echelon form of sparse rows over `ncols` columns.
 
-    Elimination uses field arithmetic with every entry re-canonicalized,
-    which bounds coefficient growth the way fraction-free schemes do at
-    this scale.
+    Each row is inserted into the pivot rows reduced so far
+    (`echelon_insert`); the smallest column of a row is its leading one,
+    so callers choose the pivot preference by how they number columns.
+    Rows hold their nonzero entries only; elimination touches only those
+    and keeps every entry canonical in Q(q).  The input rows are left
+    unmodified.
     """
-    work = [list(r) for r in rows if any(not e.is_zero() for e in r)]
-    order = list(col_order) if col_order is not None else list(range(ncols))
-    pivots: list[int] = []
-    top = 0
-    for c in order:
-        sel = None
-        for i in range(top, len(work)):
-            if not work[i][c].is_zero():
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[top], work[sel] = work[sel], work[top]
-        piv = work[top][c]
-        if not piv.is_one():
-            inv = piv.inverse()
-            work[top] = [e * inv for e in work[top]]
-        prow = work[top]
-        # entries where the pivot row is zero stay as they are
-        support = [j for j, b in enumerate(prow) if not b.is_zero()]
-        for i in range(len(work)):
-            if i == top:
-                continue
-            f = work[i][c]
-            if f.is_zero():
-                continue
-            row = work[i]
-            for j in support:
-                row[j] = row[j] - f * prow[j]
-        pivots.append(c)
-        top += 1
-        if top == len(work):
-            break
-    return Reduced(pivots, work[:top], ncols)
+    pivot_rows: dict[int, Row] = {}
+    for row in rows:
+        echelon_insert(pivot_rows, row)
+    pivots = sorted(pivot_rows)
+    return Reduced(pivots, [pivot_rows[p] for p in pivots], ncols)
+
+
+def _sparse(row: Iterable[Scalar], offset: int = 0) -> Row:
+    return {offset + c: e for c, e in enumerate(row) if not e.is_zero()}
 
 
 @dataclass
 class KernelImage:
     rank: int
-    pivot_cols: list[int]
-    kernel_basis: list[list[Scalar]]
-    image_basis: list[list[Scalar]]
+    kernel_basis: list[Row]
+    image_basis: list[Row]
 
 
 def kernel_image(matrix: Sequence[Sequence[Scalar]]) -> KernelImage:
     """Exact kernel basis, image basis and rank of a matrix over Q(q).
 
-    The kernel is the right null space; the image basis consists of the
-    original columns at the pivot positions.
+    The kernel is the right null space, one sparse vector per free column;
+    the image basis consists of the original columns at the pivot
+    positions, as sparse {row: entry} vectors.
     """
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return KernelImage(0, [], [], [])
-    ncols = len(rows[0])
-    red = row_reduce(rows, ncols)
+    ncols = len(matrix[0]) if matrix else 0
+    red = row_reduce([_sparse(r) for r in matrix], ncols)
     pivset = set(red.pivots)
-    free = [c for c in range(ncols) if c not in pivset]
     kernel = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
+    for f in range(red.ncols):
+        if f in pivset:
+            continue
+        v = {f: ONE}
         for prow, pcol in zip(red.rows, red.pivots):
-            coeff = prow[f]
-            if not coeff.is_zero():
+            coeff = prow.get(f)
+            if coeff is not None:
                 v[pcol] = -coeff
         kernel.append(v)
-    image = [[row[c] for row in matrix] for c in red.pivots]
-    return KernelImage(red.rank, list(red.pivots), kernel, image)
+    image = [_sparse(row[c] for row in matrix) for c in red.pivots]
+    return KernelImage(red.rank, kernel, image)
+
+
+def solve(a: Matrix, b: Matrix) -> Matrix | None:
+    """The x with a x = b for a square a, from one reduction of [a | b];
+    None when a is singular.  With n rows, the pivots are 0..n-1 exactly
+    when a is invertible, and the reduced rows then read [I | x]."""
+    n = len(a)
+    m = len(b[0]) if b else 0
+    rows = []
+    for ra, rb in zip(a, b):
+        row = _sparse(ra)
+        row.update(_sparse(rb, n))
+        rows.append(row)
+    red = row_reduce(rows, n + m)
+    if red.pivots != list(range(n)):
+        return None
+    return [[row.get(n + c, ZERO) for c in range(m)] for row in red.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +385,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_inv(a: Matrix) -> Matrix | None:
-    n = len(a)
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-           for i, row in enumerate(a)]
-    red = row_reduce(aug, 2 * n, col_order=list(range(n)))
-    if red.rank < n:
-        return None
-    rows_by_pivot = {p: r for p, r in zip(red.pivots, red.rows)}
-    return [rows_by_pivot[i][n:] for i in range(n)]
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    return solve(a, mat_identity(len(a)))
 
 
 def mat_is_diagonal(a: Matrix) -> bool:

@@ -12,7 +12,7 @@ from qfock.braidings import (
     braiding_to_table,
     builtin_table_path,
     dual_pairings,
-    dual_square_grid,
+    dual_square,
     expected_mu,
     extend_to_duals,
     load_braiding_table,
@@ -197,7 +197,7 @@ class TestDuals:
 
     def test_dual_square_satisfies_same_minimal_polynomial(self):
         b = make_standard_hecke(3)
-        rs = dual_square_grid(b)
+        rs = dual_square(b.R)
         ident = LinOperator.identity(3, 2, ("V*", "V*"))
         assert ((rs - ident.scale(Q)) @ (rs + ident.scale(QINV))).is_zero()
 
@@ -411,7 +411,7 @@ def grid_unitarity_passed(cb):
 
 def dual_transport(b):
     """The braiding of the a-side certificates: R on V* (x) V*."""
-    return Braiding(b.N, dual_square_grid(b), b.kind, series=b.series,
+    return Braiding(b.N, dual_square(b.R), b.kind, series=b.series,
                     mu=b.mu, q=b.q, name=f"dual({b.name})")
 
 

@@ -3,12 +3,15 @@ import time
 
 import pytest
 
+from qfock import cli
 from qfock.braidings import (
     Braiding,
     braiding_to_table,
     load_braiding_table,
+    load_builtin,
     make_flip,
     make_standard_hecke,
+    projector_decomposition_ok,
 )
 from qfock.cli import _deforms_flip, main
 from qfock.errors import NonGenericPoint
@@ -146,6 +149,42 @@ class TestVerify:
         assert time.perf_counter() - t0 < 20
         err = capsys.readouterr().err
         assert "SizeLimitExceeded" in err and "N = 7" in err and "N <= 6" in err
+
+
+def bump_projector(b, key="q"):
+    """ONE added to the first nonzero entry of b's memoized projector."""
+    pr = b.spectral_projectors
+    op = pr[key]
+    rows = [list(row) for row in op.entries]
+    r, c = next((r, c) for r, row in enumerate(rows)
+                for c, v in enumerate(row) if not v.is_zero())
+    rows[r][c] = rows[r][c] + ONE
+    pr[key] = LinOperator.from_rows(rows, op.dim, op.legs, op.labels, op.labels_out)
+
+
+class TestProjectorMutation:
+    @pytest.mark.parametrize("make, argv", [
+        (lambda: make_standard_hecke(2), ["--braiding", "std-hecke", "--n", "2"]),
+        (lambda: load_builtin("bmw-orth-3"), ["--braiding", "bmw-orth", "--n", "3"]),
+    ], ids=["std-hecke-2", "bmw-orth-3"])
+    def test_bumped_projector_fails_decomposition(self, make, argv, monkeypatch, capsys):
+        b = make()
+        assert projector_decomposition_ok(b)
+        bump_projector(b)
+        assert not projector_decomposition_ok(b)
+
+        real = cli._resolve_braiding
+
+        def bumped(cfg):
+            out = real(cfg)
+            bump_projector(out)
+            return out
+
+        monkeypatch.setattr(cli, "_resolve_braiding", bumped)
+        assert run(["verify", *argv, "--suite", "braiding"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] projector-decomposition" in out
+        assert out.count("[FAIL]") == 1
 
 
 class TestPoincare:

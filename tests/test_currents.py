@@ -30,7 +30,8 @@ from qfock.currents import (
 )
 from qfock.errors import WindowOverflow
 from qfock.scalars import ONE, Q, QINV, ZERO, Scalar
-from qfock.tensorops import row_reduce
+
+from dense_elimination import dense_row_reduce
 
 
 def flip_double(window=2):
@@ -155,7 +156,7 @@ def _dense_relation_span(cd, far):
                 touched = True
         if touched:
             rows.append(row)
-    return row_reduce(rows, len(pairs)), index
+    return dense_row_reduce(rows), index
 
 
 def _dense_pivot_rows(span):
@@ -164,7 +165,7 @@ def _dense_pivot_rows(span):
 
 
 def _dense_reduce_mod_span(states, span, index):
-    vec = [ZERO] * span.ncols
+    vec = [ZERO] * len(index)
     out = {w: c for w, c in states.items() if len(w) != 2}
     for w, c in states.items():
         if len(w) == 2:

@@ -536,7 +536,8 @@ class TestRepresentationFastPath:
         assert verdicts == {k: _dense_representation_ok(d, k) for k in verdicts}
 
     def test_bmw_gcd_count_does_not_grow_with_k(self, monkeypatch):
-        # the outer grid is built and cleared once per double; the dense
+        # the outer grid is built and cleared once per double from the
+        # projectors the double's quotients already built; the dense
         # reference makes 499, 2028 and 4932 gcd calls at k = 1, 2, 3
         calls = _pgcd_counter(monkeypatch)
         counts = []
@@ -548,7 +549,7 @@ class TestRepresentationFastPath:
             del calls[:]
             representation_l_relations_ok(d, k)
             assert not calls      # the cell combinations are cached
-        assert counts == [74, 74, 74]
+        assert counts == [26, 26, 26]
 
     @pytest.mark.parametrize("name", HECKE_DOUBLES)
     def test_hecke_doubles_make_no_gcd_call(self, name, monkeypatch):

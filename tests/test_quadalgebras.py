@@ -14,7 +14,8 @@ from qfock.quadalgebras import (
     mu_eigenspace_degree2_report,
 )
 from qfock.scalars import ONE, ZERO, Scalar
-from qfock.tensorops import row_reduce
+
+from dense_elimination import dense_row_reduce
 
 
 def full_span_dim(alg, k):
@@ -33,8 +34,7 @@ def full_span_dim(alg, k):
                         code = code * N + t
                     row[code] = row[code] + c
                 rows.append(row)
-    red = row_reduce(rows, ncols)
-    return ncols - red.rank
+    return ncols - dense_row_reduce(rows).rank
 
 
 class TestClassicalFlip:

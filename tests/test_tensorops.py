@@ -13,7 +13,10 @@ from qfock.tensorops import (
     partial_trace,
     place,
     row_reduce,
+    solve,
 )
+
+from dense_elimination import dense_row_reduce
 
 
 def sc(n):
@@ -120,8 +123,8 @@ class TestKernelImage:
         for v in ki.kernel_basis:
             for row in m:
                 acc = ZERO
-                for a, x in zip(row, v):
-                    acc = acc + a * x
+                for c, x in v.items():
+                    acc = acc + row[c] * x
                 assert acc.is_zero()
 
     def test_rank_plus_nullity(self):
@@ -129,7 +132,7 @@ class TestKernelImage:
         ki = kernel_image(m)
         assert ki.rank == 1
         assert len(ki.kernel_basis) == 1
-        assert ki.image_basis == [[ONE, Q]]
+        assert ki.image_basis == [{0: ONE, 1: Q}]
 
 
 class TestMatHelpers:
@@ -146,32 +149,42 @@ class TestMatHelpers:
            st.permutations(range(5)))
     @settings(max_examples=60)
     def test_row_reduce_matches_dense_elimination(self, raw, order):
-        rows = [[Q if v == "q" else sc(v) for v in row] for row in raw]
-        before = [list(r) for r in rows]
-        # dense reference: every entry of every other row is updated
-        work = [list(r) for r in rows if any(not e.is_zero() for e in r)]
-        pivots, top = [], 0
-        for c in order:
-            sel = next((i for i in range(top, len(work)) if not work[i][c].is_zero()), None)
-            if sel is None:
-                continue
-            work[top], work[sel] = work[sel], work[top]
-            inv = work[top][c].inverse()
-            work[top] = [e * inv for e in work[top]]
-            for i in range(len(work)):
-                f = work[i][c]
-                if i != top and not f.is_zero():
-                    work[i] = [a - f * b for a, b in zip(work[i], work[top])]
-            pivots.append(c)
-            top += 1
-            if top == len(work):
-                break
-        red = row_reduce(rows, 5, col_order=order)
-        assert red.pivots == pivots and red.rows == work[:top]
+        dense = [[Q if v == "q" else sc(v) for v in row] for row in raw]
+        ref = dense_row_reduce(dense, order)
+
+        def relabeled(row):
+            # column order[k] becomes column k: the engine's smallest-first
+            # pivot choice then follows the dense scan order
+            return {k: row[c] for k, c in enumerate(order) if not row[c].is_zero()}
+
+        rows = [relabeled(r) for r in dense]
+        before = [dict(r) for r in rows]
+        red = row_reduce(rows, 5)
+        assert red.pivots == [order.index(c) for c in ref.pivots]
+        assert red.rows == [relabeled(r) for r in ref.rows]
         assert rows == before
 
     def test_row_reduce_col_order(self):
-        # pivot on the last column first
-        rows = [[ONE, ONE]]
-        red = row_reduce(rows, 2, col_order=[1, 0])
-        assert red.pivots == [1]
+        # pivot on the last column first by numbering columns in descending order
+        rows = [{1 - c: e for c, e in enumerate([ONE, Q])}]
+        red = row_reduce(rows, 2)
+        assert red.pivots == [0]
+        assert red.rows == [{0: ONE, 1: QINV}]
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_solve_matches_dense_rank(self, data):
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(1, 3))
+        entry = st.sampled_from([0, 0, 1, -2, 3, "q"])
+
+        def matrix(width):
+            return [[Q if v == "q" else sc(v)
+                     for v in data.draw(st.lists(entry, min_size=width, max_size=width))]
+                    for _ in range(n)]
+
+        a, b = matrix(n), matrix(m)
+        x = solve(a, b)
+        assert (x is None) == (dense_row_reduce(a).rank < n)
+        if x is not None:
+            assert mat_mul(a, x) == b
