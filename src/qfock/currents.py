@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from math import inf
 
 from .braidings import (
     Braiding,
@@ -37,7 +38,7 @@ from .braidings import (
 )
 from .errors import WindowOverflow
 from .scalars import ONE, Q, QINV, Scalar, add_term, sum_into
-from .tensorops import echelon_insert, enc_index, remainder
+from .tensorops import echelon_insert, enc_index, formal_grid, formal_mul, remainder
 
 Mode = tuple[int, int]               # (generator index, mode number)
 ModeWord = tuple[Mode, ...]
@@ -166,13 +167,15 @@ def zf_act(cd: CurrentDouble, a_modes, state: ModeState) -> ModeState:
 # ---------------------------------------------------------------------------
 # expression evaluation for the spectral identity
 # ---------------------------------------------------------------------------
-# A term is (coefficient, factors, dist): factors are current symbols
-# ('c'|'a', generator, 'u'|'v') multiplied in written order; dist is None
-# or "delta" for a delta(u-v) prefactor.  The pole multiplies all of T2.
+# An expression cell is {(factors, dist): coefficient}: factors are current
+# symbols ('c'|'a', generator, 'u'|'v') multiplied in written order; dist is
+# None or "delta" for a delta(u-v) prefactor.  Every word ends in an
+# annihilator, because L = x_i x^j.
 
 Factor = tuple[str, int, str]
-Term = tuple[Scalar, tuple[Factor, ...], str | None]
+Expr = dict[tuple[tuple[Factor, ...], str | None], Scalar]
 ExpDict = dict[tuple[int, int], dict[ModeWord, Scalar]]
+Entry = tuple[int, int, ModeWord, Scalar]       # (u-exp, v-exp, word, coeff)
 
 
 def _exp_shift(kind: str, mode: int) -> int:
@@ -181,29 +184,33 @@ def _exp_shift(kind: str, mode: int) -> int:
 
 
 def _eval_factors(cd: CurrentDouble, factors: tuple[Factor, ...],
-                  ket: ModeWord, interior_clip: int, window: int) -> ExpDict:
-    """Apply current factors to a ket, rightmost first, tracking the
-    (u, v)-exponents, and project the result to the window.
+                  word: ModeWord, interior_clip: int, window: int) -> tuple[Entry, ...]:
+    """Apply the prefix `factors` of a current word to `word`, rightmost
+    first, tracking the (u, v)-exponents, and project the result to the
+    window.
 
     Creation modes are enumerated within interior_clip until no annihilator
     is left to remove a mode (annihilation keeps mode labels); from there
     on words outside the window are dropped and creation modes are
-    enumerated within it.  Only the exponent keys (a, b) that some
-    coefficient u^(-r-1) v^(-s-1), |r|, |s| <= window, reads are kept: all
-    of them have -2 window - 2 <= a + b <= 2 window - 1.
+    enumerated within it.  The peeled annihilator shifts one exponent by a
+    ket mode, in [-window, window], and every key (a, b) that some
+    coefficient u^(-r-1) v^(-s-1), |r|, |s| <= window, reads has
+    -2 window - 2 <= a + b <= 2 window - 1: only the keys with
+    -3 window - 2 <= a + b <= 3 window - 1 are kept, as flat entries
+    (a, b, word, coefficient).
     """
     leftmost_a = min((p for p, f in enumerate(factors) if f[0] == "a"),
                      default=len(factors))
-    current: ExpDict = {(0, 0): {ket: ONE}}
+    current: ExpDict = {(0, 0): {word: ONE}}
     for pos in reversed(range(len(factors))):
         kind, gen, var = factors[pos]
         clip = interior_clip if pos > leftmost_a else min(interior_clip, window)
         new: ExpDict = {}
         for (eu, ev), states in current.items():
-            for word, coeff in states.items():
+            for w, coeff in states.items():
                 if kind == "a":
-                    for k in {1 - m for (_, m) in word}:
-                        acted = _annihilate(cd, gen, k, word)
+                    for k in {1 - m for (_, m) in w}:
+                        acted = _annihilate(cd, gen, k, w)
                         if acted:
                             shift = _exp_shift("a", k)
                             key = (eu + shift, ev) if var == "u" else (eu, ev + shift)
@@ -212,42 +219,74 @@ def _eval_factors(cd: CurrentDouble, factors: tuple[Factor, ...],
                     for m in range(-clip, clip + 1):
                         shift = _exp_shift("c", m)
                         key = (eu + shift, ev) if var == "u" else (eu, ev + shift)
-                        add_term(new.setdefault(key, {}), ((gen, m),) + word, coeff)
+                        add_term(new.setdefault(key, {}), ((gen, m),) + w, coeff)
         if pos == leftmost_a:
             new = {key: {w: c for w, c in states.items()
                          if all(abs(m) <= window for (_, m) in w)}
                    for key, states in new.items()}
         current = {k: v for k, v in new.items() if v}
-    return {(a, b): states for (a, b), states in current.items()
-            if -2 * window - 2 <= a + b <= 2 * window - 1}
+    return tuple((a, b, w, c) for (a, b), states in current.items()
+                 if -3 * window - 2 <= a + b <= 3 * window - 1
+                 for w, c in states.items())
 
 
-def _ket_evaluator(cd: CurrentDouble, ket: ModeWord):
-    """evaluate(factors, clip): the windowed evaluation of a current word on
-    `ket`, computed once per distinct (factors, clip)."""
-    return lru_cache(maxsize=None)(
-        lambda factors, clip: _eval_factors(cd, factors, ket, clip, cd.window))
+def _ket_evaluator(cd: CurrentDouble, ket: ModeWord, prefixes: dict):
+    """evaluate(factors, clip): a current word on `ket` as pieces
+    (c, du, dv, entries), computed once per distinct (factors, clip).
+
+    The word's rightmost annihilator x^j[1 - m], for each mode m of the ket,
+    takes the ket to words w with coefficients c and shifts the u- or
+    v-exponent by m; entries is the evaluation of the rest of the word (the
+    prefix) on w.  This split is exact: _eval_factors picks each position's
+    clip, and where it projects to the window, from that position's place
+    relative to the word's first annihilator, which the prefix alone fixes.
+    Words that come off the ket keep its modes, which lie in the window, so
+    the projection that follows a peeled first annihilator is the identity.
+    The same few w recur for every ket, so `prefixes` holds each
+    (prefix, clip, w) evaluation once for all kets.
+    """
+    def evaluate(factors, clip):
+        prefix, (_, gen, var) = factors[:-1], factors[-1]
+        pieces = []
+        for m in {m for (_, m) in ket}:
+            for w, c in _annihilate(cd, gen, 1 - m, ket).items():
+                entries = prefixes.get((prefix, clip, w))
+                if entries is None:
+                    entries = prefixes[(prefix, clip, w)] = _eval_factors(
+                        cd, prefix, w, clip, cd.window)
+                if entries:
+                    pieces.append((c, m, 0, entries) if var == "u"
+                                  else (c, 0, m, entries))
+        return pieces
+    return lru_cache(maxsize=None)(evaluate)
 
 
 def _readers(window: int, theta: int):
-    """Key filters of the T1 plain and the T2 buckets: every (eu, ev) lies
-    in [-window - 1, window - 1]^2 and the pole reads a >= eu + theta."""
+    """Key boxes (a_lo, a_hi, b_lo, b_hi) of the T1 plain and the T2
+    buckets: every (eu, ev) lies in [-window - 1, window - 1]^2 and the
+    pole reads a >= eu + theta, so b <= ev."""
     lo, hi = -window - 1, window - 1
-    return (lambda a, b: lo <= a <= hi and lo <= b <= hi,
-            lambda a, b: a >= lo + theta and b <= hi)
+    return (lo, hi, lo, hi), (lo + theta, inf, -inf, hi)
 
 
-def _buckets(terms: list[Term], evaluate, clip: int, reads):
+def _buckets(terms: Expr, evaluate, clip: int, box):
     """Sum c * states over a cell's terms, once per exponent key: plain
-    terms by (a, b) where reads(a, b), delta(u-v) terms by a + b."""
+    terms by (a, b) inside `box`, delta(u-v) terms by a + b."""
+    a_lo, a_hi, b_lo, b_hi = box
     plain: ExpDict = {}
     delta: dict[int, dict[ModeWord, Scalar]] = {}
-    for (c, factors, dist) in terms:
-        for (a, b), states in evaluate(factors, clip).items():
-            if dist is not None:
-                sum_into(delta.setdefault(a + b, {}), states, c)
-            elif reads(a, b):
-                sum_into(plain.setdefault((a, b), {}), states, c)
+    for (factors, dist), c in terms.items():
+        for cp, du, dv, entries in evaluate(factors, clip):
+            scale = c * cp
+            if dist is None:
+                for a, b, w, cw in entries:
+                    a += du
+                    b += dv
+                    if a_lo <= a <= a_hi and b_lo <= b <= b_hi:
+                        add_term(plain.setdefault((a, b), {}), w, scale * cw)
+            else:
+                for a, b, w, cw in entries:
+                    add_term(delta.setdefault(a + b + du + dv, {}), w, scale * cw)
     return plain, delta
 
 
@@ -268,17 +307,16 @@ def _lhs(plain: ExpDict, delta: dict, eu: int, ev: int) -> dict[ModeWord, Scalar
     return out
 
 
-def _rhs(by_sum: dict, eu: int, ev: int, theta: int, pole: Scalar) -> dict[ModeWord, Scalar]:
+def _rhs(by_sum: dict, eu: int, ev: int, theta: int) -> dict[ModeWord, Scalar]:
     """Coefficient of u^eu v^ev of pole * T2, where the pole is
     sum_{p>=0} v^p u^(-p-1) (rational, theta = 1) or (q - q^-1) sum_{p>=0}
-    v^p u^(-p) (trigonometric, theta = 0): it reads the keys (a, b) with
+    v^p u^(-p) (trigonometric, theta = 0), whose factor q - q^-1 is folded
+    into the T2 coefficients: it reads the keys (a, b) with
     a + b = eu + ev + theta and a >= eu + theta."""
     out: dict[ModeWord, Scalar] = {}
     for a, states in by_sum.get(eu + ev + theta, ()):
         if a >= eu + theta:
             sum_into(out, states)
-    if not pole.is_one():
-        out = {w: pole * c for w, c in out.items()}
     return out
 
 
@@ -286,49 +324,28 @@ def _rhs(by_sum: dict, eu: int, ev: int, theta: int, pole: Scalar) -> dict[ModeW
 # expression assembly for the spectral L-identity
 # ---------------------------------------------------------------------------
 
-def _expr_mul(a, b, n):
-    out = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            acc: list[Term] = []
-            for z in range(n):
-                for (c1, f1, d1) in a[x][z]:
-                    for (c2, f2, d2) in b[z][y]:
-                        if d1 is not None and d2 is not None:
-                            raise AssertionError("product of two distributions")
-                        acc.append((c1 * c2, f1 + f2, d1 or d2))
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _times_delta(mat):
-    if any(d is not None for row in mat for terms in row for (_, _, d) in terms):
-        raise AssertionError("distribution already present")
-    return [[[(c, f, "delta") for (c, f, _) in terms] for terms in row] for row in mat]
+def _tagged(mat, dist):
+    """Cells {factors: c} of a formal product as {(factors, dist): c}."""
+    return [[{(f, dist): c for f, c in cell.items()} for cell in row] for row in mat]
 
 
 def _expr_sub(a, b):
-    return [[ta + [(-c, f, d) for (c, f, d) in tb] for ta, tb in zip(ra, rb)]
-            for ra, rb in zip(a, b)]
-
-
-def _written_r(b: Braiding):
-    n2 = b.N * b.N
-    return [[[(b.R.entries[y][x], (), None)] if not b.R.entries[y][x].is_zero() else []
-             for y in range(n2)] for x in range(n2)]
+    out = [[dict(cell) for cell in row] for row in a]
+    for row, rb in zip(out, b):
+        for cell, cb in zip(row, rb):
+            sum_into(cell, cb, -ONE)
+    return out
 
 
 def _l_current(b: Braiding, var: str):
     N = b.N
     n2 = N * N
-    out = [[[] for _ in range(n2)] for _ in range(n2)]
+    out = [[{} for _ in range(n2)] for _ in range(n2)]
     for x1 in range(N):
         for x2 in range(N):
             for y1 in range(N):
                 out[enc_index((x1, x2), N)][enc_index((y1, x2), N)] = \
-                    [(ONE, (("c", x1, var), ("a", y1, var)), None)]
+                    {(("c", x1, var), ("a", y1, var)): ONE}
     return out
 
 
@@ -340,22 +357,26 @@ def _yang_expressions(cd: CurrentDouble):
     of L1(u) R12 L1(v) - L1(v) R12 L1(u): its middle annihilator-creator
     pair is replaced by its exchange image (the delta part of that pair is
     what cancels against the ill-defined pole-delta products), so T1 must
-    equal pole * T2 on every matrix element.
+    equal pole * T2 on every matrix element.  The pole's constant factor
+    (q - q^-1, trigonometric) is folded into the T2 coefficients.
     """
     b = cd.cb.base
     N = b.N
     n2 = N * N
-    rw = _written_r(b)
+    rw = formal_grid(b.R)
     lu = _l_current(b, "u")
     lv = _l_current(b, "v")
-    t1 = _expr_sub(_expr_mul(_expr_mul(_expr_mul(rw, lu, n2), rw, n2), lv, n2),
-                   _expr_mul(_expr_mul(_expr_mul(lv, rw, n2), lu, n2), rw, n2))
-    t1 = _expr_sub(t1, _times_delta(
-        _expr_sub(_expr_mul(rw, lu, n2), _expr_mul(lu, rw, n2))))
+    t1 = _expr_sub(
+        _tagged(_expr_sub(
+            formal_mul(formal_mul(formal_mul(rw, lu, n2), rw, n2), lv, n2),
+            formal_mul(formal_mul(formal_mul(lv, rw, n2), lu, n2), rw, n2)), None),
+        _tagged(_expr_sub(formal_mul(rw, lu, n2), formal_mul(lu, rw, n2)), "delta"))
 
     s = b.q.inverse()
+    if cd.cb.flavor == TRIGONOMETRIC:
+        s = s * (Q - QINV)
     psi = b.psi
-    t2 = [[[] for _ in range(n2)] for _ in range(n2)]
+    t2 = [[{} for _ in range(n2)] for _ in range(n2)]
     for x1, x2, y1, y2, z, w in product(range(N), repeat=6):
         rv = b.R.entries[enc_index((w, y2), N)][enc_index((z, x2), N)]
         if rv.is_zero():
@@ -365,10 +386,13 @@ def _yang_expressions(cd: CurrentDouble):
             pv = psi.entries[enc_index((i, z), N)][enc_index((j, w), N)]
             if not pv.is_zero():
                 coeff = s * rv * pv
-                cell.append((coeff, (("c", x1, "u"), ("c", i, "v"),
-                                     ("a", j, "u"), ("a", y1, "v")), None))
-                cell.append((-coeff, (("c", x1, "v"), ("c", i, "u"),
-                                      ("a", j, "v"), ("a", y1, "u")), None))
+                add_term(cell, ((("c", x1, "u"), ("c", i, "v"),
+                                 ("a", j, "u"), ("a", y1, "v")), None), coeff)
+                add_term(cell, ((("c", x1, "v"), ("c", i, "u"),
+                                 ("a", j, "v"), ("a", y1, "u")), None), -coeff)
+    if any(f[-1][0] != "a" for t in (t1, t2) for row in t for cell in row
+           for (f, _) in cell):
+        raise AssertionError("a current word that does not end in an annihilator")
     return t1, t2
 
 
@@ -473,15 +497,21 @@ def verify_yang(cd: CurrentDouble, window: int | None = None,
     u^{-r-1} v^{-s-1} applied to every ket of degree <= `degree` with
     modes in the window is compared for all r, s in the window.
 
-    Each distinct current word is evaluated once per ket, projected to the
-    window.  Each matrix cell (x, y) then sums c * states over its terms
-    once per exponent key (a, b), and every (r, s), with (eu, ev) =
-    (-r-1, -s-1), is read off by lookups:
+    Every current word ends in an annihilator.  That last factor takes a
+    ket to a few words (degree-2 kets to degree-1 words, degree-1 kets to
+    the vacuum), each with a coefficient and an exponent shift, and the
+    same few words recur for every ket: the rest of the word (its prefix)
+    is evaluated on each of them once per call, projected to the window,
+    and shared by all kets.  Each matrix cell (x, y) then sums c * states
+    over its terms and their pieces once per exponent key (a, b).  A cell
+    whose buckets are all empty on a ket has both sides zero at every
+    (r, s), so its (r, s) count without lookups; otherwise every (r, s),
+    with (eu, ev) = (-r-1, -s-1), is read off by lookups:
       - lhs: the T1 plain bucket at (eu, ev), plus the T1 delta(u-v)
         bucket at a + b = eu + ev + 1;
       - rhs: the T2 bucket summed over the keys with a + b = eu + ev +
-        theta and a >= eu + theta, scaled once by q - 1/q (trigonometric,
-        theta = 0) or 1 (rational, theta = 1).
+        theta and a >= eu + theta; T2 carries the pole's factor q - 1/q
+        (trigonometric, theta = 0) or 1 (rational, theta = 1).
     The comparison is lhs - rhs against zero.  Degree <= 1 comparisons are
     strict equalities of free mode states.  Outputs reached from degree-2
     kets are only defined up to the defining exchange relations, so there
@@ -499,9 +529,7 @@ def verify_yang(cd: CurrentDouble, window: int | None = None,
         cd = CurrentDouble(cd.cb, M, cd.max_degree)
     N = cd.N
     n2 = N * N
-    trig = cd.cb.flavor == TRIGONOMETRIC
-    theta = 0 if trig else 1
-    pole = Q - QINV if trig else ONE
+    theta = 0 if cd.cb.flavor == TRIGONOMETRIC else 1
     t1, t2 = _yang_expressions(cd)
     interior = 2 * M + 2
     kets = _kets(N, M, degree)
@@ -510,24 +538,30 @@ def verify_yang(cd: CurrentDouble, window: int | None = None,
     span = None
     if degree >= 2:
         span = _exchange_relation_span(cd)
-    lhs_reads, rhs_reads = _readers(M, theta)
+    lhs_box, rhs_box = _readers(M, theta)
     spot_ket = kets[min(1, len(kets) - 1)]
+    prefixes: dict = {}
     mismatches = []
     residual_classes = 0
     checked = 0
     for ket in kets:
         deg2_ket = len(ket) >= 2
-        evaluate = _ket_evaluator(cd, ket)
+        evaluate = _ket_evaluator(cd, ket, prefixes)
         if ket == spot_ket:
             spot_evaluate = evaluate
         for x in range(n2):
             for y in range(n2):
-                plain, delta = _buckets(t1[x][y], evaluate, interior, lhs_reads)
-                by_sum = _by_sum(_buckets(t2[x][y], evaluate, M, rhs_reads)[0])
+                plain, delta = _buckets(t1[x][y], evaluate, interior, lhs_box)
+                pole_side = _buckets(t2[x][y], evaluate, M, rhs_box)[0]
+                if not (any(plain.values()) or any(delta.values())
+                        or any(pole_side.values())):
+                    checked += len(coeffs)
+                    continue
+                by_sum = _by_sum(pole_side)
                 for (r, s, eu, ev) in coeffs:
                     checked += 1
                     diff = _difference(_lhs(plain, delta, eu, ev),
-                                       _rhs(by_sum, eu, ev, theta, pole))
+                                       _rhs(by_sum, eu, ev, theta))
                     if deg2_ket and diff:
                         diff = _reduce_mod_span(diff, *span)
                     if diff:
@@ -553,8 +587,8 @@ def verify_yang(cd: CurrentDouble, window: int | None = None,
     if spot_enlarge and not mismatches:
         stable = True
         for x in range(n2):
-            small = _buckets(t1[x][0], spot_evaluate, interior, lhs_reads)
-            big = _buckets(t1[x][0], spot_evaluate, interior + 3, lhs_reads)
+            small = _buckets(t1[x][0], spot_evaluate, interior, lhs_box)
+            big = _buckets(t1[x][0], spot_evaluate, interior + 3, lhs_box)
             for (_, _, eu, ev) in coeffs:
                 if _lhs(*small, eu, ev) != _lhs(*big, eu, ev):
                     stable = False

@@ -53,6 +53,8 @@ from .tensorops import (
     Matrix,
     dec_index,
     enc_index,
+    formal_grid,
+    formal_mul,
     mat_mul,
     place,
     solve,
@@ -297,11 +299,6 @@ def _written_scalar_grid(op: LinOperator) -> Matrix:
     return [[op.entries[y][x] for y in range(n)] for x in range(n)]
 
 
-def _formal_grid(op: LinOperator) -> list:
-    return [[{(): v} if not v.is_zero() else {} for v in row]
-            for row in _written_scalar_grid(op)]
-
-
 def _formal_l1(N: int) -> list:
     n2 = N * N
     l1 = [[{} for _ in range(n2)] for _ in range(n2)]
@@ -310,35 +307,13 @@ def _formal_l1(N: int) -> list:
     return l1
 
 
-def _formal_mul(a, b, n):
-    """Written product of formal matrices; keys concatenate."""
-    out = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            acc: dict[tuple, Scalar] = {}
-            for z in range(n):
-                ea = a[x][z]
-                if not ea:
-                    continue
-                eb = b[z][y]
-                if not eb:
-                    continue
-                for ka, va in ea.items():
-                    for kb, vb in eb.items():
-                        add_term(acc, ka + kb, va * vb)
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def _defining_products(b: Braiding, outer: LinOperator) -> tuple[list, list]:
     """The written matrices O12 L1 R12 L1 and L1 R12 L1 O12 for an outer
     grid O.  With O = R the twist maps the first to the second."""
     n2 = b.N ** 2
-    rw, ow, l1 = _formal_grid(b.R), _formal_grid(outer), _formal_l1(b.N)
-    return (_formal_mul(_formal_mul(_formal_mul(ow, l1, n2), rw, n2), l1, n2),
-            _formal_mul(_formal_mul(_formal_mul(l1, rw, n2), l1, n2), ow, n2))
+    rw, ow, l1 = formal_grid(b.R), formal_grid(outer), _formal_l1(b.N)
+    return (formal_mul(formal_mul(formal_mul(ow, l1, n2), rw, n2), l1, n2),
+            formal_mul(formal_mul(formal_mul(l1, rw, n2), l1, n2), ow, n2))
 
 
 def _reflection_partner(d: FockDouble) -> LinOperator:
@@ -372,8 +347,8 @@ def _l_identity_cells(d: FockDouble) -> dict[tuple[int, int], dict[tuple, Scalar
         n2 = d.braiding.N ** 2
         outer = _cleared(_reflection_partner(d))
         quad_lhs, quad_rhs = _defining_products(d.braiding, outer)
-        ow, l1 = _formal_grid(outer), _formal_l1(d.braiding.N)
-        lin_lhs, lin_rhs = _formal_mul(ow, l1, n2), _formal_mul(l1, ow, n2)
+        ow, l1 = formal_grid(outer), _formal_l1(d.braiding.N)
+        lin_lhs, lin_rhs = formal_mul(ow, l1, n2), formal_mul(l1, ow, n2)
         cells = {}
         for x, y in itertools.product(range(n2), repeat=2):
             net: dict[tuple, Scalar] = {}
@@ -702,8 +677,8 @@ def _pair_code(key: tuple, N: int) -> int:
 
 
 # The Jacobi check is leg-local, so the largest dense allocation of the Lie
-# suite is the N^4-square solve for the twist in braided_lie: 1296 rows at
-# N = 6 (a few seconds), 2401 rows at N = 7.
+# suite is the N^4-square twist of braided_lie, solved from as many sparse
+# rows: 1296 at N = 6 (a few seconds), 2401 at N = 7.
 LIE_MAX_N = 6
 
 
@@ -719,29 +694,24 @@ def braided_lie(b: Braiding) -> BraidedLie:
     if N > LIE_MAX_N:
         raise SizeLimitExceeded(
             f"braided Lie structure at N = {N} exceeds the limit N <= {LIE_MAX_N}: "
-            f"its twist is solved from a dense {N ** 4}-square linear system")
+            f"its twist is a dense {N ** 4}-square matrix solved from a linear system")
     n2 = N * N
     n4 = n2 * n2
     m_rlrl, m_lrlr = _defining_products(b, b.R)
 
-    def to_matrix(formal) -> Matrix:
-        rows = []
-        for x in range(n2):
-            for y in range(n2):
-                row = [ZERO] * n4
-                for key, v in formal[x][y].items():
-                    row[_pair_code(key, N)] = v
-                rows.append(row)
-        return rows
+    def to_rows(formal) -> list[dict[int, Scalar]]:
+        return [{_pair_code(key, N): v for key, v in formal[x][y].items()}
+                for x in range(n2) for y in range(n2)]
 
-    m1 = to_matrix(m_rlrl)
-    m2 = to_matrix(m_lrlr)
     # rhat applied to the coefficient vector of each entry of m_rlrl gives
     # the corresponding entry of m_lrlr: rhat = X^T with M1 X = M2
-    x = solve(m1, m2)
+    x = solve(to_rows(m_rlrl), to_rows(m_lrlr), n4)
     if x is None:
         raise RhatNotDetermined("coefficient matrix of the defining property is singular")
-    rhat = [[x[c][r] for c in range(n4)] for r in range(n4)]
+    rhat = [[ZERO] * n4 for _ in range(n4)]
+    for c, row in enumerate(x):
+        for r, v in row.items():
+            rhat[r][c] = v
 
     bmat = b.B
     comp = [[ZERO] * n4 for _ in range(n2)]

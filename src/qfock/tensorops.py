@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BadPlacement, NotInvertible
-from .scalars import ONE, ZERO, Scalar, sum_into
+from .scalars import ONE, ZERO, Scalar, add_term, sum_into
 
 Matrix = list[list[Scalar]]
 
@@ -242,6 +242,43 @@ def partial_trace(op: LinOperator, legs: set[int]) -> LinOperator | Scalar:
 
 
 # ---------------------------------------------------------------------------
+# formal written matrices
+# ---------------------------------------------------------------------------
+# A formal matrix is an n x n grid of {key: Scalar} cells whose keys are
+# tuples of symbols; its written product concatenates the keys.
+
+def formal_grid(op: LinOperator) -> list:
+    """The written grid of op, cell [x][y] = {(): op.entries[y][x]},
+    with empty cells at the zero entries."""
+    n = op.size
+    return [[{(): op.entries[y][x]} if not op.entries[y][x].is_zero() else {}
+             for y in range(n)] for x in range(n)]
+
+
+def formal_mul(a: list, b: list, n: int) -> list:
+    """Written product of n x n formal matrices; keys concatenate and
+    keys whose coefficients cancel drop out."""
+    out = []
+    for x in range(n):
+        row = []
+        for y in range(n):
+            acc: dict[tuple, Scalar] = {}
+            for z in range(n):
+                ea = a[x][z]
+                if not ea:
+                    continue
+                eb = b[z][y]
+                if not eb:
+                    continue
+                for ka, va in ea.items():
+                    for kb, vb in eb.items():
+                        add_term(acc, ka + kb, va * vb)
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # sparse elimination
 # ---------------------------------------------------------------------------
 
@@ -344,21 +381,21 @@ def kernel_image(matrix: Sequence[Sequence[Scalar]]) -> KernelImage:
     return KernelImage(red.rank, kernel, image)
 
 
-def solve(a: Matrix, b: Matrix) -> Matrix | None:
-    """The x with a x = b for a square a, from one reduction of [a | b];
-    None when a is singular.  With n rows, the pivots are 0..n-1 exactly
+def solve(a: list[Row], b: list[Row], m: int) -> list[Row] | None:
+    """The x with a x = b for a square a, from one reduction of [a | b]:
+    a and b are n sparse rows, b's over m columns, and x comes back as n
+    sparse rows; None when a is singular.  The pivots are 0..n-1 exactly
     when a is invertible, and the reduced rows then read [I | x]."""
     n = len(a)
-    m = len(b[0]) if b else 0
     rows = []
     for ra, rb in zip(a, b):
-        row = _sparse(ra)
-        row.update(_sparse(rb, n))
+        row = dict(ra)
+        row.update((n + c, e) for c, e in rb.items())
         rows.append(row)
     red = row_reduce(rows, n + m)
     if red.pivots != list(range(n)):
         return None
-    return [[row.get(n + c, ZERO) for c in range(m)] for row in red.rows]
+    return [{c - n: e for c, e in row.items() if c >= n} for row in red.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +422,11 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_inv(a: Matrix) -> Matrix | None:
-    return solve(a, mat_identity(len(a)))
+    n = len(a)
+    x = solve([_sparse(r) for r in a], [{i: ONE} for i in range(n)], n)
+    if x is None:
+        return None
+    return [[row.get(c, ZERO) for c in range(n)] for row in x]
 
 
 def mat_is_diagonal(a: Matrix) -> bool:

@@ -14,6 +14,7 @@ from qfock.currents import (
     _by_sum,
     _difference,
     _exchange_relation_span,
+    _exp_shift,
     _ket_evaluator,
     _kets,
     _lhs,
@@ -29,7 +30,7 @@ from qfock.currents import (
     zf_act,
 )
 from qfock.errors import WindowOverflow
-from qfock.scalars import ONE, Q, QINV, ZERO, Scalar
+from qfock.scalars import ONE, ZERO, Scalar, add_term, sum_into
 
 from dense_elimination import dense_row_reduce
 
@@ -87,6 +88,52 @@ def _eval_factors(cd, factors, ket, interior_clip):
     return current
 
 
+def _windowed_eval_factors(cd, factors, ket, interior_clip, window):
+    """The whole word on one ket, as verify_yang evaluated it before the
+    prefixes were shared: clip and projection as in currents._eval_factors,
+    and only the keys with -2 window - 2 <= a + b <= 2 window - 1."""
+    leftmost_a = min((p for p, f in enumerate(factors) if f[0] == "a"),
+                     default=len(factors))
+    current = {(0, 0): {ket: ONE}}
+    for pos in reversed(range(len(factors))):
+        kind, gen, var = factors[pos]
+        clip = interior_clip if pos > leftmost_a else min(interior_clip, window)
+        new = {}
+        for (eu, ev), states in current.items():
+            for word, coeff in states.items():
+                if kind == "a":
+                    for k in {1 - m for (_, m) in word}:
+                        acted = _annihilate(cd, gen, k, word)
+                        if acted:
+                            shift = _exp_shift("a", k)
+                            key = (eu + shift, ev) if var == "u" else (eu, ev + shift)
+                            sum_into(new.setdefault(key, {}), acted, coeff)
+                else:
+                    for m in range(-clip, clip + 1):
+                        shift = _exp_shift("c", m)
+                        key = (eu + shift, ev) if var == "u" else (eu, ev + shift)
+                        add_term(new.setdefault(key, {}), ((gen, m),) + word, coeff)
+        if pos == leftmost_a:
+            new = {key: {w: c for w, c in states.items()
+                         if all(abs(m) <= window for (_, m) in w)}
+                   for key, states in new.items()}
+        current = {k: v for k, v in new.items() if v}
+    return {(a, b): states for (a, b), states in current.items()
+            if -2 * window - 2 <= a + b <= 2 * window - 1}
+
+
+def _assembled(evaluate, factors, clip, window):
+    """The pieces of evaluate(factors, clip) summed back into one windowed
+    evaluation, keyed as _windowed_eval_factors keys it."""
+    out = {}
+    for c, du, dv, entries in evaluate(factors, clip):
+        for a, b, w, cw in entries:
+            a, b = a + du, b + dv
+            if -2 * window - 2 <= a + b <= 2 * window - 1:
+                add_term(out.setdefault((a, b), {}), w, c * cw)
+    return {key: states for key, states in out.items() if states}
+
+
 def _project_window(states, window):
     return {w: c for w, c in states.items()
             if all(abs(m) <= window for (_, m) in w)}
@@ -117,11 +164,11 @@ def _extract(cd, ev_terms, eu, ev, apply_pole):
     for term in ev_terms:
         targets = []
         if apply_pole:
-            pole_coeff = Q - QINV if trig else ONE
+            # the T2 coefficients already carry the pole's factor q - 1/q
             offsets = {a - (eu + (0 if trig else 1)) for (a, _) in term.exps}
             for p in sorted(offsets):
                 if p >= 0:
-                    targets.append((eu + p + (0 if trig else 1), ev - p, pole_coeff))
+                    targets.append((eu + p + (0 if trig else 1), ev - p, ONE))
         else:
             targets.append((eu, ev, ONE))
         for (ua, va, scale0) in targets:
@@ -307,13 +354,13 @@ class TestYang:
         # the delta side on the vacuum has no support at all; both sides 0
         cd = flip_double()
         t1, t2 = _yang_expressions(cd)
-        evaluate = _ket_evaluator(cd, ())
-        lhs_reads, rhs_reads = _readers(2, 1)
-        plain, delta = _buckets(t1[0][0], evaluate, 6, lhs_reads)
-        by_sum = _by_sum(_buckets(t2[0][0], evaluate, 2, rhs_reads)[0])
+        evaluate = _ket_evaluator(cd, (), {})
+        lhs_box, rhs_box = _readers(2, 1)
+        plain, delta = _buckets(t1[0][0], evaluate, 6, lhs_box)
+        by_sum = _by_sum(_buckets(t2[0][0], evaluate, 2, rhs_box)[0])
         for r, s in itertools.product(range(-2, 3), repeat=2):
             assert _lhs(plain, delta, -r - 1, -s - 1) == {}
-            assert _rhs(by_sum, -r - 1, -s - 1, 1, ONE) == {}
+            assert _rhs(by_sum, -r - 1, -s - 1, 1) == {}
 
     def test_desk_scale_guard(self):
         with pytest.raises(WindowOverflow):
@@ -327,8 +374,9 @@ class TestYang:
         # degree-2 kets live in the free module, which the defining ideals
         # only cut down in the true double; the strict check covers
         # degree <= 1 and the degree-2 residue is reported, not gated
-        for maker, residual in ((flip_double, 672), (hecke_double, 1104)):
-            rep = verify_yang(maker(window=1), degree=2, spot_enlarge=False)
+        for maker, window, residual in ((flip_double, 1, 672), (hecke_double, 1, 1104),
+                                        (flip_double, 2, 6400), (hecke_double, 2, 10080)):
+            rep = verify_yang(maker(window), degree=2, spot_enlarge=False)
             assert rep["passed"]      # degree <= 1 part is strict and exact
             assert rep["degree2_report_only"]
             assert rep["degree2_residual_classes"] == residual
@@ -350,27 +398,49 @@ class TestYang:
         rep = verify_yang(cd, degree=2, spot_enlarge=False)
         assert rep["degree2_residual_classes"] != residual
 
-    def test_each_word_evaluated_once_per_ket(self, monkeypatch):
+    @pytest.mark.parametrize("side, residual", [(0, 1104), (1, 780)])
+    def test_either_side_alone_is_compared(self, monkeypatch, side, residual):
+        # a (ket, cell) is skipped only when all of its buckets are empty:
+        # with one side's cells emptied, the other must still be read.  The
+        # counts are those of the same runs with no cell skipped.
+        real = currents._yang_expressions
+
+        def one_side(cd):
+            t = list(real(cd))
+            t[side] = [[{} for _ in row] for row in t[side]]
+            return tuple(t)
+
+        monkeypatch.setattr(currents, "_yang_expressions", one_side)
+        rep = verify_yang(hecke_double(window=1), degree=2, spot_enlarge=False)
+        assert rep["degree2_residual_classes"] == residual
+
+    def test_each_prefix_evaluated_once_per_call(self, monkeypatch):
         calls = []
         real = currents._eval_factors
         monkeypatch.setattr(currents, "_eval_factors",
-                            lambda cd, f, ket, clip, window:
-                            calls.append((ket, f, clip)) or real(cd, f, ket, clip, window))
-        cd = flip_double(window=1)
-        rep = verify_yang(cd, degree=1)
+                            lambda cd, f, w, clip, window:
+                            calls.append((f, clip, w)) or real(cd, f, w, clip, window))
+        M = 1
+        cd = flip_double(window=M)
+        rep = verify_yang(cd, degree=2)
         assert rep["passed"] and rep["window_monotone_spot_check"]
         t1, t2 = _yang_expressions(cd)
-        interior = 4
-        words = {(f, interior) for row in t1 for cell in row for (_, f, _) in cell}
-        words |= {(f, 1) for row in t2 for cell in row for (_, f, _) in cell}
-        spot = {(f, interior + 3) for row in t1 for (_, f, _) in row[0]}
-        assert len(calls) == rep["kets"] * len(words) + len(spot)
-        assert len(set(calls)) == len(calls)
-        # without the memo: one evaluation per term and cell, and the spot
-        # check evaluates its cells at both clips
-        terms = sum(len(cell) for t in (t1, t2) for row in t for cell in row)
-        spot_terms = sum(len(row[0]) for row in t1)
-        assert len(calls) < rep["kets"] * terms + 2 * spot_terms
+        interior = 2 * M + 2
+        words = {(f, interior) for row in t1 for cell in row for (f, _) in cell}
+        words |= {(f, M) for row in t2 for cell in row for (f, _) in cell}
+        kets = _kets(cd.N, M, 2)
+        spot = {(f, interior + 3) for row in t1 for (f, _) in row[0]}
+
+        def peeled(ket, words):
+            return {(f[:-1], clip, w) for f, clip in words
+                    for (_, m) in ket
+                    for w in _annihilate(cd, f[-1][1], 1 - m, ket)}
+
+        want = set().union(*(peeled(ket, words) for ket in kets)) | peeled(kets[1], spot)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == want
+        # per ket, the whole words would be evaluated once each
+        assert len(calls) < len(kets) * len(words)
 
 
 class TestBucketedComparison:
@@ -382,27 +452,28 @@ class TestBucketedComparison:
         if corrupt:
             bump_exchange(cd)
         trig = cd.cb.flavor == TRIGONOMETRIC
-        theta, pole = (0, Q - QINV) if trig else (1, ONE)
+        theta = 0 if trig else 1
         interior = 2 * M + 2
         t1, t2 = _yang_expressions(cd)
         dense, index = _dense_relation_span(cd, far=3 * M + 3)
         span = _exchange_relation_span(cd)
-        lhs_reads, rhs_reads = _readers(M, theta)
+        lhs_box, rhs_box = _readers(M, theta)
         n2 = cd.N * cd.N
         nonzero = 0
+        prefixes = {}
         for ket in _kets(cd.N, M, 2):
-            evaluate = _ket_evaluator(cd, ket)
+            evaluate = _ket_evaluator(cd, ket, prefixes)
             for x, y in itertools.product(range(n2), repeat=2):
-                plain, delta = _buckets(t1[x][y], evaluate, interior, lhs_reads)
-                by_sum = _by_sum(_buckets(t2[x][y], evaluate, M, rhs_reads)[0])
+                plain, delta = _buckets(t1[x][y], evaluate, interior, lhs_box)
+                by_sum = _by_sum(_buckets(t2[x][y], evaluate, M, rhs_box)[0])
                 ev1 = [_EvaluatedTerm(c, d, _eval_factors(cd, f, ket, interior))
-                       for (c, f, d) in t1[x][y]]
+                       for (f, d), c in t1[x][y].items()]
                 ev2 = [_EvaluatedTerm(c, d, _eval_factors(cd, f, ket, M))
-                       for (c, f, d) in t2[x][y]]
+                       for (f, d), c in t2[x][y].items()]
                 for r, s in itertools.product(range(-M, M + 1), repeat=2):
                     eu, ev = -r - 1, -s - 1
                     lhs = _lhs(plain, delta, eu, ev)
-                    rhs = _rhs(by_sum, eu, ev, theta, pole)
+                    rhs = _rhs(by_sum, eu, ev, theta)
                     want_lhs = _extract(cd, ev1, eu, ev, apply_pole=False)
                     want_rhs = _extract(cd, ev2, eu, ev, apply_pole=True)
                     assert lhs == want_lhs and rhs == want_rhs
@@ -413,6 +484,37 @@ class TestBucketedComparison:
                     assert reduced == {w: c for w, c in want.items() if not c.is_zero()}
                     nonzero += bool(reduced)
         assert nonzero
+
+
+class TestPrefixSharing:
+    @pytest.mark.parametrize("braiding, N, window, degree", [
+        ("flip", 2, 1, 2), ("flip", 2, 2, 2),
+        ("std-hecke", 2, 1, 2), ("std-hecke", 2, 2, 2),
+        ("std-hecke", 3, 1, 1)])
+    def test_pieces_match_per_ket_evaluation(self, braiding, N, window, degree):
+        """The shared-prefix pieces of every word on every ket sum to the
+        whole word evaluated on that ket."""
+        base, flavor = ((make_flip(N), "rational") if braiding == "flip"
+                        else (make_standard_hecke(N), TRIGONOMETRIC))
+        cd = make_current_double(baxterize(base, flavor), window)
+        t1, t2 = _yang_expressions(cd)
+        words = {(f, 2 * window + 2) for row in t1 for cell in row for (f, _) in cell}
+        words |= {(f, window) for row in t2 for cell in row for (f, _) in cell}
+        prefixes = {}
+        for ket in _kets(N, window, degree):
+            evaluate = _ket_evaluator(cd, ket, prefixes)
+            for f, clip in words:
+                assert (_assembled(evaluate, f, clip, window)
+                        == _windowed_eval_factors(cd, f, ket, clip, window))
+
+    def test_merged_terms(self):
+        # cancelled (factors, dist) keys drop out of the cells
+        t1, t2 = _yang_expressions(hecke_double())
+        for t, count in ((t1, 64), (t2, 32)):
+            cells = [cell for row in t for cell in row]
+            assert sum(map(len, cells)) == count
+            assert not any(c.is_zero() for cell in cells for c in cell.values())
+            assert all(f[-1][0] == "a" for cell in cells for (f, _) in cell)
 
 
 class TestRelationSpan:

@@ -183,8 +183,12 @@ class TestMatHelpers:
                      for v in data.draw(st.lists(entry, min_size=width, max_size=width))]
                     for _ in range(n)]
 
+        def sparse(rows):
+            return [{c: e for c, e in enumerate(r) if not e.is_zero()} for r in rows]
+
         a, b = matrix(n), matrix(m)
-        x = solve(a, b)
+        x = solve(sparse(a), sparse(b), m)
         assert (x is None) == (dense_row_reduce(a).rank < n)
         if x is not None:
-            assert mat_mul(a, x) == b
+            assert all(not e.is_zero() and 0 <= c < m for row in x for c, e in row.items())
+            assert mat_mul(a, [[row.get(c, ZERO) for c in range(m)] for row in x]) == b
