@@ -30,7 +30,7 @@ from qfock.braidings import (  # noqa: E402
     load_braiding_table,
     make_standard_hecke,
 )
-from qfock.scalars import ONE, Q, QINV, ZERO, Scalar  # noqa: E402
+from qfock.scalars import ONE, Q, QINV, Scalar  # noqa: E402
 from qfock.tensorops import LinOperator, enc_index  # noqa: E402
 
 TABLE_DIR = Path(__file__).resolve().parent.parent / "src" / "qfock" / "tables"
@@ -64,13 +64,12 @@ def _rho_eps(N: int, series: str) -> tuple[list[int], list[int]]:
 def make_bmw(N: int, series: str) -> Braiding:
     """Braiding of BMW type for the orthogonal or symplectic series."""
     rho, eps = _rho_eps(N, series)
-    n2 = N * N
-    rows = [[ZERO] * n2 for _ in range(n2)]
+    terms = []
 
     def term(a: int, b: int, c: int, d: int, t: Scalar):
-        # t * e_ab (x) e_cd contributes R_{bd}^{ac}
-        r, c_ = enc_index((a, c), N), enc_index((b, d), N)
-        rows[r][c_] = rows[r][c_] + t
+        # t * e_ab (x) e_cd contributes R_{bd}^{ac}; composing with the flip,
+        # from the RTT form to the braid form, moves it to row (c, a)
+        terms.append((enc_index((c, a), N), enc_index((b, d), N), t))
 
     def iprime(i: int) -> int:
         return N - 1 - i
@@ -93,16 +92,7 @@ def make_bmw(N: int, series: str) -> Braiding:
             term(i, j, j, i, qdiff)
             coeff = qdiff * Scalar.q_power(rho[i] - rho[j], eps[i] * eps[j])
             term(i, j, iprime(i), iprime(j), -coeff)
-
-    # compose with the flip to pass from the RTT form to the braid form
-    braid_rows = [[ZERO] * n2 for _ in range(n2)]
-    for out in range(n2):
-        k, l = divmod(out, N)
-        for inp in range(n2):
-            v = rows[out][inp]
-            if not v.is_zero():
-                braid_rows[enc_index((l, k), N)][inp] = v
-    return Braiding(N, LinOperator.from_rows(braid_rows, N, 2), BMW,
+    return Braiding(N, LinOperator.from_terms(terms, N, 2), BMW,
                     series=series, mu=expected_mu(series, N),
                     name=f"bmw-{series}-{N}")
 

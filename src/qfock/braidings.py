@@ -42,6 +42,7 @@ from .tensorops import (
     mat_inv,
     mat_mul,
     mat_scalar_multiple_of_identity,
+    partial_trace,
     place,
 )
 
@@ -160,14 +161,11 @@ def make_superflip(m: int, n: int) -> Braiding:
     N = m + n
     if N < 1:
         raise ValueError("m + n must be at least 1")
-    size = N * N
-    rows = [[ZERO] * size for _ in range(size)]
     minus = Scalar.from_int(-1)
-    for i in range(N):
-        for j in range(N):
-            sign = minus if (i >= m and j >= m) else ONE
-            rows[enc_index((j, i), N)][enc_index((i, j), N)] = sign
-    b = Braiding(N, LinOperator.from_rows(rows, N, 2), INVOLUTIVE,
+    terms = ((enc_index((j, i), N), enc_index((i, j), N),
+              minus if (i >= m and j >= m) else ONE)
+             for i in range(N) for j in range(N))
+    b = Braiding(N, LinOperator.from_terms(terms, N, 2), INVOLUTIVE,
                  name=f"superflip-{m}|{n}")
     issues = b.validate()
     if issues:
@@ -184,84 +182,77 @@ def make_standard_hecke(N: int) -> Braiding:
     """
     if N < 2:
         raise ValueError("N must be at least 2")
-    size = N * N
-    rows = [[ZERO] * size for _ in range(size)]
     qdiff = Q - QINV
+    terms = []
     for i in range(N):
         for j in range(N):
             if i == j:
-                rows[enc_index((i, i), N)][enc_index((i, i), N)] = Q
+                terms.append((enc_index((i, i), N), enc_index((i, i), N), Q))
             else:
-                rows[enc_index((j, i), N)][enc_index((i, j), N)] = ONE
+                terms.append((enc_index((j, i), N), enc_index((i, j), N), ONE))
                 if i > j:
-                    rows[enc_index((i, j), N)][enc_index((i, j), N)] = qdiff
-    b = Braiding(N, LinOperator.from_rows(rows, N, 2), HECKE, name=f"std-hecke-{N}")
+                    terms.append((enc_index((i, j), N), enc_index((i, j), N), qdiff))
+    b = Braiding(N, LinOperator.from_terms(terms, N, 2), HECKE, name=f"std-hecke-{N}")
     issues = b.validate()
     if issues:
         raise AssertionError(f"standard Hecke failed self-validation: {issues}")
     return b
 
 
+def specialize(b: Braiding, q0: Fraction | int) -> Braiding:
+    """b at q = q0: R, mu and q evaluated there to constant scalars, so
+    that the braid and minimal-polynomial checks run on numbers.  Raises
+    NonGenericPoint when q0 is a pole of an entry."""
+    def at(s: Scalar) -> Scalar:
+        return Scalar.from_fraction(s.evaluate(q0))
+
+    r = LinOperator.from_terms(((o, c, at(v)) for o, c, v in b.R.nonzeros()),
+                               b.N, 2, b.R.labels, b.R.labels_out)
+    return Braiding(b.N, r, b.kind, b.series, None if b.mu is None else at(b.mu),
+                    at(b.q), name=f"{b.name} at q = {q0}")
+
+
 # ---------------------------------------------------------------------------
 # skew inverse
 # ---------------------------------------------------------------------------
+
+def _relabeled(op: LinOperator, where, labels=("V", "V"),
+               labels_out=None) -> LinOperator:
+    """The two-leg operator that holds each nonzero entry of op at
+    out (k, l), in (i, j) at the (out pair, in pair) where(k, l, i, j)."""
+    N = op.dim
+
+    def terms():
+        for r, c, v in op.nonzeros():
+            out, inp = where(*divmod(r, N), *divmod(c, N))
+            yield enc_index(out, N), enc_index(inp, N), v
+
+    return LinOperator.from_terms(terms(), N, 2, labels, labels_out)
+
 
 def skew_inverse(b: Braiding) -> SkewData:
     """Solve for Psi, take its partial traces, and extract alpha.
 
     Raises NotSkewInvertible when the defining linear system is singular.
     The result is verified against the defining contraction before it is
-    returned.
+    returned: read back as X[(l,j),(m,n)] = Psi_lm^jn, it must satisfy
+    A X = I for the partial transpose A[(k,i),(l,j)] = R_ij^kl.
     """
     N = b.N
-    size = N * N
-    amat = [[ZERO] * size for _ in range(size)]
-    for k in range(N):
-        for i in range(N):
-            for l in range(N):
-                for j in range(N):
-                    amat[enc_index((k, i), N)][enc_index((l, j), N)] = \
-                        b.R.entries[enc_index((k, l), N)][enc_index((i, j), N)]
-    x = mat_inv(amat)
-    if x is None:
+    amat = _relabeled(b.R, lambda k, l, i, j: ((k, i), (l, j)))
+    try:
+        x = amat.inverse()
+    except NotInvertible:
         raise NotSkewInvertible("partial transpose of R is singular")
-    rows = [[ZERO] * size for _ in range(size)]
-    for l in range(N):
-        for j in range(N):
-            for m in range(N):
-                for n in range(N):
-                    rows[enc_index((j, n), N)][enc_index((l, m), N)] = \
-                        x[enc_index((l, j), N)][enc_index((m, n), N)]
-    psi = LinOperator.from_rows(rows, N, 2)
+    psi = _relabeled(x, lambda l, j, m, n: ((j, n), (l, m)))
+    if amat @ _relabeled(psi, lambda j, n, l, m: ((l, j), (m, n))) != \
+            LinOperator.identity(N, 2):
+        raise NotSkewInvertible("skew inverse failed verification")
 
-    for k in range(N):
-        for i in range(N):
-            for m in range(N):
-                for n in range(N):
-                    acc = ZERO
-                    for j in range(N):
-                        for l in range(N):
-                            r = b.R.entries[enc_index((k, l), N)][enc_index((i, j), N)]
-                            if r.is_zero():
-                                continue
-                            p = psi.entries[enc_index((j, n), N)][enc_index((l, m), N)]
-                            if not p.is_zero():
-                                acc = acc + r * p
-                    want = ONE if (m == k and i == n) else ZERO
-                    if acc != want:
-                        raise NotSkewInvertible("skew inverse failed verification")
-
-    bmat = [[ZERO] * N for _ in range(N)]
-    cmat = [[ZERO] * N for _ in range(N)]
-    for i in range(N):
-        for j in range(N):
-            sb = ZERO
-            sc = ZERO
-            for k in range(N):
-                sb = sb + psi.entries[enc_index((k, j), N)][enc_index((k, i), N)]
-                sc = sc + psi.entries[enc_index((j, k), N)][enc_index((i, k), N)]
-            bmat[i][j] = sb
-            cmat[i][j] = sc
+    # B = Tr_1 Psi and C = Tr_2 Psi, as B[i][j] = sum_k Psi_ki^kj
+    tr1, tr2 = partial_trace(psi, {1}), partial_trace(psi, {2})
+    bmat = [[tr1.entry((j,), (i,)) for j in range(N)] for i in range(N)]
+    cmat = [[tr2.entry((j,), (i,)) for j in range(N)] for i in range(N)]
     b_inv = mat_inv(bmat)
     c_inv = mat_inv(cmat)
     alpha = mat_scalar_multiple_of_identity(mat_mul(bmat, cmat))
@@ -284,17 +275,7 @@ def dual_square(op: LinOperator) -> LinOperator:
     F the flip; for R, R(x^i (x) x^j) = R_lk^ji x^k (x) x^l.  The map
     reverses products and fixes I, so it carries every polynomial in R to
     the same polynomial in the transported R."""
-    N = op.dim
-    size = N * N
-    rows = [[ZERO] * size for _ in range(size)]
-    for i in range(N):
-        for j in range(N):
-            for k in range(N):
-                for l in range(N):
-                    v = op.entries[enc_index((j, i), N)][enc_index((l, k), N)]
-                    if not v.is_zero():
-                        rows[enc_index((k, l), N)][enc_index((i, j), N)] = v
-    return LinOperator.from_rows(rows, N, 2, ("V*", "V*"))
+    return _relabeled(op, lambda j, i, l, k: ((k, l), (i, j)), ("V*", "V*"))
 
 
 def extend_to_duals(b: Braiding) -> DualExtensions:
@@ -303,36 +284,16 @@ def extend_to_duals(b: Braiding) -> DualExtensions:
     V (x) V* uses the inverse of R, V* (x) V uses the skew inverse, and
     V* (x) V* is the index-reversed transport of R itself.
     """
-    N = b.N
-    size = N * N
     try:
         r_inv = b.R.inverse()
     except NotInvertible:
         raise NotInvertible("braiding is not invertible; duals undefined")
-    psi = b.psi
-
-    rows = [[ZERO] * size for _ in range(size)]
     # R(x_i (x) x^j) = x^k (x) x_l (R^{-1})_ki^lj
-    for i in range(N):
-        for j in range(N):
-            for k in range(N):
-                for l in range(N):
-                    v = r_inv.entries[enc_index((l, j), N)][enc_index((k, i), N)]
-                    if not v.is_zero():
-                        rows[enc_index((k, l), N)][enc_index((i, j), N)] = v
-    v_vstar = LinOperator.from_rows(rows, N, 2, ("V", "V*"), ("V*", "V"))
-
-    rows = [[ZERO] * size for _ in range(size)]
+    v_vstar = _relabeled(r_inv, lambda l, j, k, i: ((k, l), (i, j)),
+                         ("V", "V*"), ("V*", "V"))
     # R(x^i (x) x_j) = x_l (x) x^k Psi_kj^li
-    for i in range(N):
-        for j in range(N):
-            for k in range(N):
-                for l in range(N):
-                    v = psi.entries[enc_index((l, i), N)][enc_index((k, j), N)]
-                    if not v.is_zero():
-                        rows[enc_index((l, k), N)][enc_index((i, j), N)] = v
-    vstar_v = LinOperator.from_rows(rows, N, 2, ("V*", "V"), ("V", "V*"))
-
+    vstar_v = _relabeled(b.psi, lambda l, i, k, j: ((l, k), (i, j)),
+                         ("V*", "V"), ("V", "V*"))
     return DualExtensions(v_vstar, vstar_v, dual_square(b.R))
 
 
@@ -361,7 +322,7 @@ def dual_pairings(b: Braiding) -> DualPairings:
         for j in range(N):
             acc = ZERO
             for l in range(N):
-                acc = acc + ext.vstar_v.entries[enc_index((l, l), N)][enc_index((j, i), N)]
+                acc = acc + ext.vstar_v.entry((l, l), (j, i))
             left[i][j] = acc
     tilde = [list(row) for row in skew.B_inv]
     return DualPairings(mat_identity(N), left, tilde, [list(r) for r in skew.B_inv])
@@ -374,21 +335,20 @@ def dual_pairings(b: Braiding) -> DualPairings:
 Moves = dict[tuple[int, int], list[tuple[int, int, Scalar]]]
 
 
-def exchange_table(psi: Matrix, s: Scalar,
+def exchange_table(psi: LinOperator, s: Scalar,
                    const: Matrix) -> tuple[Moves, dict[tuple[int, int], Scalar]]:
     """The permutation rule  x^l x_k = s Psi_jk^il x_i x^j + const_k^l  in
-    solved form, for a grid psi[(i, l)][(j, k)] on the pairs of a space of
-    dimension N: moves[(l, k)] lists the (i, j, s Psi_jk^il) with nonzero
-    Psi, i outer and j inner, and constants[(l, k)] = const[k][l]."""
-    N = len(const)
-    moves: Moves = {}
-    constants: dict[tuple[int, int], Scalar] = {}
-    for l in range(N):
-        for k in range(N):
-            moves[(l, k)] = [
-                (i, j, s * c) for i in range(N) for j in range(N)
-                if not (c := psi[enc_index((i, l), N)][enc_index((j, k), N)]).is_zero()]
-            constants[(l, k)] = const[k][l]
+    solved form, read from the nonzero entries psi (i, l) <- (j, k) of a
+    two-leg operator: moves[(l, k)] lists the (i, j, s Psi_jk^il), i outer
+    and j inner, and constants[(l, k)] = const[k][l]."""
+    N = psi.dim
+    moves: Moves = {(l, k): [] for l in range(N) for k in range(N)}
+    for r, c, v in psi.nonzeros():
+        (i, l), (j, k) = divmod(r, N), divmod(c, N)
+        moves[(l, k)].append((i, j, s * v))
+    for terms in moves.values():
+        terms.sort(key=lambda t: t[:2])
+    constants = {(l, k): const[k][l] for l in range(N) for k in range(N)}
     return moves, constants
 
 
@@ -583,9 +543,7 @@ def _word_identity_failures(lhs: list[Factor], rhs: list[Factor],
     for (mono, word), c in diff.items():
         by_mono.setdefault(mono, {})[word] = c
         if word not in support:
-            support[word] = [((r, col), e)
-                             for r, row in enumerate(word_op(word).entries)
-                             for col, e in enumerate(row) if not e.is_zero()]
+            support[word] = [((r, col), e) for r, col, e in word_op(word).nonzeros()]
     failures = []
     for mono in sorted(by_mono):
         acc: dict = {}
@@ -657,14 +615,13 @@ def braiding_to_table(b: Braiding) -> dict:
     """Serialize a braiding as a table document (1-based indices)."""
     entries = []
     N = b.N
-    for code_out in range(N * N):
+    for code_out in sorted(b.R.rows):
         k, l = divmod(code_out, N)
-        for code_in in range(N * N):
+        row = b.R.rows[code_out]
+        for code_in in sorted(row):
             i, j = divmod(code_in, N)
-            v = b.R.entries[code_out][code_in]
-            if not v.is_zero():
-                entries.append({"i": i + 1, "j": j + 1, "k": k + 1, "l": l + 1,
-                                "value": v.to_pairs()})
+            entries.append({"i": i + 1, "j": j + 1, "k": k + 1, "l": l + 1,
+                            "value": row[code_in].to_pairs()})
     return {
         "format_version": TABLE_FORMAT_VERSION,
         "N": N,
@@ -722,14 +679,14 @@ def load_braiding_table(doc: dict | str | Path) -> Braiding:
         if mu != expected_mu(series, N):
             raise InconsistentMu(
                 f"mu {mu!r} does not match the {series} series at N={N}")
-    size = N * N
-    rows = [[ZERO] * size for _ in range(size)]
+    values = {}   # a repeated (i, j, k, l) keeps its last value
     for ent in raw_entries:
         i, j, k, l = (int(ent[key]) - 1 for key in ("i", "j", "k", "l"))
         if not all(0 <= t < N for t in (i, j, k, l)):
             raise InvalidTable(f"index out of range in entry {ent}")
-        rows[enc_index((k, l), N)][enc_index((i, j), N)] = Scalar.from_pairs(ent["value"])
-    b = Braiding(N, LinOperator.from_rows(rows, N, 2), kind, series=series,
+        values[enc_index((k, l), N), enc_index((i, j), N)] = Scalar.from_pairs(ent["value"])
+    r = LinOperator.from_terms(((o, c, v) for (o, c), v in values.items()), N, 2)
+    b = Braiding(N, r, kind, series=series,
                  mu=mu, name=doc.get("name", "table"))
     issues = b.validate()
     if issues:

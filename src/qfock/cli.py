@@ -32,6 +32,7 @@ from .braidings import (
     make_standard_hecke,
     make_superflip,
     projector_decomposition_ok,
+    specialize,
 )
 from .currents import current_relation_check, make_current_double, verify_yang
 from .errors import InvalidArgument, NonGenericPoint, QfockError, SizeLimitExceeded
@@ -56,6 +57,7 @@ from .quadalgebras import (
     make_algebra,
     mu_eigenspace_degree2_report,
 )
+from .scalars import ZERO
 from .tensorops import LinOperator
 
 SUITES = ("braiding", "double", "lie", "poincare", "currents", "all")
@@ -130,17 +132,12 @@ def _resolve_braiding(cfg: RunConfig) -> Braiding:
         return make_superflip(m, n)
     if name == "std-hecke":
         return make_standard_hecke(cfg.n)
-    if name == "bmw-orth":
+    if name in ("bmw-orth", "bmw-sympl"):
         try:
-            return load_builtin(f"bmw-orth-{cfg.n}")
+            return load_builtin(f"{name}-{cfg.n}")
         except KeyError:
-            raise QfockError(f"no builtin orthogonal BMW table at N={cfg.n}")
-    if name == "bmw-sympl":
-        try:
-            return load_builtin(f"bmw-sympl-{cfg.n}")
-        except KeyError:
-            raise QfockError(f"no builtin symplectic BMW table at N={cfg.n}")
-    raise QfockError(f"unknown braiding {name!r}")
+            raise InvalidArgument(f"no builtin {name} table at N = {cfg.n}")
+    raise InvalidArgument(f"unknown braiding {name!r}")
 
 
 def _default_family_flavor(b: Braiding, cfg: RunConfig) -> tuple[str, str]:
@@ -198,62 +195,10 @@ def _suite_braiding(rep: Report, b: Braiding, cfg: RunConfig):
                 None, False, witness=mu_rep, seconds=dt)
     if cfg.q != "generic":
         q0 = Fraction(cfg.q)
-        ok, dt = _timed(_evaluated_checks, b, q0)
+        at_q0 = specialize(b, q0)
+        ok, dt = _timed(lambda: at_q0.braid_ok() and at_q0.kind_polynomial_ok())
         rep.add("evaluation-cross-check",
                 f"braid and minimal polynomial at q = {q0}", ok, True, seconds=dt)
-
-
-def _evaluated_checks(b: Braiding, q0: Fraction) -> bool:
-    n = b.R.size
-    rv = b.R.evaluate(q0)
-
-    def mul(a, bm):
-        return [[sum(a[i][k] * bm[k][j] for k in range(len(bm)))
-                 for j in range(len(bm[0]))] for i in range(len(a))]
-
-    def p12(mat, total=3, dim=b.N):
-        size = dim ** total
-        out = [[Fraction(0)] * size for _ in range(size)]
-        for r in range(n):
-            for c in range(n):
-                if mat[r][c] == 0:
-                    continue
-                ro, co = divmod(r, dim), divmod(c, dim)
-                for t in range(dim):
-                    ri = (ro[0] * dim + ro[1]) * dim + t
-                    ci = (co[0] * dim + co[1]) * dim + t
-                    out[ri][ci] = mat[r][c]
-        return out
-
-    def p23(mat, dim=b.N):
-        size = dim ** 3
-        out = [[Fraction(0)] * size for _ in range(size)]
-        for r in range(n):
-            for c in range(n):
-                if mat[r][c] == 0:
-                    continue
-                for t in range(dim):
-                    ri = t * n + r
-                    ci = t * n + c
-                    out[ri][ci] = mat[r][c]
-        return out
-
-    a12, a23 = p12(rv), p23(rv)
-    braid_ok = mul(mul(a12, a23), a12) == mul(mul(a23, a12), a23)
-    ident = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    qv = q0
-    m1 = [[rv[i][j] - (qv if i == j else 0) for j in range(n)] for i in range(n)]
-    m2 = [[rv[i][j] + (1 / qv if i == j else 0) for j in range(n)] for i in range(n)]
-    poly = mul(m1, m2)
-    if b.kind == BMW:
-        mu0 = b.mu.evaluate(q0)
-        m3 = [[rv[i][j] - (mu0 if i == j else 0) for j in range(n)] for i in range(n)]
-        poly = mul(poly, m3)
-    if b.kind == INVOLUTIVE:
-        poly = [[sum(rv[i][k] * rv[k][j] for k in range(n)) - ident[i][j]
-                 for j in range(n)] for i in range(n)]
-    poly_ok = all(v == 0 for row in poly for v in row)
-    return braid_ok and poly_ok
 
 
 def _suite_double(rep: Report, b: Braiding, cfg: RunConfig):
@@ -336,10 +281,9 @@ def _deforms_flip(b: Braiding) -> bool:
     if b.kind == INVOLUTIVE:
         return b.R == flip
     try:
-        at1 = b.R.evaluate(1)
+        return specialize(b, 1).R == flip
     except NonGenericPoint:
         return False
-    return at1 == flip.evaluate(1)
 
 
 def _poincare_series(b: Braiding, kmax: int):
@@ -412,6 +356,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     rep = Report("qfock", __version__, _config_echo(cfg))
     try:
         b = _resolve_braiding(cfg)
+    except InvalidArgument:
+        raise
     except QfockError as exc:
         rep.add("load-braiding", "construct or load the braiding", False, True,
                 witness=exc)
@@ -446,13 +392,19 @@ def cmd_poincare(cfg: RunConfig) -> int:
     return 1 if rep.failed else 0
 
 
-def _matrix_doc(mat) -> dict:
+def _matrix_doc(rows: int, cols: int, entry) -> dict:
+    """A matrix as printed: every entry(r, c), zeros included, by rows."""
     return {
-        "rows": len(mat),
-        "cols": len(mat[0]) if mat else 0,
+        "rows": rows,
+        "cols": cols,
         "index_base": 1,
-        "entries": [[v.to_pairs() for v in row] for row in mat],
+        "entries": [[entry(r, c).to_pairs() for c in range(cols)]
+                    for r in range(rows)],
     }
+
+
+def _pairing_doc(mat) -> dict:
+    return _matrix_doc(len(mat), len(mat), lambda r, c: mat[r][c])
 
 
 def cmd_repr(cfg: RunConfig) -> int:
@@ -462,13 +414,18 @@ def cmd_repr(cfg: RunConfig) -> int:
     k = max(1, cfg.degree)
     reps = fock_representation(d, k)
     comp = d.B.component(k)
+    dim = len(comp.basis)
+
+    def columns_doc(cols) -> dict:
+        return _matrix_doc(dim, dim, lambda r, c: cols[c].get(r, ZERO))
+
     doc = {
         "k": k,
         "family": family,
         "flavor": flavor,
         "component_basis": [[i + 1 for i in w] for w in comp.basis],
-        "b_matrix": _matrix_doc(b.B),
-        "matrices": {f"l[{i+1}][{j+1}]": _matrix_doc(reps[(i, j)])
+        "b_matrix": _pairing_doc(b.B),
+        "matrices": {f"l[{i+1}][{j+1}]": columns_doc(reps[(i, j)])
                      for i in range(b.N) for j in range(b.N)},
         "identity_holds": representation_l_relations_ok(d, k),
     }
@@ -485,9 +442,10 @@ def cmd_export(cfg: RunConfig) -> int:
     b = _resolve_braiding(cfg)
     doc = {
         "table": braiding_to_table(b),
-        "psi": _matrix_doc([list(r) for r in b.psi.entries]),
-        "B": _matrix_doc(b.B),
-        "C": _matrix_doc(b.C),
+        "psi": _matrix_doc(b.psi.size, b.psi.size,
+                           lambda r, c: b.psi.rows.get(r, {}).get(c, ZERO)),
+        "B": _pairing_doc(b.B),
+        "C": _pairing_doc(b.C),
         "alpha": b.alpha.to_pairs() if b.alpha is not None else None,
     }
     payload = json.dumps(doc, indent=1, sort_keys=True)

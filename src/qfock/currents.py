@@ -38,7 +38,16 @@ from .braidings import (
 )
 from .errors import WindowOverflow
 from .scalars import ONE, Q, QINV, Scalar, add_term, sum_into
-from .tensorops import echelon_insert, enc_index, formal_grid, formal_mul, remainder
+from .tensorops import (
+    FormalMatrix,
+    echelon_insert,
+    enc_index,
+    formal_cell,
+    formal_grid,
+    formal_mul,
+    formal_pruned,
+    remainder,
+)
 
 Mode = tuple[int, int]               # (generator index, mode number)
 ModeWord = tuple[Mode, ...]
@@ -98,8 +107,7 @@ class CurrentDouble:
 
     def __post_init__(self):
         b = self.cb.base
-        self.exchange, self.constant = exchange_table(
-            b.psi.entries, b.q.inverse(), b.B)
+        self.exchange, self.constant = exchange_table(b.psi, b.q.inverse(), b.B)
 
     @property
     def N(self) -> int:
@@ -324,28 +332,26 @@ def _rhs(by_sum: dict, eu: int, ev: int, theta: int) -> dict[ModeWord, Scalar]:
 # expression assembly for the spectral L-identity
 # ---------------------------------------------------------------------------
 
-def _tagged(mat, dist):
+def _tagged(mat: FormalMatrix, dist) -> FormalMatrix:
     """Cells {factors: c} of a formal product as {(factors, dist): c}."""
-    return [[{(f, dist): c for f, c in cell.items()} for cell in row] for row in mat]
+    return {x: {y: {(f, dist): c for f, c in cell.items()} for y, cell in row.items()}
+            for x, row in mat.items()}
 
 
-def _expr_sub(a, b):
-    out = [[dict(cell) for cell in row] for row in a]
-    for row, rb in zip(out, b):
-        for cell, cb in zip(row, rb):
-            sum_into(cell, cb, -ONE)
-    return out
+def _expr_sub(a: FormalMatrix, b: FormalMatrix) -> FormalMatrix:
+    out = {x: {y: dict(cell) for y, cell in row.items()} for x, row in a.items()}
+    for x, row in b.items():
+        for y, cell in row.items():
+            sum_into(out.setdefault(x, {}).setdefault(y, {}), cell, -ONE)
+    return formal_pruned(out)
 
 
-def _l_current(b: Braiding, var: str):
+def _l_current(b: Braiding, var: str) -> FormalMatrix:
     N = b.N
-    n2 = N * N
-    out = [[{} for _ in range(n2)] for _ in range(n2)]
-    for x1 in range(N):
-        for x2 in range(N):
-            for y1 in range(N):
-                out[enc_index((x1, x2), N)][enc_index((y1, x2), N)] = \
-                    {(("c", x1, var), ("a", y1, var)): ONE}
+    out: FormalMatrix = {}
+    for x1, x2, y1 in product(range(N), repeat=3):
+        out.setdefault(enc_index((x1, x2), N), {})[enc_index((y1, x2), N)] = \
+            {(("c", x1, var), ("a", y1, var)): ONE}
     return out
 
 
@@ -362,36 +368,34 @@ def _yang_expressions(cd: CurrentDouble):
     """
     b = cd.cb.base
     N = b.N
-    n2 = N * N
     rw = formal_grid(b.R)
     lu = _l_current(b, "u")
     lv = _l_current(b, "v")
     t1 = _expr_sub(
         _tagged(_expr_sub(
-            formal_mul(formal_mul(formal_mul(rw, lu, n2), rw, n2), lv, n2),
-            formal_mul(formal_mul(formal_mul(lv, rw, n2), lu, n2), rw, n2)), None),
-        _tagged(_expr_sub(formal_mul(rw, lu, n2), formal_mul(lu, rw, n2)), "delta"))
+            formal_mul(formal_mul(formal_mul(rw, lu), rw), lv),
+            formal_mul(formal_mul(formal_mul(lv, rw), lu), rw)), None),
+        _tagged(_expr_sub(formal_mul(rw, lu), formal_mul(lu, rw)), "delta"))
 
     s = b.q.inverse()
     if cd.cb.flavor == TRIGONOMETRIC:
         s = s * (Q - QINV)
-    psi = b.psi
-    t2 = [[{} for _ in range(n2)] for _ in range(n2)]
-    for x1, x2, y1, y2, z, w in product(range(N), repeat=6):
-        rv = b.R.entries[enc_index((w, y2), N)][enc_index((z, x2), N)]
-        if rv.is_zero():
-            continue
-        cell = t2[enc_index((x1, x2), N)][enc_index((y1, y2), N)]
-        for i, j in product(range(N), repeat=2):
-            pv = psi.entries[enc_index((i, z), N)][enc_index((j, w), N)]
-            if not pv.is_zero():
-                coeff = s * rv * pv
+    moves = exchange_table(b.psi, s, b.B)[0]     # (z, w) -> (i, j, s Psi_jw^iz)
+    t2: FormalMatrix = {}
+    for r, c, rv in sorted(b.R.nonzeros(), key=lambda t: t[:2]):
+        (w, y2), (z, x2) = divmod(r, N), divmod(c, N)
+        for x1, y1 in product(range(N), repeat=2):
+            cell = t2.setdefault(enc_index((x1, x2), N), {}).setdefault(
+                enc_index((y1, y2), N), {})
+            for i, j, sp in moves[(z, w)]:
+                coeff = rv * sp
                 add_term(cell, ((("c", x1, "u"), ("c", i, "v"),
                                  ("a", j, "u"), ("a", y1, "v")), None), coeff)
                 add_term(cell, ((("c", x1, "v"), ("c", i, "u"),
                                  ("a", j, "v"), ("a", y1, "u")), None), -coeff)
-    if any(f[-1][0] != "a" for t in (t1, t2) for row in t for cell in row
-           for (f, _) in cell):
+    t2 = formal_pruned(t2)
+    if any(f[-1][0] != "a" for t in (t1, t2) for row in t.values()
+           for cell in row.values() for (f, _) in cell):
         raise AssertionError("a current word that does not end in an annihilator")
     return t1, t2
 
@@ -416,9 +420,11 @@ def _relation_instances(cd: CurrentDouble, mode_pairs, tail: int):
     theta = 0 if trig else 1
     cf = Q - QINV if trig else ONE
     qmain = Q if trig else ONE
+    columns: dict[int, list] = {}       # (i, j) -> the nonzero R_ij^kl, (k, l) ascending
+    for r, c, v in sorted(b.R.nonzeros(), key=lambda t: t[:2]):
+        columns.setdefault(c, []).append((divmod(r, N), v))
     for (m, n), i, j in product(mode_pairs, range(N), range(N)):
-        terms = [(((k, m), (l, n)), b.R.entries[enc_index((k, l), N)][enc_index((i, j), N)])
-                 for k, l in product(range(N), repeat=2)]
+        terms = [(((k, m), (l, n)), v) for (k, l), v in columns.get(i * N + j, ())]
         for p in range(tail):
             terms.append((((i, m - p - theta), (j, n + p)), -cf))
             terms.append((((i, n + p), (j, m - p - theta)), cf))
@@ -551,8 +557,8 @@ def verify_yang(cd: CurrentDouble, window: int | None = None,
             spot_evaluate = evaluate
         for x in range(n2):
             for y in range(n2):
-                plain, delta = _buckets(t1[x][y], evaluate, interior, lhs_box)
-                pole_side = _buckets(t2[x][y], evaluate, M, rhs_box)[0]
+                plain, delta = _buckets(formal_cell(t1, x, y), evaluate, interior, lhs_box)
+                pole_side = _buckets(formal_cell(t2, x, y), evaluate, M, rhs_box)[0]
                 if not (any(plain.values()) or any(delta.values())
                         or any(pole_side.values())):
                     checked += len(coeffs)
@@ -587,8 +593,8 @@ def verify_yang(cd: CurrentDouble, window: int | None = None,
     if spot_enlarge and not mismatches:
         stable = True
         for x in range(n2):
-            small = _buckets(t1[x][0], spot_evaluate, interior, lhs_box)
-            big = _buckets(t1[x][0], spot_evaluate, interior + 3, lhs_box)
+            small = _buckets(formal_cell(t1, x, 0), spot_evaluate, interior, lhs_box)
+            big = _buckets(formal_cell(t1, x, 0), spot_evaluate, interior + 3, lhs_box)
             for (_, _, eu, ev) in coeffs:
                 if _lhs(*small, eu, ev) != _lhs(*big, eu, ev):
                     stable = False

@@ -70,7 +70,7 @@ class InvalidArgument(QfockError):
 
 
 class SizeLimitExceeded(QfockError):
-    """A dense computation would exceed its fixed size limit."""
+    """A computation would exceed its fixed size limit."""
 
 
 class WindowOverflow(QfockError):

@@ -36,6 +36,7 @@ from .braidings import (
     INVOLUTIVE,
     Braiding,
     Moves,
+    dual_square,
     exchange_table,
 )
 from .errors import (
@@ -50,12 +51,12 @@ from .quadalgebras import FreeAlgebra, GradedQuotient, Tensor, Word, make_algebr
 from .scalars import ONE, Q, ZERO, Scalar, add_term, sum_into
 from .tensorops import (
     LinOperator,
-    Matrix,
-    dec_index,
+    Row,
+    FormalMatrix,
     enc_index,
+    formal_cell,
     formal_grid,
     formal_mul,
-    mat_mul,
     place,
     solve,
 )
@@ -142,7 +143,7 @@ class FockDouble:
         qpar = braiding.q  # ONE for involutive braidings
         self.sign_coeff = qpar.inverse() if flavor == BOSONIC else -qpar
         self.exchange, self.constant = exchange_table(
-            braiding.psi.entries, self.sign_coeff, braiding.B)
+            braiding.psi, self.sign_coeff, braiding.B)
         self._order_cache: dict[tuple[Token, ...], dict[Key, Scalar]] = {}
         self._l_cells: dict[tuple[int, int], dict[tuple, Scalar]] | None = None
 
@@ -284,7 +285,8 @@ def make_double(b: Braiding, flavor: str, family: str,
 
 # ---------------------------------------------------------------------------
 # L-relation verification.  Matrices are multiplied in the written order,
-# with grids read as (M)_x^y = entries[y][x]; a formal entry is a dict
+# with an operator read as (M)_x^y = its entry at row y, column x; a formal
+# entry is a dict
 # {tuple of generator pairs (i, j): Scalar}, the tuple standing for the
 # product of the l_i^j in that order.  Both checks evaluate one net formal
 # combination per cell (_l_identity_cells), built once per double with the
@@ -294,26 +296,20 @@ def make_double(b: Braiding, flavor: str, family: str,
 # O's non-monomial denominators every coefficient stays Laurent.
 # ---------------------------------------------------------------------------
 
-def _written_scalar_grid(op: LinOperator) -> Matrix:
-    n = op.size
-    return [[op.entries[y][x] for y in range(n)] for x in range(n)]
-
-
-def _formal_l1(N: int) -> list:
-    n2 = N * N
-    l1 = [[{} for _ in range(n2)] for _ in range(n2)]
+def _formal_l1(N: int) -> FormalMatrix:
+    l1: FormalMatrix = {}
     for i, a, j in itertools.product(range(N), repeat=3):
-        l1[enc_index((i, a), N)][enc_index((j, a), N)] = {((i, j),): ONE}
+        l1.setdefault(enc_index((i, a), N), {})[enc_index((j, a), N)] = {((i, j),): ONE}
     return l1
 
 
-def _defining_products(b: Braiding, outer: LinOperator) -> tuple[list, list]:
+def _defining_products(b: Braiding, outer: LinOperator) -> tuple[FormalMatrix,
+                                                                  FormalMatrix]:
     """The written matrices O12 L1 R12 L1 and L1 R12 L1 O12 for an outer
     grid O.  With O = R the twist maps the first to the second."""
-    n2 = b.N ** 2
     rw, ow, l1 = formal_grid(b.R), formal_grid(outer), _formal_l1(b.N)
-    return (formal_mul(formal_mul(formal_mul(ow, l1, n2), rw, n2), l1, n2),
-            formal_mul(formal_mul(formal_mul(l1, rw, n2), l1, n2), ow, n2))
+    return (formal_mul(formal_mul(formal_mul(ow, l1), rw), l1),
+            formal_mul(formal_mul(formal_mul(l1, rw), l1), ow))
 
 
 def _reflection_partner(d: FockDouble) -> LinOperator:
@@ -331,7 +327,7 @@ def _reflection_partner(d: FockDouble) -> LinOperator:
 def _cleared(op: LinOperator) -> LinOperator:
     """D * op, with D the product of the distinct non-monomial denominators
     among op's entries (D = 1 when op is Laurent, as every Hecke R is)."""
-    dens = {v.den for row in op.entries for v in row if len(v.den) > 1}
+    dens = {v.den for _, _, v in op.nonzeros() if len(v.den) > 1}
     if not dens:
         return op
     clear = ONE
@@ -348,13 +344,13 @@ def _l_identity_cells(d: FockDouble) -> dict[tuple[int, int], dict[tuple, Scalar
         outer = _cleared(_reflection_partner(d))
         quad_lhs, quad_rhs = _defining_products(d.braiding, outer)
         ow, l1 = formal_grid(outer), _formal_l1(d.braiding.N)
-        lin_lhs, lin_rhs = formal_mul(ow, l1, n2), formal_mul(l1, ow, n2)
+        lin_lhs, lin_rhs = formal_mul(ow, l1), formal_mul(l1, ow)
         cells = {}
         for x, y in itertools.product(range(n2), repeat=2):
             net: dict[tuple, Scalar] = {}
             for side, sign in ((quad_lhs, ONE), (quad_rhs, _MINUS_ONE),
                                (lin_lhs, _MINUS_ONE), (lin_rhs, ONE)):
-                sum_into(net, side[x][y], sign)
+                sum_into(net, formal_cell(side, x, y), sign)
             if net:
                 cells[(x, y)] = net
         d._l_cells = cells
@@ -499,13 +495,13 @@ def verify_compatibility(d: FockDouble, raise_on_failure: bool = False) -> dict:
     for i2, i3, j3 in itertools.product(range(N), repeat=3):
         lhs: dict[Key, Scalar] = {}
         for a, bb in itertools.product(range(N), repeat=2):
-            c = g.entries[enc_index((a, bb), N)][enc_index((i2, i3), N)]
+            c = g.entry((a, bb), (i2, i3))
             if not c.is_zero():
                 sum_into(lhs, free.normal_order(
                     (("b", a), ("b", bb), ("a", j3))).terms, c)
         rhs: dict[Key, Scalar] = {}
         for a, bb, e in itertools.product(range(N), repeat=3):
-            c = m3.entries[enc_index((bb, e, j3), N)][enc_index((a, i2, i3), N)]
+            c = m3.entry((bb, e, j3), (a, i2, i3))
             if not c.is_zero():
                 sum_into(rhs, free.normal_order(
                     (("a", a), ("b", bb), ("b", e))).terms, c * coeff)
@@ -538,45 +534,36 @@ def verify_compatibility(d: FockDouble, raise_on_failure: bool = False) -> dict:
 # finite-dimensional representations on homogeneous components
 # ---------------------------------------------------------------------------
 
-def fock_representation(d: FockDouble, k: int) -> dict[tuple[int, int], Matrix]:
-    """Matrices of the l_i^j generators on the degree-k creation component."""
+# A sparse matrix by columns: column c -> {row: nonzero entry}.
+Columns = list[Row]
+
+
+def fock_representation(d: FockDouble, k: int) -> dict[tuple[int, int], Columns]:
+    """Matrices of the l_i^j generators on the degree-k creation component,
+    by columns: column c holds the image of basis word c."""
     if k < 1:
         raise ValueError("k must be at least 1")
     comp = d.B.component(k)
     if not comp.basis:
         raise EmptyComponent(f"component {k} of the creation algebra is zero")
     N = d.braiding.N
-    dim = len(comp.basis)
     out = {}
     for i in range(N):
         for j in range(N):
-            mat = [[ZERO] * dim for _ in range(dim)]
-            for col, w in enumerate(comp.basis):
-                lowered = d.act((j,), w)
-                for y, c in lowered.items():
+            cols: Columns = []
+            for w in comp.basis:
+                col: Row = {}
+                for y, c in d.act((j,), w).items():
                     for w2, c2 in d.B.normal_form_word((i,) + y).items():
-                        row = comp.basis_index[w2]
-                        mat[row][col] = mat[row][col] + c * c2
-            out[(i, j)] = mat
+                        add_term(col, comp.basis_index[w2], c * c2)
+                cols.append(col)
+            out[(i, j)] = cols
     return out
 
 
-# A sparse matrix by columns: column c -> {row: nonzero entry}.
-Columns = list[dict[int, Scalar]]
-
-
-def _columns(m: Matrix) -> Columns:
-    cols: Columns = [{} for _ in range(len(m[0]))]
-    for r, row in enumerate(m):
-        for c, v in enumerate(row):
-            if not v.is_zero():
-                cols[c][r] = v
-    return cols
-
-
-def _lincomb(terms) -> dict[int, Scalar]:
+def _lincomb(terms) -> Row:
     """The sparse column sum of v * col over the (v, col) in terms."""
-    acc: dict[int, Scalar] = {}
+    acc: Row = {}
     for v, col in terms:
         sum_into(acc, col, v)
     return acc
@@ -594,7 +581,7 @@ def representation_l_relations_ok(d: FockDouble, k: int) -> bool:
     identity is linear in that grid), must give the zero matrix once each
     generator-pair key is replaced by the written product of the sparse
     representing matrices, each distinct key formed once."""
-    reps = {pair: _columns(m) for pair, m in fock_representation(d, k).items()}
+    reps = fock_representation(d, k)
 
     def matrix(key: tuple) -> dict[tuple[int, int], Scalar]:
         cols = functools.reduce(_written_product, (reps[pair] for pair in key))
@@ -622,13 +609,10 @@ def left_dual_variant_report(b: Braiding) -> dict:
     if not b.skew.strict:
         raise NotStrictlySkewInvertible("left-dual basis needs invertible B")
     N = b.N
-    n2 = N * N
     # the variant rule is the generic rule on F Psi^T F and C^T (F the
     # flip), with the left-dual generators "t" in the place of creators
-    swap = [enc_index(dec_index(x, N, 2)[::-1], N) for x in range(n2)]
-    exch, const = exchange_table(
-        [[b.psi.entries[swap[y]][swap[x]] for y in range(n2)] for x in range(n2)],
-        b.q.inverse(), [list(col) for col in zip(*b.C)])
+    exch, const = exchange_table(dual_square(b.psi), b.q.inverse(),
+                                 [list(col) for col in zip(*b.C)])
     balg = make_algebra(b, "sym", "V")
     astar = make_algebra(b, "sym", "V*")
     trels = []
@@ -662,10 +646,12 @@ def left_dual_variant_report(b: Braiding) -> dict:
 
 @dataclass
 class BraidedLie:
+    """The braided Lie data, each map by columns over the N^4 basis
+    elements l_e1 (x) l_e2 of End(V) (x) End(V), e = i*N + j for l_i^j."""
     braiding: Braiding
-    rhat: Matrix          # N^4 x N^4 operator on End(V) (x) End(V)
-    comp: Matrix          # N^2 x N^4 composition map l (x) l -> l
-    bracket: Matrix       # N^2 x N^4, comp o (I - rhat)
+    rhat: Columns         # the twist, End(V) (x) End(V) -> itself
+    comp: Columns         # composition l (x) l -> l, rows over the N^2 l_e
+    bracket: Columns      # comp o (I - rhat)
     rtrace: list[Scalar]  # R-trace of each l_i^j
     alpha: Scalar
 
@@ -676,9 +662,9 @@ def _pair_code(key: tuple, N: int) -> int:
     return enc_index((i * N + j, k * N + m), N * N)
 
 
-# The Jacobi check is leg-local, so the largest dense allocation of the Lie
-# suite is the N^4-square twist of braided_lie, solved from as many sparse
-# rows: 1296 at N = 6 (a few seconds), 2401 at N = 7.
+# The Lie suite's cost is the solve for the twist of braided_lie, a system
+# of N^4 sparse rows in as many unknowns: 1296 at N = 6 (about a second),
+# 2401 at N = 7.
 LIE_MAX_N = 6
 
 
@@ -694,35 +680,33 @@ def braided_lie(b: Braiding) -> BraidedLie:
     if N > LIE_MAX_N:
         raise SizeLimitExceeded(
             f"braided Lie structure at N = {N} exceeds the limit N <= {LIE_MAX_N}: "
-            f"its twist is a dense {N ** 4}-square matrix solved from a linear system")
+            f"its twist is solved from a sparse linear system of {N ** 4} rows "
+            f"in {N ** 4} unknowns")
     n2 = N * N
     n4 = n2 * n2
     m_rlrl, m_lrlr = _defining_products(b, b.R)
 
-    def to_rows(formal) -> list[dict[int, Scalar]]:
-        return [{_pair_code(key, N): v for key, v in formal[x][y].items()}
+    def to_rows(formal: FormalMatrix) -> list[Row]:
+        return [{_pair_code(key, N): v for key, v in formal_cell(formal, x, y).items()}
                 for x in range(n2) for y in range(n2)]
 
     # rhat applied to the coefficient vector of each entry of m_rlrl gives
-    # the corresponding entry of m_lrlr: rhat = X^T with M1 X = M2
-    x = solve(to_rows(m_rlrl), to_rows(m_lrlr), n4)
-    if x is None:
+    # the corresponding entry of m_lrlr: rhat = X^T with M1 X = M2, so the
+    # rows of X are the columns of rhat
+    rhat = solve(to_rows(m_rlrl), to_rows(m_lrlr), n4)
+    if rhat is None:
         raise RhatNotDetermined("coefficient matrix of the defining property is singular")
-    rhat = [[ZERO] * n4 for _ in range(n4)]
-    for c, row in enumerate(x):
-        for r, v in row.items():
-            rhat[r][c] = v
 
+    # l_i^j l_k^m = B_k^j l_i^m; columns phi = (i*N + j)*N^2 + k*N + m
     bmat = b.B
-    comp = [[ZERO] * n4 for _ in range(n2)]
-    for i in range(N):
-        for j in range(N):
-            for k in range(N):
-                for m in range(N):
-                    phi = enc_index((i * N + j, k * N + m), n2)
-                    comp[i * N + m][phi] = comp[i * N + m][phi] + bmat[k][j]
-    bracket = [[c - t for c, t in zip(rc, rt)]
-               for rc, rt in zip(comp, mat_mul(comp, rhat))]
+    comp = [{i * N + m: bmat[k][j]} if not bmat[k][j].is_zero() else {}
+            for i, j, k, m in itertools.product(range(N), repeat=4)]
+    bracket = []
+    for c, col in enumerate(rhat):
+        acc = dict(comp[c])
+        for r, v in col.items():
+            sum_into(acc, comp[r], -v)
+        bracket.append(acc)
 
     cmat = b.C
     rtrace = []
@@ -753,24 +737,15 @@ def _after_23(x: Columns, op: Columns, n2: int, n_out: int) -> Columns:
             for a in range(n2) for col in op]
 
 
-def _dense(cols: Columns, nrows: int) -> Matrix:
-    out = [[ZERO] * len(cols) for _ in range(nrows)]
-    for c, col in enumerate(cols):
-        for r, v in col.items():
-            out[r][c] = v
-    return out
-
-
-def _jacobi_sides(bl: BraidedLie) -> tuple[Matrix, Matrix]:
+def _jacobi_sides(bl: BraidedLie) -> tuple[Columns, Columns]:
     """Both sides of the Jacobi identity as N^2 x N^6 matrices on
-    End(V)^(x)3.  Hecke form: [,][,]_23 (I - rhat_12) and [,][,]_12;
+    End(V)^(x)3, by columns.  Hecke form: [,][,]_23 (I - rhat_12) and [,][,]_12;
     involutive form: [,][,]_23 (I + rhat_12 rhat_23 + rhat_23 rhat_12)
     and 0.  Each [,] and rhat acts on its two legs through its nonzero
     column entries; no N^6-square matrix is formed."""
     n2 = bl.braiding.N ** 2
     n4 = n2 * n2
-    br = _columns(bl.bracket)
-    rh = _columns(bl.rhat)
+    br, rh = bl.bracket, bl.rhat
     a = _after_23(br, br, n2, n2)
     a12 = _after_12(a, rh, n2)
     if bl.braiding.kind == HECKE:
@@ -783,7 +758,7 @@ def _jacobi_sides(bl: BraidedLie) -> tuple[Matrix, Matrix]:
         lhs = [_lincomb(((ONE, p), (ONE, t), (ONE, u)))
                for p, t, u in zip(a, cyc, cyc2)]
         rhs = [{}] * len(a)
-    return _dense(lhs, n2), _dense(rhs, n2)
+    return lhs, rhs
 
 
 def verify_lie(bl: BraidedLie) -> dict:
@@ -799,7 +774,6 @@ def verify_lie(bl: BraidedLie) -> dict:
     b = bl.braiding
     N = b.N
     n2 = N * N
-    n4 = n2 * n2
     report = {"defining": True, "trace_generators": True, "trace_brackets": True,
               "jacobi": True, "quadratic_consistency": True, "witnesses": []}
 
@@ -812,31 +786,33 @@ def verify_lie(bl: BraidedLie) -> dict:
                 report["witnesses"].append(("trace-gen", i, j))
 
     # trace on brackets: Tr_R [l_e1, l_e2] = 0
-    for phi in range(n4):
+    for phi, col in enumerate(bl.bracket):
         acc = ZERO
-        for e in range(n2):
-            acc = acc + bl.rtrace[e] * bl.bracket[e][phi]
+        for e, v in col.items():
+            acc = acc + bl.rtrace[e] * v
         if not acc.is_zero():
             report["trace_brackets"] = False
             report["witnesses"].append(("trace-bracket", phi))
 
     # defining property, re-derived through the double-product expansion
     m_rlrl, m_lrlr = _defining_products(b, b.R)
-    rh = _columns(bl.rhat)
+    rh = bl.rhat
     for x in range(n2):
         for y in range(n2):
             got = _lincomb((v, rh[_pair_code(key, N)])
-                           for key, v in m_rlrl[x][y].items())
-            want = {_pair_code(key, N): v for key, v in m_lrlr[x][y].items()}
+                           for key, v in formal_cell(m_rlrl, x, y).items())
+            want = {_pair_code(key, N): v
+                    for key, v in formal_cell(m_lrlr, x, y).items()}
             if got != want:
                 report["defining"] = False
                 report["witnesses"].append(("defining", x, y))
 
     # quadratic-identity consistency: comp((I - rhat) entry) matches the
     # linear entries of R12 L1 - L1 R12
-    lin_lhs = mat_mul(bl.bracket, _entry_coeff_matrix(m_rlrl, N))
-    lin_rhs = _linear_entries(b, N)
-    if lin_lhs != lin_rhs:
+    lin_lhs = [_lincomb((v, bl.bracket[_pair_code(key, N)])
+                        for key, v in formal_cell(m_rlrl, x, y).items())
+               for x in range(n2) for y in range(n2)]
+    if lin_lhs != _linear_entries(b, N):
         report["quadratic_consistency"] = False
         report["witnesses"].append(("quadratic",))
 
@@ -855,38 +831,19 @@ def verify_lie(bl: BraidedLie) -> dict:
     return report
 
 
-def _entry_coeff_matrix(formal, N: int) -> Matrix:
-    """Columns are the quadratic coefficient vectors of the written-matrix
-    entries, entry (x,y) at column x*n2+y."""
-    n2 = N * N
-    n4 = n2 * n2
-    out = [[ZERO] * n4 for _ in range(n4)]
-    for x in range(n2):
-        for y in range(n2):
-            col = x * n2 + y
-            for key, v in formal[x][y].items():
-                out[_pair_code(key, N)][col] = v
-    return out
-
-
-def _linear_entries(b: Braiding, N: int) -> Matrix:
+def _linear_entries(b: Braiding, N: int) -> Columns:
     """Linear generator coefficients of the entries of R12 L1 - L1 R12,
-    columns indexed like _entry_coeff_matrix."""
+    entry (x, y) at column x*N^2 + y, read from the nonzero entries of R."""
     n2 = N * N
-    out = [[ZERO] * (n2 * n2) for _ in range(n2)]
-    rg = _written_scalar_grid(b.R)
-    for x in range(n2):
-        for y in range(n2):
-            col = x * n2 + y
-            xi, xa = divmod(x, N)
-            yj, yb = divmod(y, N)
-            # (R12 L1)_x^y = sum_z R_x^z (L1)_z^y ; (L1)_z^y = delta l
-            for zi in range(N):
-                v = rg[x][enc_index((zi, yb), N)]
-                if not v.is_zero():
-                    out[zi * N + yj][col] = out[zi * N + yj][col] + v
-            for zj in range(N):
-                v = rg[enc_index((zj, xa), N)][y]
-                if not v.is_zero():
-                    out[xi * N + zj][col] = out[xi * N + zj][col] - v
+    out: Columns = [{} for _ in range(n2 * n2)]
+    for r, c, v in b.R.nonzeros():
+        # (R12 L1)_x^y = sum_z R_x^z (L1)_z^y with (L1)_z^y = delta l: a
+        # nonzero R_x^z, z = (zi, yb), meets every y = (yj, yb)
+        zi, yb = divmod(r, N)
+        for yj in range(N):
+            add_term(out[c * n2 + yj * N + yb], zi * N + yj, v)
+        # (L1 R12)_x^y = sum_z (L1)_x^z R_z^y: z = (zj, xa), x = (xi, xa)
+        zj, xa = divmod(c, N)
+        for xi in range(N):
+            add_term(out[(xi * N + xa) * n2 + r], xi * N + zj, -v)
     return out

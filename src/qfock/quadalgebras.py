@@ -170,13 +170,13 @@ def _on_square(op: LinOperator, space: str) -> LinOperator:
 def _image_vectors(op: LinOperator) -> list[Tensor]:
     n = op.dim
     return [{divmod(row, n): v for row, v in col.items()}
-            for col in kernel_image(op.entries).image_basis]
+            for col in kernel_image(op.rows, op.size).image_basis]
 
 
 def _kernel_vectors(op: LinOperator) -> list[Tensor]:
     n = op.dim
     return [{divmod(i, n): c for i, c in v.items()}
-            for v in kernel_image(op.entries).kernel_basis]
+            for v in kernel_image(op.rows, op.size).kernel_basis]
 
 
 def make_algebra(b: Braiding, kind: str, space: str) -> GradedQuotient:

@@ -1,34 +1,38 @@
 """Exact linear algebra on tensor-leg-structured operators.
 
 A :class:`LinOperator` acts on a tensor power of an N-dimensional space,
-each leg labeled ``"V"`` or ``"V*"``.  The entry grid uses the global index
+each leg labeled ``"V"`` or ``"V*"``.  Entries use the global index
 convention of the package: for a two-leg operator,
 
     R(x_i (x) x_j) = R_ij^kl  x_k (x) x_l,
 
-and ``entries[out][in]`` holds ``R_ij^kl`` with ``out`` the row multi-index
+and ``rows[out][in]`` holds ``R_ij^kl`` with ``out`` the row multi-index
 (k, l) and ``in`` the column multi-index (i, j).  Lower indices are inputs,
 upper indices are outputs, multi-indices are encoded row-major with the
 first leg most significant.
 
-Everything is exact over Q(q).  Operators keep dense entry grids; every
-elimination (row reduction, kernel and image, solve, inverse, and the
-relation spans of the quotient and current algebras) runs on one sparse
-engine: rows are {column: Scalar} dicts, inserted one at a time into a
-reduced row echelon form in which each pivot row leads at its smallest
-column (`echelon_insert`, `row_reduce`).
+Everything is exact over Q(q) and sparse.  An operator keeps only its
+nonzero entries, as {row: {column: Scalar}} with no empty row, so two
+operators are equal exactly when their dicts are; products are formed row
+by row over the nonzeros (Gustavson 1978).  Every elimination (row
+reduction, kernel and image, solve, inverse, and the relation spans of the
+quotient and current algebras) runs on one engine on the same rows:
+they are inserted one at a time into a reduced row echelon form in which
+each pivot row leads at its smallest column (`echelon_insert`,
+`row_reduce`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import BadPlacement, NotInvertible
 from .scalars import ONE, ZERO, Scalar, add_term, sum_into
 
-Matrix = list[list[Scalar]]
+Matrix = list[list[Scalar]]             # the N x N pairing matrices B and C
+Row = dict[int, Scalar]                 # {column: nonzero entry}; absent columns are zero
+Rows = dict[int, Row]                   # {row: nonzero Row}; absent rows are zero
 
 
 def enc_index(idx: Sequence[int], dim: int) -> int:
@@ -51,45 +55,46 @@ class LinOperator:
     legs: int
     dim: int
     labels: tuple[str, ...]                  # input leg labels
-    entries: tuple[tuple[Scalar, ...], ...]
+    rows: Rows                               # nonzero entries only
     labels_out: tuple[str, ...] = ()         # output leg labels; () means same
 
     def __post_init__(self):
-        size = self.dim ** self.legs
         if len(self.labels) != self.legs:
             raise ValueError("one label per leg required")
         if not self.labels_out:
             object.__setattr__(self, "labels_out", self.labels)
         elif len(self.labels_out) != self.legs:
             raise ValueError("one output label per leg required")
-        if len(self.entries) != size or any(len(r) != size for r in self.entries):
-            raise ValueError("entry grid must be dim^legs square")
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def from_rows(rows: Iterable[Iterable[Scalar]], dim: int, legs: int,
-                  labels: Sequence[str] | None = None,
-                  labels_out: Sequence[str] | None = None) -> "LinOperator":
+    def from_terms(terms: Iterable[tuple[int, int, Scalar]], dim: int, legs: int,
+                   labels: Sequence[str] | None = None,
+                   labels_out: Sequence[str] | None = None) -> "LinOperator":
+        """The operator summing the (row, column, value) terms, with the
+        entries that cancel to zero dropped."""
         labels = tuple(labels) if labels is not None else ("V",) * legs
         out = tuple(labels_out) if labels_out is not None else labels
-        return LinOperator(legs, dim, labels, tuple(tuple(r) for r in rows), out)
+        size = dim ** legs
+        rows: Rows = {}
+        for r, c, v in terms:
+            if not (0 <= r < size and 0 <= c < size):
+                raise ValueError(f"entry ({r}, {c}) outside a {size}-square operator")
+            add_term(rows.setdefault(r, {}), c, v)
+        return LinOperator(legs, dim, labels, _nonempty(rows), out)
 
     @staticmethod
     def identity(dim: int, legs: int, labels: Sequence[str] | None = None) -> "LinOperator":
-        size = dim ** legs
-        rows = [[ONE if i == j else ZERO for j in range(size)] for i in range(size)]
-        return LinOperator.from_rows(rows, dim, legs, labels)
+        return LinOperator.from_terms(((c, c, ONE) for c in range(dim ** legs)),
+                                      dim, legs, labels)
 
     @staticmethod
     def flip(dim: int) -> "LinOperator":
         """The permutation P(x_i (x) x_j) = x_j (x) x_i."""
-        size = dim * dim
-        rows = [[ZERO] * size for _ in range(size)]
-        for i in range(dim):
-            for j in range(dim):
-                rows[enc_index((j, i), dim)][enc_index((i, j), dim)] = ONE
-        return LinOperator.from_rows(rows, dim, 2)
+        return LinOperator.from_terms(
+            ((j * dim + i, i * dim + j, ONE) for i in range(dim) for j in range(dim)),
+            dim, 2)
 
     # -- basic algebra ----------------------------------------------------
 
@@ -98,70 +103,79 @@ class LinOperator:
         return self.dim ** self.legs
 
     def entry(self, out: Sequence[int], inp: Sequence[int]) -> Scalar:
-        return self.entries[enc_index(out, self.dim)][enc_index(inp, self.dim)]
+        row = self.rows.get(enc_index(out, self.dim))
+        return ZERO if row is None else row.get(enc_index(inp, self.dim), ZERO)
 
-    def _check_compatible(self, other: "LinOperator"):
+    def nonzeros(self) -> Iterable[tuple[int, int, Scalar]]:
+        """The (row, column, value) of every nonzero entry."""
+        for r, row in self.rows.items():
+            for c, v in row.items():
+                yield r, c, v
+
+    def _like(self, rows: Rows) -> "LinOperator":
+        return LinOperator(self.legs, self.dim, self.labels, rows, self.labels_out)
+
+    def _combine(self, other: "LinOperator", factor: Scalar) -> "LinOperator":
+        """self + factor * other."""
         if (self.legs, self.dim, self.labels, self.labels_out) != \
                 (other.legs, other.dim, other.labels, other.labels_out):
             raise ValueError("operators act on different spaces")
+        rows = {r: dict(row) for r, row in self.rows.items()}
+        for r, row in other.rows.items():
+            sum_into(rows.setdefault(r, {}), row, factor)
+        return self._like(_nonempty(rows))
 
     def __add__(self, other: "LinOperator") -> "LinOperator":
-        self._check_compatible(other)
-        rows = [[a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)]
-        return LinOperator.from_rows(rows, self.dim, self.legs, self.labels,
-                                     self.labels_out)
+        return self._combine(other, ONE)
 
     def __sub__(self, other: "LinOperator") -> "LinOperator":
-        self._check_compatible(other)
-        rows = [[a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)]
-        return LinOperator.from_rows(rows, self.dim, self.legs, self.labels,
-                                     self.labels_out)
+        return self._combine(other, _MINUS_ONE)
 
     def scale(self, s: Scalar) -> "LinOperator":
-        rows = [[s * a for a in r] for r in self.entries]
-        return LinOperator.from_rows(rows, self.dim, self.legs, self.labels,
-                                     self.labels_out)
+        if s.is_zero():
+            return self._like({})
+        return self._like({r: {c: s * v for c, v in row.items()}
+                           for r, row in self.rows.items()})
 
     def __matmul__(self, other: "LinOperator") -> "LinOperator":
-        """Operator composition self o other (other applied first)."""
+        """Operator composition self o other (other applied first), row by
+        row: row r of the product sums a * (row k of other) over the
+        nonzero a at (r, k) of self."""
         if (self.legs, self.dim) != (other.legs, other.dim):
             raise ValueError("operators act on different spaces")
         if self.labels != other.labels_out:
             raise ValueError(
                 f"cannot compose: input labels {self.labels} do not match "
                 f"output labels {other.labels_out}")
-        n = self.size
-        rows = [[ZERO] * n for _ in range(n)]
-        bt = other.entries
-        for r in range(n):
-            ra = self.entries[r]
-            acc = rows[r]
-            for k in range(n):
-                a = ra[k]
-                if a.is_zero():
-                    continue
-                rb = bt[k]
-                for c in range(n):
-                    b = rb[c]
-                    if not b.is_zero():
-                        acc[c] = acc[c] + a * b
-        return LinOperator.from_rows(rows, self.dim, self.legs, other.labels,
-                                     self.labels_out)
+        rows: Rows = {}
+        for r, ra in self.rows.items():
+            acc: Row = {}
+            for k, a in ra.items():
+                rb = other.rows.get(k)
+                if rb is not None:
+                    sum_into(acc, rb, a)
+            if acc:
+                rows[r] = acc
+        return LinOperator(self.legs, self.dim, other.labels, rows, self.labels_out)
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for r in self.entries for e in r)
+        return not self.rows
 
     def inverse(self) -> "LinOperator":
-        inv = mat_inv(self.entries)
-        if inv is None:
+        n = self.size
+        x = solve([self.rows.get(r, {}) for r in range(n)],
+                  [{r: ONE} for r in range(n)], n)
+        if x is None:
             raise NotInvertible("operator is singular")
-        return LinOperator.from_rows(inv, self.dim, self.legs, self.labels_out,
-                                     self.labels)
+        return LinOperator(self.legs, self.dim, self.labels_out,
+                           {r: row for r, row in enumerate(x) if row}, self.labels)
 
-    def evaluate(self, q0) -> list[list]:
-        return [[e.evaluate(q0) for e in row] for row in self.entries]
+
+_MINUS_ONE = Scalar.from_int(-1)
+
+
+def _nonempty(rows: Rows) -> Rows:
+    return {r: row for r, row in rows.items() if row}
 
 
 def place(op: LinOperator, positions: tuple[int, int], total: int,
@@ -171,6 +185,9 @@ def place(op: LinOperator, positions: tuple[int, int], total: int,
     Positions are 1-based; the operator acts as the identity elsewhere.
     `labels` gives the input labels of the full space (defaults to V
     everywhere outside the insertion); output labels follow the operator.
+    Each nonzero entry of op is copied once per index of the other legs:
+    the legs before the pair are the high digits of a code, those after it
+    the low ones.
     """
     i, j = positions
     if op.legs != 2 or j != i + 1:
@@ -188,102 +205,93 @@ def place(op: LinOperator, positions: tuple[int, int], total: int,
                 f"labels at positions {positions} do not match the operator")
     lab_out = list(lab_in)
     lab_out[i - 1], lab_out[j - 1] = op.labels_out
-    size = dim ** total
-    rows = [[ZERO] * size for _ in range(size)]
-    rest = total - 2
-    pair_codes = range(dim * dim)
-    for out_pair in pair_codes:
-        o = dec_index(out_pair, dim, 2)
-        for in_pair in pair_codes:
-            v = op.entries[out_pair][in_pair]
-            if v.is_zero():
-                continue
-            ii = dec_index(in_pair, dim, 2)
-            for other in itertools.product(range(dim), repeat=rest):
-                idx_in = list(other[: i - 1]) + list(ii) + list(other[i - 1:])
-                idx_out = list(other[: i - 1]) + list(o) + list(other[i - 1:])
-                rows[enc_index(idx_out, dim)][enc_index(idx_in, dim)] = v
-    return LinOperator.from_rows(rows, dim, total, lab_in, lab_out)
+    d2 = dim * dim
+    low = dim ** (total - j)
+    rows: Rows = {}
+    for high in range(dim ** (i - 1)):
+        for pair, row in op.rows.items():
+            for rest in range(low):
+                rows[(high * d2 + pair) * low + rest] = {
+                    (high * d2 + c) * low + rest: v for c, v in row.items()}
+    return LinOperator(total, dim, tuple(lab_in), rows, tuple(lab_out))
 
 
 def partial_trace(op: LinOperator, legs: set[int]) -> LinOperator | Scalar:
-    """Contract the named (1-based) legs; tracing every leg yields a Scalar."""
+    """Contract the named (1-based) legs; tracing every leg yields a Scalar.
+    Only the nonzero entries whose traced indices agree contribute."""
     if not legs <= set(range(1, op.legs + 1)):
         raise BadPlacement(f"legs {legs} not within 1..{op.legs}")
     keep = [t for t in range(op.legs) if (t + 1) not in legs]
     dim = op.dim
     if not keep:
         total = ZERO
-        for code in range(op.size):
-            total = total + op.entries[code][code]
+        for code, row in op.rows.items():
+            total = total + row.get(code, ZERO)
         return total
-    traced = sorted(t - 1 for t in legs)
-    size = dim ** len(keep)
-    rows = [[ZERO] * size for _ in range(size)]
-    for out_keep in itertools.product(range(dim), repeat=len(keep)):
-        for in_keep in itertools.product(range(dim), repeat=len(keep)):
-            acc = ZERO
-            for diag in itertools.product(range(dim), repeat=len(traced)):
-                idx_out = [0] * op.legs
-                idx_in = [0] * op.legs
-                for t, v in zip(keep, out_keep):
-                    idx_out[t] = v
-                for t, v in zip(keep, in_keep):
-                    idx_in[t] = v
-                for t, v in zip(traced, diag):
-                    idx_out[t] = v
-                    idx_in[t] = v
-                acc = acc + op.entries[enc_index(idx_out, dim)][enc_index(idx_in, dim)]
-            if not acc.is_zero():
-                rows[enc_index(out_keep, dim)][enc_index(in_keep, dim)] = acc
+    traced = [t - 1 for t in legs]
+    rows: Rows = {}
+    for r, c, v in op.nonzeros():
+        out = dec_index(r, dim, op.legs)
+        inp = dec_index(c, dim, op.legs)
+        if all(out[t] == inp[t] for t in traced):
+            add_term(rows.setdefault(enc_index([out[t] for t in keep], dim), {}),
+                     enc_index([inp[t] for t in keep], dim), v)
     labels = tuple(op.labels[t] for t in keep)
     labels_out = tuple(op.labels_out[t] for t in keep)
-    return LinOperator.from_rows(rows, dim, len(keep), labels, labels_out)
+    return LinOperator(len(keep), dim, labels, _nonempty(rows), labels_out)
 
 
 # ---------------------------------------------------------------------------
 # formal written matrices
 # ---------------------------------------------------------------------------
-# A formal matrix is an n x n grid of {key: Scalar} cells whose keys are
-# tuples of symbols; its written product concatenates the keys.
+# A formal matrix holds its nonempty cells {x: {y: {key: Scalar}}}, whose
+# keys are tuples of symbols; its written product concatenates the keys.
 
-def formal_grid(op: LinOperator) -> list:
-    """The written grid of op, cell [x][y] = {(): op.entries[y][x]},
-    with empty cells at the zero entries."""
-    n = op.size
-    return [[{(): op.entries[y][x]} if not op.entries[y][x].is_zero() else {}
-             for y in range(n)] for x in range(n)]
+FormalMatrix = dict[int, dict[int, dict[tuple, Scalar]]]
 
 
-def formal_mul(a: list, b: list, n: int) -> list:
-    """Written product of n x n formal matrices; keys concatenate and
-    keys whose coefficients cancel drop out."""
-    out = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            acc: dict[tuple, Scalar] = {}
-            for z in range(n):
-                ea = a[x][z]
-                if not ea:
-                    continue
-                eb = b[z][y]
-                if not eb:
-                    continue
+def formal_cell(m: FormalMatrix, x: int, y: int) -> dict[tuple, Scalar]:
+    """Cell (x, y) of a formal matrix, empty when absent."""
+    return m.get(x, {}).get(y, {})
+
+
+def formal_pruned(m: FormalMatrix) -> FormalMatrix:
+    """m without its empty cells and rows."""
+    out: FormalMatrix = {}
+    for x, row in m.items():
+        kept = {y: cell for y, cell in row.items() if cell}
+        if kept:
+            out[x] = kept
+    return out
+
+
+def formal_grid(op: LinOperator) -> FormalMatrix:
+    """The written matrix of op: cell (x, y) = {(): entry (y, x) of op}."""
+    grid: FormalMatrix = {}
+    for r, c, v in op.nonzeros():
+        grid.setdefault(c, {})[r] = {(): v}
+    return grid
+
+
+def formal_mul(a: FormalMatrix, b: FormalMatrix) -> FormalMatrix:
+    """Written product of formal matrices, row by row over the nonempty
+    cells; keys concatenate and keys whose coefficients cancel drop out."""
+    out: FormalMatrix = {}
+    for x, arow in a.items():
+        row: dict[int, dict[tuple, Scalar]] = {}
+        for z, ea in arow.items():
+            for y, eb in b.get(z, {}).items():
+                acc = row.setdefault(y, {})
                 for ka, va in ea.items():
                     for kb, vb in eb.items():
                         add_term(acc, ka + kb, va * vb)
-            row.append(acc)
-        out.append(row)
-    return out
+        out[x] = row
+    return formal_pruned(out)
 
 
 # ---------------------------------------------------------------------------
 # sparse elimination
 # ---------------------------------------------------------------------------
-
-Row = dict[int, Scalar]      # {column: nonzero entry}; absent columns are zero
-
 
 def remainder(vec: Row, rows: dict[int, Row]) -> Row:
     """vec minus vec[p] * row_p for each pivot column p of vec.  The rows
@@ -346,10 +354,6 @@ def row_reduce(rows: Iterable[Row], ncols: int) -> Reduced:
     return Reduced(pivots, [pivot_rows[p] for p in pivots], ncols)
 
 
-def _sparse(row: Iterable[Scalar], offset: int = 0) -> Row:
-    return {offset + c: e for c, e in enumerate(row) if not e.is_zero()}
-
-
 @dataclass
 class KernelImage:
     rank: int
@@ -357,15 +361,15 @@ class KernelImage:
     image_basis: list[Row]
 
 
-def kernel_image(matrix: Sequence[Sequence[Scalar]]) -> KernelImage:
-    """Exact kernel basis, image basis and rank of a matrix over Q(q).
+def kernel_image(rows: Mapping[int, Row], ncols: int) -> KernelImage:
+    """Exact kernel basis, image basis and rank of a matrix over Q(q),
+    given as its nonzero rows {row: {column: entry}} over `ncols` columns.
 
     The kernel is the right null space, one sparse vector per free column;
     the image basis consists of the original columns at the pivot
     positions, as sparse {row: entry} vectors.
     """
-    ncols = len(matrix[0]) if matrix else 0
-    red = row_reduce([_sparse(r) for r in matrix], ncols)
+    red = row_reduce(rows.values(), ncols)
     pivset = set(red.pivots)
     kernel = []
     for f in range(red.ncols):
@@ -377,8 +381,12 @@ def kernel_image(matrix: Sequence[Sequence[Scalar]]) -> KernelImage:
             if coeff is not None:
                 v[pcol] = -coeff
         kernel.append(v)
-    image = [_sparse(row[c] for row in matrix) for c in red.pivots]
-    return KernelImage(red.rank, kernel, image)
+    image: dict[int, Row] = {c: {} for c in red.pivots}
+    for r in sorted(rows):
+        for c, v in rows[r].items():
+            if c in image:
+                image[c][r] = v
+    return KernelImage(red.rank, kernel, list(image.values()))
 
 
 def solve(a: list[Row], b: list[Row], m: int) -> list[Row] | None:
@@ -399,7 +407,7 @@ def solve(a: list[Row], b: list[Row], m: int) -> list[Row] | None:
 
 
 # ---------------------------------------------------------------------------
-# small dense matrices (plain lists of lists over Scalar)
+# the N x N pairing matrices B, C and their inverses (lists of lists)
 # ---------------------------------------------------------------------------
 
 def mat_identity(n: int) -> Matrix:
@@ -423,7 +431,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_inv(a: Matrix) -> Matrix | None:
     n = len(a)
-    x = solve([_sparse(r) for r in a], [{i: ONE} for i in range(n)], n)
+    x = solve([{c: e for c, e in enumerate(r) if not e.is_zero()} for r in a],
+              [{i: ONE} for i in range(n)], n)
     if x is None:
         return None
     return [[row.get(c, ZERO) for c in range(n)] for row in x]

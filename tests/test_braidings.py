@@ -44,6 +44,8 @@ from qfock.tensorops import (
     place,
 )
 
+from dense_operators import dense, from_dense
+
 
 def traced_flip(N):
     """What Tr_2 R_12 Psi_23 = P_13 looks like after the trace: the flip
@@ -97,14 +99,14 @@ class TestStandardHecke:
     def test_n2_eigenspace_dimensions(self):
         b = make_standard_hecke(2)
         pr = projectors(b)
-        assert kernel_image([list(r) for r in pr["q"].entries]).rank == 3
-        assert kernel_image([list(r) for r in pr["-1/q"].entries]).rank == 1
+        assert kernel_image(pr["q"].rows, 4).rank == 3
+        assert kernel_image(pr["-1/q"].rows, 4).rank == 1
 
     def test_n2_image_rank_of_hecke_relation_map(self):
         b = make_standard_hecke(2)
         ident = LinOperator.identity(2, 2)
         m = ident.scale(Q) - b.R
-        assert kernel_image([list(r) for r in m.entries]).rank == 1
+        assert kernel_image(m.rows, 4).rank == 1
 
     @pytest.mark.parametrize("N", [2, 3])
     def test_skew_data(self, N):
@@ -125,14 +127,14 @@ class TestStandardHecke:
     def test_degenerates_to_flip_at_q_one(self):
         b = make_standard_hecke(2)
         f = make_flip(2)
-        at1 = [[e.evaluate(1) for e in row] for row in b.R.entries]
-        flip1 = [[e.evaluate(1) for e in row] for row in f.R.entries]
+        at1 = [[e.evaluate(1) for e in row] for row in dense(b.R)]
+        flip1 = [[e.evaluate(1) for e in row] for row in dense(f.R)]
         assert at1 == flip1
 
     def test_partial_trace_route_matches_b(self):
         b = make_standard_hecke(2)
         traced = partial_trace(b.psi, {1})
-        assert [[traced.entries[j][i] for j in range(2)] for i in range(2)] == b.B
+        assert [[dense(traced)[j][i] for j in range(2)] for i in range(2)] == b.B
 
     def test_defining_trace_identity(self):
         b = make_standard_hecke(2)
@@ -144,7 +146,7 @@ class TestSkewInverseErrors:
     def test_rank_deficient_operator_rejected(self):
         rows = [[ZERO] * 4 for _ in range(4)]
         rows[0][0] = ONE
-        fake = Braiding(2, LinOperator.from_rows(rows, 2, 2), "involutive")
+        fake = Braiding(2, from_dense(rows, 2, 2), "involutive")
         with pytest.raises(NotSkewInvertible):
             skew_inverse(fake)
 
@@ -163,10 +165,10 @@ class TestDuals:
     def test_flip_extensions_are_flips(self):
         b = make_flip(2)
         ext = extend_to_duals(b)
-        flip_entries = b.R.entries
-        assert ext.v_vstar.entries == flip_entries
-        assert ext.vstar_v.entries == flip_entries
-        assert ext.vstar_vstar.entries == flip_entries
+        flip_entries = dense(b.R)
+        assert dense(ext.v_vstar) == flip_entries
+        assert dense(ext.vstar_v) == flip_entries
+        assert dense(ext.vstar_vstar) == flip_entries
 
     def test_vstar_v_reproduces_psi(self):
         b = make_standard_hecke(2)
@@ -176,8 +178,8 @@ class TestDuals:
             for j in range(N):
                 for k in range(N):
                     for l in range(N):
-                        assert ext.vstar_v.entries[enc_index((l, k), N)][enc_index((i, j), N)] == \
-                            b.psi.entries[enc_index((l, i), N)][enc_index((k, j), N)]
+                        assert dense(ext.vstar_v)[enc_index((l, k), N)][enc_index((i, j), N)] == \
+                            dense(b.psi)[enc_index((l, i), N)][enc_index((k, j), N)]
 
     @pytest.mark.parametrize("maker", [make_flip, make_standard_hecke])
     def test_mixed_braid_relation_v_v_vstar(self, maker):
@@ -232,17 +234,17 @@ class TestProjectors:
     def test_bmw_orthogonal_mu_rank_one(self):
         b = load_builtin("bmw-orth-3")
         pr = projectors(b)
-        assert kernel_image([list(r) for r in pr["mu"].entries]).rank == 1
+        assert kernel_image(pr["mu"].rows, 9).rank == 1
 
     def test_bmw_ranks(self):
         b = load_builtin("bmw-orth-3")
         pr = projectors(b)
-        ranks = {k: kernel_image([list(r) for r in p.entries]).rank for k, p in pr.items()}
+        ranks = {k: kernel_image(p.rows, p.size).rank for k, p in pr.items()}
         assert ranks == {"q": 5, "-1/q": 3, "mu": 1}
         assert projector_decomposition_ok(b)
         s = load_builtin("bmw-sympl-2")
         prs = projectors(s)
-        ranks = {k: kernel_image([list(r) for r in p.entries]).rank for k, p in prs.items()}
+        ranks = {k: kernel_image(p.rows, p.size).rank for k, p in prs.items()}
         assert ranks == {"q": 3, "-1/q": 0, "mu": 1}
 
 
@@ -417,9 +419,9 @@ def dual_transport(b):
 
 def bumped(b, out, inp):
     """b with ONE added to its R entry at (out, in); not validated."""
-    rows = [list(r) for r in b.R.entries]
+    rows = dense(b.R)
     rows[out][inp] = rows[out][inp] + ONE
-    return Braiding(b.N, LinOperator.from_rows(rows, b.N, 2), b.kind,
+    return Braiding(b.N, from_dense(rows, b.N, 2), b.kind,
                     q=b.q, name=f"bumped({b.name})")
 
 
@@ -439,7 +441,7 @@ _CERTIFIED = {
 def _bumps():
     for name in ("flip-2", "superflip-1|1", "std-hecke-2"):
         b = _CERTIFIED[name]()
-        for out, row in enumerate(b.R.entries):
+        for out, row in enumerate(dense(b.R)):
             for inp, e in enumerate(row):
                 if not e.is_zero():
                     yield pytest.param(name, out, inp, id=f"{name}-{out}-{inp}")

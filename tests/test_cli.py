@@ -118,7 +118,35 @@ class TestVerify:
 
     def test_missing_builtin_table_size(self, capsys):
         assert run(["verify", "--braiding", "bmw-orth", "--n", "2",
-                    "--suite", "braiding"]) in (1, 2)
+                    "--suite", "braiding"]) == 2
+
+    @pytest.mark.parametrize("command", ["verify", "repr", "export", "poincare"])
+    @pytest.mark.parametrize("braiding", ["bmw-orth", "bmw-sympl"])
+    def test_unsupported_bmw_size_is_bad_input(self, command, braiding, capsys):
+        assert run([command, "--braiding", braiding, "--n", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "InvalidArgument" in captured.err and "N = 4" in captured.err
+
+    def test_evaluation_cross_check_fails_on_a_corrupted_table(
+            self, tmp_path, monkeypatch, capsys):
+        """One R entry bumped by ONE, with the loader's own braid and
+        minimal-polynomial checks turned off: the check at q = 3/2 fails."""
+        doc = braiding_to_table(make_standard_hecke(2))
+        for ent in doc["entries"]:
+            if (ent["i"], ent["j"], ent["k"], ent["l"]) == (1, 2, 2, 1):
+                ent["value"] = (Scalar.from_pairs(ent["value"]) + ONE).to_pairs()
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(Braiding, "validate", lambda self: [])
+        assert run(["verify", "--table", str(path), "--suite", "braiding",
+                    "--q", "3/2"]) == 1
+        assert "[FAIL] evaluation-cross-check" in capsys.readouterr().out
+
+    def test_evaluation_at_a_pole_is_bad_input(self, capsys):
+        assert run(["verify", "--braiding", "std-hecke", "--n", "2",
+                    "--suite", "braiding", "--q", "0"]) == 2
+        assert "NonGenericPoint" in capsys.readouterr().err
 
     def test_nonexistent_table_file(self):
         assert run(["verify", "--table", "/no/such/table.json",
@@ -155,11 +183,10 @@ def bump_projector(b, key="q"):
     """ONE added to the first nonzero entry of b's memoized projector."""
     pr = b.spectral_projectors
     op = pr[key]
-    rows = [list(row) for row in op.entries]
-    r, c = next((r, c) for r, row in enumerate(rows)
-                for c, v in enumerate(row) if not v.is_zero())
-    rows[r][c] = rows[r][c] + ONE
-    pr[key] = LinOperator.from_rows(rows, op.dim, op.legs, op.labels, op.labels_out)
+    r = min(op.rows)
+    c = min(op.rows[r])
+    pr[key] = op + LinOperator.from_terms([(r, c, ONE)], op.dim, op.legs,
+                                          op.labels, op.labels_out)
 
 
 class TestProjectorMutation:
@@ -213,14 +240,14 @@ class TestPoincare:
         def pole(self, q0):
             raise NonGenericPoint(f"q0 = {q0} is a root of the denominator")
 
-        monkeypatch.setattr(LinOperator, "evaluate", pole)
+        monkeypatch.setattr(Scalar, "evaluate", pole)
         assert _deforms_flip(make_standard_hecke(2)) is False
 
     def test_other_evaluation_errors_propagate(self, monkeypatch):
         def broken(self, q0):
             raise RuntimeError("evaluation bug")
 
-        monkeypatch.setattr(LinOperator, "evaluate", broken)
+        monkeypatch.setattr(Scalar, "evaluate", broken)
         with pytest.raises(RuntimeError, match="evaluation bug"):
             _deforms_flip(make_standard_hecke(2))
 

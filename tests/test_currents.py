@@ -31,6 +31,7 @@ from qfock.currents import (
 )
 from qfock.errors import WindowOverflow
 from qfock.scalars import ONE, ZERO, Scalar, add_term, sum_into
+from qfock.tensorops import formal_cell
 
 from dense_elimination import dense_row_reduce
 
@@ -356,8 +357,8 @@ class TestYang:
         t1, t2 = _yang_expressions(cd)
         evaluate = _ket_evaluator(cd, (), {})
         lhs_box, rhs_box = _readers(2, 1)
-        plain, delta = _buckets(t1[0][0], evaluate, 6, lhs_box)
-        by_sum = _by_sum(_buckets(t2[0][0], evaluate, 2, rhs_box)[0])
+        plain, delta = _buckets(formal_cell(t1, 0, 0), evaluate, 6, lhs_box)
+        by_sum = _by_sum(_buckets(formal_cell(t2, 0, 0), evaluate, 2, rhs_box)[0])
         for r, s in itertools.product(range(-2, 3), repeat=2):
             assert _lhs(plain, delta, -r - 1, -s - 1) == {}
             assert _rhs(by_sum, -r - 1, -s - 1, 1) == {}
@@ -407,7 +408,7 @@ class TestYang:
 
         def one_side(cd):
             t = list(real(cd))
-            t[side] = [[{} for _ in row] for row in t[side]]
+            t[side] = {}
             return tuple(t)
 
         monkeypatch.setattr(currents, "_yang_expressions", one_side)
@@ -426,10 +427,11 @@ class TestYang:
         assert rep["passed"] and rep["window_monotone_spot_check"]
         t1, t2 = _yang_expressions(cd)
         interior = 2 * M + 2
-        words = {(f, interior) for row in t1 for cell in row for (f, _) in cell}
-        words |= {(f, M) for row in t2 for cell in row for (f, _) in cell}
+        words = {(f, interior) for row in t1.values() for cell in row.values()
+                 for (f, _) in cell}
+        words |= {(f, M) for row in t2.values() for cell in row.values() for (f, _) in cell}
         kets = _kets(cd.N, M, 2)
-        spot = {(f, interior + 3) for row in t1 for (f, _) in row[0]}
+        spot = {(f, interior + 3) for row in t1.values() for (f, _) in row.get(0, {})}
 
         def peeled(ket, words):
             return {(f[:-1], clip, w) for f, clip in words
@@ -464,12 +466,12 @@ class TestBucketedComparison:
         for ket in _kets(cd.N, M, 2):
             evaluate = _ket_evaluator(cd, ket, prefixes)
             for x, y in itertools.product(range(n2), repeat=2):
-                plain, delta = _buckets(t1[x][y], evaluate, interior, lhs_box)
-                by_sum = _by_sum(_buckets(t2[x][y], evaluate, M, rhs_box)[0])
+                plain, delta = _buckets(formal_cell(t1, x, y), evaluate, interior, lhs_box)
+                by_sum = _by_sum(_buckets(formal_cell(t2, x, y), evaluate, M, rhs_box)[0])
                 ev1 = [_EvaluatedTerm(c, d, _eval_factors(cd, f, ket, interior))
-                       for (f, d), c in t1[x][y].items()]
+                       for (f, d), c in formal_cell(t1, x, y).items()]
                 ev2 = [_EvaluatedTerm(c, d, _eval_factors(cd, f, ket, M))
-                       for (f, d), c in t2[x][y].items()]
+                       for (f, d), c in formal_cell(t2, x, y).items()]
                 for r, s in itertools.product(range(-M, M + 1), repeat=2):
                     eu, ev = -r - 1, -s - 1
                     lhs = _lhs(plain, delta, eu, ev)
@@ -498,8 +500,10 @@ class TestPrefixSharing:
                         else (make_standard_hecke(N), TRIGONOMETRIC))
         cd = make_current_double(baxterize(base, flavor), window)
         t1, t2 = _yang_expressions(cd)
-        words = {(f, 2 * window + 2) for row in t1 for cell in row for (f, _) in cell}
-        words |= {(f, window) for row in t2 for cell in row for (f, _) in cell}
+        words = {(f, 2 * window + 2) for row in t1.values() for cell in row.values()
+                 for (f, _) in cell}
+        words |= {(f, window) for row in t2.values() for cell in row.values()
+                  for (f, _) in cell}
         prefixes = {}
         for ket in _kets(N, window, degree):
             evaluate = _ket_evaluator(cd, ket, prefixes)
@@ -511,7 +515,7 @@ class TestPrefixSharing:
         # cancelled (factors, dist) keys drop out of the cells
         t1, t2 = _yang_expressions(hecke_double())
         for t, count in ((t1, 64), (t2, 32)):
-            cells = [cell for row in t for cell in row]
+            cells = [cell for row in t.values() for cell in row.values()]
             assert sum(map(len, cells)) == count
             assert not any(c.is_zero() for cell in cells for c in cell.values())
             assert all(f[-1][0] == "a" for cell in cells for (f, _) in cell)

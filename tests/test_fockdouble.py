@@ -21,7 +21,19 @@ from qfock.fockdouble import (
     verify_lie,
 )
 from qfock.scalars import ONE, Q, QINV, ZERO, Scalar
-from qfock.tensorops import LinOperator, enc_index, mat_identity, mat_mul
+from qfock.tensorops import enc_index, mat_identity, mat_mul
+
+from dense_operators import dense, from_dense
+
+
+def dense_columns(cols, nrows):
+    """The full grid of a matrix given by sparse columns {row: entry}."""
+    return [[col.get(r, ZERO) for col in cols] for r in range(nrows)]
+
+
+def sparse_columns(grid):
+    return [{r: row[c] for r, row in enumerate(grid) if not row[c].is_zero()}
+            for c in range(len(grid[0]))]
 
 
 def classical_weyl_normal_order(word, N):
@@ -128,7 +140,7 @@ class TestActionExamples:
                     add((k,), b.B[i][j])
                     for l in range(N):
                         for m in range(N):
-                            psi = b.psi.entries[enc_index((m, j), N)][enc_index((l, i), N)]
+                            psi = dense(b.psi)[enc_index((m, j), N)][enc_index((l, i), N)]
                             add((m,), QINV * b.B[k][l] * psi)
                     assert got == want
 
@@ -166,7 +178,7 @@ class TestMatrixFormActions:
                 acc = ZERO
                 for a in range(N):
                     for bb in range(N):
-                        r = b.R.entries[enc_index((bb, j), N)][enc_index((a, i), N)]
+                        r = dense(b.R)[enc_index((bb, j), N)][enc_index((a, i), N)]
                         if r.is_zero():
                             continue
                         acted = d.act((a,), (bb,))
@@ -187,7 +199,7 @@ class TestMatrixFormActions:
                     for bb in range(N):
                         for c in range(N):
                             for out in range(N):
-                                r = m.entries[enc_index((bb, c, out), N)][
+                                r = dense(m)[enc_index((bb, c, out), N)][
                                     enc_index((a, i2, i3), N)]
                                 if r.is_zero():
                                     continue
@@ -202,7 +214,7 @@ class TestMatrixFormActions:
                 want = {}
                 for k in range(N):
                     for out in range(N):
-                        v = b.R.entries[enc_index((k, out), N)][enc_index((i2, i3), N)]
+                        v = dense(b.R)[enc_index((k, out), N)][enc_index((i2, i3), N)]
                         if not v.is_zero():
                             key = ((k,), out)
                             want[key] = want.get(key, ZERO) + v
@@ -382,7 +394,7 @@ class TestRepresentations:
         reps = fock_representation(d, 1)
         for i in range(2):
             for j in range(2):
-                mat = reps[(i, j)]
+                mat = dense_columns(reps[(i, j)], 2)
                 for k in range(2):
                     for r in range(2):
                         want = b.B[k][j] if r == i else ZERO
@@ -393,7 +405,7 @@ class TestRepresentations:
         reps = fock_representation(d, 2)
         comp = d.B.component(2)
         # l_1^1 = x_1 d/dx_1 counts the degree in x_1
-        mat = reps[(0, 0)]
+        mat = dense_columns(reps[(0, 0)], len(comp.basis))
         for col, w in enumerate(comp.basis):
             deg = sum(1 for t in w if t == 0)
             for row in range(len(comp.basis)):
@@ -414,17 +426,22 @@ class TestRepresentations:
         d = make_double(make_standard_hecke(2), "bosonic", "hecke")
         reps = fock_representation(d, 2)
         dim = len(d.B.component(2).basis)
-        for mat in reps.values():
-            assert len(mat) == dim and all(len(r) == dim for r in mat)
+        for cols in reps.values():
+            assert len(cols) == dim and all(0 <= r < dim for col in cols for r in col)
 
 
 def _dense_representation_ok(d, k):
     """Reference: the L-identity on component k through flattened
     (N^2 dim)-square block matrices over the scalars, outer grid uncleared."""
-    reps = fock_representation(d, k)
     N = d.braiding.N
     dim = len(d.B.component(k).basis)
+    reps = {pair: dense_columns(cols, dim)
+            for pair, cols in fock_representation(d, k).items()}
     n2 = N * N
+
+    def written(op):
+        grid = dense(op)
+        return [[grid[y][x] for y in range(n2)] for x in range(n2)]
 
     def flat_scalar(grid):
         big = [[ZERO] * (n2 * dim) for _ in range(n2 * dim)]
@@ -448,8 +465,8 @@ def _dense_representation_ok(d, k):
                         big[x * dim + r][y * dim + c] = blk[r][c]
         return big
 
-    rw = flat_scalar(fockdouble._written_scalar_grid(d.braiding.R))
-    outer = flat_scalar(fockdouble._written_scalar_grid(fockdouble._reflection_partner(d)))
+    rw = flat_scalar(written(d.braiding.R))
+    outer = flat_scalar(written(fockdouble._reflection_partner(d)))
     l1 = flat_l1()
     lhs1 = mat_mul(mat_mul(mat_mul(outer, l1), rw), l1)
     lhs2 = mat_mul(mat_mul(mat_mul(l1, rw), l1), outer)
@@ -498,11 +515,11 @@ def _bump_outer(monkeypatch):
 
     def bumped(d):
         op = original(d)
-        rows = [list(row) for row in op.entries]
+        rows = dense(op)
         r, c = next((r, c) for r, row in enumerate(rows)
                     for c, v in enumerate(row) if len(v.den) > 1)
         rows[r][c] = rows[r][c] + ONE
-        return LinOperator.from_rows(rows, op.dim, op.legs, op.labels, op.labels_out)
+        return from_dense(rows, op.dim, op.legs, op.labels, op.labels_out)
 
     monkeypatch.setattr(fockdouble, "_reflection_partner", bumped)
 
@@ -564,24 +581,27 @@ class TestBraidedLie:
     def test_flip_rhat_is_the_flip(self):
         bl = braided_lie(make_flip(2))
         n2 = 4
+        rhat = dense_columns(bl.rhat, n2 * n2)
         for e1 in range(n2):
             for e2 in range(n2):
                 col = enc_index((e1, e2), n2)
                 row = enc_index((e2, e1), n2)
                 for r in range(n2 * n2):
                     want = ONE if r == row else ZERO
-                    assert bl.rhat[r][col] == want
+                    assert rhat[r][col] == want
 
     def test_flip_bracket_is_commutator(self):
         bl = braided_lie(make_flip(2))
         # [l_e1, l_e2] classical: comp(e1,e2) - comp(e2,e1)
         n2 = 4
+        comp = dense_columns(bl.comp, n2)
+        bracket = dense_columns(bl.bracket, n2)
         for e1 in range(n2):
             for e2 in range(n2):
                 col = enc_index((e1, e2), n2)
                 for e in range(n2):
-                    want = bl.comp[e][col] - bl.comp[e][enc_index((e2, e1), n2)]
-                    assert bl.bracket[e][col] == want
+                    want = comp[e][col] - comp[e][enc_index((e2, e1), n2)]
+                    assert bracket[e][col] == want
 
     @pytest.mark.parametrize("maker", [
         lambda: make_flip(2),
@@ -628,8 +648,10 @@ class TestBraidedLie:
     def test_leg_local_jacobi_matches_dense(self, maker):
         bl = braided_lie(maker())
         broken = _corrupt(_corrupt(bl, "bracket"), "rhat")
+        n2 = bl.braiding.N ** 2
         for cur in (bl, broken):
-            assert _jacobi_sides(cur) == _dense_jacobi_sides(cur)
+            sides = tuple(dense_columns(side, n2) for side in _jacobi_sides(cur))
+            assert sides == _dense_jacobi_sides(cur)
         lhs, rhs = _jacobi_sides(broken)
         assert lhs != rhs
 
@@ -644,11 +666,12 @@ def _corrupt(bl: BraidedLie, field: str) -> BraidedLie:
         out.rtrace = list(bl.rtrace)
         out.rtrace[1] = out.rtrace[1] + ONE
     else:
-        mat = [list(row) for row in getattr(bl, field)]
+        cols = getattr(bl, field)
+        mat = dense_columns(cols, 1 + max(r for col in cols for r in col))
         r, c = next((r, c) for r, row in enumerate(mat)
                     for c, v in enumerate(row) if not v.is_zero())
         mat[r][c] = mat[r][c] + ONE
-        setattr(out, field, mat)
+        setattr(out, field, sparse_columns(mat))
     return out
 
 
@@ -675,12 +698,14 @@ def _dense_jacobi_sides(bl: BraidedLie):
     n2 = bl.braiding.N ** 2
     id2 = mat_identity(n2)
     id6 = mat_identity(n2 ** 3)
-    rh12 = _kron(bl.rhat, id2)
-    rh23 = _kron(id2, bl.rhat)
-    a = mat_mul(bl.bracket, _kron(id2, bl.bracket))
+    rhat = dense_columns(bl.rhat, n2 * n2)
+    bracket = dense_columns(bl.bracket, n2)
+    rh12 = _kron(rhat, id2)
+    rh23 = _kron(id2, rhat)
+    a = mat_mul(bracket, _kron(id2, bracket))
     if bl.braiding.kind == HECKE:
         rest = [[x - y for x, y in zip(ri, rr)] for ri, rr in zip(id6, rh12)]
-        return mat_mul(a, rest), mat_mul(bl.bracket, _kron(bl.bracket, id2))
+        return mat_mul(a, rest), mat_mul(bracket, _kron(bracket, id2))
     cyc = mat_mul(rh12, rh23)
     cyc2 = mat_mul(rh23, rh12)
     rest = [[x + y + z for x, y, z in zip(ri, rc, rc2)]

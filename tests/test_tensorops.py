@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfock.errors import BadPlacement
+from qfock.errors import BadPlacement, NotInvertible
 from qfock.scalars import ONE, Q, QINV, ZERO, Scalar
 from qfock.tensorops import (
     LinOperator,
@@ -17,6 +19,16 @@ from qfock.tensorops import (
 )
 
 from dense_elimination import dense_row_reduce
+from dense_operators import (
+    dense,
+    dense_add,
+    dense_inverse,
+    dense_matmul,
+    dense_partial_trace,
+    dense_place,
+    dense_scale,
+    from_dense,
+)
 
 
 def sc(n):
@@ -28,7 +40,7 @@ def small_operators(draw, dim=2, legs=1):
     size = dim ** legs
     vals = draw(st.lists(st.integers(-3, 3), min_size=size * size, max_size=size * size))
     rows = [[sc(vals[i * size + j]) for j in range(size)] for i in range(size)]
-    return LinOperator.from_rows(rows, dim, legs)
+    return from_dense(rows, dim, legs)
 
 
 class TestPlace:
@@ -60,15 +72,16 @@ class TestPlace:
         dim = 2
         rows_a = [[ZERO] * 4 for _ in range(4)]
         rows_b = [[ZERO] * 4 for _ in range(4)]
+        a, b = dense(a), dense(b)
         for i in range(2):
             for j in range(2):
                 for k in range(2):
                     for l in range(2):
                         if j == l:
-                            rows_a[enc_index((i, j), dim)][enc_index((k, l), dim)] = a.entries[i][k]
-                            rows_b[enc_index((i, j), dim)][enc_index((k, l), dim)] = b.entries[i][k]
-        A = LinOperator.from_rows(rows_a, dim, 2)
-        B = LinOperator.from_rows(rows_b, dim, 2)
+                            rows_a[enc_index((i, j), dim)][enc_index((k, l), dim)] = a[i][k]
+                            rows_b[enc_index((i, j), dim)][enc_index((k, l), dim)] = b[i][k]
+        A = from_dense(rows_a, dim, 2)
+        B = from_dense(rows_b, dim, 2)
         assert place(A @ B, (2, 3), 4) == place(A, (2, 3), 4) @ place(B, (2, 3), 4)
 
 
@@ -83,8 +96,8 @@ class TestPartialTrace:
         assert t == LinOperator.identity(2, 1).scale(sc(2))
 
     def test_cyclicity(self):
-        a = LinOperator.from_rows([[Q, ONE], [ZERO, QINV]], 2, 1)
-        b = LinOperator.from_rows([[ONE, Q], [Q, ONE]], 2, 1)
+        a = from_dense([[Q, ONE], [ZERO, QINV]], 2, 1)
+        b = from_dense([[ONE, Q], [Q, ONE]], 2, 1)
         assert partial_trace(a @ b, {1}) == partial_trace(b @ a, {1})
 
     @given(small_operators(legs=2))
@@ -96,21 +109,26 @@ class TestPartialTrace:
         assert t1 + t1 == t2
 
 
+def sparse_rows(m):
+    return {r: {c: e for c, e in enumerate(row) if not e.is_zero()}
+            for r, row in enumerate(m)}
+
+
 class TestKernelImage:
     def test_identity_has_no_kernel(self):
         m = [[ONE, ZERO, ZERO, ZERO],
              [ZERO, ONE, ZERO, ZERO],
              [ZERO, ZERO, ONE, ZERO],
              [ZERO, ZERO, ZERO, ONE]]
-        ki = kernel_image(m)
+        ki = kernel_image(sparse_rows(m), 4)
         assert ki.rank == 4 and not ki.kernel_basis
 
     def test_flip_symmetric_split(self):
         # kernel of (I - P) on N=2 is the antisymmetric line
         p = LinOperator.flip(2)
         ident = LinOperator.identity(2, 2)
-        m = [list(r) for r in (ident - p).entries]
-        ki = kernel_image(m)
+        m = dense(ident - p)
+        ki = kernel_image(sparse_rows(m), 4)
         assert ki.rank == 1
         assert len(ki.kernel_basis) == 3
 
@@ -118,7 +136,7 @@ class TestKernelImage:
     @settings(max_examples=40)
     def test_kernel_vectors_annihilate(self, raw):
         m = [[sc(v) for v in row] for row in raw]
-        ki = kernel_image(m)
+        ki = kernel_image(sparse_rows(m), 4)
         assert ki.rank + len(ki.kernel_basis) == 4
         for v in ki.kernel_basis:
             for row in m:
@@ -129,7 +147,7 @@ class TestKernelImage:
 
     def test_rank_plus_nullity(self):
         m = [[ONE, Q], [Q, Q * Q]]
-        ki = kernel_image(m)
+        ki = kernel_image(sparse_rows(m), 2)
         assert ki.rank == 1
         assert len(ki.kernel_basis) == 1
         assert ki.image_basis == [{0: ONE, 1: Q}]
@@ -192,3 +210,87 @@ class TestMatHelpers:
         if x is not None:
             assert all(not e.is_zero() and 0 <= c < m for row in x for c, e in row.items())
             assert mat_mul(a, [[row.get(c, ZERO) for c in range(m)] for row in x]) == b
+
+
+@st.composite
+def sparse_operators(draw, dim, legs):
+    """A random operator whose entries are mostly zero: the rest are small
+    integers, q, 1/q or q - 1/q, so that sums and products can cancel."""
+    size = dim ** legs
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, "q", "1/q", "q-1/q"])
+    named = {"q": Q, "1/q": QINV, "q-1/q": Q - QINV}
+    vals = draw(st.lists(entry, min_size=size * size, max_size=size * size))
+    grid = [[named[v] if isinstance(v, str) else sc(v)
+             for v in vals[r * size:(r + 1) * size]] for r in range(size)]
+    return from_dense(grid, dim, legs)
+
+
+def stores_no_zero(op):
+    return all(row and not any(v.is_zero() for v in row.values())
+               for row in op.rows.values())
+
+
+class TestSparseMatchesDense:
+    """Every operation of the sparse engine equals the dense list-of-lists
+    reference of dense_operators, and no result stores a zero entry."""
+
+    @given(st.data(), st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]))
+    @settings(max_examples=60, deadline=None)
+    def test_algebra(self, data, shape):
+        dim, legs = shape
+        a = data.draw(sparse_operators(dim, legs))
+        b = data.draw(sparse_operators(dim, legs))
+        s = data.draw(st.sampled_from([ZERO, ONE, sc(-2), Q, Q - QINV]))
+        da, db = dense(a), dense(b)
+        cases = [(a @ b, dense_matmul(da, db)),
+                 (a + b, dense_add(da, db)),
+                 (a - b, dense_add(da, db, sc(-1))),
+                 (a - a, dense_add(da, da, sc(-1))),
+                 (a.scale(s), dense_scale(da, s))]
+        for got, want in cases:
+            assert dense(got) == want
+            assert stores_no_zero(got)
+            assert got.is_zero() == all(v.is_zero() for row in want for v in row)
+        for out in itertools.product(range(dim), repeat=legs):
+            for inp in itertools.product(range(dim), repeat=legs):
+                assert a.entry(out, inp) == da[enc_index(out, dim)][enc_index(inp, dim)]
+
+    @given(st.data(), st.sampled_from([(2, 3), (2, 4), (3, 3), (3, 4)]))
+    @settings(max_examples=30, deadline=None)
+    def test_place(self, data, shape):
+        dim, total = shape
+        op = data.draw(sparse_operators(dim, 2))
+        for i in range(1, total):
+            got = place(op, (i, i + 1), total)
+            assert dense(got) == dense_place(dense(op), dim, i, total)
+            assert stores_no_zero(got)
+
+    @given(st.data(), st.sampled_from([(2, 2), (3, 2), (2, 3)]))
+    @settings(max_examples=40, deadline=None)
+    def test_partial_trace(self, data, shape):
+        dim, legs = shape
+        op = data.draw(sparse_operators(dim, legs))
+        for r in range(1, legs + 1):
+            for traced in itertools.combinations(range(1, legs + 1), r):
+                got = partial_trace(op, set(traced))
+                want = dense_partial_trace(dense(op), dim, legs, set(traced))
+                if r == legs:
+                    assert got == want
+                else:
+                    assert dense(got) == want
+                    assert stores_no_zero(got)
+
+    @given(st.data(), st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]))
+    @settings(max_examples=60, deadline=None)
+    def test_inverse(self, data, shape):
+        dim, legs = shape
+        op = data.draw(sparse_operators(dim, legs))
+        want = dense_inverse(dense(op))
+        if want is None:
+            with pytest.raises(NotInvertible):
+                op.inverse()
+        else:
+            got = op.inverse()
+            assert dense(got) == want
+            assert stores_no_zero(got)
+            assert got @ op == LinOperator.identity(dim, legs)
