@@ -36,12 +36,11 @@ from .errors import (
 from .scalars import ONE, Q, QINV, ZERO, Scalar, add_term, sum_into
 from .tensorops import (
     LinOperator,
-    Matrix,
+    Row,
     enc_index,
-    mat_identity,
     mat_inv,
     mat_mul,
-    mat_scalar_multiple_of_identity,
+    mat_transpose,
     partial_trace,
     place,
 )
@@ -53,11 +52,13 @@ BMW = "bmw"
 
 @dataclass
 class SkewData:
+    """Psi and its partial traces B = Tr_1 Psi and C = Tr_2 Psi, N sparse
+    rows each: B[i][j] = sum_k Psi_ki^kj, and likewise C over leg 2."""
     psi: LinOperator
-    B: Matrix
-    C: Matrix
-    B_inv: Matrix | None
-    C_inv: Matrix | None
+    B: list[Row]
+    C: list[Row]
+    B_inv: list[Row] | None
+    C_inv: list[Row] | None
     alpha: Scalar | None
 
     @property
@@ -100,11 +101,11 @@ class Braiding:
         return self.skew.psi
 
     @property
-    def B(self) -> Matrix:
+    def B(self) -> list[Row]:
         return self.skew.B
 
     @property
-    def C(self) -> Matrix:
+    def C(self) -> list[Row]:
         return self.skew.C
 
     @property
@@ -249,14 +250,20 @@ def skew_inverse(b: Braiding) -> SkewData:
             LinOperator.identity(N, 2):
         raise NotSkewInvertible("skew inverse failed verification")
 
-    # B = Tr_1 Psi and C = Tr_2 Psi, as B[i][j] = sum_k Psi_ki^kj
-    tr1, tr2 = partial_trace(psi, {1}), partial_trace(psi, {2})
-    bmat = [[tr1.entry((j,), (i,)) for j in range(N)] for i in range(N)]
-    cmat = [[tr2.entry((j,), (i,)) for j in range(N)] for i in range(N)]
-    b_inv = mat_inv(bmat)
-    c_inv = mat_inv(cmat)
-    alpha = mat_scalar_multiple_of_identity(mat_mul(bmat, cmat))
-    return SkewData(psi, bmat, cmat, b_inv, c_inv, alpha)
+    # B = Tr_1 Psi and C = Tr_2 Psi, as B[i][j] = sum_k Psi_ki^kj: row i
+    # of B is the input column i of the one-leg trace
+    bmat, cmat = (mat_transpose([tr.rows.get(r, {}) for r in range(N)], N)
+                  for tr in (partial_trace(psi, {1}), partial_trace(psi, {2})))
+    return SkewData(psi, bmat, cmat, mat_inv(bmat), mat_inv(cmat),
+                    _scalar_multiple(mat_mul(bmat, cmat)))
+
+
+def _scalar_multiple(a: list[Row]) -> Scalar | None:
+    """The c with a = c I, or None when a is not scalar."""
+    c = a[0].get(0, ZERO)
+    if all(row == ({} if c.is_zero() else {i: c}) for i, row in enumerate(a)):
+        return c
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +285,12 @@ def dual_square(op: LinOperator) -> LinOperator:
     return _relabeled(op, lambda j, i, l, k: ((k, l), (i, j)), ("V*", "V*"))
 
 
+def _vstar_v(b: Braiding) -> LinOperator:
+    """The extension of R to V* (x) V: R(x^i (x) x_j) = x_l (x) x^k Psi_kj^li."""
+    return _relabeled(b.psi, lambda l, i, k, j: ((l, k), (i, j)),
+                      ("V*", "V"), ("V", "V*"))
+
+
 def extend_to_duals(b: Braiding) -> DualExtensions:
     """The three Lyubashenko extensions of R to mixed and dual squares.
 
@@ -291,41 +304,36 @@ def extend_to_duals(b: Braiding) -> DualExtensions:
     # R(x_i (x) x^j) = x^k (x) x_l (R^{-1})_ki^lj
     v_vstar = _relabeled(r_inv, lambda l, j, k, i: ((k, l), (i, j)),
                          ("V", "V*"), ("V*", "V"))
-    # R(x^i (x) x_j) = x_l (x) x^k Psi_kj^li
-    vstar_v = _relabeled(b.psi, lambda l, i, k, j: ((l, k), (i, j)),
-                         ("V*", "V"), ("V", "V*"))
-    return DualExtensions(v_vstar, vstar_v, dual_square(b.R))
+    return DualExtensions(v_vstar, _vstar_v(b), dual_square(b.R))
 
 
 @dataclass
 class DualPairings:
-    right: Matrix          # <x_i, x^j>_r = delta
-    left: Matrix           # <x^j, x_i>_l, row i column j
-    tilde_matrix: Matrix   # column j expresses the left-dual x~^j over x^k
-    tilde_right: Matrix    # <x_i, x~^j>_r
+    """The left and tilde pairings, N sparse rows each; the right pairing
+    <x_i, x^j>_r = delta is the identity."""
+    left: list[Row]                 # <x^j, x_i>_l, row i column j
+    tilde_right: list[Row] | None   # <x_i, x~^j>_r; None when left is singular
 
 
 def dual_pairings(b: Braiding) -> DualPairings:
-    """Right and left pairings and the left-dual change of basis.
+    """The left pairing and the left-dual basis.
 
     The left pairing is computed through the V* (x) V extension (pairing
     after braiding), independently of the partial trace that produced B.
+    The left-dual basis x~^j = sum_k T_kj x^k is fixed by <x~^j, x_i>_l =
+    delta, so T is the inverse of the left pairing, and as the right
+    pairing is the identity, T is also the matrix of <x_i, x~^j>_r.
     """
     N = b.N
-    skew = b.skew
-    if skew.B_inv is None:
+    if b.skew.B_inv is None:
         raise NotStrictlySkewInvertible("B is singular")
-    ext = extend_to_duals(b)
-    left = [[ZERO] * N for _ in range(N)]
+    left: list[Row] = [{} for _ in range(N)]
     # <x^j, x_i>_l = sum_l <x_l, x^k>_r * coefficient of x_l (x) x^k
-    for i in range(N):
-        for j in range(N):
-            acc = ZERO
-            for l in range(N):
-                acc = acc + ext.vstar_v.entry((l, l), (j, i))
-            left[i][j] = acc
-    tilde = [list(row) for row in skew.B_inv]
-    return DualPairings(mat_identity(N), left, tilde, [list(r) for r in skew.B_inv])
+    for r, c, v in _vstar_v(b).nonzeros():
+        (l, k), (j, i) = divmod(r, N), divmod(c, N)
+        if l == k:
+            add_term(left[i], j, v)
+    return DualPairings(left, mat_inv(left))
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +344,11 @@ Moves = dict[tuple[int, int], list[tuple[int, int, Scalar]]]
 
 
 def exchange_table(psi: LinOperator, s: Scalar,
-                   const: Matrix) -> tuple[Moves, dict[tuple[int, int], Scalar]]:
+                   const: list[Row]) -> tuple[Moves, dict[tuple[int, int], Scalar]]:
     """The permutation rule  x^l x_k = s Psi_jk^il x_i x^j + const_k^l  in
     solved form, read from the nonzero entries psi (i, l) <- (j, k) of a
     two-leg operator: moves[(l, k)] lists the (i, j, s Psi_jk^il), i outer
-    and j inner, and constants[(l, k)] = const[k][l]."""
+    and j inner, and constants[(l, k)] = const[k][l], const as sparse rows."""
     N = psi.dim
     moves: Moves = {(l, k): [] for l in range(N) for k in range(N)}
     for r, c, v in psi.nonzeros():
@@ -348,7 +356,7 @@ def exchange_table(psi: LinOperator, s: Scalar,
         moves[(l, k)].append((i, j, s * v))
     for terms in moves.values():
         terms.sort(key=lambda t: t[:2])
-    constants = {(l, k): const[k][l] for l in range(N) for k in range(N)}
+    constants = {(l, k): const[k].get(l, ZERO) for l in range(N) for k in range(N)}
     return moves, constants
 
 
@@ -436,22 +444,17 @@ class CurrentBraiding:
     base: Braiding
     flavor: str
 
-    def pole_coeff(self, u: Fraction, v: Fraction) -> Scalar:
-        """h(u,v), the coefficient of the identity subtracted from R."""
-        if self.flavor == RATIONAL:
-            return Scalar.from_fraction(Fraction(1, 1) / (u - v))
-        return (Q - QINV) * Scalar.from_fraction(u / (u - v))
-
+    # R(u,v) = R - h(u,v) I and g(u,v) = s - h(u,v) with the pole
+    # h(u,v) = (a u + b)/(u - v), (a, b, s) the constants of _affine.
     def r_at(self, u: Fraction, v: Fraction) -> LinOperator:
-        if u == v:
-            raise ZeroDivisionError("R(u,v) has a pole at u = v")
         ident = LinOperator.identity(self.base.N, 2, self.base.R.labels)
-        return self.base.R - ident.scale(self.pole_coeff(u, v))
+        return self.base.R - ident.scale(self._affine()[2] - self.g_at(u, v))
 
     def g_at(self, u: Fraction, v: Fraction) -> Scalar:
-        if self.flavor == RATIONAL:
-            return ONE - Scalar.from_fraction(Fraction(1, 1) / (u - v))
-        return Q - (Q - QINV) * Scalar.from_fraction(u / (u - v))
+        if u == v:
+            raise ZeroDivisionError("R(u,v) has a pole at u = v")
+        a, b, s = self._affine()
+        return s - (a * Scalar.from_fraction(u) + b) * Scalar.from_fraction(1 / (u - v))
 
     def normalized_at(self, u: Fraction, v: Fraction) -> LinOperator:
         g = self.g_at(u, v)

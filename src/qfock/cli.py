@@ -179,7 +179,7 @@ def _suite_braiding(rep: Report, b: Braiding, cfg: RunConfig):
                 else "B C is not scalar")
         if skew.strict:
             dp, dt = _timed(dual_pairings, b)
-            pair_ok = dp.left == b.B and dp.tilde_right == b.skew.B_inv
+            pair_ok = dp.left == b.B and dp.tilde_right == skew.B_inv
             rep.add("dual-pairings", "left pairing = B; tilde pairing = B^{-1}",
                     pair_ok, True, seconds=dt)
         ok, dt = _timed(projector_decomposition_ok, b)
@@ -337,7 +337,7 @@ def _suite_currents(rep: Report, b: Braiding, cfg: RunConfig):
             witness=f"residual out-of-window terms: "
                     f"{out['residual_out_of_window_terms']}", seconds=dt)
     degree = min(cfg.degree, 2)
-    out, dt = _timed(verify_yang, cd, None, degree)
+    out, dt = _timed(verify_yang, cd, degree)
     gating = degree <= 1
     rep.add("spectral-l-identity",
             "R12(u,v) L1(u) R12 L1(v) - L1(v) R12 L1(u) R12(u,v) = "
@@ -404,7 +404,7 @@ def _matrix_doc(rows: int, cols: int, entry) -> dict:
 
 
 def _pairing_doc(mat) -> dict:
-    return _matrix_doc(len(mat), len(mat), lambda r, c: mat[r][c])
+    return _matrix_doc(len(mat), len(mat), lambda r, c: mat[r].get(c, ZERO))
 
 
 def cmd_repr(cfg: RunConfig) -> int:

@@ -98,7 +98,6 @@ class CurrentDouble:
 
     cb: CurrentBraiding
     window: int
-    max_degree: int = 2
     exchange: dict = field(init=False)
     constant: dict = field(init=False)
     # _annihilate memo keyed by (gen, k, word); lives as long as the double
@@ -114,9 +113,8 @@ class CurrentDouble:
         return self.cb.base.N
 
 
-def make_current_double(cb: CurrentBraiding, window: int,
-                        max_degree: int = 2) -> CurrentDouble:
-    return CurrentDouble(cb, window, max_degree)
+def make_current_double(cb: CurrentBraiding, window: int) -> CurrentDouble:
+    return CurrentDouble(cb, window)
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +493,8 @@ def _reduce_mod_span(states: dict[ModeWord, Scalar], rows, index,
     return out
 
 
-def verify_yang(cd: CurrentDouble, window: int | None = None,
-                degree: int = 1, spot_enlarge: bool = True) -> dict:
+def verify_yang(cd: CurrentDouble, degree: int = 1,
+                spot_enlarge: bool = True) -> dict:
     """Exact matrix-element verification of the spectral L-identity.
 
     Both sides are expanded in the region |u| > |v|; the coefficient of
@@ -528,11 +526,9 @@ def verify_yang(cd: CurrentDouble, window: int | None = None,
     spot_enlarge the interior mode enumeration is repeated with a larger
     clip and must agree.
     """
-    M = cd.window if window is None else window
+    M = cd.window
     if degree > 2 or M > 4:
         raise WindowOverflow("desk scale is degree <= 2 and window <= 4")
-    if M != cd.window:
-        cd = CurrentDouble(cd.cb, M, cd.max_degree)
     N = cd.N
     n2 = N * N
     theta = 0 if cd.cb.flavor == TRIGONOMETRIC else 1

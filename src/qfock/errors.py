@@ -53,10 +53,6 @@ class UnsupportedDouble(QfockError):
     """The requested (family, flavor) pair is not admissible."""
 
 
-class IncompatibleDouble(QfockError):
-    """A permutation rule is inconsistent with the quotient relations."""
-
-
 class EmptyComponent(QfockError):
     """A graded component needed for a representation is zero."""
 

@@ -41,7 +41,6 @@ from .braidings import (
 )
 from .errors import (
     EmptyComponent,
-    IncompatibleDouble,
     NotStrictlySkewInvertible,
     RhatNotDetermined,
     SizeLimitExceeded,
@@ -57,6 +56,9 @@ from .tensorops import (
     formal_cell,
     formal_grid,
     formal_mul,
+    lincomb,
+    mat_mul,
+    mat_transpose,
     place,
     solve,
 )
@@ -471,7 +473,7 @@ def _diamond_failures(N: int, hi: str, lo: str, algebras: dict,
     return out
 
 
-def verify_compatibility(d: FockDouble, raise_on_failure: bool = False) -> dict:
+def verify_compatibility(d: FockDouble) -> dict:
     """Three exact checks that the permutation rule respects the quotient
     relations on both sides.
 
@@ -525,8 +527,6 @@ def verify_compatibility(d: FockDouble, raise_on_failure: bool = False) -> dict:
 
     report["passed"] = (report["closed_identity"] and report["ideal_checks"]
                         and report["diamond"])
-    if raise_on_failure and not report["passed"]:
-        raise IncompatibleDouble(f"compatibility failed: {report['witnesses'][:3]}")
     return report
 
 
@@ -534,13 +534,10 @@ def verify_compatibility(d: FockDouble, raise_on_failure: bool = False) -> dict:
 # finite-dimensional representations on homogeneous components
 # ---------------------------------------------------------------------------
 
-# A sparse matrix by columns: column c -> {row: nonzero entry}.
-Columns = list[Row]
-
-
-def fock_representation(d: FockDouble, k: int) -> dict[tuple[int, int], Columns]:
+def fock_representation(d: FockDouble, k: int) -> dict[tuple[int, int], list[Row]]:
     """Matrices of the l_i^j generators on the degree-k creation component,
-    by columns: column c holds the image of basis word c."""
+    by columns: column c, the image of basis word c, is row c of the
+    transpose."""
     if k < 1:
         raise ValueError("k must be at least 1")
     comp = d.B.component(k)
@@ -550,7 +547,7 @@ def fock_representation(d: FockDouble, k: int) -> dict[tuple[int, int], Columns]
     out = {}
     for i in range(N):
         for j in range(N):
-            cols: Columns = []
+            cols: list[Row] = []
             for w in comp.basis:
                 col: Row = {}
                 for y, c in d.act((j,), w).items():
@@ -561,30 +558,18 @@ def fock_representation(d: FockDouble, k: int) -> dict[tuple[int, int], Columns]
     return out
 
 
-def _lincomb(terms) -> Row:
-    """The sparse column sum of v * col over the (v, col) in terms."""
-    acc: Row = {}
-    for v, col in terms:
-        sum_into(acc, col, v)
-    return acc
-
-
-def _written_product(a: Columns, b: Columns) -> Columns:
-    """The matrix product a b, column by column."""
-    return [_lincomb((v, a[z]) for z, v in col.items()) for col in b]
-
-
 def representation_l_relations_ok(d: FockDouble, k: int) -> bool:
     """Check the family L-identity for the representing matrices on
     component k.  Every cell's net combination, the one verify_l_relations
     evaluates (outer grid cleared of its denominators, which is exact as the
     identity is linear in that grid), must give the zero matrix once each
     generator-pair key is replaced by the written product of the sparse
-    representing matrices, each distinct key formed once."""
+    representing matrices, each distinct key formed once: on column lists
+    the product a b is mat_mul(b, a)."""
     reps = fock_representation(d, k)
 
     def matrix(key: tuple) -> dict[tuple[int, int], Scalar]:
-        cols = functools.reduce(_written_product, (reps[pair] for pair in key))
+        cols = functools.reduce(lambda a, b: mat_mul(b, a), (reps[pair] for pair in key))
         return {(r, c): v for c, col in enumerate(cols) for r, v in col.items()}
 
     return not _failing_cells(d, matrix)
@@ -612,17 +597,17 @@ def left_dual_variant_report(b: Braiding) -> dict:
     # the variant rule is the generic rule on F Psi^T F and C^T (F the
     # flip), with the left-dual generators "t" in the place of creators
     exch, const = exchange_table(dual_square(b.psi), b.q.inverse(),
-                                 [list(col) for col in zip(*b.C)])
+                                 mat_transpose(b.C, N))
     balg = make_algebra(b, "sym", "V")
     astar = make_algebra(b, "sym", "V*")
+    bcols = mat_transpose(b.B, N)    # bcols[a][t] = B_t^a
     trels = []
     for rel in astar.relations:
         out: Tensor = {}
         for (a, bb), c in rel.items():
-            for t, u in itertools.product(range(N), repeat=2):
-                v = c * b.B[t][a] * b.B[u][bb]
-                if not v.is_zero():
-                    add_term(out, (t, u), v)
+            for t, bt in bcols[a].items():
+                for u, bu in bcols[bb].items():
+                    add_term(out, (t, u), c * bt * bu)
         trels.append(out)
     atilde = GradedQuotient(N, "V*", "sym", trels, name="left-dual side")
 
@@ -649,9 +634,9 @@ class BraidedLie:
     """The braided Lie data, each map by columns over the N^4 basis
     elements l_e1 (x) l_e2 of End(V) (x) End(V), e = i*N + j for l_i^j."""
     braiding: Braiding
-    rhat: Columns         # the twist, End(V) (x) End(V) -> itself
-    comp: Columns         # composition l (x) l -> l, rows over the N^2 l_e
-    bracket: Columns      # comp o (I - rhat)
+    rhat: list[Row]       # the twist, End(V) (x) End(V) -> itself
+    comp: list[Row]       # composition l (x) l -> l, rows over the N^2 l_e
+    bracket: list[Row]    # comp o (I - rhat)
     rtrace: list[Scalar]  # R-trace of each l_i^j
     alpha: Scalar
 
@@ -698,46 +683,37 @@ def braided_lie(b: Braiding) -> BraidedLie:
         raise RhatNotDetermined("coefficient matrix of the defining property is singular")
 
     # l_i^j l_k^m = B_k^j l_i^m; columns phi = (i*N + j)*N^2 + k*N + m
-    bmat = b.B
-    comp = [{i * N + m: bmat[k][j]} if not bmat[k][j].is_zero() else {}
+    comp = [{i * N + m: v} if (v := b.B[k].get(j)) is not None else {}
             for i, j, k, m in itertools.product(range(N), repeat=4)]
-    bracket = []
-    for c, col in enumerate(rhat):
-        acc = dict(comp[c])
-        for r, v in col.items():
-            sum_into(acc, comp[r], -v)
-        bracket.append(acc)
+    # bracket = comp o (I - rhat), by columns
+    bracket = [lincomb(((ONE, comp[c]), (_MINUS_ONE, rc)))
+               for c, rc in enumerate(mat_mul(rhat, comp))]
 
-    cmat = b.C
-    rtrace = []
-    for i in range(N):
-        for j in range(N):
-            # Tr_R l_i^j = Tr(C * mat(l_i^j)) with mat(l_i^j) x_k = B_k^j x_i
-            acc = ZERO
-            for k in range(N):
-                acc = acc + cmat[k][i] * bmat[k][j]
-            rtrace.append(acc)
+    # Tr_R l_i^j = Tr(C * mat(l_i^j)) with mat(l_i^j) x_k = B_k^j x_i,
+    # that is sum_k C_k^i B_k^j, entry (i, j) of C^T B
+    ctb = mat_mul(mat_transpose(b.C, N), b.B)
+    rtrace = [ctb[i].get(j, ZERO) for i in range(N) for j in range(N)]
     alpha = b.alpha
     if alpha is None:
         raise RhatNotDetermined("B*C is not scalar; the R-trace is not normalized")
     return BraidedLie(b, rhat, comp, bracket, rtrace, alpha)
 
 
-def _after_12(x: Columns, op: Columns, n2: int) -> Columns:
+def _after_12(x: list[Row], op: list[Row], n2: int) -> list[Row]:
     """x o (op (x) id) for a two-leg op on legs 1, 2 of a three-leg space
     with legs of dimension n2; column r*n2 + c of x is (op output r, leg c)."""
-    return [_lincomb((v, x[r * n2 + c]) for r, v in col.items())
+    return [lincomb((v, x[r * n2 + c]) for r, v in col.items())
             for col in op for c in range(n2)]
 
 
-def _after_23(x: Columns, op: Columns, n2: int, n_out: int) -> Columns:
+def _after_23(x: list[Row], op: list[Row], n2: int, n_out: int) -> list[Row]:
     """x o (id (x) op) for a two-leg op on legs 2, 3 with n_out output
     indices; column a*n_out + r of x is (leg a, op output r)."""
-    return [_lincomb((v, x[a * n_out + r]) for r, v in col.items())
+    return [lincomb((v, x[a * n_out + r]) for r, v in col.items())
             for a in range(n2) for col in op]
 
 
-def _jacobi_sides(bl: BraidedLie) -> tuple[Columns, Columns]:
+def _jacobi_sides(bl: BraidedLie) -> tuple[list[Row], list[Row]]:
     """Both sides of the Jacobi identity as N^2 x N^6 matrices on
     End(V)^(x)3, by columns.  Hecke form: [,][,]_23 (I - rhat_12) and [,][,]_12;
     involutive form: [,][,]_23 (I + rhat_12 rhat_23 + rhat_23 rhat_12)
@@ -749,13 +725,12 @@ def _jacobi_sides(bl: BraidedLie) -> tuple[Columns, Columns]:
     a = _after_23(br, br, n2, n2)
     a12 = _after_12(a, rh, n2)
     if bl.braiding.kind == HECKE:
-        minus = -ONE
-        lhs = [_lincomb(((ONE, p), (minus, t))) for p, t in zip(a, a12)]
+        lhs = [lincomb(((ONE, p), (_MINUS_ONE, t))) for p, t in zip(a, a12)]
         rhs = _after_12(br, br, n2)
     else:
         cyc = _after_23(a12, rh, n2, n4)
         cyc2 = _after_12(_after_23(a, rh, n2, n4), rh, n2)
-        lhs = [_lincomb(((ONE, p), (ONE, t), (ONE, u)))
+        lhs = [lincomb(((ONE, p), (ONE, t), (ONE, u)))
                for p, t, u in zip(a, cyc, cyc2)]
         rhs = [{}] * len(a)
     return lhs, rhs
@@ -799,8 +774,8 @@ def verify_lie(bl: BraidedLie) -> dict:
     rh = bl.rhat
     for x in range(n2):
         for y in range(n2):
-            got = _lincomb((v, rh[_pair_code(key, N)])
-                           for key, v in formal_cell(m_rlrl, x, y).items())
+            got = lincomb((v, rh[_pair_code(key, N)])
+                          for key, v in formal_cell(m_rlrl, x, y).items())
             want = {_pair_code(key, N): v
                     for key, v in formal_cell(m_lrlr, x, y).items()}
             if got != want:
@@ -809,8 +784,8 @@ def verify_lie(bl: BraidedLie) -> dict:
 
     # quadratic-identity consistency: comp((I - rhat) entry) matches the
     # linear entries of R12 L1 - L1 R12
-    lin_lhs = [_lincomb((v, bl.bracket[_pair_code(key, N)])
-                        for key, v in formal_cell(m_rlrl, x, y).items())
+    lin_lhs = [lincomb((v, bl.bracket[_pair_code(key, N)])
+                       for key, v in formal_cell(m_rlrl, x, y).items())
                for x in range(n2) for y in range(n2)]
     if lin_lhs != _linear_entries(b, N):
         report["quadratic_consistency"] = False
@@ -831,11 +806,11 @@ def verify_lie(bl: BraidedLie) -> dict:
     return report
 
 
-def _linear_entries(b: Braiding, N: int) -> Columns:
+def _linear_entries(b: Braiding, N: int) -> list[Row]:
     """Linear generator coefficients of the entries of R12 L1 - L1 R12,
     entry (x, y) at column x*N^2 + y, read from the nonzero entries of R."""
     n2 = N * N
-    out: Columns = [{} for _ in range(n2 * n2)]
+    out: list[Row] = [{} for _ in range(n2 * n2)]
     for r, c, v in b.R.nonzeros():
         # (R12 L1)_x^y = sum_z R_x^z (L1)_z^y with (L1)_z^y = delta l: a
         # nonzero R_x^z, z = (zi, yb), meets every y = (yj, yb)

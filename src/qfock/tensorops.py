@@ -14,7 +14,17 @@ first leg most significant.
 Everything is exact over Q(q) and sparse.  An operator keeps only its
 nonzero entries, as {row: {column: Scalar}} with no empty row, so two
 operators are equal exactly when their dicts are; products are formed row
-by row over the nonzeros (Gustavson 1978).  Every elimination (row
+by row over the nonzeros (Gustavson 1978).
+
+Every plain matrix that is not a tensor-leg operator (the pairings B and
+C and their inverses, the representation matrices, the braided-Lie maps)
+has one format: a list of n sparse rows, ``list[Row]``, the form `solve`
+takes and returns.  `mat_mul(a, b)` is the row-by-row product a b on the
+same row kernel (`lincomb`) as operator composition, and `mat_inv` solves
+against identity rows.  A matrix kept by columns is the row list of its
+transpose, so for column lists `mat_mul(b, a)` is the column list of a b.
+
+Every elimination (row
 reduction, kernel and image, solve, inverse, and the relation spans of the
 quotient and current algebras) runs on one engine on the same rows:
 they are inserted one at a time into a reduced row echelon form in which
@@ -30,7 +40,6 @@ from typing import Iterable, Mapping, Sequence
 from .errors import BadPlacement, NotInvertible
 from .scalars import ONE, ZERO, Scalar, add_term, sum_into
 
-Matrix = list[list[Scalar]]             # the N x N pairing matrices B and C
 Row = dict[int, Scalar]                 # {column: nonzero entry}; absent columns are zero
 Rows = dict[int, Row]                   # {row: nonzero Row}; absent rows are zero
 
@@ -147,13 +156,10 @@ class LinOperator:
             raise ValueError(
                 f"cannot compose: input labels {self.labels} do not match "
                 f"output labels {other.labels_out}")
+        orows = other.rows
         rows: Rows = {}
         for r, ra in self.rows.items():
-            acc: Row = {}
-            for k, a in ra.items():
-                rb = other.rows.get(k)
-                if rb is not None:
-                    sum_into(acc, rb, a)
+            acc = lincomb((a, orows[k]) for k, a in ra.items() if k in orows)
             if acc:
                 rows[r] = acc
         return LinOperator(self.legs, self.dim, other.labels, rows, self.labels_out)
@@ -176,6 +182,14 @@ _MINUS_ONE = Scalar.from_int(-1)
 
 def _nonempty(rows: Rows) -> Rows:
     return {r: row for r, row in rows.items() if row}
+
+
+def lincomb(terms: Iterable[tuple[Scalar, Row]]) -> Row:
+    """The sparse row sum of v * row over the (v, row) in terms."""
+    acc: Row = {}
+    for v, row in terms:
+        sum_into(acc, row, v)
+    return acc
 
 
 def place(op: LinOperator, positions: tuple[int, int], total: int,
@@ -407,46 +421,25 @@ def solve(a: list[Row], b: list[Row], m: int) -> list[Row] | None:
 
 
 # ---------------------------------------------------------------------------
-# the N x N pairing matrices B, C and their inverses (lists of lists)
+# plain matrices as lists of sparse rows
 # ---------------------------------------------------------------------------
 
-def mat_identity(n: int) -> Matrix:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+def mat_mul(a: list[Row], b: list[Row]) -> list[Row]:
+    """The product a b: row i sums a[i][k] * (row k of b) over the nonzero
+    a[i][k]."""
+    return [lincomb((v, b[k]) for k, v in row.items()) for row in a]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m, p = len(a), len(b), len(b[0])
-    out = [[ZERO] * p for _ in range(n)]
-    for i in range(n):
-        for k in range(m):
-            x = a[i][k]
-            if x.is_zero():
-                continue
-            for j in range(p):
-                y = b[k][j]
-                if not y.is_zero():
-                    out[i][j] = out[i][j] + x * y
-    return out
-
-
-def mat_inv(a: Matrix) -> Matrix | None:
+def mat_inv(a: list[Row]) -> list[Row] | None:
+    """The inverse of a square a, or None when a is singular."""
     n = len(a)
-    x = solve([{c: e for c, e in enumerate(r) if not e.is_zero()} for r in a],
-              [{i: ONE} for i in range(n)], n)
-    if x is None:
-        return None
-    return [[row.get(c, ZERO) for c in range(n)] for row in x]
+    return solve(a, [{i: ONE} for i in range(n)], n)
 
 
-def mat_is_diagonal(a: Matrix) -> bool:
-    return all(a[i][j].is_zero() for i in range(len(a)) for j in range(len(a)) if i != j)
-
-
-def mat_scalar_multiple_of_identity(a: Matrix) -> Scalar | None:
-    """The scalar c with a == c*I, or None if a is not scalar."""
-    if not mat_is_diagonal(a):
-        return None
-    c = a[0][0]
-    if any(a[i][i] != c for i in range(len(a))):
-        return None
-    return c
+def mat_transpose(a: list[Row], m: int) -> list[Row]:
+    """The m rows of the transpose of a, a matrix over m columns."""
+    out: list[Row] = [{} for _ in range(m)]
+    for i, row in enumerate(a):
+        for j, v in row.items():
+            out[j][i] = v
+    return out

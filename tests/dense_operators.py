@@ -27,15 +27,21 @@ def from_dense(grid, dim, legs, labels=None, labels_out=None) -> LinOperator:
         dim, legs, labels, labels_out)
 
 
+def dense_identity(n):
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
 def dense_matmul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    out = [[ZERO] * p for _ in range(n)]
-    for i in range(n):
-        for j in range(p):
-            acc = ZERO
-            for k in range(m):
-                acc = acc + a[i][k] * b[k][j]
-            out[i][j] = acc
+    """The product a b of grids: every entry of a is scanned, and each
+    nonzero a[i][k] adds its multiple of the nonzeros of row k of b."""
+    out = [[ZERO] * len(b[0]) for _ in a]
+    for arow, orow in zip(a, out):
+        for k, x in enumerate(arow):
+            if x.is_zero():
+                continue
+            for j, y in enumerate(b[k]):
+                if not y.is_zero():
+                    orow[j] = orow[j] + x * y
     return out
 
 

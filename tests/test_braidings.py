@@ -38,13 +38,15 @@ from qfock.tensorops import (
     LinOperator,
     enc_index,
     kernel_image,
-    mat_identity,
-    mat_mul,
     partial_trace,
     place,
 )
 
 from dense_operators import dense, from_dense
+
+
+def identity_rows(N):
+    return [{i: ONE} for i in range(N)]
 
 
 def traced_flip(N):
@@ -58,8 +60,8 @@ class TestFlip:
     def test_psi_is_flip_and_traces_trivial(self, N):
         b = make_flip(N)
         assert b.psi == b.R
-        assert b.B == mat_identity(N)
-        assert b.C == mat_identity(N)
+        assert b.B == identity_rows(N)
+        assert b.C == identity_rows(N)
         assert b.alpha == ONE
 
     def test_flip3_satisfies_unit_hecke_condition(self):
@@ -79,7 +81,7 @@ class TestFlip:
 class TestSuperflip:
     def test_b_matrix_signs(self):
         b = make_superflip(1, 1)
-        assert b.B == [[ONE, ZERO], [ZERO, Scalar.from_int(-1)]]
+        assert b.B == [{0: ONE}, {1: Scalar.from_int(-1)}]
         assert b.C == b.B
         assert b.alpha == ONE
 
@@ -116,13 +118,13 @@ class TestStandardHecke:
         for i in range(N):
             for j in range(N):
                 if i != j:
-                    assert sk.B[i][j].is_zero() and sk.C[i][j].is_zero()
+                    assert sk.B[i].get(j, ZERO).is_zero() and sk.C[i].get(j, ZERO).is_zero()
         assert sk.alpha == Scalar.q_power(-2 * N)
 
     def test_n2_frozen_b_and_c(self):
         sk = make_standard_hecke(2).skew
-        assert sk.B == [[Scalar.q_power(-3), ZERO], [ZERO, QINV]]
-        assert sk.C == [[QINV, ZERO], [ZERO, Scalar.q_power(-3)]]
+        assert sk.B == [{0: Scalar.q_power(-3)}, {1: QINV}]
+        assert sk.C == [{0: QINV}, {1: Scalar.q_power(-3)}]
 
     def test_degenerates_to_flip_at_q_one(self):
         b = make_standard_hecke(2)
@@ -134,7 +136,8 @@ class TestStandardHecke:
     def test_partial_trace_route_matches_b(self):
         b = make_standard_hecke(2)
         traced = partial_trace(b.psi, {1})
-        assert [[dense(traced)[j][i] for j in range(2)] for i in range(2)] == b.B
+        assert [[dense(traced)[j][i] for j in range(2)] for i in range(2)] == \
+            [[b.B[i].get(j, ZERO) for j in range(2)] for i in range(2)]
 
     def test_defining_trace_identity(self):
         b = make_standard_hecke(2)
@@ -206,16 +209,13 @@ class TestDuals:
     def test_pairings(self):
         b = make_standard_hecke(2)
         dp = dual_pairings(b)
-        assert dp.right == mat_identity(2)
         assert dp.left == b.B                     # left pairing equals B
-        binv = [[Scalar.q_power(3), ZERO], [ZERO, Q]]
-        assert dp.tilde_matrix == binv
-        assert dp.tilde_right == binv
+        assert dp.tilde_right == [{0: Scalar.q_power(3)}, {1: Q}]
 
     def test_flip_pairings_trivial(self):
         dp = dual_pairings(make_flip(3))
-        assert dp.left == mat_identity(3)
-        assert dp.right == mat_identity(3)
+        assert dp.left == identity_rows(3)
+        assert dp.tilde_right == identity_rows(3)
 
 
 class TestProjectors:
@@ -317,12 +317,22 @@ class TestTables:
 
 
 class TestBaxterize:
-    def test_rational_flip_form(self):
-        cb = baxterize(make_flip(2), "rational")
+    @pytest.mark.parametrize("flavor, make, h, g", [
+        ("rational", make_flip, Scalar.from_fraction(Fraction(1, 2)),
+         Scalar.from_fraction(Fraction(1, 2))),
+        # h = (q - 1/q) u/(u - v) and g = q - h at u/(u - v) = 3/2
+        ("trigonometric", make_standard_hecke,
+         (Q - QINV) * Scalar.from_fraction(Fraction(3, 2)),
+         Q - (Q - QINV) * Scalar.from_fraction(Fraction(3, 2)))],
+        ids=["rational", "trigonometric"])
+    def test_spectral_form_and_normalizer(self, flavor, make, h, g):
+        cb = baxterize(make(2), flavor)
         u, v = Fraction(3), Fraction(1)
-        got = cb.r_at(u, v)
         ident = LinOperator.identity(2, 2)
-        assert got == cb.base.R - ident.scale(Scalar.from_fraction(Fraction(1, 2)))
+        assert cb.r_at(u, v) == cb.base.R - ident.scale(h)
+        assert cb.g_at(u, v) == g
+        with pytest.raises(ZeroDivisionError):
+            cb.r_at(u, u)
 
     def test_trig_normalized_involutive_at_samples(self):
         cb = baxterize(make_standard_hecke(2), "trigonometric")

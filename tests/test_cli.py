@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from qfock import cli
+from qfock import braidings, cli
 from qfock.braidings import (
     Braiding,
     braiding_to_table,
@@ -16,7 +16,7 @@ from qfock.braidings import (
 from qfock.cli import _deforms_flip, main
 from qfock.errors import NonGenericPoint
 from qfock.tensorops import LinOperator
-from qfock.scalars import Q, ONE, Scalar
+from qfock.scalars import Q, ONE, ZERO, Scalar
 
 
 def run(argv):
@@ -189,6 +189,40 @@ def bump_projector(b, key="q"):
                                           op.labels, op.labels_out)
 
 
+class TestDualPairingsMutation:
+    def _bump_left(self, monkeypatch):
+        """One left-pairing entry, <x^1, x_1>_l, off by one: the V* (x) V
+        extension gains ONE at out (x_1, x^1), in (x^1, x_1)."""
+        real = braidings._vstar_v
+
+        def bumped(b):
+            op = real(b)
+            return op + LinOperator.from_terms([(0, 0, ONE)], op.dim, op.legs,
+                                               op.labels, op.labels_out)
+
+        monkeypatch.setattr(braidings, "_vstar_v", bumped)
+
+    def _bump_tilde(self, monkeypatch):
+        """The left pairing intact and one tilde-pairing entry off by one."""
+        real = cli.dual_pairings
+
+        def bumped(b):
+            dp = real(b)
+            dp.tilde_right[0] = {**dp.tilde_right[0], 1: ONE}
+            return dp
+
+        monkeypatch.setattr(cli, "dual_pairings", bumped)
+
+    @pytest.mark.parametrize("corrupt", ["_bump_left", "_bump_tilde"])
+    def test_corrupted_pairing_fails(self, corrupt, monkeypatch, capsys):
+        getattr(self, corrupt)(monkeypatch)
+        assert run(["verify", "--braiding", "std-hecke", "--n", "2",
+                    "--suite", "braiding"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] dual-pairings" in out
+        assert out.count("[FAIL]") == 1
+
+
 class TestProjectorMutation:
     @pytest.mark.parametrize("make, argv", [
         (lambda: make_standard_hecke(2), ["--braiding", "std-hecke", "--n", "2"]),
@@ -264,7 +298,7 @@ class TestReprExport:
                 mat = doc["matrices"][f"l[{i+1}][{j+1}]"]["entries"]
                 for r in range(2):
                     for k in range(2):
-                        want = b.B[k][j] if r == i else None
+                        want = b.B[k].get(j, ZERO) if r == i else None
                         got = mat[r][k]
                         if want is None or want.is_zero():
                             assert got["num"] == []

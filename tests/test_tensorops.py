@@ -12,6 +12,7 @@ from qfock.tensorops import (
     kernel_image,
     mat_inv,
     mat_mul,
+    mat_transpose,
     partial_trace,
     place,
     row_reduce,
@@ -155,12 +156,13 @@ class TestKernelImage:
 
 class TestMatHelpers:
     def test_inverse(self):
-        a = [[Q, ONE], [ZERO, QINV]]
+        a = [{0: Q, 1: ONE}, {1: QINV}]
         inv = mat_inv(a)
-        assert mat_mul(a, inv) == [[ONE, ZERO], [ZERO, ONE]]
+        assert inv == [{0: QINV, 1: -ONE}, {1: Q}]
+        assert mat_mul(a, inv) == [{0: ONE}, {1: ONE}]
 
     def test_singular(self):
-        assert mat_inv([[ONE, ONE], [ONE, ONE]]) is None
+        assert mat_inv([{0: ONE, 1: ONE}, {0: ONE, 1: ONE}]) is None
 
     @given(st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -2, 3, "q"]),
                              min_size=5, max_size=5), min_size=1, max_size=6),
@@ -209,7 +211,7 @@ class TestMatHelpers:
         assert (x is None) == (dense_row_reduce(a).rank < n)
         if x is not None:
             assert all(not e.is_zero() and 0 <= c < m for row in x for c, e in row.items())
-            assert mat_mul(a, [[row.get(c, ZERO) for c in range(m)] for row in x]) == b
+            assert dense_matmul(a, [[row.get(c, ZERO) for c in range(m)] for row in x]) == b
 
 
 @st.composite
@@ -294,3 +296,37 @@ class TestSparseMatchesDense:
             assert dense(got) == want
             assert stores_no_zero(got)
             assert got @ op == LinOperator.identity(dim, legs)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_plain_matrices(self, data):
+        n, m, p = (data.draw(st.integers(1, 4)) for _ in range(3))
+        entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, "q", "1/q", "q-1/q"])
+        named = {"q": Q, "1/q": QINV, "q-1/q": Q - QINV}
+
+        def grid(rows, cols):
+            vals = data.draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+            return [[named[v] if isinstance(v, str) else sc(v)
+                     for v in vals[r * cols:(r + 1) * cols]] for r in range(rows)]
+
+        def rows_of(g):
+            return [{c: e for c, e in enumerate(row) if not e.is_zero()} for row in g]
+
+        def grid_of(rows, cols):
+            return [[row.get(c, ZERO) for c in range(cols)] for row in rows]
+
+        def stores_no_zero_row(rows):
+            return not any(v.is_zero() for row in rows for v in row.values())
+
+        a, b, sq = grid(n, m), grid(m, p), grid(n, n)
+        got = mat_mul(rows_of(a), rows_of(b))
+        assert grid_of(got, p) == dense_matmul(a, b)
+        assert stores_no_zero_row(got)
+        tr = mat_transpose(rows_of(a), m)
+        assert grid_of(tr, n) == [list(col) for col in zip(*a)]
+        assert stores_no_zero_row(tr)
+        inv, want = mat_inv(rows_of(sq)), dense_inverse(sq)
+        assert (inv is None) == (want is None)
+        if inv is not None:
+            assert grid_of(inv, n) == want
+            assert stores_no_zero_row(inv)
