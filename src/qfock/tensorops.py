@@ -168,9 +168,7 @@ class LinOperator:
         return not self.rows
 
     def inverse(self) -> "LinOperator":
-        n = self.size
-        x = solve([self.rows.get(r, {}) for r in range(n)],
-                  [{r: ONE} for r in range(n)], n)
+        x = mat_inv([self.rows.get(r, {}) for r in range(self.size)])
         if x is None:
             raise NotInvertible("operator is singular")
         return LinOperator(self.legs, self.dim, self.labels_out,
