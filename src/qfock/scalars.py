@@ -16,7 +16,13 @@ single term c*q^k (the Laurent case, which covers almost every scalar the
 verifiers produce), :meth:`Scalar.make` needs only the integer content, the
 sign of c and the shift by k; the primitive-PRS gcd runs only for true
 polynomial denominators, and sums and products of Laurent polynomials skip
-normalization altogether.  All computation is symbolic;
+normalization altogether.  Those two Laurent paths are pure functions of
+the frozen numerators and the verifiers repeat few distinct pairs, so they
+go through a memo (`_laurent_add`, `_laurent_mul`).  The memo is a bounded
+LRU cache, as an unbounded one keeps enough large BMW numerators alive to
+raise the peak memory of a BMW double by about 12% (`_LAURENT_MEMO_SIZE`).
+`make` and every polynomial-denominator path stay unmemoized.  All
+computation is symbolic;
 :meth:`Scalar.evaluate` exists as a cross-check at rational points, never
 as a source of truth.  Scalars are immutable and all operations are pure,
 so they are safe to share across concurrent verification tasks.
@@ -24,6 +30,7 @@ so they are safe to share across concurrent verification tasks.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Collection
 from fractions import Fraction
@@ -257,12 +264,11 @@ class Scalar:
         if not other.num:
             return self
         if self.den == other.den:
+            if self.den == _ONE_POLY:
+                return _laurent_add(self.num, other.num)
             s = _padd(self.num, other.num)
             if not s:
                 return ZERO
-            if self.den == _ONE_POLY:
-                # a sum of Laurent polynomials is already canonical
-                return Scalar(tuple(sorted(s.items())), _ONE_POLY)
             return Scalar.make(s, dict(self.den))
         return Scalar.make(
             _padd(_pmul(self.num, other.den), _pmul(other.num, self.den).items()),
@@ -284,11 +290,9 @@ class Scalar:
             return self
         if self.is_one():
             return other
-        num = _pmul(self.num, other.num)
         if self.den == _ONE_POLY and other.den == _ONE_POLY:
-            # a product of Laurent polynomials is already canonical
-            return Scalar(tuple(sorted(num.items())), _ONE_POLY)
-        return Scalar.make(num, _pmul(self.den, other.den))
+            return _laurent_mul(self.num, other.num)
+        return Scalar.make(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         if not other.num:
@@ -394,24 +398,53 @@ QINV = Scalar(((-1, 1),), _ONE_POLY)
 
 
 # ---------------------------------------------------------------------------
+# the Laurent fast paths, memoized
+# ---------------------------------------------------------------------------
+
+# A sum or product of Laurent polynomials (denominator 1) is a pure function
+# of the two frozen numerators, and being immutable, one result is shared by
+# every caller.  `verify --suite currents --window 2 --degree 2` on
+# std-hecke N = 2 makes 171k Laurent products on 606 distinct pairs and 150k
+# sums on 1,462; 256 entries answer 99% and 96% of them.  Memo size: an
+# unbounded memo raises the peak RSS of the bmw-double benchmark workload by
+# 12% (18.4 -> 20.7 MB), 1024 entries by 7%, 256 entries by 2%.
+_LAURENT_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_LAURENT_MEMO_SIZE)
+def _laurent_add(a: Pairs, b: Pairs) -> Scalar:
+    s = _padd(a, b)
+    if not s:
+        return ZERO
+    return Scalar(tuple(sorted(s.items())), _ONE_POLY)
+
+
+@functools.lru_cache(maxsize=_LAURENT_MEMO_SIZE)
+def _laurent_mul(a: Pairs, b: Pairs) -> Scalar:
+    return Scalar(tuple(sorted(_pmul(a, b).items())), _ONE_POLY)
+
+
+# ---------------------------------------------------------------------------
 # sparse accumulation: dicts {key: nonzero Scalar}
 # ---------------------------------------------------------------------------
 
 def add_term(out: dict, key, c: Scalar) -> None:
-    """out[key] += c, dropping the key when the sum vanishes."""
-    s = out.get(key, ZERO) + c
-    if s.is_zero():
-        out.pop(key, None)
-    else:
+    """out[key] += c, dropping the key when the sum vanishes.  An absent
+    key takes c as it is: no addition to ZERO."""
+    s = out.get(key)
+    if s is None:
+        if c.num:
+            out[key] = c
+        return
+    s = s + c
+    if s.num:
         out[key] = s
+    else:
+        del out[key]
 
 
 def sum_into(out: dict, src: dict, scale: Scalar = ONE) -> None:
     """out += scale * src, dropping keys whose sum vanishes."""
     unit = scale.is_one()
     for key, c in src.items():
-        s = out.get(key, ZERO) + (c if unit else scale * c)
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
+        add_term(out, key, c if unit else scale * c)

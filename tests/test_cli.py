@@ -213,7 +213,19 @@ class TestDualPairingsMutation:
 
         monkeypatch.setattr(cli, "dual_pairings", bumped)
 
-    @pytest.mark.parametrize("corrupt", ["_bump_left", "_bump_tilde"])
+    def _bump_inverse(self, monkeypatch):
+        """Every inverse that braidings computes off by ONE at (0, 1): the
+        tilde pairing and skew.B_inv then agree, but neither inverts B."""
+        real = braidings.mat_inv
+
+        def bumped(a):
+            x = real(a)
+            x[0] = {**x[0], 1: x[0].get(1, ZERO) + ONE}
+            return x
+
+        monkeypatch.setattr(braidings, "mat_inv", bumped)
+
+    @pytest.mark.parametrize("corrupt", ["_bump_left", "_bump_tilde", "_bump_inverse"])
     def test_corrupted_pairing_fails(self, corrupt, monkeypatch, capsys):
         getattr(self, corrupt)(monkeypatch)
         assert run(["verify", "--braiding", "std-hecke", "--n", "2",

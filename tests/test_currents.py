@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,9 @@ from qfock.currents import (
     zf_act,
 )
 from qfock.errors import WindowOverflow
-from qfock.scalars import ONE, ZERO, Scalar, add_term, sum_into
+from qfock.scalars import (
+    ONE, ZERO, Scalar, _laurent_add, _laurent_mul, add_term, sum_into,
+)
 from qfock.tensorops import formal_cell
 
 from dense_elimination import dense_row_reduce
@@ -441,6 +444,31 @@ class TestYang:
         assert set(calls) == want
         # per ket, the whole words would be evaluated once each
         assert len(calls) < len(kets) * len(words)
+
+    def test_scalar_work_is_pinned(self, monkeypatch):
+        # Deterministic counts of the scalar work of one degree-2 call: the
+        # misses of the Laurent memo (each runs one _padd or _pmul) and the
+        # additions that add_term/sum_into make on an absent key, which
+        # store the term instead.  A change that bypasses the memo, or
+        # adds to ZERO again, moves these numbers.
+        accumulators = (add_term.__code__, sum_into.__code__)
+        absent_key_adds = []
+        real = Scalar.__add__
+
+        def counting(self, other):
+            if self.is_zero() and sys._getframe(1).f_code in accumulators:
+                absent_key_adds.append(other)
+            return real(self, other)
+
+        cd = hecke_double(window=1)
+        monkeypatch.setattr(Scalar, "__add__", counting)
+        _laurent_add.cache_clear()
+        _laurent_mul.cache_clear()
+        rep = verify_yang(cd, degree=2, spot_enlarge=False)
+        assert rep["passed"] and rep["degree2_residual_classes"] == 1104
+        assert _laurent_mul.cache_info().misses == 1061
+        assert _laurent_add.cache_info().misses == 2128
+        assert absent_key_adds == []
 
 
 class TestBucketedComparison:

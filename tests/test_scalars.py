@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from qfock.errors import DivisionByZero, NonGenericPoint
 from qfock.scalars import (
-    ONE, Q, QINV, ZERO, Scalar, _padd, _pgcd, _pmul, add_term, sum_into,
+    ONE, Q, QINV, ZERO, Scalar, _laurent_add, _laurent_mul, _padd, _pgcd, _pmul,
+    add_term, sum_into,
 )
 
 
@@ -87,6 +88,34 @@ class TestSparseAccumulator:
         assert out == {"y": ONE, "z": -ONE}
         sum_into(out, {"y": -ONE})
         assert out == {"z": -ONE}
+
+    def test_absent_key_with_zero_term_stores_nothing(self):
+        out = {}
+        add_term(out, "x", ZERO)
+        sum_into(out, {"y": Q}, ZERO)
+        assert out == {}
+
+    def test_absent_key_stores_the_term_itself(self):
+        c = Scalar.make({0: 1}, {0: 1, 1: 1})
+        out = {}
+        add_term(out, "x", c)
+        sum_into(out, {"y": c})
+        assert out["x"] is c and out["y"] is c
+
+    def test_cancelling_sum_removes_key(self):
+        c = Scalar.make({0: 1}, {0: 1, 1: 1})
+        out = {"x": c, "y": Q}
+        add_term(out, "x", -c)
+        assert out == {"y": Q}
+        sum_into(out, {"y": ONE}, -Q)
+        assert out == {}
+
+    def test_sum_into_non_unit_scale(self):
+        scale = ONE / (Q + ONE)
+        out = {"x": ONE}
+        sum_into(out, {"x": -Q, "y": QINV}, scale)
+        # 1 - q/(q + 1) = 1/(q + 1)
+        assert out == {"x": scale, "y": Scalar.make({-1: 1}, {0: 1, 1: 1})}
 
 
 class TestEvaluate:
@@ -182,12 +211,41 @@ def test_laurent_make_matches_gcd_path(num, den, f):
     assert Scalar.make(num, den) == via_gcd(num, den, f)
 
 
+def slow_add_and_mul(n1: dict, n2: dict, f: dict) -> tuple[Scalar, Scalar]:
+    """a + b and a * b through Scalar.make, and again through the gcd."""
+    s, p = _padd(n1.items(), n2.items()), _pmul(n1.items(), n2.items())
+    assert Scalar.make(s, {0: 1}) == via_gcd(s, {0: 1}, f)
+    assert Scalar.make(p, {0: 1}) == via_gcd(p, {0: 1}, f)
+    return Scalar.make(s, {0: 1}), Scalar.make(p, {0: 1})
+
+
 @given(laurent, laurent, non_monomial_factors)
 @settings(max_examples=200)
 def test_laurent_add_and_mul_match_gcd_path(n1, n2, f):
     a, b = poly(n1), poly(n2)
-    assert a + b == via_gcd(_padd(n1.items(), n2.items()), {0: 1}, f)
-    assert a * b == via_gcd(_pmul(n1.items(), n2.items()), {0: 1}, f)
+    want = slow_add_and_mul(n1, n2, f)
+    _laurent_add.cache_clear()
+    _laurent_mul.cache_clear()
+    assert (a + b, a * b) == want                       # cold memo
+    hits = _laurent_add.cache_info().hits + _laurent_mul.cache_info().hits
+    assert (a + b, a * b) == want                       # warm memo
+    if a.num and b.num and not (a.is_one() or b.is_one()):
+        assert _laurent_add.cache_info().hits + _laurent_mul.cache_info().hits == hits + 2
+
+
+def test_laurent_memo_evicts_and_stays_exact():
+    # 400 distinct pairs overflow the 256 entries; a second pass in the
+    # same order then misses on every pair (least recently used first out)
+    pairs = [({k: 1, 500: -3}, {-k: 2, 600: 1}) for k in range(400)]
+    want = [slow_add_and_mul(n1, n2, {0: 1, 1: 1}) for n1, n2 in pairs]
+    _laurent_add.cache_clear()
+    _laurent_mul.cache_clear()
+    for _ in range(2):
+        assert [(poly(n1) + poly(n2), poly(n1) * poly(n2)) for n1, n2 in pairs] == want
+    for memo in (_laurent_add, _laurent_mul):
+        info = memo.cache_info()
+        assert info.currsize == info.maxsize == 256
+        assert info.misses == 2 * len(pairs) and info.hits == 0
 
 
 def test_monomial_denominator_skips_gcd(monkeypatch):
