@@ -38,11 +38,11 @@ from .currents import current_relation_check, make_current_double, verify_yang
 from .errors import InvalidArgument, NonGenericPoint, QfockError, SizeLimitExceeded
 from .fockdouble import (
     BOSONIC,
-    FAMILY_BMW_ORTH,
-    FAMILY_BMW_SYMPL,
     FAMILY_HECKE,
     FERMIONIC,
+    SERIES_FLAVOR,
     braided_lie,
+    double_family,
     left_dual_variant_report,
     make_double,
     fock_representation,
@@ -71,7 +71,6 @@ class RunConfig:
     mn: str = "1,1"
     q: str = "generic"
     flavor: str | None = None
-    family: str | None = None
     suite: str = "all"
     kmax: int = 4
     window: int = 2
@@ -140,14 +139,18 @@ def _resolve_braiding(cfg: RunConfig) -> Braiding:
     raise InvalidArgument(f"unknown braiding {name!r}")
 
 
-def _default_family_flavor(b: Braiding, cfg: RunConfig) -> tuple[str, str]:
-    if b.kind == BMW:
-        if b.series == "orthogonal":
-            return FAMILY_BMW_ORTH, BOSONIC
-        return FAMILY_BMW_SYMPL, FERMIONIC
-    family = cfg.family or FAMILY_HECKE
-    flavor = cfg.flavor or BOSONIC
-    return family, flavor
+def _family_flavor(b: Braiding, cfg: RunConfig) -> tuple[str, str]:
+    """The braiding's double family and the flavor of its double: --flavor,
+    bosonic when omitted.  A BMW series fixes the flavor, and a conflicting
+    --flavor is bad input."""
+    family = double_family(b)
+    fixed = SERIES_FLAVOR.get(family)
+    if fixed is None:
+        return family, cfg.flavor or BOSONIC
+    if cfg.flavor not in (None, fixed):
+        raise InvalidArgument(f"--flavor {cfg.flavor} conflicts with the "
+                              f"{family} double, which is {fixed}")
+    return family, fixed
 
 
 def _timed(fn, *args, **kwargs):
@@ -205,9 +208,9 @@ def _suite_braiding(rep: Report, b: Braiding, cfg: RunConfig):
 
 
 def _suite_double(rep: Report, b: Braiding, cfg: RunConfig):
-    family, flavor = _default_family_flavor(b, cfg)
+    family, flavor = _family_flavor(b, cfg)
     try:
-        d, dt = _timed(make_double, b, flavor, family)
+        d, dt = _timed(make_double, b, flavor)
     except QfockError as exc:
         rep.add("double-construction", f"double ({family}, {flavor})", False,
                 True, witness=exc)
@@ -412,8 +415,8 @@ def _pairing_doc(mat) -> dict:
 
 def cmd_repr(cfg: RunConfig) -> int:
     b = _resolve_braiding(cfg)
-    family, flavor = _default_family_flavor(b, cfg)
-    d = make_double(b, flavor, family)
+    family, flavor = _family_flavor(b, cfg)
+    d = make_double(b, flavor)
     k = max(1, cfg.degree)
     reps = fock_representation(d, k)
     comp = d.B.component(k)
@@ -496,9 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", default="generic",
                        help="'generic' or a rational like 3/2 for the "
                             "evaluation cross-check")
-        p.add_argument("--flavor", choices=[BOSONIC, FERMIONIC])
-        p.add_argument("--family", choices=[FAMILY_HECKE, FAMILY_BMW_ORTH,
-                                            FAMILY_BMW_SYMPL])
+        p.add_argument("--flavor", choices=[BOSONIC, FERMIONIC],
+                       help="flavor of the double (default bosonic); a BMW "
+                            "series fixes it")
         p.add_argument("--suite", choices=SUITES, default="all")
         p.add_argument("--kmax", type=int, default=4)
         p.add_argument("--window", type=int, default=2)
@@ -511,7 +514,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = RunConfig(braiding=args.braiding, table=args.table, n=args.n,
                     mn=args.mn, q=args.q, flavor=args.flavor,
-                    family=args.family, suite=args.suite, kmax=args.kmax,
+                    suite=args.suite, kmax=args.kmax,
                     window=args.window, degree=args.degree, out=args.out)
     try:
         for flag in ("kmax", "window", "degree"):

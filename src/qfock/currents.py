@@ -493,8 +493,7 @@ def _reduce_mod_span(states: dict[ModeWord, Scalar], rows, index,
     return out
 
 
-def verify_yang(cd: CurrentDouble, degree: int = 1,
-                spot_enlarge: bool = True) -> dict:
+def verify_yang(cd: CurrentDouble, degree: int = 1) -> dict:
     """Exact matrix-element verification of the spectral L-identity.
 
     Both sides are expanded in the region |u| > |v|; the coefficient of
@@ -522,9 +521,9 @@ def verify_yang(cd: CurrentDouble, degree: int = 1,
     the difference is reduced modulo the window projection of the relation
     span first (the span is in reduced row echelon form, so this equals
     comparing the reduced sides) and a nonzero remainder is counted as a
-    residual class, not gated.  Verdicts are window-monotone; with
-    spot_enlarge the interior mode enumeration is repeated with a larger
-    clip and must agree.
+    residual class, not gated.  Verdicts are window-monotone: on one ket
+    the interior mode enumeration is repeated with a larger clip and must
+    agree.
     """
     M = cd.window
     if degree > 2 or M > 4:
@@ -586,7 +585,7 @@ def verify_yang(cd: CurrentDouble, degree: int = 1,
     if degree >= 2:
         report["degree2_report_only"] = True
         report["degree2_residual_classes"] = residual_classes
-    if spot_enlarge and not mismatches:
+    if not mismatches:
         stable = True
         for x in range(n2):
             small = _buckets(formal_cell(t1, x, 0), spot_evaluate, interior, lhs_box)

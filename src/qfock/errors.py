@@ -50,7 +50,7 @@ class SpaceMismatch(QfockError):
 
 
 class UnsupportedDouble(QfockError):
-    """The requested (family, flavor) pair is not admissible."""
+    """The braiding and flavor admit no Fock double."""
 
 
 class EmptyComponent(QfockError):

@@ -14,9 +14,15 @@ creation generator or drops the pair, so normal ordering terminates.  The
 rule's left-hand sides never overlap, so on free words every rewrite order
 gives the same result (Bergman's diamond lemma) and one loop, _rewrite,
 serves both rules.  What can fail is compatibility with the quotients: the
-diamond test compares, on every mixed degree-3 word, normal ordering the
-free word and then reducing (exchange first) with reducing each same-tag
-run in its quotient and then normal ordering (reduce first).
+closed matrix identity is checked on free words sorted by the double's own
+rule, and the diamond test compares, on every mixed degree-3 word, normal
+ordering the free word and then reducing (exchange first) with reducing
+each same-tag run in its quotient and then normal ordering (reduce first).
+
+The braiding fixes the double's family (double_family): Hecke and
+involutive braidings give the hecke family, with a bosonic or a fermionic
+flavor; an orthogonal BMW braiding is bosonized and a symplectic one
+fermionized (SERIES_FLAVOR).
 
 All identity verifications here are exact comparisons of normal-ordered
 elements; nothing is truncated or approximated.  A double is immutable
@@ -31,7 +37,6 @@ import itertools
 from dataclasses import dataclass
 
 from .braidings import (
-    BMW,
     HECKE,
     INVOLUTIVE,
     Braiding,
@@ -46,7 +51,7 @@ from .errors import (
     SizeLimitExceeded,
     UnsupportedDouble,
 )
-from .quadalgebras import FreeAlgebra, GradedQuotient, Tensor, Word, make_algebra
+from .quadalgebras import GradedQuotient, Tensor, Word, make_algebra
 from .scalars import ONE, Q, ZERO, Scalar, add_term, sum_into
 from .tensorops import (
     LinOperator,
@@ -69,6 +74,9 @@ FERMIONIC = "fermionic"
 FAMILY_HECKE = "hecke"
 FAMILY_BMW_ORTH = "bmw-orthogonal"
 FAMILY_BMW_SYMPL = "bmw-symplectic"
+
+# the flavor each BMW series fixes: orthogonal bosonized, symplectic fermionized
+SERIES_FLAVOR = {FAMILY_BMW_ORTH: BOSONIC, FAMILY_BMW_SYMPL: FERMIONIC}
 
 Token = tuple[str, int]          # ("b", i) creation, ("a", j) annihilation
 Key = tuple[Word, Word]          # (creation word, annihilation word)
@@ -126,22 +134,17 @@ _MINUS_ONE = Scalar.from_int(-1)
 class FockDouble:
     """The quantum double built on a strictly skew-invertible braiding."""
 
-    def __init__(self, braiding: Braiding, flavor: str, family: str,
-                 free_b: bool = False):
-        _check_admissible(braiding, flavor, family)
+    def __init__(self, braiding: Braiding, flavor: str):
+        _check_admissible(braiding, flavor)
         if not braiding.skew.strict:
             raise NotStrictlySkewInvertible(
                 "doubles need invertible partial traces of Psi")
         self.braiding = braiding
         self.flavor = flavor
-        self.family = family
-        self.free_b = free_b
+        self.family = double_family(braiding)
         kind = "sym" if flavor == BOSONIC else "lambda"
         self.A: GradedQuotient = make_algebra(braiding, kind, "V*")
-        if free_b:
-            self.B: GradedQuotient = FreeAlgebra(braiding.N, "V")
-        else:
-            self.B = make_algebra(braiding, kind, "V")
+        self.B: GradedQuotient = make_algebra(braiding, kind, "V")
         qpar = braiding.q  # ONE for involutive braidings
         self.sign_coeff = qpar.inverse() if flavor == BOSONIC else -qpar
         self.exchange, self.constant = exchange_table(
@@ -156,15 +159,6 @@ class FockDouble:
 
     def one(self) -> DoubleElement:
         return DoubleElement(self, {((), ()): ONE})
-
-    def scalar(self, c: Scalar) -> DoubleElement:
-        return DoubleElement(self, {((), ()): c})
-
-    def b_gen(self, i: int) -> DoubleElement:
-        return DoubleElement(self, {(((i,)), ()): ONE})
-
-    def a_gen(self, j: int) -> DoubleElement:
-        return DoubleElement(self, {((), (j,)): ONE})
 
     def l_gen(self, i: int, j: int) -> DoubleElement:
         return DoubleElement(self, {((i,), (j,)): ONE})
@@ -259,30 +253,30 @@ def _reduce_keys(words: dict[Key, Scalar], lo: GradedQuotient,
     return out
 
 
-def _check_admissible(b: Braiding, flavor: str, family: str):
+def double_family(b: Braiding) -> str:
+    """The family of the double on b: hecke for a Hecke or involutive
+    braiding, the family of its series for a BMW one."""
+    if b.kind in (HECKE, INVOLUTIVE):
+        return FAMILY_HECKE
+    family = {"orthogonal": FAMILY_BMW_ORTH,
+              "symplectic": FAMILY_BMW_SYMPL}.get(b.series)
+    if family is None:
+        raise UnsupportedDouble(f"BMW braiding {b.name!r} declares no series")
+    return family
+
+
+def _check_admissible(b: Braiding, flavor: str):
     if flavor not in (BOSONIC, FERMIONIC):
         raise UnsupportedDouble(f"unknown flavor {flavor!r}")
-    if family == FAMILY_HECKE:
-        if b.kind not in (HECKE, INVOLUTIVE):
-            raise UnsupportedDouble("hecke family needs a Hecke or involutive braiding")
-    elif family == FAMILY_BMW_ORTH:
-        if b.kind != BMW or b.series != "orthogonal":
-            raise UnsupportedDouble("bmw-orthogonal family needs an orthogonal BMW braiding")
-        if flavor != BOSONIC:
-            raise UnsupportedDouble("the orthogonal BMW double is bosonic")
-    elif family == FAMILY_BMW_SYMPL:
-        if b.kind != BMW or b.series != "symplectic":
-            raise UnsupportedDouble("bmw-symplectic family needs a symplectic BMW braiding")
-        if flavor != FERMIONIC:
-            raise UnsupportedDouble("the symplectic BMW double is fermionic")
-    else:
-        raise UnsupportedDouble(f"unknown family {family!r}")
+    family = double_family(b)
+    fixed = SERIES_FLAVOR.get(family, flavor)
+    if flavor != fixed:
+        raise UnsupportedDouble(f"the {family} double is {fixed}")
 
 
-def make_double(b: Braiding, flavor: str, family: str,
-                free_b: bool = False) -> FockDouble:
-    """Construct the Fock double for an admissible (family, flavor) pair."""
-    return FockDouble(b, flavor, family, free_b=free_b)
+def make_double(b: Braiding, flavor: str) -> FockDouble:
+    """Construct the Fock double of the given flavor on a braiding."""
+    return FockDouble(b, flavor)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +472,9 @@ def verify_compatibility(d: FockDouble) -> dict:
     relations on both sides.
 
     (i) the closed matrix identity behind the compatibility proof, checked
-        in the free-creation variant of the same double, where both sides
-        are nonzero;
+        on free words sorted by the double's own rule (_rewrite), where
+        both sides are nonzero: each word holds one annihilator, so the
+        sorted words need no quotient reduction;
     (ii) ideal annihilation in the quotient double: each relation times a
         generator normal-orders to zero;
     (iii) the diamond test on every mixed degree-3 word: normal ordering
@@ -491,7 +486,10 @@ def verify_compatibility(d: FockDouble) -> dict:
     report: dict = {"closed_identity": True, "ideal_checks": True,
                     "diamond": True, "witnesses": []}
 
-    free = d if d.free_b else FockDouble(b, d.flavor, d.family, free_b=True)
+    @functools.lru_cache(maxsize=None)
+    def free_order(word: tuple[Token, ...]) -> dict[Key, Scalar]:
+        return _rewrite(word, d.exchange, d.constant, "a", "b")
+
     g, coeff = _ideal_generator_operator(d)
     m3 = place(g, (1, 2), 3) @ place(b.R, (2, 3), 3) @ place(b.R, (1, 2), 3)
     for i2, i3, j3 in itertools.product(range(N), repeat=3):
@@ -499,14 +497,13 @@ def verify_compatibility(d: FockDouble) -> dict:
         for a, bb in itertools.product(range(N), repeat=2):
             c = g.entry((a, bb), (i2, i3))
             if not c.is_zero():
-                sum_into(lhs, free.normal_order(
-                    (("b", a), ("b", bb), ("a", j3))).terms, c)
+                sum_into(lhs, free_order((("b", a), ("b", bb), ("a", j3))), c)
         rhs: dict[Key, Scalar] = {}
         for a, bb, e in itertools.product(range(N), repeat=3):
             c = m3.entry((bb, e, j3), (a, i2, i3))
             if not c.is_zero():
-                sum_into(rhs, free.normal_order(
-                    (("a", a), ("b", bb), ("b", e))).terms, c * coeff)
+                sum_into(rhs, free_order((("a", a), ("b", bb), ("b", e))),
+                         c * coeff)
         if lhs != rhs:
             report["closed_identity"] = False
             report["witnesses"].append(("closed", (i2, i3, j3)))
@@ -514,10 +511,8 @@ def verify_compatibility(d: FockDouble) -> dict:
     def order(word):
         return d.normal_order(word).terms
 
-    ideal = []
-    if not d.free_b:
-        ideal += [("b-ideal", l, tuple(rel))
-                  for l, rel in _ideal_failures(d.B.relations, "b", "a", True, N, order)]
+    ideal = [("b-ideal", l, tuple(rel))
+             for l, rel in _ideal_failures(d.B.relations, "b", "a", True, N, order)]
     ideal += [("a-ideal", k, tuple(rel))
               for k, rel in _ideal_failures(d.A.relations, "a", "b", False, N, order)]
     diamond = _diamond_failures(N, "a", "b", {"a": d.A, "b": d.B}, order)

@@ -225,13 +225,6 @@ def _canonical_relations(relations: list[Tensor], N: int) -> list[Tensor]:
             for r in row_reduce(rows, N * N).rows]
 
 
-class FreeAlgebra(GradedQuotient):
-    """The free tensor algebra, duck-typed as a quotient with no relations."""
-
-    def __init__(self, N: int, space: str = "V"):
-        super().__init__(N, space, "free", [], name="free tensor algebra")
-
-
 # ---------------------------------------------------------------------------
 # degree-2 placement of the BMW middle idempotent (report helper)
 # ---------------------------------------------------------------------------

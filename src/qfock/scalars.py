@@ -392,7 +392,6 @@ def _poly_str(p: Pairs) -> str:
 
 ZERO = Scalar((), _ONE_POLY)
 ONE = Scalar(_ONE_POLY, _ONE_POLY)
-TWO = Scalar(((0, 2),), _ONE_POLY)
 Q = Scalar(((1, 1),), _ONE_POLY)
 QINV = Scalar(((-1, 1),), _ONE_POLY)
 

@@ -49,7 +49,7 @@ class TestAcceptance:
             assert b.B == [{i: ONE} for i in range(N)]
             assert b.C == [{i: ONE} for i in range(N)]
         for N in (2, 3):
-            d = make_double(make_flip(N), "bosonic", "hecke")
+            d = make_double(make_flip(N), "bosonic")
             # Weyl relations: x^j x_i = x_i x^j + delta_i^j
             for j in range(N):
                 for i in range(N):
@@ -59,7 +59,7 @@ class TestAcceptance:
                         want[((), ())] = ONE
                     assert got.terms == want
         # classical commutator identity for the L-entries
-        d3 = make_double(make_flip(3), "bosonic", "hecke")
+        d3 = make_double(make_flip(3), "bosonic")
         li = d3.l_matrix()
         for i in range(3):
             for j in range(3):
@@ -98,16 +98,17 @@ class TestAcceptance:
     def test_3_compatibility(self):
         t0 = time.perf_counter()
         cases = [
-            (make_standard_hecke(2), "bosonic", "hecke"),
-            (make_standard_hecke(2), "fermionic", "hecke"),
-            (load_builtin("bmw-orth-3"), "bosonic", "bmw-orthogonal"),
-            (load_builtin("bmw-sympl-2"), "fermionic", "bmw-symplectic"),
+            (make_standard_hecke(2), "bosonic"),
+            (make_standard_hecke(2), "fermionic"),
+            (load_builtin("bmw-orth-3"), "bosonic"),
+            (load_builtin("bmw-sympl-2"), "fermionic"),
         ]
-        for b, flavor, family in cases:
-            rep = verify_compatibility(make_double(b, flavor, family))
-            assert rep["closed_identity"], (family, flavor)
-            assert rep["ideal_checks"], (family, flavor)
-            assert rep["diamond"], (family, flavor)
+        for b, flavor in cases:
+            d = make_double(b, flavor)
+            rep = verify_compatibility(d)
+            assert rep["closed_identity"], (d.family, flavor)
+            assert rep["ideal_checks"], (d.family, flavor)
+            assert rep["diamond"], (d.family, flavor)
         elapsed = time.perf_counter() - t0
         assert elapsed < 120.0
         report(3, "compatibility identities and degree-3 diamonds for all "
@@ -116,10 +117,10 @@ class TestAcceptance:
     def test_4_reflection_identity_hecke(self):
         t0 = time.perf_counter()
         for N in (2, 3):
-            d = make_double(make_standard_hecke(N), "bosonic", "hecke")
+            d = make_double(make_standard_hecke(N), "bosonic")
             assert verify_l_relations(d)["passed"]
-        d2 = make_double(make_standard_hecke(2), "bosonic", "hecke")
-        d3 = make_double(make_standard_hecke(3), "bosonic", "hecke")
+        d2 = make_double(make_standard_hecke(2), "bosonic")
+        d3 = make_double(make_standard_hecke(3), "bosonic")
         for k in (1, 2, 3):
             assert representation_l_relations_ok(d2, k)
             assert representation_l_relations_ok(d3, k)
@@ -132,11 +133,11 @@ class TestAcceptance:
         t0 = time.perf_counter()
         orth = load_builtin("bmw-orth-3")
         assert orth.mu == expected_mu("orthogonal", 3) == Scalar.q_power(-2)
-        do = make_double(orth, "bosonic", "bmw-orthogonal")
+        do = make_double(orth, "bosonic")
         assert verify_l_relations(do)["passed"]   # PP = P^q + P^mu
         sympl = load_builtin("bmw-sympl-2")
         assert sympl.mu == expected_mu("symplectic", 2) == Scalar.q_power(-3, -1)
-        ds = make_double(sympl, "fermionic", "bmw-symplectic")
+        ds = make_double(sympl, "fermionic")
         assert verify_l_relations(ds)["passed"]   # PP = P^{-1/q} + P^mu
         elapsed = time.perf_counter() - t0
         report(5, "BMW quadratic L-identity exact: orthogonal N=3 and "
@@ -213,9 +214,9 @@ class TestAcceptance:
             load_braiding_table(doc)
         # bosonic symplectic double is rejected
         with pytest.raises(UnsupportedDouble):
-            make_double(load_builtin("bmw-sympl-2"), "bosonic", "bmw-symplectic")
+            make_double(load_builtin("bmw-sympl-2"), "bosonic")
         # corrupted permutation tensor fails the diamond test
-        d = make_double(make_standard_hecke(2), "bosonic", "hecke")
+        d = make_double(make_standard_hecke(2), "bosonic")
         (i, j, c) = d.exchange[(0, 1)][0]
         d.exchange[(0, 1)][0] = (i, j, c + ONE)
         d._order_cache.clear()

@@ -116,6 +116,28 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "double (hecke, fermionic)" in out
 
+    @pytest.mark.parametrize("command", ["verify", "repr"])
+    @pytest.mark.parametrize("braiding, n, fixed, other", [
+        ("bmw-orth", "3", "bosonic", "fermionic"),
+        ("bmw-sympl", "2", "fermionic", "bosonic"),
+    ])
+    def test_bmw_series_fixes_the_flavor(self, command, braiding, n, fixed,
+                                         other, capsys):
+        argv = [command, "--braiding", braiding, "--n", n]
+        if command == "verify":
+            argv += ["--suite", "double"]
+        for flavor in ([], ["--flavor", fixed]):
+            assert run(argv + flavor) == 0
+            out = capsys.readouterr().out
+            if command == "verify":
+                assert f", {fixed})" in out
+            else:
+                assert json.loads(out)["flavor"] == fixed
+        assert run(argv + ["--flavor", other]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "InvalidArgument" in captured.err and other in captured.err
+
     def test_missing_builtin_table_size(self, capsys):
         assert run(["verify", "--braiding", "bmw-orth", "--n", "2",
                     "--suite", "braiding"]) == 2

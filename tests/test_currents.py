@@ -350,7 +350,7 @@ class TestYang:
     def test_hecke_n3_trigonometric_window1(self):
         cd = make_current_double(
             baxterize(make_standard_hecke(3), "trigonometric"), window=1)
-        rep = verify_yang(cd, degree=1, spot_enlarge=False)
+        rep = verify_yang(cd, degree=1)
         assert rep["passed"]
         assert rep["matrix_elements"] == 81 * 9 * 10
 
@@ -378,7 +378,7 @@ class TestYang:
         # degree <= 1 and the degree-2 residue is reported, not gated
         for maker, window, residual in ((flip_double, 1, 672), (hecke_double, 1, 1104),
                                         (flip_double, 2, 6400), (hecke_double, 2, 10080)):
-            rep = verify_yang(maker(window), degree=2, spot_enlarge=False)
+            rep = verify_yang(maker(window), degree=2)
             assert rep["passed"]      # degree <= 1 part is strict and exact
             assert rep["degree2_report_only"]
             assert rep["degree2_residual_classes"] == residual
@@ -397,7 +397,7 @@ class TestYang:
         # entry shows only in the report-only degree-2 residue
         cd = bump_exchange(maker(window=1))
         assert verify_yang(cd, degree=1)["passed"]
-        rep = verify_yang(cd, degree=2, spot_enlarge=False)
+        rep = verify_yang(cd, degree=2)
         assert rep["degree2_residual_classes"] != residual
 
     @pytest.mark.parametrize("side, residual", [(0, 1104), (1, 780)])
@@ -413,7 +413,7 @@ class TestYang:
             return tuple(t)
 
         monkeypatch.setattr(currents, "_yang_expressions", one_side)
-        rep = verify_yang(hecke_double(window=1), degree=2, spot_enlarge=False)
+        rep = verify_yang(hecke_double(window=1), degree=2)
         assert rep["degree2_residual_classes"] == residual
 
     def test_each_prefix_evaluated_once_per_call(self, monkeypatch):
@@ -464,10 +464,10 @@ class TestYang:
         monkeypatch.setattr(Scalar, "__add__", counting)
         _laurent_add.cache_clear()
         _laurent_mul.cache_clear()
-        rep = verify_yang(cd, degree=2, spot_enlarge=False)
+        rep = verify_yang(cd, degree=2)
         assert rep["passed"] and rep["degree2_residual_classes"] == 1104
         assert _laurent_mul.cache_info().misses == 1061
-        assert _laurent_add.cache_info().misses == 2128
+        assert _laurent_add.cache_info().misses == 2129
         assert absent_key_adds == []
 
 

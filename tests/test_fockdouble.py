@@ -20,6 +20,7 @@ from qfock.fockdouble import (
     verify_l_relations,
     verify_lie,
 )
+from qfock.quadalgebras import GradedQuotient
 from qfock.scalars import ONE, Q, QINV, ZERO, Scalar
 from qfock.tensorops import enc_index
 
@@ -59,14 +60,14 @@ def classical_weyl_normal_order(word, N):
 
 class TestClassicalAnchor:
     def test_weyl_relation(self):
-        d = make_double(make_flip(2), "bosonic", "hecke")
+        d = make_double(make_flip(2), "bosonic")
         got = d.normal_order((("a", 1), ("b", 0)))
         assert got.terms == {((0,), (1,)): ONE}
         got = d.normal_order((("a", 0), ("b", 0)))
         assert got.terms == {((0,), (0,)): ONE, ((), ()): ONE}
 
     def test_weyl_degree_four_word(self):
-        d = make_double(make_flip(2), "bosonic", "hecke")
+        d = make_double(make_flip(2), "bosonic")
         got = d.normal_order((("a", 0), ("b", 0), ("a", 0), ("b", 0)))
         assert got.terms == {
             ((), ()): ONE,
@@ -78,7 +79,7 @@ class TestClassicalAnchor:
                     min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_flip_double_matches_classical_weyl_oracle(self, word):
-        d = make_double(make_flip(2), "bosonic", "hecke")
+        d = make_double(make_flip(2), "bosonic")
         got = d.normal_order(tuple(word)).terms
         want = classical_weyl_normal_order(word, 2)
         # in the commutative classical quotient basis words are sorted
@@ -86,7 +87,7 @@ class TestClassicalAnchor:
         assert got == want_scal
 
     def test_classical_commutator_of_l_entries(self):
-        d = make_double(make_flip(3), "bosonic", "hecke")
+        d = make_double(make_flip(3), "bosonic")
         li = d.l_matrix()
         N = 3
         for i in range(N):
@@ -102,7 +103,7 @@ class TestClassicalAnchor:
                         assert lhs == rhs
 
     def test_flip_annihilation_is_partial_derivative(self):
-        d = make_double(make_flip(2), "bosonic", "hecke")
+        d = make_double(make_flip(2), "bosonic")
         got = d.act((1,), (0, 1))
         # d/dx_2 (x_1 x_2) = x_1
         assert got == {(0,): ONE}
@@ -110,7 +111,7 @@ class TestClassicalAnchor:
 
 class TestActionExamples:
     def test_action_on_unit_and_generators(self):
-        d = make_double(make_standard_hecke(2), "bosonic", "hecke")
+        d = make_double(make_standard_hecke(2), "bosonic")
         assert d.act((0,), ()) == {}
         for j in range(2):
             for i in range(2):
@@ -122,7 +123,7 @@ class TestActionExamples:
     def test_action_on_degree_two_formula(self):
         # x^j |> (x_i x_k) = B_i^j x_k + q^{-1} B_k^l Psi_li^mj x_m
         b = make_standard_hecke(2)
-        d = make_double(b, "bosonic", "hecke")
+        d = make_double(b, "bosonic")
         N = 2
         for j in range(N):
             for i in range(N):
@@ -146,12 +147,12 @@ class TestActionExamples:
                     assert got == want
 
     def test_unit_acts_as_identity(self):
-        d = make_double(make_standard_hecke(2), "bosonic", "hecke")
+        d = make_double(make_standard_hecke(2), "bosonic")
         v = d.B.normal_form((0, 1, 1))
         assert d.act((), v) == v
 
     def test_representation_property(self):
-        d = make_double(make_standard_hecke(2), "bosonic", "hecke")
+        d = make_double(make_standard_hecke(2), "bosonic")
         words_a = [(0,), (1,), (0, 1), (1, 0), (0, 1, 1), (1, 0, 0)]
         vees = [(0,), (0, 1), (1, 1, 0), (0, 0, 1, 1)]
         for aw1 in words_a:
@@ -172,7 +173,7 @@ class TestMatrixFormActions:
     def test_contracted_degree_one_action_is_identity(self):
         # sum_{a,b} R_ai^bj (x^a |> x_b) = delta_i^j
         b = make_standard_hecke(2)
-        d = make_double(b, "bosonic", "hecke")
+        d = make_double(b, "bosonic")
         N = 2
         for i in range(N):
             for j in range(N):
@@ -190,7 +191,7 @@ class TestMatrixFormActions:
         # x^<1| |> (R12 R23 x_|1> x_|2>) = (R23 + q^{-1} I_23) x_|2>
         from qfock.tensorops import place
         b = make_standard_hecke(2)
-        d = make_double(b, "bosonic", "hecke")
+        d = make_double(b, "bosonic")
         N = 2
         m = place(b.R, (2, 3), 3) @ place(b.R, (1, 2), 3)
         for i2 in range(N):
@@ -227,7 +228,7 @@ class TestMatrixFormActions:
 
 class TestClassicalFermionicAnchor:
     def test_flip_fermionic_double_is_exterior_calculus(self):
-        d = make_double(make_flip(2), "fermionic", "hecke")
+        d = make_double(make_flip(2), "fermionic")
         # anticommutation: x^l x_k = -x_k x^l + delta_k^l
         for l in range(2):
             for k in range(2):
@@ -250,23 +251,42 @@ class TestAdmissibility:
     def test_symplectic_bosonic_rejected(self):
         b = load_builtin("bmw-sympl-2")
         with pytest.raises(UnsupportedDouble):
-            make_double(b, "bosonic", "bmw-symplectic")
+            make_double(b, "bosonic")
 
     def test_orthogonal_fermionic_rejected(self):
         b = load_builtin("bmw-orth-3")
         with pytest.raises(UnsupportedDouble):
-            make_double(b, "fermionic", "bmw-orthogonal")
+            make_double(b, "fermionic")
 
-    def test_family_braiding_mismatch(self):
+    @pytest.mark.parametrize("braiding, family", [
+        (make_flip(2), "hecke"),
+        (make_standard_hecke(2), "hecke"),
+        (load_builtin("bmw-orth-3"), "bmw-orthogonal"),
+        (load_builtin("bmw-sympl-2"), "bmw-symplectic"),
+    ])
+    def test_family_is_read_from_the_braiding(self, braiding, family):
+        assert fockdouble.double_family(braiding) == family
+
+    def test_bmw_without_series_rejected(self):
+        b = copy.copy(load_builtin("bmw-orth-3"))
+        b.series = None
         with pytest.raises(UnsupportedDouble):
-            make_double(make_flip(2), "bosonic", "bmw-orthogonal")
+            make_double(b, "bosonic")
 
+
+CLOSED_IDENTITY_DOUBLES = [
+    ("hecke2-bos", lambda: make_double(make_standard_hecke(2), "bosonic")),
+    ("hecke3-ferm", lambda: make_double(make_standard_hecke(3), "fermionic")),
+    ("superflip11-bos", lambda: make_double(make_superflip(1, 1), "bosonic")),
+    ("bmw-orth", lambda: make_double(load_builtin("bmw-orth-3"), "bosonic")),
+    ("bmw-sympl", lambda: make_double(load_builtin("bmw-sympl-2"), "fermionic")),
+]
 
 DOUBLES = [
-    ("hecke2-bos", lambda: make_double(make_standard_hecke(2), "bosonic", "hecke")),
-    ("hecke2-ferm", lambda: make_double(make_standard_hecke(2), "fermionic", "hecke")),
-    ("bmw-orth", lambda: make_double(load_builtin("bmw-orth-3"), "bosonic", "bmw-orthogonal")),
-    ("bmw-sympl", lambda: make_double(load_builtin("bmw-sympl-2"), "fermionic", "bmw-symplectic")),
+    ("hecke2-bos", lambda: make_double(make_standard_hecke(2), "bosonic")),
+    ("hecke2-ferm", lambda: make_double(make_standard_hecke(2), "fermionic")),
+    ("bmw-orth", lambda: make_double(load_builtin("bmw-orth-3"), "bosonic")),
+    ("bmw-sympl", lambda: make_double(load_builtin("bmw-sympl-2"), "fermionic")),
 ]
 
 
@@ -275,14 +295,28 @@ class TestCompatibility:
     def test_compatibility_suite(self, name, maker):
         rep = verify_compatibility(maker())
         assert rep["passed"], rep["witnesses"][:5]
+        assert rep["closed_identity"] and rep["ideal_checks"] and rep["diamond"]
+
+    @pytest.mark.parametrize("name,maker", CLOSED_IDENTITY_DOUBLES)
+    def test_closed_identity_words_need_no_reduction(self, name, maker):
+        # the closed identity sorts its words by _rewrite alone; the path it
+        # replaces reduced them in a double with a free creation side
+        d = maker()
+        N = d.braiding.N
+        free = GradedQuotient(N, "V", "free", [])
+        for p, q, r in itertools.product(range(N), repeat=3):
+            for word in ((("b", p), ("b", q), ("a", r)),
+                         (("a", p), ("b", q), ("b", r))):
+                fast = fockdouble._rewrite(word, d.exchange, d.constant, "a", "b")
+                assert fast == fockdouble._reduce_keys(fast, free, d.A), word
 
     def test_hecke_n3_compatibility(self):
-        d = make_double(make_standard_hecke(3), "bosonic", "hecke")
+        d = make_double(make_standard_hecke(3), "bosonic")
         rep = verify_compatibility(d)
         assert rep["passed"], rep["witnesses"][:5]
 
     def test_corrupted_exchange_tensor_fails_diamond(self):
-        d = make_double(make_standard_hecke(2), "bosonic", "hecke")
+        d = make_double(make_standard_hecke(2), "bosonic")
         (i, j, c) = d.exchange[(0, 1)][0]
         d.exchange[(0, 1)][0] = (i, j, c + ONE)
         d._order_cache.clear()
@@ -299,7 +333,7 @@ class TestCompatibility:
     def test_order_independence_up_to_degree_four(self, w1, w2):
         # ordering a word at once or its two halves first and multiplying
         # them gives the same element of the double
-        d = make_double(make_standard_hecke(2), "fermionic", "hecke")
+        d = make_double(make_standard_hecke(2), "fermionic")
         w1, w2 = tuple(w1), tuple(w2)
         assert d.normal_order(w1 + w2) == d.normal_order(w1) * d.normal_order(w2)
 
@@ -317,16 +351,16 @@ def bump_constant(d):
 
 
 MUTATION_DOUBLES = {
-    "hecke2-bos": (make_standard_hecke, 2, "bosonic", "hecke"),
-    "hecke2-ferm": (make_standard_hecke, 2, "fermionic", "hecke"),
-    "bmw-orth": (load_builtin, "bmw-orth-3", "bosonic", "bmw-orthogonal"),
-    "bmw-sympl": (load_builtin, "bmw-sympl-2", "fermionic", "bmw-symplectic"),
+    "hecke2-bos": (make_standard_hecke, 2, "bosonic"),
+    "hecke2-ferm": (make_standard_hecke, 2, "fermionic"),
+    "bmw-orth": (load_builtin, "bmw-orth-3", "bosonic"),
+    "bmw-sympl": (load_builtin, "bmw-sympl-2", "fermionic"),
 }
 
 
-def mutation_double(name, free_b=False):
-    maker, arg, flavor, family = MUTATION_DOUBLES[name]
-    return make_double(maker(arg), flavor, family, free_b=free_b)
+def mutation_double(name):
+    maker, arg, flavor = MUTATION_DOUBLES[name]
+    return make_double(maker(arg), flavor)
 
 
 class TestDoubleMutations:
@@ -346,9 +380,8 @@ class TestDoubleMutations:
     def test_corruption_flips_the_double_checks(self, name, corrupt, l_failures):
         d = corrupt(mutation_double(name))
         comp = verify_compatibility(d)
-        # the closed identity is checked in a clean free double rebuilt
-        # from the braiding, so it cannot see a corrupted quotient double
-        assert comp["closed_identity"]
+        assert not comp["closed_identity"]
+        assert any(w[0] == "closed" for w in comp["witnesses"])
         assert not comp["ideal_checks"]
         assert not comp["diamond"]
         lrel = verify_l_relations(d)
@@ -359,18 +392,6 @@ class TestDoubleMutations:
         for k in _nonempty_degrees(d):
             assert representation_l_relations_ok(d, k) is reps_ok
 
-    @pytest.mark.parametrize("corrupt", [bump_exchange, bump_constant])
-    @pytest.mark.parametrize("name", sorted(MUTATION_DOUBLES))
-    def test_corrupted_free_double_fails_closed_identity(self, name, corrupt):
-        comp = verify_compatibility(corrupt(mutation_double(name, free_b=True)))
-        assert not comp["closed_identity"]
-        assert not comp["ideal_checks"]
-        assert not comp["diamond"]
-
-    @pytest.mark.parametrize("name", sorted(MUTATION_DOUBLES))
-    def test_clean_free_double_passes(self, name):
-        assert verify_compatibility(mutation_double(name, free_b=True))["passed"]
-
 
 class TestLRelations:
     @pytest.mark.parametrize("name,maker", DOUBLES)
@@ -379,19 +400,19 @@ class TestLRelations:
         assert rep["passed"], rep["failures"][:5]
 
     def test_hecke3_quadratic_identity(self):
-        d = make_double(make_standard_hecke(3), "bosonic", "hecke")
+        d = make_double(make_standard_hecke(3), "bosonic")
         assert verify_l_relations(d)["passed"]
 
     def test_flip_families(self):
         for flavor in ("bosonic", "fermionic"):
-            d = make_double(make_flip(2), flavor, "hecke")
+            d = make_double(make_flip(2), flavor)
             assert verify_l_relations(d)["passed"]
 
 
 class TestRepresentations:
     def test_component1_action_is_b_contraction(self):
         b = make_standard_hecke(2)
-        d = make_double(b, "bosonic", "hecke")
+        d = make_double(b, "bosonic")
         reps = fock_representation(d, 1)
         for i in range(2):
             for j in range(2):
@@ -402,7 +423,7 @@ class TestRepresentations:
                         assert mat[r][k] == want
 
     def test_flip_degree2_classical_action(self):
-        d = make_double(make_flip(2), "bosonic", "hecke")
+        d = make_double(make_flip(2), "bosonic")
         reps = fock_representation(d, 2)
         comp = d.B.component(2)
         # l_1^1 = x_1 d/dx_1 counts the degree in x_1
@@ -415,16 +436,16 @@ class TestRepresentations:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_hecke2_representation_identity(self, k):
-        d = make_double(make_standard_hecke(2), "bosonic", "hecke")
+        d = make_double(make_standard_hecke(2), "bosonic")
         assert representation_l_relations_ok(d, k)
 
     def test_empty_component_raises(self):
-        d = make_double(make_standard_hecke(2), "fermionic", "hecke")
+        d = make_double(make_standard_hecke(2), "fermionic")
         with pytest.raises(EmptyComponent):
             fock_representation(d, 3)
 
     def test_homogeneous_preservation(self):
-        d = make_double(make_standard_hecke(2), "bosonic", "hecke")
+        d = make_double(make_standard_hecke(2), "bosonic")
         reps = fock_representation(d, 2)
         dim = len(d.B.component(2).basis)
         for cols in reps.values():
@@ -479,16 +500,16 @@ def _dense_representation_ok(d, k):
 
 
 EQUIVALENCE_DOUBLES = {
-    "hecke2-bos": lambda: make_double(make_standard_hecke(2), "bosonic", "hecke"),
-    "hecke2-ferm": lambda: make_double(make_standard_hecke(2), "fermionic", "hecke"),
-    "hecke3-bos": lambda: make_double(make_standard_hecke(3), "bosonic", "hecke"),
-    "hecke3-ferm": lambda: make_double(make_standard_hecke(3), "fermionic", "hecke"),
-    "flip3-bos": lambda: make_double(make_flip(3), "bosonic", "hecke"),
-    "flip3-ferm": lambda: make_double(make_flip(3), "fermionic", "hecke"),
-    "superflip11-bos": lambda: make_double(make_superflip(1, 1), "bosonic", "hecke"),
-    "superflip11-ferm": lambda: make_double(make_superflip(1, 1), "fermionic", "hecke"),
-    "bmw-orth": lambda: make_double(load_builtin("bmw-orth-3"), "bosonic", "bmw-orthogonal"),
-    "bmw-sympl": lambda: make_double(load_builtin("bmw-sympl-2"), "fermionic", "bmw-symplectic"),
+    "hecke2-bos": lambda: make_double(make_standard_hecke(2), "bosonic"),
+    "hecke2-ferm": lambda: make_double(make_standard_hecke(2), "fermionic"),
+    "hecke3-bos": lambda: make_double(make_standard_hecke(3), "bosonic"),
+    "hecke3-ferm": lambda: make_double(make_standard_hecke(3), "fermionic"),
+    "flip3-bos": lambda: make_double(make_flip(3), "bosonic"),
+    "flip3-ferm": lambda: make_double(make_flip(3), "fermionic"),
+    "superflip11-bos": lambda: make_double(make_superflip(1, 1), "bosonic"),
+    "superflip11-ferm": lambda: make_double(make_superflip(1, 1), "fermionic"),
+    "bmw-orth": lambda: make_double(load_builtin("bmw-orth-3"), "bosonic"),
+    "bmw-sympl": lambda: make_double(load_builtin("bmw-sympl-2"), "fermionic"),
 }
 
 HECKE_DOUBLES = [n for n in EQUIVALENCE_DOUBLES if not n.startswith("bmw")]
@@ -752,7 +773,7 @@ class TestLeftDualVariant:
 
 class TestDoubleAlgebra:
     def test_multiplication_is_associative(self):
-        d = make_double(make_standard_hecke(2), "bosonic", "hecke")
+        d = make_double(make_standard_hecke(2), "bosonic")
         li = d.l_matrix()
         a, b_, c = li[0][1], li[1][0], li[0][0]
         assert (a * b_) * c == a * (b_ * c)
@@ -765,14 +786,14 @@ class TestDoubleAlgebra:
                     min_size=0, max_size=2))
     @settings(max_examples=40, deadline=None)
     def test_associativity_on_random_words(self, w1, w2, w3):
-        d = make_double(make_standard_hecke(2), "bosonic", "hecke")
+        d = make_double(make_standard_hecke(2), "bosonic")
         e1 = d.normal_order(tuple(w1))
         e2 = d.normal_order(tuple(w2))
         e3 = d.normal_order(tuple(w3))
         assert (e1 * e2) * e3 == e1 * (e2 * e3)
 
     def test_unit(self):
-        d = make_double(make_standard_hecke(2), "bosonic", "hecke")
+        d = make_double(make_standard_hecke(2), "bosonic")
         e = d.l_gen(0, 1)
         assert d.one() * e == e
         assert e * d.one() == e

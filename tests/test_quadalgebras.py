@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from qfock.braidings import load_builtin, make_flip, make_standard_hecke, make_superflip
 from qfock.errors import SpaceMismatch
 from qfock.quadalgebras import (
-    FreeAlgebra,
+    GradedQuotient,
     classical_lambda_dim,
     classical_sym_dim,
     make_algebra,
@@ -188,11 +188,11 @@ class TestBMW:
         assert all(d >= 0 for d in dims)
 
 
-class TestFreeAlgebra:
+class TestFreeQuotient:
     def test_free_dims(self):
-        alg = FreeAlgebra(2)
+        alg = GradedQuotient(2, "V", "free", [])
         assert alg.poincare(3) == [1, 2, 4, 8]
 
     def test_free_normal_form_is_identity(self):
-        alg = FreeAlgebra(2)
+        alg = GradedQuotient(2, "V", "free", [])
         assert alg.normal_form((1, 0, 1)) == {(1, 0, 1): ONE}
