@@ -11,6 +11,7 @@ from .braidings import (  # noqa: F401
     extend_to_duals,
     load_braiding_table,
     load_builtin,
+    make_bmw,
     make_flip,
     make_standard_hecke,
     make_superflip,

@@ -1,10 +1,10 @@
 """Braidings on V (x) V and their derived data.
 
 Constructors cover the flip, the graded super-flip, the standard Hecke
-symmetry of GL_q type, and table-loaded BMW symmetries of orthogonal or
-symplectic type.  Every constructed braiding self-validates: the braid
-relation and the kind-specific minimal polynomial are checked exactly, and
-table loading fails hard if the transcription does not pass the suite.
+symmetry of GL_q type, and the BMW symmetries of orthogonal or symplectic
+type at any admissible N.  Every constructed braiding self-validates: the
+braid relation and the kind-specific minimal polynomial are checked exactly,
+and table loading fails hard if the transcription does not pass the suite.
 
 The skew inverse Psi is obtained from the defining contraction
 
@@ -197,6 +197,66 @@ def make_standard_hecke(N: int) -> Braiding:
     issues = b.validate()
     if issues:
         raise AssertionError(f"standard Hecke failed self-validation: {issues}")
+    return b
+
+
+def _rho_eps(N: int, series: str) -> tuple[list[int], list[int]]:
+    """The BMW exponents rho and signs eps by 0-based index (see make_bmw)."""
+    h = N // 2
+    if series == "symplectic":
+        return ([h + 1 - i if i <= h else h - i for i in range(1, N + 1)],
+                [1 if i <= h else -1 for i in range(1, N + 1)])
+    rho = [h - i if 2 * i < N + 1 else 0 if 2 * i == N + 1 else h + 1 - i
+           for i in range(1, N + 1)]
+    return rho, [1] * N
+
+
+def make_bmw(N: int, series: str) -> Braiding:
+    """The BMW symmetry of the orthogonal or symplectic series on an
+    N-dimensional space (Faddeev, Reshetikhin and Takhtajan 1990): the
+    quantum-group R-matrix in the vector representation, composed with
+    the flip.  Diagonal weights q on repeated indices (1 on the middle
+    index of odd orthogonal N) and q^{-1} on mirrored pairs (i, i' =
+    N + 1 - i), the (q - q^{-1}) exchange correction below the diagonal,
+    and the rank-one correction coupling mirrored pairs with weight
+    eps_i eps_j q^(rho_i - rho_j).  Orthogonal: eps = 1 and rho_i = N/2 - i
+    for i < i', 0 for i = i', N/2 - i + 1 for i > i'.  Symplectic (even N):
+    eps_i = +1, rho_i = N/2 - i + 1 on the first half; eps_i = -1,
+    rho_i = N/2 - i on the second.  For odd orthogonal N the half-integer
+    rho off the middle index are lowered by 1/2, an orbit-constant
+    diagonal change of basis that touches no checked property.  Raises
+    ValueError unless N >= 2, and N is even for the symplectic series.
+    """
+    if series not in ("orthogonal", "symplectic"):
+        raise ValueError(f"unknown series {series!r}")
+    if N < 2 or (series == "symplectic" and N % 2):
+        raise ValueError(f"no {series} BMW braiding at N = {N}: N must be at "
+                         f"least 2{', and even' if series == 'symplectic' else ''}")
+    rho, eps = _rho_eps(N, series)
+    terms = []
+
+    def term(a: int, b: int, c: int, d: int, t: Scalar):
+        # t * e_ab (x) e_cd contributes R_{bd}^{ac}; composing with the flip,
+        # from the RTT form to the braid form, moves it to row (c, a)
+        terms.append((enc_index((c, a), N), enc_index((b, d), N), t))
+
+    qdiff = Q - QINV   # 0-based, the mirror of index i is N - 1 - i
+    for i in range(N):
+        for j in range(N):
+            if i == j:
+                term(i, i, i, i, ONE if 2 * i == N - 1 else Q)
+            else:
+                term(i, i, j, j, QINV if i + j == N - 1 else ONE)
+    for i in range(N):
+        for j in range(i):
+            term(i, j, j, i, qdiff)
+            coeff = qdiff * Scalar.q_power(rho[i] - rho[j], eps[i] * eps[j])
+            term(i, j, N - 1 - i, N - 1 - j, -coeff)
+    b = Braiding(N, LinOperator.from_terms(terms, N, 2), BMW, series=series,
+                 mu=expected_mu(series, N), name=f"bmw-{series}-{N}")
+    issues = b.validate()
+    if issues:
+        raise AssertionError(f"BMW {series} failed self-validation: {issues}")
     return b
 
 
@@ -646,6 +706,13 @@ def expected_mu(series: str, N: int) -> Scalar:
     raise ValueError(f"unknown series {series!r}")
 
 
+def _table_scalar(pairs, what: str) -> Scalar:
+    try:
+        return Scalar.from_pairs(pairs)
+    except (KeyError, TypeError, ValueError):
+        raise InvalidTable(f"{what} is not a num/den pairs document")
+
+
 def load_braiding_table(doc: dict | str | Path) -> Braiding:
     """Build a braiding from a table document and run the full check suite.
 
@@ -663,7 +730,7 @@ def load_braiding_table(doc: dict | str | Path) -> Braiding:
             raise InvalidTable(f"table file is not valid JSON: {exc}")
     try:
         version = doc["format_version"]
-        N = int(doc["N"])
+        N = doc["N"]
         kind = doc["kind"]
         series = doc.get("series")
         raw_entries = doc["entries"]
@@ -671,9 +738,13 @@ def load_braiding_table(doc: dict | str | Path) -> Braiding:
         raise InvalidTable(f"malformed table document: {exc}")
     if version != TABLE_FORMAT_VERSION:
         raise InvalidTable(f"unsupported format_version {version}")
+    if type(N) is not int or N < 1:
+        raise InvalidTable(f"N must be an integer >= 1, got {N!r}")
     if kind not in (INVOLUTIVE, HECKE, BMW):
         raise InvalidTable(f"unknown kind {kind!r}")
-    mu = Scalar.from_pairs(doc["mu"]) if doc.get("mu") else None
+    if not isinstance(raw_entries, list):
+        raise InvalidTable(f"entries must be a list, got {raw_entries!r}")
+    mu = _table_scalar(doc["mu"], "mu") if doc.get("mu") else None
     if kind == BMW:
         if series not in ("orthogonal", "symplectic"):
             raise InvalidTable("BMW table must declare its series")
@@ -684,10 +755,15 @@ def load_braiding_table(doc: dict | str | Path) -> Braiding:
                 f"mu {mu!r} does not match the {series} series at N={N}")
     values = {}   # a repeated (i, j, k, l) keeps its last value
     for ent in raw_entries:
-        i, j, k, l = (int(ent[key]) - 1 for key in ("i", "j", "k", "l"))
+        if not isinstance(ent, dict) or \
+                any(type(ent.get(key)) is not int for key in "ijkl"):
+            raise InvalidTable(f"malformed entry {ent!r}: i, j, k and l "
+                               f"must be integers")
+        i, j, k, l = (ent[key] - 1 for key in "ijkl")
         if not all(0 <= t < N for t in (i, j, k, l)):
             raise InvalidTable(f"index out of range in entry {ent}")
-        values[enc_index((k, l), N), enc_index((i, j), N)] = Scalar.from_pairs(ent["value"])
+        values[enc_index((k, l), N), enc_index((i, j), N)] = \
+            _table_scalar(ent.get("value"), f"value of entry {ent!r}")
     r = LinOperator.from_terms(((o, c, v) for (o, c), v in values.items()), N, 2)
     b = Braiding(N, r, kind, series=series,
                  mu=mu, name=doc.get("name", "table"))

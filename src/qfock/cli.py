@@ -27,7 +27,7 @@ from .braidings import (
     braiding_to_table,
     dual_pairings,
     load_braiding_table,
-    load_builtin,
+    make_bmw,
     make_flip,
     make_standard_hecke,
     make_superflip,
@@ -132,10 +132,7 @@ def _resolve_braiding(cfg: RunConfig) -> Braiding:
     if name == "std-hecke":
         return make_standard_hecke(cfg.n)
     if name in ("bmw-orth", "bmw-sympl"):
-        try:
-            return load_builtin(f"{name}-{cfg.n}")
-        except KeyError:
-            raise InvalidArgument(f"no builtin {name} table at N = {cfg.n}")
+        return make_bmw(cfg.n, "orthogonal" if name == "bmw-orth" else "symplectic")
     raise InvalidArgument(f"unknown braiding {name!r}")
 
 
@@ -413,6 +410,17 @@ def _pairing_doc(mat) -> dict:
     return _matrix_doc(len(mat), len(mat), lambda r, c: mat[r].get(c, ZERO))
 
 
+def _print_doc(doc: dict, cfg: RunConfig) -> int:
+    """Write doc as JSON to --out, or print it when --out is absent."""
+    payload = json.dumps(doc, indent=1, sort_keys=True)
+    if cfg.out:
+        with open(cfg.out, "w", encoding="utf-8") as fh:
+            fh.write(payload + "\n")
+    else:
+        print(payload)
+    return 0
+
+
 def cmd_repr(cfg: RunConfig) -> int:
     b = _resolve_braiding(cfg)
     family, flavor = _family_flavor(b, cfg)
@@ -435,13 +443,7 @@ def cmd_repr(cfg: RunConfig) -> int:
                      for i in range(b.N) for j in range(b.N)},
         "identity_holds": representation_l_relations_ok(d, k),
     }
-    payload = json.dumps(doc, indent=1, sort_keys=True)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
-    return 0
+    return _print_doc(doc, cfg)
 
 
 def cmd_export(cfg: RunConfig) -> int:
@@ -454,13 +456,7 @@ def cmd_export(cfg: RunConfig) -> int:
         "C": _pairing_doc(b.C),
         "alpha": b.alpha.to_pairs() if b.alpha is not None else None,
     }
-    payload = json.dumps(doc, indent=1, sort_keys=True)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
-    return 0
+    return _print_doc(doc, cfg)
 
 
 def _config_echo(cfg: RunConfig) -> dict:
@@ -511,18 +507,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig(braiding=args.braiding, table=args.table, n=args.n,
-                    mn=args.mn, q=args.q, flavor=args.flavor,
-                    suite=args.suite, kmax=args.kmax,
-                    window=args.window, degree=args.degree, out=args.out)
+    args = vars(build_parser().parse_args(argv))
+    command = args.pop("command")
+    cfg = RunConfig(**args)
     try:
         for flag in ("kmax", "window", "degree"):
             if getattr(cfg, flag) < 0:
                 raise InvalidArgument(
                     f"--{flag} must be >= 0, got {getattr(cfg, flag)}")
         return {"verify": cmd_verify, "poincare": cmd_poincare,
-                "repr": cmd_repr, "export": cmd_export}[args.command](cfg)
+                "repr": cmd_repr, "export": cmd_export}[command](cfg)
     except (QfockError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,7 @@ from qfock.braidings import (
     extend_to_duals,
     load_braiding_table,
     load_builtin,
+    make_bmw,
     make_flip,
     make_standard_hecke,
     make_superflip,
@@ -33,6 +34,14 @@ from qfock.errors import (
     NotStrictlySkewInvertible,
     UnsupportedBase,
 )
+from qfock.fockdouble import (
+    SERIES_FLAVOR,
+    double_family,
+    make_double,
+    verify_compatibility,
+    verify_l_relations,
+)
+from qfock.quadalgebras import classical_lambda_dim, classical_sym_dim, make_algebra
 from qfock.scalars import ONE, Q, QINV, ZERO, Scalar
 from qfock.tensorops import (
     LinOperator,
@@ -314,6 +323,31 @@ class TestTables:
             b = load_builtin(name)
             prod = place(b.R, (1, 2), 3) @ place(b.psi, (2, 3), 3)
             assert partial_trace(prod, {2}) == traced_flip(b.N)
+
+
+class TestMakeBmw:
+    @pytest.mark.parametrize("N, series", [(4, "orthogonal"), (5, "orthogonal"),
+                                           (4, "symplectic"), (6, "symplectic")])
+    def test_sizes_without_a_table(self, N, series):
+        b = make_bmw(N, series)
+        assert b.validate() == []
+        assert b.skew.strict
+        d = make_double(b, SERIES_FLAVOR[double_family(b)])
+        comp = verify_compatibility(d)
+        assert comp["closed_identity"] and comp["ideal_checks"] and comp["diamond"]
+        assert verify_l_relations(d)["passed"]
+        for kind, classical in (("sym", classical_sym_dim),
+                                ("lambda", classical_lambda_dim)):
+            for space in ("V", "V*"):
+                assert make_algebra(b, kind, space).poincare(3) == \
+                    [classical(N, k) for k in range(4)]
+
+    @pytest.mark.parametrize("N, series", [(1, "orthogonal"), (0, "symplectic"),
+                                           (3, "symplectic"), (5, "symplectic"),
+                                           (3, "unitary")])
+    def test_inadmissible_size_or_series(self, N, series):
+        with pytest.raises(ValueError):
+            make_bmw(N, series)
 
 
 class TestBaxterize:

@@ -9,6 +9,7 @@ from qfock.braidings import (
     braiding_to_table,
     load_braiding_table,
     load_builtin,
+    make_bmw,
     make_flip,
     make_standard_hecke,
     projector_decomposition_ok,
@@ -138,17 +139,41 @@ class TestVerify:
         assert captured.out == ""
         assert "InvalidArgument" in captured.err and other in captured.err
 
-    def test_missing_builtin_table_size(self, capsys):
-        assert run(["verify", "--braiding", "bmw-orth", "--n", "2",
-                    "--suite", "braiding"]) == 2
-
     @pytest.mark.parametrize("command", ["verify", "repr", "export", "poincare"])
-    @pytest.mark.parametrize("braiding", ["bmw-orth", "bmw-sympl"])
-    def test_unsupported_bmw_size_is_bad_input(self, command, braiding, capsys):
-        assert run([command, "--braiding", braiding, "--n", "4"]) == 2
+    @pytest.mark.parametrize("braiding, n", [("bmw-sympl", "3"), ("bmw-orth", "1")])
+    def test_inadmissible_bmw_size_is_bad_input(self, command, braiding, n, capsys):
+        assert run([command, "--braiding", braiding, "--n", n]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "InvalidArgument" in captured.err and "N = 4" in captured.err
+        assert captured.err.startswith("error:") and f"N = {n}" in captured.err
+
+    @pytest.mark.parametrize("base, corrupt, named", [
+        ("hecke", lambda d: d["entries"][0].pop("i"), "malformed entry"),
+        ("hecke", lambda d: d["entries"][0].update(i="x"), "malformed entry"),
+        ("hecke", lambda d: d["entries"][0].update(value=5), "value of entry"),
+        ("bmw", lambda d: d.update(mu=5), "mu is not"),
+        ("hecke", lambda d: d.update(entries=5), "entries must be a list"),
+        ("hecke", lambda d: d.update(entries=[5]), "malformed entry 5"),
+        ("hecke", lambda d: d.update(N=0), "N must be"),
+        ("hecke", lambda d: d.update(N=-1), "N must be"),
+        ("hecke", lambda d: d.update(N="two"), "N must be"),
+    ], ids=["entry-without-i", "index-not-an-integer", "value-not-pairs",
+            "mu-not-pairs", "entries-not-a-list", "entry-not-a-dict", "n-zero",
+            "n-negative", "n-not-an-integer"])
+    def test_malformed_table_is_one_failed_load(self, base, corrupt, named,
+                                                tmp_path, capsys):
+        doc = braiding_to_table(make_standard_hecke(2) if base == "hecke"
+                                else make_bmw(2, "symplectic"))
+        corrupt(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--table", str(path), "--suite", "braiding",
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().out.startswith("[FAIL] load-braiding")
+        [check] = json.loads(out.read_text())["checks"]
+        assert check["check_id"] == "load-braiding"
+        assert check["verdict"] == "fail" and named in check["witness"]
 
     def test_evaluation_cross_check_fails_on_a_corrupted_table(
             self, tmp_path, monkeypatch, capsys):

@@ -1,38 +1,22 @@
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-from qfock.braidings import braiding_to_table, builtin_table_path, make_standard_hecke
-
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "generate_tables.py"
-
-
-def load_generator():
-    spec = importlib.util.spec_from_file_location("generate_tables", SCRIPT)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+from qfock.braidings import (
+    braiding_to_table,
+    builtin_table_path,
+    make_bmw,
+    make_standard_hecke,
+)
 
 
-@pytest.fixture(scope="module")
-def gen():
-    return load_generator()
-
-
-@pytest.mark.parametrize("name,builtin", [(2, "std-hecke-2"), (3, "std-hecke-3")])
-def test_hecke_tables_match_constructor(name, builtin):
+@pytest.mark.parametrize("make,builtin", [
+    (lambda: make_standard_hecke(2), "std-hecke-2"),
+    (lambda: make_standard_hecke(3), "std-hecke-3"),
+    (lambda: make_bmw(3, "orthogonal"), "bmw-orth-3"),
+    (lambda: make_bmw(2, "symplectic"), "bmw-sympl-2"),
+], ids=["std-hecke-2", "std-hecke-3", "bmw-orth-3", "bmw-sympl-2"])
+def test_tables_match_constructor(make, builtin):
     with open(builtin_table_path(builtin), encoding="utf-8") as fh:
         shipped = json.load(fh)
-    fresh = braiding_to_table(make_standard_hecke(name))
-    assert fresh == shipped
-
-
-@pytest.mark.parametrize("args,builtin", [((3, "orthogonal"), "bmw-orth-3"),
-                                          ((2, "symplectic"), "bmw-sympl-2")])
-def test_bmw_tables_match_generator(gen, args, builtin):
-    with open(builtin_table_path(builtin), encoding="utf-8") as fh:
-        shipped = json.load(fh)
-    fresh = braiding_to_table(gen.make_bmw(*args))
-    assert fresh == shipped
+    assert braiding_to_table(make()) == shipped
