@@ -32,6 +32,7 @@ from .errors import (
     NotSkewInvertible,
     NotStrictlySkewInvertible,
     UnsupportedBase,
+    UnsupportedConstruction,
 )
 from .scalars import ONE, Q, QINV, ZERO, Scalar, add_term, sum_into
 from .tensorops import (
@@ -48,6 +49,9 @@ from .tensorops import (
 INVOLUTIVE = "involutive"
 HECKE = "hecke"
 BMW = "bmw"
+
+SYM = "sym"
+LAMBDA = "lambda"
 
 
 @dataclass
@@ -160,8 +164,9 @@ def make_flip(N: int) -> Braiding:
 def make_superflip(m: int, n: int) -> Braiding:
     """Graded flip on a space with m even and n odd basis directions."""
     N = m + n
-    if N < 1:
-        raise ValueError("m + n must be at least 1")
+    if m < 0 or n < 0 or N < 1:
+        raise ValueError(f"no superflip at m = {m}, n = {n}: m and n must be "
+                         f"at least 0, and m + n at least 1")
     minus = Scalar.from_int(-1)
     terms = ((enc_index((j, i), N), enc_index((i, j), N),
               minus if (i >= m and j >= m) else ONE)
@@ -432,7 +437,7 @@ def projectors(b: Braiding) -> dict[str, LinOperator]:
     """
     ident = LinOperator.identity(b.N, 2)
     r = b.R
-    q = Q if b.kind == HECKE else (b.q if b.kind == BMW else ONE)
+    q = b.q
     if b.kind in (HECKE, INVOLUTIVE):
         denom = (q + q.inverse()).inverse()
         plus = (r + ident.scale(q.inverse())).scale(denom)
@@ -453,6 +458,32 @@ def projectors(b: Braiding) -> dict[str, LinOperator]:
     raise ValueError(f"unknown kind {b.kind!r}")
 
 
+# each BMW series' middle idempotent, and the algebra kind whose relations it spans
+_BMW_MIDDLE = {"orthogonal": ("-1/q", SYM), "symplectic": ("q", LAMBDA)}
+
+
+def relation_operator(b: Braiding, kind: str) -> LinOperator:
+    """The operator on V (x) V whose image is the degree-2 relation space of
+    the sym or lambda algebra: q I - R or q^{-1} I + R for a Hecke or
+    involutive b.  For BMW (Faddeev, Reshetikhin and Takhtajan 1990) it is
+    the middle idempotent for the kind the series fixes, and the sum of the
+    other two idempotents, whose image is its kernel, for the other kind.
+    q is the braiding's own b.q."""
+    if kind not in (SYM, LAMBDA):
+        raise UnsupportedConstruction(f"unknown algebra kind {kind!r}")
+    if b.kind in (HECKE, INVOLUTIVE):
+        ident = LinOperator.identity(b.N, 2)
+        return ident.scale(b.q) - b.R if kind == SYM else ident.scale(b.q.inverse()) + b.R
+    if b.kind != BMW or b.series not in _BMW_MIDDLE:
+        raise UnsupportedConstruction(
+            f"no {kind} relations for a {b.kind} braiding of series {b.series!r}")
+    middle, fixed = _BMW_MIDDLE[b.series]
+    if kind == fixed:
+        return b.spectral_projectors[middle]
+    first, second = (p for key, p in b.spectral_projectors.items() if key != middle)
+    return first + second
+
+
 def projector_decomposition_ok(b: Braiding) -> bool:
     projs = b.spectral_projectors
     ident = LinOperator.identity(b.N, 2)
@@ -467,8 +498,7 @@ def projector_decomposition_ok(b: Braiding) -> bool:
         for k2, p2 in projs.items():
             if k1 != k2 and not (p1 @ p2).is_zero():
                 return False
-    q = b.q if b.kind != INVOLUTIVE else ONE
-    recon = projs["q"].scale(q) - projs["-1/q"].scale(q.inverse())
+    recon = projs["q"].scale(b.q) - projs["-1/q"].scale(b.q.inverse())
     if "mu" in projs:
         recon = recon + projs["mu"].scale(b.mu)
     return recon == b.R
@@ -530,7 +560,8 @@ class CurrentBraiding:
     def _affine(self) -> tuple[Scalar, Scalar, Scalar]:
         if self.flavor == RATIONAL:
             return ZERO, ONE, ONE
-        return Q - QINV, ZERO, Q
+        q = self.base.q
+        return q - q.inverse(), ZERO, q
 
     def cleared_r_form(self, x: int, y: int, letter: str) -> Factor:
         """The cleared R(x, y) as a factor: `letter` standing for R, with

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -127,13 +128,22 @@ def _resolve_braiding(cfg: RunConfig) -> Braiding:
     if name == "flip":
         return make_flip(cfg.n)
     if name == "superflip":
-        m, n = (int(t) for t in cfg.mn.split(","))
-        return make_superflip(m, n)
+        return make_superflip(*_superflip_split(cfg.mn))
     if name == "std-hecke":
         return make_standard_hecke(cfg.n)
     if name in ("bmw-orth", "bmw-sympl"):
         return make_bmw(cfg.n, "orthogonal" if name == "bmw-orth" else "symplectic")
     raise InvalidArgument(f"unknown braiding {name!r}")
+
+
+def _superflip_split(mn: str) -> tuple[int, int]:
+    """The --mn value m,n: two integers >= 0 with m + n >= 1."""
+    match = re.fullmatch(r"\s*(\d+)\s*,\s*(\d+)\s*", mn)
+    m, n = (int(t) for t in match.groups()) if match else (0, 0)
+    if m + n < 1:
+        raise InvalidArgument(f"--mn must be m,n: two integers >= 0 with "
+                              f"m + n >= 1, got {mn!r}")
+    return m, n
 
 
 def _family_flavor(b: Braiding, cfg: RunConfig) -> tuple[str, str]:

@@ -37,7 +37,7 @@ from .braidings import (
     exchange_table,
 )
 from .errors import WindowOverflow
-from .scalars import ONE, Q, QINV, Scalar, add_term, sum_into
+from .scalars import ONE, Scalar, add_term, sum_into
 from .tensorops import (
     FormalMatrix,
     echelon_insert,
@@ -377,7 +377,7 @@ def _yang_expressions(cd: CurrentDouble):
 
     s = b.q.inverse()
     if cd.cb.flavor == TRIGONOMETRIC:
-        s = s * (Q - QINV)
+        s = s * (b.q - b.q.inverse())
     moves = exchange_table(b.psi, s, b.B)[0]     # (z, w) -> (i, j, s Psi_jw^iz)
     t2: FormalMatrix = {}
     for r, c, rv in sorted(b.R.nonzeros(), key=lambda t: t[:2]):
@@ -416,8 +416,8 @@ def _relation_instances(cd: CurrentDouble, mode_pairs, tail: int):
     N = b.N
     trig = cd.cb.flavor == TRIGONOMETRIC
     theta = 0 if trig else 1
-    cf = Q - QINV if trig else ONE
-    qmain = Q if trig else ONE
+    cf = b.q - b.q.inverse() if trig else ONE
+    qmain = b.q     # ONE for the involutive base of a rational current
     columns: dict[int, list] = {}       # (i, j) -> the nonzero R_ij^kl, (k, l) ascending
     for r, c, v in sorted(b.R.nonzeros(), key=lambda t: t[:2]):
         columns.setdefault(c, []).append((divmod(r, N), v))

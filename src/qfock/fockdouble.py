@@ -22,7 +22,11 @@ each same-tag run in its quotient and then normal ordering (reduce first).
 The braiding fixes the double's family (double_family): Hecke and
 involutive braidings give the hecke family, with a bosonic or a fermionic
 flavor; an orthogonal BMW braiding is bosonized and a symplectic one
-fermionized (SERIES_FLAVOR).
+fermionized (SERIES_FLAVOR).  The bosonic double quotients by the sym
+relations and the fermionic one by the lambda relations, each the image
+of braidings.relation_operator; the same operator is the G of the closed
+compatibility identity, and for BMW the other kind's operator is the
+outer grid of the L-identity.  Every q here is the braiding's own b.q.
 
 All identity verifications here are exact comparisons of normal-ordered
 elements; nothing is truncated or approximated.  A double is immutable
@@ -39,10 +43,13 @@ from dataclasses import dataclass
 from .braidings import (
     HECKE,
     INVOLUTIVE,
+    LAMBDA,
+    SYM,
     Braiding,
     Moves,
     dual_square,
     exchange_table,
+    relation_operator,
 )
 from .errors import (
     EmptyComponent,
@@ -52,7 +59,7 @@ from .errors import (
     UnsupportedDouble,
 )
 from .quadalgebras import GradedQuotient, Tensor, Word, make_algebra
-from .scalars import ONE, Q, ZERO, Scalar, add_term, sum_into
+from .scalars import ONE, ZERO, Scalar, add_term, sum_into
 from .tensorops import (
     LinOperator,
     Row,
@@ -142,7 +149,7 @@ class FockDouble:
         self.braiding = braiding
         self.flavor = flavor
         self.family = double_family(braiding)
-        kind = "sym" if flavor == BOSONIC else "lambda"
+        kind = SYM if flavor == BOSONIC else LAMBDA
         self.A: GradedQuotient = make_algebra(braiding, kind, "V*")
         self.B: GradedQuotient = make_algebra(braiding, kind, "V")
         qpar = braiding.q  # ONE for involutive braidings
@@ -310,14 +317,11 @@ def _defining_products(b: Braiding, outer: LinOperator) -> tuple[FormalMatrix,
 
 def _reflection_partner(d: FockDouble) -> LinOperator:
     """The outer grid of the quadratic identity: R itself for the Hecke
-    family, the two-eigenvalue idempotent sum for BMW."""
-    b = d.braiding
+    family; for BMW the relation operator of the kind the double does not
+    quotient by, the sum of the two idempotents beside the middle one."""
     if d.family == FAMILY_HECKE:
-        return b.R
-    pr = b.spectral_projectors
-    if d.family == FAMILY_BMW_ORTH:
-        return pr["q"] + pr["mu"]
-    return pr["-1/q"] + pr["mu"]
+        return d.braiding.R
+    return relation_operator(d.braiding, LAMBDA if d.B.kind == SYM else SYM)
 
 
 def _cleared(op: LinOperator) -> LinOperator:
@@ -400,26 +404,6 @@ def verify_l_relations(d: FockDouble) -> dict:
 # compatibility verification
 # ---------------------------------------------------------------------------
 
-def _ideal_generator_operator(d: FockDouble) -> tuple[LinOperator, Scalar]:
-    """The degree-2 relation map G of the B side and the coefficient of the
-    closed identity  G(R_23) x_2 x_3 x^<3| = c * x^<1| R12 R23 G(R_12) x_1 x_2."""
-    b = d.braiding
-    ident = LinOperator.identity(b.N, 2)
-    if d.family == FAMILY_HECKE:
-        q = Q if b.kind == HECKE else ONE
-        if d.flavor == BOSONIC:
-            g = b.R - ident.scale(q)
-        else:
-            g = b.R + ident.scale(q.inverse())
-    elif d.family == FAMILY_BMW_ORTH:
-        g = b.spectral_projectors["-1/q"]
-    else:
-        g = b.spectral_projectors["q"]
-    qpar = b.q
-    coeff = (qpar * qpar) if d.flavor == BOSONIC else (qpar * qpar).inverse()
-    return g, coeff
-
-
 def _ideal_failures(relations: list[Tensor], tag: str, other: str,
                     before: bool, N: int, order) -> list[tuple[int, Tensor]]:
     """The (generator, relation) pairs for which a quadratic relation in
@@ -490,7 +474,10 @@ def verify_compatibility(d: FockDouble) -> dict:
     def free_order(word: tuple[Token, ...]) -> dict[Key, Scalar]:
         return _rewrite(word, d.exchange, d.constant, "a", "b")
 
-    g, coeff = _ideal_generator_operator(d)
+    # the closed identity  G(R_23) x_2 x_3 x^<3| = c * x^<1| R12 R23 G(R_12) x_1 x_2,
+    # G the B side's relation operator and c = q^2 (bosonic) or q^-2
+    g = relation_operator(b, d.B.kind)
+    coeff = b.q * b.q if d.flavor == BOSONIC else (b.q * b.q).inverse()
     m3 = place(g, (1, 2), 3) @ place(b.R, (2, 3), 3) @ place(b.R, (1, 2), 3)
     for i2, i3, j3 in itertools.product(range(N), repeat=3):
         lhs: dict[Key, Scalar] = {}
@@ -593,8 +580,8 @@ def left_dual_variant_report(b: Braiding) -> dict:
     # flip), with the left-dual generators "t" in the place of creators
     exch, const = exchange_table(dual_square(b.psi), b.q.inverse(),
                                  mat_transpose(b.C, N))
-    balg = make_algebra(b, "sym", "V")
-    astar = make_algebra(b, "sym", "V*")
+    balg = make_algebra(b, SYM, "V")
+    astar = make_algebra(b, SYM, "V*")
     bcols = mat_transpose(b.B, N)    # bcols[a][t] = B_t^a
     trels = []
     for rel in astar.relations:
@@ -604,7 +591,7 @@ def left_dual_variant_report(b: Braiding) -> dict:
                 for u, bu in bcols[bb].items():
                     add_term(out, (t, u), c * bt * bu)
         trels.append(out)
-    atilde = GradedQuotient(N, "V*", "sym", trels, name="left-dual side")
+    atilde = GradedQuotient(N, "V*", SYM, trels, name="left-dual side")
 
     @functools.lru_cache(maxsize=None)
     def order(word: tuple[Token, ...]) -> dict[Key, Scalar]:
@@ -684,10 +671,13 @@ def braided_lie(b: Braiding) -> BraidedLie:
     bracket = [lincomb(((ONE, comp[c]), (_MINUS_ONE, rc)))
                for c, rc in enumerate(mat_mul(rhat, comp))]
 
-    # Tr_R l_i^j = Tr(C * mat(l_i^j)) with mat(l_i^j) x_k = B_k^j x_i,
-    # that is sum_k C_k^i B_k^j, entry (i, j) of C^T B
-    ctb = mat_mul(mat_transpose(b.C, N), b.B)
-    rtrace = [ctb[i].get(j, ZERO) for i in range(N) for j in range(N)]
+    # Tr_R l_i^j = sum_{a,k} C_a^k mat(l_i^j)_k^a, with C_a^k = C[a][k] (lower
+    # index first, as B_k^j = B[k][j]) and mat(l_i^j) x_k = B_k^j x_i, so
+    # mat(l_i^j)_k^a = delta_i^a B_k^j: the trace is sum_k C_i^k B_k^j,
+    # entry (i, j) of C B.  Each sum pairs an upper index with a lower one,
+    # which keeps the trace covariant under a change of basis of V.
+    cb = mat_mul(b.C, b.B)
+    rtrace = [cb[i].get(j, ZERO) for i in range(N) for j in range(N)]
     alpha = b.alpha
     if alpha is None:
         raise RhatNotDetermined("B*C is not scalar; the R-trace is not normalized")

@@ -17,16 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .braidings import BMW, HECKE, INVOLUTIVE, Braiding, dual_square
+from .braidings import BMW, LAMBDA, SYM, Braiding, dual_square, relation_operator
 from .errors import SpaceMismatch, UnsupportedConstruction
-from .scalars import ONE, Q, Scalar, add_term
+from .scalars import ONE, Scalar, add_term
 from .tensorops import LinOperator, kernel_image, row_reduce
 
 Word = tuple[int, ...]
 Tensor = dict[Word, Scalar]
-
-SYM = "sym"
-LAMBDA = "lambda"
 
 
 @dataclass
@@ -173,47 +170,13 @@ def _image_vectors(op: LinOperator) -> list[Tensor]:
             for col in kernel_image(op.rows, op.size).image_basis]
 
 
-def _kernel_vectors(op: LinOperator) -> list[Tensor]:
-    n = op.dim
-    return [{divmod(i, n): c for i, c in v.items()}
-            for v in kernel_image(op.rows, op.size).kernel_basis]
-
-
 def make_algebra(b: Braiding, kind: str, space: str) -> GradedQuotient:
-    """The R-symmetric (sym) or R-skew-symmetric (lambda) algebra of V or V*.
-
-    Hecke and involutive braidings use the eigenvalue ideals Im(q I - R)
-    and Im(q^{-1} I + R) (with q = 1 in the involutive case).  BMW
-    braidings use the middle idempotent: orthogonal series quotients by
-    Im / Ker of P^{-1/q}, symplectic ones by Ker / Im of P^q, read from
-    the braiding's spectral projectors (transported to V* (x) V* for V*).
-    """
-    if kind not in (SYM, LAMBDA):
-        raise UnsupportedConstruction(f"unknown algebra kind {kind!r}")
-    if b.kind in (HECKE, INVOLUTIVE):
-        op = _on_square(b.R, space)
-        ident = LinOperator.identity(b.N, 2, op.labels)
-        q = Q if b.kind == HECKE else ONE
-        if kind == SYM:
-            rel_op = ident.scale(q) - op
-        else:
-            rel_op = ident.scale(q.inverse()) + op
-        relations = _image_vectors(rel_op)
-    elif b.kind == BMW:
-        if b.series == "orthogonal":
-            middle = _on_square(b.spectral_projectors["-1/q"], space)
-            relations = _image_vectors(middle) if kind == SYM else _kernel_vectors(middle)
-        elif b.series == "symplectic":
-            top = _on_square(b.spectral_projectors["q"], space)
-            relations = _kernel_vectors(top) if kind == SYM else _image_vectors(top)
-        else:
-            raise UnsupportedConstruction(f"BMW braiding lacks a series: {b.series!r}")
-    else:
-        raise UnsupportedConstruction(
-            f"no {kind} construction for braiding kind {b.kind!r}")
+    """The R-symmetric (sym) or R-skew-symmetric (lambda) algebra of V or
+    V*: the quotient by the image of braidings.relation_operator(b, kind),
+    transported to V* (x) V* for V*."""
+    relations = _image_vectors(_on_square(relation_operator(b, kind), space))
     name = f"{kind}({space}) over {b.name or b.kind}"
-    alg = GradedQuotient(b.N, space, kind, _canonical_relations(relations, b.N), name)
-    return alg
+    return GradedQuotient(b.N, space, kind, _canonical_relations(relations, b.N), name)
 
 
 def _canonical_relations(relations: list[Tensor], N: int) -> list[Tensor]:

@@ -99,6 +99,11 @@ class TestSuperflip:
         assert not b.validate()
         assert b.skew.strict
 
+    @pytest.mark.parametrize("m,n", [(-1, 3), (2, -1), (0, 0)])
+    def test_negative_or_empty_split_rejected(self, m, n):
+        with pytest.raises(ValueError, match="at least 0"):
+            make_superflip(m, n)
+
 
 class TestStandardHecke:
     def test_n2_hecke_condition_exact(self):

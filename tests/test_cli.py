@@ -216,6 +216,16 @@ class TestVerify:
         assert "PASS" not in captured.out
         assert "InvalidArgument" in captured.err and flag in captured.err
 
+    @pytest.mark.parametrize("command", ["verify", "export"])
+    @pytest.mark.parametrize("mn", ["1", "a,b", "-1,3", "2,-1", "0,0", "1,1,1"])
+    def test_malformed_superflip_split_is_bad_input(self, command, mn, capsys):
+        assert run([command, "--braiding", "superflip", f"--mn={mn}"]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "InvalidArgument" in captured.err
+        assert "--mn" in captured.err and "m,n" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_lie_size_limit(self, capsys):
         t0 = time.perf_counter()
         code = run(["verify", "--braiding", "std-hecke", "--n", "7",

@@ -1,11 +1,24 @@
 import copy
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfock.braidings import HECKE, load_builtin, make_flip, make_standard_hecke, make_superflip
+from qfock.braidings import (
+    HECKE,
+    LAMBDA,
+    SYM,
+    load_builtin,
+    make_bmw,
+    make_flip,
+    make_standard_hecke,
+    make_superflip,
+    projector_decomposition_ok,
+    relation_operator,
+    specialize,
+)
 from qfock import fockdouble, scalars
 from qfock.errors import EmptyComponent, UnsupportedDouble
 from qfock.fockdouble import (
@@ -20,7 +33,12 @@ from qfock.fockdouble import (
     verify_l_relations,
     verify_lie,
 )
-from qfock.quadalgebras import GradedQuotient
+from qfock.quadalgebras import (
+    GradedQuotient,
+    classical_lambda_dim,
+    classical_sym_dim,
+    make_algebra,
+)
 from qfock.scalars import ONE, Q, QINV, ZERO, Scalar
 from qfock.tensorops import enc_index
 
@@ -450,6 +468,54 @@ class TestRepresentations:
         dim = len(d.B.component(2).basis)
         for cols in reps.values():
             assert len(cols) == dim and all(0 <= r < dim for col in cols for r in col)
+
+
+# (constructor, flavors of its double): each is checked at q = q0 through
+# braidings.specialize, where only the braiding's own b.q is a number
+SPECIALIZED = [
+    (lambda: make_standard_hecke(2), ("bosonic", "fermionic")),
+    (lambda: make_standard_hecke(3), ("bosonic", "fermionic")),
+    (lambda: make_bmw(3, "orthogonal"), ("bosonic",)),
+    (lambda: make_bmw(2, "symplectic"), ("fermionic",)),
+]
+
+
+class TestSpecializedBraidings:
+    """Every relation space and q-dependent check reads b.q, so R at a
+    rational q0 gets the same verdicts as R over Q(q)."""
+
+    @pytest.fixture(params=[Fraction(3, 2), Fraction(2)], ids=["q0=3/2", "q0=2"])
+    def q0(self, request):
+        return request.param
+
+    @pytest.mark.parametrize("make", [make for make, _ in SPECIALIZED])
+    def test_projectors_and_relation_spaces(self, make, q0):
+        b = specialize(make(), q0)
+        assert b.validate() == []
+        assert projector_decomposition_ok(b)
+        # the sym and lambda relation spaces are complementary
+        assert (relation_operator(b, SYM) @ relation_operator(b, LAMBDA)).is_zero()
+        assert all(len(make_algebra(b, kind, space).relations)
+                   for kind in (SYM, LAMBDA) for space in ("V", "V*"))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_hecke_poincare_series_are_classical(self, n, q0):
+        b = specialize(make_standard_hecke(n), q0)
+        for space in ("V", "V*"):
+            assert make_algebra(b, SYM, space).poincare(4) == \
+                [classical_sym_dim(n, k) for k in range(5)]
+            assert make_algebra(b, LAMBDA, space).poincare(4) == \
+                [classical_lambda_dim(n, k) for k in range(5)]
+
+    @pytest.mark.parametrize("make,flavors", SPECIALIZED)
+    def test_doubles(self, make, flavors, q0):
+        b = specialize(make(), q0)
+        for flavor in flavors:
+            d = make_double(b, flavor)
+            comp = verify_compatibility(d)
+            assert comp["passed"], comp["witnesses"][:3]
+            assert verify_l_relations(d)["passed"]
+            assert representation_l_relations_ok(d, 2)
 
 
 def _dense_representation_ok(d, k):
