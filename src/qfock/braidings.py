@@ -70,6 +70,11 @@ class SkewData:
         return self.B_inv is not None and self.C_inv is not None
 
 
+def default_q(kind: str) -> Scalar:
+    """The q of a braiding that names none: ONE if involutive, else q."""
+    return ONE if kind == INVOLUTIVE else Q
+
+
 class Braiding:
     """An exactly validated braiding with cached skew-inverse data."""
 
@@ -81,7 +86,7 @@ class Braiding:
         self.kind = kind
         self.series = series
         self.mu = mu
-        self.q = q if q is not None else (ONE if kind == INVOLUTIVE else Q)
+        self.q = q if q is not None else default_q(kind)
         self.name = name
         self._skew: SkewData | None = None
         self._projectors: dict[str, LinOperator] | None = None
@@ -706,7 +711,8 @@ TABLE_FORMAT_VERSION = 1
 
 
 def braiding_to_table(b: Braiding) -> dict:
-    """Serialize a braiding as a table document (1-based indices)."""
+    """Serialize a braiding as a table document (1-based indices); `q` is
+    written only when it is not the kind's default."""
     entries = []
     N = b.N
     for code_out in sorted(b.R.rows):
@@ -716,7 +722,7 @@ def braiding_to_table(b: Braiding) -> dict:
             i, j = divmod(code_in, N)
             entries.append({"i": i + 1, "j": j + 1, "k": k + 1, "l": l + 1,
                             "value": row[code_in].to_pairs()})
-    return {
+    doc = {
         "format_version": TABLE_FORMAT_VERSION,
         "N": N,
         "kind": b.kind,
@@ -725,23 +731,40 @@ def braiding_to_table(b: Braiding) -> dict:
         "name": b.name,
         "entries": entries,
     }
+    if b.q != default_q(b.kind):
+        doc["q"] = b.q.to_pairs()
+    return doc
 
 
-def expected_mu(series: str, N: int) -> Scalar:
-    """Cubic eigenvalue fixed by the series: q^(1-N) orthogonal,
+def expected_mu(series: str, N: int, q: Scalar = Q) -> Scalar:
+    """Cubic eigenvalue fixed by the series at q: q^(1-N) orthogonal,
     -q^(-1-N) symplectic."""
     if series == "orthogonal":
-        return Scalar.q_power(1 - N)
+        return q ** (1 - N)
     if series == "symplectic":
-        return Scalar.q_power(-1 - N, -1)
+        return -(q ** (-1 - N))
     raise ValueError(f"unknown series {series!r}")
+
+
+# The largest |exponent| of a table scalar (constructors emit at most N + 1).
+# Polynomial gcds run on dense coefficient lists: on a 2-vCPU box the N = 2
+# Hecke table with every entry over 1 + q^256 is rejected in 0.1 to 0.2 s,
+# over 1 + q^1024 in 2.2 s.
+TABLE_MAX_EXPONENT = 256
 
 
 def _table_scalar(pairs, what: str) -> Scalar:
     try:
-        return Scalar.from_pairs(pairs)
+        terms = [(e, c) for part in ("num", "den") for e, c in pairs[part]]
     except (KeyError, TypeError, ValueError):
-        raise InvalidTable(f"{what} is not a num/den pairs document")
+        terms = None
+    if terms is None or any(type(x) is not int for t in terms for x in t):
+        raise InvalidTable(f"{what} is not a num/den document of integer pairs")
+    top = max((abs(e) for e, _ in terms), default=0)
+    if top > TABLE_MAX_EXPONENT:
+        raise InvalidTable(f"{what} has the exponent {top}, above "
+                           f"TABLE_MAX_EXPONENT = {TABLE_MAX_EXPONENT}")
+    return Scalar.from_pairs(pairs)
 
 
 def load_braiding_table(doc: dict | str | Path) -> Braiding:
@@ -776,12 +799,15 @@ def load_braiding_table(doc: dict | str | Path) -> Braiding:
     if not isinstance(raw_entries, list):
         raise InvalidTable(f"entries must be a list, got {raw_entries!r}")
     mu = _table_scalar(doc["mu"], "mu") if doc.get("mu") else None
+    q = default_q(kind) if doc.get("q") is None else _table_scalar(doc["q"], "q")
+    if q.is_zero():
+        raise InvalidTable("q must be nonzero")
     if kind == BMW:
         if series not in ("orthogonal", "symplectic"):
             raise InvalidTable("BMW table must declare its series")
         if mu is None:
             raise InconsistentMu("BMW table must declare mu")
-        if mu != expected_mu(series, N):
+        if mu != expected_mu(series, N, q):
             raise InconsistentMu(
                 f"mu {mu!r} does not match the {series} series at N={N}")
     values = {}   # a repeated (i, j, k, l) keeps its last value
@@ -797,7 +823,7 @@ def load_braiding_table(doc: dict | str | Path) -> Braiding:
             _table_scalar(ent.get("value"), f"value of entry {ent!r}")
     r = LinOperator.from_terms(((o, c, v) for (o, c), v in values.items()), N, 2)
     b = Braiding(N, r, kind, series=series,
-                 mu=mu, name=doc.get("name", "table"))
+                 mu=mu, q=q, name=doc.get("name", "table"))
     issues = b.validate()
     if issues:
         raise InvalidTable("; ".join(issues))

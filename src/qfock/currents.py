@@ -37,14 +37,14 @@ from .braidings import (
     exchange_table,
 )
 from .errors import WindowOverflow
+from .fockdouble import formal_l, l_identity_sides
 from .scalars import ONE, Scalar, add_term, sum_into
 from .tensorops import (
     FormalMatrix,
     echelon_insert,
     enc_index,
     formal_cell,
-    formal_grid,
-    formal_mul,
+    formal_combination,
     formal_pruned,
     remainder,
 )
@@ -336,28 +336,12 @@ def _tagged(mat: FormalMatrix, dist) -> FormalMatrix:
             for x, row in mat.items()}
 
 
-def _expr_sub(a: FormalMatrix, b: FormalMatrix) -> FormalMatrix:
-    out = {x: {y: dict(cell) for y, cell in row.items()} for x, row in a.items()}
-    for x, row in b.items():
-        for y, cell in row.items():
-            sum_into(out.setdefault(x, {}).setdefault(y, {}), cell, -ONE)
-    return formal_pruned(out)
-
-
-def _l_current(b: Braiding, var: str) -> FormalMatrix:
-    N = b.N
-    out: FormalMatrix = {}
-    for x1, x2, y1 in product(range(N), repeat=3):
-        out.setdefault(enc_index((x1, x2), N), {})[enc_index((y1, x2), N)] = \
-            {(("c", x1, var), ("a", y1, var)): ONE}
-    return out
-
-
 def _yang_expressions(cd: CurrentDouble):
     """The pole-free rearrangement of the spectral identity.
 
-    T1 collects the constant-R side: R12 L1(u) R12 L1(v) - L1(v) R12 L1(u)
-    R12 - (R12 L1(u) - L1(u) R12) delta(u-v).  T2 is the exchange residue
+    T1 collects the constant-R side, the written L-identity with O = R,
+    La = L1(u) and Lb = L1(v): R12 L1(u) R12 L1(v) - L1(v) R12 L1(u) R12 -
+    (R12 L1(u) - L1(u) R12) delta(u-v).  T2 is the exchange residue
     of L1(u) R12 L1(v) - L1(v) R12 L1(u): its middle annihilator-creator
     pair is replaced by its exchange image (the delta part of that pair is
     what cancels against the ill-defined pole-delta products), so T1 must
@@ -366,14 +350,12 @@ def _yang_expressions(cd: CurrentDouble):
     """
     b = cd.cb.base
     N = b.N
-    rw = formal_grid(b.R)
-    lu = _l_current(b, "u")
-    lv = _l_current(b, "v")
-    t1 = _expr_sub(
-        _tagged(_expr_sub(
-            formal_mul(formal_mul(formal_mul(rw, lu), rw), lv),
-            formal_mul(formal_mul(formal_mul(lv, rw), lu), rw)), None),
-        _tagged(_expr_sub(formal_mul(rw, lu), formal_mul(lu, rw)), "delta"))
+    lu, lv = (formal_l(N, lambda i, j, var=var: (("c", i, var), ("a", j, var)))
+              for var in "uv")
+    sides = l_identity_sides(b.R, b.R, lu, lv)
+    quad, lin = (formal_combination(((ONE, s), (-ONE, t)))
+                 for s, t in (sides[:2], sides[2:]))
+    t1 = formal_combination(((ONE, _tagged(quad, None)), (-ONE, _tagged(lin, "delta"))))
 
     s = b.q.inverse()
     if cd.cb.flavor == TRIGONOMETRIC:

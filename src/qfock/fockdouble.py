@@ -66,6 +66,7 @@ from .tensorops import (
     FormalMatrix,
     enc_index,
     formal_cell,
+    formal_combination,
     formal_grid,
     formal_mul,
     lincomb,
@@ -287,33 +288,41 @@ def make_double(b: Braiding, flavor: str) -> FockDouble:
 
 
 # ---------------------------------------------------------------------------
-# L-relation verification.  Matrices are multiplied in the written order,
+# The written L-identity.  Matrices are multiplied in the written order,
 # with an operator read as (M)_x^y = its entry at row y, column x; a formal
-# entry is a dict
-# {tuple of generator pairs (i, j): Scalar}, the tuple standing for the
-# product of the l_i^j in that order.  Both checks evaluate one net formal
-# combination per cell (_l_identity_cells), built once per double with the
-# outer grid's polynomial denominators cleared: the identity is linear and
-# homogeneous in the outer grid O, so for a nonzero scalar D the grid D*O
-# satisfies it in exactly the cells where O does, and with D the product of
-# O's non-monomial denominators every coefficient stays Laurent.
+# entry is a dict {key: Scalar}, the key a tuple of symbols standing for
+# their product in that order.  The symbol of l_i^j = x_i x^j is the pair
+# (i, j) in the double and the braided Lie twist, and a creation and an
+# annihilation current in the spectral identity (currents).
 # ---------------------------------------------------------------------------
 
-def _formal_l1(N: int) -> FormalMatrix:
+def formal_l(N: int, key) -> FormalMatrix:
+    """The written L1 = L (x) I: cell ((i, a), (j, a)) = {key(i, j): 1}."""
     l1: FormalMatrix = {}
     for i, a, j in itertools.product(range(N), repeat=3):
-        l1.setdefault(enc_index((i, a), N), {})[enc_index((j, a), N)] = {((i, j),): ONE}
+        l1.setdefault(enc_index((i, a), N), {})[enc_index((j, a), N)] = {key(i, j): ONE}
     return l1
 
 
-def _defining_products(b: Braiding, outer: LinOperator) -> tuple[FormalMatrix,
-                                                                  FormalMatrix]:
-    """The written matrices O12 L1 R12 L1 and L1 R12 L1 O12 for an outer
-    grid O.  With O = R the twist maps the first to the second."""
-    rw, ow, l1 = formal_grid(b.R), formal_grid(outer), _formal_l1(b.N)
-    return (formal_mul(formal_mul(formal_mul(ow, l1), rw), l1),
-            formal_mul(formal_mul(formal_mul(l1, rw), l1), ow))
+def l_identity_sides(R: LinOperator, O: LinOperator, La: FormalMatrix,
+                     Lb: FormalMatrix) -> tuple[FormalMatrix, ...]:
+    """The four written sides O12 La R12 Lb, Lb R12 La O12, O12 La and
+    La O12 of the L-identity  O La R Lb - Lb R La O = O La - La O  for an
+    outer grid O.  With O = R the braided Lie twist maps the first side to
+    the second."""
+    rw, ow = formal_grid(R), formal_grid(O)
+    o_la = formal_mul(ow, La)
+    return (formal_mul(formal_mul(o_la, rw), Lb),
+            formal_mul(formal_mul(formal_mul(Lb, rw), La), ow),
+            o_la, formal_mul(La, ow))
 
+
+# Both checks of the double evaluate one net combination per cell
+# (_l_identity_cells), built once per double with the outer grid's
+# polynomial denominators cleared: the identity is linear and homogeneous in
+# the outer grid O, so for a nonzero scalar D the grid D*O satisfies it in
+# exactly the cells where O does, and with D the product of O's non-monomial
+# denominators every coefficient stays Laurent.
 
 def _reflection_partner(d: FockDouble) -> LinOperator:
     """The outer grid of the quadratic identity: R itself for the Hecke
@@ -340,20 +349,10 @@ def _l_identity_cells(d: FockDouble) -> dict[tuple[int, int], dict[tuple, Scalar
     """The nonzero net combinations O L1 R12 L1 - L1 R12 L1 O - O L1 + L1 O
     by cell (x, y), O the cleared outer grid; built once per double."""
     if d._l_cells is None:
-        n2 = d.braiding.N ** 2
-        outer = _cleared(_reflection_partner(d))
-        quad_lhs, quad_rhs = _defining_products(d.braiding, outer)
-        ow, l1 = formal_grid(outer), _formal_l1(d.braiding.N)
-        lin_lhs, lin_rhs = formal_mul(ow, l1), formal_mul(l1, ow)
-        cells = {}
-        for x, y in itertools.product(range(n2), repeat=2):
-            net: dict[tuple, Scalar] = {}
-            for side, sign in ((quad_lhs, ONE), (quad_rhs, _MINUS_ONE),
-                               (lin_lhs, _MINUS_ONE), (lin_rhs, ONE)):
-                sum_into(net, formal_cell(side, x, y), sign)
-            if net:
-                cells[(x, y)] = net
-        d._l_cells = cells
+        l1 = formal_l(d.braiding.N, lambda i, j: ((i, j),))
+        sides = l_identity_sides(d.braiding.R, _cleared(_reflection_partner(d)), l1, l1)
+        net = formal_combination(zip((ONE, _MINUS_ONE, _MINUS_ONE, ONE), sides))
+        d._l_cells = {(x, y): net[x][y] for x in sorted(net) for y in sorted(net[x])}
     return d._l_cells
 
 
@@ -614,24 +613,36 @@ def left_dual_variant_report(b: Braiding) -> dict:
 @dataclass
 class BraidedLie:
     """The braided Lie data, each map by columns over the N^4 basis
-    elements l_e1 (x) l_e2 of End(V) (x) End(V), e = i*N + j for l_i^j."""
+    elements l_e1 (x) l_e2 of End(V) (x) End(V), e = i*N + j for l_i^j,
+    and the L-identity R12 L1 R12 L1 - L1 R12 L1 R12 = R12 L1 - L1 R12 it
+    is solved from, by rows: row x*N^2 + y holds the coefficients of cell
+    (x, y) of a side."""
     braiding: Braiding
     rhat: list[Row]       # the twist, End(V) (x) End(V) -> itself
     comp: list[Row]       # composition l (x) l -> l, rows over the N^2 l_e
     bracket: list[Row]    # comp o (I - rhat)
     rtrace: list[Scalar]  # R-trace of each l_i^j
     alpha: Scalar
+    quadratic: list[Row]  # R12 L1 R12 L1 over the l_e1 (x) l_e2
+    twisted: list[Row]    # L1 R12 L1 R12, the image of `quadratic` under rhat
+    linear: list[Row]     # R12 L1 - L1 R12 over the l_e
 
 
-def _pair_code(key: tuple, N: int) -> int:
-    """Index in End(V) (x) End(V) of a quadratic key ((i, j), (k, m))."""
-    (i, j), (k, m) = key
-    return enc_index((i * N + j, k * N + m), N * N)
+def _cell_rows(m: FormalMatrix, N: int) -> list[Row]:
+    """The cells of a written side over the generator pairs as rows, cell
+    (x, y) at row x*N^2 + y: a key of pairs (i, j) is the column e = i*N + j
+    of its l_i^j, and a quadratic key the column e1*N^2 + e2 of
+    l_e1 (x) l_e2."""
+    n2 = N * N
+    return [{enc_index([i * N + j for i, j in key], n2): v
+             for key, v in formal_cell(m, x, y).items()}
+            for x in range(n2) for y in range(n2)]
 
 
-# The Lie suite's cost is the solve for the twist of braided_lie, a system
-# of N^4 sparse rows in as many unknowns: 1296 at N = 6 (about a second),
-# 2401 at N = 7.
+# The Lie suite's cost grows fast with N: at N = 6 `verify --suite lie`
+# takes about 1.0 s on a 2-vCPU box, 0.6 s of it in the leg-local Jacobi
+# check and 0.1 s in the twist solve of braided_lie, a system of N^4 = 1296
+# sparse rows in as many unknowns (2401 at N = 7).
 LIE_MAX_N = 6
 
 
@@ -649,18 +660,16 @@ def braided_lie(b: Braiding) -> BraidedLie:
             f"braided Lie structure at N = {N} exceeds the limit N <= {LIE_MAX_N}: "
             f"its twist is solved from a sparse linear system of {N ** 4} rows "
             f"in {N ** 4} unknowns")
-    n2 = N * N
-    n4 = n2 * n2
-    m_rlrl, m_lrlr = _defining_products(b, b.R)
+    l1 = formal_l(N, lambda i, j: ((i, j),))
+    sides = l_identity_sides(b.R, b.R, l1, l1)
+    quadratic, twisted = _cell_rows(sides[0], N), _cell_rows(sides[1], N)
+    linear = _cell_rows(formal_combination(((ONE, sides[2]), (_MINUS_ONE, sides[3]))), N)
+    del sides    # free the formal products before the solve
 
-    def to_rows(formal: FormalMatrix) -> list[Row]:
-        return [{_pair_code(key, N): v for key, v in formal_cell(formal, x, y).items()}
-                for x in range(n2) for y in range(n2)]
-
-    # rhat applied to the coefficient vector of each entry of m_rlrl gives
-    # the corresponding entry of m_lrlr: rhat = X^T with M1 X = M2, so the
+    # rhat applied to the coefficient vector of each cell of the first side
+    # gives the same cell of the second: rhat = X^T with M1 X = M2, so the
     # rows of X are the columns of rhat
-    rhat = solve(to_rows(m_rlrl), to_rows(m_lrlr), n4)
+    rhat = solve(quadratic, twisted, N ** 4)
     if rhat is None:
         raise RhatNotDetermined("coefficient matrix of the defining property is singular")
 
@@ -681,7 +690,7 @@ def braided_lie(b: Braiding) -> BraidedLie:
     alpha = b.alpha
     if alpha is None:
         raise RhatNotDetermined("B*C is not scalar; the R-trace is not normalized")
-    return BraidedLie(b, rhat, comp, bracket, rtrace, alpha)
+    return BraidedLie(b, rhat, comp, bracket, rtrace, alpha, quadratic, twisted, linear)
 
 
 def _after_12(x: list[Row], op: list[Row], n2: int) -> list[Row]:
@@ -754,25 +763,16 @@ def verify_lie(bl: BraidedLie) -> dict:
             report["trace_brackets"] = False
             report["witnesses"].append(("trace-bracket", phi))
 
-    # defining property, re-derived through the double-product expansion
-    m_rlrl, m_lrlr = _defining_products(b, b.R)
-    rh = bl.rhat
-    for x in range(n2):
-        for y in range(n2):
-            got = lincomb((v, rh[_pair_code(key, N)])
-                          for key, v in formal_cell(m_rlrl, x, y).items())
-            want = {_pair_code(key, N): v
-                    for key, v in formal_cell(m_lrlr, x, y).items()}
-            if got != want:
-                report["defining"] = False
-                report["witnesses"].append(("defining", x, y))
+    # defining property: rhat takes each cell of the first quadratic side
+    # to the same cell of the second
+    for xy, (got, want) in enumerate(zip(mat_mul(bl.quadratic, bl.rhat), bl.twisted)):
+        if got != want:
+            report["defining"] = False
+            report["witnesses"].append(("defining", *divmod(xy, n2)))
 
-    # quadratic-identity consistency: comp((I - rhat) entry) matches the
-    # linear entries of R12 L1 - L1 R12
-    lin_lhs = [lincomb((v, bl.bracket[_pair_code(key, N)])
-                       for key, v in formal_cell(m_rlrl, x, y).items())
-               for x in range(n2) for y in range(n2)]
-    if lin_lhs != _linear_entries(b, N):
+    # quadratic-identity consistency: comp((I - rhat) cell) of the first
+    # quadratic side matches the cell of the linear side R12 L1 - L1 R12
+    if mat_mul(bl.quadratic, bl.bracket) != bl.linear:
         report["quadratic_consistency"] = False
         report["witnesses"].append(("quadratic",))
 
@@ -789,21 +789,3 @@ def verify_lie(bl: BraidedLie) -> dict:
                            ("defining", "trace_generators", "trace_brackets",
                             "jacobi", "quadratic_consistency"))
     return report
-
-
-def _linear_entries(b: Braiding, N: int) -> list[Row]:
-    """Linear generator coefficients of the entries of R12 L1 - L1 R12,
-    entry (x, y) at column x*N^2 + y, read from the nonzero entries of R."""
-    n2 = N * N
-    out: list[Row] = [{} for _ in range(n2 * n2)]
-    for r, c, v in b.R.nonzeros():
-        # (R12 L1)_x^y = sum_z R_x^z (L1)_z^y with (L1)_z^y = delta l: a
-        # nonzero R_x^z, z = (zi, yb), meets every y = (yj, yb)
-        zi, yb = divmod(r, N)
-        for yj in range(N):
-            add_term(out[c * n2 + yj * N + yb], zi * N + yj, v)
-        # (L1 R12)_x^y = sum_z (L1)_x^z R_z^y: z = (zj, xa), x = (xi, xa)
-        zj, xa = divmod(c, N)
-        for xi in range(N):
-            add_term(out[(xi * N + xa) * n2 + r], xi * N + zj, -v)
-    return out

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .braidings import BMW, LAMBDA, SYM, Braiding, dual_square, relation_operator
 from .errors import SpaceMismatch, UnsupportedConstruction
 from .scalars import ONE, Scalar, add_term
-from .tensorops import LinOperator, kernel_image, row_reduce
+from .tensorops import LinOperator, row_reduce
 
 Word = tuple[int, ...]
 Tensor = dict[Word, Scalar]
@@ -164,28 +164,26 @@ def _on_square(op: LinOperator, space: str) -> LinOperator:
     raise UnsupportedConstruction(f"unknown space {space!r}")
 
 
-def _image_vectors(op: LinOperator) -> list[Tensor]:
-    n = op.dim
-    return [{divmod(row, n): v for row, v in col.items()}
-            for col in kernel_image(op.rows, op.size).image_basis]
+def _image_basis(op: LinOperator) -> list[Tensor]:
+    """The canonical basis of the image of a two-leg operator: its columns
+    row-reduced once, with words numbered in descending order, so pivots
+    fall on the largest words."""
+    N = op.dim
+    top = N * N - 1
+    cols: dict[int, dict[int, Scalar]] = {}
+    for r, c, v in op.nonzeros():
+        cols.setdefault(c, {})[top - r] = v
+    return [{divmod(top - col, N): v for col, v in sorted(r.items(), reverse=True)}
+            for r in row_reduce(cols.values(), N * N).rows]
 
 
 def make_algebra(b: Braiding, kind: str, space: str) -> GradedQuotient:
     """The R-symmetric (sym) or R-skew-symmetric (lambda) algebra of V or
     V*: the quotient by the image of braidings.relation_operator(b, kind),
     transported to V* (x) V* for V*."""
-    relations = _image_vectors(_on_square(relation_operator(b, kind), space))
+    relations = _image_basis(_on_square(relation_operator(b, kind), space))
     name = f"{kind}({space}) over {b.name or b.kind}"
-    return GradedQuotient(b.N, space, kind, _canonical_relations(relations, b.N), name)
-
-
-def _canonical_relations(relations: list[Tensor], N: int) -> list[Tensor]:
-    """Row-reduce the degree-2 relation span to a canonical basis.  Words
-    are numbered in descending order, so pivots fall on the largest words."""
-    top = N * N - 1
-    rows = [{top - (i * N + j): c for (i, j), c in rel.items()} for rel in relations]
-    return [{divmod(top - col, N): v for col, v in sorted(r.items(), reverse=True)}
-            for r in row_reduce(rows, N * N).rows]
+    return GradedQuotient(b.N, space, kind, relations, name)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +200,7 @@ def mu_eigenspace_degree2_report(b: Braiding) -> dict:
     """
     if b.kind != BMW:
         raise UnsupportedConstruction("mu eigenspace exists only for BMW braidings")
-    mu_vectors = _image_vectors(b.spectral_projectors["mu"])
+    mu_vectors = _image_basis(b.spectral_projectors["mu"])
     surviving_kind = SYM if b.series == "orthogonal" else LAMBDA
     dying_kind = LAMBDA if b.series == "orthogonal" else SYM
     surv = make_algebra(b, surviving_kind, "V")

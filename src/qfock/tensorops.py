@@ -301,6 +301,17 @@ def formal_mul(a: FormalMatrix, b: FormalMatrix) -> FormalMatrix:
     return formal_pruned(out)
 
 
+def formal_combination(terms: Iterable[tuple[Scalar, FormalMatrix]]) -> FormalMatrix:
+    """The sum of c * m over the (c, m) in terms, without empty cells."""
+    out: FormalMatrix = {}
+    for c, m in terms:
+        for x, row in m.items():
+            orow = out.setdefault(x, {})
+            for y, cell in row.items():
+                sum_into(orow.setdefault(y, {}), cell, c)
+    return formal_pruned(out)
+
+
 # ---------------------------------------------------------------------------
 # sparse elimination
 # ---------------------------------------------------------------------------

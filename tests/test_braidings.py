@@ -6,6 +6,7 @@ import pytest
 
 from qfock.braidings import (
     BMW,
+    TABLE_MAX_EXPONENT,
     Braiding,
     CurrentBraiding,
     baxterize,
@@ -24,6 +25,7 @@ from qfock.braidings import (
     projector_decomposition_ok,
     projectors,
     skew_inverse,
+    specialize,
     spectral_braid_certificate,
     unitarity_certificate,
 )
@@ -321,6 +323,41 @@ class TestTables:
         doc = braiding_to_table(make_standard_hecke(2))
         doc["entries"][0]["i"] = 7
         with pytest.raises(InvalidTable):
+            load_braiding_table(doc)
+
+    def test_exponent_above_the_bound_rejected(self):
+        # the gcds of a polynomial denominator run on dense coefficient
+        # lists: an exponent above the bound is refused before any is formed
+        doc = braiding_to_table(make_standard_hecke(2))
+        for ent in doc["entries"]:
+            ent["value"] = {"num": [[0, 1]], "den": [[0, 1], [TABLE_MAX_EXPONENT, 1]]}
+        with pytest.raises(InvalidTable, match="minimal polynomial"):
+            load_braiding_table(doc)
+        doc["entries"][0]["value"]["den"][1][0] = TABLE_MAX_EXPONENT + 1
+        with pytest.raises(InvalidTable, match="TABLE_MAX_EXPONENT"):
+            load_braiding_table(doc)
+
+    @pytest.mark.parametrize("pair", [[1.0, 1], [1, 1.5], [1, True], [1]])
+    def test_non_integer_pairs_rejected(self, pair):
+        # int() would read 1.0 and 1.5 as 1, and the table would load
+        doc = braiding_to_table(make_standard_hecke(2))
+        doc["entries"][0]["value"] = {"num": [pair], "den": [[0, 1]]}
+        with pytest.raises(InvalidTable, match="integer pairs"):
+            load_braiding_table(doc)
+
+    @pytest.mark.parametrize("make, q0", [
+        (lambda: make_standard_hecke(2), Fraction(3, 2)),
+        (lambda: make_standard_hecke(3), Fraction(3, 2)),
+        (lambda: make_bmw(3, "orthogonal"), 2),
+    ])
+    def test_specialized_table_keeps_q(self, make, q0):
+        b = specialize(make(), q0)
+        doc = json.loads(json.dumps(braiding_to_table(b)))
+        assert doc["q"] == Scalar.from_fraction(q0).to_pairs()
+        again = load_braiding_table(doc)
+        assert (again.R, again.q, again.mu) == (b.R, b.q, b.mu)
+        doc["q"] = Scalar.from_int(5).to_pairs()
+        with pytest.raises(InconsistentMu if b.kind == BMW else InvalidTable):
             load_braiding_table(doc)
 
     def test_skew_inverse_consistency_of_all_builtins(self):

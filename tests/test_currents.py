@@ -37,6 +37,7 @@ from qfock.scalars import (
 from qfock.tensorops import formal_cell
 
 from dense_elimination import dense_row_reduce
+from gauge import conjugated, twisted, upper
 
 
 def flip_double(window=2):
@@ -382,6 +383,18 @@ class TestYang:
             assert rep["passed"]      # degree <= 1 part is strict and exact
             assert rep["degree2_report_only"]
             assert rep["degree2_residual_classes"] == residual
+
+    @pytest.mark.parametrize("change, residual", [("twisted", 1104), ("upper", 2104)])
+    def test_non_symmetric_r_residue_is_pinned(self, change, residual):
+        # the twisted and the upper-gauged Hecke N = 2 braidings are the T1
+        # inputs whose R is not symmetric, so a transposed factor of the
+        # written L-identity shows here and not on the symmetric builtins
+        h = make_standard_hecke(2)
+        b = twisted(h) if change == "twisted" else conjugated(h, upper(2), change)
+        cd = make_current_double(baxterize(b, "trigonometric"), window=1)
+        rep = verify_yang(cd, degree=2)
+        assert rep["passed"]
+        assert rep["degree2_residual_classes"] == residual
 
     @pytest.mark.parametrize("maker", [flip_double, hecke_double])
     def test_corrupted_constant_fails(self, maker):

@@ -2,7 +2,11 @@
 the same verdict and witness on every check of the braiding, double
 (degree 1), Lie and Poincare suites as the braiding itself: the report-only
 witnesses carry alpha, the mu eigenspace, the left-dual variant's verdict
-and the Poincare dimensions."""
+and the Poincare dimensions.  Its degree-2 representation has the same
+component dimension and satisfies the L-identity too.
+
+The twisted standard Hecke braiding, whose R is not symmetric, passes
+every suite."""
 
 import json
 
@@ -12,7 +16,7 @@ from qfock.braidings import braiding_to_table, make_bmw, make_flip, \
     make_standard_hecke, make_superflip
 from qfock.cli import main
 
-from gauge import GAUGES, conjugated
+from gauge import GAUGES, conjugated, twisted
 
 BUILTINS = {
     "flip-2": (["--braiding", "flip", "--n", "2"], lambda: make_flip(2)),
@@ -44,6 +48,14 @@ def _verdicts(argv, out) -> tuple[list, int]:
     return records, worst
 
 
+def _repr_degree2(argv, out) -> tuple:
+    """(exit status, flavor, component dimension, identity verdict) of
+    `qfock repr argv --degree 2`."""
+    status = main(["repr", *argv, "--degree", "2", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    return status, doc["flavor"], len(doc["component_basis"]), doc["identity_holds"]
+
+
 @pytest.mark.parametrize("gauge", sorted(GAUGES))
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_change_of_basis_keeps_every_verdict(name, gauge, tmp_path):
@@ -59,3 +71,20 @@ def test_change_of_basis_keeps_every_verdict(name, gauge, tmp_path):
     got, got_exit = _verdicts(["--table", str(table)], out)
     assert got == want
     assert (got_exit, want_exit) == (0, 0)
+    want_repr = _repr_degree2(argv, out)
+    assert _repr_degree2(["--table", str(table)], out) == want_repr
+    assert want_repr[0] == 0 and want_repr[3] is True
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_twisted_hecke_passes_every_suite(n, tmp_path):
+    b = twisted(make_standard_hecke(n))
+    transpose = {(c, r): v for r, c, v in b.R.nonzeros()}
+    assert transpose != {(r, c): v for r, c, v in b.R.nonzeros()}
+    assert b.validate() == []
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(braiding_to_table(b)))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--table", str(table), "--suite", "all", "--out", str(out)]) == 0
+    verdicts = {c["verdict"] for c in json.loads(out.read_text())["checks"]}
+    assert verdicts == {"pass", "report-only"}
