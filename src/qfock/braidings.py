@@ -26,15 +26,17 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import (
+    DivisionByZero,
     InconsistentMu,
     InvalidTable,
+    MalformedTable,
     NotInvertible,
     NotSkewInvertible,
     NotStrictlySkewInvertible,
     UnsupportedBase,
     UnsupportedConstruction,
 )
-from .scalars import ONE, Q, QINV, ZERO, Scalar, add_term, sum_into
+from .scalars import ONE, Q, QINV, ZERO, Scalar, add_term, nonzero_sums, sum_into
 from .tensorops import (
     LinOperator,
     Row,
@@ -637,21 +639,11 @@ def _word_identity_failures(lhs: list[Factor], rhs: list[Factor],
             ops[word] = word_op(word[:-1]) @ letters[word[-1]]
         return ops[word]
 
-    support: dict[tuple[str, ...], list] = {}
     by_mono: dict[Monomial, dict] = {}
-    for (mono, word), c in diff.items():
-        by_mono.setdefault(mono, {})[word] = c
-        if word not in support:
-            support[word] = [((r, col), e) for r, col, e in word_op(word).nonzeros()]
-    failures = []
-    for mono in sorted(by_mono):
-        acc: dict = {}
-        for word, c in by_mono[mono].items():
-            for cell, e in support[word]:
-                add_term(acc, cell, c * e)
-        if acc:
-            failures.append(mono)
-    return failures
+    for mono, word in sorted(diff):
+        by_mono.setdefault(mono, {})[word] = diff[mono, word]
+    return nonzero_sums(by_mono, lambda word: {
+        (r, col): e for r, col, e in word_op(word).nonzeros()})
 
 
 def spectral_braid_certificate(cb: CurrentBraiding) -> dict:
@@ -759,29 +751,39 @@ def _table_scalar(pairs, what: str) -> Scalar:
     except (KeyError, TypeError, ValueError):
         terms = None
     if terms is None or any(type(x) is not int for t in terms for x in t):
-        raise InvalidTable(f"{what} is not a num/den document of integer pairs")
+        raise MalformedTable(f"{what} is not a num/den document of integer pairs")
     top = max((abs(e) for e, _ in terms), default=0)
     if top > TABLE_MAX_EXPONENT:
-        raise InvalidTable(f"{what} has the exponent {top}, above "
-                           f"TABLE_MAX_EXPONENT = {TABLE_MAX_EXPONENT}")
-    return Scalar.from_pairs(pairs)
+        raise MalformedTable(f"{what} has the exponent {top}, above "
+                             f"TABLE_MAX_EXPONENT = {TABLE_MAX_EXPONENT}")
+    try:
+        return Scalar.from_pairs(pairs)
+    except DivisionByZero:
+        raise MalformedTable(f"{what} has a zero denominator")
 
 
 def load_braiding_table(doc: dict | str | Path) -> Braiding:
     """Build a braiding from a table document and run the full check suite.
 
-    The property suite is the transcription oracle: a table that violates
-    the braid relation or its declared minimal polynomial is rejected with
-    InvalidTable, and a BMW mu not matching its series with InconsistentMu.
+    A document that cannot be read as a table (unreadable, not JSON, a
+    field missing or mistyped, an index out of range, an exponent above
+    TABLE_MAX_EXPONENT, a zero q or denominator) raises MalformedTable.  The
+    property suite is the transcription oracle: a table that violates the
+    braid relation or its declared minimal polynomial, or whose braiding is
+    not skew-invertible, is rejected with InvalidTable, and a BMW mu not
+    matching its series with InconsistentMu.
     """
     if isinstance(doc, (str, Path)):
         try:
             with open(doc, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
         except OSError as exc:
-            raise InvalidTable(f"cannot read table file: {exc}")
+            raise MalformedTable(f"cannot read table file: {exc}")
         except json.JSONDecodeError as exc:
-            raise InvalidTable(f"table file is not valid JSON: {exc}")
+            raise MalformedTable(f"table file is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise MalformedTable(f"a table document is a JSON object, "
+                             f"got {type(doc).__name__}")
     try:
         version = doc["format_version"]
         N = doc["N"]
@@ -789,24 +791,24 @@ def load_braiding_table(doc: dict | str | Path) -> Braiding:
         series = doc.get("series")
         raw_entries = doc["entries"]
     except (KeyError, TypeError) as exc:
-        raise InvalidTable(f"malformed table document: {exc}")
+        raise MalformedTable(f"malformed table document: {exc}")
     if version != TABLE_FORMAT_VERSION:
-        raise InvalidTable(f"unsupported format_version {version}")
+        raise MalformedTable(f"unsupported format_version {version}")
     if type(N) is not int or N < 1:
-        raise InvalidTable(f"N must be an integer >= 1, got {N!r}")
+        raise MalformedTable(f"N must be an integer >= 1, got {N!r}")
     if kind not in (INVOLUTIVE, HECKE, BMW):
-        raise InvalidTable(f"unknown kind {kind!r}")
+        raise MalformedTable(f"unknown kind {kind!r}")
     if not isinstance(raw_entries, list):
-        raise InvalidTable(f"entries must be a list, got {raw_entries!r}")
+        raise MalformedTable(f"entries must be a list, got {raw_entries!r}")
     mu = _table_scalar(doc["mu"], "mu") if doc.get("mu") else None
     q = default_q(kind) if doc.get("q") is None else _table_scalar(doc["q"], "q")
     if q.is_zero():
-        raise InvalidTable("q must be nonzero")
+        raise MalformedTable("q must be nonzero")
     if kind == BMW:
         if series not in ("orthogonal", "symplectic"):
-            raise InvalidTable("BMW table must declare its series")
+            raise MalformedTable("BMW table must declare its series")
         if mu is None:
-            raise InconsistentMu("BMW table must declare mu")
+            raise MalformedTable("BMW table must declare mu")
         if mu != expected_mu(series, N, q):
             raise InconsistentMu(
                 f"mu {mu!r} does not match the {series} series at N={N}")
@@ -814,11 +816,11 @@ def load_braiding_table(doc: dict | str | Path) -> Braiding:
     for ent in raw_entries:
         if not isinstance(ent, dict) or \
                 any(type(ent.get(key)) is not int for key in "ijkl"):
-            raise InvalidTable(f"malformed entry {ent!r}: i, j, k and l "
-                               f"must be integers")
+            raise MalformedTable(f"malformed entry {ent!r}: i, j, k and l "
+                                 f"must be integers")
         i, j, k, l = (ent[key] - 1 for key in "ijkl")
         if not all(0 <= t < N for t in (i, j, k, l)):
-            raise InvalidTable(f"index out of range in entry {ent}")
+            raise MalformedTable(f"index out of range in entry {ent}")
         values[enc_index((k, l), N), enc_index((i, j), N)] = \
             _table_scalar(ent.get("value"), f"value of entry {ent!r}")
     r = LinOperator.from_terms(((o, c, v) for (o, c), v in values.items()), N, 2)

@@ -36,7 +36,13 @@ from .braidings import (
     specialize,
 )
 from .currents import current_relation_check, make_current_double, verify_yang
-from .errors import InvalidArgument, NonGenericPoint, QfockError, SizeLimitExceeded
+from .errors import (
+    InvalidArgument,
+    MalformedTable,
+    NonGenericPoint,
+    QfockError,
+    SizeLimitExceeded,
+)
 from .fockdouble import (
     BOSONIC,
     FAMILY_HECKE,
@@ -95,6 +101,7 @@ class Report:
     version: str
     config: dict
     checks: list[CheckRecord] = field(default_factory=list)
+    bad_input: bool = False
 
     def add(self, check_id: str, anchor: str, passed: bool | None,
             gating: bool, witness=None, seconds: float = 0.0):
@@ -116,7 +123,7 @@ class Report:
             "version": self.version,
             "config": self.config,
             "checks": [asdict(c) for c in self.checks],
-            "exit_status": 1 if self.failed else 0,
+            "exit_status": 2 if self.bad_input else 1 if self.failed else 0,
         }
         return json.dumps(doc, indent=1, sort_keys=True)
 
@@ -225,17 +232,18 @@ def _suite_double(rep: Report, b: Braiding, cfg: RunConfig):
     rep.add("double-construction", f"double ({family}, {flavor})", True, True,
             seconds=dt)
     comp, dt = _timed(verify_compatibility, d)
+
+    def witnesses(label: str) -> list | None:
+        """The first three witnesses whose label ends in `label`, if any."""
+        return [w for w in comp["witnesses"] if w[0].endswith(label)][:3] or None
+
     rep.add("compatibility-closed-identity",
             "G(R23) x2 x3 x^<3| = q^{+-2} x^<1| R12 R23 G(R12) x1 x2",
-            comp["closed_identity"], True,
-            witness=None if comp["closed_identity"] else comp["witnesses"][:3],
-            seconds=dt)
+            comp["closed_identity"], True, witness=witnesses("closed"), seconds=dt)
     rep.add("compatibility-ideals", "relations times a generator order to zero",
-            comp["ideal_checks"], True,
-            witness=None if comp["ideal_checks"] else comp["witnesses"][:3])
+            comp["ideal_checks"], True, witness=witnesses("-ideal"))
     rep.add("diamond-degree-3", "two rewrite orders agree on mixed words",
-            comp["diamond"], True,
-            witness=None if comp["diamond"] else comp["witnesses"][:3])
+            comp["diamond"], True, witness=witnesses("diamond"))
     lrel, dt = _timed(verify_l_relations, d)
     anchor = ("R12 L1 R12 L1 - L1 R12 L1 R12 = R12 L1 - L1 R12"
               if family == FAMILY_HECKE else
@@ -372,9 +380,15 @@ def cmd_verify(cfg: RunConfig) -> int:
     except InvalidArgument:
         raise
     except QfockError as exc:
+        # a table document that is not a table is bad input (exit 2); a
+        # well-formed table whose braiding fails its properties is a gating
+        # failure (exit 1)
         rep.add("load-braiding", "construct or load the braiding", False, True,
                 witness=exc)
+        rep.bad_input = isinstance(exc, MalformedTable)
         _emit(rep, cfg)
+        if rep.bad_input:
+            raise
         return 1
     rep.add("load-braiding", "construct or load the braiding", True, True,
             witness=b.name)

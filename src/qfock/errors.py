@@ -21,6 +21,11 @@ class InvalidTable(QfockError):
     """A braiding table failed the structural or property checks on load."""
 
 
+class MalformedTable(InvalidTable):
+    """A braiding table document is unreadable or not of the table format:
+    bad input, as opposed to a well-formed table whose braiding fails."""
+
+
 class InconsistentMu(QfockError):
     """A BMW table declares a cubic eigenvalue not matching its series."""
 

@@ -59,11 +59,12 @@ from .errors import (
     UnsupportedDouble,
 )
 from .quadalgebras import GradedQuotient, Tensor, Word, make_algebra
-from .scalars import ONE, ZERO, Scalar, add_term, sum_into
+from .scalars import ONE, ZERO, Scalar, add_term, nonzero_sums, sum_into
 from .tensorops import (
     LinOperator,
     Row,
     FormalMatrix,
+    dec_index,
     enc_index,
     formal_cell,
     formal_combination,
@@ -356,24 +357,6 @@ def _l_identity_cells(d: FockDouble) -> dict[tuple[int, int], dict[tuple, Scalar
     return d._l_cells
 
 
-def _failing_cells(d: FockDouble, value_of) -> list[tuple[int, int]]:
-    """The cells whose net combination is not zero once each generator-pair
-    key is replaced by value_of(key), a sparse dict; each distinct key is
-    evaluated once."""
-    values: dict[tuple, dict] = {}
-    failures = []
-    for cell, net in _l_identity_cells(d).items():
-        total: dict = {}
-        for key, c in net.items():
-            value = values.get(key)
-            if value is None:
-                value = values[key] = value_of(key)
-            sum_into(total, value, c)
-        if total:
-            failures.append(cell)
-    return failures
-
-
 def verify_l_relations(d: FockDouble) -> dict:
     """Exact check of the quadratic L-identity satisfied by l_i^j = x_i x^j.
 
@@ -394,7 +377,7 @@ def verify_l_relations(d: FockDouble) -> dict:
             value = value * d.l_gen(*pair)
         return value.terms
 
-    failures = _failing_cells(d, element)
+    failures = nonzero_sums(_l_identity_cells(d), element)
     return {"passed": not failures, "entries": d.braiding.N ** 4,
             "failures": failures, "family": d.family}
 
@@ -403,51 +386,41 @@ def verify_l_relations(d: FockDouble) -> dict:
 # compatibility verification
 # ---------------------------------------------------------------------------
 
-def _ideal_failures(relations: list[Tensor], tag: str, other: str,
-                    before: bool, N: int, order) -> list[tuple[int, Tensor]]:
-    """The (generator, relation) pairs for which a quadratic relation in
-    the `tag` tokens, times an `other` generator placed before or after it,
-    does not normal-order to zero."""
-    out = []
-    for rel in relations:
-        for g in range(N):
-            total: dict[Key, Scalar] = {}
-            for (i, j), c in rel.items():
-                pair = ((tag, i), (tag, j))
-                sum_into(total, order(((other, g),) + pair if before
-                                      else pair + ((other, g),)), c)
-            if total:
-                out.append((g, rel))
-    return out
-
-
-def _reduce_first(word: tuple[Token, ...], algebras: dict, order) -> dict[Key, Scalar]:
-    """Reduce each maximal same-tag run of a word in its quotient, then
-    normal-order every resulting word."""
-    words: dict[tuple[Token, ...], Scalar] = {(): ONE}
-    for tag, run in itertools.groupby(word, key=lambda t: t[0]):
-        nf = algebras[tag].normal_form_word(tuple(i for _, i in run))
-        words = {w + tuple((tag, i) for i in rw): c * cr
-                 for w, c in words.items() for rw, cr in nf.items()}
-    out: dict[Key, Scalar] = {}
-    for w, c in words.items():
-        sum_into(out, order(w), c)
-    return out
-
-
-def _diamond_failures(N: int, hi: str, lo: str, algebras: dict,
-                      order) -> list[tuple[Token, ...]]:
-    """The mixed degree-3 words whose exchange-first normal form (rewrite,
-    then reduce in the quotients) differs from the reduce-first one."""
-    out = []
+def _rule_failures(N: int, hi: str, lo: str, algebras: dict,
+                   order) -> tuple[list[tuple], list[tuple]]:
+    """The ideal and diamond witnesses of a permutation rule that sorts the
+    `hi` tokens after the `lo` ones, order(word) being its reduced normal
+    form.  Ideals: a quadratic relation of the lo side after a hi generator,
+    or of the hi side before a lo generator, must order to zero; witness
+    ("<tag>-ideal", generator, relation).  Diamond: a mixed degree-3 word
+    must order as the words its same-tag runs reduce to in their quotients
+    do; witness ("diamond", word)."""
+    groups: dict = {}
+    for tag, other, before in ((lo, hi, True), (hi, lo, False)):
+        for r, rel in enumerate(algebras[tag].relations):
+            for g in range(N):
+                gen = ((other, g),)
+                groups[("ideal", tag, g, r)] = {
+                    gen + ((tag, i), (tag, j)) if before else ((tag, i), (tag, j)) + gen: c
+                    for (i, j), c in rel.items()}
     for pattern in itertools.product((hi, lo), repeat=3):
         if hi not in pattern or lo not in pattern:
             continue
         for idx in itertools.product(range(N), repeat=3):
             word = tuple(zip(pattern, idx))
-            if order(word) != _reduce_first(word, algebras, order):
-                out.append(word)
-    return out
+            # minus the product of the runs' normal forms; a word whose
+            # runs are already reduced cancels to the empty combination
+            combination: dict[tuple[Token, ...], Scalar] = {(): _MINUS_ONE}
+            for tag, run in itertools.groupby(word, key=lambda t: t[0]):
+                nf = algebras[tag].normal_form_word(tuple(i for _, i in run))
+                combination = {w + tuple((tag, i) for i in rw): c * cr
+                               for w, c in combination.items() for rw, cr in nf.items()}
+            add_term(combination, word, ONE)
+            groups[("diamond", word)] = combination
+    failed = nonzero_sums(groups, order)
+    ideal = [(f"{tag}-ideal", g, tuple(algebras[tag].relations[r]))
+             for _, tag, g, r in (key for key in failed if key[0] == "ideal")]
+    return ideal, [key for key in failed if key[0] == "diamond"]
 
 
 def verify_compatibility(d: FockDouble) -> dict:
@@ -466,49 +439,29 @@ def verify_compatibility(d: FockDouble) -> dict:
     """
     b = d.braiding
     N = b.N
-    report: dict = {"closed_identity": True, "ideal_checks": True,
-                    "diamond": True, "witnesses": []}
-
-    @functools.lru_cache(maxsize=None)
-    def free_order(word: tuple[Token, ...]) -> dict[Key, Scalar]:
-        return _rewrite(word, d.exchange, d.constant, "a", "b")
-
     # the closed identity  G(R_23) x_2 x_3 x^<3| = c * x^<1| R12 R23 G(R_12) x_1 x_2,
-    # G the B side's relation operator and c = q^2 (bosonic) or q^-2
+    # G the B side's relation operator and c = q^2 (bosonic) or q^-2, as one
+    # combination per (i2, i3, j3): the G words minus c times the R words
     g = relation_operator(b, d.B.kind)
-    coeff = b.q * b.q if d.flavor == BOSONIC else (b.q * b.q).inverse()
+    minus_c = -(b.q * b.q) if d.flavor == BOSONIC else -(b.q * b.q).inverse()
     m3 = place(g, (1, 2), 3) @ place(b.R, (2, 3), 3) @ place(b.R, (1, 2), 3)
-    for i2, i3, j3 in itertools.product(range(N), repeat=3):
-        lhs: dict[Key, Scalar] = {}
-        for a, bb in itertools.product(range(N), repeat=2):
-            c = g.entry((a, bb), (i2, i3))
-            if not c.is_zero():
-                sum_into(lhs, free_order((("b", a), ("b", bb), ("a", j3))), c)
-        rhs: dict[Key, Scalar] = {}
-        for a, bb, e in itertools.product(range(N), repeat=3):
-            c = m3.entry((bb, e, j3), (a, i2, i3))
-            if not c.is_zero():
-                sum_into(rhs, free_order((("a", a), ("b", bb), ("b", e))),
-                         c * coeff)
-        if lhs != rhs:
-            report["closed_identity"] = False
-            report["witnesses"].append(("closed", (i2, i3, j3)))
+    groups: dict = {key: {} for key in itertools.product(range(N), repeat=3)}
+    for r, col, v in g.nonzeros():
+        (a, bb), (i2, i3) = dec_index(r, N, 2), dec_index(col, N, 2)
+        for j3 in range(N):
+            groups[(i2, i3, j3)][(("b", a), ("b", bb), ("a", j3))] = v
+    for r, col, v in m3.nonzeros():
+        (bb, e, j3), (a, i2, i3) = dec_index(r, N, 3), dec_index(col, N, 3)
+        groups[(i2, i3, j3)][(("a", a), ("b", bb), ("b", e))] = minus_c * v
+    closed = nonzero_sums(
+        groups, lambda word: _rewrite(word, d.exchange, d.constant, "a", "b"))
 
-    def order(word):
-        return d.normal_order(word).terms
-
-    ideal = [("b-ideal", l, tuple(rel))
-             for l, rel in _ideal_failures(d.B.relations, "b", "a", True, N, order)]
-    ideal += [("a-ideal", k, tuple(rel))
-              for k, rel in _ideal_failures(d.A.relations, "a", "b", False, N, order)]
-    diamond = _diamond_failures(N, "a", "b", {"a": d.A, "b": d.B}, order)
-    report["ideal_checks"] = not ideal
-    report["diamond"] = not diamond
-    report["witnesses"] += ideal + [("diamond", w) for w in diamond]
-
-    report["passed"] = (report["closed_identity"] and report["ideal_checks"]
-                        and report["diamond"])
-    return report
+    ideal, diamond = _rule_failures(N, "a", "b", {"a": d.A, "b": d.B},
+                                    lambda word: d.normal_order(word).terms)
+    return {"closed_identity": not closed, "ideal_checks": not ideal,
+            "diamond": not diamond,
+            "witnesses": [("closed", key) for key in closed] + ideal + diamond,
+            "passed": not (closed or ideal or diamond)}
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +506,7 @@ def representation_l_relations_ok(d: FockDouble, k: int) -> bool:
         cols = functools.reduce(lambda a, b: mat_mul(b, a), (reps[pair] for pair in key))
         return {(r, c): v for c, col in enumerate(cols) for r, v in col.items()}
 
-    return not _failing_cells(d, matrix)
+    return not nonzero_sums(_l_identity_cells(d), matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -592,18 +545,12 @@ def left_dual_variant_report(b: Braiding) -> dict:
         trels.append(out)
     atilde = GradedQuotient(N, "V*", SYM, trels, name="left-dual side")
 
-    @functools.lru_cache(maxsize=None)
     def order(word: tuple[Token, ...]) -> dict[Key, Scalar]:
         return _reduce_keys(_rewrite(word, exch, const, "b", "t"), atilde, balg)
 
-    diamond = _diamond_failures(N, "b", "t", {"b": balg, "t": atilde}, order)
-    ideal = ([("b-ideal", l) for l, _ in
-              _ideal_failures(balg.relations, "b", "t", False, N, order)]
-             + [("tilde-ideal", k) for k, _ in
-                _ideal_failures(trels, "t", "b", True, N, order)])
+    ideal, diamond = _rule_failures(N, "b", "t", {"b": balg, "t": atilde}, order)
     return {"diamond": not diamond, "ideal_checks": not ideal,
-            "witnesses": [("diamond", w) for w in diamond] + ideal,
-            "passed": not diamond and not ideal}
+            "witnesses": diamond + ideal, "passed": not diamond and not ideal}
 
 
 # ---------------------------------------------------------------------------

@@ -447,3 +447,21 @@ def sum_into(out: dict, src: dict, scale: Scalar = ONE) -> None:
     unit = scale.is_one()
     for key, c in src.items():
         add_term(out, key, c if unit else scale * c)
+
+
+def nonzero_sums(groups: dict, value_of) -> list:
+    """The keys g, in the order of groups, whose sum of c * value_of(w) over
+    the combination groups[g] = {w: c} is not zero; value_of(w) is a
+    sparse dict, and each distinct w is evaluated once."""
+    values: dict = {}
+    failures = []
+    for g, combination in groups.items():
+        total: dict = {}
+        for w, c in combination.items():
+            value = values.get(w)
+            if value is None:
+                value = values[w] = value_of(w)
+            sum_into(total, value, c)
+        if total:
+            failures.append(g)
+    return failures

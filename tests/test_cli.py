@@ -1,9 +1,10 @@
+import ast
 import json
 import time
 
 import pytest
 
-from qfock import braidings, cli
+from qfock import braidings, cli, quadalgebras
 from qfock.braidings import (
     Braiding,
     braiding_to_table,
@@ -22,6 +23,12 @@ from qfock.scalars import Q, ONE, ZERO, Scalar
 
 def run(argv):
     return main(argv)
+
+
+def _corrupted_json(b: Braiding, corrupt) -> str:
+    doc = braiding_to_table(b)
+    corrupt(doc)
+    return json.dumps(doc)
 
 
 class TestVerify:
@@ -169,11 +176,56 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         out = tmp_path / "rep.json"
         assert run(["verify", "--table", str(path), "--suite", "braiding",
-                    "--out", str(out)]) == 1
+                    "--out", str(out)]) == 2
         assert capsys.readouterr().out.startswith("[FAIL] load-braiding")
         [check] = json.loads(out.read_text())["checks"]
         assert check["check_id"] == "load-braiding"
         assert check["verdict"] == "fail" and named in check["witness"]
+
+    @pytest.mark.parametrize("text, named", [
+        (None, "cannot read"),
+        (lambda: "not json {", "not valid JSON"),
+        (lambda: "[1, 2]", "JSON object"),
+        (lambda: _corrupted_json(make_standard_hecke(2), lambda d: d["entries"][0].update(
+            value={"num": [[0, 1]], "den": [[0, 0]]})), "zero denominator"),
+        (lambda: _corrupted_json(make_bmw(2, "symplectic"), lambda d: d.pop("mu")),
+         "must declare mu"),
+    ], ids=["missing-file", "not-json", "not-an-object", "zero-denominator",
+            "bmw-without-mu"])
+    def test_table_document_error_is_bad_input(self, text, named, tmp_path, capsys):
+        path, out = tmp_path / "table.json", tmp_path / "rep.json"
+        if text is not None:
+            path.write_text(text())
+        assert run(["verify", "--table", str(path), "--suite", "braiding",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedTable:") and named in err
+        assert json.loads(out.read_text())["exit_status"] == 2
+
+    def test_each_compatibility_record_shows_its_own_witnesses(
+            self, tmp_path, monkeypatch):
+        """One exchange coefficient of the std-hecke N = 2 double bumped:
+        all three compatibility records fail, each naming its own words."""
+        real = cli.make_double
+
+        def bumped(b, flavor):
+            d = real(b, flavor)
+            (i, j, c), *rest = d.exchange[(0, 1)]
+            d.exchange[(0, 1)] = [(i, j, c + ONE), *rest]
+            return d
+
+        monkeypatch.setattr(cli, "make_double", bumped)
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--braiding", "std-hecke", "--n", "2",
+                    "--suite", "double", "--out", str(out)]) == 1
+        checks = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
+        for check_id, labels in (("compatibility-closed-identity", {"closed"}),
+                                 ("compatibility-ideals", {"a-ideal", "b-ideal"}),
+                                 ("diamond-degree-3", {"diamond"})):
+            check = checks[check_id]
+            assert check["verdict"] == "fail"
+            named = {w[0] for w in ast.literal_eval(check["witness"])}
+            assert named and named <= labels, (check_id, named)
 
     def test_evaluation_cross_check_fails_on_a_corrupted_table(
             self, tmp_path, monkeypatch, capsys):
@@ -315,6 +367,47 @@ class TestProjectorMutation:
         out = capsys.readouterr().out
         assert "[FAIL] projector-decomposition" in out
         assert out.count("[FAIL]") == 1
+
+
+def _failing_gating_checks(argv, out) -> set[str]:
+    assert run(["verify", *argv, "--out", str(out)]) == 1
+    return {c["check_id"] for c in json.loads(out.read_text())["checks"]
+            if c["gating"] and c["verdict"] == "fail"}
+
+
+def _sheared(r: LinOperator) -> LinOperator:
+    """A R A^{-1} with A = I + E_01 on V (x) V, which is not a g (x) g."""
+    ident = LinOperator.identity(r.dim, r.legs, r.labels)
+    e01 = LinOperator.from_terms([(0, 1, ONE)], r.dim, r.legs, r.labels, r.labels_out)
+    return (ident + e01) @ r @ (ident - e01)
+
+
+class TestGatingRecordsCanFail:
+    """Each gating braiding and Poincare record fails on a braiding or an
+    algebra built to break its identity."""
+
+    @pytest.mark.parametrize("corrupt, failing", [
+        # the Hecke projectors are read off the minimal polynomial, so they
+        # no longer reconstruct 2R either
+        (lambda r: r.scale(Scalar.from_int(2)),
+         {"minimal-polynomial", "projector-decomposition"}),
+        (_sheared, {"braid-relation"}),
+        (lambda r: LinOperator.identity(r.dim, r.legs, r.labels).scale(Q),
+         {"skew-inverse"}),
+    ], ids=["twice-r", "sheared-r", "q-identity"])
+    def test_corrupted_braiding(self, corrupt, failing, tmp_path, monkeypatch):
+        r = corrupt(make_standard_hecke(2).R)
+        monkeypatch.setattr(cli, "_resolve_braiding",
+                            lambda cfg: Braiding(2, r, braidings.HECKE, name="corrupted"))
+        assert _failing_gating_checks(["--suite", "braiding"],
+                                      tmp_path / "rep.json") == failing
+
+    def test_truncated_relations_fail_every_poincare_record(self, tmp_path, monkeypatch):
+        real = quadalgebras._image_basis
+        monkeypatch.setattr(quadalgebras, "_image_basis", lambda op: real(op)[:-1])
+        argv = ["--braiding", "std-hecke", "--n", "2", "--suite", "poincare"]
+        assert _failing_gating_checks(argv, tmp_path / "rep.json") == {
+            f"poincare-{kind}-{space}" for kind in ("sym", "lambda") for space in ("V", "V*")}
 
 
 class TestPoincare:

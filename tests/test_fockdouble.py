@@ -837,6 +837,36 @@ class TestLeftDualVariant:
         assert not rep["passed"]
 
 
+    def test_corrupted_variant_rule_names_its_relations(self, monkeypatch):
+        """The variant's ideal witnesses take the double's form
+        ("<tag>-ideal", generator, relation) on both of its sides."""
+        b = make_standard_hecke(2)
+        build = fockdouble.exchange_table
+        real_quotient = fockdouble.GradedQuotient
+        made = []
+
+        def corrupted(*args):
+            moves, constants = build(*args)
+            (i, j, c), *rest = moves[(0, 1)]
+            moves[(0, 1)] = [(i, j, c + ONE), *rest]
+            return moves, constants
+
+        def recorded(*args, **kwargs):
+            made.append(real_quotient(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(fockdouble, "exchange_table", corrupted)
+        monkeypatch.setattr(fockdouble, "GradedQuotient", recorded)
+        rep = left_dual_variant_report(b)
+        [tilde] = made
+        relations = {"b": {tuple(r) for r in make_algebra(b, "sym", "V").relations},
+                     "t": {tuple(r) for r in tilde.relations}}
+        ideal = [w for w in rep["witnesses"] if w[0] != "diamond"]
+        assert {w[0] for w in ideal} == {"b-ideal", "t-ideal"}
+        for label, g, rel in ideal:
+            assert g in range(b.N) and rel in relations[label[0]]
+
+
 class TestDoubleAlgebra:
     def test_multiplication_is_associative(self):
         d = make_double(make_standard_hecke(2), "bosonic")

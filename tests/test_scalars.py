@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from qfock.errors import DivisionByZero, NonGenericPoint
 from qfock.scalars import (
     ONE, Q, QINV, ZERO, Scalar, _laurent_add, _laurent_mul, _padd, _pgcd, _pmul,
-    add_term, sum_into,
+    add_term, nonzero_sums, sum_into,
 )
 
 
@@ -116,6 +116,29 @@ class TestSparseAccumulator:
         sum_into(out, {"x": -Q, "y": QINV}, scale)
         # 1 - q/(q + 1) = 1/(q + 1)
         assert out == {"x": scale, "y": Scalar.make({-1: 1}, {0: 1, 1: 1})}
+
+
+class TestNonzeroSums:
+    VALUES = {"u": {0: ONE, 1: Q}, "v": {0: -ONE}, "w": {1: ONE}}
+
+    def test_keeps_group_order_and_evaluates_each_word_once(self):
+        calls = []
+
+        def value_of(w):
+            calls.append(w)
+            return self.VALUES[w]
+
+        groups = {"z": {"u": ONE, "v": ONE},        # 1 + q - 1 = q: fails
+                  "a": {"u": ONE, "v": ONE, "w": -Q},  # cancels
+                  "m": {"w": QINV}}                   # fails
+        assert nonzero_sums(groups, value_of) == ["z", "m"]
+        assert sorted(calls) == ["u", "v", "w"]
+
+    def test_empty_combination_is_never_evaluated(self):
+        def value_of(w):
+            raise AssertionError(f"evaluated {w!r}")
+
+        assert nonzero_sums({"g": {}, "h": {}}, value_of) == []
 
 
 class TestEvaluate:
