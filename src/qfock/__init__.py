@@ -20,7 +20,6 @@ from .braidings import (  # noqa: F401
 )
 from .quadalgebras import GradedQuotient, make_algebra  # noqa: F401
 from .fockdouble import (  # noqa: F401
-    DoubleElement,
     FockDouble,
     braided_lie,
     fock_representation,

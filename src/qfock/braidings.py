@@ -570,6 +570,13 @@ class CurrentBraiding:
         q = self.base.q
         return q - q.inverse(), ZERO, q
 
+    def pole(self) -> tuple[Scalar, int]:
+        """(c, theta) with h(u,v) = c u^(1-theta) / (u - v), whose expansion
+        in |u| > |v| is c sum_{p>=0} v^p u^(-p-theta): (a, 0) trigonometric
+        and (b, 1) rational."""
+        a, b, _ = self._affine()
+        return (b, 1) if self.flavor == RATIONAL else (a, 0)
+
     def cleared_r_form(self, x: int, y: int, letter: str) -> Factor:
         """The cleared R(x, y) as a factor: `letter` standing for R, with
         its polynomial, and the identity (None) with its polynomial."""

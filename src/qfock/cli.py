@@ -359,14 +359,15 @@ def _suite_currents(rep: Report, b: Braiding, cfg: RunConfig):
                     f"{out['residual_out_of_window_terms']}", seconds=dt)
     degree = min(cfg.degree, 2)
     out, dt = _timed(verify_yang, cd, degree)
-    gating = degree <= 1
+    # the strict degree <= 1 part gates at every degree; the residue is reported
+    witness = (f"{out['matrix_elements']} elements, window {out['window']}, "
+               f"degree {out['degree']}; {out['comparison']}")
+    if degree >= 2:
+        witness += f"; {out['degree2_residual_classes']} residual classes"
     rep.add("spectral-l-identity",
             "R12(u,v) L1(u) R12 L1(v) - L1(v) R12 L1(u) R12(u,v) = "
             "(R12 L1(u) - L1(u) R12) delta(u-v), matrix elements",
-            out["passed"] if gating else None, gating,
-            witness=f"{out['matrix_elements']} elements, window {out['window']}, "
-                    f"degree {out['degree']}; {out['comparison']}",
-            seconds=dt)
+            out["passed"], True, witness=witness, seconds=dt)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,11 @@ With delta(u - v) = sum_p v^p u^(-p-1) and the region |u| > |v| fixed for
 
 is the coefficient form of the distribution-level exchange.  Exchange
 terms keep both mode labels, so annihilation never manufactures new modes
-and every matrix element between finite states is a finite sum.
+and every matrix element between finite states is a finite sum.  The rule
+is CurrentDouble.rule, in the (moves, constant) form of fockdouble._pass,
+which applies it: a dual mode acts on a creation word through the same
+memoized step that normal-orders the Fock double, and a rule whose moves
+shift mode labels fits the same form.
 
 The spectral L-identity is verified through matrix elements on truncated
 modules.  The two pole terms of the identity each multiply a delta-bearing
@@ -32,13 +36,12 @@ from math import inf
 from .braidings import (
     Braiding,
     CurrentBraiding,
-    TRIGONOMETRIC,
     dual_square,
     exchange_table,
 )
 from .errors import WindowOverflow
-from .fockdouble import formal_l, l_identity_sides
-from .scalars import ONE, Scalar, add_term, sum_into
+from .fockdouble import _pass, formal_l, l_identity_sides
+from .scalars import ONE, ZERO, Scalar, add_term, sum_into
 from .tensorops import (
     FormalMatrix,
     echelon_insert,
@@ -100,13 +103,21 @@ class CurrentDouble:
     window: int
     exchange: dict = field(init=False)
     constant: dict = field(init=False)
-    # _annihilate memo keyed by (gen, k, word); lives as long as the double
+    # the _pass memo of self.rule; lives as long as the double
     annihilated: dict = field(init=False, default_factory=dict,
                               repr=False, compare=False)
 
     def __post_init__(self):
         b = self.cb.base
         self.exchange, self.constant = exchange_table(b.psi, b.q.inverse(), b.B)
+
+    def rule(self, a_mode: Mode, b_mode: Mode):
+        """The mode permutation rule on x^a[k] x_b[l]: the moves ((i, l),
+        (j, k), c), which keep both mode labels, and the pairing constant,
+        which fires exactly when k + l = 1."""
+        (a, k), (b, l) = a_mode, b_mode
+        moves = [((i, l), (j, k), c) for i, j, c in self.exchange[(a, b)]]
+        return moves, self.constant[(a, b)] if k + l == 1 else ZERO
 
     @property
     def N(self) -> int:
@@ -125,13 +136,10 @@ def mode_permute(cd: CurrentDouble, a_mode: Mode, b_mode: Mode):
     """Normal-ordered form of x^a[k] x_b[l]: a list of (pair, coefficient)
     where pair is ((i, l), (j, k)) for exchange terms and None for the
     pairing constant, which fires exactly when k + l = 1."""
-    (a, k) = a_mode
-    (b, l) = b_mode
-    out = [((((i, l)), ((j, k))), c) for (i, j, c) in cd.exchange[(a, b)]]
-    if k + l == 1:
-        c = cd.constant[(a, b)]
-        if not c.is_zero():
-            out.append((None, c))
+    moves, constant = cd.rule(a_mode, b_mode)
+    out = [((lo, hi), c) for lo, hi, c in moves]
+    if not constant.is_zero():
+        out.append((None, constant))
     return out
 
 
@@ -139,22 +147,7 @@ def _annihilate(cd: CurrentDouble, gen: int, k: int, word: ModeWord) -> dict[Mod
     """Action of the single dual mode x^gen[k] on a creation word; the
     counit kills whatever reaches the vacuum.  Memoized per double; callers
     only read the returned dict."""
-    key = (gen, k, word)
-    out = cd.annihilated.get(key)
-    if out is not None:
-        return out
-    out = {}
-    if word:
-        (b0, m0) = word[0]
-        if k + m0 == 1:
-            c = cd.constant[(gen, b0)]
-            if not c.is_zero():
-                out[word[1:]] = c
-        for (i, j, c) in cd.exchange[(gen, b0)]:
-            for w2, c2 in _annihilate(cd, j, k, word[1:]).items():
-                add_term(out, ((i, m0),) + w2, c * c2)
-    cd.annihilated[key] = out
-    return out
+    return _pass(cd.rule, cd.annihilated, (gen, k), word)[0]
 
 
 def zf_act(cd: CurrentDouble, a_modes, state: ModeState) -> ModeState:
@@ -357,9 +350,7 @@ def _yang_expressions(cd: CurrentDouble):
                  for s, t in (sides[:2], sides[2:]))
     t1 = formal_combination(((ONE, _tagged(quad, None)), (-ONE, _tagged(lin, "delta"))))
 
-    s = b.q.inverse()
-    if cd.cb.flavor == TRIGONOMETRIC:
-        s = s * (b.q - b.q.inverse())
+    s = b.q.inverse() * cd.cb.pole()[0]
     moves = exchange_table(b.psi, s, b.B)[0]     # (z, w) -> (i, j, s Psi_jw^iz)
     t2: FormalMatrix = {}
     for r, c, rv in sorted(b.R.nonzeros(), key=lambda t: t[:2]):
@@ -396,9 +387,7 @@ def _relation_instances(cd: CurrentDouble, mode_pairs, tail: int):
     ((mode, mode), c) terms per instance."""
     b = cd.cb.base
     N = b.N
-    trig = cd.cb.flavor == TRIGONOMETRIC
-    theta = 0 if trig else 1
-    cf = b.q - b.q.inverse() if trig else ONE
+    cf, theta = cd.cb.pole()
     qmain = b.q     # ONE for the involutive base of a rational current
     columns: dict[int, list] = {}       # (i, j) -> the nonzero R_ij^kl, (k, l) ascending
     for r, c, v in sorted(b.R.nonzeros(), key=lambda t: t[:2]):
@@ -512,7 +501,7 @@ def verify_yang(cd: CurrentDouble, degree: int = 1) -> dict:
         raise WindowOverflow("desk scale is degree <= 2 and window <= 4")
     N = cd.N
     n2 = N * N
-    theta = 0 if cd.cb.flavor == TRIGONOMETRIC else 1
+    theta = cd.cb.pole()[1]
     t1, t2 = _yang_expressions(cd)
     interior = 2 * M + 2
     kets = _kets(N, M, degree)

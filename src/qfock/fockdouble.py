@@ -12,12 +12,16 @@ with s = q^{-1} for the bosonic flavor and s = -q for the fermionic one
 Every rewrite either moves an annihilation generator rightward past a
 creation generator or drops the pair, so normal ordering terminates.  The
 rule's left-hand sides never overlap, so on free words every rewrite order
-gives the same result (Bergman's diamond lemma) and one loop, _rewrite,
-serves both rules.  What can fail is compatibility with the quotients: the
-closed matrix identity is checked on free words sorted by the double's own
-rule, and the diamond test compares, on every mixed degree-3 word, normal
-ordering the free word and then reducing (exchange first) with reducing
-each same-tag run in its quotient and then normal ordering (reduce first).
+gives the same result (Bergman's diamond lemma).  One memoized step,
+_pass, moves one annihilator through a word of creators under any rule
+given as rule(hi, lo) = (moves, constant); _rewrite folds it over a word
+for the double and its left-dual variant, and the current double
+(currents) applies it under its mode rule.  What can fail is
+compatibility with the quotients: the closed matrix identity is checked
+on free words sorted by the double's own rule, and the diamond test
+compares, on every mixed degree-3 word, normal ordering the free word and
+then reducing (exchange first) with reducing each same-tag run in its
+quotient and then normal ordering (reduce first).
 
 The braiding fixes the double's family (double_family): Hecke and
 involutive braidings give the hecke family, with a bosonic or a fermionic
@@ -28,10 +32,12 @@ of braidings.relation_operator; the same operator is the G of the closed
 compatibility identity, and for BMW the other kind's operator is the
 outer grid of the L-identity.  Every q here is the braiding's own b.q.
 
-All identity verifications here are exact comparisons of normal-ordered
-elements; nothing is truncated or approximated.  A double is immutable
-after construction apart from the monotone caches inside its graded
-quotients and its normal-order memo; verification suites are pure.
+An element of the double is a read-only dict {(creation word,
+annihilation word): Scalar} of reduced normal-ordered terms.  All
+identity verifications here are exact comparisons of such elements;
+nothing is truncated or approximated.  A double is immutable after
+construction apart from the monotone caches inside its graded quotients
+and its _pass memo; verification suites are pure.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ from .braidings import (
     LAMBDA,
     SYM,
     Braiding,
-    Moves,
     dual_square,
     exchange_table,
     relation_operator,
@@ -59,7 +64,7 @@ from .errors import (
     UnsupportedDouble,
 )
 from .quadalgebras import GradedQuotient, Tensor, Word, make_algebra
-from .scalars import ONE, ZERO, Scalar, add_term, nonzero_sums, sum_into
+from .scalars import ONE, ZERO, Scalar, add_term, nonzero_sums
 from .tensorops import (
     LinOperator,
     Row,
@@ -90,53 +95,6 @@ SERIES_FLAVOR = {FAMILY_BMW_ORTH: BOSONIC, FAMILY_BMW_SYMPL: FERMIONIC}
 Token = tuple[str, int]          # ("b", i) creation, ("a", j) annihilation
 Key = tuple[Word, Word]          # (creation word, annihilation word)
 
-
-class DoubleElement:
-    """A finitely supported normal-ordered element of B (x) A."""
-
-    __slots__ = ("double", "terms")
-
-    def __init__(self, double: "FockDouble", terms: dict[Key, Scalar]):
-        self.double = double
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "DoubleElement") -> "DoubleElement":
-        out = dict(self.terms)
-        sum_into(out, other.terms)
-        return DoubleElement(self.double, out)
-
-    def __sub__(self, other: "DoubleElement") -> "DoubleElement":
-        return self + other.scale(_MINUS_ONE)
-
-    def scale(self, s: Scalar) -> "DoubleElement":
-        if s.is_zero():
-            return DoubleElement(self.double, {})
-        return DoubleElement(self.double, {k: s * v for k, v in self.terms.items()})
-
-    def __mul__(self, other: "DoubleElement") -> "DoubleElement":
-        return self.double.multiply(self, other)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DoubleElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("DoubleElement is not hashable")
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (bw, aw), c in sorted(self.terms.items()):
-            word = " ".join([f"x{i+1}" for i in bw] + [f"x^{j+1}" for j in aw]) or "1"
-            bits.append(f"({c!r})*{word}")
-        return " + ".join(bits)
-
-
 _MINUS_ONE = Scalar.from_int(-1)
 
 
@@ -158,44 +116,28 @@ class FockDouble:
         self.sign_coeff = qpar.inverse() if flavor == BOSONIC else -qpar
         self.exchange, self.constant = exchange_table(
             braiding.psi, self.sign_coeff, braiding.B)
-        self._order_cache: dict[tuple[Token, ...], dict[Key, Scalar]] = {}
+        self._order_cache: dict = {}      # the _pass memo of self.rule
         self._l_cells: dict[tuple[int, int], dict[tuple, Scalar]] | None = None
 
-    # -- element constructors -------------------------------------------
+    def rule(self, l: int, k: int):
+        """The permutation rule on x^l x_k: its moves and its constant."""
+        return self.exchange[(l, k)], self.constant[(l, k)]
 
-    def zero(self) -> DoubleElement:
-        return DoubleElement(self, {})
-
-    def one(self) -> DoubleElement:
-        return DoubleElement(self, {((), ()): ONE})
-
-    def l_gen(self, i: int, j: int) -> DoubleElement:
-        return DoubleElement(self, {((i,), (j,)): ONE})
-
-    # -- normal ordering --------------------------------------------------
-
-    def normal_order(self, word: tuple[Token, ...] | list[Token]) -> DoubleElement:
+    def normal_order(self, word: tuple[Token, ...] | list[Token]) -> dict[Key, Scalar]:
         """Rewrite a mixed generator word into the reduced normal form."""
-        word = tuple(word)
-        done = self._order_cache.get(word)
-        if done is None:
-            done = _reduce_keys(_rewrite(word, self.exchange, self.constant, "a", "b"),
-                                self.B, self.A)
-            self._order_cache[word] = done
-        return DoubleElement(self, done)
+        return _reduce_keys(_rewrite(tuple(word), self.rule, self._order_cache, "a", "b"),
+                            self.B, self.A)
 
-    # -- algebra ----------------------------------------------------------
-
-    def multiply(self, e1: DoubleElement, e2: DoubleElement) -> DoubleElement:
+    def multiply(self, e1: dict[Key, Scalar], e2: dict[Key, Scalar]) -> dict[Key, Scalar]:
         words: dict[Key, Scalar] = {}
-        for (b1, a1), c1 in e1.terms.items():
-            for (b2, a2), c2 in e2.terms.items():
+        for (b1, a1), c1 in e1.items():
+            for (b2, a2), c2 in e2.items():
                 c12 = c1 * c2
                 mid = self.normal_order(
                     tuple(("a", j) for j in a1) + tuple(("b", i) for i in b2))
-                for (bm, am), d in mid.terms.items():
+                for (bm, am), d in mid.items():
                     add_term(words, (b1 + bm, am + a2), c12 * d)
-        return DoubleElement(self, _reduce_keys(words, self.B, self.A))
+        return _reduce_keys(words, self.B, self.A)
 
     def act(self, a_elem: Tensor | Word, v: Tensor | Word) -> Tensor:
         """The annihilation action a |> v, an element of B."""
@@ -207,47 +149,59 @@ class FockDouble:
         for aw, ca in a_elem.items():
             for bw, cb in v.items():
                 word = tuple(("a", j) for j in aw) + tuple(("b", i) for i in bw)
-                ordered = self.normal_order(word)
-                for (bw2, aw2), c in ordered.terms.items():
+                for (bw2, aw2), c in self.normal_order(word).items():
                     if not aw2:  # the counit kills surviving annihilators
                         add_term(out, bw2, ca * cb * c)
         return out
 
-    # -- L-matrix ----------------------------------------------------------
 
-    def l_matrix(self) -> list[list[DoubleElement]]:
-        N = self.braiding.N
-        return [[self.l_gen(i, j) for j in range(N)] for i in range(N)]
+def _pass(rule, memo: dict, hi, word: tuple) -> tuple[dict, dict]:
+    """Move one `hi` token through a word of `lo` tokens by the permutation
+    rule, rule(hi, lo) = (moves [(lo', hi', c)], constant): hi lo becomes
+    sum c lo' hi' plus the constant times the empty word.  Returns (paired
+    {word': c}, where the pairing absorbed hi, and moved {(word', hi'): c},
+    where hi' came out on the right), memoized per (hi, word)."""
+    done = memo.get((hi, word))
+    if done is not None:
+        return done
+    paired: dict = {}
+    moved: dict = {} if word else {((), hi): ONE}
+    if word:
+        moves, constant = rule(hi, word[0])
+        if not constant.is_zero():
+            paired[word[1:]] = constant
+        for lo2, hi2, c in moves:
+            sub_paired, sub_moved = _pass(rule, memo, hi2, word[1:])
+            for w, c2 in sub_paired.items():
+                add_term(paired, (lo2,) + w, c * c2)
+            for (w, h), c2 in sub_moved.items():
+                add_term(moved, ((lo2,) + w, h), c * c2)
+    memo[(hi, word)] = done = (paired, moved)
+    return done
 
 
-def _rewrite(word: tuple[Token, ...], exchange: Moves, constant: dict,
-             hi: str, lo: str) -> dict[Key, Scalar]:
-    """Sort a word by the permutation rule: a `hi` token (l) directly before
-    a `lo` token (k) becomes sum c (lo, i) (hi, j) over exchange[(l, k)],
-    plus constant[(l, k)] times the word without the pair.  Returns the
-    sorted words keyed (lo-word, hi-word), before any quotient reduction.
+def _rewrite(word: tuple[Token, ...], rule, memo: dict, hi: str,
+             lo: str) -> dict[Key, Scalar]:
+    """Sort a word by the permutation rule (see _pass), right to left: a
+    `lo` token is put in front of the sorted suffix, a `hi` token is passed
+    through its lo part.  Returns the sorted words keyed (lo-word,
+    hi-word), before any quotient reduction.
 
     The left-hand sides of the rule never overlap, so by the diamond lemma
-    (Bergman 1978) every rewrite order gives this result; the leftmost
-    disorder is rewritten first."""
-    done: dict[Key, Scalar] = {}
-    pending: dict[tuple[Token, ...], Scalar] = {word: ONE}
-    while pending:
-        w, coeff = pending.popitem()
-        for p in range(len(w) - 1):
-            if w[p][0] == hi and w[p + 1][0] == lo:
-                break
-        else:
-            add_term(done, (tuple(i for t, i in w if t == lo),
-                            tuple(i for t, i in w if t == hi)), coeff)
+    (Bergman 1978) every rewrite order gives this result."""
+    done: dict[Key, Scalar] = {((), ()): ONE}
+    for tag, x in reversed(word):
+        if tag == lo:
+            done = {((x,) + lw, hw): c for (lw, hw), c in done.items()}
             continue
-        l, k = w[p][1], w[p + 1][1]
-        head, tail = w[:p], w[p + 2:]
-        for (i, j, c) in exchange[(l, k)]:
-            add_term(pending, head + ((lo, i), (hi, j)) + tail, coeff * c)
-        cst = constant[(l, k)]
-        if not cst.is_zero():
-            add_term(pending, head + tail, coeff * cst)
+        out: dict[Key, Scalar] = {}
+        for (lw, hw), c in done.items():
+            paired, moved = _pass(rule, memo, x, lw)
+            for w, c2 in paired.items():
+                add_term(out, (w, hw), c * c2)
+            for (w, h), c2 in moved.items():
+                add_term(out, (w, (h,) + hw), c * c2)
+        done = out
     return done
 
 
@@ -372,10 +326,7 @@ def verify_l_relations(d: FockDouble) -> dict:
     in exactly the cells where PP does, and every product stays Laurent.
     """
     def element(key: tuple) -> dict[Key, Scalar]:
-        value = d.l_gen(*key[0])
-        for pair in key[1:]:
-            value = value * d.l_gen(*pair)
-        return value.terms
+        return d.normal_order([t for i, j in key for t in (("b", i), ("a", j))])
 
     failures = nonzero_sums(_l_identity_cells(d), element)
     return {"passed": not failures, "entries": d.braiding.N ** 4,
@@ -454,10 +405,9 @@ def verify_compatibility(d: FockDouble) -> dict:
         (bb, e, j3), (a, i2, i3) = dec_index(r, N, 3), dec_index(col, N, 3)
         groups[(i2, i3, j3)][(("a", a), ("b", bb), ("b", e))] = minus_c * v
     closed = nonzero_sums(
-        groups, lambda word: _rewrite(word, d.exchange, d.constant, "a", "b"))
+        groups, lambda word: _rewrite(word, d.rule, d._order_cache, "a", "b"))
 
-    ideal, diamond = _rule_failures(N, "a", "b", {"a": d.A, "b": d.B},
-                                    lambda word: d.normal_order(word).terms)
+    ideal, diamond = _rule_failures(N, "a", "b", {"a": d.A, "b": d.B}, d.normal_order)
     return {"closed_identity": not closed, "ideal_checks": not ideal,
             "diamond": not diamond,
             "witnesses": [("closed", key) for key in closed] + ideal + diamond,
@@ -478,13 +428,14 @@ def fock_representation(d: FockDouble, k: int) -> dict[tuple[int, int], list[Row
     if not comp.basis:
         raise EmptyComponent(f"component {k} of the creation algebra is zero")
     N = d.braiding.N
+    acted = [[d.act((j,), w) for w in comp.basis] for j in range(N)]
     out = {}
     for i in range(N):
         for j in range(N):
             cols: list[Row] = []
-            for w in comp.basis:
+            for image in acted[j]:
                 col: Row = {}
-                for y, c in d.act((j,), w).items():
+                for y, c in image.items():
                     for w2, c2 in d.B.normal_form_word((i,) + y).items():
                         add_term(col, comp.basis_index[w2], c * c2)
                 cols.append(col)
@@ -545,8 +496,13 @@ def left_dual_variant_report(b: Braiding) -> dict:
         trels.append(out)
     atilde = GradedQuotient(N, "V*", SYM, trels, name="left-dual side")
 
+    memo: dict = {}
+
+    def rule(l: int, k: int):
+        return exch[(l, k)], const[(l, k)]
+
     def order(word: tuple[Token, ...]) -> dict[Key, Scalar]:
-        return _reduce_keys(_rewrite(word, exch, const, "b", "t"), atilde, balg)
+        return _reduce_keys(_rewrite(word, rule, memo, "b", "t"), atilde, balg)
 
     ideal, diamond = _rule_failures(N, "b", "t", {"b": balg, "t": atilde}, order)
     return {"diamond": not diamond, "ideal_checks": not ideal,

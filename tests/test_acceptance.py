@@ -33,7 +33,7 @@ from qfock.fockdouble import (
     verify_lie,
 )
 from qfock.quadalgebras import classical_lambda_dim, classical_sym_dim, make_algebra
-from qfock.scalars import ONE, Q, QINV, Scalar
+from qfock.scalars import ONE, Q, QINV, Scalar, sum_into
 
 
 def report(number, label, elapsed, budget):
@@ -57,20 +57,25 @@ class TestAcceptance:
                     want = {((i,), (j,)): ONE}
                     if i == j:
                         want[((), ())] = ONE
-                    assert got.terms == want
-        # classical commutator identity for the L-entries
+                    assert got == want
+        # classical commutator identity for the L-entries l_i^j = x_i x^j
         d3 = make_double(make_flip(3), "bosonic")
-        li = d3.l_matrix()
+        minus = Scalar.from_int(-1)
+
+        def l_gen(i, j):
+            return {((i,), (j,)): ONE}
+
         for i in range(3):
             for j in range(3):
                 for k in range(3):
                     for m in range(3):
-                        lhs = li[i][j] * li[k][m] - li[k][m] * li[i][j]
-                        rhs = d3.zero()
+                        lhs = dict(d3.multiply(l_gen(i, j), l_gen(k, m)))
+                        sum_into(lhs, d3.multiply(l_gen(k, m), l_gen(i, j)), minus)
+                        rhs = {}
                         if k == j:
-                            rhs = rhs + li[i][m]
+                            sum_into(rhs, l_gen(i, m))
                         if i == m:
-                            rhs = rhs - li[k][j]
+                            sum_into(rhs, l_gen(k, j), minus)
                         assert lhs == rhs
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0

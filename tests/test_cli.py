@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 import time
 
 import pytest
@@ -408,6 +409,29 @@ class TestGatingRecordsCanFail:
         argv = ["--braiding", "std-hecke", "--n", "2", "--suite", "poincare"]
         assert _failing_gating_checks(argv, tmp_path / "rep.json") == {
             f"poincare-{kind}-{space}" for kind in ("sym", "lambda") for space in ("V", "V*")}
+
+    @pytest.mark.parametrize("degree", ["1", "2"])
+    def test_bumped_pairing_constant_fails_the_spectral_identity(
+            self, degree, tmp_path, monkeypatch, capsys):
+        """The pairing constant of the current double bumped: the strict
+        degree <= 1 comparison fails and gates at every --degree."""
+        real = cli.make_current_double
+
+        def bumped(cb, window):
+            cd = real(cb, window)
+            cd.constant[(0, 0)] = cd.constant[(0, 0)] + ONE
+            return cd
+
+        monkeypatch.setattr(cli, "make_current_double", bumped)
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--braiding", "std-hecke", "--n", "2", "--suite", "currents",
+                    "--window", "1", "--degree", degree, "--out", str(out)]) == 1
+        assert "[FAIL] spectral-l-identity" in capsys.readouterr().out
+        [record] = [c for c in json.loads(out.read_text())["checks"]
+                    if c["check_id"] == "spectral-l-identity"]
+        # the witness leads with the element count that harnesses parse
+        assert record["gating"] and re.match(r"\d+ elements", record["witness"])
+        assert record["witness"].endswith("residual classes") == (degree == "2")
 
 
 class TestPoincare:

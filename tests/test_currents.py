@@ -38,6 +38,7 @@ from qfock.tensorops import formal_cell
 
 from dense_elimination import dense_row_reduce
 from gauge import conjugated, twisted, upper
+from rewriting_reference import recursive_annihilate
 
 
 def flip_double(window=2):
@@ -290,6 +291,31 @@ class TestModePermute:
                 assert lm == l and km == k
 
 
+@pytest.fixture(scope="module")
+def rule_double(request):
+    """One current double per (maker, corruption), shared by the examples
+    of a test so that the _pass memo is hit across them."""
+    maker, corrupt = request.param
+    cd = maker()
+    return cd if corrupt is None else corrupt(cd)
+
+
+class TestModeRuleEngine:
+    """_annihilate, the paired part of the memoized _pass under the mode
+    rule, matches the recursion it replaced, on true and bumped rules."""
+
+    @pytest.mark.parametrize("rule_double", [
+        (maker, corrupt) for maker in (flip_double, hecke_double)
+        for corrupt in (None, bump_exchange, bump_constant)], indirect=True,
+        ids=lambda p: "-".join(f.__name__ if f else "true" for f in p))
+    @given(gen=st.integers(0, 1), k=st.integers(-2, 3),
+           word=st.lists(st.tuples(st.integers(0, 1), st.integers(-2, 2)), max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_annihilate_matches_recursive_reference(self, rule_double, gen, k, word):
+        cd, word = rule_double, tuple(word)
+        assert _annihilate(cd, gen, k, word) == recursive_annihilate(cd, gen, k, word)
+
+
 class TestZfAct:
     def test_vacuum_annihilated(self):
         cd = hecke_double()
@@ -479,7 +505,7 @@ class TestYang:
         _laurent_mul.cache_clear()
         rep = verify_yang(cd, degree=2)
         assert rep["passed"] and rep["degree2_residual_classes"] == 1104
-        assert _laurent_mul.cache_info().misses == 1061
+        assert _laurent_mul.cache_info().misses == 1064
         assert _laurent_add.cache_info().misses == 2129
         assert absent_key_adds == []
 
