@@ -30,7 +30,6 @@ from .fockdouble import (  # noqa: F401
 )
 from .currents import (  # noqa: F401
     CurrentDouble,
-    ModeState,
     current_relation_check,
     make_current_double,
     mode_permute,

@@ -131,18 +131,15 @@ class Braiding:
         return r12 @ r23 @ r12 == r23 @ r12 @ r23
 
     def kind_polynomial_ok(self) -> bool:
+        if self.kind not in (HECKE, INVOLUTIVE, BMW):
+            raise ValueError(f"unknown kind {self.kind!r}")
+        # every relation space reads b.q, so an involutive braiding is held
+        # to (R - q)(R + 1/q) at its own q too; at q = 1 this is R^2 = I
         ident = LinOperator.identity(self.N, 2)
-        r = self.R
-        if self.kind == INVOLUTIVE:
-            return r @ r == ident
-        if self.kind == HECKE:
-            return ((r - ident.scale(self.q)) @ (r + ident.scale(self.q.inverse()))).is_zero()
-        if self.kind == BMW:
-            if self.mu is None:
-                return False
-            p = (r - ident.scale(self.q)) @ (r + ident.scale(self.q.inverse()))
-            return (p @ (r - ident.scale(self.mu))).is_zero()
-        raise ValueError(f"unknown kind {self.kind!r}")
+        p = (self.R - ident.scale(self.q)) @ (self.R + ident.scale(self.q.inverse()))
+        if self.kind != BMW:
+            return p.is_zero()
+        return self.mu is not None and (p @ (self.R - ident.scale(self.mu))).is_zero()
 
     def validate(self) -> list[str]:
         """List of violated structural properties (empty when sound)."""

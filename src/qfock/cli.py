@@ -309,8 +309,8 @@ def _deforms_flip(b: Braiding) -> bool:
 
 def _poincare_series(b: Braiding, kmax: int):
     """(kind, space, dims, classical, gating, seconds) for the four graded
-    quotients; only Hecke and involutive deformations of the flip gate."""
-    gating = b.kind in (HECKE, INVOLUTIVE) and _deforms_flip(b)
+    quotients; only deformations of the flip gate, BMW ones included."""
+    gating = _deforms_flip(b)
     for kind in ("sym", "lambda"):
         for space in ("V", "V*"):
             alg = make_algebra(b, kind, space)

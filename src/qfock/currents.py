@@ -13,9 +13,10 @@ is the coefficient form of the distribution-level exchange.  Exchange
 terms keep both mode labels, so annihilation never manufactures new modes
 and every matrix element between finite states is a finite sum.  The rule
 is CurrentDouble.rule, in the (moves, constant) form of fockdouble._pass,
-which applies it: a dual mode acts on a creation word through the same
-memoized step that normal-orders the Fock double, and a rule whose moves
-shift mode labels fits the same form.
+which applies it: a word of dual modes acts on a combination of creation
+words {mode word: Scalar} (zf_act) through fockdouble.annihilate, the same
+fold that is the Fock double's annihilation action, and a rule whose
+moves shift mode labels fits the same form.
 
 The spectral L-identity is verified through matrix elements on truncated
 modules.  The two pole terms of the identity each multiply a delta-bearing
@@ -40,7 +41,7 @@ from .braidings import (
     exchange_table,
 )
 from .errors import WindowOverflow
-from .fockdouble import _pass, formal_l, l_identity_sides
+from .fockdouble import _pass, annihilate, formal_l, l_identity_sides
 from .scalars import ONE, ZERO, Scalar, add_term, sum_into
 from .tensorops import (
     FormalMatrix,
@@ -54,45 +55,6 @@ from .tensorops import (
 
 Mode = tuple[int, int]               # (generator index, mode number)
 ModeWord = tuple[Mode, ...]
-
-
-@dataclass
-class ModeState:
-    """A finite combination of creation-mode words over a mode window."""
-
-    terms: dict[ModeWord, Scalar]
-    window: int
-
-    def __post_init__(self):
-        self.terms = {w: c for w, c in self.terms.items() if not c.is_zero()}
-        for w in self.terms:
-            for (_, m) in w:
-                if abs(m) > self.window:
-                    raise WindowOverflow(
-                        f"mode {m} outside window {self.window}", abs(m))
-
-    @staticmethod
-    def vacuum(window: int) -> "ModeState":
-        return ModeState({(): ONE}, window)
-
-    def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "ModeState") -> "ModeState":
-        out = dict(self.terms)
-        sum_into(out, other.terms)
-        return ModeState(out, max(self.window, other.window))
-
-    def scale(self, s: Scalar) -> "ModeState":
-        return ModeState({w: s * c for w, c in self.terms.items()}, self.window)
-
-    def __eq__(self, other):
-        if not isinstance(other, ModeState):
-            return NotImplemented
-        return self.terms == other.terms
 
 
 @dataclass
@@ -147,20 +109,19 @@ def _annihilate(cd: CurrentDouble, gen: int, k: int, word: ModeWord) -> dict[Mod
     """Action of the single dual mode x^gen[k] on a creation word; the
     counit kills whatever reaches the vacuum.  Memoized per double; callers
     only read the returned dict."""
-    return _pass(cd.rule, cd.annihilated, (gen, k), word)[0]
+    return _pass(cd.rule, cd.annihilated, (gen, k), word)
 
 
-def zf_act(cd: CurrentDouble, a_modes, state: ModeState) -> ModeState:
-    """Act with a word of dual modes on a state, rightmost mode first."""
+def zf_act(cd: CurrentDouble, a_modes, terms: dict[ModeWord, Scalar]) -> dict[ModeWord, Scalar]:
+    """Act with a word of dual modes on a combination {mode word: Scalar},
+    rightmost mode first; a mode of the input outside cd.window raises
+    WindowOverflow."""
     if isinstance(a_modes, tuple) and a_modes and isinstance(a_modes[0], int):
         a_modes = [a_modes]
-    terms = dict(state.terms)
-    for (gen, k) in reversed(list(a_modes)):
-        new: dict[ModeWord, Scalar] = {}
-        for w, c in terms.items():
-            sum_into(new, _annihilate(cd, gen, k, w), c)
-        terms = new
-    return ModeState(terms, state.window)
+    top = max((abs(m) for w in terms for _, m in w), default=0)
+    if top > cd.window:
+        raise WindowOverflow(f"mode {top} outside window {cd.window}", top)
+    return annihilate(cd.rule, cd.annihilated, a_modes, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ creation generator or drops the pair, so normal ordering terminates.  The
 rule's left-hand sides never overlap, so on free words every rewrite order
 gives the same result (Bergman's diamond lemma).  One memoized step,
 _pass, moves one annihilator through a word of creators under any rule
-given as rule(hi, lo) = (moves, constant); _rewrite folds it over a word
-for the double and its left-dual variant, and the current double
-(currents) applies it under its mode rule.  What can fail is
+rule(hi, lo) = (moves, constant) and keeps the paired terms; annihilate
+folds it into the annihilation action of the double and of the current
+double (currents).  _rewrite sorts with _pass and _moved, the terms whose
+annihilator came out on the right.  What can fail is
 compatibility with the quotients: the closed matrix identity is checked
 on free words sorted by the double's own rule, and the diamond test
 compares, on every mixed degree-3 word, normal ordering the free word and
@@ -64,7 +65,7 @@ from .errors import (
     UnsupportedDouble,
 )
 from .quadalgebras import GradedQuotient, Tensor, Word, make_algebra
-from .scalars import ONE, ZERO, Scalar, add_term, nonzero_sums
+from .scalars import ONE, ZERO, Scalar, add_term, nonzero_sums, sum_into
 from .tensorops import (
     LinOperator,
     Row,
@@ -140,44 +141,69 @@ class FockDouble:
         return _reduce_keys(words, self.B, self.A)
 
     def act(self, a_elem: Tensor | Word, v: Tensor | Word) -> Tensor:
-        """The annihilation action a |> v, an element of B."""
+        """The annihilation action a |> v, an element of B: the annihilate
+        fold, then the B reduction."""
         if isinstance(a_elem, tuple):
             a_elem = {a_elem: ONE}
         if isinstance(v, tuple):
             v = {v: ONE}
-        out: Tensor = {}
+        words: Tensor = {}
         for aw, ca in a_elem.items():
-            for bw, cb in v.items():
-                word = tuple(("a", j) for j in aw) + tuple(("b", i) for i in bw)
-                for (bw2, aw2), c in self.normal_order(word).items():
-                    if not aw2:  # the counit kills surviving annihilators
-                        add_term(out, bw2, ca * cb * c)
+            sum_into(words, annihilate(self.rule, self._order_cache, aw, v), ca)
+        out: Tensor = {}
+        for w, c in words.items():
+            sum_into(out, self.B.normal_form_word(w), c)
         return out
 
 
-def _pass(rule, memo: dict, hi, word: tuple) -> tuple[dict, dict]:
+def _pass(rule, memo: dict, hi, word: tuple) -> dict:
     """Move one `hi` token through a word of `lo` tokens by the permutation
     rule, rule(hi, lo) = (moves [(lo', hi', c)], constant): hi lo becomes
-    sum c lo' hi' plus the constant times the empty word.  Returns (paired
-    {word': c}, where the pairing absorbed hi, and moved {(word', hi'): c},
-    where hi' came out on the right), memoized per (hi, word)."""
+    sum c lo' hi' plus the constant times the empty word.  Returns the
+    paired part {word': c}, where the pairing absorbed hi, memoized per
+    (hi, word)."""
     done = memo.get((hi, word))
     if done is not None:
         return done
     paired: dict = {}
-    moved: dict = {} if word else {((), hi): ONE}
     if word:
         moves, constant = rule(hi, word[0])
         if not constant.is_zero():
             paired[word[1:]] = constant
         for lo2, hi2, c in moves:
-            sub_paired, sub_moved = _pass(rule, memo, hi2, word[1:])
-            for w, c2 in sub_paired.items():
+            for w, c2 in _pass(rule, memo, hi2, word[1:]).items():
                 add_term(paired, (lo2,) + w, c * c2)
-            for (w, h), c2 in sub_moved.items():
+    memo[(hi, word)] = paired
+    return paired
+
+
+def _moved(rule, memo: dict, hi, word: tuple) -> dict:
+    """The moved part of _pass, {(word', hi'): c} where hi' came out on the
+    right, memoized in the same dict under ("moved", hi, word)."""
+    key = ("moved", hi, word)
+    done = memo.get(key)
+    if done is not None:
+        return done
+    moved: dict = {} if word else {((), hi): ONE}
+    if word:
+        for lo2, hi2, c in rule(hi, word[0])[0]:
+            for (w, h), c2 in _moved(rule, memo, hi2, word[1:]).items():
                 add_term(moved, ((lo2,) + w, h), c * c2)
-    memo[(hi, word)] = done = (paired, moved)
-    return done
+    memo[key] = moved
+    return moved
+
+
+def annihilate(rule, memo: dict, his, terms: dict) -> dict:
+    """The action of a word of `hi` tokens on a combination {lo-word: c},
+    rightmost token first, each through the paired part of _pass: a term
+    whose hi token came out on the right keeps an annihilator, which the
+    counit kills."""
+    for hi in reversed(his):
+        out: dict = {}
+        for w, c in terms.items():
+            sum_into(out, _pass(rule, memo, hi, w), c)
+        terms = out
+    return terms
 
 
 def _rewrite(word: tuple[Token, ...], rule, memo: dict, hi: str,
@@ -196,10 +222,9 @@ def _rewrite(word: tuple[Token, ...], rule, memo: dict, hi: str,
             continue
         out: dict[Key, Scalar] = {}
         for (lw, hw), c in done.items():
-            paired, moved = _pass(rule, memo, x, lw)
-            for w, c2 in paired.items():
+            for w, c2 in _pass(rule, memo, x, lw).items():
                 add_term(out, (w, hw), c * c2)
-            for (w, h), c2 in moved.items():
+            for (w, h), c2 in _moved(rule, memo, x, lw).items():
                 add_term(out, (w, (h,) + hw), c * c2)
         done = out
     return done

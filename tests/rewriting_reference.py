@@ -1,7 +1,9 @@
-"""The two rewriting engines that fockdouble._pass replaced, kept as
-references for it: the pending-word loop that sorted a mixed word by the
-permutation rule, and the recursion that let one dual mode of a current
-double act on a creation word."""
+"""The rewriting engines that fockdouble._pass and its annihilate fold
+replaced, kept as references for them: the pending-word loop that sorted a
+mixed word by the permutation rule, the recursion that let one dual mode
+of a current double act on a creation word, and the annihilation action of
+the Fock double computed by normal ordering the mixed word and keeping the
+terms with no annihilator left."""
 
 from qfock.scalars import ONE, add_term
 
@@ -46,4 +48,22 @@ def recursive_annihilate(cd, gen, k, word):
         for (i, j, c) in cd.exchange[(gen, b0)]:
             for w2, c2 in recursive_annihilate(cd, j, k, word[1:]).items():
                 add_term(out, ((i, m0),) + w2, c * c2)
+    return out
+
+
+def normal_order_act(d, a_elem, v):
+    """The annihilation action a |> v of the Fock double d: each mixed word
+    (a-word, b-word) normal-ordered in d, the terms that keep an annihilator
+    killed by the counit."""
+    if isinstance(a_elem, tuple):
+        a_elem = {a_elem: ONE}
+    if isinstance(v, tuple):
+        v = {v: ONE}
+    out = {}
+    for aw, ca in a_elem.items():
+        for bw, cb in v.items():
+            word = tuple(("a", j) for j in aw) + tuple(("b", i) for i in bw)
+            for (bw2, aw2), c in d.normal_order(word).items():
+                if not aw2:
+                    add_term(out, bw2, ca * cb * c)
     return out

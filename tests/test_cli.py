@@ -403,10 +403,27 @@ class TestGatingRecordsCanFail:
         assert _failing_gating_checks(["--suite", "braiding"],
                                       tmp_path / "rep.json") == failing
 
-    def test_truncated_relations_fail_every_poincare_record(self, tmp_path, monkeypatch):
+    def test_involutive_table_is_held_to_its_q(self, tmp_path, capsys):
+        """An involutive R = flip with q = 2 solves R^2 = I but not
+        (R - q)(R + 1/q) = 0, which every relation space reads; it is
+        refused at load."""
+        doc = braiding_to_table(make_flip(2))
+        doc["q"] = Scalar.from_int(2).to_pairs()
+        table = tmp_path / "flip-q2.json"
+        table.write_text(json.dumps(doc))
+        assert _failing_gating_checks(["--table", str(table), "--suite", "braiding"],
+                                      tmp_path / "rep.json") == {"load-braiding"}
+        assert "involutive minimal polynomial violated" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("target", [
+        ["--braiding", "std-hecke", "--n", "2"],
+        ["--braiding", "bmw-orth", "--n", "3"],
+        ["--braiding", "bmw-sympl", "--n", "2"],
+    ], ids=["std-hecke-2", "bmw-orth-3", "bmw-sympl-2"])
+    def test_truncated_relations_fail_every_poincare_record(self, target, tmp_path, monkeypatch):
         real = quadalgebras._image_basis
         monkeypatch.setattr(quadalgebras, "_image_basis", lambda op: real(op)[:-1])
-        argv = ["--braiding", "std-hecke", "--n", "2", "--suite", "poincare"]
+        argv = target + ["--suite", "poincare"]
         assert _failing_gating_checks(argv, tmp_path / "rep.json") == {
             f"poincare-{kind}-{space}" for kind in ("sym", "lambda") for space in ("V", "V*")}
 
@@ -450,11 +467,11 @@ class TestPoincare:
         assert table["sym(V)"]["dims"] == [1, 2, 3, 4]
         assert table["sym(V)"]["comparison"] == "gating"
 
-    def test_bmw_report_only(self, capsys):
+    def test_bmw_gates(self, capsys):
         assert run(["poincare", "--braiding", "bmw-orth", "--n", "3",
                     "--kmax", "3"]) == 0
         table = json.loads(capsys.readouterr().out)
-        assert table["sym(V)"]["comparison"] == "report-only"
+        assert table["sym(V)"]["comparison"] == "gating"
 
     def test_pole_at_one_turns_the_gate_off(self, monkeypatch):
         def pole(self, q0):

@@ -9,7 +9,6 @@ from qfock import braidings, currents
 from qfock.braidings import TRIGONOMETRIC, baxterize, make_flip, make_standard_hecke
 from qfock.currents import (
     CurrentDouble,
-    ModeState,
     _annihilate,
     _buckets,
     _by_sum,
@@ -321,7 +320,7 @@ class TestZfAct:
         cd = hecke_double()
         for a in range(2):
             for k in range(-2, 3):
-                assert zf_act(cd, (a, k), ModeState.vacuum(2)).is_zero()
+                assert zf_act(cd, (a, k), {(): ONE}) == {}
 
     def test_degree_one_contraction(self):
         cd = hecke_double()
@@ -329,13 +328,13 @@ class TestZfAct:
         for a in range(2):
             for bgen in range(2):
                 for l in range(-2, 3):
-                    st_ = ModeState({((bgen, l),): ONE}, 2)
+                    st_ = {((bgen, l),): ONE}
                     got = zf_act(cd, (a, 1 - l), st_)
                     want = b.B[bgen].get(a, ZERO)
                     if want.is_zero():
-                        assert got.is_zero()
+                        assert got == {}
                     else:
-                        assert got.terms == {(): want}
+                        assert got == {(): want}
 
     def test_flip_degree_two_matches_classical_oracle(self):
         cd = flip_double()
@@ -343,24 +342,24 @@ class TestZfAct:
             k, m1, m2 = modes
             for gens in itertools.product(range(2), repeat=3):
                 a, g1, g2 = gens
-                st_ = ModeState({((g1, m1), (g2, m2)): ONE}, 2)
+                st_ = {((g1, m1), (g2, m2)): ONE}
                 got = zf_act(cd, (a, k), st_)
                 word = (("a", a, k), ("c", g1, m1), ("c", g2, m2))
                 want = {}
                 for (cw, aw), coeff in classical_mode_normal_order(word).items():
                     if not aw:
                         want[cw] = Scalar.from_int(coeff)
-                assert got.terms == want
+                assert got == want
 
     def test_each_application_lowers_degree_by_one(self):
         cd = hecke_double()
-        st_ = ModeState({((0, 0), (1, 1)): ONE}, 2)
+        st_ = {((0, 0), (1, 1)): ONE}
         out = zf_act(cd, (0, 1), st_)
-        assert all(len(w) == 1 for w in out.terms)
+        assert all(len(w) == 1 for w in out)
 
     def test_window_enforced_on_states(self):
         with pytest.raises(WindowOverflow):
-            ModeState({((0, 7),): ONE}, 2)
+            zf_act(hecke_double(), (0, 1), {((0, 7),): ONE})
 
 
 class TestYang:
@@ -505,7 +504,9 @@ class TestYang:
         _laurent_mul.cache_clear()
         rep = verify_yang(cd, degree=2)
         assert rep["passed"] and rep["degree2_residual_classes"] == 1104
-        assert _laurent_mul.cache_info().misses == 1064
+        # 1061: _annihilate builds only the paired part of _pass; building
+        # the moved terms too, which nothing here reads, made it 1064
+        assert _laurent_mul.cache_info().misses == 1061
         assert _laurent_add.cache_info().misses == 2129
         assert absent_key_adds == []
 

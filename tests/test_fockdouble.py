@@ -45,7 +45,7 @@ from qfock.scalars import ONE, Q, QINV, ZERO, Scalar, sum_into
 from qfock.tensorops import enc_index, mat_transpose
 
 from dense_operators import dense, dense_identity, dense_matmul, from_dense
-from rewriting_reference import pending_rewrite
+from rewriting_reference import normal_order_act, pending_rewrite
 
 
 def dense_columns(cols, nrows):
@@ -461,6 +461,33 @@ class TestOneRewritingEngine:
         got = fockdouble._rewrite(word, lambda l, k: (exch[(l, k)], const[(l, k)]),
                                   {}, "b", "t")
         assert got == pending_rewrite(word, exch, const, "b", "t")
+
+
+def tensors(N, max_len):
+    """Combinations {word: c} of free words with small nonzero integer
+    coefficients."""
+    return st.dictionaries(
+        st.lists(st.integers(0, N - 1), max_size=max_len).map(tuple),
+        st.integers(-3, 3).filter(bool).map(Scalar.from_int), max_size=3)
+
+
+class TestActionFold:
+    """FockDouble.act, the annihilate fold followed by the B reduction,
+    equals normal ordering each mixed word and keeping the terms with no
+    annihilator left, on true and bumped rules."""
+
+    @pytest.mark.parametrize("engine_double", [
+        (name, which) for name in sorted(ENGINE_DOUBLES)
+        for which in (None, "exchange", "constant")], indirect=True,
+        ids=lambda p: f"{p[0]}-{p[1]}")
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_act_matches_normal_order_reference(self, engine_double, data):
+        d = engine_double
+        N = d.braiding.N
+        a_elem = data.draw(tensors(N, 3))
+        v = data.draw(tensors(N, 4))
+        assert d.act(a_elem, v) == normal_order_act(d, a_elem, v)
 
 
 class TestDoubleMutations:

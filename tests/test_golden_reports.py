@@ -6,7 +6,8 @@ byte-identical as a whole.
 The files under tests/golden/ were written by this module's `write_golden`:
 the verify reports from the code before the one-engine-per-job refactor of
 the double, the export and repr documents from the code before the sparse
-operator type.  A change that is meant to alter a verdict, an anchor, a
+operator type; the `poincare-*` records of the four BMW `suite-all` reports
+were regenerated when the BMW Poincare series began to gate.  A change that is meant to alter a verdict, an anchor, a
 witness or a printed matrix must regenerate them and say so.  Regenerate with
 
     PYTHONPATH=src python -c "import tests.test_golden_reports as g; g.write_golden()"
