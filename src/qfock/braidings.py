@@ -585,12 +585,8 @@ class CurrentBraiding:
         a, b, s = self._affine()
         return _linear({x: s - a, y: -s}, -b)
 
-    # The spectral certificates are pure functions of the braiding; each is
-    # computed once and shared by every check that rests on it.  They are
-    # exact expansions in u, v, w; the check ids and anchors that report
-    # them ("spectral-braid-grid", "(grid certificates)") keep the word
-    # "grid" of the evaluation method they replaced, so that reports stay
-    # byte-stable.
+    # The spectral certificates are pure functions of the braiding, exact
+    # expansions in u, v, w; each is computed once per braiding.
     @cached_property
     def braid_certificate(self) -> dict:
         return spectral_braid_certificate(self)
@@ -748,6 +744,12 @@ def expected_mu(series: str, N: int, q: Scalar = Q) -> Scalar:
 # over 1 + q^1024 in 2.2 s.
 TABLE_MAX_EXPONENT = 256
 
+# The largest N of a table, refused before anything is built: validation
+# places R on three legs and builds N^2-square identities.  On a 2-vCPU
+# Xeon a valid std-hecke table loads in 0.9 s at 67 MB peak RSS at N = 32,
+# and in 1.7 s at 115 MB at N = 40.
+TABLE_MAX_N = 32
+
 
 def _table_scalar(pairs, what: str) -> Scalar:
     try:
@@ -770,12 +772,13 @@ def load_braiding_table(doc: dict | str | Path) -> Braiding:
     """Build a braiding from a table document and run the full check suite.
 
     A document that cannot be read as a table (unreadable, not JSON, a
-    field missing or mistyped, an index out of range, an exponent above
-    TABLE_MAX_EXPONENT, a zero q or denominator) raises MalformedTable.  The
-    property suite is the transcription oracle: a table that violates the
-    braid relation or its declared minimal polynomial, or whose braiding is
-    not skew-invertible, is rejected with InvalidTable, and a BMW mu not
-    matching its series with InconsistentMu.
+    field missing or mistyped, an N above TABLE_MAX_N, an index out of
+    range, an exponent above TABLE_MAX_EXPONENT, a zero q or denominator)
+    raises MalformedTable.  The property suite is the transcription
+    oracle: a table that violates the braid relation or its declared
+    minimal polynomial, or whose braiding is not skew-invertible, is
+    rejected with InvalidTable, and a BMW mu not matching its series with
+    InconsistentMu.
     """
     if isinstance(doc, (str, Path)):
         try:
@@ -800,6 +803,8 @@ def load_braiding_table(doc: dict | str | Path) -> Braiding:
         raise MalformedTable(f"unsupported format_version {version}")
     if type(N) is not int or N < 1:
         raise MalformedTable(f"N must be an integer >= 1, got {N!r}")
+    if N > TABLE_MAX_N:
+        raise MalformedTable(f"N = {N} is above TABLE_MAX_N = {TABLE_MAX_N}")
     if kind not in (INVOLUTIVE, HECKE, BMW):
         raise MalformedTable(f"unknown kind {kind!r}")
     if not isinstance(raw_entries, list):

@@ -535,56 +535,26 @@ def verify_yang(cd: CurrentDouble, degree: int = 1) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# defining-relation reports
+# defining-relation check
 # ---------------------------------------------------------------------------
 
-def current_relation_check(cd: CurrentDouble, which: str) -> dict:
-    """Consistency reports for the defining current relations.
+def current_relation_check(cd: CurrentDouble) -> dict:
+    """Consistency of the defining current relations on the dual square.
 
-    b-side and a-side: the pairwise and triple reorderings of the relation
-    system are consistent iff the normalized spectral braiding is
-    involutive and satisfies the spectral braid relation; both are
-    certified exactly, as identities of polynomials in the spectral
-    variables expanded over words in R (on the dual-square transport of R
-    for the a-side).  The CLI reports these under the ids
-    "current-relations-*" with the anchor "(grid certificates)", which
-    keeps the name of the grid evaluation they replaced so that reports
-    stay byte-stable.  half-currents: report-only truncation bookkeeping,
-    the count of relation terms at in-window coefficients that carry a
-    mode outside the window.
+    The pairwise and triple reorderings of the relation system are
+    consistent iff the normalized spectral braiding is involutive and
+    satisfies the spectral braid relation.  Both are certified exactly, as
+    identities of polynomials in the spectral variables expanded over words
+    in the dual-square transport of R.  The same two certificates on R
+    itself are the braiding's own `braid_certificate` and
+    `unitarity_certificate`.
     """
-    if which == "b-side":
-        braid = cd.cb.braid_certificate
-        unit = cd.cb.unitarity_certificate
-        return {"which": which, "passed": braid["passed"] and unit["passed"],
-                "braid": braid, "unitarity": unit}
-    if which == "a-side":
-        base = cd.cb.base
-        dual = Braiding(base.N, dual_square(base.R), base.kind,
-                        series=base.series, mu=base.mu, q=base.q,
-                        name=f"dual({base.name})")
-        dual_cb = CurrentBraiding(dual, cd.cb.flavor)
-        braid = dual_cb.braid_certificate
-        unit = dual_cb.unitarity_certificate
-        return {"which": which, "passed": braid["passed"] and unit["passed"],
-                "braid": braid, "unitarity": unit}
-    if which == "half-currents":
-        return _half_current_report(cd)
-    raise ValueError(f"unknown relation family {which!r}")
-
-
-def _half_current_report(cd: CurrentDouble) -> dict:
-    """Truncation bookkeeping for the half-current sector relations: the
-    number of relation terms at in-window coefficients that carry a mode
-    outside the window."""
-    M = cd.window
-    window = range(-M, M + 1)
-    residual = sum(abs(k1[1]) > M or abs(k2[1]) > M
-                   for terms in _relation_instances(cd, product(window, window), 2 * M + 2)
-                   for (k1, k2), _ in terms)
-    return {
-        "which": "half-currents",
-        "report_only": True,
-        "window": M,
-        "residual_out_of_window_terms": residual,
-    }
+    base = cd.cb.base
+    dual = Braiding(base.N, dual_square(base.R), base.kind,
+                    series=base.series, mu=base.mu, q=base.q,
+                    name=f"dual({base.name})")
+    dual_cb = CurrentBraiding(dual, cd.cb.flavor)
+    braid = dual_cb.braid_certificate
+    unit = dual_cb.unitarity_certificate
+    return {"passed": braid["passed"] and unit["passed"],
+            "braid": braid, "unitarity": unit}

@@ -490,7 +490,7 @@ def representation_l_relations_ok(d: FockDouble, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def left_dual_variant_report(b: Braiding) -> dict:
-    """Consistency of the left-dual permutation rule, report only.
+    """Consistency of the left-dual permutation rule.
 
     The variant rule  x_k x~^l = q^{-1} Psi_kj^li x~^j x_i + C_k^l  orders
     left-dual generators in front of creation generators.  The dual-side

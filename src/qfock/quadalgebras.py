@@ -187,16 +187,15 @@ def make_algebra(b: Braiding, kind: str, space: str) -> GradedQuotient:
 
 
 # ---------------------------------------------------------------------------
-# degree-2 placement of the BMW middle idempotent (report helper)
+# degree-2 placement of the BMW mu eigenspace
 # ---------------------------------------------------------------------------
 
 def mu_eigenspace_degree2_report(b: Braiding) -> dict:
     """Where the mu eigenspace of a BMW braiding lands in degree 2.
 
-    Reports whether the rank-one invariant line survives in the symmetric
+    Passes when the rank-one invariant line survives in the symmetric
     quotient (orthogonal series) or the skew quotient (symplectic series),
-    and dies in the complementary one.  Report-only; nothing beyond degree
-    2 is claimed.
+    and dies in the complementary one.  Nothing beyond degree 2 is claimed.
     """
     if b.kind != BMW:
         raise UnsupportedConstruction("mu eigenspace exists only for BMW braidings")

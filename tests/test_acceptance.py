@@ -175,7 +175,7 @@ class TestAcceptance:
                                     ("lambda", classical_lambda_dim)):
                 alg = make_algebra(b, kind, "V")
                 assert alg.poincare(5) == [classical(N, k) for k in range(6)]
-        # BMW series: computed and compared, report-only
+        # BMW series: deformations of the flip, so compared and gated
         bmw_report = {}
         for name, N in (("bmw-orth-3", 3), ("bmw-sympl-2", 2)):
             b = load_builtin(name)
@@ -185,9 +185,10 @@ class TestAcceptance:
                 bmw_report[f"{name}:{kind}"] = (
                     dims, [classical(N, k) for k in range(5)])
         elapsed = time.perf_counter() - t0
-        matches = {k: d == c for k, (d, c) in bmw_report.items()}
-        report(7, f"Hecke Poincare classical k<=5 (gating); BMW k<=4 "
-                  f"report-only comparison: {matches}", elapsed, "none stated")
+        for key, (dims, classical) in bmw_report.items():
+            assert dims == classical, key
+        report(7, f"Hecke Poincare classical k<=5 and BMW k<=4 (gating): "
+                  f"{sorted(bmw_report)}", elapsed, "none stated")
 
     def test_8_currents(self):
         t0 = time.perf_counter()

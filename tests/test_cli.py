@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from qfock import braidings, cli, quadalgebras
+from qfock import braidings, cli, fockdouble, quadalgebras
 from qfock.braidings import (
     Braiding,
     braiding_to_table,
@@ -71,8 +71,8 @@ class TestVerify:
             self, tmp_path, monkeypatch, make):
         """One R entry bumped by ONE.  The table loader rejects the copy
         on its own braid and minimal-polynomial checks; with those turned
-        off, the spectral certificates and both relation checks that rest
-        on them fail."""
+        off, both spectral certificates and the relation check on the dual
+        square fail."""
         doc = braiding_to_table(make())
         for ent in doc["entries"]:
             if (ent["i"], ent["j"], ent["k"], ent["l"]) == (1, 2, 2, 1):
@@ -93,8 +93,8 @@ class TestVerify:
         assert run(argv) == 1
         got = verdicts()
         assert got["load-braiding"] == "pass"
-        for check in ("spectral-braid-grid", "spectral-unitarity-grid",
-                      "current-relations-b-side", "current-relations-a-side"):
+        for check in ("spectral-braid-certificate", "spectral-unitarity-certificate",
+                      "current-relations-a-side"):
             assert got[check] == "fail"
 
     def test_report_deterministic_modulo_timing(self, tmp_path):
@@ -182,6 +182,22 @@ class TestVerify:
         [check] = json.loads(out.read_text())["checks"]
         assert check["check_id"] == "load-braiding"
         assert check["verdict"] == "fail" and named in check["witness"]
+
+    def test_oversized_table_is_bad_input(self, tmp_path, capsys):
+        """A table with N above TABLE_MAX_N is refused before anything of
+        size N^2 is built; at the bound an empty table loads and fails its
+        minimal polynomial."""
+        path = tmp_path / "table.json"
+        t0 = time.perf_counter()
+        for n, code in ((100000, 2), (braidings.TABLE_MAX_N + 1, 2),
+                        (braidings.TABLE_MAX_N, 1)):
+            path.write_text(json.dumps({"format_version": 1, "N": n,
+                                        "kind": "hecke", "entries": []}))
+            assert run(["verify", "--table", str(path), "--suite", "braiding"]) == code
+            err = capsys.readouterr().err
+            assert ("error: MalformedTable:" in err
+                    and f"N = {n} is above TABLE_MAX_N" in err) == (code == 2)
+        assert time.perf_counter() - t0 < 1
 
     @pytest.mark.parametrize("text, named", [
         (None, "cannot read"),
@@ -384,8 +400,8 @@ def _sheared(r: LinOperator) -> LinOperator:
 
 
 class TestGatingRecordsCanFail:
-    """Each gating braiding and Poincare record fails on a braiding or an
-    algebra built to break its identity."""
+    """Each gating braiding, double and Poincare record fails on a braiding
+    or an algebra built to break its identity."""
 
     @pytest.mark.parametrize("corrupt, failing", [
         # the Hecke projectors are read off the minimal polynomial, so they
@@ -402,6 +418,60 @@ class TestGatingRecordsCanFail:
                             lambda cfg: Braiding(2, r, braidings.HECKE, name="corrupted"))
         assert _failing_gating_checks(["--suite", "braiding"],
                                       tmp_path / "rep.json") == failing
+
+    def test_singular_b_fails_strict_skew_invertibility(self, tmp_path, monkeypatch):
+        real = cli._resolve_braiding
+
+        def singular(cfg):
+            b = real(cfg)
+            b.skew.B_inv = None
+            return b
+
+        monkeypatch.setattr(cli, "_resolve_braiding", singular)
+        assert _failing_gating_checks(
+            ["--braiding", "std-hecke", "--n", "2", "--suite", "braiding"],
+            tmp_path / "rep.json") == {"strict-skew-invertibility"}
+
+    @pytest.mark.parametrize("braiding, n", [("bmw-orth", "3"), ("bmw-orth", "4"),
+                                             ("bmw-sympl", "2"), ("bmw-sympl", "4")])
+    def test_middle_idempotent_in_place_of_mu(self, braiding, n, tmp_path, monkeypatch):
+        """The mu record handed a copy of the braiding whose mu idempotent
+        is the series' middle one: that image is not one invariant line
+        that survives in one quotient and dies in the other."""
+        real = cli.mu_eigenspace_degree2_report
+
+        def swapped(b):
+            middle, _ = braidings._BMW_MIDDLE[b.series]
+            copy = Braiding(b.N, b.R, b.kind, series=b.series, mu=b.mu, q=b.q,
+                            name=b.name)
+            copy._projectors = {**b.spectral_projectors,
+                                "mu": b.spectral_projectors[middle]}
+            return real(copy)
+
+        monkeypatch.setattr(cli, "mu_eigenspace_degree2_report", swapped)
+        assert _failing_gating_checks(
+            ["--braiding", braiding, "--n", n, "--suite", "braiding"],
+            tmp_path / "rep.json") == {"mu-eigenspace-degree2"}
+
+    def test_dropped_left_dual_relation(self, tmp_path, monkeypatch):
+        """One transported relation dropped from the left-dual side of the
+        std-hecke N = 3 double: the variant rule no longer orders the
+        relations to zero."""
+        real = fockdouble.GradedQuotient
+
+        def dropped(N, space, kind, relations, name=""):
+            if name == "left-dual side":
+                relations = relations[:-1]
+            return real(N, space, kind, relations, name)
+
+        monkeypatch.setattr(fockdouble, "GradedQuotient", dropped)
+        out = tmp_path / "rep.json"
+        assert _failing_gating_checks(
+            ["--braiding", "std-hecke", "--n", "3", "--suite", "double"],
+            out) == {"left-dual-variant"}
+        [record] = [c for c in json.loads(out.read_text())["checks"]
+                    if c["check_id"] == "left-dual-variant"]
+        assert "'witnesses': [(" in record["witness"]
 
     def test_involutive_table_is_held_to_its_q(self, tmp_path, capsys):
         """An involutive R = flip with q = 2 solves R^2 = I but not

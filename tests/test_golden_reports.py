@@ -6,9 +6,22 @@ byte-identical as a whole.
 The files under tests/golden/ were written by this module's `write_golden`:
 the verify reports from the code before the one-engine-per-job refactor of
 the double, the export and repr documents from the code before the sparse
-operator type; the `poincare-*` records of the four BMW `suite-all` reports
-were regenerated when the BMW Poincare series began to gate.  A change that is meant to alter a verdict, an anchor, a
-witness or a printed matrix must regenerate them and say so.  Regenerate with
+operator type.  The `poincare-*` records of the four BMW `suite-all`
+reports were regenerated when the BMW Poincare series began to gate.  All
+ten `braiding-*` verify reports were regenerated when every record came to
+gate or go: `bc-scalar` folded its alpha into the witness of
+`strict-skew-invertibility`; `mu-eigenspace-degree2` (the four BMW reports)
+and `left-dual-variant` (the flip, std-hecke and superflip `suite-all`
+reports) gate; and in the currents suite `current-relations-b-side`, a copy
+of the two certificates, and `half-current-truncation`, a term count, went,
+the certificates took the ids `spectral-braid-certificate` and
+`spectral-unitarity-certificate`, and `current-relations-a-side` lost the
+words "(grid certificates)" from its anchor.  A change that is meant to
+alter a verdict, an anchor, a witness or a printed matrix must regenerate
+them and say so.  `test_report_only_records_are_the_named_exceptions` holds
+every record that does not gate to the two kinds that may not: a Poincare
+comparison of a braiding that does not deform the flip, and a BMW refusal.
+Regenerate with
 
     PYTHONPATH=src python -c "import tests.test_golden_reports as g; g.write_golden()"
 """
@@ -19,7 +32,8 @@ from pathlib import Path
 
 import pytest
 
-from qfock.cli import main
+from qfock.braidings import BMW
+from qfock.cli import RunConfig, _deforms_flip, _resolve_braiding, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -93,6 +107,18 @@ def write_golden() -> None:
 def test_report_matches_golden(argv, tmp_path):
     want = (GOLDEN / _name(argv)).read_text()
     assert _normalized(argv, tmp_path / "report.json") == want
+
+
+@pytest.mark.parametrize("argv", CASES, ids=_name)
+def test_report_only_records_are_the_named_exceptions(argv):
+    doc = json.loads((GOLDEN / _name(argv)).read_text())
+    b = _resolve_braiding(RunConfig(**doc["config"]))
+    for check in doc["checks"]:
+        if not check["gating"]:
+            cid = check["check_id"]
+            assert (cid.startswith("poincare-") and not _deforms_flip(b)
+                    or cid in ("braided-lie", "currents") and b.kind == BMW), cid
+            assert check["verdict"] == "report-only", cid
 
 
 @pytest.mark.parametrize("case", DOCUMENTS, ids=_document_name)
