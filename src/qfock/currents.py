@@ -229,13 +229,16 @@ def _readers(window: int, theta: int):
     return (lo, hi, lo, hi), (lo + theta, inf, -inf, hi)
 
 
-def _buckets(terms: Expr, evaluate, clip: int, box):
+def _buckets(terms: Expr, evaluate, clip: int, box, negate: bool = False):
     """Sum c * states over a cell's terms, once per exponent key: plain
-    terms by (a, b) inside `box`, delta(u-v) terms by a + b."""
+    terms by (a, b) inside `box`, delta(u-v) terms by a + b; `negate`
+    takes -c for c."""
     a_lo, a_hi, b_lo, b_hi = box
     plain: ExpDict = {}
     delta: dict[int, dict[ModeWord, Scalar]] = {}
     for (factors, dist), c in terms.items():
+        if negate:
+            c = -c
         for cp, du, dv, entries in evaluate(factors, clip):
             scale = c * cp
             if dist is None:
@@ -250,34 +253,38 @@ def _buckets(terms: Expr, evaluate, clip: int, box):
     return plain, delta
 
 
-def _by_sum(plain: ExpDict) -> dict[int, list]:
-    """Pole-side index of a plain bucket: a + b -> [(a, states)]."""
-    out: dict[int, list] = {}
-    for (a, b), states in plain.items():
-        out.setdefault(a + b, []).append((a, states))
-    return out
-
-
-def _lhs(plain: ExpDict, delta: dict, eu: int, ev: int) -> dict[ModeWord, Scalar]:
-    """Coefficient of u^eu v^ev of the T1 side.  delta(u-v) = sum_p v^p
-    u^(-p-1) carries the term at (a, b) to every (eu, ev) with
-    a + b = eu + ev + 1."""
-    out = dict(plain.get((eu, ev), {}))
-    sum_into(out, delta.get(eu + ev + 1, {}))
-    return out
-
-
-def _rhs(by_sum: dict, eu: int, ev: int, theta: int) -> dict[ModeWord, Scalar]:
-    """Coefficient of u^eu v^ev of pole * T2, where the pole is
-    sum_{p>=0} v^p u^(-p-1) (rational, theta = 1) or (q - q^-1) sum_{p>=0}
-    v^p u^(-p) (trigonometric, theta = 0), whose factor q - q^-1 is folded
-    into the T2 coefficients: it reads the keys (a, b) with
-    a + b = eu + ev + theta and a >= eu + theta."""
-    out: dict[ModeWord, Scalar] = {}
-    for a, states in by_sum.get(eu + ev + theta, ()):
-        if a >= eu + theta:
-            sum_into(out, states)
-    return out
+def _differences(plain: ExpDict, delta: dict, pole: ExpDict, theta: int,
+                 M: int) -> ExpDict:
+    """lhs - rhs at the coefficients u^eu v^ev, (eu, ev) in [-M - 1, M - 1]^2,
+    that some side reaches; at every other one both sides are zero.  It is
+    built in `plain`, the T1 plain bucket, whose box is that grid, and a
+    position where the sides cancel maps to {}.
+      - delta(u-v) = sum_p v^p u^(-p-1) carries the T1 delta key d to each
+        position with eu + ev + 1 = d;
+      - the pole is sum_{p>=0} v^p u^(-p-1) (rational, theta = 1) or
+        (q - q^-1) sum_{p>=0} v^p u^(-p) (trigonometric, theta = 0), whose
+        factor q - q^-1 is folded into the T2 coefficients: at (eu, ev) it
+        reads the keys (a, b) with a + b = eu + ev + theta and
+        a >= eu + theta.  `pole` is the T2 bucket negated, so each of its
+        diagonals is swept once, eu descending, adding the running sum of
+        the keys read so far."""
+    lo, hi = -M - 1, M - 1
+    for d, states in delta.items():
+        for eu in range(max(lo, d - 1 - hi), min(hi, d - 1 - lo) + 1):
+            sum_into(plain.setdefault((eu, d - 1 - eu), {}), states)
+    diagonals: dict[int, list] = {}        # eu + ev -> [(a, states)], a descending
+    for a, b in sorted(pole, reverse=True):
+        diagonals.setdefault(a + b - theta, []).append((a, pole[(a, b)]))
+    for s, keys in diagonals.items():
+        running: dict[ModeWord, Scalar] = {}
+        read = 0
+        for eu in range(min(hi, s - lo), max(lo, s - hi) - 1, -1):
+            while read < len(keys) and keys[read][0] >= eu + theta:
+                sum_into(running, keys[read][1])
+                read += 1
+            if running:
+                sum_into(plain.setdefault((eu, s - eu), {}), running)
+    return plain
 
 
 # ---------------------------------------------------------------------------
@@ -340,25 +347,33 @@ def _kets(N: int, window: int, degree: int) -> list[ModeWord]:
     return kets
 
 
-def _relation_instances(cd: CurrentDouble, mode_pairs, tail: int):
-    """The (m, n) coefficient, (m, n) in `mode_pairs`, of the defining relation
-    R(u,v) x1(u) x2(v) = g(u,v) x2(v) x1(u) for each generator pair (i, j):
-    R_ij^kl x_k[m] x_l[n], minus the pole tail, minus the g side and its
-    tail, each tail cut after `tail` terms.  Yields one list of nonzero
-    ((mode, mode), c) terms per instance."""
+def _relation_instances(cd: CurrentDouble, mode_pairs):
+    """The window projection of the (m, n) coefficient, (m, n) in
+    `mode_pairs`, of the defining relation R(u,v) x1(u) x2(v) = g(u,v) x2(v)
+    x1(u) for each generator pair (i, j): R_ij^kl x_k[m] x_l[n], minus the
+    pole tail, minus the g side and its tail.  Only the terms whose two
+    modes lie in the window are built: the R and g terms when |m|, |n| <= M,
+    the tail terms at the p >= 0 with |m - p - theta|, |n + p| <= M, which
+    makes every tail finite.  Yields one list of nonzero ((mode, mode), c)
+    terms per instance."""
     b = cd.cb.base
     N = b.N
+    M = cd.window
     cf, theta = cd.cb.pole()
     qmain = b.q     # ONE for the involutive base of a rational current
     columns: dict[int, list] = {}       # (i, j) -> the nonzero R_ij^kl, (k, l) ascending
     for r, c, v in sorted(b.R.nonzeros(), key=lambda t: t[:2]):
         columns.setdefault(c, []).append((divmod(r, N), v))
     for (m, n), i, j in product(mode_pairs, range(N), range(N)):
-        terms = [(((k, m), (l, n)), v) for (k, l), v in columns.get(i * N + j, ())]
-        for p in range(tail):
+        inside = abs(m) <= M and abs(n) <= M
+        terms = [(((k, m), (l, n)), v) for (k, l), v in columns.get(i * N + j, ())
+                 if inside]
+        for p in range(max(0, m - theta - M, -M - n),
+                       min(m - theta + M, M - n) + 1):
             terms.append((((i, m - p - theta), (j, n + p)), -cf))
             terms.append((((i, n + p), (j, m - p - theta)), cf))
-        terms.append((((i, n), (j, m)), -qmain))
+        if inside:
+            terms.append((((i, n), (j, m)), -qmain))
         yield [(pair, c) for pair, c in terms if not c.is_zero()]
 
 
@@ -370,9 +385,7 @@ def _exchange_relation_span(cd: CurrentDouble):
     The span is collected from the relation instances with coefficients
     up to far = 3M + 3.  Saturation is not derived from a bound: the
     instances up to 3M + 5 are then added to the same reduction, and a
-    rank that still grows raises WindowOverflow.  At coefficient (m, n),
-    a tail term with p > max(|m|, |n|) + M lies outside the window, so
-    one tail length serves both sets of instances."""
+    rank that still grows raises WindowOverflow."""
     N = cd.N
     M = cd.window
     near, far = 3 * M + 3, 3 * M + 5
@@ -385,44 +398,15 @@ def _exchange_relation_span(cd: CurrentDouble):
     rows: dict[int, dict[int, Scalar]] = {}
     ranks = []
     for stage in (inner, outer):
-        for terms in _relation_instances(cd, stage, far + 2 * M + 2):
+        for terms in _relation_instances(cd, stage):
             row: dict[int, Scalar] = {}
             for pair, c in terms:
-                t = index.get(pair)
-                if t is not None:
-                    add_term(row, t, c)
+                add_term(row, index[pair], c)
             echelon_insert(rows, row)
         ranks.append(len(rows))
     if ranks[0] != ranks[1]:
         raise WindowOverflow("relation span did not stabilize", far)
     return rows, index, {t: p for p, t in index.items()}
-
-
-def _difference(lhs: dict[ModeWord, Scalar],
-                rhs: dict[ModeWord, Scalar]) -> dict[ModeWord, Scalar]:
-    """lhs - rhs, without arithmetic when the two sides agree."""
-    if lhs == rhs:
-        return {}
-    out = dict(lhs)
-    for w, c in rhs.items():
-        add_term(out, w, -c)
-    return out
-
-
-def _reduce_mod_span(states: dict[ModeWord, Scalar], rows, index,
-                     inv_index) -> dict[ModeWord, Scalar]:
-    """Remainder of a two-mode-word combination modulo the relation span;
-    words outside the span's index pass through untouched."""
-    out: dict[ModeWord, Scalar] = {}
-    vec: dict[int, Scalar] = {}
-    for w, c in states.items():
-        t = index.get(w)
-        if t is None:
-            out[w] = c
-        else:
-            vec[t] = c
-    out.update((inv_index[t], c) for t, c in remainder(vec, rows).items())
-    return out
 
 
 def verify_yang(cd: CurrentDouble, degree: int = 1) -> dict:
@@ -438,24 +422,24 @@ def verify_yang(cd: CurrentDouble, degree: int = 1) -> dict:
     same few words recur for every ket: the rest of the word (its prefix)
     is evaluated on each of them once per call, projected to the window,
     and shared by all kets.  Each matrix cell (x, y) then sums c * states
-    over its terms and their pieces once per exponent key (a, b).  A cell
-    whose buckets are all empty on a ket has both sides zero at every
-    (r, s), so its (r, s) count without lookups; otherwise every (r, s),
-    with (eu, ev) = (-r-1, -s-1), is read off by lookups:
+    over its terms and their pieces once per exponent key (a, b), and
+    _differences reads lhs - rhs off those buckets, with (eu, ev) =
+    (-r-1, -s-1), at only the (r, s) that some side reaches:
       - lhs: the T1 plain bucket at (eu, ev), plus the T1 delta(u-v)
         bucket at a + b = eu + ev + 1;
       - rhs: the T2 bucket summed over the keys with a + b = eu + ev +
         theta and a >= eu + theta; T2 carries the pole's factor q - 1/q
         (trigonometric, theta = 0) or 1 (rational, theta = 1).
-    The comparison is lhs - rhs against zero.  Degree <= 1 comparisons are
+    Every other (r, s) has both sides zero and counts without work.  The
+    comparison is lhs - rhs against zero.  Degree <= 1 comparisons are
     strict equalities of free mode states.  Outputs reached from degree-2
     kets are only defined up to the defining exchange relations, so there
-    the difference is reduced modulo the window projection of the relation
-    span first (the span is in reduced row echelon form, so this equals
-    comparing the reduced sides) and a nonzero remainder is counted as a
-    residual class, not gated.  Verdicts are window-monotone: on one ket
-    the interior mode enumeration is repeated with a larger clip and must
-    agree.
+    a nonzero difference is reduced modulo the window projection of the
+    relation span first (the span is in reduced row echelon form, so this
+    equals comparing the reduced sides) and a nonzero remainder is counted
+    as a residual class, not gated.  Verdicts are window-monotone: on one
+    ket the interior mode enumeration is repeated with a larger clip and
+    the T1 readout must agree.
     """
     M = cd.window
     if degree > 2 or M > 4:
@@ -466,17 +450,13 @@ def verify_yang(cd: CurrentDouble, degree: int = 1) -> dict:
     t1, t2 = _yang_expressions(cd)
     interior = 2 * M + 2
     kets = _kets(N, M, degree)
-    coeffs = [(r, s, -r - 1, -s - 1) for r in range(-M, M + 1)
-              for s in range(-M, M + 1)]
-    span = None
     if degree >= 2:
-        span = _exchange_relation_span(cd)
+        rows, index, _ = _exchange_relation_span(cd)
     lhs_box, rhs_box = _readers(M, theta)
     spot_ket = kets[min(1, len(kets) - 1)]
     prefixes: dict = {}
     mismatches = []
     residual_classes = 0
-    checked = 0
     for ket in kets:
         deg2_ket = len(ket) >= 2
         evaluate = _ket_evaluator(cd, ket, prefixes)
@@ -485,26 +465,20 @@ def verify_yang(cd: CurrentDouble, degree: int = 1) -> dict:
         for x in range(n2):
             for y in range(n2):
                 plain, delta = _buckets(formal_cell(t1, x, y), evaluate, interior, lhs_box)
-                pole_side = _buckets(formal_cell(t2, x, y), evaluate, M, rhs_box)[0]
-                if not (any(plain.values()) or any(delta.values())
-                        or any(pole_side.values())):
-                    checked += len(coeffs)
-                    continue
-                by_sum = _by_sum(pole_side)
-                for (r, s, eu, ev) in coeffs:
-                    checked += 1
-                    diff = _difference(_lhs(plain, delta, eu, ev),
-                                       _rhs(by_sum, eu, ev, theta))
+                pole = _buckets(formal_cell(t2, x, y), evaluate, M, rhs_box, negate=True)[0]
+                diffs = _differences(plain, delta, pole, theta, M)
+                for eu, ev in sorted(diffs, reverse=True):     # (r, s) ascending
+                    diff = diffs[(eu, ev)]
                     if deg2_ket and diff:
-                        diff = _reduce_mod_span(diff, *span)
+                        diff = remainder({index[w]: c for w, c in diff.items()}, rows)
                     if diff:
                         if deg2_ket:
                             residual_classes += 1
                         else:
-                            mismatches.append((ket, (x, y), (r, s)))
+                            mismatches.append((ket, (x, y), (-eu - 1, -ev - 1)))
     report = {
         "passed": not mismatches,
-        "matrix_elements": checked,
+        "matrix_elements": len(kets) * n2 * n2 * (2 * M + 1) ** 2,
         "kets": len(kets),
         "window": M,
         "degree": degree,
@@ -518,13 +492,11 @@ def verify_yang(cd: CurrentDouble, degree: int = 1) -> dict:
         report["degree2_report_only"] = True
         report["degree2_residual_classes"] = residual_classes
     if not mismatches:
-        stable = True
-        for x in range(n2):
-            small = _buckets(formal_cell(t1, x, 0), spot_evaluate, interior, lhs_box)
-            big = _buckets(formal_cell(t1, x, 0), spot_evaluate, interior + 3, lhs_box)
-            for (_, _, eu, ev) in coeffs:
-                if _lhs(*small, eu, ev) != _lhs(*big, eu, ev):
-                    stable = False
+        def t1_readout(x, clip):
+            buckets = _buckets(formal_cell(t1, x, 0), spot_evaluate, clip, lhs_box)
+            return {p: d for p, d in _differences(*buckets, {}, theta, M).items() if d}
+        stable = all(t1_readout(x, interior) == t1_readout(x, interior + 3)
+                     for x in range(n2))
         report["window_monotone_spot_check"] = stable
         if not stable:
             report["passed"] = False

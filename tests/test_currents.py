@@ -6,22 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfock import braidings, currents
-from qfock.braidings import TRIGONOMETRIC, baxterize, make_flip, make_standard_hecke
+from qfock.braidings import (
+    TRIGONOMETRIC, baxterize, make_flip, make_standard_hecke, make_superflip,
+)
 from qfock.currents import (
     CurrentDouble,
     _annihilate,
     _buckets,
-    _by_sum,
-    _difference,
+    _differences,
     _exchange_relation_span,
     _exp_shift,
     _ket_evaluator,
     _kets,
-    _lhs,
     _readers,
-    _reduce_mod_span,
     _relation_instances,
-    _rhs,
     _yang_expressions,
     current_relation_check,
     make_current_double,
@@ -33,11 +31,13 @@ from qfock.errors import WindowOverflow
 from qfock.scalars import (
     ONE, ZERO, Scalar, _laurent_add, _laurent_mul, add_term, sum_into,
 )
-from qfock.tensorops import formal_cell
+from qfock.tensorops import formal_cell, remainder
 
+import yang_reference
 from dense_elimination import dense_row_reduce
 from gauge import conjugated, twisted, upper
 from rewriting_reference import recursive_annihilate
+from yang_reference import full_relation_instances
 
 
 def flip_double(window=2):
@@ -46,6 +46,15 @@ def flip_double(window=2):
 
 def hecke_double(window=2):
     return make_current_double(baxterize(make_standard_hecke(2), "trigonometric"), window)
+
+
+def superflip_double(window=2):
+    return make_current_double(baxterize(make_superflip(1, 1), "rational"), window)
+
+
+def twisted_double(window=2):
+    return make_current_double(
+        baxterize(twisted(make_standard_hecke(2)), "trigonometric"), window)
 
 
 def bump_exchange(cd):
@@ -197,8 +206,8 @@ def _dense_relation_span(cd, far):
     index = {p: t for t, p in enumerate(pairs)}
     rows = []
     modes = range(-far, far + 1)
-    for terms in _relation_instances(cd, itertools.product(modes, modes),
-                                     far + 2 * M + 2):
+    for terms in full_relation_instances(cd, itertools.product(modes, modes),
+                                         far + 2 * M + 2):
         row = [ZERO] * len(pairs)
         touched = False
         for pair, c in terms:
@@ -387,10 +396,9 @@ class TestYang:
         evaluate = _ket_evaluator(cd, (), {})
         lhs_box, rhs_box = _readers(2, 1)
         plain, delta = _buckets(formal_cell(t1, 0, 0), evaluate, 6, lhs_box)
-        by_sum = _by_sum(_buckets(formal_cell(t2, 0, 0), evaluate, 2, rhs_box)[0])
-        for r, s in itertools.product(range(-2, 3), repeat=2):
-            assert _lhs(plain, delta, -r - 1, -s - 1) == {}
-            assert _rhs(by_sum, -r - 1, -s - 1, 1) == {}
+        pole = _buckets(formal_cell(t2, 0, 0), evaluate, 2, rhs_box, negate=True)[0]
+        assert not any(bucket[key] for bucket in (plain, delta, pole) for key in bucket)
+        assert not any(_differences(plain, delta, pole, 1, 2).values())
 
     def test_desk_scale_guard(self):
         with pytest.raises(WindowOverflow):
@@ -505,16 +513,45 @@ class TestYang:
         rep = verify_yang(cd, degree=2)
         assert rep["passed"] and rep["degree2_residual_classes"] == 1104
         # 1061: _annihilate builds only the paired part of _pass; building
-        # the moved terms too, which nothing here reads, made it 1064
+        # the moved terms too, which nothing here reads, made it 1064.
+        # 2152: the negated pole is added where lhs - rhs was taken, with
+        # no shortcut for equal sides; the per-(r, s) readout made it 2129
         assert _laurent_mul.cache_info().misses == 1061
-        assert _laurent_add.cache_info().misses == 2129
+        assert _laurent_add.cache_info().misses == 2152
         assert absent_key_adds == []
+
+    def test_readout_work_is_pinned(self, monkeypatch):
+        # The relation terms that the span is built from and the positions
+        # that the readout forms, of one degree-2 call.  Full instances
+        # bring 30,345 terms; a full grid read forms 9 positions per readout.
+        terms, positions = [], []
+        instances, differences = currents._relation_instances, currents._differences
+
+        def counted_instances(cd, mode_pairs):
+            for t in instances(cd, mode_pairs):
+                terms.append(len(t))
+                yield t
+
+        def counted_differences(*args):
+            out = differences(*args)
+            positions.append(len(out))
+            return out
+
+        monkeypatch.setattr(currents, "_relation_instances", counted_instances)
+        monkeypatch.setattr(currents, "_differences", counted_differences)
+        rep = verify_yang(hecke_double(window=1), degree=2)
+        assert rep["degree2_residual_classes"] == 1104
+        assert (len(terms), sum(terms)) == (1156, 697)
+        assert (len(positions), sum(positions)) == (696, 3392)
 
 
 class TestBucketedComparison:
     @pytest.mark.parametrize("maker", [flip_double, hecke_double])
     @pytest.mark.parametrize("corrupt", [False, True])
     def test_matches_term_by_term_reference(self, maker, corrupt):
+        """_differences on the buckets of every (ket, cell) is lhs - rhs as
+        the term-by-term path extracts it, at every (r, s), and its
+        remainder modulo the sparse span is that of the dense span."""
         M = 1
         cd = maker(window=M)
         if corrupt:
@@ -524,7 +561,7 @@ class TestBucketedComparison:
         interior = 2 * M + 2
         t1, t2 = _yang_expressions(cd)
         dense, index = _dense_relation_span(cd, far=3 * M + 3)
-        span = _exchange_relation_span(cd)
+        rows, span_index, _ = _exchange_relation_span(cd)
         lhs_box, rhs_box = _readers(M, theta)
         n2 = cd.N * cd.N
         nonzero = 0
@@ -533,25 +570,49 @@ class TestBucketedComparison:
             evaluate = _ket_evaluator(cd, ket, prefixes)
             for x, y in itertools.product(range(n2), repeat=2):
                 plain, delta = _buckets(formal_cell(t1, x, y), evaluate, interior, lhs_box)
-                by_sum = _by_sum(_buckets(formal_cell(t2, x, y), evaluate, M, rhs_box)[0])
+                pole = _buckets(formal_cell(t2, x, y), evaluate, M, rhs_box, negate=True)[0]
+                diffs = _differences(plain, delta, pole, theta, M)
                 ev1 = [_EvaluatedTerm(c, d, _eval_factors(cd, f, ket, interior))
                        for (f, d), c in formal_cell(t1, x, y).items()]
                 ev2 = [_EvaluatedTerm(c, d, _eval_factors(cd, f, ket, M))
                        for (f, d), c in formal_cell(t2, x, y).items()]
                 for r, s in itertools.product(range(-M, M + 1), repeat=2):
                     eu, ev = -r - 1, -s - 1
-                    lhs = _lhs(plain, delta, eu, ev)
-                    rhs = _rhs(by_sum, eu, ev, theta)
-                    want_lhs = _extract(cd, ev1, eu, ev, apply_pole=False)
-                    want_rhs = _extract(cd, ev2, eu, ev, apply_pole=True)
-                    assert lhs == want_lhs and rhs == want_rhs
-                    reduced = _reduce_mod_span(_difference(lhs, rhs), *span)
-                    want = _dense_reduce_mod_span(want_lhs, dense, index)
-                    for w, c in _dense_reduce_mod_span(want_rhs, dense, index).items():
-                        want[w] = want.get(w, ZERO) - c
-                    assert reduced == {w: c for w, c in want.items() if not c.is_zero()}
+                    diff = diffs.get((eu, ev), {})
+                    want = _extract(cd, ev1, eu, ev, apply_pole=False)
+                    for w, c in _extract(cd, ev2, eu, ev, apply_pole=True).items():
+                        add_term(want, w, -c)
+                    assert diff == want
+                    reduced = remainder({span_index[w]: c for w, c in diff.items()}, rows)
+                    want = _dense_reduce_mod_span(want, dense, index)
+                    assert reduced == {index[w]: c for w, c in want.items()}
                     nonzero += bool(reduced)
         assert nonzero
+
+
+class TestReadoutMatchesReference:
+    """verify_yang reports what the per-(r, s) readout that it replaced
+    reports: verdict, mismatches in order, counts, residue and spot check."""
+
+    @pytest.mark.parametrize("maker", [flip_double, hecke_double])
+    @pytest.mark.parametrize("window", [0, 1, 2])
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("corrupt", [None, bump_constant, bump_exchange],
+                             ids=lambda f: f.__name__ if f else "true")
+    def test_report_matches_reference(self, maker, window, degree, corrupt):
+        doubles = [maker(window) for _ in range(2)]
+        if corrupt:
+            doubles = [corrupt(cd) for cd in doubles]
+        got = verify_yang(doubles[0], degree)
+        assert got == yang_reference.verify_yang(doubles[1], degree)
+        if corrupt is bump_constant and degree == 1 and window:
+            assert got["mismatches"] and not got["passed"]
+
+    @pytest.mark.parametrize("maker", [twisted_double, superflip_double])
+    def test_other_families_match_reference(self, maker):
+        got = verify_yang(maker(1), 2)
+        assert got == yang_reference.verify_yang(maker(1), 2)
+        assert got["passed"] and got["window_monotone_spot_check"]
 
 
 class TestPrefixSharing:
@@ -588,8 +649,9 @@ class TestPrefixSharing:
 
 
 class TestRelationSpan:
-    @pytest.mark.parametrize("maker", [flip_double, hecke_double])
-    @pytest.mark.parametrize("window", [1, 2])
+    @pytest.mark.parametrize("maker", [flip_double, hecke_double,
+                                       superflip_double, twisted_double])
+    @pytest.mark.parametrize("window", [1, 2, 3])
     def test_matches_dense_reduction(self, maker, window):
         cd = maker(window)
         rows, index, inv_index = _exchange_relation_span(cd)
@@ -600,6 +662,18 @@ class TestRelationSpan:
         assert inv_index == {t: p for p, t in index.items()}
         assert rows == _dense_pivot_rows(near)
 
+    @pytest.mark.parametrize("maker", [flip_double, hecke_double,
+                                       superflip_double, twisted_double])
+    def test_instances_are_the_window_projections(self, maker):
+        """Each instance brings exactly the terms of the full instance whose
+        two modes lie in the window, in the same order."""
+        cd = maker(1)
+        pairs = list(itertools.product(range(-8, 9), repeat=2))
+        inside = [[(pair, c) for pair, c in terms
+                   if all(abs(m) <= cd.window for _, m in pair)]
+                  for terms in full_relation_instances(cd, pairs, 12)]
+        assert list(_relation_instances(cd, pairs)) == inside
+
     def test_growing_rank_raises(self, monkeypatch):
         """A relation row that only the instances beyond 3M + 3 bring, on
         a word outside the span, makes the rank grow."""
@@ -608,9 +682,9 @@ class TestRelationSpan:
         free = min(set(inv_index) - set(rows))
         real = currents._relation_instances
 
-        def with_extra_row(cd, mode_pairs, tail):
+        def with_extra_row(cd, mode_pairs):
             mode_pairs = list(mode_pairs)
-            yield from real(cd, mode_pairs, tail)
+            yield from real(cd, mode_pairs)
             if max(max(abs(m), abs(n)) for m, n in mode_pairs) > 3 * cd.window + 3:
                 yield [(inv_index[free], ONE)]
 
