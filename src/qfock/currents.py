@@ -135,7 +135,10 @@ def zf_act(cd: CurrentDouble, a_modes, terms: dict[ModeWord, Scalar]) -> dict[Mo
 Factor = tuple[str, int, str]
 Expr = dict[tuple[tuple[Factor, ...], str | None], Scalar]
 ExpDict = dict[tuple[int, int], dict[ModeWord, Scalar]]
-Entry = tuple[int, int, ModeWord, Scalar]       # (u-exp, v-exp, word, coeff)
+Entry = tuple[int, int, ModeWord]               # (u-exp, v-exp, word)
+Groups = tuple[tuple[Scalar, tuple[Entry, ...]], ...]   # (coeff, its entries)
+Box = tuple[float, float, float, float]         # (a_lo, a_hi, b_lo, b_hi)
+OPEN: Box = (-inf, inf, -inf, inf)              # the box of a delta(u-v) reader
 
 
 def _exp_shift(kind: str, mode: int) -> int:
@@ -143,8 +146,8 @@ def _exp_shift(kind: str, mode: int) -> int:
     return -mode - 1 if kind == "c" else 1 - mode
 
 
-def _eval_factors(cd: CurrentDouble, factors: tuple[Factor, ...],
-                  word: ModeWord, interior_clip: int, window: int) -> tuple[Entry, ...]:
+def _eval_factors(cd: CurrentDouble, factors: tuple[Factor, ...], word: ModeWord,
+                  interior_clip: int, window: int, box: Box) -> Groups:
     """Apply the prefix `factors` of a current word to `word`, rightmost
     first, tracking the (u, v)-exponents, and project the result to the
     window.
@@ -156,8 +159,9 @@ def _eval_factors(cd: CurrentDouble, factors: tuple[Factor, ...],
     ket mode, in [-window, window], and every key (a, b) that some
     coefficient u^(-r-1) v^(-s-1), |r|, |s| <= window, reads has
     -2 window - 2 <= a + b <= 2 window - 1: only the keys with
-    -3 window - 2 <= a + b <= 3 window - 1 are kept, as flat entries
-    (a, b, word, coefficient).
+    -3 window - 2 <= a + b <= 3 window - 1 inside `box` (its reader's box
+    widened by that shift) are kept, as entries (a, b, word) grouped by
+    their coefficient, so that a reader forms one product per group.
     """
     leftmost_a = min((p for p, f in enumerate(factors) if f[0] == "a"),
                      default=len(factors))
@@ -185,38 +189,47 @@ def _eval_factors(cd: CurrentDouble, factors: tuple[Factor, ...],
                          if all(abs(m) <= window for (_, m) in w)}
                    for key, states in new.items()}
         current = {k: v for k, v in new.items() if v}
-    return tuple((a, b, w, c) for (a, b), states in current.items()
-                 if -3 * window - 2 <= a + b <= 3 * window - 1
-                 for w, c in states.items())
+    a_lo, a_hi, b_lo, b_hi = box
+    groups: dict[Scalar, list[Entry]] = {}
+    for (a, b), states in current.items():
+        if a_lo <= a <= a_hi and b_lo <= b <= b_hi and -3 * window - 2 <= a + b < 3 * window:
+            for w, c in states.items():
+                groups.setdefault(c, []).append((a, b, w))
+    return tuple((c, tuple(entries)) for c, entries in groups.items())
 
 
 def _ket_evaluator(cd: CurrentDouble, ket: ModeWord, prefixes: dict):
-    """evaluate(factors, clip): a current word on `ket` as pieces
-    (c, du, dv, entries), computed once per distinct (factors, clip).
+    """evaluate(factors, clip, box): a current word on `ket` as pieces
+    (c, du, dv, groups), computed once per distinct (factors, clip, box).
 
     The word's rightmost annihilator x^j[1 - m], for each mode m of the ket,
     takes the ket to words w with coefficients c and shifts the u- or
-    v-exponent by m; entries is the evaluation of the rest of the word (the
+    v-exponent by m; groups is the evaluation of the rest of the word (the
     prefix) on w.  This split is exact: _eval_factors picks each position's
     clip, and where it projects to the window, from that position's place
     relative to the word's first annihilator, which the prefix alone fixes.
     Words that come off the ket keep its modes, which lie in the window, so
     the projection that follows a peeled first annihilator is the identity.
-    The same few w recur for every ket, so `prefixes` holds each
-    (prefix, clip, w) evaluation once for all kets.
+    The same few w recur for every ket, so `prefixes` holds each prefix's
+    evaluation on w once for all kets, keyed by (prefix, clip, w, box): the
+    reader's key box `box`, widened by the window on the peeled variable.
     """
-    def evaluate(factors, clip):
+    def evaluate(factors, clip, box):
         prefix, (_, gen, var) = factors[:-1], factors[-1]
+        a_lo, a_hi, b_lo, b_hi = box
+        M = cd.window       # the peel shifts a (var u) or b (var v) by a mode in [-M, M]
+        box = ((a_lo - M, a_hi + M, b_lo, b_hi) if var == "u"
+               else (a_lo, a_hi, b_lo - M, b_hi + M))
         pieces = []
         for m in {m for (_, m) in ket}:
             for w, c in _annihilate(cd, gen, 1 - m, ket).items():
-                entries = prefixes.get((prefix, clip, w))
-                if entries is None:
-                    entries = prefixes[(prefix, clip, w)] = _eval_factors(
-                        cd, prefix, w, clip, cd.window)
-                if entries:
-                    pieces.append((c, m, 0, entries) if var == "u"
-                                  else (c, 0, m, entries))
+                groups = prefixes.get((prefix, clip, w, box))
+                if groups is None:
+                    groups = prefixes[(prefix, clip, w, box)] = _eval_factors(
+                        cd, prefix, w, clip, M, box)
+                if groups:
+                    pieces.append((c, m, 0, groups) if var == "u"
+                                  else (c, 0, m, groups))
         return pieces
     return lru_cache(maxsize=None)(evaluate)
 
@@ -229,27 +242,29 @@ def _readers(window: int, theta: int):
     return (lo, hi, lo, hi), (lo + theta, inf, -inf, hi)
 
 
-def _buckets(terms: Expr, evaluate, clip: int, box, negate: bool = False):
+def _buckets(terms: Expr, evaluate, clip: int, box: Box, negate: bool = False):
     """Sum c * states over a cell's terms, once per exponent key: plain
     terms by (a, b) inside `box`, delta(u-v) terms by a + b; `negate`
-    takes -c for c."""
+    takes -c for c.  One product is formed per group of entries."""
     a_lo, a_hi, b_lo, b_hi = box
     plain: ExpDict = {}
     delta: dict[int, dict[ModeWord, Scalar]] = {}
     for (factors, dist), c in terms.items():
         if negate:
             c = -c
-        for cp, du, dv, entries in evaluate(factors, clip):
+        for cp, du, dv, groups in evaluate(factors, clip, OPEN if dist else box):
             scale = c * cp
-            if dist is None:
-                for a, b, w, cw in entries:
-                    a += du
-                    b += dv
-                    if a_lo <= a <= a_hi and b_lo <= b <= b_hi:
-                        add_term(plain.setdefault((a, b), {}), w, scale * cw)
-            else:
-                for a, b, w, cw in entries:
-                    add_term(delta.setdefault(a + b + du + dv, {}), w, scale * cw)
+            for cw, entries in groups:
+                prod = scale * cw
+                if dist is None:
+                    for a, b, w in entries:
+                        a += du
+                        b += dv
+                        if a_lo <= a <= a_hi and b_lo <= b <= b_hi:
+                            add_term(plain.setdefault((a, b), {}), w, prod)
+                else:
+                    for a, b, w in entries:
+                        add_term(delta.setdefault(a + b + du + dv, {}), w, prod)
     return plain, delta
 
 
@@ -420,11 +435,11 @@ def verify_yang(cd: CurrentDouble, degree: int = 1) -> dict:
     ket to a few words (degree-2 kets to degree-1 words, degree-1 kets to
     the vacuum), each with a coefficient and an exponent shift, and the
     same few words recur for every ket: the rest of the word (its prefix)
-    is evaluated on each of them once per call, projected to the window,
-    and shared by all kets.  Each matrix cell (x, y) then sums c * states
-    over its terms and their pieces once per exponent key (a, b), and
-    _differences reads lhs - rhs off those buckets, with (eu, ev) =
-    (-r-1, -s-1), at only the (r, s) that some side reaches:
+    is evaluated on each of them once per call, projected to the window
+    and to the keys its reader reaches, and shared by all kets.  Each cell
+    (x, y) sums c * states over its terms once per exponent key (a, b),
+    one product per distinct coefficient, and _differences reads lhs - rhs
+    off those buckets at (eu, ev) = (-r-1, -s-1), where some side reaches:
       - lhs: the T1 plain bucket at (eu, ev), plus the T1 delta(u-v)
         bucket at a + b = eu + ev + 1;
       - rhs: the T2 bucket summed over the keys with a + b = eu + ev +

@@ -10,12 +10,12 @@ from qfock.braidings import (
     TRIGONOMETRIC, baxterize, make_flip, make_standard_hecke, make_superflip,
 )
 from qfock.currents import (
+    OPEN,
     CurrentDouble,
     _annihilate,
     _buckets,
     _differences,
     _exchange_relation_span,
-    _exp_shift,
     _ket_evaluator,
     _kets,
     _readers,
@@ -104,47 +104,32 @@ def _eval_factors(cd, factors, ket, interior_clip):
 
 def _windowed_eval_factors(cd, factors, ket, interior_clip, window):
     """The whole word on one ket, as verify_yang evaluated it before the
-    prefixes were shared: clip and projection as in currents._eval_factors,
-    and only the keys with -2 window - 2 <= a + b <= 2 window - 1."""
-    leftmost_a = min((p for p, f in enumerate(factors) if f[0] == "a"),
-                     default=len(factors))
-    current = {(0, 0): {ket: ONE}}
-    for pos in reversed(range(len(factors))):
-        kind, gen, var = factors[pos]
-        clip = interior_clip if pos > leftmost_a else min(interior_clip, window)
-        new = {}
-        for (eu, ev), states in current.items():
-            for word, coeff in states.items():
-                if kind == "a":
-                    for k in {1 - m for (_, m) in word}:
-                        acted = _annihilate(cd, gen, k, word)
-                        if acted:
-                            shift = _exp_shift("a", k)
-                            key = (eu + shift, ev) if var == "u" else (eu, ev + shift)
-                            sum_into(new.setdefault(key, {}), acted, coeff)
-                else:
-                    for m in range(-clip, clip + 1):
-                        shift = _exp_shift("c", m)
-                        key = (eu + shift, ev) if var == "u" else (eu, ev + shift)
-                        add_term(new.setdefault(key, {}), ((gen, m),) + word, coeff)
-        if pos == leftmost_a:
-            new = {key: {w: c for w, c in states.items()
-                         if all(abs(m) <= window for (_, m) in w)}
-                   for key, states in new.items()}
-        current = {k: v for k, v in new.items() if v}
-    return {(a, b): states for (a, b), states in current.items()
-            if -2 * window - 2 <= a + b <= 2 * window - 1}
-
-
-def _assembled(evaluate, factors, clip, window):
-    """The pieces of evaluate(factors, clip) summed back into one windowed
-    evaluation, keyed as _windowed_eval_factors keys it."""
+    prefixes were shared: clip and projection as in the reference
+    evaluation, and only the keys with -2 window - 2 <= a + b <= 2 window - 1."""
     out = {}
-    for c, du, dv, entries in evaluate(factors, clip):
-        for a, b, w, cw in entries:
-            a, b = a + du, b + dv
-            if -2 * window - 2 <= a + b <= 2 * window - 1:
-                add_term(out.setdefault((a, b), {}), w, c * cw)
+    for a, b, w, c in yang_reference.eval_factors(cd, factors, ket, interior_clip, window):
+        if -2 * window - 2 <= a + b <= 2 * window - 1:
+            out.setdefault((a, b), {})[w] = c
+    return out
+
+
+def _inside(key, box):
+    a_lo, a_hi, b_lo, b_hi = box
+    return a_lo <= key[0] <= a_hi and b_lo <= key[1] <= b_hi
+
+
+def _assembled(evaluate, factors, clip, box, window):
+    """The pieces of evaluate(factors, clip, box) summed back into one
+    windowed evaluation, keyed as _windowed_eval_factors keys it, at the
+    keys inside the reader's box.  No coefficient heads two groups."""
+    out = {}
+    for c, du, dv, groups in evaluate(factors, clip, box):
+        assert len({cw for cw, _ in groups}) == len(groups)
+        for cw, entries in groups:
+            for a, b, w in entries:
+                a, b = a + du, b + dv
+                if -2 * window - 2 <= a + b <= 2 * window - 1 and _inside((a, b), box):
+                    add_term(out.setdefault((a, b), {}), w, c * cw)
     return {key: states for key, states in out.items() if states}
 
 
@@ -466,22 +451,32 @@ class TestYang:
         calls = []
         real = currents._eval_factors
         monkeypatch.setattr(currents, "_eval_factors",
-                            lambda cd, f, w, clip, window:
-                            calls.append((f, clip, w)) or real(cd, f, w, clip, window))
+                            lambda cd, f, w, clip, window, box:
+                            calls.append((f, clip, w, box))
+                            or real(cd, f, w, clip, window, box))
         M = 1
         cd = flip_double(window=M)
         rep = verify_yang(cd, degree=2)
         assert rep["passed"] and rep["window_monotone_spot_check"]
         t1, t2 = _yang_expressions(cd)
         interior = 2 * M + 2
-        words = {(f, interior) for row in t1.values() for cell in row.values()
-                 for (f, _) in cell}
-        words |= {(f, M) for row in t2.values() for cell in row.values() for (f, _) in cell}
+        lhs_box, rhs_box = _readers(M, cd.cb.pole()[1])
+        words = {(f, interior, OPEN if d else lhs_box) for row in t1.values()
+                 for cell in row.values() for (f, d) in cell}
+        words |= {(f, M, rhs_box) for row in t2.values() for cell in row.values()
+                  for (f, _) in cell}
         kets = _kets(cd.N, M, 2)
-        spot = {(f, interior + 3) for row in t1.values() for (f, _) in row.get(0, {})}
+        spot = {(f, interior + 3, OPEN if d else lhs_box)
+                for row in t1.values() for (f, d) in row.get(0, {})}
+
+        def widened(box, var):
+            # the peeled annihilator shifts a (var u) or b (var v) by a ket mode
+            a_lo, a_hi, b_lo, b_hi = box
+            return ((a_lo - M, a_hi + M, b_lo, b_hi) if var == "u"
+                    else (a_lo, a_hi, b_lo - M, b_hi + M))
 
         def peeled(ket, words):
-            return {(f[:-1], clip, w) for f, clip in words
+            return {(f[:-1], clip, w, widened(box, f[-1][2])) for f, clip, box in words
                     for (_, m) in ket
                     for w in _annihilate(cd, f[-1][1], 1 - m, ket)}
 
@@ -512,13 +507,44 @@ class TestYang:
         _laurent_mul.cache_clear()
         rep = verify_yang(cd, degree=2)
         assert rep["passed"] and rep["degree2_residual_classes"] == 1104
-        # 1061: _annihilate builds only the paired part of _pass; building
-        # the moved terms too, which nothing here reads, made it 1064.
-        # 2152: the negated pole is added where lhs - rhs was taken, with
-        # no shortcut for equal sides; the per-(r, s) readout made it 2129
-        assert _laurent_mul.cache_info().misses == 1061
-        assert _laurent_add.cache_info().misses == 2152
+        # 1075 and 2156: _annihilate builds only the paired part of _pass,
+        # and the negated pole is added where lhs - rhs is taken, with no
+        # shortcut for equal sides.  The misses depend on the order in
+        # which the memo sees the operations: one product per prefix entry
+        # instead of one per coefficient group gives 1061 and 2152 from
+        # more products.
+        assert _laurent_mul.cache_info().misses == 1075
+        assert _laurent_add.cache_info().misses == 2156
         assert absent_key_adds == []
+
+    def test_evaluation_work_is_pinned(self, monkeypatch):
+        # The Scalar products of one degree-2 call and the entries of its
+        # prefix memo.  One product per entry instead of one per
+        # coefficient group makes 25,339 products, and a memo that keeps
+        # every key of the band for every reader holds 2,781 entries on
+        # the same 251 keys.
+        products, memos = [], []
+        real_mul, real_evaluator = Scalar.__mul__, currents._ket_evaluator
+
+        def counted_mul(self, other):
+            products.append(None)
+            return real_mul(self, other)
+
+        def spied_evaluator(cd, ket, prefixes):
+            memos.append(prefixes)
+            return real_evaluator(cd, ket, prefixes)
+
+        cd = hecke_double(window=1)
+        monkeypatch.setattr(currents, "_ket_evaluator", spied_evaluator)
+        monkeypatch.setattr(Scalar, "__mul__", counted_mul)
+        rep = verify_yang(cd, degree=2)
+        monkeypatch.setattr(Scalar, "__mul__", real_mul)
+        assert rep["passed"] and rep["degree2_residual_classes"] == 1104
+        [memo] = {id(m): m for m in memos}.values()
+        assert len(products) == 11291
+        assert len(memo) == 251
+        assert sum(len(entries) for groups in memo.values()
+                   for _, entries in groups) == 1341
 
     def test_readout_work_is_pinned(self, monkeypatch):
         # The relation terms that the span is built from and the positions
@@ -622,21 +648,26 @@ class TestPrefixSharing:
         ("std-hecke", 3, 1, 1)])
     def test_pieces_match_per_ket_evaluation(self, braiding, N, window, degree):
         """The shared-prefix pieces of every word on every ket sum to the
-        whole word evaluated on that ket."""
+        whole word evaluated on that ket, at every key that the word's
+        reader reads: pruning the prefixes to the reader's box drops only
+        keys that it does not read."""
         base, flavor = ((make_flip(N), "rational") if braiding == "flip"
                         else (make_standard_hecke(N), TRIGONOMETRIC))
         cd = make_current_double(baxterize(base, flavor), window)
         t1, t2 = _yang_expressions(cd)
-        words = {(f, 2 * window + 2) for row in t1.values() for cell in row.values()
-                 for (f, _) in cell}
-        words |= {(f, window) for row in t2.values() for cell in row.values()
+        lhs_box, rhs_box = _readers(window, cd.cb.pole()[1])
+        words = {(f, 2 * window + 2, OPEN if d else lhs_box) for row in t1.values()
+                 for cell in row.values() for (f, d) in cell}
+        words |= {(f, window, rhs_box) for row in t2.values() for cell in row.values()
                   for (f, _) in cell}
         prefixes = {}
         for ket in _kets(N, window, degree):
             evaluate = _ket_evaluator(cd, ket, prefixes)
-            for f, clip in words:
-                assert (_assembled(evaluate, f, clip, window)
-                        == _windowed_eval_factors(cd, f, ket, clip, window))
+            for f, clip, box in words:
+                whole = _windowed_eval_factors(cd, f, ket, clip, window)
+                assert (_assembled(evaluate, f, clip, box, window)
+                        == {key: states for key, states in whole.items()
+                            if _inside(key, box)})
 
     def test_merged_terms(self):
         # cancelled (factors, dist) keys drop out of the cells

@@ -1,27 +1,101 @@
-"""The readout of the spectral L-identity that currents._differences
-replaced, and the relation generator that currents._relation_instances
-replaced, kept as references for them.
+"""The evaluation, the readout and the relation generator of the spectral
+L-identity that qfock.currents replaced, kept as references for them.
 
-The readout built, for every (ket, cell) and every (r, s) in the window,
-the lhs and the rhs as dicts, summed the rhs over its diagonal, took their
-difference and, for a degree-2 ket, reduced it modulo the relation span.
-The generator built every tail term of every relation instance, and the
-span kept only the terms inside the window.  `verify_yang` here is the
-whole check on that path; it shares the evaluation (_ket_evaluator,
-_buckets) with qfock.currents, which is not what it checks."""
+The evaluation kept each prefix's keys with -3M - 2 <= a + b <= 3M - 1
+for every reader, as flat (a, b, word, coefficient) entries, and formed
+one product per entry.  The readout built, for every (ket, cell) and every
+(r, s) in the window, the lhs and the rhs as dicts, summed the rhs over
+its diagonal, took their difference and, for a degree-2 ket, reduced it
+modulo the relation span.  The generator built every tail term of every
+relation instance, and the span kept only the terms inside the window.
+`verify_yang` here is the whole check on that path; it shares with
+qfock.currents only the expressions, the kets, the key boxes, the
+exponent shifts and the mode rewriting (_annihilate)."""
 
+from functools import lru_cache
 from itertools import product
 
 from qfock.currents import (
-    _buckets,
-    _ket_evaluator,
+    _annihilate,
+    _exp_shift,
     _kets,
     _readers,
     _yang_expressions,
 )
 from qfock.errors import WindowOverflow
-from qfock.scalars import add_term, sum_into
+from qfock.scalars import ONE, add_term, sum_into
 from qfock.tensorops import echelon_insert, formal_cell, remainder
+
+
+def eval_factors(cd, factors, word, interior_clip, window):
+    """The prefix `factors` applied to `word`, projected to the window, as
+    flat entries (a, b, word, coefficient) with -3 window - 2 <= a + b <=
+    3 window - 1."""
+    leftmost_a = min((p for p, f in enumerate(factors) if f[0] == "a"),
+                     default=len(factors))
+    current = {(0, 0): {word: ONE}}
+    for pos in reversed(range(len(factors))):
+        kind, gen, var = factors[pos]
+        clip = interior_clip if pos > leftmost_a else min(interior_clip, window)
+        new = {}
+        for (eu, ev), states in current.items():
+            for w, coeff in states.items():
+                if kind == "a":
+                    for k in {1 - m for (_, m) in w}:
+                        acted = _annihilate(cd, gen, k, w)
+                        if acted:
+                            shift = _exp_shift("a", k)
+                            key = (eu + shift, ev) if var == "u" else (eu, ev + shift)
+                            sum_into(new.setdefault(key, {}), acted, coeff)
+                else:
+                    for m in range(-clip, clip + 1):
+                        shift = _exp_shift("c", m)
+                        key = (eu + shift, ev) if var == "u" else (eu, ev + shift)
+                        add_term(new.setdefault(key, {}), ((gen, m),) + w, coeff)
+        if pos == leftmost_a:
+            new = {key: {w: c for w, c in states.items()
+                         if all(abs(m) <= window for (_, m) in w)}
+                   for key, states in new.items()}
+        current = {k: v for k, v in new.items() if v}
+    return tuple((a, b, w, c) for (a, b), states in current.items()
+                 if -3 * window - 2 <= a + b <= 3 * window - 1
+                 for w, c in states.items())
+
+
+def ket_evaluator(cd, ket, prefixes):
+    """evaluate(factors, clip): a current word on `ket` as pieces
+    (c, du, dv, entries), the prefix evaluated once per (prefix, clip, w)."""
+    def evaluate(factors, clip):
+        prefix, (_, gen, var) = factors[:-1], factors[-1]
+        pieces = []
+        for m in {m for (_, m) in ket}:
+            for w, c in _annihilate(cd, gen, 1 - m, ket).items():
+                entries = prefixes.get((prefix, clip, w))
+                if entries is None:
+                    entries = prefixes[(prefix, clip, w)] = eval_factors(
+                        cd, prefix, w, clip, cd.window)
+                if entries:
+                    pieces.append((c, m, 0, entries) if var == "u"
+                                  else (c, 0, m, entries))
+        return pieces
+    return lru_cache(maxsize=None)(evaluate)
+
+
+def buckets(terms, evaluate, clip, box):
+    """Sum c * states over a cell's terms, one product per entry: plain
+    terms by (a, b) inside `box`, delta(u-v) terms by a + b."""
+    a_lo, a_hi, b_lo, b_hi = box
+    plain, delta = {}, {}
+    for (factors, dist), c in terms.items():
+        for cp, du, dv, entries in evaluate(factors, clip):
+            scale = c * cp
+            for a, b, w, cw in entries:
+                a, b = a + du, b + dv
+                if dist is not None:
+                    add_term(delta.setdefault(a + b, {}), w, scale * cw)
+                elif a_lo <= a <= a_hi and b_lo <= b <= b_hi:
+                    add_term(plain.setdefault((a, b), {}), w, scale * cw)
+    return plain, delta
 
 
 def by_sum(plain):
@@ -140,12 +214,12 @@ def verify_yang(cd, degree=1):
     checked = 0
     for ket in kets:
         deg2_ket = len(ket) >= 2
-        evaluate = _ket_evaluator(cd, ket, prefixes)
+        evaluate = ket_evaluator(cd, ket, prefixes)
         if ket == spot_ket:
             spot_evaluate = evaluate
         for x, y in product(range(n2), repeat=2):
-            plain, delta = _buckets(formal_cell(t1, x, y), evaluate, interior, lhs_box)
-            sums = by_sum(_buckets(formal_cell(t2, x, y), evaluate, M, rhs_box)[0])
+            plain, delta = buckets(formal_cell(t1, x, y), evaluate, interior, lhs_box)
+            sums = by_sum(buckets(formal_cell(t2, x, y), evaluate, M, rhs_box)[0])
             for (r, s, eu, ev) in coeffs:
                 checked += 1
                 diff = difference(lhs(plain, delta, eu, ev), rhs(sums, eu, ev, theta))
@@ -174,8 +248,8 @@ def verify_yang(cd, degree=1):
     if not mismatches:
         stable = True
         for x in range(n2):
-            small = _buckets(formal_cell(t1, x, 0), spot_evaluate, interior, lhs_box)
-            big = _buckets(formal_cell(t1, x, 0), spot_evaluate, interior + 3, lhs_box)
+            small = buckets(formal_cell(t1, x, 0), spot_evaluate, interior, lhs_box)
+            big = buckets(formal_cell(t1, x, 0), spot_evaluate, interior + 3, lhs_box)
             for (_, _, eu, ev) in coeffs:
                 if lhs(*small, eu, ev) != lhs(*big, eu, ev):
                     stable = False
