@@ -321,7 +321,7 @@ def skew_inverse(b: Braiding) -> SkewData:
 
     # B = Tr_1 Psi and C = Tr_2 Psi, as B[i][j] = sum_k Psi_ki^kj: row i
     # of B is the input column i of the one-leg trace
-    bmat, cmat = (mat_transpose([tr.rows.get(r, {}) for r in range(N)], N)
+    bmat, cmat = (mat_transpose(tr.rows, N)
                   for tr in (partial_trace(psi, {1}), partial_trace(psi, {2})))
     return SkewData(psi, bmat, cmat, mat_inv(bmat), mat_inv(cmat),
                     _scalar_multiple(mat_mul(bmat, cmat)))
@@ -707,9 +707,8 @@ def braiding_to_table(b: Braiding) -> dict:
     written only when it is not the kind's default."""
     entries = []
     N = b.N
-    for code_out in sorted(b.R.rows):
+    for code_out, row in enumerate(b.R.rows):
         k, l = divmod(code_out, N)
-        row = b.R.rows[code_out]
         for code_in in sorted(row):
             i, j = divmod(code_in, N)
             entries.append({"i": i + 1, "j": j + 1, "k": k + 1, "l": l + 1,

@@ -102,9 +102,16 @@ class Report:
     config: dict
     checks: list[CheckRecord] = field(default_factory=list)
     bad_input: bool = False
+    # the clock reading at the last record, or when the report was made
+    _clock: float = field(default_factory=lambda: time.perf_counter(),
+                          init=False, repr=False, compare=False)
 
     def add(self, check_id: str, anchor: str, passed: bool | None,
-            gating: bool, witness=None, seconds: float = 0.0):
+            gating: bool, witness=None):
+        """Append a record; its seconds are the time since the previous
+        record, or since the report was made."""
+        now = time.perf_counter()
+        seconds, self._clock = now - self._clock, now
         if passed is None:
             verdict = "report-only"
         else:
@@ -167,100 +174,90 @@ def _family_flavor(b: Braiding, cfg: RunConfig) -> tuple[str, str]:
     return family, fixed
 
 
-def _timed(fn, *args, **kwargs):
-    t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    return out, time.perf_counter() - t0
-
-
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
 
+def _witnesses(found: list, label: str) -> list | None:
+    """The first three witnesses whose label contains `label`, if any."""
+    return [w for w in found if label in w[0]][:3] or None
+
+
 def _suite_braiding(rep: Report, b: Braiding, cfg: RunConfig):
-    ok, dt = _timed(b.braid_ok)
-    rep.add("braid-relation", "R12 R23 R12 = R23 R12 R23", ok, True, seconds=dt)
-    ok, dt = _timed(b.kind_polynomial_ok)
+    rep.add("braid-relation", "R12 R23 R12 = R23 R12 R23", b.braid_ok(), True)
     poly = {INVOLUTIVE: "R^2 = I",
             HECKE: "(R - q)(R + 1/q) = 0",
             BMW: "(R - q)(R + 1/q)(R - mu) = 0"}[b.kind]
-    rep.add("minimal-polynomial", poly, ok, True, seconds=dt)
+    rep.add("minimal-polynomial", poly, b.kind_polynomial_ok(), True)
     try:
-        skew, dt = _timed(lambda: b.skew)
-        rep.add("skew-inverse", "R_ij^kl Psi_lm^jn = delta delta", True, True,
-                seconds=dt)
+        skew = b.skew
+        rep.add("skew-inverse", "R_ij^kl Psi_lm^jn = delta delta", True, True)
         rep.add("strict-skew-invertibility", "B = Tr_1 Psi and C = Tr_2 Psi invertible",
                 skew.strict, True,
                 witness=f"alpha = {skew.alpha!r}" if skew.alpha is not None
                 else "B C is not scalar")
         if skew.strict:
-            dp, dt = _timed(dual_pairings, b)
+            dp = dual_pairings(b)
             # the tilde pairing is checked by its defining property, so that
             # it can fail apart from the left pairing and from skew.B_inv
             pair_ok = (dp.left == b.B and mat_mul(dp.left, dp.tilde_right)
                        == [{i: ONE} for i in range(b.N)])
             rep.add("dual-pairings", "left pairing = B; tilde pairing = B^{-1}",
-                    pair_ok, True, seconds=dt)
-        ok, dt = _timed(projector_decomposition_ok, b)
+                    pair_ok, True)
         rep.add("projector-decomposition",
-                "idempotent, complementary, reconstruct R", ok, True, seconds=dt)
+                "idempotent, complementary, reconstruct R",
+                projector_decomposition_ok(b), True)
     except QfockError as exc:
         rep.add("skew-inverse", "R_ij^kl Psi_lm^jn = delta delta", False, True,
                 witness=exc)
     if b.kind == BMW:
-        mu_rep, dt = _timed(mu_eigenspace_degree2_report, b)
+        mu_rep = mu_eigenspace_degree2_report(b)
         rep.add("mu-eigenspace-degree2",
                 "invariant line survives in the expected degree-2 quotient",
-                mu_rep["passed"], True, witness=mu_rep, seconds=dt)
+                mu_rep["passed"], True, witness=mu_rep)
     if cfg.q != "generic":
         q0 = Fraction(cfg.q)
         at_q0 = specialize(b, q0)
-        ok, dt = _timed(lambda: at_q0.braid_ok() and at_q0.kind_polynomial_ok())
         rep.add("evaluation-cross-check",
-                f"braid and minimal polynomial at q = {q0}", ok, True, seconds=dt)
+                f"braid and minimal polynomial at q = {q0}",
+                at_q0.braid_ok() and at_q0.kind_polynomial_ok(), True)
 
 
 def _suite_double(rep: Report, b: Braiding, cfg: RunConfig):
     family, flavor = _family_flavor(b, cfg)
     try:
-        d, dt = _timed(make_double, b, flavor)
+        d = make_double(b, flavor)
     except QfockError as exc:
         rep.add("double-construction", f"double ({family}, {flavor})", False,
                 True, witness=exc)
         return
-    rep.add("double-construction", f"double ({family}, {flavor})", True, True,
-            seconds=dt)
-    comp, dt = _timed(verify_compatibility, d)
-
-    def witnesses(label: str) -> list | None:
-        """The first three witnesses whose label ends in `label`, if any."""
-        return [w for w in comp["witnesses"] if w[0].endswith(label)][:3] or None
-
+    rep.add("double-construction", f"double ({family}, {flavor})", True, True)
+    comp = verify_compatibility(d)
+    found = comp["witnesses"]
     rep.add("compatibility-closed-identity",
             "G(R23) x2 x3 x^<3| = q^{+-2} x^<1| R12 R23 G(R12) x1 x2",
-            comp["closed_identity"], True, witness=witnesses("closed"), seconds=dt)
+            comp["closed_identity"], True, witness=_witnesses(found, "closed"))
     rep.add("compatibility-ideals", "relations times a generator order to zero",
-            comp["ideal_checks"], True, witness=witnesses("-ideal"))
+            comp["ideal_checks"], True, witness=_witnesses(found, "-ideal"))
     rep.add("diamond-degree-3", "two rewrite orders agree on mixed words",
-            comp["diamond"], True, witness=witnesses("diamond"))
-    lrel, dt = _timed(verify_l_relations, d)
+            comp["diamond"], True, witness=_witnesses(found, "diamond"))
+    lrel = verify_l_relations(d)
     anchor = ("R12 L1 R12 L1 - L1 R12 L1 R12 = R12 L1 - L1 R12"
               if family == FAMILY_HECKE else
               "PP12 L1 R12 L1 - L1 R12 L1 PP12 = PP12 L1 - L1 PP12")
     rep.add("l-quadratic-identity", anchor, lrel["passed"], True,
-            witness=None if lrel["passed"] else lrel["failures"][:3], seconds=dt)
+            witness=None if lrel["passed"] else lrel["failures"][:3])
     for k in range(1, max(1, min(cfg.degree, 3)) + 1):
         if not d.B.component(k).basis:
             break
-        ok, dt = _timed(representation_l_relations_ok, d, k)
         rep.add(f"representation-identity-k{k}",
-                "the L-identity holds for the representing matrices", ok, True,
-                seconds=dt)
+                "the L-identity holds for the representing matrices",
+                representation_l_relations_ok(d, k), True)
     if family == FAMILY_HECKE and flavor == BOSONIC:
-        ld, dt = _timed(left_dual_variant_report, b)
+        ld = left_dual_variant_report(d)
         rep.add("left-dual-variant", "left-dual rule is diamond and ideal "
                 "consistent after the B^{-1} change of basis", ld["passed"], True,
-                witness=ld, seconds=dt)
+                witness=ld)
 
 
 def _suite_lie(rep: Report, b: Braiding, cfg: RunConfig):
@@ -269,7 +266,7 @@ def _suite_lie(rep: Report, b: Braiding, cfg: RunConfig):
                 False, witness="the BMW quadratic identity determines no twist")
         return
     try:
-        bl, dt = _timed(braided_lie, b)
+        bl = braided_lie(b)
     except SizeLimitExceeded:
         raise
     except QfockError as exc:
@@ -277,20 +274,21 @@ def _suite_lie(rep: Report, b: Braiding, cfg: RunConfig):
                 False, True, witness=exc)
         return
     rep.add("rhat-reconstruction", "twist solved from its defining property",
-            True, True, seconds=dt)
-    out, dt = _timed(verify_lie, bl)
+            True, True)
+    out = verify_lie(bl)
+    found = out["witnesses"]
     rep.add("rhat-defining", "R12 L1 R12 L1 maps to L1 R12 L1 R12",
-            out["defining"], True, seconds=dt)
+            out["defining"], True, witness=_witnesses(found, "defining"))
     rep.add("rtrace-generators", "Tr_R l_i^j = alpha delta_i^j",
-            out["trace_generators"], True)
+            out["trace_generators"], True, witness=_witnesses(found, "trace-gen"))
     rep.add("rtrace-brackets", "Tr_R of every basis bracket vanishes",
-            out["trace_brackets"], True)
+            out["trace_brackets"], True, witness=_witnesses(found, "trace-bracket"))
     jac = ("[,][,]_23 (I - twist_12) = [,][,]_12" if b.kind == HECKE
            else "[,][,]_23 (I + twist_12 twist_23 + twist_23 twist_12) = 0")
-    rep.add("jacobi", jac, out["jacobi"], True)
+    rep.add("jacobi", jac, out["jacobi"], True, witness=_witnesses(found, "jacobi"))
     rep.add("bracket-quadratic-consistency",
             "composing the quadratic identity reproduces the bracket",
-            out["quadratic_consistency"], True)
+            out["quadratic_consistency"], True, witness=_witnesses(found, "quadratic"))
 
 
 def _deforms_flip(b: Braiding) -> bool:
@@ -307,27 +305,26 @@ def _deforms_flip(b: Braiding) -> bool:
 
 
 def _poincare_series(b: Braiding, kmax: int):
-    """(kind, space, dims, classical, gating, seconds) for the four graded
+    """(kind, space, dims, classical, gating) for the four graded
     quotients; only deformations of the flip gate, BMW ones included."""
     gating = _deforms_flip(b)
     for kind in ("sym", "lambda"):
         for space in ("V", "V*"):
             alg = make_algebra(b, kind, space)
-            dims, dt = _timed(alg.poincare, kmax)
+            dims = alg.poincare(kmax)
             classical = [classical_sym_dim(b.N, k) if kind == "sym"
                          else classical_lambda_dim(b.N, k)
                          for k in range(kmax + 1)]
-            yield kind, space, dims, classical, gating, dt
+            yield kind, space, dims, classical, gating
 
 
 def _suite_poincare(rep: Report, b: Braiding, cfg: RunConfig):
-    for kind, space, dims, classical, gating, dt in _poincare_series(b, cfg.kmax):
+    for kind, space, dims, classical, gating in _poincare_series(b, cfg.kmax):
         rep.add(f"poincare-{kind}-{space}",
                 "dimensions match the classical series",
                 dims == classical if gating else None,
                 gating,
-                witness=f"dims={dims} classical={classical}",
-                seconds=dt)
+                witness=f"dims={dims} classical={classical}")
 
 
 def _suite_currents(rep: Report, b: Braiding, cfg: RunConfig):
@@ -337,19 +334,16 @@ def _suite_currents(rep: Report, b: Braiding, cfg: RunConfig):
         return
     flavor = "rational" if b.kind == INVOLUTIVE else "trigonometric"
     cb = baxterize(b, flavor)
-    cert, dt = _timed(lambda: cb.braid_certificate)
     rep.add("spectral-braid-certificate",
             "R12(u,v) R23(u,w) R12(v,w) = R23(v,w) R12(u,w) R23(u,v)",
-            cert["passed"], True, seconds=dt)
-    cert, dt = _timed(lambda: cb.unitarity_certificate)
+            cb.braid_certificate["passed"], True)
     rep.add("spectral-unitarity-certificate", "R(u,v) R(v,u) = g(u,v) g(v,u) I",
-            cert["passed"], True, seconds=dt)
+            cb.unitarity_certificate["passed"], True)
     cd = make_current_double(cb, cfg.window)
-    out, dt = _timed(current_relation_check, cd)
     rep.add("current-relations-a-side", "exchange system consistent",
-            out["passed"], True, seconds=dt)
+            current_relation_check(cd)["passed"], True)
     degree = min(cfg.degree, 2)
-    out, dt = _timed(verify_yang, cd, degree)
+    out = verify_yang(cd, degree)
     # the strict degree <= 1 part gates at every degree; the residue is reported
     witness = (f"{out['matrix_elements']} elements, window {out['window']}, "
                f"degree {out['degree']}; {out['comparison']}")
@@ -358,7 +352,7 @@ def _suite_currents(rep: Report, b: Braiding, cfg: RunConfig):
     rep.add("spectral-l-identity",
             "R12(u,v) L1(u) R12 L1(v) - L1(v) R12 L1(u) R12(u,v) = "
             "(R12 L1(u) - L1(u) R12) delta(u-v), matrix elements",
-            out["passed"], True, witness=witness, seconds=dt)
+            out["passed"], True, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +392,7 @@ def cmd_poincare(cfg: RunConfig) -> int:
     rep = Report("qfock", __version__, _config_echo(cfg))
     b = _resolve_braiding(cfg)
     table = {}
-    for kind, space, dims, classical, gating, _ in _poincare_series(b, cfg.kmax):
+    for kind, space, dims, classical, gating in _poincare_series(b, cfg.kmax):
         key = f"{kind}({space})"
         table[key] = {"dims": dims, "classical": classical,
                       "matches_classical": dims == classical,
@@ -466,8 +460,7 @@ def cmd_export(cfg: RunConfig) -> int:
     b = _resolve_braiding(cfg)
     doc = {
         "table": braiding_to_table(b),
-        "psi": _matrix_doc(b.psi.size, b.psi.size,
-                           lambda r, c: b.psi.rows.get(r, {}).get(c, ZERO)),
+        "psi": _pairing_doc(b.psi.rows),
         "B": _pairing_doc(b.B),
         "C": _pairing_doc(b.C),
         "alpha": b.alpha.to_pairs() if b.alpha is not None else None,

@@ -489,30 +489,29 @@ def representation_l_relations_ok(d: FockDouble, k: int) -> bool:
 # optional left-dual variant of the permutation rule
 # ---------------------------------------------------------------------------
 
-def left_dual_variant_report(b: Braiding) -> dict:
-    """Consistency of the left-dual permutation rule.
+def left_dual_variant_report(d: FockDouble) -> dict:
+    """Consistency of the left-dual permutation rule of a bosonic
+    Hecke-family double d.
 
     The variant rule  x_k x~^l = q^{-1} Psi_kj^li x~^j x_i + C_k^l  orders
     left-dual generators in front of creation generators.  The dual-side
-    relations are transported into the left-dual basis through the change
-    of basis x^a = B_t^a x~^t, and the variant must pass the same diamond
-    and ideal-annihilation checks as the main double.  No isomorphism
-    between the two doubles is asserted.
+    relations of d are transported into the left-dual basis through the
+    change of basis x^a = B_t^a x~^t, and the variant must pass the same
+    diamond and ideal-annihilation checks as the main double.  No
+    isomorphism between the two doubles is asserted.
     """
-    if b.kind not in (HECKE, INVOLUTIVE):
-        raise UnsupportedDouble("the left-dual variant is stated for the bosonic family")
-    if not b.skew.strict:
-        raise NotStrictlySkewInvertible("left-dual basis needs invertible B")
+    if d.family != FAMILY_HECKE or d.flavor != BOSONIC:
+        raise UnsupportedDouble("the left-dual variant is stated for the "
+                                "bosonic Hecke-family double")
+    b = d.braiding
     N = b.N
     # the variant rule is the generic rule on F Psi^T F and C^T (F the
     # flip), with the left-dual generators "t" in the place of creators
     exch, const = exchange_table(dual_square(b.psi), b.q.inverse(),
                                  mat_transpose(b.C, N))
-    balg = make_algebra(b, SYM, "V")
-    astar = make_algebra(b, SYM, "V*")
     bcols = mat_transpose(b.B, N)    # bcols[a][t] = B_t^a
     trels = []
-    for rel in astar.relations:
+    for rel in d.A.relations:
         out: Tensor = {}
         for (a, bb), c in rel.items():
             for t, bt in bcols[a].items():
@@ -527,9 +526,9 @@ def left_dual_variant_report(b: Braiding) -> dict:
         return exch[(l, k)], const[(l, k)]
 
     def order(word: tuple[Token, ...]) -> dict[Key, Scalar]:
-        return _reduce_keys(_rewrite(word, rule, memo, "b", "t"), atilde, balg)
+        return _reduce_keys(_rewrite(word, rule, memo, "b", "t"), atilde, d.B)
 
-    ideal, diamond = _rule_failures(N, "b", "t", {"b": balg, "t": atilde}, order)
+    ideal, diamond = _rule_failures(N, "b", "t", {"b": d.B, "t": atilde}, order)
     return {"diamond": not diamond, "ideal_checks": not ideal,
             "witnesses": diamond + ideal, "passed": not diamond and not ideal}
 

@@ -11,37 +11,35 @@ and ``rows[out][in]`` holds ``R_ij^kl`` with ``out`` the row multi-index
 upper indices are outputs, multi-indices are encoded row-major with the
 first leg most significant.
 
-Everything is exact over Q(q) and sparse.  An operator keeps only its
-nonzero entries, as {row: {column: Scalar}} with no empty row, so two
-operators are equal exactly when their dicts are; products are formed row
-by row over the nonzeros (Gustavson 1978).
+Everything is exact over Q(q) and sparse, and every matrix has one
+format: a list of n sparse rows, ``list[Row]``, each row {column: Scalar}
+holding its nonzero entries only, ``{}`` for a zero row.  A
+:class:`LinOperator` keeps its ``dim ** legs`` rows so, and so does every
+plain matrix that is not a tensor-leg operator (the pairings B and C and
+their inverses, the representation matrices, the braided-Lie maps); two
+matrices are equal exactly when their row lists are.  `mat_mul(a, b)` is
+the row-by-row product a b over the nonzeros (Gustavson 1978), and
+operator composition is `mat_mul` on the operators' rows; `mat_inv`
+solves against identity rows.  A matrix kept by columns is the row list
+of its transpose, so for column lists `mat_mul(b, a)` is the column list
+of a b.
 
-Every plain matrix that is not a tensor-leg operator (the pairings B and
-C and their inverses, the representation matrices, the braided-Lie maps)
-has one format: a list of n sparse rows, ``list[Row]``, the form `solve`
-takes and returns.  `mat_mul(a, b)` is the row-by-row product a b on the
-same row kernel (`lincomb`) as operator composition, and `mat_inv` solves
-against identity rows.  A matrix kept by columns is the row list of its
-transpose, so for column lists `mat_mul(b, a)` is the column list of a b.
-
-Every elimination (row
-reduction, kernel and image, solve, inverse, and the relation spans of the
-quotient and current algebras) runs on one engine on the same rows:
-they are inserted one at a time into a reduced row echelon form in which
-each pivot row leads at its smallest column (`echelon_insert`,
-`row_reduce`).
+Every elimination (row reduction, kernel and image, solve, inverse, and
+the relation spans of the quotient and current algebras) runs on one
+engine on the same rows: they are inserted one at a time into a reduced
+row echelon form in which each pivot row leads at its smallest column
+(`echelon_insert`, `row_reduce`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import BadPlacement, NotInvertible
 from .scalars import ONE, ZERO, Scalar, add_term, sum_into
 
 Row = dict[int, Scalar]                 # {column: nonzero entry}; absent columns are zero
-Rows = dict[int, Row]                   # {row: nonzero Row}; absent rows are zero
 
 
 def enc_index(idx: Sequence[int], dim: int) -> int:
@@ -64,7 +62,7 @@ class LinOperator:
     legs: int
     dim: int
     labels: tuple[str, ...]                  # input leg labels
-    rows: Rows                               # nonzero entries only
+    rows: list[Row]                          # dim ** legs sparse rows
     labels_out: tuple[str, ...] = ()         # output leg labels; () means same
 
     def __post_init__(self):
@@ -86,12 +84,12 @@ class LinOperator:
         labels = tuple(labels) if labels is not None else ("V",) * legs
         out = tuple(labels_out) if labels_out is not None else labels
         size = dim ** legs
-        rows: Rows = {}
+        rows: list[Row] = [{} for _ in range(size)]
         for r, c, v in terms:
             if not (0 <= r < size and 0 <= c < size):
                 raise ValueError(f"entry ({r}, {c}) outside a {size}-square operator")
-            add_term(rows.setdefault(r, {}), c, v)
-        return LinOperator(legs, dim, labels, _nonempty(rows), out)
+            add_term(rows[r], c, v)
+        return LinOperator(legs, dim, labels, rows, out)
 
     @staticmethod
     def identity(dim: int, legs: int, labels: Sequence[str] | None = None) -> "LinOperator":
@@ -112,16 +110,15 @@ class LinOperator:
         return self.dim ** self.legs
 
     def entry(self, out: Sequence[int], inp: Sequence[int]) -> Scalar:
-        row = self.rows.get(enc_index(out, self.dim))
-        return ZERO if row is None else row.get(enc_index(inp, self.dim), ZERO)
+        return self.rows[enc_index(out, self.dim)].get(enc_index(inp, self.dim), ZERO)
 
     def nonzeros(self) -> Iterable[tuple[int, int, Scalar]]:
         """The (row, column, value) of every nonzero entry."""
-        for r, row in self.rows.items():
+        for r, row in enumerate(self.rows):
             for c, v in row.items():
                 yield r, c, v
 
-    def _like(self, rows: Rows) -> "LinOperator":
+    def _like(self, rows: list[Row]) -> "LinOperator":
         return LinOperator(self.legs, self.dim, self.labels, rows, self.labels_out)
 
     def _combine(self, other: "LinOperator", factor: Scalar) -> "LinOperator":
@@ -129,10 +126,10 @@ class LinOperator:
         if (self.legs, self.dim, self.labels, self.labels_out) != \
                 (other.legs, other.dim, other.labels, other.labels_out):
             raise ValueError("operators act on different spaces")
-        rows = {r: dict(row) for r, row in self.rows.items()}
-        for r, row in other.rows.items():
-            sum_into(rows.setdefault(r, {}), row, factor)
-        return self._like(_nonempty(rows))
+        rows = [dict(row) for row in self.rows]
+        for out, row in zip(rows, other.rows):
+            sum_into(out, row, factor)
+        return self._like(rows)
 
     def __add__(self, other: "LinOperator") -> "LinOperator":
         return self._combine(other, ONE)
@@ -142,44 +139,32 @@ class LinOperator:
 
     def scale(self, s: Scalar) -> "LinOperator":
         if s.is_zero():
-            return self._like({})
-        return self._like({r: {c: s * v for c, v in row.items()}
-                           for r, row in self.rows.items()})
+            return self._like([{} for _ in self.rows])
+        return self._like([{c: s * v for c, v in row.items()} for row in self.rows])
 
     def __matmul__(self, other: "LinOperator") -> "LinOperator":
-        """Operator composition self o other (other applied first), row by
-        row: row r of the product sums a * (row k of other) over the
-        nonzero a at (r, k) of self."""
+        """Operator composition self o other (other applied first): the
+        matrix product of their rows."""
         if (self.legs, self.dim) != (other.legs, other.dim):
             raise ValueError("operators act on different spaces")
         if self.labels != other.labels_out:
             raise ValueError(
                 f"cannot compose: input labels {self.labels} do not match "
                 f"output labels {other.labels_out}")
-        orows = other.rows
-        rows: Rows = {}
-        for r, ra in self.rows.items():
-            acc = lincomb((a, orows[k]) for k, a in ra.items() if k in orows)
-            if acc:
-                rows[r] = acc
-        return LinOperator(self.legs, self.dim, other.labels, rows, self.labels_out)
+        return LinOperator(self.legs, self.dim, other.labels,
+                           mat_mul(self.rows, other.rows), self.labels_out)
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not any(self.rows)
 
     def inverse(self) -> "LinOperator":
-        x = mat_inv([self.rows.get(r, {}) for r in range(self.size)])
+        x = mat_inv(self.rows)
         if x is None:
             raise NotInvertible("operator is singular")
-        return LinOperator(self.legs, self.dim, self.labels_out,
-                           {r: row for r, row in enumerate(x) if row}, self.labels)
+        return LinOperator(self.legs, self.dim, self.labels_out, x, self.labels)
 
 
 _MINUS_ONE = Scalar.from_int(-1)
-
-
-def _nonempty(rows: Rows) -> Rows:
-    return {r: row for r, row in rows.items() if row}
 
 
 def lincomb(terms: Iterable[tuple[Scalar, Row]]) -> Row:
@@ -219,12 +204,9 @@ def place(op: LinOperator, positions: tuple[int, int], total: int,
     lab_out[i - 1], lab_out[j - 1] = op.labels_out
     d2 = dim * dim
     low = dim ** (total - j)
-    rows: Rows = {}
-    for high in range(dim ** (i - 1)):
-        for pair, row in op.rows.items():
-            for rest in range(low):
-                rows[(high * d2 + pair) * low + rest] = {
-                    (high * d2 + c) * low + rest: v for c, v in row.items()}
+    rows = [{(high * d2 + c) * low + rest: v for c, v in row.items()}
+            for high in range(dim ** (i - 1)) for row in op.rows
+            for rest in range(low)]
     return LinOperator(total, dim, tuple(lab_in), rows, tuple(lab_out))
 
 
@@ -237,20 +219,20 @@ def partial_trace(op: LinOperator, legs: set[int]) -> LinOperator | Scalar:
     dim = op.dim
     if not keep:
         total = ZERO
-        for code, row in op.rows.items():
+        for code, row in enumerate(op.rows):
             total = total + row.get(code, ZERO)
         return total
     traced = [t - 1 for t in legs]
-    rows: Rows = {}
+    rows: list[Row] = [{} for _ in range(dim ** len(keep))]
     for r, c, v in op.nonzeros():
         out = dec_index(r, dim, op.legs)
         inp = dec_index(c, dim, op.legs)
         if all(out[t] == inp[t] for t in traced):
-            add_term(rows.setdefault(enc_index([out[t] for t in keep], dim), {}),
+            add_term(rows[enc_index([out[t] for t in keep], dim)],
                      enc_index([inp[t] for t in keep], dim), v)
     labels = tuple(op.labels[t] for t in keep)
     labels_out = tuple(op.labels_out[t] for t in keep)
-    return LinOperator(len(keep), dim, labels, _nonempty(rows), labels_out)
+    return LinOperator(len(keep), dim, labels, rows, labels_out)
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +366,15 @@ class KernelImage:
     image_basis: list[Row]
 
 
-def kernel_image(rows: Mapping[int, Row], ncols: int) -> KernelImage:
+def kernel_image(rows: list[Row], ncols: int) -> KernelImage:
     """Exact kernel basis, image basis and rank of a matrix over Q(q),
-    given as its nonzero rows {row: {column: entry}} over `ncols` columns.
+    given as its sparse rows over `ncols` columns.
 
     The kernel is the right null space, one sparse vector per free column;
     the image basis consists of the original columns at the pivot
     positions, as sparse {row: entry} vectors.
     """
-    red = row_reduce(rows.values(), ncols)
+    red = row_reduce(rows, ncols)
     pivset = set(red.pivots)
     kernel = []
     for f in range(red.ncols):
@@ -405,8 +387,8 @@ def kernel_image(rows: Mapping[int, Row], ncols: int) -> KernelImage:
                 v[pcol] = -coeff
         kernel.append(v)
     image: dict[int, Row] = {c: {} for c in red.pivots}
-    for r in sorted(rows):
-        for c, v in rows[r].items():
+    for r, row in enumerate(rows):
+        for c, v in row.items():
             if c in image:
                 image[c][r] = v
     return KernelImage(red.rank, kernel, list(image.values()))
@@ -430,7 +412,7 @@ def solve(a: list[Row], b: list[Row], m: int) -> list[Row] | None:
 
 
 # ---------------------------------------------------------------------------
-# plain matrices as lists of sparse rows
+# matrices as lists of sparse rows
 # ---------------------------------------------------------------------------
 
 def mat_mul(a: list[Row], b: list[Row]) -> list[Row]:

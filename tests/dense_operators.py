@@ -15,7 +15,7 @@ def dense(op: LinOperator) -> list:
     """The full entry grid of op, grid[out][in], zeros included."""
     n = op.size
     grid = [[ZERO] * n for _ in range(n)]
-    for r, row in op.rows.items():
+    for r, row in enumerate(op.rows):
         for c, v in row.items():
             grid[r][c] = v
     return grid

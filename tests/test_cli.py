@@ -1,14 +1,20 @@
 import ast
+import copy
 import json
 import re
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfock import braidings, cli, fockdouble, quadalgebras
 from qfock.braidings import (
     Braiding,
     braiding_to_table,
+    builtin_table_path,
     load_braiding_table,
     load_builtin,
     make_bmw,
@@ -17,7 +23,7 @@ from qfock.braidings import (
     projector_decomposition_ok,
 )
 from qfock.cli import _deforms_flip, main
-from qfock.errors import NonGenericPoint
+from qfock.errors import NonGenericPoint, QfockError
 from qfock.tensorops import LinOperator
 from qfock.scalars import Q, ONE, ZERO, Scalar
 
@@ -109,6 +115,20 @@ class TestVerify:
             doc["config"].pop("out")   # the output path is the only delta
             outs.append(json.dumps(doc, sort_keys=True))
         assert outs[0] == outs[1]
+
+    def test_records_time_themselves(self, tmp_path, monkeypatch):
+        """A record's seconds run from the previous record, or from the
+        making of the report for the first one: with a clock that advances
+        one second per reading, every record of a verify run, load-braiding
+        included, shows one second."""
+        ticks = iter(range(1000))
+        monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--braiding", "std-hecke", "--n", "2",
+                    "--suite", "braiding", "--out", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert checks[0]["check_id"] == "load-braiding"
+        assert {c["seconds"] for c in checks} == {1.0}
 
     def test_evaluation_cross_check(self, capsys):
         assert run(["verify", "--braiding", "std-hecke", "--n", "2",
@@ -309,7 +329,7 @@ def bump_projector(b, key="q"):
     """ONE added to the first nonzero entry of b's memoized projector."""
     pr = b.spectral_projectors
     op = pr[key]
-    r = min(op.rows)
+    r = next(r for r, row in enumerate(op.rows) if row)
     c = min(op.rows[r])
     pr[key] = op + LinOperator.from_terms([(r, c, ONE)], op.dim, op.legs,
                                           op.labels, op.labels_out)
@@ -519,6 +539,129 @@ class TestGatingRecordsCanFail:
         # the witness leads with the element count that harnesses parse
         assert record["gating"] and re.match(r"\d+ elements", record["witness"])
         assert record["witness"].endswith("residual classes") == (degree == "2")
+
+    def test_corrupted_twist_names_its_cells(self, tmp_path, monkeypatch):
+        """ONE added to the first nonzero entry of the std-hecke N = 2 twist:
+        the defining property and the Jacobi identity fail, each record
+        names its witnesses, and the passing records name none."""
+        real = cli.braided_lie
+
+        def bumped(b):
+            bl = copy.copy(real(b))
+            bl.rhat = [dict(col) for col in bl.rhat]
+            col = next(col for col in bl.rhat if col)
+            r = min(col)
+            col[r] = col[r] + ONE
+            return bl
+
+        monkeypatch.setattr(cli, "braided_lie", bumped)
+        out = tmp_path / "rep.json"
+        assert _failing_gating_checks(
+            ["--braiding", "std-hecke", "--n", "2", "--suite", "lie"],
+            out) == {"rhat-defining", "jacobi"}
+        witness = {c["check_id"]: c["witness"]
+                   for c in json.loads(out.read_text())["checks"]}
+        cells = re.findall(r"\('defining', (\d+), (\d+)\)", witness["rhat-defining"])
+        assert 1 <= len(cells) <= 3
+        assert all(int(x) < 4 and int(y) < 4 for x, y in cells)
+        assert witness["jacobi"] == "[('jacobi-hecke',)]"
+        for passing in ("rhat-reconstruction", "rtrace-generators",
+                        "rtrace-brackets", "bracket-quadratic-consistency"):
+            assert witness[passing] is None
+
+
+def _mutation():
+    """One change to a table document, as a function that makes it in
+    place: a dropped or retyped field, a bool or out-of-range N, an index
+    out of range, an exponent above 256, a zero q, a dropped or junk entry."""
+    junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                     st.sampled_from([10 ** 30, 2.5, float("nan"), "", "x", [], {}]),
+                     st.lists(st.integers(-2, 2), max_size=3),
+                     st.dictionaries(st.sampled_from(["num", "den", "i"]),
+                                     st.integers(-2, 2), max_size=2))
+    fields = st.sampled_from(["format_version", "N", "kind", "series", "mu",
+                              "q", "name", "entries"])
+    entry_fields = st.sampled_from(["i", "j", "k", "l", "value"])
+
+    def entry(doc, at):
+        entries = doc.get("entries")
+        if isinstance(entries, list) and entries and isinstance(entries[at % len(entries)], dict):
+            return entries[at % len(entries)]
+        return {}
+
+    def drop(key):
+        return lambda doc: doc.pop(key, None)
+
+    def retype(key, value):
+        return lambda doc: doc.__setitem__(key, value)
+
+    def index(at, key, value):
+        return lambda doc: entry(doc, at).__setitem__(key, value)
+
+    def drop_entry_field(at, key):
+        return lambda doc: entry(doc, at).pop(key, None)
+
+    def exponent(at, e):
+        def change(doc):
+            ent = entry(doc, at)
+            if isinstance(ent.get("value"), dict) and ent["value"].get("num"):
+                ent["value"]["num"][0] = [e, 1]
+        return change
+
+    def drop_entry(at):
+        def change(doc):
+            entries = doc.get("entries")
+            if isinstance(entries, list) and entries:
+                del entries[at % len(entries)]
+        return change
+
+    def append_junk(value):
+        def change(doc):
+            if isinstance(doc.get("entries"), list):
+                doc["entries"].append(value)
+        return change
+
+    at = st.integers(0, 40)
+    return st.one_of(
+        st.builds(drop, fields),
+        st.builds(retype, fields, junk),
+        st.builds(retype, st.just("N"),
+                  st.sampled_from([True, False, 0, -1, 1, 3, 33, 10 ** 9, 2.0, "2"])),
+        st.builds(index, at, st.sampled_from(["i", "j", "k", "l"]),
+                  st.sampled_from([0, -1, 3, 10 ** 9, True, "1", None, 1.0])),
+        st.builds(index, at, entry_fields, junk),
+        st.builds(drop_entry_field, at, entry_fields),
+        st.builds(drop_entry, at),
+        st.builds(exponent, at, st.sampled_from([257, -257, 10 ** 6])),
+        st.builds(retype, st.just("q"),
+                  st.sampled_from([{"num": [], "den": [[0, 1]]},
+                                   {"num": [[0, 1]], "den": []},
+                                   {"num": [[300, 1]], "den": [[0, 1]]}])),
+        st.builds(append_junk, junk),
+    )
+
+
+class TestLoaderFuzz:
+    """Mutated std-hecke 2 and bmw-sympl 2 table documents: the loader
+    returns a Braiding or raises a QfockError, and verify exits 0, 1 or 2."""
+
+    @given(st.sampled_from(["std-hecke-2", "bmw-sympl-2"]),
+           st.lists(_mutation(), min_size=1, max_size=3))
+    @settings(max_examples=50, deadline=None)
+    def test_mutated_table(self, base, mutations):
+        doc = json.loads(builtin_table_path(base).read_text())
+        for mutate in mutations:
+            mutate(doc)
+        try:
+            b = load_braiding_table(copy.deepcopy(doc))
+        except QfockError:
+            pass
+        else:
+            assert isinstance(b, Braiding)
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "table.json"
+            path.write_text(json.dumps(doc))
+            assert main(["verify", "--table", str(path), "--suite", "braiding"]) in (0, 1, 2)
 
 
 class TestPoincare:

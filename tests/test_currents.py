@@ -507,14 +507,15 @@ class TestYang:
         _laurent_mul.cache_clear()
         rep = verify_yang(cd, degree=2)
         assert rep["passed"] and rep["degree2_residual_classes"] == 1104
-        # 1075 and 2156: _annihilate builds only the paired part of _pass,
+        # 1071 and 2143: _annihilate builds only the paired part of _pass,
         # and the negated pole is added where lhs - rhs is taken, with no
         # shortcut for equal sides.  The misses depend on the order in
-        # which the memo sees the operations: one product per prefix entry
-        # instead of one per coefficient group gives 1061 and 2152 from
-        # more products.
-        assert _laurent_mul.cache_info().misses == 1075
-        assert _laurent_add.cache_info().misses == 2156
+        # which the memo sees the operations: operators that walked their
+        # nonzero rows in insertion order, not by ascending row, gave 1075
+        # and 2156, and at that order one product per prefix entry instead
+        # of one per coefficient group gave 1061 and 2152 from more products.
+        assert _laurent_mul.cache_info().misses == 1071
+        assert _laurent_add.cache_info().misses == 2143
         assert absent_key_adds == []
 
     def test_evaluation_work_is_pinned(self, monkeypatch):

@@ -914,8 +914,17 @@ class TestLeftDualVariant:
     @pytest.mark.parametrize("maker", [lambda: make_flip(2),
                                        lambda: make_standard_hecke(2)])
     def test_variant_is_consistent(self, maker):
-        rep = left_dual_variant_report(maker())
+        rep = left_dual_variant_report(make_double(maker(), "bosonic"))
         assert rep["passed"], rep["witnesses"][:5]
+
+    @pytest.mark.parametrize("maker, flavor", [
+        (lambda: make_standard_hecke(2), "fermionic"),
+        (lambda: make_bmw(3, "orthogonal"), "bosonic"),
+        (lambda: make_bmw(2, "symplectic"), "fermionic"),
+    ])
+    def test_other_doubles_are_refused(self, maker, flavor):
+        with pytest.raises(UnsupportedDouble):
+            left_dual_variant_report(make_double(maker(), flavor))
 
     # a bumped pairing constant of the flip only rescales the Weyl pairing,
     # which is still consistent, so the flip is corrupted in its exchange
@@ -927,7 +936,9 @@ class TestLeftDualVariant:
         (lambda: make_standard_hecke(3), "constant"),
     ])
     def test_corrupted_variant_rule_fails(self, maker, which, monkeypatch):
-        b = maker()
+        # the double is built before the patch, so only the variant's
+        # table is corrupted
+        d = make_double(maker(), "bosonic")
         build = fockdouble.exchange_table
 
         def corrupted(*args):
@@ -940,7 +951,7 @@ class TestLeftDualVariant:
             return moves, constants
 
         monkeypatch.setattr(fockdouble, "exchange_table", corrupted)
-        rep = left_dual_variant_report(b)
+        rep = left_dual_variant_report(d)
         assert not rep["diamond"]
         assert not rep["ideal_checks"]
         assert not rep["passed"]
@@ -950,6 +961,7 @@ class TestLeftDualVariant:
         """The variant's ideal witnesses take the double's form
         ("<tag>-ideal", generator, relation) on both of its sides."""
         b = make_standard_hecke(2)
+        d = make_double(b, "bosonic")
         build = fockdouble.exchange_table
         real_quotient = fockdouble.GradedQuotient
         made = []
@@ -966,9 +978,9 @@ class TestLeftDualVariant:
 
         monkeypatch.setattr(fockdouble, "exchange_table", corrupted)
         monkeypatch.setattr(fockdouble, "GradedQuotient", recorded)
-        rep = left_dual_variant_report(b)
+        rep = left_dual_variant_report(d)
         [tilde] = made
-        relations = {"b": {tuple(r) for r in make_algebra(b, "sym", "V").relations},
+        relations = {"b": {tuple(r) for r in d.B.relations},
                      "t": {tuple(r) for r in tilde.relations}}
         ideal = [w for w in rep["witnesses"] if w[0] != "diamond"]
         assert {w[0] for w in ideal} == {"b-ideal", "t-ideal"}

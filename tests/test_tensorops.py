@@ -111,8 +111,7 @@ class TestPartialTrace:
 
 
 def sparse_rows(m):
-    return {r: {c: e for c, e in enumerate(row) if not e.is_zero()}
-            for r, row in enumerate(m)}
+    return [{c: e for c, e in enumerate(row) if not e.is_zero()} for row in m]
 
 
 class TestKernelImage:
@@ -228,13 +227,14 @@ def sparse_operators(draw, dim, legs):
 
 
 def stores_no_zero(op):
-    return all(row and not any(v.is_zero() for v in row.values())
-               for row in op.rows.values())
+    return len(op.rows) == op.size and not any(
+        v.is_zero() for row in op.rows for v in row.values())
 
 
 class TestSparseMatchesDense:
     """Every operation of the sparse engine equals the dense list-of-lists
-    reference of dense_operators, and no result stores a zero entry."""
+    reference of dense_operators, and every result holds one row per basis
+    vector and no stored zero entry."""
 
     @given(st.data(), st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]))
     @settings(max_examples=60, deadline=None)
