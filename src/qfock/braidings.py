@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from importlib import resources
+from math import isqrt
 from pathlib import Path
 
 from .errors import (
@@ -30,6 +31,7 @@ from .errors import (
     InconsistentMu,
     InvalidTable,
     MalformedTable,
+    NonGenericPoint,
     NotInvertible,
     NotSkewInvertible,
     NotStrictlySkewInvertible,
@@ -280,6 +282,33 @@ def specialize(b: Braiding, q0: Fraction | int) -> Braiding:
                                b.N, 2, b.R.labels, b.R.labels_out)
     return Braiding(b.N, r, b.kind, b.series, None if b.mu is None else at(b.mu),
                     at(b.q), name=f"{b.name} at q = {q0}")
+
+
+def superflip_limit(b: Braiding) -> tuple[int, int] | None:
+    """The (m, n) of the superflip that R is at q = 1 in some basis of V, or
+    None (also when b.q is not 1 there, or q = 1 is a pole).  That superflip
+    is F (I - 2 P (x) P), F the flip and P a rank-n idempotent: X = (I - F R)/2
+    is P (x) P, tr X = n^2 and P = Tr_2 X / n.  Generic Hecke and BMW algebras
+    are semisimple, so Sym and Lambda keep the dimensions of the super space
+    (m|n) (Gurevich 1991; Phung Ho Hai 1999)."""
+    try:
+        at_one = specialize(b, 1)
+    except NonGenericPoint:
+        return None
+    N = b.N
+    x = (LinOperator.identity(N, 2) - LinOperator.flip(N) @ at_one.R).scale(
+        Scalar.from_fraction(Fraction(1, 2)))
+    n2 = partial_trace(x, {1, 2}).evaluate(1)
+    n = isqrt(max(int(n2), 0))
+    if at_one.q != ONE or n * n != n2:
+        return None
+    # at n = 0, P = Tr_2 X is an idempotent of trace 0, so X = P (x) P = 0
+    p = partial_trace(x, {2}).scale(Scalar.from_fraction(Fraction(1, n or 1))).rows
+    square = LinOperator.from_terms(
+        ((enc_index((i, j), N), enc_index((k, l), N), v * w)
+         for i, pi in enumerate(p) for k, v in pi.items()
+         for j, pj in enumerate(p) for l, w in pj.items()), N, 2)
+    return (N - n, n) if square == x and mat_mul(p, p) == p else None
 
 
 # ---------------------------------------------------------------------------
@@ -796,16 +825,19 @@ def load_braiding_table(doc: dict | str | Path) -> Braiding:
         kind = doc["kind"]
         series = doc.get("series")
         raw_entries = doc["entries"]
+        name = doc.get("name", "table")
     except (KeyError, TypeError) as exc:
         raise MalformedTable(f"malformed table document: {exc}")
-    if version != TABLE_FORMAT_VERSION:
-        raise MalformedTable(f"unsupported format_version {version}")
+    if type(version) is not int or version != TABLE_FORMAT_VERSION:
+        raise MalformedTable(f"unsupported format_version {version!r}")
     if type(N) is not int or N < 1:
         raise MalformedTable(f"N must be an integer >= 1, got {N!r}")
     if N > TABLE_MAX_N:
         raise MalformedTable(f"N = {N} is above TABLE_MAX_N = {TABLE_MAX_N}")
     if kind not in (INVOLUTIVE, HECKE, BMW):
         raise MalformedTable(f"unknown kind {kind!r}")
+    if type(name) is not str:
+        raise MalformedTable(f"name must be a string, got {name!r}")
     if not isinstance(raw_entries, list):
         raise MalformedTable(f"entries must be a list, got {raw_entries!r}")
     mu = _table_scalar(doc["mu"], "mu") if doc.get("mu") else None
@@ -832,8 +864,7 @@ def load_braiding_table(doc: dict | str | Path) -> Braiding:
         values[enc_index((k, l), N), enc_index((i, j), N)] = \
             _table_scalar(ent.get("value"), f"value of entry {ent!r}")
     r = LinOperator.from_terms(((o, c, v) for (o, c), v in values.items()), N, 2)
-    b = Braiding(N, r, kind, series=series,
-                 mu=mu, q=q, name=doc.get("name", "table"))
+    b = Braiding(N, r, kind, series=series, mu=mu, q=q, name=name)
     issues = b.validate()
     if issues:
         raise InvalidTable("; ".join(issues))

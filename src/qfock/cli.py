@@ -34,12 +34,12 @@ from .braidings import (
     make_superflip,
     projector_decomposition_ok,
     specialize,
+    superflip_limit,
 )
 from .currents import current_relation_check, make_current_double, verify_yang
 from .errors import (
     InvalidArgument,
     MalformedTable,
-    NonGenericPoint,
     QfockError,
     SizeLimitExceeded,
 )
@@ -58,14 +58,9 @@ from .fockdouble import (
     verify_l_relations,
     verify_lie,
 )
-from .quadalgebras import (
-    classical_lambda_dim,
-    classical_sym_dim,
-    make_algebra,
-    mu_eigenspace_degree2_report,
-)
+from .quadalgebras import make_algebra, mu_eigenspace_degree2_report, super_sym_dims
 from .scalars import ONE, ZERO
-from .tensorops import LinOperator, mat_mul
+from .tensorops import mat_mul
 
 SUITES = ("braiding", "double", "lie", "poincare", "currents", "all")
 
@@ -112,10 +107,7 @@ class Report:
         record, or since the report was made."""
         now = time.perf_counter()
         seconds, self._clock = now - self._clock, now
-        if passed is None:
-            verdict = "report-only"
-        else:
-            verdict = "pass" if passed else "fail"
+        verdict = "report-only" if passed is None else "pass" if passed else "fail"
         self.checks.append(CheckRecord(check_id, anchor, verdict, gating,
                                        None if witness is None else str(witness)[:400],
                                        round(seconds, 4)))
@@ -291,40 +283,30 @@ def _suite_lie(rep: Report, b: Braiding, cfg: RunConfig):
             out["quadratic_consistency"], True, witness=_witnesses(found, "quadratic"))
 
 
-def _deforms_flip(b: Braiding) -> bool:
-    """Whether the braiding specializes to the plain flip at q = 1; only
-    those are gated against the binomial series (a graded flip deforms the
-    super-symmetric algebra instead)."""
-    flip = LinOperator.flip(b.N)
-    if b.kind == INVOLUTIVE:
-        return b.R == flip
-    try:
-        return specialize(b, 1).R == flip
-    except NonGenericPoint:
-        return False
-
-
-def _poincare_series(b: Braiding, kmax: int):
-    """(kind, space, dims, classical, gating) for the four graded
-    quotients; only deformations of the flip gate, BMW ones included."""
-    gating = _deforms_flip(b)
+def _poincare_table(rep: Report, b: Braiding, kmax: int,
+                    split: tuple[int, int] | None) -> dict:
+    """{"sym(V)": {"dims", "expected"}, ...} through degree kmax: expected
+    is the series of the superflip (m, n) = split that R is at q = 1, and
+    gates a record; with no split it is None and there is no record."""
+    table = {}
     for kind in ("sym", "lambda"):
+        expected = None if split is None else \
+            super_sym_dims(*(split if kind == "sym" else split[::-1]), kmax)
         for space in ("V", "V*"):
-            alg = make_algebra(b, kind, space)
-            dims = alg.poincare(kmax)
-            classical = [classical_sym_dim(b.N, k) if kind == "sym"
-                         else classical_lambda_dim(b.N, k)
-                         for k in range(kmax + 1)]
-            yield kind, space, dims, classical, gating
+            dims = make_algebra(b, kind, space).poincare(kmax)
+            table[f"{kind}({space})"] = {"dims": dims, "expected": expected}
+            if expected is not None:
+                rep.add(f"poincare-{kind}-{space}",
+                        "dimensions match the series of the superflip that R "
+                        "is at q = 1", dims == expected, True,
+                        witness=f"dims={dims} expected={expected} of (m, n) = {split}")
+    return table
 
 
 def _suite_poincare(rep: Report, b: Braiding, cfg: RunConfig):
-    for kind, space, dims, classical, gating in _poincare_series(b, cfg.kmax):
-        rep.add(f"poincare-{kind}-{space}",
-                "dimensions match the classical series",
-                dims == classical if gating else None,
-                gating,
-                witness=f"dims={dims} classical={classical}")
+    split = superflip_limit(b)
+    if split is not None:
+        _poincare_table(rep, b, cfg.kmax, split)
 
 
 def _suite_currents(rep: Report, b: Braiding, cfg: RunConfig):
@@ -378,8 +360,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         return 1
     rep.add("load-braiding", "construct or load the braiding", True, True,
             witness=b.name)
-    suites = [cfg.suite] if cfg.suite != "all" else \
-        ["braiding", "double", "lie", "poincare", "currents"]
+    suites = [cfg.suite] if cfg.suite != "all" else SUITES[:-1]
     for suite in suites:
         {"braiding": _suite_braiding, "double": _suite_double,
          "lie": _suite_lie, "poincare": _suite_poincare,
@@ -391,16 +372,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_poincare(cfg: RunConfig) -> int:
     rep = Report("qfock", __version__, _config_echo(cfg))
     b = _resolve_braiding(cfg)
-    table = {}
-    for kind, space, dims, classical, gating in _poincare_series(b, cfg.kmax):
-        key = f"{kind}({space})"
-        table[key] = {"dims": dims, "classical": classical,
-                      "matches_classical": dims == classical,
-                      "comparison": "gating" if gating else "report-only"}
-        rep.add(f"poincare-{kind}-{space}", "dimension table",
-                dims == classical if gating else None, gating,
-                witness=table[key])
-    print(json.dumps(table, indent=1, sort_keys=True))
+    print(json.dumps(_poincare_table(rep, b, cfg.kmax, superflip_limit(b)),
+                     indent=1, sort_keys=True))
     _emit(rep, cfg, quiet=True)
     return 1 if rep.failed else 0
 

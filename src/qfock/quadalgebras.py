@@ -16,6 +16,8 @@ projection of an arbitrary free tensor is assembled recursively.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from math import comb
 
 from .braidings import BMW, LAMBDA, SYM, Braiding, dual_square, relation_operator
 from .errors import SpaceMismatch, UnsupportedConstruction
@@ -215,17 +217,10 @@ def mu_eigenspace_degree2_report(b: Braiding) -> dict:
     }
 
 
-def classical_sym_dim(N: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out = out * (N + t) // (t + 1)
-    return out
-
-
-def classical_lambda_dim(N: int, k: int) -> int:
-    if k > N:
-        return 0
-    out = 1
-    for t in range(k):
-        out = out * (N - t) // (t + 1)
-    return out
+def super_sym_dims(m: int, n: int, kmax: int) -> list[int]:
+    """Degrees 0..kmax of (1 + t)^n / (1 - t)^m, the Sym series of the super
+    space (m|n); its Lambda series has m and n swapped."""
+    dims = [comb(n, k) for k in range(kmax + 1)]
+    for _ in range(m):
+        dims = list(accumulate(dims))     # times 1 / (1 - t)
+    return dims

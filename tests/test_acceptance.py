@@ -32,7 +32,7 @@ from qfock.fockdouble import (
     verify_l_relations,
     verify_lie,
 )
-from qfock.quadalgebras import classical_lambda_dim, classical_sym_dim, make_algebra
+from qfock.quadalgebras import make_algebra, super_sym_dims
 from qfock.scalars import ONE, Q, QINV, Scalar, sum_into
 
 
@@ -171,19 +171,18 @@ class TestAcceptance:
         t0 = time.perf_counter()
         for N in (2, 3):
             b = make_standard_hecke(N)
-            for kind, classical in (("sym", classical_sym_dim),
-                                    ("lambda", classical_lambda_dim)):
+            for kind, classical in (("sym", super_sym_dims(N, 0, 5)),
+                                    ("lambda", super_sym_dims(0, N, 5))):
                 alg = make_algebra(b, kind, "V")
-                assert alg.poincare(5) == [classical(N, k) for k in range(6)]
+                assert alg.poincare(5) == classical
         # BMW series: deformations of the flip, so compared and gated
         bmw_report = {}
         for name, N in (("bmw-orth-3", 3), ("bmw-sympl-2", 2)):
             b = load_builtin(name)
-            for kind, classical in (("sym", classical_sym_dim),
-                                    ("lambda", classical_lambda_dim)):
+            for kind, classical in (("sym", super_sym_dims(N, 0, 4)),
+                                    ("lambda", super_sym_dims(0, N, 4))):
                 dims = make_algebra(b, kind, "V").poincare(4)
-                bmw_report[f"{name}:{kind}"] = (
-                    dims, [classical(N, k) for k in range(5)])
+                bmw_report[f"{name}:{kind}"] = (dims, classical)
         elapsed = time.perf_counter() - t0
         for key, (dims, classical) in bmw_report.items():
             assert dims == classical, key

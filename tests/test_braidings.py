@@ -43,7 +43,7 @@ from qfock.fockdouble import (
     verify_compatibility,
     verify_l_relations,
 )
-from qfock.quadalgebras import classical_lambda_dim, classical_sym_dim, make_algebra
+from qfock.quadalgebras import make_algebra, super_sym_dims
 from qfock.scalars import ONE, Q, QINV, ZERO, Scalar
 from qfock.tensorops import (
     LinOperator,
@@ -378,11 +378,10 @@ class TestMakeBmw:
         comp = verify_compatibility(d)
         assert comp["closed_identity"] and comp["ideal_checks"] and comp["diamond"]
         assert verify_l_relations(d)["passed"]
-        for kind, classical in (("sym", classical_sym_dim),
-                                ("lambda", classical_lambda_dim)):
+        for kind, classical in (("sym", super_sym_dims(N, 0, 3)),
+                                ("lambda", super_sym_dims(0, N, 3))):
             for space in ("V", "V*"):
-                assert make_algebra(b, kind, space).poincare(3) == \
-                    [classical(N, k) for k in range(4)]
+                assert make_algebra(b, kind, space).poincare(3) == classical
 
     @pytest.mark.parametrize("N, series", [(1, "orthogonal"), (0, "symplectic"),
                                            (3, "symplectic"), (5, "symplectic"),

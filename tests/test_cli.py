@@ -20,12 +20,16 @@ from qfock.braidings import (
     make_bmw,
     make_flip,
     make_standard_hecke,
+    make_superflip,
     projector_decomposition_ok,
+    superflip_limit,
 )
-from qfock.cli import _deforms_flip, main
+from qfock.cli import main
 from qfock.errors import NonGenericPoint, QfockError
 from qfock.tensorops import LinOperator
 from qfock.scalars import Q, ONE, ZERO, Scalar
+
+from hecke_families import super_hecke
 
 
 def run(argv):
@@ -227,8 +231,14 @@ class TestVerify:
             value={"num": [[0, 1]], "den": [[0, 0]]})), "zero denominator"),
         (lambda: _corrupted_json(make_bmw(2, "symplectic"), lambda d: d.pop("mu")),
          "must declare mu"),
+        (lambda: _corrupted_json(make_standard_hecke(2), lambda d: d.update(
+            format_version=True)), "unsupported format_version True"),
+        (lambda: _corrupted_json(make_standard_hecke(2), lambda d: d.update(
+            format_version=1.0)), "unsupported format_version 1.0"),
+        (lambda: _corrupted_json(make_standard_hecke(2), lambda d: d.update(
+            name={"std": "hecke"})), "name must be a string"),
     ], ids=["missing-file", "not-json", "not-an-object", "zero-denominator",
-            "bmw-without-mu"])
+            "bmw-without-mu", "version-true", "version-float", "name-dict"])
     def test_table_document_error_is_bad_input(self, text, named, tmp_path, capsys):
         path, out = tmp_path / "table.json", tmp_path / "rep.json"
         if text is not None:
@@ -517,6 +527,25 @@ class TestGatingRecordsCanFail:
         assert _failing_gating_checks(argv, tmp_path / "rep.json") == {
             f"poincare-{kind}-{space}" for kind in ("sym", "lambda") for space in ("V", "V*")}
 
+    @pytest.mark.parametrize("make", [lambda: make_standard_hecke(3),
+                                      lambda: make_superflip(2, 1),
+                                      lambda: super_hecke(2, 1)],
+                             ids=["std-hecke-3", "superflip-2|1", "super-hecke-2|1"])
+    def test_one_dropped_sym_relation_fails_poincare_sym_v(self, make, tmp_path, monkeypatch):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(braiding_to_table(make())))
+        real = cli.make_algebra
+
+        def dropped(b, kind, space):
+            alg = real(b, kind, space)
+            if (kind, space) == ("sym", "V"):
+                alg.relations = alg.relations[1:]
+            return alg
+
+        monkeypatch.setattr(cli, "make_algebra", dropped)
+        argv = ["--table", str(table), "--suite", "poincare"]
+        assert _failing_gating_checks(argv, tmp_path / "rep.json") == {"poincare-sym-V"}
+
     @pytest.mark.parametrize("degree", ["1", "2"])
     def test_bumped_pairing_constant_fails_the_spectral_identity(
             self, degree, tmp_path, monkeypatch, capsys):
@@ -677,21 +706,26 @@ class TestPoincare:
         assert run(["poincare", "--braiding", "flip", "--n", "2",
                     "--kmax", "3"]) == 0
         table = json.loads(capsys.readouterr().out)
-        assert table["sym(V)"]["dims"] == [1, 2, 3, 4]
-        assert table["sym(V)"]["comparison"] == "gating"
+        assert table["sym(V)"] == {"dims": [1, 2, 3, 4], "expected": [1, 2, 3, 4]}
+        assert table["lambda(V*)"] == {"dims": [1, 2, 1, 0], "expected": [1, 2, 1, 0]}
 
-    def test_bmw_gates(self, capsys):
+    def test_bmw_gates(self, tmp_path, capsys):
+        out = tmp_path / "rep.json"
         assert run(["poincare", "--braiding", "bmw-orth", "--n", "3",
-                    "--kmax", "3"]) == 0
+                    "--kmax", "3", "--out", str(out)]) == 0
         table = json.loads(capsys.readouterr().out)
-        assert table["sym(V)"]["comparison"] == "gating"
+        assert table["sym(V)"] == {"dims": [1, 3, 6, 10], "expected": [1, 3, 6, 10]}
+        checks = json.loads(out.read_text())["checks"]
+        assert [(c["check_id"], c["verdict"], c["gating"]) for c in checks] == [
+            (f"poincare-{kind}-{space}", "pass", True)
+            for kind in ("sym", "lambda") for space in ("V", "V*")]
 
     def test_pole_at_one_turns_the_gate_off(self, monkeypatch):
         def pole(self, q0):
             raise NonGenericPoint(f"q0 = {q0} is a root of the denominator")
 
         monkeypatch.setattr(Scalar, "evaluate", pole)
-        assert _deforms_flip(make_standard_hecke(2)) is False
+        assert superflip_limit(make_standard_hecke(2)) is None
 
     def test_other_evaluation_errors_propagate(self, monkeypatch):
         def broken(self, q0):
@@ -699,7 +733,7 @@ class TestPoincare:
 
         monkeypatch.setattr(Scalar, "evaluate", broken)
         with pytest.raises(RuntimeError, match="evaluation bug"):
-            _deforms_flip(make_standard_hecke(2))
+            superflip_limit(make_standard_hecke(2))
 
 
 class TestReprExport:

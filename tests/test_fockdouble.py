@@ -37,9 +37,8 @@ from qfock.fockdouble import (
 )
 from qfock.quadalgebras import (
     GradedQuotient,
-    classical_lambda_dim,
-    classical_sym_dim,
     make_algebra,
+    super_sym_dims,
 )
 from qfock.scalars import ONE, Q, QINV, ZERO, Scalar, sum_into
 from qfock.tensorops import enc_index, mat_transpose
@@ -611,10 +610,8 @@ class TestSpecializedBraidings:
     def test_hecke_poincare_series_are_classical(self, n, q0):
         b = specialize(make_standard_hecke(n), q0)
         for space in ("V", "V*"):
-            assert make_algebra(b, SYM, space).poincare(4) == \
-                [classical_sym_dim(n, k) for k in range(5)]
-            assert make_algebra(b, LAMBDA, space).poincare(4) == \
-                [classical_lambda_dim(n, k) for k in range(5)]
+            assert make_algebra(b, SYM, space).poincare(4) == super_sym_dims(n, 0, 4)
+            assert make_algebra(b, LAMBDA, space).poincare(4) == super_sym_dims(0, n, 4)
 
     @pytest.mark.parametrize("make,flavors", SPECIALIZED)
     def test_doubles(self, make, flavors, q0):

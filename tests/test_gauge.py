@@ -7,7 +7,8 @@ representation has the same component dimension and satisfies the
 L-identity too.
 
 The twisted standard Hecke braiding, whose R is not symmetric, passes
-every gating record of every suite."""
+every gating record of every suite; at q = 1 it is no superflip, so it gets
+no Poincare record."""
 
 import json
 
@@ -88,7 +89,6 @@ def test_twisted_hecke_passes_every_suite(n, tmp_path):
     out = tmp_path / "report.json"
     assert main(["verify", "--table", str(table), "--suite", "all", "--out", str(out)]) == 0
     checks = json.loads(out.read_text())["checks"]
-    assert all(c["verdict"] == "pass" for c in checks if c["gating"])
-    # at q = 1 the twist is not the plain flip, so its Poincare series only report
-    assert {c["check_id"] for c in checks if not c["gating"]} == {
-        f"poincare-{kind}-{space}" for kind in ("sym", "lambda") for space in ("V", "V*")}
+    assert all(c["verdict"] == "pass" and c["gating"] for c in checks)
+    # at q = 1 the twist is no superflip, so no Poincare series is expected
+    assert not [c for c in checks if c["check_id"].startswith("poincare-")]

@@ -8,10 +8,9 @@ from qfock.braidings import load_builtin, make_flip, make_standard_hecke, make_s
 from qfock.errors import SpaceMismatch
 from qfock.quadalgebras import (
     GradedQuotient,
-    classical_lambda_dim,
-    classical_sym_dim,
     make_algebra,
     mu_eigenspace_degree2_report,
+    super_sym_dims,
 )
 from qfock.scalars import ONE, ZERO, Scalar
 
@@ -97,8 +96,11 @@ class TestHecke:
             assert alg.dim(k) == full_span_dim(alg, k)
 
     def test_classical_comparison_helpers(self):
-        assert [classical_sym_dim(3, k) for k in range(5)] == [1, 3, 6, 10, 15]
-        assert [classical_lambda_dim(3, k) for k in range(5)] == [1, 3, 3, 1, 0]
+        assert super_sym_dims(3, 0, 4) == [1, 3, 6, 10, 15]
+        assert super_sym_dims(0, 3, 4) == [1, 3, 3, 1, 0]
+        # (1 + t)^n / (1 - t)^m: Sym and Lambda of the super space (2|1)
+        assert super_sym_dims(2, 1, 4) == [1, 3, 5, 7, 9]
+        assert super_sym_dims(1, 2, 4) == [1, 3, 4, 4, 4]
 
 
 class TestSuperflip:
