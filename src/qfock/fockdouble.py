@@ -567,9 +567,10 @@ def _cell_rows(m: FormalMatrix, N: int) -> list[Row]:
 
 
 # The Lie suite's cost grows fast with N: at N = 6 `verify --suite lie`
-# takes about 1.0 s on a 2-vCPU box, 0.6 s of it in the leg-local Jacobi
-# check and 0.1 s in the twist solve of braided_lie, a system of N^4 = 1296
-# sparse rows in as many unknowns (2401 at N = 7).
+# takes about 0.7 s and peaks at 20 MB RSS on a 2-vCPU box, most of the
+# time in the streamed Jacobi check (_jacobi_holds) and 0.1 s in the twist
+# solve of braided_lie, a system of N^4 = 1296 sparse rows in as many
+# unknowns (2401 at N = 7).
 LIE_MAX_N = 6
 
 
@@ -620,41 +621,49 @@ def braided_lie(b: Braiding) -> BraidedLie:
     return BraidedLie(b, rhat, comp, bracket, rtrace, alpha, quadratic, twisted, linear)
 
 
-def _after_12(x: list[Row], op: list[Row], n2: int) -> list[Row]:
-    """x o (op (x) id) for a two-leg op on legs 1, 2 of a three-leg space
-    with legs of dimension n2; column r*n2 + c of x is (op output r, leg c)."""
-    return [lincomb((v, x[r * n2 + c]) for r, v in col.items())
-            for col in op for c in range(n2)]
+def _jacobi_holds(bl: BraidedLie) -> bool:
+    """Whether the Jacobi identity holds on End(V)^(x)3, whose column
+    (e1, e2, e3) is e1*N^4 + e2*N^2 + e3; a = [,] o [,]_23 takes it to
+    [l_e1, [l_e2, l_e3]].  Each [,] and rhat acts on its two legs through
+    its nonzero column entries, and the first failing column ends the check.
 
-
-def _after_23(x: list[Row], op: list[Row], n2: int, n_out: int) -> list[Row]:
-    """x o (id (x) op) for a two-leg op on legs 2, 3 with n_out output
-    indices; column a*n_out + r of x is (leg a, op output r)."""
-    return [lincomb((v, x[a * n_out + r]) for r, v in col.items())
-            for a in range(n2) for col in op]
-
-
-def _jacobi_sides(bl: BraidedLie) -> tuple[list[Row], list[Row]]:
-    """Both sides of the Jacobi identity as N^2 x N^6 matrices on
-    End(V)^(x)3, by columns.  Hecke form: [,][,]_23 (I - rhat_12) and [,][,]_12;
-    involutive form: [,][,]_23 (I + rhat_12 rhat_23 + rhat_23 rhat_12)
-    and 0.  Each [,] and rhat acts on its two legs through its nonzero
-    column entries; no N^6-square matrix is formed."""
+    Hecke form, a (I - rhat_12) = [,] o [,]_12: neither rhat_12 nor
+    [,]_12 moves the third leg, so the check walks over its index c.  It
+    holds only the N^4 columns (e1, e2, c) of a, and compares each with
+    its image under rhat_12 plus [,] o [,]_12 there.  Involutive form,
+    a (I + rhat_12 rhat_23 + rhat_23 rhat_12) = 0: a and a rhat_23 are
+    held whole, a rhat_12 one first-leg index e1 at a time, and each
+    output column is summed in turn."""
     n2 = bl.braiding.N ** 2
     n4 = n2 * n2
     br, rh = bl.bracket, bl.rhat
-    a = _after_23(br, br, n2, n2)
-    a12 = _after_12(a, rh, n2)
     if bl.braiding.kind == HECKE:
-        lhs = [lincomb(((ONE, p), (_MINUS_ONE, t))) for p, t in zip(a, a12)]
-        rhs = _after_12(br, br, n2)
-    else:
-        cyc = _after_23(a12, rh, n2, n4)
-        cyc2 = _after_12(_after_23(a, rh, n2, n4), rh, n2)
-        lhs = [lincomb(((ONE, p), (ONE, t), (ONE, u)))
-               for p, t, u in zip(a, cyc, cyc2)]
-        rhs = [{}] * len(a)
-    return lhs, rhs
+        for c in range(n2):
+            a = [lincomb((v, br[e1 * n2 + s]) for s, v in br[e2 * n2 + c].items())
+                 for e1 in range(n2) for e2 in range(n2)]
+            # column (k, c): a = a rhat_12 + [,] o [,]_12
+            for k, ak in enumerate(a):
+                if ak != lincomb(itertools.chain(
+                        ((v, a[r]) for r, v in rh[k].items()),
+                        ((v, br[r * n2 + c]) for r, v in br[k].items()))):
+                    return False
+        return True
+    a = [lincomb((v, br[e1 * n2 + s]) for s, v in col.items())
+         for e1 in range(n2) for col in br]
+    a23 = [lincomb((v, a[e1 * n4 + r]) for r, v in col.items())
+           for e1 in range(n2) for col in rh]
+    for e1 in range(n2):
+        # the columns (e1, r2, r3) of a rhat_12, at r2*N^2 + r3
+        a12 = [lincomb((v, a[u * n2 + r3]) for u, v in rh[e1 * n2 + r2].items())
+               for r2 in range(n2) for r3 in range(n2)]
+        for k, ak in enumerate(a[e1 * n4:(e1 + 1) * n4]):
+            e2, e3 = divmod(k, n2)
+            if lincomb(itertools.chain(
+                    ((ONE, ak),),
+                    ((v, a12[r]) for r, v in rh[k].items()),
+                    ((v, a23[r * n2 + e3]) for r, v in rh[e1 * n2 + e2].items()))):
+                return False
+    return True
 
 
 def verify_lie(bl: BraidedLie) -> dict:
@@ -664,8 +673,8 @@ def verify_lie(bl: BraidedLie) -> dict:
     R-trace normalization on generators, vanishing of the R-trace on all
     basis brackets, the Jacobi identity in its Hecke or involutive form,
     and the consistency of the quadratic L-identity with the bracket.
-    The Jacobi identity is checked leg-locally: the bracket and the twist
-    act on two adjacent legs of End(V)^(x)3 at a time (_jacobi_sides).
+    The Jacobi identity is checked leg-locally and, in the Hecke form, one
+    third-leg index at a time (_jacobi_holds).
     """
     b = bl.braiding
     N = b.N
@@ -706,8 +715,7 @@ def verify_lie(bl: BraidedLie) -> dict:
     # Jacobi identity.  The Hecke form is the Leibniz one,
     #   [,] o [,]_23 o (I - rhat_12) = [,] o [,]_12,
     # whose q -> 1 limit is the classical [x,[y,z]] - [y,[x,z]] = [[x,y],z].
-    lhs, rhs = _jacobi_sides(bl)
-    if lhs != rhs:
+    if not _jacobi_holds(bl):
         report["jacobi"] = False
         report["witnesses"].append(
             ("jacobi-hecke",) if b.kind == HECKE else ("jacobi-involutive",))

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from qfock import fockdouble, scalars
 from qfock.errors import EmptyComponent, UnsupportedDouble
 from qfock.fockdouble import (
     BraidedLie,
-    _jacobi_sides,
+    _jacobi_holds,
     braided_lie,
     fock_representation,
     left_dual_variant_report,
@@ -44,6 +45,9 @@ from qfock.scalars import ONE, Q, QINV, ZERO, Scalar, sum_into
 from qfock.tensorops import enc_index, mat_transpose
 
 from dense_operators import dense, dense_identity, dense_matmul, from_dense
+from gauge import twisted
+from hecke_families import super_hecke
+from jacobi_reference import jacobi_sides
 from rewriting_reference import normal_order_act, pending_rewrite
 
 
@@ -844,10 +848,50 @@ class TestBraidedLie:
         broken = _corrupt(_corrupt(bl, "bracket"), "rhat")
         n2 = bl.braiding.N ** 2
         for cur in (bl, broken):
-            sides = tuple(dense_columns(side, n2) for side in _jacobi_sides(cur))
+            sides = tuple(dense_columns(side, n2) for side in jacobi_sides(cur))
             assert sides == _dense_jacobi_sides(cur)
-        lhs, rhs = _jacobi_sides(broken)
+        lhs, rhs = jacobi_sides(broken)
         assert lhs != rhs
+
+    @pytest.mark.parametrize("maker", [
+        lambda: make_flip(2),
+        lambda: make_flip(3),
+        lambda: make_superflip(1, 1),
+        lambda: make_standard_hecke(2),
+        lambda: make_standard_hecke(3),
+        lambda: twisted(make_standard_hecke(3)),
+        lambda: super_hecke(2, 1),
+    ])
+    def test_streamed_jacobi_matches_reference(self, maker):
+        bl = braided_lie(maker())
+        for cur in (bl, _corrupt(bl, "bracket"), _corrupt(bl, "rhat")):
+            lhs, rhs = jacobi_sides(cur)
+            assert _jacobi_holds(cur) == (lhs == rhs)
+        assert _jacobi_holds(bl)
+        # a bracket whose one nonzero entry is [l_z, l_z] = l_z, z the last
+        # generator: the sides differ only in the last third-leg block,
+        # columns (e1, e2, z), so a stream that skips that block passes
+        n2 = bl.braiding.N ** 2
+        z = n2 - 1
+        last = copy.copy(bl)
+        last.bracket = [{}] * (n2 * n2 - 1) + [{z: ONE}]
+        lhs, rhs = jacobi_sides(last)
+        assert {c % n2 for c, (x, y) in enumerate(zip(lhs, rhs)) if x != y} == {z}
+        assert not _jacobi_holds(last)
+
+    def test_streamed_jacobi_holds_less_memory(self):
+        bl = braided_lie(make_standard_hecke(4))
+
+        def peak(check):
+            tracemalloc.start()
+            try:
+                check(bl)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        streamed, whole = peak(_jacobi_holds), peak(jacobi_sides)
+        assert 3 * streamed < whole, (streamed, whole)
 
 
 def _corrupt(bl: BraidedLie, field: str) -> BraidedLie:
@@ -887,7 +931,7 @@ def _kron(a, b):
 
 
 def _dense_jacobi_sides(bl: BraidedLie):
-    """Reference for _jacobi_sides: every leg operator embedded as a dense
+    """Reference for jacobi_sides: every leg operator embedded as a dense
     (N^2)^3-square Kronecker product."""
     n2 = bl.braiding.N ** 2
     id2 = dense_identity(n2)
