@@ -92,22 +92,16 @@ class Braiding:
         self.mu = mu
         self.q = q if q is not None else default_q(kind)
         self.name = name
-        self._skew: SkewData | None = None
-        self._projectors: dict[str, LinOperator] | None = None
 
     # -- cached skew inverse and spectral projectors ---------------------
 
-    @property
+    @cached_property
     def skew(self) -> SkewData:
-        if self._skew is None:
-            self._skew = skew_inverse(self)
-        return self._skew
+        return skew_inverse(self)
 
-    @property
+    @cached_property
     def spectral_projectors(self) -> dict[str, LinOperator]:
-        if self._projectors is None:
-            self._projectors = projectors(self)
-        return self._projectors
+        return projectors(self)
 
     @property
     def psi(self) -> LinOperator:

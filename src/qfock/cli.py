@@ -393,7 +393,7 @@ def _pairing_doc(mat) -> dict:
     return _matrix_doc(len(mat), len(mat), lambda r, c: mat[r].get(c, ZERO))
 
 
-def _print_doc(doc: dict, cfg: RunConfig) -> int:
+def _print_doc(doc: dict, cfg: RunConfig) -> None:
     """Write doc as JSON to --out, or print it when --out is absent."""
     payload = json.dumps(doc, indent=1, sort_keys=True)
     if cfg.out:
@@ -401,7 +401,6 @@ def _print_doc(doc: dict, cfg: RunConfig) -> int:
             fh.write(payload + "\n")
     else:
         print(payload)
-    return 0
 
 
 def cmd_repr(cfg: RunConfig) -> int:
@@ -426,7 +425,8 @@ def cmd_repr(cfg: RunConfig) -> int:
                      for i in range(b.N) for j in range(b.N)},
         "identity_holds": representation_l_relations_ok(d, k),
     }
-    return _print_doc(doc, cfg)
+    _print_doc(doc, cfg)
+    return 0 if doc["identity_holds"] else 1
 
 
 def cmd_export(cfg: RunConfig) -> int:
@@ -438,7 +438,8 @@ def cmd_export(cfg: RunConfig) -> int:
         "C": _pairing_doc(b.C),
         "alpha": b.alpha.to_pairs() if b.alpha is not None else None,
     }
-    return _print_doc(doc, cfg)
+    _print_doc(doc, cfg)
+    return 0
 
 
 def _config_echo(cfg: RunConfig) -> dict:

@@ -41,17 +41,9 @@ from .braidings import (
     exchange_table,
 )
 from .errors import WindowOverflow
-from .fockdouble import _pass, annihilate, formal_l, l_identity_sides
+from .fockdouble import _pass, annihilate, l_identity_sides
 from .scalars import ONE, ZERO, Scalar, add_term, sum_into
-from .tensorops import (
-    FormalMatrix,
-    echelon_insert,
-    enc_index,
-    formal_cell,
-    formal_combination,
-    formal_pruned,
-    remainder,
-)
+from .tensorops import echelon_insert, enc_index, remainder
 
 Mode = tuple[int, int]               # (generator index, mode number)
 ModeWord = tuple[Mode, ...]
@@ -306,50 +298,51 @@ def _differences(plain: ExpDict, delta: dict, pole: ExpDict, theta: int,
 # expression assembly for the spectral L-identity
 # ---------------------------------------------------------------------------
 
-def _tagged(mat: FormalMatrix, dist) -> FormalMatrix:
-    """Cells {factors: c} of a formal product as {(factors, dist): c}."""
-    return {x: {y: {(f, dist): c for f, c in cell.items()} for y, cell in row.items()}
-            for x, row in mat.items()}
-
-
 def _yang_expressions(cd: CurrentDouble):
-    """The pole-free rearrangement of the spectral identity.
+    """The pole-free rearrangement of the spectral identity, as N^4 cells
+    {(factors, dist): c}, cell (x, y) at x*N^2 + y.
 
-    T1 collects the constant-R side, the written L-identity with O = R,
-    La = L1(u) and Lb = L1(v): R12 L1(u) R12 L1(v) - L1(v) R12 L1(u) R12 -
-    (R12 L1(u) - L1(u) R12) delta(u-v).  T2 is the exchange residue
-    of L1(u) R12 L1(v) - L1(v) R12 L1(u): its middle annihilator-creator
-    pair is replaced by its exchange image (the delta part of that pair is
-    what cancels against the ill-defined pole-delta products), so T1 must
-    equal pole * T2 on every matrix element.  The pole's constant factor
-    (q - q^-1, trigonometric) is folded into the T2 coefficients.
+    T1 collects the constant-R side, the written L-identity with O = R and
+    L1(u), L1(v) in the written order: R12 L1(u) R12 L1(v) - L1(v) R12
+    L1(u) R12 - (R12 L1(u) - L1(u) R12) delta(u-v).  T2 is the exchange
+    residue of L1(u) R12 L1(v) - L1(v) R12 L1(u): its middle
+    annihilator-creator pair is replaced by its exchange image (the delta
+    part of that pair is what cancels against the ill-defined pole-delta
+    products), so T1 must equal pole * T2 on every matrix element.  The
+    pole's constant factor (q - q^-1, trigonometric) is folded into the T2
+    coefficients.
     """
     b = cd.cb.base
     N = b.N
-    lu, lv = (formal_l(N, lambda i, j, var=var: (("c", i, var), ("a", j, var)))
-              for var in "uv")
-    sides = l_identity_sides(b.R, b.R, lu, lv)
-    quad, lin = (formal_combination(((ONE, s), (-ONE, t)))
-                 for s, t in (sides[:2], sides[2:]))
-    t1 = formal_combination(((ONE, _tagged(quad, None)), (-ONE, _tagged(lin, "delta"))))
+    n2 = N * N
+
+    def factors(es, variables):
+        return tuple(t for e, var in zip(es, variables)
+                     for t in (("c", e // N, var), ("a", e % N, var)))
+
+    t1: list[dict] = [{} for _ in range(n2 * n2)]
+    for side, variables, dist, negate in zip(
+            l_identity_sides(b.R, b.R), ("uv", "vu", "u", "u"),
+            (None, None, "delta", "delta"), (False, True, True, False)):
+        for cell, row in zip(t1, side):
+            for col, c in row.items():
+                es = divmod(col, n2) if len(variables) == 2 else (col,)
+                add_term(cell, (factors(es, variables), dist), -c if negate else c)
 
     s = b.q.inverse() * cd.cb.pole()[0]
     moves = exchange_table(b.psi, s, b.B)[0]     # (z, w) -> (i, j, s Psi_jw^iz)
-    t2: FormalMatrix = {}
+    t2: list[dict] = [{} for _ in range(n2 * n2)]
     for r, c, rv in sorted(b.R.nonzeros(), key=lambda t: t[:2]):
         (w, y2), (z, x2) = divmod(r, N), divmod(c, N)
         for x1, y1 in product(range(N), repeat=2):
-            cell = t2.setdefault(enc_index((x1, x2), N), {}).setdefault(
-                enc_index((y1, y2), N), {})
+            cell = t2[enc_index((x1, x2), N) * n2 + enc_index((y1, y2), N)]
             for i, j, sp in moves[(z, w)]:
                 coeff = rv * sp
                 add_term(cell, ((("c", x1, "u"), ("c", i, "v"),
                                  ("a", j, "u"), ("a", y1, "v")), None), coeff)
                 add_term(cell, ((("c", x1, "v"), ("c", i, "u"),
                                  ("a", j, "v"), ("a", y1, "u")), None), -coeff)
-    t2 = formal_pruned(t2)
-    if any(f[-1][0] != "a" for t in (t1, t2) for row in t.values()
-           for cell in row.values() for (f, _) in cell):
+    if any(f[-1][0] != "a" for t in (t1, t2) for cell in t for (f, _) in cell):
         raise AssertionError("a current word that does not end in an annihilator")
     return t1, t2
 
@@ -479,8 +472,8 @@ def verify_yang(cd: CurrentDouble, degree: int = 1) -> dict:
             spot_evaluate = evaluate
         for x in range(n2):
             for y in range(n2):
-                plain, delta = _buckets(formal_cell(t1, x, y), evaluate, interior, lhs_box)
-                pole = _buckets(formal_cell(t2, x, y), evaluate, M, rhs_box, negate=True)[0]
+                plain, delta = _buckets(t1[x * n2 + y], evaluate, interior, lhs_box)
+                pole = _buckets(t2[x * n2 + y], evaluate, M, rhs_box, negate=True)[0]
                 diffs = _differences(plain, delta, pole, theta, M)
                 for eu, ev in sorted(diffs, reverse=True):     # (r, s) ascending
                     diff = diffs[(eu, ev)]
@@ -508,7 +501,7 @@ def verify_yang(cd: CurrentDouble, degree: int = 1) -> dict:
         report["degree2_residual_classes"] = residual_classes
     if not mismatches:
         def t1_readout(x, clip):
-            buckets = _buckets(formal_cell(t1, x, 0), spot_evaluate, clip, lhs_box)
+            buckets = _buckets(t1[x * n2], spot_evaluate, clip, lhs_box)
             return {p: d for p, d in _differences(*buckets, {}, theta, M).items() if d}
         stable = all(t1_readout(x, interior) == t1_readout(x, interior + 3)
                      for x in range(n2))

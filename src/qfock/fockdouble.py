@@ -69,13 +69,7 @@ from .scalars import ONE, ZERO, Scalar, add_term, nonzero_sums, sum_into
 from .tensorops import (
     LinOperator,
     Row,
-    FormalMatrix,
     dec_index,
-    enc_index,
-    formal_cell,
-    formal_combination,
-    formal_grid,
-    formal_mul,
     lincomb,
     mat_mul,
     mat_transpose,
@@ -118,7 +112,23 @@ class FockDouble:
         self.exchange, self.constant = exchange_table(
             braiding.psi, self.sign_coeff, braiding.B)
         self._order_cache: dict = {}      # the _pass memo of self.rule
-        self._l_cells: dict[tuple[int, int], dict[tuple, Scalar]] | None = None
+
+    @functools.cached_property
+    def l_identity_cells(self) -> dict[tuple[int, int], dict[tuple, Scalar]]:
+        """The nonzero net combinations O L1 R12 L1 - L1 R12 L1 O - O L1 + L1 O
+        by cell (x, y), O the cleared outer grid, each over the keys
+        (e1, e2) of l_e1 l_e2 and (e,) of l_e (l_identity_sides)."""
+        n2 = self.braiding.N ** 2
+        o_lrl, lrl_o, o_l, l_o = l_identity_sides(
+            self.braiding.R, _cleared(_reflection_partner(self)))
+        cells = {}
+        for xy, (quad, lin) in enumerate(zip(_row_differences(o_lrl, lrl_o),
+                                             _row_differences(l_o, o_l))):
+            cell = {divmod(col, n2): v for col, v in quad.items()}
+            cell.update(((col,), v) for col, v in lin.items())
+            if cell:
+                cells[divmod(xy, n2)] = cell
+        return cells
 
     def rule(self, l: int, k: int):
         """The permutation rule on x^l x_k: its moves and its constant."""
@@ -269,36 +279,56 @@ def make_double(b: Braiding, flavor: str) -> FockDouble:
 
 # ---------------------------------------------------------------------------
 # The written L-identity.  Matrices are multiplied in the written order,
-# with an operator read as (M)_x^y = its entry at row y, column x; a formal
-# entry is a dict {key: Scalar}, the key a tuple of symbols standing for
-# their product in that order.  The symbol of l_i^j = x_i x^j is the pair
-# (i, j) in the double and the braided Lie twist, and a creation and an
-# annihilation current in the spectral identity (currents).
+# with an operator read as (M)_x^y = its entry at row y, column x, and
+# L1 = L (x) I holds l_i^j = x_i x^j in cell ((i, a), (j, a)).  A side is
+# a list[Row] of N^4 cell rows, cell (x, y) at row x*N^2 + y, over the
+# symbols in written order: column e = i*N + j stands for l_i^j and
+# column e1*N^2 + e2 for the product l_e1 l_e2.  The double reads e as
+# x_i x^j, the braided Lie twist as a basis element of End(V), and the
+# spectral identity (currents) as a creation and an annihilation current.
 # ---------------------------------------------------------------------------
 
-def formal_l(N: int, key) -> FormalMatrix:
-    """The written L1 = L (x) I: cell ((i, a), (j, a)) = {key(i, j): 1}."""
-    l1: FormalMatrix = {}
-    for i, a, j in itertools.product(range(N), repeat=3):
-        l1.setdefault(enc_index((i, a), N), {})[enc_index((j, a), N)] = {key(i, j): ONE}
-    return l1
+def l_identity_sides(R: LinOperator, O: LinOperator) -> tuple[list[Row], ...]:
+    """The four written sides O L1 R L1, L1 R L1 O, O L1 and L1 O of the
+    L-identity  O L1 R L1 - L1 R L1 O = O L1 - L1 O  for an outer grid O,
+    summed over the nonzeros of R and O.  With O = R the braided Lie
+    twist maps the first side to the second."""
+    N = R.dim
+    n2 = N * N
+    sides = tuple([{} for _ in range(n2 * n2)] for _ in range(4))
+    o_lrl, lrl_o, o_l, l_o = sides
+    columns: list[list[tuple[int, Scalar]]] = [[] for _ in range(n2)]
+    for y, z, v in O.nonzeros():
+        columns[z].append((y, v))
+    # O[x][(i, a)] R[(j, a)][(k, b)] with l_i^j l_k^l in cell (x, (l, b)),
+    # and R[(j, a)][(k, b)] O[(l, b)][y] with the same symbols in cell
+    # ((i, a), y)
+    for r, c, w in R.nonzeros():
+        (k, b), (j, a) = divmod(r, N), divmod(c, N)
+        for i, l in itertools.product(range(N), repeat=2):
+            col = (i * N + j) * n2 + k * N + l
+            ia, lb = i * N + a, l * N + b
+            for x, v in O.rows[ia].items():
+                add_term(o_lrl[x * n2 + lb], col, v * w)
+            for y, v in columns[lb]:
+                add_term(lrl_o[ia * n2 + y], col, w * v)
+    # O[x][(i, a)] l_i^t in cell (x, (t, a)), and l_t^j O[(j, b)][z] in
+    # cell ((t, b), z)
+    for z, x, v in O.nonzeros():
+        (i, a), (j, b) = divmod(z, N), divmod(x, N)
+        for t in range(N):
+            add_term(o_l[x * n2 + t * N + a], i * N + t, v)
+            add_term(l_o[(t * N + b) * n2 + z], t * N + j, v)
+    return sides
 
 
-def l_identity_sides(R: LinOperator, O: LinOperator, La: FormalMatrix,
-                     Lb: FormalMatrix) -> tuple[FormalMatrix, ...]:
-    """The four written sides O12 La R12 Lb, Lb R12 La O12, O12 La and
-    La O12 of the L-identity  O La R Lb - Lb R La O = O La - La O  for an
-    outer grid O.  With O = R the braided Lie twist maps the first side to
-    the second."""
-    rw, ow = formal_grid(R), formal_grid(O)
-    o_la = formal_mul(ow, La)
-    return (formal_mul(formal_mul(o_la, rw), Lb),
-            formal_mul(formal_mul(formal_mul(Lb, rw), La), ow),
-            o_la, formal_mul(La, ow))
+def _row_differences(a: list[Row], b: list[Row]) -> list[Row]:
+    """The rows of a - b."""
+    return [lincomb(((ONE, ra), (_MINUS_ONE, rb))) for ra, rb in zip(a, b)]
 
 
 # Both checks of the double evaluate one net combination per cell
-# (_l_identity_cells), built once per double with the outer grid's
+# (FockDouble.l_identity_cells), built once per double with the outer grid's
 # polynomial denominators cleared: the identity is linear and homogeneous in
 # the outer grid O, so for a nonzero scalar D the grid D*O satisfies it in
 # exactly the cells where O does, and with D the product of O's non-monomial
@@ -325,17 +355,6 @@ def _cleared(op: LinOperator) -> LinOperator:
     return op.scale(clear)
 
 
-def _l_identity_cells(d: FockDouble) -> dict[tuple[int, int], dict[tuple, Scalar]]:
-    """The nonzero net combinations O L1 R12 L1 - L1 R12 L1 O - O L1 + L1 O
-    by cell (x, y), O the cleared outer grid; built once per double."""
-    if d._l_cells is None:
-        l1 = formal_l(d.braiding.N, lambda i, j: ((i, j),))
-        sides = l_identity_sides(d.braiding.R, _cleared(_reflection_partner(d)), l1, l1)
-        net = formal_combination(zip((ONE, _MINUS_ONE, _MINUS_ONE, ONE), sides))
-        d._l_cells = {(x, y): net[x][y] for x in sorted(net) for y in sorted(net[x])}
-    return d._l_cells
-
-
 def verify_l_relations(d: FockDouble) -> dict:
     """Exact check of the quadratic L-identity satisfied by l_i^j = x_i x^j.
 
@@ -344,16 +363,19 @@ def verify_l_relations(d: FockDouble) -> dict:
     with PP the sum of the q and mu idempotents (orthogonal) or of the
     -1/q and mu idempotents (symplectic).
 
-    Both sides are formed as formal products; each entry's net coefficient
-    of every generator-pair key is then evaluated in the double, each
-    distinct key once.  The outer grid enters scaled by the product D of its
-    non-monomial denominators: both sides are linear in it, so D * PP fails
-    in exactly the cells where PP does, and every product stays Laurent.
+    Both sides are formed as written cell rows (l_identity_sides); each
+    cell's net coefficient of every generator-pair key is then evaluated in
+    the double, each distinct key once.  The outer grid enters scaled by
+    the product D of its non-monomial denominators: both sides are linear
+    in it, so D * PP fails in exactly the cells where PP does, and every
+    product stays Laurent.
     """
-    def element(key: tuple) -> dict[Key, Scalar]:
-        return d.normal_order([t for i, j in key for t in (("b", i), ("a", j))])
+    N = d.braiding.N
 
-    failures = nonzero_sums(_l_identity_cells(d), element)
+    def element(key: tuple) -> dict[Key, Scalar]:
+        return d.normal_order([t for e in key for t in (("b", e // N), ("a", e % N))])
+
+    failures = nonzero_sums(d.l_identity_cells, element)
     return {"passed": not failures, "entries": d.braiding.N ** 4,
             "failures": failures, "family": d.family}
 
@@ -477,12 +499,14 @@ def representation_l_relations_ok(d: FockDouble, k: int) -> bool:
     representing matrices, each distinct key formed once: on column lists
     the product a b is mat_mul(b, a)."""
     reps = fock_representation(d, k)
+    N = d.braiding.N
 
     def matrix(key: tuple) -> dict[tuple[int, int], Scalar]:
-        cols = functools.reduce(lambda a, b: mat_mul(b, a), (reps[pair] for pair in key))
+        cols = functools.reduce(lambda a, b: mat_mul(b, a),
+                                (reps[divmod(e, N)] for e in key))
         return {(r, c): v for c, col in enumerate(cols) for r, v in col.items()}
 
-    return not nonzero_sums(_l_identity_cells(d), matrix)
+    return not nonzero_sums(d.l_identity_cells, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -555,17 +579,6 @@ class BraidedLie:
     linear: list[Row]     # R12 L1 - L1 R12 over the l_e
 
 
-def _cell_rows(m: FormalMatrix, N: int) -> list[Row]:
-    """The cells of a written side over the generator pairs as rows, cell
-    (x, y) at row x*N^2 + y: a key of pairs (i, j) is the column e = i*N + j
-    of its l_i^j, and a quadratic key the column e1*N^2 + e2 of
-    l_e1 (x) l_e2."""
-    n2 = N * N
-    return [{enc_index([i * N + j for i, j in key], n2): v
-             for key, v in formal_cell(m, x, y).items()}
-            for x in range(n2) for y in range(n2)]
-
-
 # The Lie suite's cost grows fast with N: at N = 6 `verify --suite lie`
 # takes about 0.7 s and peaks at 20 MB RSS on a 2-vCPU box, most of the
 # time in the streamed Jacobi check (_jacobi_holds) and 0.1 s in the twist
@@ -588,11 +601,8 @@ def braided_lie(b: Braiding) -> BraidedLie:
             f"braided Lie structure at N = {N} exceeds the limit N <= {LIE_MAX_N}: "
             f"its twist is solved from a sparse linear system of {N ** 4} rows "
             f"in {N ** 4} unknowns")
-    l1 = formal_l(N, lambda i, j: ((i, j),))
-    sides = l_identity_sides(b.R, b.R, l1, l1)
-    quadratic, twisted = _cell_rows(sides[0], N), _cell_rows(sides[1], N)
-    linear = _cell_rows(formal_combination(((ONE, sides[2]), (_MINUS_ONE, sides[3]))), N)
-    del sides    # free the formal products before the solve
+    quadratic, twisted, o_l, l_o = l_identity_sides(b.R, b.R)
+    linear = _row_differences(o_l, l_o)
 
     # rhat applied to the coefficient vector of each cell of the first side
     # gives the same cell of the second: rhat = X^T with M1 X = M2, so the

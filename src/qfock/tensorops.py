@@ -16,7 +16,9 @@ format: a list of n sparse rows, ``list[Row]``, each row {column: Scalar}
 holding its nonzero entries only, ``{}`` for a zero row.  A
 :class:`LinOperator` keeps its ``dim ** legs`` rows so, and so does every
 plain matrix that is not a tensor-leg operator (the pairings B and C and
-their inverses, the representation matrices, the braided-Lie maps); two
+their inverses, the representation matrices, the braided-Lie maps, and
+the four written sides of the L-identity, whose row per cell holds the
+coefficients of the generator symbols, fockdouble.l_identity_sides); two
 matrices are equal exactly when their row lists are.  `mat_mul(a, b)` is
 the row-by-row product a b over the nonzeros (Gustavson 1978), and
 operator composition is `mat_mul` on the operators' rows; `mat_inv`
@@ -108,9 +110,6 @@ class LinOperator:
     @property
     def size(self) -> int:
         return self.dim ** self.legs
-
-    def entry(self, out: Sequence[int], inp: Sequence[int]) -> Scalar:
-        return self.rows[enc_index(out, self.dim)].get(enc_index(inp, self.dim), ZERO)
 
     def nonzeros(self) -> Iterable[tuple[int, int, Scalar]]:
         """The (row, column, value) of every nonzero entry."""
@@ -233,65 +232,6 @@ def partial_trace(op: LinOperator, legs: set[int]) -> LinOperator | Scalar:
     labels = tuple(op.labels[t] for t in keep)
     labels_out = tuple(op.labels_out[t] for t in keep)
     return LinOperator(len(keep), dim, labels, rows, labels_out)
-
-
-# ---------------------------------------------------------------------------
-# formal written matrices
-# ---------------------------------------------------------------------------
-# A formal matrix holds its nonempty cells {x: {y: {key: Scalar}}}, whose
-# keys are tuples of symbols; its written product concatenates the keys.
-
-FormalMatrix = dict[int, dict[int, dict[tuple, Scalar]]]
-
-
-def formal_cell(m: FormalMatrix, x: int, y: int) -> dict[tuple, Scalar]:
-    """Cell (x, y) of a formal matrix, empty when absent."""
-    return m.get(x, {}).get(y, {})
-
-
-def formal_pruned(m: FormalMatrix) -> FormalMatrix:
-    """m without its empty cells and rows."""
-    out: FormalMatrix = {}
-    for x, row in m.items():
-        kept = {y: cell for y, cell in row.items() if cell}
-        if kept:
-            out[x] = kept
-    return out
-
-
-def formal_grid(op: LinOperator) -> FormalMatrix:
-    """The written matrix of op: cell (x, y) = {(): entry (y, x) of op}."""
-    grid: FormalMatrix = {}
-    for r, c, v in op.nonzeros():
-        grid.setdefault(c, {})[r] = {(): v}
-    return grid
-
-
-def formal_mul(a: FormalMatrix, b: FormalMatrix) -> FormalMatrix:
-    """Written product of formal matrices, row by row over the nonempty
-    cells; keys concatenate and keys whose coefficients cancel drop out."""
-    out: FormalMatrix = {}
-    for x, arow in a.items():
-        row: dict[int, dict[tuple, Scalar]] = {}
-        for z, ea in arow.items():
-            for y, eb in b.get(z, {}).items():
-                acc = row.setdefault(y, {})
-                for ka, va in ea.items():
-                    for kb, vb in eb.items():
-                        add_term(acc, ka + kb, va * vb)
-        out[x] = row
-    return formal_pruned(out)
-
-
-def formal_combination(terms: Iterable[tuple[Scalar, FormalMatrix]]) -> FormalMatrix:
-    """The sum of c * m over the (c, m) in terms, without empty cells."""
-    out: FormalMatrix = {}
-    for c, m in terms:
-        for x, row in m.items():
-            orow = out.setdefault(x, {})
-            for y, cell in row.items():
-                sum_into(orow.setdefault(y, {}), cell, c)
-    return formal_pruned(out)
 
 
 # ---------------------------------------------------------------------------

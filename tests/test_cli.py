@@ -474,8 +474,8 @@ class TestGatingRecordsCanFail:
             middle, _ = braidings._BMW_MIDDLE[b.series]
             copy = Braiding(b.N, b.R, b.kind, series=b.series, mu=b.mu, q=b.q,
                             name=b.name)
-            copy._projectors = {**b.spectral_projectors,
-                                "mu": b.spectral_projectors[middle]}
+            copy.spectral_projectors = {**b.spectral_projectors,
+                                        "mu": b.spectral_projectors[middle]}
             return real(copy)
 
         monkeypatch.setattr(cli, "mu_eigenspace_degree2_report", swapped)
@@ -754,6 +754,25 @@ class TestReprExport:
                             assert got["num"] == []
                         else:
                             assert got == want.to_pairs()
+
+    def test_repr_failing_identity_exits_1(self, capsys, monkeypatch):
+        """One entry of the l_1^1 matrix bumped by ONE: the document is
+        still printed, reads identity_holds false, and the exit is 1."""
+        real = fockdouble.fock_representation
+
+        def bumped(d, k):
+            reps = real(d, k)
+            cols = [dict(col) for col in reps[(0, 0)]]
+            cols[0][0] = cols[0].get(0, ZERO) + ONE
+            return {**reps, (0, 0): cols}
+
+        monkeypatch.setattr(fockdouble, "fock_representation", bumped)
+        monkeypatch.setattr(cli, "fock_representation", bumped)
+        assert run(["repr", "--braiding", "std-hecke", "--n", "2",
+                    "--degree", "2"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["identity_holds"] is False
+        assert doc["matrices"]["l[1][1]"]["entries"][0][0] != ZERO.to_pairs()
 
     def test_export_roundtrips_through_load(self, tmp_path, capsys):
         out = tmp_path / "export.json"

@@ -31,8 +31,9 @@ from qfock.errors import WindowOverflow
 from qfock.scalars import (
     ONE, ZERO, Scalar, _laurent_add, _laurent_mul, add_term, sum_into,
 )
-from qfock.tensorops import formal_cell, remainder
+from qfock.tensorops import remainder
 
+import formal_reference
 import yang_reference
 from dense_elimination import dense_row_reduce
 from gauge import conjugated, twisted, upper
@@ -380,8 +381,8 @@ class TestYang:
         t1, t2 = _yang_expressions(cd)
         evaluate = _ket_evaluator(cd, (), {})
         lhs_box, rhs_box = _readers(2, 1)
-        plain, delta = _buckets(formal_cell(t1, 0, 0), evaluate, 6, lhs_box)
-        pole = _buckets(formal_cell(t2, 0, 0), evaluate, 2, rhs_box, negate=True)[0]
+        plain, delta = _buckets(t1[0], evaluate, 6, lhs_box)
+        pole = _buckets(t2[0], evaluate, 2, rhs_box, negate=True)[0]
         assert not any(bucket[key] for bucket in (plain, delta, pole) for key in bucket)
         assert not any(_differences(plain, delta, pole, 1, 2).values())
 
@@ -440,7 +441,7 @@ class TestYang:
 
         def one_side(cd):
             t = list(real(cd))
-            t[side] = {}
+            t[side] = [{} for _ in t[side]]
             return tuple(t)
 
         monkeypatch.setattr(currents, "_yang_expressions", one_side)
@@ -461,13 +462,12 @@ class TestYang:
         t1, t2 = _yang_expressions(cd)
         interior = 2 * M + 2
         lhs_box, rhs_box = _readers(M, cd.cb.pole()[1])
-        words = {(f, interior, OPEN if d else lhs_box) for row in t1.values()
-                 for cell in row.values() for (f, d) in cell}
-        words |= {(f, M, rhs_box) for row in t2.values() for cell in row.values()
-                  for (f, _) in cell}
+        words = {(f, interior, OPEN if d else lhs_box) for cell in t1 for (f, d) in cell}
+        words |= {(f, M, rhs_box) for cell in t2 for (f, _) in cell}
         kets = _kets(cd.N, M, 2)
+        n2 = cd.N * cd.N
         spot = {(f, interior + 3, OPEN if d else lhs_box)
-                for row in t1.values() for (f, d) in row.get(0, {})}
+                for x in range(n2) for (f, d) in t1[x * n2]}
 
         def widened(box, var):
             # the peeled annihilator shifts a (var u) or b (var v) by a ket mode
@@ -507,21 +507,25 @@ class TestYang:
         _laurent_mul.cache_clear()
         rep = verify_yang(cd, degree=2)
         assert rep["passed"] and rep["degree2_residual_classes"] == 1104
-        # 1071 and 2143: _annihilate builds only the paired part of _pass,
+        # 1070 and 2244: _annihilate builds only the paired part of _pass,
         # and the negated pole is added where lhs - rhs is taken, with no
         # shortcut for equal sides.  The misses depend on the order in
         # which the memo sees the operations: operators that walked their
         # nonzero rows in insertion order, not by ascending row, gave 1075
         # and 2156, and at that order one product per prefix entry instead
         # of one per coefficient group gave 1061 and 2152 from more products.
-        assert _laurent_mul.cache_info().misses == 1071
-        assert _laurent_add.cache_info().misses == 2143
+        # T1 cells in the term order of the formal written products (the
+        # reference in formal_reference.py) give 1071 and 2143.
+        assert _laurent_mul.cache_info().misses == 1070
+        assert _laurent_add.cache_info().misses == 2244
         assert absent_key_adds == []
 
     def test_evaluation_work_is_pinned(self, monkeypatch):
         # The Scalar products of one degree-2 call and the entries of its
-        # prefix memo.  One product per entry instead of one per
-        # coefficient group makes 25,339 products, and a memo that keeps
+        # prefix memo.  11,098 of the products are the evaluation's and 82
+        # build T1 and T2; formal written products built them with 193.
+        # One product per entry instead of one per coefficient group made
+        # 25,339 products (with the formal build), and a memo that keeps
         # every key of the band for every reader holds 2,781 entries on
         # the same 251 keys.
         products, memos = [], []
@@ -542,7 +546,7 @@ class TestYang:
         monkeypatch.setattr(Scalar, "__mul__", real_mul)
         assert rep["passed"] and rep["degree2_residual_classes"] == 1104
         [memo] = {id(m): m for m in memos}.values()
-        assert len(products) == 11291
+        assert len(products) == 11180
         assert len(memo) == 251
         assert sum(len(entries) for groups in memo.values()
                    for _, entries in groups) == 1341
@@ -596,13 +600,13 @@ class TestBucketedComparison:
         for ket in _kets(cd.N, M, 2):
             evaluate = _ket_evaluator(cd, ket, prefixes)
             for x, y in itertools.product(range(n2), repeat=2):
-                plain, delta = _buckets(formal_cell(t1, x, y), evaluate, interior, lhs_box)
-                pole = _buckets(formal_cell(t2, x, y), evaluate, M, rhs_box, negate=True)[0]
+                plain, delta = _buckets(t1[x * n2 + y], evaluate, interior, lhs_box)
+                pole = _buckets(t2[x * n2 + y], evaluate, M, rhs_box, negate=True)[0]
                 diffs = _differences(plain, delta, pole, theta, M)
                 ev1 = [_EvaluatedTerm(c, d, _eval_factors(cd, f, ket, interior))
-                       for (f, d), c in formal_cell(t1, x, y).items()]
+                       for (f, d), c in t1[x * n2 + y].items()]
                 ev2 = [_EvaluatedTerm(c, d, _eval_factors(cd, f, ket, M))
-                       for (f, d), c in formal_cell(t2, x, y).items()]
+                       for (f, d), c in t2[x * n2 + y].items()]
                 for r, s in itertools.product(range(-M, M + 1), repeat=2):
                     eu, ev = -r - 1, -s - 1
                     diff = diffs.get((eu, ev), {})
@@ -657,10 +661,9 @@ class TestPrefixSharing:
         cd = make_current_double(baxterize(base, flavor), window)
         t1, t2 = _yang_expressions(cd)
         lhs_box, rhs_box = _readers(window, cd.cb.pole()[1])
-        words = {(f, 2 * window + 2, OPEN if d else lhs_box) for row in t1.values()
-                 for cell in row.values() for (f, d) in cell}
-        words |= {(f, window, rhs_box) for row in t2.values() for cell in row.values()
-                  for (f, _) in cell}
+        words = {(f, 2 * window + 2, OPEN if d else lhs_box)
+                 for cell in t1 for (f, d) in cell}
+        words |= {(f, window, rhs_box) for cell in t2 for (f, _) in cell}
         prefixes = {}
         for ket in _kets(N, window, degree):
             evaluate = _ket_evaluator(cd, ket, prefixes)
@@ -673,11 +676,24 @@ class TestPrefixSharing:
     def test_merged_terms(self):
         # cancelled (factors, dist) keys drop out of the cells
         t1, t2 = _yang_expressions(hecke_double())
-        for t, count in ((t1, 64), (t2, 32)):
-            cells = [cell for row in t.values() for cell in row.values()]
+        for cells, count in ((t1, 64), (t2, 32)):
             assert sum(map(len, cells)) == count
             assert not any(c.is_zero() for cell in cells for c in cell.values())
             assert all(f[-1][0] == "a" for cell in cells for (f, _) in cell)
+
+
+class TestExpressionsMatchFormalReference:
+    @pytest.mark.parametrize("maker", [hecke_double, flip_double])
+    def test_cells_match_formal_products(self, maker):
+        """T1 and T2, cell by cell, are those built from the formal
+        written products on std-hecke N = 2 and the flip N = 2."""
+        cd = maker(window=1)
+        got = _yang_expressions(cd)
+        want = [formal_reference.as_cells(t, cd.N)
+                for t in formal_reference.yang_expressions(cd)]
+        assert [len(t) for t in got] == [cd.N ** 4] * 2
+        assert list(got) == want
+        assert all(any(t) for t in got)
 
 
 class TestRelationSpan:

@@ -26,9 +26,14 @@ from qfock import fockdouble, scalars
 from qfock.errors import EmptyComponent, UnsupportedDouble
 from qfock.fockdouble import (
     BraidedLie,
+    SERIES_FLAVOR,
+    _cleared,
     _jacobi_holds,
+    _reflection_partner,
     braided_lie,
+    double_family,
     fock_representation,
+    l_identity_sides,
     left_dual_variant_report,
     make_double,
     representation_l_relations_ok,
@@ -42,11 +47,12 @@ from qfock.quadalgebras import (
     super_sym_dims,
 )
 from qfock.scalars import ONE, Q, QINV, ZERO, Scalar, sum_into
-from qfock.tensorops import enc_index, mat_transpose
+from qfock.tensorops import LinOperator, enc_index, mat_transpose
 
+import formal_reference
 from dense_operators import dense, dense_identity, dense_matmul, from_dense
 from gauge import twisted
-from hecke_families import super_hecke
+from hecke_families import FORMS, form_braiding, super_hecke
 from jacobi_reference import jacobi_sides
 from rewriting_reference import normal_order_act, pending_rewrite
 
@@ -537,6 +543,48 @@ class TestLRelations:
         for flavor in ("bosonic", "fermionic"):
             d = make_double(make_flip(2), flavor)
             assert verify_l_relations(d)["passed"]
+
+
+def _outer_grid(b):
+    """R for a Hecke or involutive braiding; for BMW the cleared outer grid
+    of its double."""
+    if b.series is None:
+        return None
+    return _cleared(_reflection_partner(make_double(b, SERIES_FLAVOR[double_family(b)])))
+
+
+SIDE_BRAIDINGS = {
+    "flip-3": lambda: make_flip(3),
+    "superflip-2|1": lambda: make_superflip(2, 1),
+    **{f"std-hecke-{n}": (lambda n=n: make_standard_hecke(n)) for n in (2, 3, 4)},
+    "twisted-hecke-3": lambda: twisted(make_standard_hecke(3)),
+    "gl-2|1": lambda: super_hecke(2, 1),
+    **{f"form-{n}": (lambda n=n: form_braiding(FORMS[n])) for n in (3, 4)},
+    "bmw-orth-3": lambda: make_bmw(3, "orthogonal"),
+    "bmw-sympl-2": lambda: make_bmw(2, "symplectic"),
+}
+
+
+class TestLIdentitySides:
+    @pytest.mark.parametrize("bumped", [False, True], ids=["exact", "bumped"])
+    @pytest.mark.parametrize("name", sorted(SIDE_BRAIDINGS))
+    def test_equal_to_formal_products(self, name, bumped):
+        """The four sides summed over the nonzeros of R and O are the cell
+        rows of the formal written products, also for an R with one entry
+        bumped by ONE (which is no braiding) and for the cleared BMW grids."""
+        b = SIDE_BRAIDINGS[name]()
+        R = b.R
+        if bumped:
+            r, c, _ = next(R.nonzeros())
+            R = R + LinOperator.from_terms([(r, c, ONE)], R.dim, R.legs,
+                                           R.labels, R.labels_out)
+        outer = _outer_grid(b)
+        outer = R if outer is None else outer
+        sides = l_identity_sides(R, outer)
+        assert all(len(side) == b.N ** 4 for side in sides)
+        assert list(sides) == [formal_reference.cell_rows(side, b.N)
+                               for side in formal_reference.pair_sides(R, outer)]
+        assert any(sides[0]) and any(sides[2])
 
 
 class TestRepresentations:

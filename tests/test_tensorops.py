@@ -255,7 +255,8 @@ class TestSparseMatchesDense:
             assert got.is_zero() == all(v.is_zero() for row in want for v in row)
         for out in itertools.product(range(dim), repeat=legs):
             for inp in itertools.product(range(dim), repeat=legs):
-                assert a.entry(out, inp) == da[enc_index(out, dim)][enc_index(inp, dim)]
+                assert (a.rows[enc_index(out, dim)].get(enc_index(inp, dim), ZERO)
+                        == da[enc_index(out, dim)][enc_index(inp, dim)])
 
     @given(st.data(), st.sampled_from([(2, 3), (2, 4), (3, 3), (3, 4)]))
     @settings(max_examples=30, deadline=None)

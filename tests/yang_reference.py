@@ -24,7 +24,7 @@ from qfock.currents import (
 )
 from qfock.errors import WindowOverflow
 from qfock.scalars import ONE, add_term, sum_into
-from qfock.tensorops import echelon_insert, formal_cell, remainder
+from qfock.tensorops import echelon_insert, remainder
 
 
 def eval_factors(cd, factors, word, interior_clip, window):
@@ -218,8 +218,8 @@ def verify_yang(cd, degree=1):
         if ket == spot_ket:
             spot_evaluate = evaluate
         for x, y in product(range(n2), repeat=2):
-            plain, delta = buckets(formal_cell(t1, x, y), evaluate, interior, lhs_box)
-            sums = by_sum(buckets(formal_cell(t2, x, y), evaluate, M, rhs_box)[0])
+            plain, delta = buckets(t1[x * n2 + y], evaluate, interior, lhs_box)
+            sums = by_sum(buckets(t2[x * n2 + y], evaluate, M, rhs_box)[0])
             for (r, s, eu, ev) in coeffs:
                 checked += 1
                 diff = difference(lhs(plain, delta, eu, ev), rhs(sums, eu, ev, theta))
@@ -248,8 +248,8 @@ def verify_yang(cd, degree=1):
     if not mismatches:
         stable = True
         for x in range(n2):
-            small = buckets(formal_cell(t1, x, 0), spot_evaluate, interior, lhs_box)
-            big = buckets(formal_cell(t1, x, 0), spot_evaluate, interior + 3, lhs_box)
+            small = buckets(t1[x * n2], spot_evaluate, interior, lhs_box)
+            big = buckets(t1[x * n2], spot_evaluate, interior + 3, lhs_box)
             for (_, _, eu, ev) in coeffs:
                 if lhs(*small, eu, ev) != lhs(*big, eu, ev):
                     stable = False
