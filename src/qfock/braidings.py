@@ -485,30 +485,27 @@ def projectors(b: Braiding) -> dict[str, LinOperator]:
     raise ValueError(f"unknown kind {b.kind!r}")
 
 
-# each BMW series' middle idempotent, and the algebra kind whose relations it spans
-_BMW_MIDDLE = {"orthogonal": ("-1/q", SYM), "symplectic": ("q", LAMBDA)}
+# the algebra kind that keeps the mu eigenspace in degree 2, per BMW series
+MU_KIND = {"orthogonal": SYM, "symplectic": LAMBDA}
 
 
 def relation_operator(b: Braiding, kind: str) -> LinOperator:
     """The operator on V (x) V whose image is the degree-2 relation space of
-    the sym or lambda algebra: q I - R or q^{-1} I + R for a Hecke or
-    involutive b.  For BMW (Faddeev, Reshetikhin and Takhtajan 1990) it is
-    the middle idempotent for the kind the series fixes, and the sum of the
-    other two idempotents, whose image is its kernel, for the other kind.
-    q is the braiding's own b.q."""
+    the sym or lambda algebra: the product of (R - lambda I) over the
+    eigenvalues lambda whose eigenspaces the kind keeps in degree 2.  Sym
+    keeps q, lambda keeps -1/q, and for a BMW b (Faddeev, Reshetikhin and
+    Takhtajan 1990) the kind MU_KIND names for its series also keeps mu.
+    Every entry is Laurent when R and mu are.  q is the braiding's own b.q."""
     if kind not in (SYM, LAMBDA):
         raise UnsupportedConstruction(f"unknown algebra kind {kind!r}")
-    if b.kind in (HECKE, INVOLUTIVE):
-        ident = LinOperator.identity(b.N, 2)
-        return ident.scale(b.q) - b.R if kind == SYM else ident.scale(b.q.inverse()) + b.R
-    if b.kind != BMW or b.series not in _BMW_MIDDLE:
+    if b.kind not in (HECKE, INVOLUTIVE) and (b.kind != BMW or b.series not in MU_KIND):
         raise UnsupportedConstruction(
             f"no {kind} relations for a {b.kind} braiding of series {b.series!r}")
-    middle, fixed = _BMW_MIDDLE[b.series]
-    if kind == fixed:
-        return b.spectral_projectors[middle]
-    first, second = (p for key, p in b.spectral_projectors.items() if key != middle)
-    return first + second
+    ident = LinOperator.identity(b.N, 2)
+    op = b.R - ident.scale(b.q) if kind == SYM else b.R + ident.scale(b.q.inverse())
+    if b.kind == BMW and MU_KIND[b.series] == kind:
+        op = op @ (b.R - ident.scale(b.mu))
+    return op
 
 
 def projector_decomposition_ok(b: Braiding) -> bool:

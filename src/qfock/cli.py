@@ -208,7 +208,7 @@ def _suite_braiding(rep: Report, b: Braiding, cfg: RunConfig):
                 "invariant line survives in the expected degree-2 quotient",
                 mu_rep["passed"], True, witness=mu_rep)
     if cfg.q != "generic":
-        q0 = Fraction(cfg.q)
+        q0 = Fraction(cfg.q)       # main has checked that it parses
         at_q0 = specialize(b, q0)
         rep.add("evaluation-cross-check",
                 f"braid and minimal polynomial at q = {q0}",
@@ -324,7 +324,8 @@ def _suite_currents(rep: Report, b: Braiding, cfg: RunConfig):
     cd = make_current_double(cb, cfg.window)
     rep.add("current-relations-a-side", "exchange system consistent",
             current_relation_check(cd)["passed"], True)
-    degree = min(cfg.degree, 2)
+    # the single-mode kets are always checked, so degree 0 is degree 1
+    degree = max(1, min(cfg.degree, 2))
     out = verify_yang(cd, degree)
     # the strict degree <= 1 part gates at every degree; the residue is reported
     witness = (f"{out['matrix_elements']} elements, window {out['window']}, "
@@ -498,6 +499,13 @@ def main(argv=None) -> int:
             if getattr(cfg, flag) < 0:
                 raise InvalidArgument(
                     f"--{flag} must be >= 0, got {getattr(cfg, flag)}")
+        if cfg.q != "generic":
+            try:
+                Fraction(cfg.q)
+            # argparse hands `--q=--` over as [], a TypeError for Fraction
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise InvalidArgument(f"--q must be 'generic' or a rational "
+                                      f"like 3/2, got {cfg.q!r}") from None
         return {"verify": cmd_verify, "poincare": cmd_poincare,
                 "repr": cmd_repr, "export": cmd_export}[command](cfg)
     except (QfockError, ValueError) as exc:

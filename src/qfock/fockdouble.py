@@ -29,9 +29,9 @@ involutive braidings give the hecke family, with a bosonic or a fermionic
 flavor; an orthogonal BMW braiding is bosonized and a symplectic one
 fermionized (SERIES_FLAVOR).  The bosonic double quotients by the sym
 relations and the fermionic one by the lambda relations, each the image
-of braidings.relation_operator; the same operator is the G of the closed
-compatibility identity, and for BMW the other kind's operator is the
-outer grid of the L-identity.  Every q here is the braiding's own b.q.
+of braidings.relation_operator; that operator G is both the G of the
+closed compatibility identity and the outer grid of the L-identity, for
+every family.  Every q here is the braiding's own b.q.
 
 An element of the double is a read-only dict {(creation word,
 annihilation word): Scalar} of reduced normal-ordered terms.  All
@@ -51,6 +51,7 @@ from .braidings import (
     HECKE,
     INVOLUTIVE,
     LAMBDA,
+    MU_KIND,
     SYM,
     Braiding,
     dual_square,
@@ -84,8 +85,11 @@ FAMILY_HECKE = "hecke"
 FAMILY_BMW_ORTH = "bmw-orthogonal"
 FAMILY_BMW_SYMPL = "bmw-symplectic"
 
-# the flavor each BMW series fixes: orthogonal bosonized, symplectic fermionized
-SERIES_FLAVOR = {FAMILY_BMW_ORTH: BOSONIC, FAMILY_BMW_SYMPL: FERMIONIC}
+_SERIES_FAMILY = {"orthogonal": FAMILY_BMW_ORTH, "symplectic": FAMILY_BMW_SYMPL}
+# the flavor each BMW series fixes, the one whose algebras keep the mu
+# eigenspace: orthogonal bosonized, symplectic fermionized
+SERIES_FLAVOR = {family: BOSONIC if MU_KIND[series] == SYM else FERMIONIC
+                 for series, family in _SERIES_FAMILY.items()}
 
 Token = tuple[str, int]          # ("b", i) creation, ("a", j) annihilation
 Key = tuple[Word, Word]          # (creation word, annihilation word)
@@ -116,11 +120,11 @@ class FockDouble:
     @functools.cached_property
     def l_identity_cells(self) -> dict[tuple[int, int], dict[tuple, Scalar]]:
         """The nonzero net combinations O L1 R12 L1 - L1 R12 L1 O - O L1 + L1 O
-        by cell (x, y), O the cleared outer grid, each over the keys
-        (e1, e2) of l_e1 l_e2 and (e,) of l_e (l_identity_sides)."""
+        by cell (x, y), O the double's G (_reflection_partner), each over
+        the keys (e1, e2) of l_e1 l_e2 and (e,) of l_e (l_identity_sides)."""
         n2 = self.braiding.N ** 2
-        o_lrl, lrl_o, o_l, l_o = l_identity_sides(
-            self.braiding.R, _cleared(_reflection_partner(self)))
+        o_lrl, lrl_o, o_l, l_o = l_identity_sides(self.braiding.R,
+                                                  _reflection_partner(self))
         cells = {}
         for xy, (quad, lin) in enumerate(zip(_row_differences(o_lrl, lrl_o),
                                              _row_differences(l_o, o_l))):
@@ -256,8 +260,7 @@ def double_family(b: Braiding) -> str:
     braiding, the family of its series for a BMW one."""
     if b.kind in (HECKE, INVOLUTIVE):
         return FAMILY_HECKE
-    family = {"orthogonal": FAMILY_BMW_ORTH,
-              "symplectic": FAMILY_BMW_SYMPL}.get(b.series)
+    family = _SERIES_FAMILY.get(b.series)
     if family is None:
         raise UnsupportedDouble(f"BMW braiding {b.name!r} declares no series")
     return family
@@ -327,48 +330,30 @@ def _row_differences(a: list[Row], b: list[Row]) -> list[Row]:
     return [lincomb(((ONE, ra), (_MINUS_ONE, rb))) for ra, rb in zip(a, b)]
 
 
-# Both checks of the double evaluate one net combination per cell
-# (FockDouble.l_identity_cells), built once per double with the outer grid's
-# polynomial denominators cleared: the identity is linear and homogeneous in
-# the outer grid O, so for a nonzero scalar D the grid D*O satisfies it in
-# exactly the cells where O does, and with D the product of O's non-monomial
-# denominators every coefficient stays Laurent.
-
 def _reflection_partner(d: FockDouble) -> LinOperator:
-    """The outer grid of the quadratic identity: R itself for the Hecke
-    family; for BMW the relation operator of the kind the double does not
-    quotient by, the sum of the two idempotents beside the middle one."""
-    if d.family == FAMILY_HECKE:
-        return d.braiding.R
-    return relation_operator(d.braiding, LAMBDA if d.B.kind == SYM else SYM)
-
-
-def _cleared(op: LinOperator) -> LinOperator:
-    """D * op, with D the product of the distinct non-monomial denominators
-    among op's entries (D = 1 when op is Laurent, as every Hecke R is)."""
-    dens = {v.den for _, _, v in op.nonzeros() if len(v.den) > 1}
-    if not dens:
-        return op
-    clear = ONE
-    for den in dens:
-        clear = clear * Scalar(den, ONE.den)
-    return op.scale(clear)
+    """The double's G, the relation operator of the kind it quotients by:
+    the G of the closed compatibility identity and the outer grid of the
+    L-identity.  The L-identity is linear in its outer grid and holds for
+    the grid I, so a grid a*O + c*I with a != 0 fails in exactly the cells
+    where O does; G is such a grid for R (Hecke family) and for the sum of
+    the two BMW idempotents beside the middle one."""
+    return relation_operator(d.braiding, d.B.kind)
 
 
 def verify_l_relations(d: FockDouble) -> dict:
-    """Exact check of the quadratic L-identity satisfied by l_i^j = x_i x^j.
+    """Exact check of the quadratic L-identity satisfied by l_i^j = x_i x^j,
 
-    Hecke family:  R12 L1 R12 L1 - L1 R12 L1 R12 = R12 L1 - L1 R12.
-    BMW family:    PP12 L1 R12 L1 - L1 R12 L1 PP12 = PP12 L1 - L1 PP12,
-    with PP the sum of the q and mu idempotents (orthogonal) or of the
-    -1/q and mu idempotents (symplectic).
+        G12 L1 R12 L1 - L1 R12 L1 G12 = G12 L1 - L1 G12,
+
+    with G the double's relation operator (_reflection_partner).  For the
+    Hecke family this is the identity with R12 in place of G12; for BMW the
+    one with PP12, the sum of the q and mu idempotents (orthogonal) or of
+    the -1/q and mu idempotents (symplectic).
 
     Both sides are formed as written cell rows (l_identity_sides); each
     cell's net coefficient of every generator-pair key is then evaluated in
-    the double, each distinct key once.  The outer grid enters scaled by
-    the product D of its non-monomial denominators: both sides are linear
-    in it, so D * PP fails in exactly the cells where PP does, and every
-    product stays Laurent.
+    the double, each distinct key once.  Every entry of G is Laurent, so
+    every product stays Laurent.
     """
     N = d.braiding.N
 
@@ -440,7 +425,7 @@ def verify_compatibility(d: FockDouble) -> dict:
     # the closed identity  G(R_23) x_2 x_3 x^<3| = c * x^<1| R12 R23 G(R_12) x_1 x_2,
     # G the B side's relation operator and c = q^2 (bosonic) or q^-2, as one
     # combination per (i2, i3, j3): the G words minus c times the R words
-    g = relation_operator(b, d.B.kind)
+    g = _reflection_partner(d)
     minus_c = -(b.q * b.q) if d.flavor == BOSONIC else -(b.q * b.q).inverse()
     m3 = place(g, (1, 2), 3) @ place(b.R, (2, 3), 3) @ place(b.R, (1, 2), 3)
     groups: dict = {key: {} for key in itertools.product(range(N), repeat=3)}
@@ -493,8 +478,7 @@ def fock_representation(d: FockDouble, k: int) -> dict[tuple[int, int], list[Row
 def representation_l_relations_ok(d: FockDouble, k: int) -> bool:
     """Check the family L-identity for the representing matrices on
     component k.  Every cell's net combination, the one verify_l_relations
-    evaluates (outer grid cleared of its denominators, which is exact as the
-    identity is linear in that grid), must give the zero matrix once each
+    evaluates (outer grid the double's G), must give the zero matrix once each
     generator-pair key is replaced by the written product of the sparse
     representing matrices, each distinct key formed once: on column lists
     the product a b is mat_mul(b, a)."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from math import comb
 
-from .braidings import BMW, LAMBDA, SYM, Braiding, dual_square, relation_operator
+from .braidings import BMW, LAMBDA, MU_KIND, SYM, Braiding, dual_square, relation_operator
 from .errors import SpaceMismatch, UnsupportedConstruction
 from .scalars import ONE, Scalar, add_term
 from .tensorops import LinOperator, row_reduce
@@ -195,15 +195,16 @@ def make_algebra(b: Braiding, kind: str, space: str) -> GradedQuotient:
 def mu_eigenspace_degree2_report(b: Braiding) -> dict:
     """Where the mu eigenspace of a BMW braiding lands in degree 2.
 
-    Passes when the rank-one invariant line survives in the symmetric
-    quotient (orthogonal series) or the skew quotient (symplectic series),
-    and dies in the complementary one.  Nothing beyond degree 2 is claimed.
+    Passes when the rank-one invariant line survives in the quotient of
+    the kind that keeps it (braidings.MU_KIND: sym for the orthogonal
+    series, lambda for the symplectic one) and dies in the other one.
+    Nothing beyond degree 2 is claimed.
     """
     if b.kind != BMW:
         raise UnsupportedConstruction("mu eigenspace exists only for BMW braidings")
     mu_vectors = _image_basis(b.spectral_projectors["mu"])
-    surviving_kind = SYM if b.series == "orthogonal" else LAMBDA
-    dying_kind = LAMBDA if b.series == "orthogonal" else SYM
+    surviving_kind = MU_KIND[b.series]
+    dying_kind = LAMBDA if surviving_kind == SYM else SYM
     surv = make_algebra(b, surviving_kind, "V")
     die = make_algebra(b, dying_kind, "V")
     survives = all(surv.normal_form(vec) for vec in mu_vectors)

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from qfock import braidings, cli, fockdouble, quadalgebras
 from qfock.braidings import (
+    LAMBDA,
+    SYM,
     Braiding,
     braiding_to_table,
     builtin_table_path,
@@ -294,6 +296,42 @@ class TestVerify:
                     "--suite", "braiding", "--q", "0"]) == 2
         assert "NonGenericPoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("q", ["1/0", "3/0", "abc"])
+    @pytest.mark.parametrize("suite", ["braiding", "double"])
+    def test_unparsable_q_is_bad_input(self, q, suite, capsys):
+        assert run(["verify", "--braiding", "std-hecke", "--n", "2",
+                    "--suite", suite, "--q", q]) == 2
+        assert "InvalidArgument" in capsys.readouterr().err
+
+    def test_double_dash_q_is_bad_input(self, capsys):
+        # argparse strips the `--` and gives --q an empty list
+        assert run(["verify", "--braiding", "std-hecke", "--n", "2",
+                    "--suite", "braiding", "--q=--"]) == 2
+        assert "InvalidArgument" in capsys.readouterr().err
+
+    @given(st.text(alphabet="0123456789/-+. e", max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_any_short_q_exits_0_1_or_2(self, q):
+        # --q=<text>, so that a text that looks like a flag reaches qfock
+        assert run(["verify", "--braiding", "std-hecke", "--n", "2",
+                    "--suite", "braiding", f"--q={q}"]) in (0, 1, 2)
+
+    def test_currents_degree_0_is_degree_1(self, tmp_path):
+        """The single-mode kets are checked at every degree, so degree 0
+        reports what degree 1 does."""
+        docs = []
+        for degree in ("0", "1"):
+            out = tmp_path / f"degree-{degree}.json"
+            assert run(["verify", "--braiding", "std-hecke", "--n", "2",
+                        "--suite", "currents", "--window", "1",
+                        "--degree", degree, "--out", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            del doc["config"]
+            for check in doc["checks"]:
+                del check["seconds"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
+
     def test_nonexistent_table_file(self):
         assert run(["verify", "--table", "/no/such/table.json",
                     "--suite", "braiding"]) in (1, 2)
@@ -466,12 +504,13 @@ class TestGatingRecordsCanFail:
                                              ("bmw-sympl", "2"), ("bmw-sympl", "4")])
     def test_middle_idempotent_in_place_of_mu(self, braiding, n, tmp_path, monkeypatch):
         """The mu record handed a copy of the braiding whose mu idempotent
-        is the series' middle one: that image is not one invariant line
-        that survives in one quotient and dies in the other."""
+        is the series' middle one, the eigenspace that the kind keeping mu
+        drops: that image is not one invariant line that survives in one
+        quotient and dies in the other."""
         real = cli.mu_eigenspace_degree2_report
 
         def swapped(b):
-            middle, _ = braidings._BMW_MIDDLE[b.series]
+            middle = {SYM: "-1/q", LAMBDA: "q"}[braidings.MU_KIND[b.series]]
             copy = Braiding(b.N, b.R, b.kind, series=b.series, mu=b.mu, q=b.q,
                             name=b.name)
             copy.spectral_projectors = {**b.spectral_projectors,

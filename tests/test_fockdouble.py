@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfock.braidings import (
+    BMW,
     HECKE,
     LAMBDA,
+    MU_KIND,
     SYM,
+    Braiding,
     dual_square,
     exchange_table,
     load_builtin,
@@ -27,9 +30,9 @@ from qfock.errors import EmptyComponent, UnsupportedDouble
 from qfock.fockdouble import (
     BraidedLie,
     SERIES_FLAVOR,
-    _cleared,
     _jacobi_holds,
     _reflection_partner,
+    _row_differences,
     braided_lie,
     double_family,
     fock_representation,
@@ -43,6 +46,8 @@ from qfock.fockdouble import (
 )
 from qfock.quadalgebras import (
     GradedQuotient,
+    _image_basis,
+    _on_square,
     make_algebra,
     super_sym_dims,
 )
@@ -50,6 +55,7 @@ from qfock.scalars import ONE, Q, QINV, ZERO, Scalar, sum_into
 from qfock.tensorops import LinOperator, enc_index, mat_transpose
 
 import formal_reference
+import grid_reference
 from dense_operators import dense, dense_identity, dense_matmul, from_dense
 from gauge import twisted
 from hecke_families import FORMS, form_braiding, super_hecke
@@ -545,12 +551,15 @@ class TestLRelations:
             assert verify_l_relations(d)["passed"]
 
 
-def _outer_grid(b):
-    """R for a Hecke or involutive braiding; for BMW the cleared outer grid
-    of its double."""
-    if b.series is None:
-        return None
-    return _cleared(_reflection_partner(make_double(b, SERIES_FLAVOR[double_family(b)])))
+def _double_grid(b):
+    """The G of b's double: bosonic, or of the flavor its BMW series fixes."""
+    return _reflection_partner(make_double(b, SERIES_FLAVOR.get(double_family(b), "bosonic")))
+
+
+def _bumped(R):
+    """R with ONE added to its first nonzero entry (no braiding)."""
+    r, c, _ = next(R.nonzeros())
+    return R + LinOperator.from_terms([(r, c, ONE)], R.dim, R.legs, R.labels, R.labels_out)
 
 
 SIDE_BRAIDINGS = {
@@ -570,21 +579,73 @@ class TestLIdentitySides:
     @pytest.mark.parametrize("name", sorted(SIDE_BRAIDINGS))
     def test_equal_to_formal_products(self, name, bumped):
         """The four sides summed over the nonzeros of R and O are the cell
-        rows of the formal written products, also for an R with one entry
-        bumped by ONE (which is no braiding) and for the cleared BMW grids."""
+        rows of the formal written products, for O = R (the braided Lie
+        twist) and for the double's G, also for an R with one entry bumped
+        by ONE (which is no braiding)."""
         b = SIDE_BRAIDINGS[name]()
-        R = b.R
+        R = _bumped(b.R) if bumped else b.R
+        for outer in (R, _double_grid(b)):
+            sides = l_identity_sides(R, outer)
+            assert all(len(side) == b.N ** 4 for side in sides)
+            assert list(sides) == [formal_reference.cell_rows(side, b.N)
+                                   for side in formal_reference.pair_sides(R, outer)]
+            assert any(sides[0]) and any(sides[2])
+
+
+GRID_BRAIDINGS = {
+    "flip-3": lambda: make_flip(3),
+    "superflip-2|1": lambda: make_superflip(2, 1),
+    **{f"std-hecke-{n}": (lambda n=n: make_standard_hecke(n)) for n in (2, 3)},
+    "twisted-hecke-3": lambda: twisted(make_standard_hecke(3)),
+    "gl-2|1": lambda: super_hecke(2, 1),
+    "form-3": lambda: form_braiding(FORMS[3]),
+    **{f"bmw-orth-{n}": (lambda n=n: make_bmw(n, "orthogonal")) for n in (3, 4)},
+    **{f"bmw-sympl-{n}": (lambda n=n: make_bmw(n, "symplectic")) for n in (2, 4)},
+}
+
+
+def _net_rows(R, O) -> dict:
+    """The nonzero net coefficients of the L-identity over the outer grid O,
+    keyed (cell row, side, column): the quadratic side O L1 R L1 - L1 R L1 O
+    and the linear side L1 O - O L1."""
+    o_lrl, lrl_o, o_l, l_o = l_identity_sides(R, O)
+    net = {}
+    for side, rows in (("quad", _row_differences(o_lrl, lrl_o)),
+                       ("lin", _row_differences(l_o, o_l))):
+        for xy, row in enumerate(rows):
+            net.update(((xy, side, col), v) for col, v in row.items())
+    return net
+
+
+class TestGridAgainstProjectorRoute:
+    """The double's G against the projector route it replaced
+    (tests/grid_reference.py): G = a*O + c*I with a != 0 for the old outer
+    grid O, so its net L-identity rows are a times O's; and its image is the
+    same relation space."""
+
+    @pytest.mark.parametrize("bumped", [False, True], ids=["exact", "bumped"])
+    @pytest.mark.parametrize("name", sorted(GRID_BRAIDINGS))
+    def test_net_rows_are_one_multiple_of_the_reference(self, name, bumped):
+        b = GRID_BRAIDINGS[name]()
         if bumped:
-            r, c, _ = next(R.nonzeros())
-            R = R + LinOperator.from_terms([(r, c, ONE)], R.dim, R.legs,
-                                           R.labels, R.labels_out)
-        outer = _outer_grid(b)
-        outer = R if outer is None else outer
-        sides = l_identity_sides(R, outer)
-        assert all(len(side) == b.N ** 4 for side in sides)
-        assert list(sides) == [formal_reference.cell_rows(side, b.N)
-                               for side in formal_reference.pair_sides(R, outer)]
-        assert any(sides[0]) and any(sides[2])
+            b = Braiding(b.N, _bumped(b.R), b.kind, series=b.series, mu=b.mu,
+                         q=b.q, name=b.name)
+        kinds = (SYM, LAMBDA) if b.kind != BMW else (MU_KIND[b.series],)
+        reference = _net_rows(b.R, grid_reference.outer_grid(b))
+        assert reference
+        for kind in kinds:
+            net = _net_rows(b.R, relation_operator(b, kind))
+            assert net.keys() == reference.keys(), kind
+            ratios = {v * reference[key].inverse() for key, v in net.items()}
+            assert len(ratios) == 1 and not next(iter(ratios)).is_zero(), kind
+
+    @pytest.mark.parametrize("name", sorted(GRID_BRAIDINGS))
+    def test_relation_bases_equal_the_projector_route(self, name):
+        b = GRID_BRAIDINGS[name]()
+        for kind, space in itertools.product((SYM, LAMBDA), ("V", "V*")):
+            reference = grid_reference.projector_relation_operator(b, kind)
+            assert (make_algebra(b, kind, space).relations
+                    == _image_basis(_on_square(reference, space))), (kind, space)
 
 
 class TestRepresentations:
@@ -678,7 +739,8 @@ class TestSpecializedBraidings:
 
 def _dense_representation_ok(d, k):
     """Reference: the L-identity on component k through flattened
-    (N^2 dim)-square block matrices over the scalars, outer grid uncleared."""
+    (N^2 dim)-square block matrices over the scalars, outer grid the
+    double's G."""
     N = d.braiding.N
     dim = len(d.B.component(k).basis)
     reps = {pair: dense_columns(cols, dim)
@@ -756,14 +818,16 @@ def _pgcd_counter(monkeypatch):
 
 
 def _bump_outer(monkeypatch):
-    """Patch the outer grid: ONE added to its first non-Laurent entry."""
+    """Patch the double's G: ONE added to its first off-diagonal nonzero
+    entry (a diagonal bump adds a multiple of I, which the L-identity cannot
+    see)."""
     original = fockdouble._reflection_partner
 
     def bumped(d):
         op = original(d)
         rows = dense(op)
         r, c = next((r, c) for r, row in enumerate(rows)
-                    for c, v in enumerate(row) if len(v.den) > 1)
+                    for c, v in enumerate(row) if r != c and not v.is_zero())
         rows[r][c] = rows[r][c] + ONE
         return from_dense(rows, op.dim, op.legs, op.labels, op.labels_out)
 
@@ -772,8 +836,8 @@ def _bump_outer(monkeypatch):
 
 class TestRepresentationFastPath:
     """The representation check evaluates the cached formal cell
-    combinations on sparse representing matrices, with the outer grid's
-    denominators cleared; the dense flattened check is the reference."""
+    combinations on sparse representing matrices, with the double's G as
+    the outer grid; the dense flattened check is the reference."""
 
     @pytest.mark.parametrize("corrupt", [None, bump_exchange, bump_constant])
     @pytest.mark.parametrize("name", sorted(EQUIVALENCE_DOUBLES))
@@ -787,7 +851,7 @@ class TestRepresentationFastPath:
             if corrupt is None:
                 assert fast
 
-    @pytest.mark.parametrize("name, l_failures", [("bmw-orth", 16), ("bmw-sympl", 2)])
+    @pytest.mark.parametrize("name, l_failures", [("bmw-orth", 17), ("bmw-sympl", 3)])
     def test_bumped_outer_entry_fails(self, name, l_failures, monkeypatch):
         _bump_outer(monkeypatch)
         d = EQUIVALENCE_DOUBLES[name]()
@@ -799,9 +863,8 @@ class TestRepresentationFastPath:
         assert verdicts == {k: _dense_representation_ok(d, k) for k in verdicts}
 
     def test_bmw_gcd_count_does_not_grow_with_k(self, monkeypatch):
-        # the outer grid is built and cleared once per double from the
-        # projectors the double's quotients already built; the dense
-        # reference makes 499, 2028 and 4932 gcd calls at k = 1, 2, 3
+        # the outer grid is the double's G, a Laurent polynomial in R, and
+        # every product with it stays Laurent, so no gcd is taken
         calls = _pgcd_counter(monkeypatch)
         counts = []
         for k in (1, 2, 3):
@@ -812,7 +875,7 @@ class TestRepresentationFastPath:
             del calls[:]
             representation_l_relations_ok(d, k)
             assert not calls      # the cell combinations are cached
-        assert counts == [26, 26, 26]
+        assert counts == [0, 0, 0]
 
     @pytest.mark.parametrize("name", HECKE_DOUBLES)
     def test_hecke_doubles_make_no_gcd_call(self, name, monkeypatch):
