@@ -42,14 +42,14 @@ from .errors import (
     MalformedTable,
     QfockError,
     SizeLimitExceeded,
+    UnsupportedDouble,
 )
 from .fockdouble import (
     BOSONIC,
     FAMILY_HECKE,
     FERMIONIC,
-    SERIES_FLAVOR,
     braided_lie,
-    double_family,
+    family_flavor,
     left_dual_variant_report,
     make_double,
     fock_representation,
@@ -101,14 +101,14 @@ class Report:
     _clock: float = field(default_factory=lambda: time.perf_counter(),
                           init=False, repr=False, compare=False)
 
-    def add(self, check_id: str, anchor: str, passed: bool | None,
-            gating: bool, witness=None):
-        """Append a record; its seconds are the time since the previous
-        record, or since the report was made."""
+    def add(self, check_id: str, anchor: str, passed: bool | None, witness=None):
+        """Append a record, which gates unless passed is None (report-only);
+        its seconds are the time since the previous record, or since the
+        report was made."""
         now = time.perf_counter()
         seconds, self._clock = now - self._clock, now
         verdict = "report-only" if passed is None else "pass" if passed else "fail"
-        self.checks.append(CheckRecord(check_id, anchor, verdict, gating,
+        self.checks.append(CheckRecord(check_id, anchor, verdict, passed is not None,
                                        None if witness is None else str(witness)[:400],
                                        round(seconds, 4)))
 
@@ -152,40 +152,36 @@ def _superflip_split(mn: str) -> tuple[int, int]:
     return m, n
 
 
-def _family_flavor(b: Braiding, cfg: RunConfig) -> tuple[str, str]:
-    """The braiding's double family and the flavor of its double: --flavor,
-    bosonic when omitted.  A BMW series fixes the flavor, and a conflicting
-    --flavor is bad input."""
-    family = double_family(b)
-    fixed = SERIES_FLAVOR.get(family)
-    if fixed is None:
-        return family, cfg.flavor or BOSONIC
-    if cfg.flavor not in (None, fixed):
-        raise InvalidArgument(f"--flavor {cfg.flavor} conflicts with the "
-                              f"{family} double, which is {fixed}")
-    return family, fixed
+def _family_flavor_of(b: Braiding, cfg: RunConfig) -> tuple[str, str]:
+    """family_flavor of b under --flavor: a flavor that the BMW series of b
+    rules out is bad input."""
+    try:
+        return family_flavor(b, cfg.flavor)
+    except UnsupportedDouble as exc:
+        raise InvalidArgument(f"--flavor {cfg.flavor}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
 
-def _witnesses(found: list, label: str) -> list | None:
-    """The first three witnesses whose label contains `label`, if any."""
-    return [w for w in found if label in w[0]][:3] or None
+def _add_found(rep: Report, check_id: str, anchor: str, found: list):
+    """A gating record that passes when `found`, its witness list, is empty
+    and shows its first three witnesses when it fails."""
+    rep.add(check_id, anchor, not found, witness=found[:3] or None)
 
 
 def _suite_braiding(rep: Report, b: Braiding, cfg: RunConfig):
-    rep.add("braid-relation", "R12 R23 R12 = R23 R12 R23", b.braid_ok(), True)
+    rep.add("braid-relation", "R12 R23 R12 = R23 R12 R23", b.braid_ok())
     poly = {INVOLUTIVE: "R^2 = I",
             HECKE: "(R - q)(R + 1/q) = 0",
             BMW: "(R - q)(R + 1/q)(R - mu) = 0"}[b.kind]
-    rep.add("minimal-polynomial", poly, b.kind_polynomial_ok(), True)
+    rep.add("minimal-polynomial", poly, b.kind_polynomial_ok())
     try:
         skew = b.skew
-        rep.add("skew-inverse", "R_ij^kl Psi_lm^jn = delta delta", True, True)
+        rep.add("skew-inverse", "R_ij^kl Psi_lm^jn = delta delta", True)
         rep.add("strict-skew-invertibility", "B = Tr_1 Psi and C = Tr_2 Psi invertible",
-                skew.strict, True,
+                skew.strict,
                 witness=f"alpha = {skew.alpha!r}" if skew.alpha is not None
                 else "B C is not scalar")
         if skew.strict:
@@ -194,68 +190,63 @@ def _suite_braiding(rep: Report, b: Braiding, cfg: RunConfig):
             # it can fail apart from the left pairing and from skew.B_inv
             pair_ok = (dp.left == b.B and mat_mul(dp.left, dp.tilde_right)
                        == [{i: ONE} for i in range(b.N)])
-            rep.add("dual-pairings", "left pairing = B; tilde pairing = B^{-1}",
-                    pair_ok, True)
+            rep.add("dual-pairings", "left pairing = B; tilde pairing = B^{-1}", pair_ok)
         rep.add("projector-decomposition",
                 "idempotent, complementary, reconstruct R",
-                projector_decomposition_ok(b), True)
+                projector_decomposition_ok(b))
     except QfockError as exc:
-        rep.add("skew-inverse", "R_ij^kl Psi_lm^jn = delta delta", False, True,
-                witness=exc)
+        rep.add("skew-inverse", "R_ij^kl Psi_lm^jn = delta delta", False, witness=exc)
     if b.kind == BMW:
         mu_rep = mu_eigenspace_degree2_report(b)
         rep.add("mu-eigenspace-degree2",
                 "invariant line survives in the expected degree-2 quotient",
-                mu_rep["passed"], True, witness=mu_rep)
+                mu_rep["passed"], witness=mu_rep)
     if cfg.q != "generic":
         q0 = Fraction(cfg.q)       # main has checked that it parses
         at_q0 = specialize(b, q0)
         rep.add("evaluation-cross-check",
                 f"braid and minimal polynomial at q = {q0}",
-                at_q0.braid_ok() and at_q0.kind_polynomial_ok(), True)
+                at_q0.braid_ok() and at_q0.kind_polynomial_ok())
 
 
 def _suite_double(rep: Report, b: Braiding, cfg: RunConfig):
-    family, flavor = _family_flavor(b, cfg)
+    family, flavor = _family_flavor_of(b, cfg)
     try:
         d = make_double(b, flavor)
     except QfockError as exc:
         rep.add("double-construction", f"double ({family}, {flavor})", False,
-                True, witness=exc)
+                witness=exc)
         return
-    rep.add("double-construction", f"double ({family}, {flavor})", True, True)
+    rep.add("double-construction", f"double ({family}, {flavor})", True)
     comp = verify_compatibility(d)
-    found = comp["witnesses"]
-    rep.add("compatibility-closed-identity",
-            "G(R23) x2 x3 x^<3| = q^{+-2} x^<1| R12 R23 G(R12) x1 x2",
-            comp["closed_identity"], True, witness=_witnesses(found, "closed"))
-    rep.add("compatibility-ideals", "relations times a generator order to zero",
-            comp["ideal_checks"], True, witness=_witnesses(found, "-ideal"))
-    rep.add("diamond-degree-3", "two rewrite orders agree on mixed words",
-            comp["diamond"], True, witness=_witnesses(found, "diamond"))
-    lrel = verify_l_relations(d)
+    _add_found(rep, "compatibility-closed-identity",
+               "G(R23) x2 x3 x^<3| = q^{+-2} x^<1| R12 R23 G(R12) x1 x2",
+               comp["closed_identity"])
+    _add_found(rep, "compatibility-ideals",
+               "relations times a generator order to zero", comp["ideal_checks"])
+    _add_found(rep, "diamond-degree-3", "two rewrite orders agree on mixed words",
+               comp["diamond"])
     anchor = ("R12 L1 R12 L1 - L1 R12 L1 R12 = R12 L1 - L1 R12"
               if family == FAMILY_HECKE else
               "PP12 L1 R12 L1 - L1 R12 L1 PP12 = PP12 L1 - L1 PP12")
-    rep.add("l-quadratic-identity", anchor, lrel["passed"], True,
-            witness=None if lrel["passed"] else lrel["failures"][:3])
+    _add_found(rep, "l-quadratic-identity", anchor, verify_l_relations(d))
     for k in range(1, max(1, min(cfg.degree, 3)) + 1):
         if not d.B.component(k).basis:
             break
         rep.add(f"representation-identity-k{k}",
                 "the L-identity holds for the representing matrices",
-                representation_l_relations_ok(d, k), True)
+                representation_l_relations_ok(d, k))
     if family == FAMILY_HECKE and flavor == BOSONIC:
         ld = left_dual_variant_report(d)
         rep.add("left-dual-variant", "left-dual rule is diamond and ideal "
-                "consistent after the B^{-1} change of basis", ld["passed"], True,
+                "consistent after the B^{-1} change of basis", ld["passed"],
                 witness=ld)
 
 
 def _suite_lie(rep: Report, b: Braiding, cfg: RunConfig):
     if b.kind == BMW:
         rep.add("braided-lie", "not defined for BMW braidings (refused)", None,
-                False, witness="the BMW quadratic identity determines no twist")
+                witness="the BMW quadratic identity determines no twist")
         return
     try:
         bl = braided_lie(b)
@@ -263,24 +254,22 @@ def _suite_lie(rep: Report, b: Braiding, cfg: RunConfig):
         raise
     except QfockError as exc:
         rep.add("rhat-reconstruction", "twist solved from its defining property",
-                False, True, witness=exc)
+                False, witness=exc)
         return
-    rep.add("rhat-reconstruction", "twist solved from its defining property",
-            True, True)
+    rep.add("rhat-reconstruction", "twist solved from its defining property", True)
     out = verify_lie(bl)
-    found = out["witnesses"]
-    rep.add("rhat-defining", "R12 L1 R12 L1 maps to L1 R12 L1 R12",
-            out["defining"], True, witness=_witnesses(found, "defining"))
-    rep.add("rtrace-generators", "Tr_R l_i^j = alpha delta_i^j",
-            out["trace_generators"], True, witness=_witnesses(found, "trace-gen"))
-    rep.add("rtrace-brackets", "Tr_R of every basis bracket vanishes",
-            out["trace_brackets"], True, witness=_witnesses(found, "trace-bracket"))
+    _add_found(rep, "rhat-defining", "R12 L1 R12 L1 maps to L1 R12 L1 R12",
+               out["defining"])
+    _add_found(rep, "rtrace-generators", "Tr_R l_i^j = alpha delta_i^j",
+               out["trace_generators"])
+    _add_found(rep, "rtrace-brackets", "Tr_R of every basis bracket vanishes",
+               out["trace_brackets"])
     jac = ("[,][,]_23 (I - twist_12) = [,][,]_12" if b.kind == HECKE
            else "[,][,]_23 (I + twist_12 twist_23 + twist_23 twist_12) = 0")
-    rep.add("jacobi", jac, out["jacobi"], True, witness=_witnesses(found, "jacobi"))
-    rep.add("bracket-quadratic-consistency",
-            "composing the quadratic identity reproduces the bracket",
-            out["quadratic_consistency"], True, witness=_witnesses(found, "quadratic"))
+    _add_found(rep, "jacobi", jac, out["jacobi"])
+    _add_found(rep, "bracket-quadratic-consistency",
+               "composing the quadratic identity reproduces the bracket",
+               out["quadratic_consistency"])
 
 
 def _poincare_table(rep: Report, b: Braiding, kmax: int,
@@ -298,7 +287,7 @@ def _poincare_table(rep: Report, b: Braiding, kmax: int,
             if expected is not None:
                 rep.add(f"poincare-{kind}-{space}",
                         "dimensions match the series of the superflip that R "
-                        "is at q = 1", dims == expected, True,
+                        "is at q = 1", dims == expected,
                         witness=f"dims={dims} expected={expected} of (m, n) = {split}")
     return table
 
@@ -312,18 +301,18 @@ def _suite_poincare(rep: Report, b: Braiding, cfg: RunConfig):
 def _suite_currents(rep: Report, b: Braiding, cfg: RunConfig):
     if b.kind == BMW:
         rep.add("currents", "Baxterization is defined for involutive and "
-                "Hecke bases only (refused)", None, False)
+                "Hecke bases only (refused)", None)
         return
     flavor = "rational" if b.kind == INVOLUTIVE else "trigonometric"
     cb = baxterize(b, flavor)
     rep.add("spectral-braid-certificate",
             "R12(u,v) R23(u,w) R12(v,w) = R23(v,w) R12(u,w) R23(u,v)",
-            cb.braid_certificate["passed"], True)
+            cb.braid_certificate["passed"])
     rep.add("spectral-unitarity-certificate", "R(u,v) R(v,u) = g(u,v) g(v,u) I",
-            cb.unitarity_certificate["passed"], True)
+            cb.unitarity_certificate["passed"])
     cd = make_current_double(cb, cfg.window)
     rep.add("current-relations-a-side", "exchange system consistent",
-            current_relation_check(cd)["passed"], True)
+            current_relation_check(cd)["passed"])
     # the single-mode kets are always checked, so degree 0 is degree 1
     degree = max(1, min(cfg.degree, 2))
     out = verify_yang(cd, degree)
@@ -335,7 +324,7 @@ def _suite_currents(rep: Report, b: Braiding, cfg: RunConfig):
     rep.add("spectral-l-identity",
             "R12(u,v) L1(u) R12 L1(v) - L1(v) R12 L1(u) R12(u,v) = "
             "(R12 L1(u) - L1(u) R12) delta(u-v), matrix elements",
-            out["passed"], True, witness=witness)
+            out["passed"], witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +341,13 @@ def cmd_verify(cfg: RunConfig) -> int:
         # a table document that is not a table is bad input (exit 2); a
         # well-formed table whose braiding fails its properties is a gating
         # failure (exit 1)
-        rep.add("load-braiding", "construct or load the braiding", False, True,
-                witness=exc)
+        rep.add("load-braiding", "construct or load the braiding", False, witness=exc)
         rep.bad_input = isinstance(exc, MalformedTable)
         _emit(rep, cfg)
         if rep.bad_input:
             raise
         return 1
-    rep.add("load-braiding", "construct or load the braiding", True, True,
+    rep.add("load-braiding", "construct or load the braiding", True,
             witness=b.name)
     suites = [cfg.suite] if cfg.suite != "all" else SUITES[:-1]
     for suite in suites:
@@ -406,7 +394,7 @@ def _print_doc(doc: dict, cfg: RunConfig) -> None:
 
 def cmd_repr(cfg: RunConfig) -> int:
     b = _resolve_braiding(cfg)
-    family, flavor = _family_flavor(b, cfg)
+    family, flavor = _family_flavor_of(b, cfg)
     d = make_double(b, flavor)
     k = max(1, cfg.degree)
     reps = fock_representation(d, k)
@@ -474,19 +462,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--braiding", choices=["flip", "superflip", "std-hecke",
                                               "bmw-orth", "bmw-sympl"])
         p.add_argument("--table", help="path to a braiding table file")
-        p.add_argument("--n", type=int, default=2)
-        p.add_argument("--mn", default="1,1", help="superflip split m,n")
-        p.add_argument("--q", default="generic",
-                       help="'generic' or a rational like 3/2 for the "
-                            "evaluation cross-check")
+        p.add_argument("--n", type=int)
+        p.add_argument("--mn", help="superflip split m,n")
+        p.add_argument("--q", help="'generic' or a rational like 3/2 for the "
+                                   "evaluation cross-check")
         p.add_argument("--flavor", choices=[BOSONIC, FERMIONIC],
                        help="flavor of the double (default bosonic); a BMW "
                             "series fixes it")
-        p.add_argument("--suite", choices=SUITES, default="all")
-        p.add_argument("--kmax", type=int, default=4)
-        p.add_argument("--window", type=int, default=2)
-        p.add_argument("--degree", type=int, default=1)
+        p.add_argument("--suite", choices=SUITES)
+        p.add_argument("--kmax", type=int)
+        p.add_argument("--window", type=int)
+        p.add_argument("--degree", type=int)
         p.add_argument("--out", help="write the JSON report here")
+        p.set_defaults(**asdict(RunConfig()))
     return parser
 
 
@@ -501,11 +489,14 @@ def main(argv=None) -> int:
                     f"--{flag} must be >= 0, got {getattr(cfg, flag)}")
         if cfg.q != "generic":
             try:
-                Fraction(cfg.q)
+                # printed as the braiding suite will print it: a rational
+                # too long for int-to-text conversion is a ValueError
+                str(Fraction(cfg.q))
             # argparse hands `--q=--` over as [], a TypeError for Fraction
             except (TypeError, ValueError, ZeroDivisionError):
-                raise InvalidArgument(f"--q must be 'generic' or a rational "
-                                      f"like 3/2, got {cfg.q!r}") from None
+                raise InvalidArgument(
+                    f"--q must be 'generic' or a rational like 3/2 short "
+                    f"enough to print, got {cfg.q!r}") from None
         return {"verify": cmd_verify, "poincare": cmd_poincare,
                 "repr": cmd_repr, "export": cmd_export}[command](cfg)
     except (QfockError, ValueError) as exc:

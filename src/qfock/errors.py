@@ -50,10 +50,6 @@ class UnsupportedConstruction(QfockError):
     """The (braiding kind, quotient kind) pair admits no construction."""
 
 
-class SpaceMismatch(QfockError):
-    """A word over one generator space was reduced in the wrong algebra."""
-
-
 class UnsupportedDouble(QfockError):
     """The braiding and flavor admit no Fock double."""
 

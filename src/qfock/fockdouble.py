@@ -24,14 +24,17 @@ compares, on every mixed degree-3 word, normal ordering the free word and
 then reducing (exchange first) with reducing each same-tag run in its
 quotient and then normal ordering (reduce first).
 
-The braiding fixes the double's family (double_family): Hecke and
-involutive braidings give the hecke family, with a bosonic or a fermionic
-flavor; an orthogonal BMW braiding is bosonized and a symplectic one
-fermionized (SERIES_FLAVOR).  The bosonic double quotients by the sym
-relations and the fermionic one by the lambda relations, each the image
-of braidings.relation_operator; that operator G is both the G of the
-closed compatibility identity and the outer grid of the L-identity, for
-every family.  Every q here is the braiding's own b.q.
+The braiding fixes the double's family and, for BMW, its flavor
+(family_flavor): Hecke and involutive braidings give the hecke family,
+with a bosonic or a fermionic flavor; an orthogonal BMW braiding is
+bosonized and a symplectic one fermionized.  The bosonic double quotients
+by the sym relations and the fermionic one by the lambda relations, each
+the image of braidings.relation_operator; that operator, the double's G,
+is both the G of the closed compatibility identity and the outer grid of
+the L-identity, for every family.  Every q here is the braiding's own b.q.
+
+verify_compatibility, verify_l_relations and verify_lie return one
+witness list per verdict, empty when it holds.
 
 An element of the double is a read-only dict {(creation word,
 annihilation word): Scalar} of reduced normal-ordered terms.  All
@@ -82,14 +85,6 @@ BOSONIC = "bosonic"
 FERMIONIC = "fermionic"
 
 FAMILY_HECKE = "hecke"
-FAMILY_BMW_ORTH = "bmw-orthogonal"
-FAMILY_BMW_SYMPL = "bmw-symplectic"
-
-_SERIES_FAMILY = {"orthogonal": FAMILY_BMW_ORTH, "symplectic": FAMILY_BMW_SYMPL}
-# the flavor each BMW series fixes, the one whose algebras keep the mu
-# eigenspace: orthogonal bosonized, symplectic fermionized
-SERIES_FLAVOR = {family: BOSONIC if MU_KIND[series] == SYM else FERMIONIC
-                 for series, family in _SERIES_FAMILY.items()}
 
 Token = tuple[str, int]          # ("b", i) creation, ("a", j) annihilation
 Key = tuple[Word, Word]          # (creation word, annihilation word)
@@ -101,18 +96,21 @@ class FockDouble:
     """The quantum double built on a strictly skew-invertible braiding."""
 
     def __init__(self, braiding: Braiding, flavor: str):
-        _check_admissible(braiding, flavor)
+        self.family, self.flavor = family_flavor(braiding, flavor)
         if not braiding.skew.strict:
             raise NotStrictlySkewInvertible(
                 "doubles need invertible partial traces of Psi")
         self.braiding = braiding
-        self.flavor = flavor
-        self.family = double_family(braiding)
-        kind = SYM if flavor == BOSONIC else LAMBDA
+        kind = SYM if self.flavor == BOSONIC else LAMBDA
         self.A: GradedQuotient = make_algebra(braiding, kind, "V*")
         self.B: GradedQuotient = make_algebra(braiding, kind, "V")
+        # the G of the closed identity and the outer grid of the L-identity,
+        # which is linear in that grid and holds for the grid I: G is a*O +
+        # c*I (a != 0) for O = R (Hecke family) and for O the sum of the two
+        # BMW idempotents beside the middle one, and fails where O does
+        self.G: LinOperator = relation_operator(braiding, kind)
         qpar = braiding.q  # ONE for involutive braidings
-        self.sign_coeff = qpar.inverse() if flavor == BOSONIC else -qpar
+        self.sign_coeff = qpar.inverse() if self.flavor == BOSONIC else -qpar
         self.exchange, self.constant = exchange_table(
             braiding.psi, self.sign_coeff, braiding.B)
         self._order_cache: dict = {}      # the _pass memo of self.rule
@@ -120,11 +118,10 @@ class FockDouble:
     @functools.cached_property
     def l_identity_cells(self) -> dict[tuple[int, int], dict[tuple, Scalar]]:
         """The nonzero net combinations O L1 R12 L1 - L1 R12 L1 O - O L1 + L1 O
-        by cell (x, y), O the double's G (_reflection_partner), each over
-        the keys (e1, e2) of l_e1 l_e2 and (e,) of l_e (l_identity_sides)."""
+        by cell (x, y), O the double's G, each over the keys (e1, e2) of
+        l_e1 l_e2 and (e,) of l_e (l_identity_sides)."""
         n2 = self.braiding.N ** 2
-        o_lrl, lrl_o, o_l, l_o = l_identity_sides(self.braiding.R,
-                                                  _reflection_partner(self))
+        o_lrl, lrl_o, o_l, l_o = l_identity_sides(self.braiding.R, self.G)
         cells = {}
         for xy, (quad, lin) in enumerate(zip(_row_differences(o_lrl, lrl_o),
                                              _row_differences(l_o, o_l))):
@@ -255,24 +252,23 @@ def _reduce_keys(words: dict[Key, Scalar], lo: GradedQuotient,
     return out
 
 
-def double_family(b: Braiding) -> str:
-    """The family of the double on b: hecke for a Hecke or involutive
-    braiding, the family of its series for a BMW one."""
-    if b.kind in (HECKE, INVOLUTIVE):
-        return FAMILY_HECKE
-    family = _SERIES_FAMILY.get(b.series)
-    if family is None:
-        raise UnsupportedDouble(f"BMW braiding {b.name!r} declares no series")
-    return family
-
-
-def _check_admissible(b: Braiding, flavor: str):
-    if flavor not in (BOSONIC, FERMIONIC):
+def family_flavor(b: Braiding, flavor: str | None = None) -> tuple[str, str]:
+    """The family of the double on b and its flavor.  A Hecke or involutive
+    braiding gives the hecke family with the given flavor, bosonic when it
+    is None.  A BMW braiding gives the family of its series, whose flavor
+    is the one whose algebras keep the mu eigenspace (MU_KIND): orthogonal
+    bosonized, symplectic fermionized; a different flavor is refused."""
+    if flavor not in (None, BOSONIC, FERMIONIC):
         raise UnsupportedDouble(f"unknown flavor {flavor!r}")
-    family = double_family(b)
-    fixed = SERIES_FLAVOR.get(family, flavor)
-    if flavor != fixed:
+    if b.kind in (HECKE, INVOLUTIVE):
+        return FAMILY_HECKE, flavor or BOSONIC
+    if b.series not in MU_KIND:
+        raise UnsupportedDouble(f"BMW braiding {b.name!r} declares no series")
+    family = f"bmw-{b.series}"
+    fixed = BOSONIC if MU_KIND[b.series] == SYM else FERMIONIC
+    if flavor not in (None, fixed):
         raise UnsupportedDouble(f"the {family} double is {fixed}")
+    return family, fixed
 
 
 def make_double(b: Braiding, flavor: str) -> FockDouble:
@@ -330,25 +326,15 @@ def _row_differences(a: list[Row], b: list[Row]) -> list[Row]:
     return [lincomb(((ONE, ra), (_MINUS_ONE, rb))) for ra, rb in zip(a, b)]
 
 
-def _reflection_partner(d: FockDouble) -> LinOperator:
-    """The double's G, the relation operator of the kind it quotients by:
-    the G of the closed compatibility identity and the outer grid of the
-    L-identity.  The L-identity is linear in its outer grid and holds for
-    the grid I, so a grid a*O + c*I with a != 0 fails in exactly the cells
-    where O does; G is such a grid for R (Hecke family) and for the sum of
-    the two BMW idempotents beside the middle one."""
-    return relation_operator(d.braiding, d.B.kind)
-
-
-def verify_l_relations(d: FockDouble) -> dict:
+def verify_l_relations(d: FockDouble) -> list[tuple]:
     """Exact check of the quadratic L-identity satisfied by l_i^j = x_i x^j,
 
         G12 L1 R12 L1 - L1 R12 L1 G12 = G12 L1 - L1 G12,
 
-    with G the double's relation operator (_reflection_partner).  For the
-    Hecke family this is the identity with R12 in place of G12; for BMW the
-    one with PP12, the sum of the q and mu idempotents (orthogonal) or of
-    the -1/q and mu idempotents (symplectic).
+    with G the double's relation operator d.G.  For the Hecke family this
+    is the identity with R12 in place of G12; for BMW the one with PP12,
+    the sum of the q and mu idempotents (orthogonal) or of the -1/q and mu
+    idempotents (symplectic).  Returns the failing cells (x, y).
 
     Both sides are formed as written cell rows (l_identity_sides); each
     cell's net coefficient of every generator-pair key is then evaluated in
@@ -360,9 +346,7 @@ def verify_l_relations(d: FockDouble) -> dict:
     def element(key: tuple) -> dict[Key, Scalar]:
         return d.normal_order([t for e in key for t in (("b", e // N), ("a", e % N))])
 
-    failures = nonzero_sums(d.l_identity_cells, element)
-    return {"passed": not failures, "entries": d.braiding.N ** 4,
-            "failures": failures, "family": d.family}
+    return nonzero_sums(d.l_identity_cells, element)
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +390,10 @@ def _rule_failures(N: int, hi: str, lo: str, algebras: dict,
     return ideal, [key for key in failed if key[0] == "diamond"]
 
 
-def verify_compatibility(d: FockDouble) -> dict:
+def verify_compatibility(d: FockDouble) -> dict[str, list]:
     """Three exact checks that the permutation rule respects the quotient
-    relations on both sides.
+    relations on both sides, each a witness list: closed_identity,
+    ideal_checks and diamond.
 
     (i) the closed matrix identity behind the compatibility proof, checked
         on free words sorted by the double's own rule (_rewrite), where
@@ -425,11 +410,10 @@ def verify_compatibility(d: FockDouble) -> dict:
     # the closed identity  G(R_23) x_2 x_3 x^<3| = c * x^<1| R12 R23 G(R_12) x_1 x_2,
     # G the B side's relation operator and c = q^2 (bosonic) or q^-2, as one
     # combination per (i2, i3, j3): the G words minus c times the R words
-    g = _reflection_partner(d)
     minus_c = -(b.q * b.q) if d.flavor == BOSONIC else -(b.q * b.q).inverse()
-    m3 = place(g, (1, 2), 3) @ place(b.R, (2, 3), 3) @ place(b.R, (1, 2), 3)
+    m3 = place(d.G, (1, 2), 3) @ place(b.R, (2, 3), 3) @ place(b.R, (1, 2), 3)
     groups: dict = {key: {} for key in itertools.product(range(N), repeat=3)}
-    for r, col, v in g.nonzeros():
+    for r, col, v in d.G.nonzeros():
         (a, bb), (i2, i3) = dec_index(r, N, 2), dec_index(col, N, 2)
         for j3 in range(N):
             groups[(i2, i3, j3)][(("b", a), ("b", bb), ("a", j3))] = v
@@ -440,10 +424,8 @@ def verify_compatibility(d: FockDouble) -> dict:
         groups, lambda word: _rewrite(word, d.rule, d._order_cache, "a", "b"))
 
     ideal, diamond = _rule_failures(N, "a", "b", {"a": d.A, "b": d.B}, d.normal_order)
-    return {"closed_identity": not closed, "ideal_checks": not ideal,
-            "diamond": not diamond,
-            "witnesses": [("closed", key) for key in closed] + ideal + diamond,
-            "passed": not (closed or ideal or diamond)}
+    return {"closed_identity": [("closed", key) for key in closed],
+            "ideal_checks": ideal, "diamond": diamond}
 
 
 # ---------------------------------------------------------------------------
@@ -660,61 +642,51 @@ def _jacobi_holds(bl: BraidedLie) -> bool:
     return True
 
 
-def verify_lie(bl: BraidedLie) -> dict:
-    """Full verification of the braided Lie data.
-
-    Checks the defining property of the reconstructed operator, the
-    R-trace normalization on generators, vanishing of the R-trace on all
-    basis brackets, the Jacobi identity in its Hecke or involutive form,
-    and the consistency of the quadratic L-identity with the bracket.
+def verify_lie(bl: BraidedLie) -> dict[str, list]:
+    """Full verification of the braided Lie data, each check a witness
+    list: the defining property of the reconstructed operator (defining),
+    the R-trace normalization on generators (trace_generators), vanishing
+    of the R-trace on all basis brackets (trace_brackets), the Jacobi
+    identity in its Hecke or involutive form (jacobi), and the consistency
+    of the quadratic L-identity with the bracket (quadratic_consistency).
     The Jacobi identity is checked leg-locally and, in the Hecke form, one
     third-leg index at a time (_jacobi_holds).
     """
     b = bl.braiding
     N = b.N
     n2 = N * N
-    report = {"defining": True, "trace_generators": True, "trace_brackets": True,
-              "jacobi": True, "quadratic_consistency": True, "witnesses": []}
 
     # trace on generators: alpha * delta
-    for i in range(N):
-        for j in range(N):
-            want = bl.alpha if i == j else ZERO
-            if bl.rtrace[i * N + j] != want:
-                report["trace_generators"] = False
-                report["witnesses"].append(("trace-gen", i, j))
+    trace_generators = [("trace-gen", i, j)
+                        for i, j in itertools.product(range(N), repeat=2)
+                        if bl.rtrace[i * N + j] != (bl.alpha if i == j else ZERO)]
 
     # trace on brackets: Tr_R [l_e1, l_e2] = 0
+    trace_brackets = []
     for phi, col in enumerate(bl.bracket):
         acc = ZERO
         for e, v in col.items():
             acc = acc + bl.rtrace[e] * v
         if not acc.is_zero():
-            report["trace_brackets"] = False
-            report["witnesses"].append(("trace-bracket", phi))
+            trace_brackets.append(("trace-bracket", phi))
 
     # defining property: rhat takes each cell of the first quadratic side
     # to the same cell of the second
-    for xy, (got, want) in enumerate(zip(mat_mul(bl.quadratic, bl.rhat), bl.twisted)):
-        if got != want:
-            report["defining"] = False
-            report["witnesses"].append(("defining", *divmod(xy, n2)))
+    defining = [("defining", *divmod(xy, n2)) for xy, (got, want)
+                in enumerate(zip(mat_mul(bl.quadratic, bl.rhat), bl.twisted))
+                if got != want]
 
     # quadratic-identity consistency: comp((I - rhat) cell) of the first
     # quadratic side matches the cell of the linear side R12 L1 - L1 R12
-    if mat_mul(bl.quadratic, bl.bracket) != bl.linear:
-        report["quadratic_consistency"] = False
-        report["witnesses"].append(("quadratic",))
+    quadratic = ([] if mat_mul(bl.quadratic, bl.bracket) == bl.linear
+                 else [("quadratic",)])
 
     # Jacobi identity.  The Hecke form is the Leibniz one,
     #   [,] o [,]_23 o (I - rhat_12) = [,] o [,]_12,
     # whose q -> 1 limit is the classical [x,[y,z]] - [y,[x,z]] = [[x,y],z].
-    if not _jacobi_holds(bl):
-        report["jacobi"] = False
-        report["witnesses"].append(
-            ("jacobi-hecke",) if b.kind == HECKE else ("jacobi-involutive",))
+    jacobi = [] if _jacobi_holds(bl) else [
+        ("jacobi-hecke",) if b.kind == HECKE else ("jacobi-involutive",)]
 
-    report["passed"] = all(report[k] for k in
-                           ("defining", "trace_generators", "trace_brackets",
-                            "jacobi", "quadratic_consistency"))
-    return report
+    return {"defining": defining, "trace_generators": trace_generators,
+            "trace_brackets": trace_brackets, "jacobi": jacobi,
+            "quadratic_consistency": quadratic}

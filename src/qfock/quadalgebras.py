@@ -20,7 +20,7 @@ from itertools import accumulate
 from math import comb
 
 from .braidings import BMW, LAMBDA, MU_KIND, SYM, Braiding, dual_square, relation_operator
-from .errors import SpaceMismatch, UnsupportedConstruction
+from .errors import UnsupportedConstruction
 from .scalars import ONE, Scalar, add_term
 from .tensorops import LinOperator, row_reduce
 
@@ -123,11 +123,8 @@ class GradedQuotient:
         self._nf_cache[word] = out
         return out
 
-    def normal_form(self, tensor: Tensor | Word, space: str | None = None) -> Tensor:
+    def normal_form(self, tensor: Tensor | Word) -> Tensor:
         """Project a homogeneous free tensor onto the component basis."""
-        if space is not None and space != self.space:
-            raise SpaceMismatch(
-                f"cannot reduce a {space} word in a {self.space} algebra")
         if isinstance(tensor, tuple):
             tensor = {tensor: ONE}
         if not tensor:

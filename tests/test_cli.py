@@ -296,12 +296,16 @@ class TestVerify:
                     "--suite", "braiding", "--q", "0"]) == 2
         assert "NonGenericPoint" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("q", ["1/0", "3/0", "abc"])
-    @pytest.mark.parametrize("suite", ["braiding", "double"])
+    # 9e9999 is a rational of 10,000 digits, past Python's int-to-text limit
+    @pytest.mark.parametrize("q", ["1/0", "3/0", "abc", "9e9999"])
+    @pytest.mark.parametrize("suite", ["braiding", "double", "lie", "poincare",
+                                       "currents", "all"])
     def test_unparsable_q_is_bad_input(self, q, suite, capsys):
         assert run(["verify", "--braiding", "std-hecke", "--n", "2",
                     "--suite", suite, "--q", q]) == 2
-        assert "InvalidArgument" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: InvalidArgument: --q ")
 
     def test_double_dash_q_is_bad_input(self, capsys):
         # argparse strips the `--` and gives --q an empty list
@@ -636,6 +640,48 @@ class TestGatingRecordsCanFail:
         for passing in ("rhat-reconstruction", "rtrace-generators",
                         "rtrace-brackets", "bracket-quadratic-consistency"):
             assert witness[passing] is None
+
+    @pytest.mark.parametrize("braiding, jacobi", [("std-hecke", "jacobi-hecke"),
+                                                  ("flip", "jacobi-involutive")])
+    @pytest.mark.parametrize("field, failing", [
+        ("bracket", {"rtrace-brackets", "jacobi", "bracket-quadratic-consistency"}),
+        ("rhat", {"rhat-defining", "jacobi"}),
+        ("rtrace", {"rtrace-generators", "rtrace-brackets"}),
+        ("alpha", {"rtrace-generators"}),
+    ])
+    def test_each_lie_record_shows_its_own_witnesses(
+            self, braiding, jacobi, field, failing, tmp_path, monkeypatch):
+        """ONE added to one Lie input at N = 2 (the nonzero entry of the
+        bracket or the twist in the first row that has one, rtrace[1] or
+        alpha): the records it breaks fail, and each failing record's
+        witnesses carry its own label."""
+        real = cli.braided_lie
+
+        def bumped(b):
+            bl = copy.copy(real(b))
+            if field == "alpha":
+                bl.alpha = bl.alpha + ONE
+            elif field == "rtrace":
+                bl.rtrace = list(bl.rtrace)
+                bl.rtrace[1] = bl.rtrace[1] + ONE
+            else:
+                cols = [dict(col) for col in getattr(bl, field)]
+                r, c = min((r, c) for c, col in enumerate(cols) for r in col)
+                cols[c][r] = cols[c][r] + ONE
+                setattr(bl, field, cols)
+            return bl
+
+        monkeypatch.setattr(cli, "braided_lie", bumped)
+        out = tmp_path / "rep.json"
+        assert _failing_gating_checks(
+            ["--braiding", braiding, "--n", "2", "--suite", "lie"], out) == failing
+        labels = {"rhat-defining": "defining", "rtrace-generators": "trace-gen",
+                  "rtrace-brackets": "trace-bracket", "jacobi": jacobi,
+                  "bracket-quadratic-consistency": "quadratic"}
+        for c in json.loads(out.read_text())["checks"]:
+            if c["check_id"] in failing:
+                named = {w[0] for w in ast.literal_eval(c["witness"])}
+                assert named == {labels[c["check_id"]]}, c
 
 
 def _mutation():

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfock.braidings import load_builtin, make_flip, make_standard_hecke, make_superflip
-from qfock.errors import SpaceMismatch
 from qfock.quadalgebras import (
     GradedQuotient,
     make_algebra,
@@ -132,11 +131,6 @@ class TestNormalForm:
     def test_basis_words_are_lex_earliest(self):
         alg = make_algebra(make_flip(2), "sym", "V")
         assert alg.component(2).basis == [(0, 0), (0, 1), (1, 1)]
-
-    def test_space_mismatch(self):
-        alg = make_algebra(make_standard_hecke(2), "sym", "V*")
-        with pytest.raises(SpaceMismatch):
-            alg.normal_form((0, 1), space="V")
 
     def test_projection_after_inclusion_is_identity(self):
         alg = make_algebra(make_standard_hecke(3), "sym", "V")
