@@ -608,11 +608,11 @@ class CurrentBraiding:
     # The spectral certificates are pure functions of the braiding, exact
     # expansions in u, v, w; each is computed once per braiding.
     @cached_property
-    def braid_certificate(self) -> dict:
+    def braid_certificate(self) -> list:
         return spectral_braid_certificate(self)
 
     @cached_property
-    def unitarity_certificate(self) -> dict:
+    def unitarity_certificate(self) -> list:
         return unitarity_certificate(self)
 
 
@@ -666,9 +666,9 @@ def _word_identity_failures(lhs: list[Factor], rhs: list[Factor],
         (r, col): e for r, col, e in word_op(word).nonzeros()})
 
 
-def spectral_braid_certificate(cb: CurrentBraiding) -> dict:
+def spectral_braid_certificate(cb: CurrentBraiding) -> list[Monomial]:
     """Certify R12(u,v) R23(u,w) R12(v,w) = R23(v,w) R12(u,w) R23(u,v)
-    exactly in Q(q)[u, v, w] (x) End(V^3).
+    exactly in Q(q)[u, v, w] (x) End(V^3): the failing monomials.
 
     Both sides are multiplied by (u-v)(u-w)(v-w).  Each cleared factor is
     affine in R, so each side expands into polynomials in u, v, w times
@@ -680,23 +680,22 @@ def spectral_braid_certificate(cb: CurrentBraiding) -> dict:
                "R23": place(cb.base.R, (2, 3), 3, labels=lab3)}
     r = cb.cleared_r_form
     u, v, w = 0, 1, 2
-    failures = _word_identity_failures(
+    return _word_identity_failures(
         [r(u, v, "R12"), r(u, w, "R23"), r(v, w, "R12")],
         [r(v, w, "R23"), r(u, w, "R12"), r(u, v, "R23")],
         letters, LinOperator.identity(cb.base.N, 3, lab3))
-    return {"passed": not failures, "failures": failures}
 
 
-def unitarity_certificate(cb: CurrentBraiding) -> dict:
+def unitarity_certificate(cb: CurrentBraiding) -> list:
     """Certify g-normalized involutivity R(u,v)R(v,u) = g(u,v)g(v,u) I
     exactly in Q(q)[u, v] (x) End(V^2), over the words I, R and R^2, and
-    spot-check the normalized form at three points."""
+    spot-check the normalized form at three points: the failing monomials,
+    then ("spot", u, v) for each failed point, empty on a pass."""
     ident = LinOperator.identity(cb.base.N, 2, cb.base.R.labels)
     r, g = cb.cleared_r_form, cb.cleared_g_form   # variables u = 0, v = 1
     failures = _word_identity_failures(
         [r(0, 1, "R"), r(1, 0, "R")], [[(None, g(0, 1))], [(None, g(1, 0))]],
         {"R": cb.base.R}, ident)
-    spot = []
     candidates = [(Fraction(a), Fraction(b)) for a, b in
                   ((2, 3), (5, 7), (3, 11), (2, 5), (3, 7), (11, 2))]
     checked = 0
@@ -704,15 +703,11 @@ def unitarity_certificate(cb: CurrentBraiding) -> dict:
         if cb.g_at(u, v).is_zero() or cb.g_at(v, u).is_zero():
             continue  # the rational normalizer vanishes at |u-v| = 1
         if cb.normalized_at(u, v) @ cb.normalized_at(v, u) != ident:
-            spot.append((u, v))
+            failures.append(("spot", u, v))
         checked += 1
         if checked == 3:
             break
-    return {
-        "passed": not failures and not spot,
-        "failures": failures,
-        "spot_failures": spot,
-    }
+    return failures
 
 
 # ---------------------------------------------------------------------------

@@ -197,10 +197,9 @@ def _suite_braiding(rep: Report, b: Braiding, cfg: RunConfig):
     except QfockError as exc:
         rep.add("skew-inverse", "R_ij^kl Psi_lm^jn = delta delta", False, witness=exc)
     if b.kind == BMW:
-        mu_rep = mu_eigenspace_degree2_report(b)
-        rep.add("mu-eigenspace-degree2",
-                "invariant line survives in the expected degree-2 quotient",
-                mu_rep["passed"], witness=mu_rep)
+        _add_found(rep, "mu-eigenspace-degree2",
+                   "invariant line survives in the expected degree-2 quotient",
+                   mu_eigenspace_degree2_report(b))
     if cfg.q != "generic":
         q0 = Fraction(cfg.q)       # main has checked that it parses
         at_q0 = specialize(b, q0)
@@ -237,10 +236,9 @@ def _suite_double(rep: Report, b: Braiding, cfg: RunConfig):
                 "the L-identity holds for the representing matrices",
                 representation_l_relations_ok(d, k))
     if family == FAMILY_HECKE and flavor == BOSONIC:
-        ld = left_dual_variant_report(d)
-        rep.add("left-dual-variant", "left-dual rule is diamond and ideal "
-                "consistent after the B^{-1} change of basis", ld["passed"],
-                witness=ld)
+        _add_found(rep, "left-dual-variant", "left-dual rule is diamond and "
+                   "ideal consistent after the B^{-1} change of basis",
+                   left_dual_variant_report(d))
 
 
 def _suite_lie(rep: Report, b: Braiding, cfg: RunConfig):
@@ -305,26 +303,28 @@ def _suite_currents(rep: Report, b: Braiding, cfg: RunConfig):
         return
     flavor = "rational" if b.kind == INVOLUTIVE else "trigonometric"
     cb = baxterize(b, flavor)
-    rep.add("spectral-braid-certificate",
-            "R12(u,v) R23(u,w) R12(v,w) = R23(v,w) R12(u,w) R23(u,v)",
-            cb.braid_certificate["passed"])
-    rep.add("spectral-unitarity-certificate", "R(u,v) R(v,u) = g(u,v) g(v,u) I",
-            cb.unitarity_certificate["passed"])
+    _add_found(rep, "spectral-braid-certificate",
+               "R12(u,v) R23(u,w) R12(v,w) = R23(v,w) R12(u,w) R23(u,v)",
+               cb.braid_certificate)
+    _add_found(rep, "spectral-unitarity-certificate",
+               "R(u,v) R(v,u) = g(u,v) g(v,u) I", cb.unitarity_certificate)
     cd = make_current_double(cb, cfg.window)
-    rep.add("current-relations-a-side", "exchange system consistent",
-            current_relation_check(cd)["passed"])
+    _add_found(rep, "current-relations-a-side", "exchange system consistent",
+               current_relation_check(cd))
     # the single-mode kets are always checked, so degree 0 is degree 1
     degree = max(1, min(cfg.degree, 2))
     out = verify_yang(cd, degree)
-    # the strict degree <= 1 part gates at every degree; the residue is reported
+    # degree <= 1 gates and the residue is reported; mismatches come before Report.add's cut
+    found = out["mismatches"]
+    shown = f"first mismatches (ket, cell, (r, s)): {found[:3]}; " if found else ""
     witness = (f"{out['matrix_elements']} elements, window {out['window']}, "
-               f"degree {out['degree']}; {out['comparison']}")
+               f"degree {out['degree']}; {shown}{out['comparison']}")
     if degree >= 2:
         witness += f"; {out['degree2_residual_classes']} residual classes"
     rep.add("spectral-l-identity",
             "R12(u,v) L1(u) R12 L1(v) - L1(v) R12 L1(u) R12(u,v) = "
             "(R12 L1(u) - L1(u) R12) delta(u-v), matrix elements",
-            out["passed"], witness=witness)
+            not found, witness=witness)
 
 
 # ---------------------------------------------------------------------------

@@ -418,7 +418,9 @@ def _exchange_relation_span(cd: CurrentDouble):
 
 
 def verify_yang(cd: CurrentDouble, degree: int = 1) -> dict:
-    """Exact matrix-element verification of the spectral L-identity.
+    """Exact matrix-element verification of the spectral L-identity; the
+    report's failure list is `mismatches`, the first ten (ket, (x, y),
+    (r, s)) that fail the strict comparison, empty on a pass.
 
     Both sides are expanded in the region |u| > |v|; the coefficient of
     u^{-r-1} v^{-s-1} applied to every ket of degree <= `degree` with
@@ -447,7 +449,7 @@ def verify_yang(cd: CurrentDouble, degree: int = 1) -> dict:
     equals comparing the reduced sides) and a nonzero remainder is counted
     as a residual class, not gated.  Verdicts are window-monotone: on one
     ket the interior mode enumeration is repeated with a larger clip and
-    the T1 readout must agree.
+    the T1 readout must agree, or WindowOverflow is raised.
     """
     M = cd.window
     if degree > 2 or M > 4:
@@ -485,7 +487,6 @@ def verify_yang(cd: CurrentDouble, degree: int = 1) -> dict:
                         else:
                             mismatches.append((ket, (x, y), (-eu - 1, -ev - 1)))
     report = {
-        "passed": not mismatches,
         "matrix_elements": len(kets) * n2 * n2 * (2 * M + 1) ** 2,
         "kets": len(kets),
         "window": M,
@@ -497,20 +498,15 @@ def verify_yang(cd: CurrentDouble, degree: int = 1) -> dict:
         "mismatches": mismatches[:10],
     }
     if degree >= 2:
-        report["degree2_report_only"] = True
         report["degree2_residual_classes"] = residual_classes
     if not mismatches:
         def t1_readout(x, clip):
             buckets = _buckets(t1[x * n2], spot_evaluate, clip, lhs_box)
             return {p: d for p, d in _differences(*buckets, {}, theta, M).items() if d}
-        stable = all(t1_readout(x, interior) == t1_readout(x, interior + 3)
-                     for x in range(n2))
-        report["window_monotone_spot_check"] = stable
-        if not stable:
-            report["passed"] = False
-            raise WindowOverflow(
-                "interior mode window too small; enlarge the window",
-                interior + 3)
+        if not all(t1_readout(x, interior) == t1_readout(x, interior + 3)
+                   for x in range(n2)):
+            raise WindowOverflow("interior mode window too small; enlarge the window",
+                                 interior + 3)
     return report
 
 
@@ -518,8 +514,10 @@ def verify_yang(cd: CurrentDouble, degree: int = 1) -> dict:
 # defining-relation check
 # ---------------------------------------------------------------------------
 
-def current_relation_check(cd: CurrentDouble) -> dict:
-    """Consistency of the defining current relations on the dual square.
+def current_relation_check(cd: CurrentDouble) -> list[tuple]:
+    """Consistency of the defining current relations on the dual square:
+    ("braid", m) and ("unitarity", w) for each failure m, w of the two
+    certificates, empty on a pass.
 
     The pairwise and triple reorderings of the relation system are
     consistent iff the normalized spectral braiding is involutive and
@@ -534,7 +532,5 @@ def current_relation_check(cd: CurrentDouble) -> dict:
                     series=base.series, mu=base.mu, q=base.q,
                     name=f"dual({base.name})")
     dual_cb = CurrentBraiding(dual, cd.cb.flavor)
-    braid = dual_cb.braid_certificate
-    unit = dual_cb.unitarity_certificate
-    return {"passed": braid["passed"] and unit["passed"],
-            "braid": braid, "unitarity": unit}
+    return ([("braid", m) for m in dual_cb.braid_certificate]
+            + [("unitarity", w) for w in dual_cb.unitarity_certificate])

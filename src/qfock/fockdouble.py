@@ -479,9 +479,10 @@ def representation_l_relations_ok(d: FockDouble, k: int) -> bool:
 # optional left-dual variant of the permutation rule
 # ---------------------------------------------------------------------------
 
-def left_dual_variant_report(d: FockDouble) -> dict:
+def left_dual_variant_report(d: FockDouble) -> list[tuple]:
     """Consistency of the left-dual permutation rule of a bosonic
-    Hecke-family double d.
+    Hecke-family double d: its "diamond" witnesses, then its "b-ideal" and
+    "t-ideal" ones (_rule_failures), empty on a pass.
 
     The variant rule  x_k x~^l = q^{-1} Psi_kj^li x~^j x_i + C_k^l  orders
     left-dual generators in front of creation generators.  The dual-side
@@ -519,8 +520,7 @@ def left_dual_variant_report(d: FockDouble) -> dict:
         return _reduce_keys(_rewrite(word, rule, memo, "b", "t"), atilde, d.B)
 
     ideal, diamond = _rule_failures(N, "b", "t", {"b": d.B, "t": atilde}, order)
-    return {"diamond": not diamond, "ideal_checks": not ideal,
-            "witnesses": diamond + ideal, "passed": not diamond and not ideal}
+    return diamond + ideal
 
 
 # ---------------------------------------------------------------------------

@@ -189,30 +189,29 @@ def make_algebra(b: Braiding, kind: str, space: str) -> GradedQuotient:
 # degree-2 placement of the BMW mu eigenspace
 # ---------------------------------------------------------------------------
 
-def mu_eigenspace_degree2_report(b: Braiding) -> dict:
-    """Where the mu eigenspace of a BMW braiding lands in degree 2.
-
-    Passes when the rank-one invariant line survives in the quotient of
-    the kind that keeps it (braidings.MU_KIND: sym for the orthogonal
-    series, lambda for the symplectic one) and dies in the other one.
-    Nothing beyond degree 2 is claimed.
+def mu_eigenspace_degree2_report(b: Braiding) -> list[tuple]:
+    """Where the mu eigenspace of a BMW braiding lands in degree 2: the
+    failures ("mu-rank", r) when its rank r is not one, then, for each
+    basis vector v of it, ("dies-in-<kind>", v) in the kind that keeps it
+    (braidings.MU_KIND: sym for the orthogonal series, lambda for the
+    symplectic one) and ("survives-in-<kind>", v) in the other one; empty
+    when the rank-one invariant line survives in the first quotient and
+    dies in the second.  Nothing beyond degree 2 is claimed.
     """
     if b.kind != BMW:
         raise UnsupportedConstruction("mu eigenspace exists only for BMW braidings")
     mu_vectors = _image_basis(b.spectral_projectors["mu"])
-    surviving_kind = MU_KIND[b.series]
-    dying_kind = LAMBDA if surviving_kind == SYM else SYM
-    surv = make_algebra(b, surviving_kind, "V")
-    die = make_algebra(b, dying_kind, "V")
-    survives = all(surv.normal_form(vec) for vec in mu_vectors)
-    dies = all(not die.normal_form(vec) for vec in mu_vectors)
-    return {
-        "series": b.series,
-        "mu_rank": len(mu_vectors),
-        "survives_in": surviving_kind if survives else None,
-        "dies_in": dying_kind if dies else None,
-        "passed": survives and dies,
-    }
+    keeps = MU_KIND[b.series]
+    kills = LAMBDA if keeps == SYM else SYM
+    surv, die = make_algebra(b, keeps, "V"), make_algebra(b, kills, "V")
+    rank = len(mu_vectors)
+    failures: list[tuple] = [] if rank == 1 else [("mu-rank", rank)]
+    for vec in mu_vectors:
+        if not surv.normal_form(vec):
+            failures.append((f"dies-in-{keeps}", tuple(vec.items())))
+        if die.normal_form(vec):
+            failures.append((f"survives-in-{kills}", tuple(vec.items())))
+    return failures
 
 
 def super_sym_dims(m: int, n: int, kmax: int) -> list[int]:

@@ -194,13 +194,12 @@ class TestAcceptance:
         rational = baxterize(make_flip(2), "rational")
         trig = baxterize(make_standard_hecke(2), "trigonometric")
         for cb in (rational, trig):
-            assert spectral_braid_certificate(cb)["passed"]
-            assert unitarity_certificate(cb)["passed"]
+            assert not spectral_braid_certificate(cb)
+            assert not unitarity_certificate(cb)
         for cb in (rational, trig):
             cd = make_current_double(cb, window=2)
             out = verify_yang(cd, degree=1)
-            assert out["passed"]
-            assert out["window_monotone_spot_check"]
+            assert not out["mismatches"]
             assert out["matrix_elements"] == 16 * 25 * 11   # entries*(r,s)*kets
         elapsed = time.perf_counter() - t0
         assert elapsed < 300.0

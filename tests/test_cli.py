@@ -76,15 +76,17 @@ class TestVerify:
         assert rep["exit_status"] == 1
         assert rep["checks"][0]["verdict"] == "fail"
 
-    @pytest.mark.parametrize("make", [lambda: make_standard_hecke(2),
-                                      lambda: make_flip(2)],
-                             ids=["std-hecke-2", "flip-2"])
+    @pytest.mark.parametrize("make, braid_failures", [
+        (lambda: make_standard_hecke(2), [(0, 1, 2), (0, 2, 1), (1, 0, 2)]),
+        (lambda: make_flip(2), [(0, 1, 1), (0, 2, 0), (1, 0, 1)]),
+    ], ids=["std-hecke-2", "flip-2"])
     def test_corrupted_table_fails_the_current_certificates(
-            self, tmp_path, monkeypatch, make):
+            self, tmp_path, monkeypatch, make, braid_failures):
         """One R entry bumped by ONE.  The table loader rejects the copy
         on its own braid and minimal-polynomial checks; with those turned
         off, both spectral certificates and the relation check on the dual
-        square fail."""
+        square fail, and their witnesses name the first failing monomials
+        (those of test_braidings' test_one_corrupted_entry_fails_both)."""
         doc = braiding_to_table(make())
         for ent in doc["entries"]:
             if (ent["i"], ent["j"], ent["k"], ent["l"]) == (1, 2, 2, 1):
@@ -95,19 +97,23 @@ class TestVerify:
         argv = ["verify", "--table", str(path), "--suite", "currents",
                 "--out", str(out)]
 
-        def verdicts():
-            return {c["check_id"]: c["verdict"]
+        def records():
+            return {c["check_id"]: (c["verdict"], c["witness"])
                     for c in json.loads(out.read_text())["checks"]}
 
         assert run(argv) == 1
-        assert verdicts() == {"load-braiding": "fail"}
+        assert {cid: v for cid, (v, _) in records().items()} == {"load-braiding": "fail"}
         monkeypatch.setattr(Braiding, "validate", lambda self: [])
         assert run(argv) == 1
-        got = verdicts()
-        assert got["load-braiding"] == "pass"
-        for check in ("spectral-braid-certificate", "spectral-unitarity-certificate",
-                      "current-relations-a-side"):
-            assert got[check] == "fail"
+        got = records()
+        assert {cid for cid, (v, _) in got.items() if v == "fail"} == {
+            "spectral-braid-certificate", "spectral-unitarity-certificate",
+            "current-relations-a-side"}
+        assert got["spectral-braid-certificate"] == ("fail", str(braid_failures))
+        assert got["spectral-unitarity-certificate"] == (
+            "fail", str([(0, 2, 0), (1, 1, 0), (2, 0, 0)]))
+        assert got["current-relations-a-side"] == (
+            "fail", str([("braid", m) for m in braid_failures]))
 
     def test_report_deterministic_modulo_timing(self, tmp_path):
         outs = []
@@ -471,6 +477,13 @@ def _sheared(r: LinOperator) -> LinOperator:
     return (ident + e01) @ r @ (ident - e01)
 
 
+def _with_mu(b: Braiding, mu: LinOperator) -> Braiding:
+    """A copy of the BMW braiding b whose mu idempotent is `mu`."""
+    copy = Braiding(b.N, b.R, b.kind, series=b.series, mu=b.mu, q=b.q, name=b.name)
+    copy.spectral_projectors = {**b.spectral_projectors, "mu": mu}
+    return copy
+
+
 class TestGatingRecordsCanFail:
     """Each gating braiding, double and Poincare record fails on a braiding
     or an algebra built to break its identity."""
@@ -515,16 +528,35 @@ class TestGatingRecordsCanFail:
 
         def swapped(b):
             middle = {SYM: "-1/q", LAMBDA: "q"}[braidings.MU_KIND[b.series]]
-            copy = Braiding(b.N, b.R, b.kind, series=b.series, mu=b.mu, q=b.q,
-                            name=b.name)
-            copy.spectral_projectors = {**b.spectral_projectors,
-                                        "mu": b.spectral_projectors[middle]}
-            return real(copy)
+            return real(_with_mu(b, b.spectral_projectors[middle]))
 
         monkeypatch.setattr(cli, "mu_eigenspace_degree2_report", swapped)
         assert _failing_gating_checks(
             ["--braiding", braiding, "--n", n, "--suite", "braiding"],
             tmp_path / "rep.json") == {"mu-eigenspace-degree2"}
+
+    @pytest.mark.parametrize("braiding, n", [("bmw-orth", "3"), ("bmw-sympl", "4")])
+    def test_wider_idempotent_in_place_of_mu(self, braiding, n, tmp_path, monkeypatch):
+        """The mu record handed a copy of the braiding whose mu idempotent
+        is P_mu plus the other idempotent that the kind keeping mu keeps
+        (q for sym, -1/q for lambda): its image of rank 1 + 5 still survives
+        in that quotient and dies in the other one, so only the rank fails.
+        bmw-sympl 2 has no such copy: its -1/q eigenspace is zero."""
+        real = cli.mu_eigenspace_degree2_report
+
+        def widened(b):
+            kept = {SYM: "q", LAMBDA: "-1/q"}[braidings.MU_KIND[b.series]]
+            projectors = b.spectral_projectors
+            return real(_with_mu(b, projectors["mu"] + projectors[kept]))
+
+        monkeypatch.setattr(cli, "mu_eigenspace_degree2_report", widened)
+        out = tmp_path / "rep.json"
+        assert _failing_gating_checks(
+            ["--braiding", braiding, "--n", n, "--suite", "braiding"],
+            out) == {"mu-eigenspace-degree2"}
+        [record] = [c for c in json.loads(out.read_text())["checks"]
+                    if c["check_id"] == "mu-eigenspace-degree2"]
+        assert record["witness"] == "[('mu-rank', 6)]"
 
     def test_dropped_left_dual_relation(self, tmp_path, monkeypatch):
         """One transported relation dropped from the left-dual side of the
@@ -544,7 +576,7 @@ class TestGatingRecordsCanFail:
             out) == {"left-dual-variant"}
         [record] = [c for c in json.loads(out.read_text())["checks"]
                     if c["check_id"] == "left-dual-variant"]
-        assert "'witnesses': [(" in record["witness"]
+        assert re.search(r"\('[bt]-ideal', ", record["witness"])
 
     def test_involutive_table_is_held_to_its_q(self, tmp_path, capsys):
         """An involutive R = flip with q = 2 solves R^2 = I but not

@@ -22,15 +22,22 @@ gate against the series of the superflip that R is at q = 1: their anchor
 and witness changed everywhere, and on the superflip 1|1 their verdict went
 from report-only to pass.  A change that is meant to alter a verdict, an
 anchor, a witness or a printed matrix must regenerate them and say so.
+The nine `suite-all` reports were regenerated when the last checks that
+returned a dict with a `passed` flag came to return failure lists: the
+passing witness of `left-dual-variant` (flip 2 and 3, std-hecke 2 and 3,
+superflip 1|1) and of `mu-eigenspace-degree2` (the four BMW reports), a
+dict repr, became null.
 `test_report_only_records_are_the_named_exceptions` holds every record that
 does not gate to the one kind that may not: the BMW refusals `braided-lie`
-and `currents`.
+and `currents`.  `test_no_witness_is_a_passed_dict` keeps the dict reports
+from coming back.
 Regenerate with
 
     PYTHONPATH=src python -c "import tests.test_golden_reports as g; g.write_golden()"
 """
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -122,6 +129,16 @@ def test_report_only_records_are_the_named_exceptions(argv):
             cid = check["check_id"]
             assert cid in ("braided-lie", "currents") and b.kind == BMW, cid
             assert check["verdict"] == "report-only", cid
+
+
+def test_no_witness_is_a_passed_dict():
+    """Every record of a golden verify report reads its verdict from one
+    failure list, so no witness is a dict repr or names a `passed` flag."""
+    for path in GOLDEN.glob("*.json"):
+        for check in json.loads(path.read_text()).get("checks", []):
+            witness = check["witness"] or ""
+            assert not re.fullmatch(r"\{.*\}", witness, re.S), (path.name, check)
+            assert "passed" not in witness, (path.name, check)
 
 
 @pytest.mark.parametrize("case", DOCUMENTS, ids=_document_name)

@@ -231,7 +231,6 @@ def verify_yang(cd, degree=1):
                     else:
                         mismatches.append((ket, (x, y), (r, s)))
     report = {
-        "passed": not mismatches,
         "matrix_elements": checked,
         "kets": len(kets),
         "window": M,
@@ -243,7 +242,6 @@ def verify_yang(cd, degree=1):
         "mismatches": mismatches[:10],
     }
     if degree >= 2:
-        report["degree2_report_only"] = True
         report["degree2_residual_classes"] = residual_classes
     if not mismatches:
         stable = True
@@ -253,7 +251,6 @@ def verify_yang(cd, degree=1):
             for (_, _, eu, ev) in coeffs:
                 if lhs(*small, eu, ev) != lhs(*big, eu, ev):
                     stable = False
-        report["window_monotone_spot_check"] = stable
         if not stable:
             raise WindowOverflow("interior mode window too small; enlarge the window",
                                  interior + 3)
