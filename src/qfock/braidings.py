@@ -3,8 +3,9 @@
 Constructors cover the flip, the graded super-flip, the standard Hecke
 symmetry of GL_q type, and the BMW symmetries of orthogonal or symplectic
 type at any admissible N.  Every constructed braiding self-validates: the
-braid relation and the kind-specific minimal polynomial are checked exactly,
-and table loading fails hard if the transcription does not pass the suite.
+braid relation and the minimal polynomial, whose roots must be distinct, are
+checked exactly, and table loading fails hard if the transcription does not
+pass the suite.
 
 The skew inverse Psi is obtained from the defining contraction
 
@@ -20,10 +21,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from importlib import resources
 from math import isqrt
+from operator import add, matmul, mul
 from pathlib import Path
 
 from .errors import (
@@ -83,15 +85,21 @@ class Braiding:
     """An exactly validated braiding with cached skew-inverse data."""
 
     def __init__(self, N: int, R: LinOperator, kind: str,
-                 series: str | None = None, mu: Scalar | None = None,
-                 q: Scalar | None = None, name: str = ""):
+                 series: str | None = None, q: Scalar | None = None,
+                 name: str = ""):
         self.N = N
         self.R = R
         self.kind = kind
         self.series = series
-        self.mu = mu
         self.q = q if q is not None else default_q(kind)
         self.name = name
+
+    @cached_property
+    def mu(self) -> Scalar | None:
+        """The third root of a BMW braiding, fixed by its series at b.q."""
+        if self.kind == BMW and self.series in MU_KIND:
+            return expected_mu(self.series, self.N, self.q)
+        return None
 
     # -- cached skew inverse and spectral projectors ---------------------
 
@@ -127,23 +135,22 @@ class Braiding:
         return r12 @ r23 @ r12 == r23 @ r12 @ r23
 
     def kind_polynomial_ok(self) -> bool:
-        if self.kind not in (HECKE, INVOLUTIVE, BMW):
-            raise ValueError(f"unknown kind {self.kind!r}")
         # every relation space reads b.q, so an involutive braiding is held
         # to (R - q)(R + 1/q) at its own q too; at q = 1 this is R^2 = I
-        ident = LinOperator.identity(self.N, 2)
-        p = (self.R - ident.scale(self.q)) @ (self.R + ident.scale(self.q.inverse()))
-        if self.kind != BMW:
-            return p.is_zero()
-        return self.mu is not None and (p @ (self.R - ident.scale(self.mu))).is_zero()
+        return root_product(self, eigenvalues(self).values()).is_zero()
 
     def validate(self) -> list[str]:
-        """List of violated structural properties (empty when sound)."""
+        """List of violated structural properties (empty when sound): the
+        braid relation, the minimal polynomial, and distinct roots, without
+        which the spectral idempotents do not exist."""
         issues = []
         if not self.braid_ok():
             issues.append("braid relation violated")
         if not self.kind_polynomial_ok():
             issues.append(f"{self.kind} minimal polynomial violated")
+        roots = list(eigenvalues(self).items())
+        issues += [f"repeated root {m} = {n} = {x!r} of the {self.kind} minimal polynomial"
+                   for i, (m, x) in enumerate(roots) for n, y in roots[i + 1:] if x == y]
         return issues
 
     def __repr__(self) -> str:
@@ -258,7 +265,7 @@ def make_bmw(N: int, series: str) -> Braiding:
             coeff = qdiff * Scalar.q_power(rho[i] - rho[j], eps[i] * eps[j])
             term(i, j, N - 1 - i, N - 1 - j, -coeff)
     b = Braiding(N, LinOperator.from_terms(terms, N, 2), BMW, series=series,
-                 mu=expected_mu(series, N), name=f"bmw-{series}-{N}")
+                 name=f"bmw-{series}-{N}")
     issues = b.validate()
     if issues:
         raise AssertionError(f"BMW {series} failed self-validation: {issues}")
@@ -266,16 +273,15 @@ def make_bmw(N: int, series: str) -> Braiding:
 
 
 def specialize(b: Braiding, q0: Fraction | int) -> Braiding:
-    """b at q = q0: R, mu and q evaluated there to constant scalars, so
-    that the braid and minimal-polynomial checks run on numbers.  Raises
+    """b at q = q0: R and q, and so mu, evaluated there to constant scalars,
+    so that the braid and minimal-polynomial checks run on numbers.  Raises
     NonGenericPoint when q0 is a pole of an entry."""
     def at(s: Scalar) -> Scalar:
         return Scalar.from_fraction(s.evaluate(q0))
 
     r = LinOperator.from_terms(((o, c, at(v)) for o, c, v in b.R.nonzeros()),
                                b.N, 2, b.R.labels, b.R.labels_out)
-    return Braiding(b.N, r, b.kind, b.series, None if b.mu is None else at(b.mu),
-                    at(b.q), name=f"{b.name} at q = {q0}")
+    return Braiding(b.N, r, b.kind, b.series, at(b.q), name=f"{b.name} at q = {q0}")
 
 
 def superflip_limit(b: Braiding) -> tuple[int, int] | None:
@@ -456,33 +462,34 @@ def exchange_table(psi: LinOperator, s: Scalar,
 # spectral projectors
 # ---------------------------------------------------------------------------
 
-def projectors(b: Braiding) -> dict[str, LinOperator]:
-    """Complete set of spectral idempotents of the braiding.
+def eigenvalues(b: Braiding) -> dict[str, Scalar]:
+    """The roots of R's minimal polynomial by name: q and -1/q, and for a
+    BMW braiding mu, which its series fixes (Faddeev, Reshetikhin and
+    Takhtajan 1990).  q is the braiding's own b.q."""
+    if b.kind not in (HECKE, INVOLUTIVE) and b.mu is None:
+        raise UnsupportedConstruction(f"no minimal polynomial for a {b.kind} "
+                                      f"braiding of series {b.series!r}")
+    roots = {"q": b.q, "-1/q": -b.q.inverse()}
+    return roots if b.mu is None else {**roots, "mu": b.mu}
 
-    Hecke and involutive braidings decompose as q*P+ - q^{-1}*P-, BMW ones
-    carry the extra mu idempotent of the cubic polynomial.
-    """
+
+def root_product(b: Braiding, roots) -> LinOperator:
+    """The product of (R - lambda I) over the roots lambda, which commute."""
     ident = LinOperator.identity(b.N, 2)
-    r = b.R
-    q = b.q
-    if b.kind in (HECKE, INVOLUTIVE):
-        denom = (q + q.inverse()).inverse()
-        plus = (r + ident.scale(q.inverse())).scale(denom)
-        minus = (ident.scale(q) - r).scale(denom)
-        return {"q": plus, "-1/q": minus}
-    if b.kind == BMW:
-        mu = b.mu
-        if mu is None:
-            raise ValueError("BMW braiding lacks its mu eigenvalue")
-        qi = q.inverse()
-        minus = ((r - ident.scale(q)) @ (r - ident.scale(mu))).scale(
-            ((q + qi) * (qi + mu)).inverse())
-        plus = ((r + ident.scale(qi)) @ (r - ident.scale(mu))).scale(
-            ((q + qi) * (q - mu)).inverse())
-        pmu = ((r - ident.scale(q)) @ (r + ident.scale(qi))).scale(
-            ((mu - q) * (mu + qi)).inverse())
-        return {"q": plus, "-1/q": minus, "mu": pmu}
-    raise ValueError(f"unknown kind {b.kind!r}")
+    return reduce(matmul, (b.R + ident.scale(-root) for root in roots))
+
+
+def projectors(b: Braiding) -> dict[str, LinOperator]:
+    """The spectral idempotents of R by root (Lagrange): P_lambda is the
+    product of (R - mu I)/(lambda - mu) over the other roots mu.  Raises
+    DivisionByZero when two roots coincide."""
+    roots = eigenvalues(b)
+    out = {}
+    for name, root in roots.items():
+        others = [mu for other, mu in roots.items() if other != name]
+        denom = reduce(mul, (root - mu for mu in others))
+        out[name] = root_product(b, others).scale(denom.inverse())
+    return out
 
 
 # the algebra kind that keeps the mu eigenspace in degree 2, per BMW series
@@ -495,21 +502,18 @@ def relation_operator(b: Braiding, kind: str) -> LinOperator:
     eigenvalues lambda whose eigenspaces the kind keeps in degree 2.  Sym
     keeps q, lambda keeps -1/q, and for a BMW b (Faddeev, Reshetikhin and
     Takhtajan 1990) the kind MU_KIND names for its series also keeps mu.
-    Every entry is Laurent when R and mu are.  q is the braiding's own b.q."""
+    Every entry is Laurent when R and mu are."""
     if kind not in (SYM, LAMBDA):
         raise UnsupportedConstruction(f"unknown algebra kind {kind!r}")
-    if b.kind not in (HECKE, INVOLUTIVE) and (b.kind != BMW or b.series not in MU_KIND):
-        raise UnsupportedConstruction(
-            f"no {kind} relations for a {b.kind} braiding of series {b.series!r}")
-    ident = LinOperator.identity(b.N, 2)
-    op = b.R - ident.scale(b.q) if kind == SYM else b.R + ident.scale(b.q.inverse())
-    if b.kind == BMW and MU_KIND[b.series] == kind:
-        op = op @ (b.R - ident.scale(b.mu))
-    return op
+    keep = "q" if kind == SYM else "-1/q"
+    return root_product(b, [root for name, root in eigenvalues(b).items()
+                            if name == keep or name == "mu" and MU_KIND[b.series] == kind])
 
 
 def projector_decomposition_ok(b: Braiding) -> bool:
+    """Orthogonal idempotents that sum to I and to R when weighted by root."""
     projs = b.spectral_projectors
+    roots = eigenvalues(b)
     ident = LinOperator.identity(b.N, 2)
     total = None
     for p in projs.values():
@@ -522,19 +526,12 @@ def projector_decomposition_ok(b: Braiding) -> bool:
         for k2, p2 in projs.items():
             if k1 != k2 and not (p1 @ p2).is_zero():
                 return False
-    recon = projs["q"].scale(b.q) - projs["-1/q"].scale(b.q.inverse())
-    if "mu" in projs:
-        recon = recon + projs["mu"].scale(b.mu)
-    return recon == b.R
+    return reduce(add, (p.scale(roots[name]) for name, p in projs.items())) == b.R
 
 
 # ---------------------------------------------------------------------------
 # Baxterization
 # ---------------------------------------------------------------------------
-
-RATIONAL = "rational"
-TRIGONOMETRIC = "trigonometric"
-
 
 Monomial = tuple[int, int, int]      # exponents of u, v, w
 Poly = dict[Monomial, Scalar]        # nonzero coefficients
@@ -553,10 +550,10 @@ def _linear(coeffs: dict[int, Scalar], const: Scalar) -> Poly:
 @dataclass
 class CurrentBraiding:
     """A spectral-parameter braiding R(u,v) = R - h(u,v)*I with its
-    normalizer g(u,v), obtained by Baxterizing a constant braiding."""
+    normalizer g(u,v), obtained by Baxterizing a constant braiding (Jones
+    1990): rationally if it is involutive, trigonometrically if Hecke."""
 
     base: Braiding
-    flavor: str
 
     # R(u,v) = R - h(u,v) I and g(u,v) = s - h(u,v) with the pole
     # h(u,v) = (a u + b)/(u - v), (a, b, s) the constants of _affine.
@@ -579,10 +576,10 @@ class CurrentBraiding:
     # The cleared (pole-free) forms are affine in the spectral variables,
     #   cleared R(x, y) = (x - y) R - (a x + b) I,
     #   cleared g(x, y) = s (x - y) - (a x + b),
-    # with (a, b, s) = (q - 1/q, 0, q) trigonometric and (0, 1, 1) rational.
-    # Variables are numbered 0, 1, 2 for u, v, w.
+    # with (a, b, s) = (q - 1/q, 0, q) on a Hecke base and (0, 1, 1) on an
+    # involutive one.  Variables are numbered 0, 1, 2 for u, v, w.
     def _affine(self) -> tuple[Scalar, Scalar, Scalar]:
-        if self.flavor == RATIONAL:
+        if self.base.kind == INVOLUTIVE:
             return ZERO, ONE, ONE
         q = self.base.q
         return q - q.inverse(), ZERO, q
@@ -592,7 +589,7 @@ class CurrentBraiding:
         in |u| > |v| is c sum_{p>=0} v^p u^(-p-theta): (a, 0) trigonometric
         and (b, 1) rational."""
         a, b, _ = self._affine()
-        return (b, 1) if self.flavor == RATIONAL else (a, 0)
+        return (b, 1) if self.base.kind == INVOLUTIVE else (a, 0)
 
     def cleared_r_form(self, x: int, y: int, letter: str) -> Factor:
         """The cleared R(x, y) as a factor: `letter` standing for R, with
@@ -616,17 +613,12 @@ class CurrentBraiding:
         return unitarity_certificate(self)
 
 
-def baxterize(b: Braiding, flavor: str) -> CurrentBraiding:
+def baxterize(b: Braiding) -> CurrentBraiding:
     """Attach spectral parameters to an involutive or Hecke braiding."""
-    if flavor == RATIONAL:
-        if b.kind != INVOLUTIVE:
-            raise UnsupportedBase("rational Baxterization needs an involutive base")
-    elif flavor == TRIGONOMETRIC:
-        if b.kind != HECKE:
-            raise UnsupportedBase("trigonometric Baxterization needs a Hecke base")
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    return CurrentBraiding(b, flavor)
+    if b.kind not in (INVOLUTIVE, HECKE):
+        raise UnsupportedBase(f"Baxterization needs an involutive or a Hecke "
+                              f"base, not a {b.kind} one")
+    return CurrentBraiding(b)
 
 
 def _expand(factors: list[Factor]) -> dict[tuple[Monomial, tuple[str, ...]], Scalar]:
@@ -790,9 +782,9 @@ def load_braiding_table(doc: dict | str | Path) -> Braiding:
     range, an exponent above TABLE_MAX_EXPONENT, a zero q or denominator)
     raises MalformedTable.  The property suite is the transcription
     oracle: a table that violates the braid relation or its declared
-    minimal polynomial, or whose braiding is not skew-invertible, is
-    rejected with InvalidTable, and a BMW mu not matching its series with
-    InconsistentMu.
+    minimal polynomial, whose roots are not distinct, or whose braiding is
+    not skew-invertible, is rejected with InvalidTable, and a BMW mu not
+    matching its series with InconsistentMu.
     """
     if isinstance(doc, (str, Path)):
         try:
@@ -831,13 +823,10 @@ def load_braiding_table(doc: dict | str | Path) -> Braiding:
     if q.is_zero():
         raise MalformedTable("q must be nonzero")
     if kind == BMW:
-        if series not in ("orthogonal", "symplectic"):
+        if series not in MU_KIND:
             raise MalformedTable("BMW table must declare its series")
         if mu is None:
             raise MalformedTable("BMW table must declare mu")
-        if mu != expected_mu(series, N, q):
-            raise InconsistentMu(
-                f"mu {mu!r} does not match the {series} series at N={N}")
     values = {}   # a repeated (i, j, k, l) keeps its last value
     for ent in raw_entries:
         if not isinstance(ent, dict) or \
@@ -850,7 +839,9 @@ def load_braiding_table(doc: dict | str | Path) -> Braiding:
         values[enc_index((k, l), N), enc_index((i, j), N)] = \
             _table_scalar(ent.get("value"), f"value of entry {ent!r}")
     r = LinOperator.from_terms(((o, c, v) for (o, c), v in values.items()), N, 2)
-    b = Braiding(N, r, kind, series=series, mu=mu, q=q, name=name)
+    b = Braiding(N, r, kind, series=series, q=q, name=name)
+    if kind == BMW and mu != b.mu:
+        raise InconsistentMu(f"mu {mu!r} does not match the {series} series at N={N}")
     issues = b.validate()
     if issues:
         raise InvalidTable("; ".join(issues))

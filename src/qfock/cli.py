@@ -179,6 +179,9 @@ def _suite_braiding(rep: Report, b: Braiding, cfg: RunConfig):
     rep.add("minimal-polynomial", poly, b.kind_polynomial_ok())
     try:
         skew = b.skew
+    except QfockError as exc:
+        rep.add("skew-inverse", "R_ij^kl Psi_lm^jn = delta delta", False, witness=exc)
+    else:
         rep.add("skew-inverse", "R_ij^kl Psi_lm^jn = delta delta", True)
         rep.add("strict-skew-invertibility", "B = Tr_1 Psi and C = Tr_2 Psi invertible",
                 skew.strict,
@@ -191,11 +194,8 @@ def _suite_braiding(rep: Report, b: Braiding, cfg: RunConfig):
             pair_ok = (dp.left == b.B and mat_mul(dp.left, dp.tilde_right)
                        == [{i: ONE} for i in range(b.N)])
             rep.add("dual-pairings", "left pairing = B; tilde pairing = B^{-1}", pair_ok)
-        rep.add("projector-decomposition",
-                "idempotent, complementary, reconstruct R",
-                projector_decomposition_ok(b))
-    except QfockError as exc:
-        rep.add("skew-inverse", "R_ij^kl Psi_lm^jn = delta delta", False, witness=exc)
+    rep.add("projector-decomposition", "idempotent, complementary, reconstruct R",
+            projector_decomposition_ok(b))
     if b.kind == BMW:
         _add_found(rep, "mu-eigenspace-degree2",
                    "invariant line survives in the expected degree-2 quotient",
@@ -301,8 +301,7 @@ def _suite_currents(rep: Report, b: Braiding, cfg: RunConfig):
         rep.add("currents", "Baxterization is defined for involutive and "
                 "Hecke bases only (refused)", None)
         return
-    flavor = "rational" if b.kind == INVOLUTIVE else "trigonometric"
-    cb = baxterize(b, flavor)
+    cb = baxterize(b)
     _add_found(rep, "spectral-braid-certificate",
                "R12(u,v) R23(u,w) R12(v,w) = R23(v,w) R12(u,w) R23(u,v)",
                cb.braid_certificate)

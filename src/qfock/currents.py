@@ -529,8 +529,7 @@ def current_relation_check(cd: CurrentDouble) -> list[tuple]:
     """
     base = cd.cb.base
     dual = Braiding(base.N, dual_square(base.R), base.kind,
-                    series=base.series, mu=base.mu, q=base.q,
-                    name=f"dual({base.name})")
-    dual_cb = CurrentBraiding(dual, cd.cb.flavor)
+                    series=base.series, q=base.q, name=f"dual({base.name})")
+    dual_cb = CurrentBraiding(dual)
     return ([("braid", m) for m in dual_cb.braid_certificate]
             + [("unitarity", w) for w in dual_cb.unitarity_certificate])

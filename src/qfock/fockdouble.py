@@ -509,7 +509,7 @@ def left_dual_variant_report(d: FockDouble) -> list[tuple]:
                 for u, bu in bcols[bb].items():
                     add_term(out, (t, u), c * bt * bu)
         trels.append(out)
-    atilde = GradedQuotient(N, "V*", SYM, trels, name="left-dual side")
+    atilde = GradedQuotient(N, trels, name="left-dual side")
 
     memo: dict = {}
 

@@ -40,11 +40,8 @@ class Component:
 class GradedQuotient:
     """A quadratic quotient of T(V) or T(V*) with per-degree bases."""
 
-    def __init__(self, N: int, space: str, kind: str,
-                 relations: list[Tensor], name: str = ""):
+    def __init__(self, N: int, relations: list[Tensor], name: str = ""):
         self.N = N
-        self.space = space
-        self.kind = kind
         self.relations = relations
         self.name = name
         self._components: dict[int, Component] = {}
@@ -147,7 +144,7 @@ class GradedQuotient:
         return [self.dim(k) for k in range(kmax + 1)]
 
     def __repr__(self) -> str:
-        return f"GradedQuotient({self.name or self.kind}, N={self.N}, {self.space})"
+        return f"GradedQuotient({self.name}, N={self.N})"
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +179,7 @@ def make_algebra(b: Braiding, kind: str, space: str) -> GradedQuotient:
     transported to V* (x) V* for V*."""
     relations = _image_basis(_on_square(relation_operator(b, kind), space))
     name = f"{kind}({space}) over {b.name or b.kind}"
-    return GradedQuotient(b.N, space, kind, relations, name)
+    return GradedQuotient(b.N, relations, name)
 
 
 # ---------------------------------------------------------------------------

@@ -45,21 +45,21 @@ GAUGES = {"upper": upper, "lower": lower, "permuted": permuted}
 
 
 def conjugated(b: Braiding, g: Matrix, tag: str = "gauged") -> Braiding:
-    """b with R replaced by (g (x) g) R (g (x) g)^-1; kind, series, mu and
-    q are kept."""
+    """b with R replaced by (g (x) g) R (g (x) g)^-1; kind, series and q,
+    and so mu, are kept."""
     N = b.N
     gg = LinOperator.from_terms(
         ((enc_index((a, b2), N), enc_index((c, d), N), Scalar.from_int(v * w))
          for (a, c), v in g.items() for (b2, d), w in g.items()), N, 2)
     r = gg @ b.R @ gg.inverse()
-    return Braiding(N, r, b.kind, series=b.series, mu=b.mu, q=b.q,
+    return Braiding(N, r, b.kind, series=b.series, q=b.q,
                     name=f"{b.name} {tag}")
 
 
 def twisted(b: Braiding) -> Braiding:
     """b with each e_i (x) e_j -> e_j (x) e_i entry, i != j, scaled by
-    p_ij = i + j + 2 (i < j) or 1 / p_ji (i > j); kind, series, mu and q
-    are kept."""
+    p_ij = i + j + 2 (i < j) or 1 / p_ji (i > j); kind, series and q, and
+    so mu, are kept."""
     N = b.N
 
     def scaled(r: int, c: int, v: Scalar) -> Scalar:
@@ -71,7 +71,7 @@ def twisted(b: Braiding) -> Braiding:
 
     r = LinOperator.from_terms(((r, c, scaled(r, c, v)) for r, c, v in b.R.nonzeros()),
                                N, 2)
-    return Braiding(N, r, b.kind, series=b.series, mu=b.mu, q=b.q,
+    return Braiding(N, r, b.kind, series=b.series, q=b.q,
                     name=f"{b.name} twisted")
 
 

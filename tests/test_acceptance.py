@@ -191,8 +191,8 @@ class TestAcceptance:
 
     def test_8_currents(self):
         t0 = time.perf_counter()
-        rational = baxterize(make_flip(2), "rational")
-        trig = baxterize(make_standard_hecke(2), "trigonometric")
+        rational = baxterize(make_flip(2))
+        trig = baxterize(make_standard_hecke(2))
         for cb in (rational, trig):
             assert not spectral_braid_certificate(cb)
             assert not unitarity_certificate(cb)

@@ -359,6 +359,15 @@ class TestTables:
         with pytest.raises(InconsistentMu if b.kind == BMW else InvalidTable):
             load_braiding_table(doc)
 
+    @pytest.mark.parametrize("N, series, repeated", [
+        (3, "orthogonal", "q = mu = 1"), (2, "symplectic", "-1/q = mu = -1")])
+    def test_repeated_root_rejected(self, N, series, repeated):
+        b = specialize(make_bmw(N, series), 1)
+        assert b.kind_polynomial_ok()
+        assert b.validate() == [f"repeated root {repeated} of the bmw minimal polynomial"]
+        with pytest.raises(InvalidTable, match=f"repeated root {repeated} "):
+            load_braiding_table(braiding_to_table(b))
+
     def test_skew_inverse_consistency_of_all_builtins(self):
         for name in ("std-hecke-2", "bmw-orth-3", "bmw-sympl-2"):
             b = load_builtin(name)
@@ -390,16 +399,16 @@ class TestMakeBmw:
 
 
 class TestBaxterize:
-    @pytest.mark.parametrize("flavor, make, h, g", [
-        ("rational", make_flip, Scalar.from_fraction(Fraction(1, 2)),
+    @pytest.mark.parametrize("make, h, g", [
+        (make_flip, Scalar.from_fraction(Fraction(1, 2)),
          Scalar.from_fraction(Fraction(1, 2))),
         # h = (q - 1/q) u/(u - v) and g = q - h at u/(u - v) = 3/2
-        ("trigonometric", make_standard_hecke,
+        (make_standard_hecke,
          (Q - QINV) * Scalar.from_fraction(Fraction(3, 2)),
          Q - (Q - QINV) * Scalar.from_fraction(Fraction(3, 2)))],
         ids=["rational", "trigonometric"])
-    def test_spectral_form_and_normalizer(self, flavor, make, h, g):
-        cb = baxterize(make(2), flavor)
+    def test_spectral_form_and_normalizer(self, make, h, g):
+        cb = baxterize(make(2))
         u, v = Fraction(3), Fraction(1)
         ident = LinOperator.identity(2, 2)
         assert cb.r_at(u, v) == cb.base.R - ident.scale(h)
@@ -408,7 +417,7 @@ class TestBaxterize:
             cb.r_at(u, u)
 
     def test_trig_normalized_involutive_at_samples(self):
-        cb = baxterize(make_standard_hecke(2), "trigonometric")
+        cb = baxterize(make_standard_hecke(2))
         ident = LinOperator.identity(2, 2)
         for u, v in ((2, 3), (5, 7), (3, 11)):
             u, v = Fraction(u), Fraction(v)
@@ -416,15 +425,11 @@ class TestBaxterize:
 
     def test_unsupported_bases(self):
         with pytest.raises(UnsupportedBase):
-            baxterize(load_builtin("bmw-orth-3"), "trigonometric")
-        with pytest.raises(UnsupportedBase):
-            baxterize(make_standard_hecke(2), "rational")
-        with pytest.raises(UnsupportedBase):
-            baxterize(make_flip(2), "trigonometric")
+            baxterize(load_builtin("bmw-orth-3"))
 
     @pytest.mark.parametrize("cb_maker", [
-        lambda: baxterize(make_flip(2), "rational"),
-        lambda: baxterize(make_standard_hecke(2), "trigonometric"),
+        lambda: baxterize(make_flip(2)),
+        lambda: baxterize(make_standard_hecke(2)),
     ])
     def test_grid_certificates(self, cb_maker):
         cb = cb_maker()
@@ -447,14 +452,14 @@ _GRID = [Fraction(x) for x in (2, 3, 5, 7)]
 def _grid_cleared_r(cb, u, v):
     ident = LinOperator.identity(cb.base.N, 2, cb.base.R.labels)
     uv = Scalar.from_fraction(u - v)
-    if cb.flavor == "rational":
+    if cb.base.kind == "involutive":
         return cb.base.R.scale(uv) - ident
     return cb.base.R.scale(uv) - ident.scale((Q - QINV) * Scalar.from_fraction(u))
 
 
 def _grid_cleared_g(cb, u, v):
     uv = Scalar.from_fraction(u - v)
-    if cb.flavor == "rational":
+    if cb.base.kind == "involutive":
         return uv - ONE
     return Q * uv - (Q - QINV) * Scalar.from_fraction(u)
 
@@ -496,8 +501,8 @@ def grid_unitarity_passed(cb):
 
 def dual_transport(b):
     """The braiding of the a-side certificates: R on V* (x) V*."""
-    return Braiding(b.N, dual_square(b.R), b.kind, series=b.series,
-                    mu=b.mu, q=b.q, name=f"dual({b.name})")
+    return Braiding(b.N, dual_square(b.R), b.kind, series=b.series, q=b.q,
+                    name=f"dual({b.name})")
 
 
 def bumped(b, out, inp):
@@ -506,10 +511,6 @@ def bumped(b, out, inp):
     rows[out][inp] = rows[out][inp] + ONE
     return Braiding(b.N, from_dense(rows, b.N, 2), b.kind,
                     q=b.q, name=f"bumped({b.name})")
-
-
-def flavor_of(b):
-    return "trigonometric" if b.kind == "hecke" else "rational"
 
 
 _CERTIFIED = {
@@ -537,7 +538,7 @@ class TestSpectralCertificates:
         b = _CERTIFIED[name]()
         if transport:
             b = dual_transport(b)
-        cb = CurrentBraiding(b, flavor_of(b))
+        cb = CurrentBraiding(b)
         assert (not spectral_braid_certificate(cb)) is grid_braid_passed(cb) is True
         assert (not unitarity_certificate(cb)) is grid_unitarity_passed(cb) is True
 
@@ -547,7 +548,7 @@ class TestSpectralCertificates:
         b = bumped(_CERTIFIED[name](), out, inp)
         if transport:
             b = dual_transport(b)
-        cb = CurrentBraiding(b, flavor_of(b))
+        cb = CurrentBraiding(b)
         assert (not spectral_braid_certificate(cb)) is grid_braid_passed(cb)
         assert (not unitarity_certificate(cb)) is grid_unitarity_passed(cb)
 
@@ -562,8 +563,7 @@ class TestSpectralCertificates:
         they are those of the -(u - v)^2 in front of R^2, followed by the
         three spot points, where the rational normalizer skips (2, 3)."""
         b = _CERTIFIED[name]()
-        cb = baxterize(bumped(b, enc_index((0, 1), 2), enc_index((1, 0), 2)),
-                       flavor_of(b))
+        cb = baxterize(bumped(b, enc_index((0, 1), 2), enc_index((1, 0), 2)))
         spots = [(5, 7), (3, 11), (2, 5)] if name == "flip-2" else [(2, 3), (5, 7), (3, 11)]
         assert spectral_braid_certificate(cb) == braid_failures
         assert unitarity_certificate(cb) == [(0, 2, 0), (1, 1, 0), (2, 0, 0)] + [
@@ -585,7 +585,7 @@ class TestSpectralCertificates:
             calls["matmul"] += 1
             return real_matmul(a, b)
 
-        cb = baxterize(make_standard_hecke(3), "trigonometric")
+        cb = baxterize(make_standard_hecke(3))
         monkeypatch.setattr(braidings, "place", counted_place)
         monkeypatch.setattr(LinOperator, "__matmul__", counted_matmul)
         assert not cb.braid_certificate

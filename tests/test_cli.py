@@ -24,6 +24,7 @@ from qfock.braidings import (
     make_standard_hecke,
     make_superflip,
     projector_decomposition_ok,
+    specialize,
     superflip_limit,
 )
 from qfock.cli import main
@@ -479,7 +480,7 @@ def _sheared(r: LinOperator) -> LinOperator:
 
 def _with_mu(b: Braiding, mu: LinOperator) -> Braiding:
     """A copy of the BMW braiding b whose mu idempotent is `mu`."""
-    copy = Braiding(b.N, b.R, b.kind, series=b.series, mu=b.mu, q=b.q, name=b.name)
+    copy = Braiding(b.N, b.R, b.kind, series=b.series, q=b.q, name=b.name)
     copy.spectral_projectors = {**b.spectral_projectors, "mu": mu}
     return copy
 
@@ -564,10 +565,10 @@ class TestGatingRecordsCanFail:
         relations to zero."""
         real = fockdouble.GradedQuotient
 
-        def dropped(N, space, kind, relations, name=""):
+        def dropped(N, relations, name=""):
             if name == "left-dual side":
                 relations = relations[:-1]
-            return real(N, space, kind, relations, name)
+            return real(N, relations, name)
 
         monkeypatch.setattr(fockdouble, "GradedQuotient", dropped)
         out = tmp_path / "rep.json"
@@ -589,6 +590,27 @@ class TestGatingRecordsCanFail:
         assert _failing_gating_checks(["--table", str(table), "--suite", "braiding"],
                                       tmp_path / "rep.json") == {"load-braiding"}
         assert "involutive minimal polynomial violated" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n, series, repeated", [
+        (3, "orthogonal", "q = mu = 1"), (2, "symplectic", "-1/q = mu = -1")])
+    def test_repeated_root_table_is_refused(self, n, series, repeated, tmp_path):
+        """A BMW table at q = 1 whose mu equals another root solves its
+        minimal polynomial but has no spectral idempotents: it is refused
+        at load, with one failing record that names the repeated root."""
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(braiding_to_table(specialize(make_bmw(n, series), 1))))
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--table", str(table), "--suite", "braiding",
+                    "--out", str(out)]) == 1
+        [record] = json.loads(out.read_text())["checks"]
+        assert (record["check_id"], record["verdict"]) == ("load-braiding", "fail")
+        assert f"repeated root {repeated} " in record["witness"]
+
+    def test_hecke_table_at_q_minus_one_passes(self, tmp_path):
+        """At q = -1 the Hecke roots q and -1/q are -1 and 1, distinct."""
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(braiding_to_table(specialize(make_standard_hecke(2), -1))))
+        assert run(["verify", "--table", str(table), "--suite", "all"]) == 0
 
     @pytest.mark.parametrize("target", [
         ["--braiding", "std-hecke", "--n", "2"],
@@ -785,6 +807,24 @@ def _mutation():
                                    {"num": [[300, 1]], "den": [[0, 1]]}])),
         st.builds(append_junk, junk),
     )
+
+
+class TestSizeArgumentFuzz:
+    """verify on each builtin braiding and each single suite, with size
+    arguments at, below and past their bounds, exits 0, 1 or 2 and raises
+    nothing.  The window stops at 1: window 2 with degree 2 at N = 3 takes
+    seconds on its own."""
+
+    @given(st.sampled_from(["flip", "superflip", "std-hecke", "bmw-orth", "bmw-sympl"]),
+           st.sampled_from(["braiding", "double", "lie", "poincare", "currents"]),
+           st.integers(-1, 3), st.text(alphabet="012,- ", max_size=3),
+           st.integers(-1, 6), st.integers(-1, 3), st.integers(-1, 1))
+    @settings(max_examples=100, deadline=None)
+    def test_size_arguments(self, braiding, suite, n, mn, kmax, degree, window):
+        # --flag=<value>, so that a value that looks like a flag reaches qfock
+        assert main(["verify", "--braiding", braiding, "--suite", suite,
+                     f"--n={n}", f"--mn={mn}", f"--kmax={kmax}",
+                     f"--degree={degree}", f"--window={window}"]) in (0, 1, 2)
 
 
 class TestLoaderFuzz:

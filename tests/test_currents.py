@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qfock import braidings, currents
 from qfock.braidings import (
-    TRIGONOMETRIC, baxterize, make_flip, make_standard_hecke, make_superflip,
+    HECKE, baxterize, make_flip, make_standard_hecke, make_superflip,
 )
 from qfock.currents import (
     OPEN,
@@ -42,20 +42,20 @@ from yang_reference import full_relation_instances
 
 
 def flip_double(window=2):
-    return make_current_double(baxterize(make_flip(2), "rational"), window)
+    return make_current_double(baxterize(make_flip(2)), window)
 
 
 def hecke_double(window=2):
-    return make_current_double(baxterize(make_standard_hecke(2), "trigonometric"), window)
+    return make_current_double(baxterize(make_standard_hecke(2)), window)
 
 
 def superflip_double(window=2):
-    return make_current_double(baxterize(make_superflip(1, 1), "rational"), window)
+    return make_current_double(baxterize(make_superflip(1, 1)), window)
 
 
 def twisted_double(window=2):
     return make_current_double(
-        baxterize(twisted(make_standard_hecke(2)), "trigonometric"), window)
+        baxterize(twisted(make_standard_hecke(2))), window)
 
 
 def bump_exchange(cd):
@@ -150,7 +150,7 @@ class _EvaluatedTerm:
 
 def _extract(cd, ev_terms, eu, ev, apply_pole):
     window = cd.window
-    trig = cd.cb.flavor == TRIGONOMETRIC
+    trig = cd.cb.base.kind == HECKE
     out = {}
 
     def add_states(states, scale):
@@ -369,7 +369,7 @@ class TestYang:
 
     def test_hecke_n3_trigonometric_window1(self):
         cd = make_current_double(
-            baxterize(make_standard_hecke(3), "trigonometric"), window=1)
+            baxterize(make_standard_hecke(3)), window=1)
         rep = verify_yang(cd, degree=1)
         assert not rep["mismatches"]
         assert rep["matrix_elements"] == 81 * 9 * 10
@@ -408,7 +408,7 @@ class TestYang:
         # written L-identity shows here and not on the symmetric builtins
         h = make_standard_hecke(2)
         b = twisted(h) if change == "twisted" else conjugated(h, upper(2), change)
-        cd = make_current_double(baxterize(b, "trigonometric"), window=1)
+        cd = make_current_double(baxterize(b), window=1)
         rep = verify_yang(cd, degree=2)
         assert not rep["mismatches"]
         assert rep["degree2_residual_classes"] == residual
@@ -584,7 +584,7 @@ class TestBucketedComparison:
         cd = maker(window=M)
         if corrupt:
             bump_exchange(cd)
-        trig = cd.cb.flavor == TRIGONOMETRIC
+        trig = cd.cb.base.kind == HECKE
         theta = 0 if trig else 1
         interior = 2 * M + 2
         t1, t2 = _yang_expressions(cd)
@@ -653,9 +653,8 @@ class TestPrefixSharing:
         whole word evaluated on that ket, at every key that the word's
         reader reads: pruning the prefixes to the reader's box drops only
         keys that it does not read."""
-        base, flavor = ((make_flip(N), "rational") if braiding == "flip"
-                        else (make_standard_hecke(N), TRIGONOMETRIC))
-        cd = make_current_double(baxterize(base, flavor), window)
+        base = make_flip(N) if braiding == "flip" else make_standard_hecke(N)
+        cd = make_current_double(baxterize(base), window)
         t1, t2 = _yang_expressions(cd)
         lhs_box, rhs_box = _readers(window, cd.cb.pole()[1])
         words = {(f, 2 * window + 2, OPEN if d else lhs_box)

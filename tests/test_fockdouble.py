@@ -23,7 +23,10 @@ from qfock.braidings import (
     make_flip,
     make_standard_hecke,
     make_superflip,
+    eigenvalues,
+    expected_mu,
     projector_decomposition_ok,
+    projectors,
     relation_operator,
     specialize,
 )
@@ -57,7 +60,7 @@ from qfock.tensorops import LinOperator, enc_index, mat_transpose
 import formal_reference
 import grid_reference
 from dense_operators import dense, dense_identity, dense_matmul, from_dense
-from gauge import twisted
+from gauge import GAUGES, conjugated, twisted
 from hecke_families import FORMS, form_braiding, super_hecke
 from jacobi_reference import jacobi_sides
 from rewriting_reference import normal_order_act, pending_rewrite
@@ -386,7 +389,7 @@ class TestCompatibility:
         # replaces reduced them in a double with a free creation side
         d = maker()
         N = d.braiding.N
-        free = GradedQuotient(N, "V", "free", [])
+        free = GradedQuotient(N, [])
         for p, q, r in itertools.product(range(N), repeat=3):
             for word in ((("b", p), ("b", q), ("a", r)),
                          (("a", p), ("b", q), ("b", r))):
@@ -666,8 +669,8 @@ class TestGridAgainstProjectorRoute:
     def test_net_rows_are_one_multiple_of_the_reference(self, name, bumped):
         b = GRID_BRAIDINGS[name]()
         if bumped:
-            b = Braiding(b.N, _bumped(b.R), b.kind, series=b.series, mu=b.mu,
-                         q=b.q, name=b.name)
+            b = Braiding(b.N, _bumped(b.R), b.kind, series=b.series, q=b.q,
+                         name=b.name)
         kinds = (SYM, LAMBDA) if b.kind != BMW else (MU_KIND[b.series],)
         reference = _net_rows(b.R, grid_reference.outer_grid(b))
         assert reference
@@ -684,6 +687,54 @@ class TestGridAgainstProjectorRoute:
             reference = grid_reference.projector_relation_operator(b, kind)
             assert (make_algebra(b, kind, space).relations
                     == _image_basis(_on_square(reference, space))), (kind, space)
+
+
+class TestRootTable:
+    """projectors and kind_polynomial_ok read the root table
+    braidings.eigenvalues; the forms they replace, written out kind by kind,
+    are the reference (tests/grid_reference.py)."""
+
+    @pytest.mark.parametrize("bumped", [False, True], ids=["exact", "bumped"])
+    @pytest.mark.parametrize("q0", [None, Fraction(3, 2)], ids=["generic", "q0=3/2"])
+    @pytest.mark.parametrize("name", sorted(GRID_BRAIDINGS))
+    def test_equal_to_the_hand_expanded_forms(self, name, q0, bumped):
+        """Equal idempotents and verdicts, also for an R with one entry
+        bumped by ONE (which is no braiding) and at q = q0."""
+        b = GRID_BRAIDINGS[name]()
+        if q0 is not None:
+            b = specialize(b, q0)
+        if bumped:
+            b = Braiding(b.N, _bumped(b.R), b.kind, series=b.series, q=b.q,
+                         name=b.name)
+        assert projectors(b) == grid_reference.hand_projectors(b)
+        assert b.kind_polynomial_ok() is grid_reference.hand_kind_polynomial_ok(b)
+        assert b.kind_polynomial_ok() is not bumped
+        assert set(eigenvalues(b)) == set(projectors(b))
+
+    @pytest.mark.parametrize("series, N", [("orthogonal", 3), ("orthogonal", 4),
+                                           ("symplectic", 2), ("symplectic", 4)])
+    def test_mu_follows_from_the_series(self, series, N):
+        """The mu of every BMW braiding is the one its series fixes at its
+        own q: constructed, loaded, specialized and changed in basis."""
+        b = make_bmw(N, series)
+        copies = [b, specialize(b, Fraction(3, 2)), twisted(b),
+                  *(conjugated(b, g(N)) for g in GAUGES.values())]
+        if N < 4:
+            short = "orth" if series == "orthogonal" else "sympl"
+            copies.append(load_builtin(f"bmw-{short}-{N}"))
+        for c in copies:
+            assert c.mu == expected_mu(c.series, c.N, c.q), c.name
+            assert eigenvalues(c)["mu"] == c.mu
+        # at q0 it is the value of the generic mu there, as it was when
+        # specialize evaluated mu itself
+        assert copies[1].mu == Scalar.from_fraction(b.mu.evaluate(Fraction(3, 2)))
+
+    @pytest.mark.parametrize("name", ["flip-3", "superflip-2|1", "std-hecke-3",
+                                      "gl-2|1", "form-3"])
+    def test_no_mu_off_bmw(self, name):
+        b = GRID_BRAIDINGS[name]()
+        assert b.mu is None
+        assert list(eigenvalues(b)) == ["q", "-1/q"]
 
 
 class TestRepresentations:

@@ -185,9 +185,9 @@ class TestBMW:
 
 class TestFreeQuotient:
     def test_free_dims(self):
-        alg = GradedQuotient(2, "V", "free", [])
+        alg = GradedQuotient(2, [])
         assert alg.poincare(3) == [1, 2, 4, 8]
 
     def test_free_normal_form_is_identity(self):
-        alg = GradedQuotient(2, "V", "free", [])
+        alg = GradedQuotient(2, [])
         assert alg.normal_form((1, 0, 1)) == {(1, 0, 1): ONE}
