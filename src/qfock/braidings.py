@@ -139,19 +139,22 @@ class Braiding:
         # to (R - q)(R + 1/q) at its own q too; at q = 1 this is R^2 = I
         return root_product(self, eigenvalues(self).values()).is_zero()
 
+    def repeated_roots(self) -> list[str]:
+        """Each pair of coinciding roots of the minimal polynomial, without
+        whose distinctness the spectral idempotents do not exist."""
+        roots = list(eigenvalues(self).items())
+        return [f"repeated root {m} = {n} = {x!r} of the {self.kind} minimal polynomial"
+                for i, (m, x) in enumerate(roots) for n, y in roots[i + 1:] if x == y]
+
     def validate(self) -> list[str]:
         """List of violated structural properties (empty when sound): the
-        braid relation, the minimal polynomial, and distinct roots, without
-        which the spectral idempotents do not exist."""
+        braid relation, the minimal polynomial, and distinct roots."""
         issues = []
         if not self.braid_ok():
             issues.append("braid relation violated")
         if not self.kind_polynomial_ok():
             issues.append(f"{self.kind} minimal polynomial violated")
-        roots = list(eigenvalues(self).items())
-        issues += [f"repeated root {m} = {n} = {x!r} of the {self.kind} minimal polynomial"
-                   for i, (m, x) in enumerate(roots) for n, y in roots[i + 1:] if x == y]
-        return issues
+        return issues + self.repeated_roots()
 
     def __repr__(self) -> str:
         tag = self.name or self.kind
@@ -816,6 +819,8 @@ def load_braiding_table(doc: dict | str | Path) -> Braiding:
         raise MalformedTable(f"unknown kind {kind!r}")
     if type(name) is not str:
         raise MalformedTable(f"name must be a string, got {name!r}")
+    if series is not None and type(series) is not str:
+        raise MalformedTable(f"series must be a string, got {series!r}")
     if not isinstance(raw_entries, list):
         raise MalformedTable(f"entries must be a list, got {raw_entries!r}")
     mu = _table_scalar(doc["mu"], "mu") if doc.get("mu") else None

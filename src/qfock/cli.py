@@ -40,6 +40,7 @@ from .currents import current_relation_check, make_current_double, verify_yang
 from .errors import (
     InvalidArgument,
     MalformedTable,
+    NonGenericPoint,
     QfockError,
     SizeLimitExceeded,
     UnsupportedDouble,
@@ -203,6 +204,9 @@ def _suite_braiding(rep: Report, b: Braiding, cfg: RunConfig):
     if cfg.q != "generic":
         q0 = Fraction(cfg.q)       # main has checked that it parses
         at_q0 = specialize(b, q0)
+        repeated = at_q0.repeated_roots()
+        if repeated:
+            raise NonGenericPoint(f"--q {q0}: {'; '.join(repeated)}")
         rep.add("evaluation-cross-check",
                 f"braid and minimal polynomial at q = {q0}",
                 at_q0.braid_ok() and at_q0.kind_polynomial_ok())
@@ -262,9 +266,8 @@ def _suite_lie(rep: Report, b: Braiding, cfg: RunConfig):
                out["trace_generators"])
     _add_found(rep, "rtrace-brackets", "Tr_R of every basis bracket vanishes",
                out["trace_brackets"])
-    jac = ("[,][,]_23 (I - twist_12) = [,][,]_12" if b.kind == HECKE
-           else "[,][,]_23 (I + twist_12 twist_23 + twist_23 twist_12) = 0")
-    _add_found(rep, "jacobi", jac, out["jacobi"])
+    _add_found(rep, "jacobi", "[,][,]_23 (I - twist_12) = [,][,]_12",
+               out["jacobi"])
     _add_found(rep, "bracket-quadratic-consistency",
                "composing the quadratic identity reproduces the bracket",
                out["quadratic_consistency"])

@@ -603,41 +603,24 @@ def _jacobi_holds(bl: BraidedLie) -> bool:
     [l_e1, [l_e2, l_e3]].  Each [,] and rhat acts on its two legs through
     its nonzero column entries, and the first failing column ends the check.
 
-    Hecke form, a (I - rhat_12) = [,] o [,]_12: neither rhat_12 nor
-    [,]_12 moves the third leg, so the check walks over its index c.  It
-    holds only the N^4 columns (e1, e2, c) of a, and compares each with
-    its image under rhat_12 plus [,] o [,]_12 there.  Involutive form,
-    a (I + rhat_12 rhat_23 + rhat_23 rhat_12) = 0: a and a rhat_23 are
-    held whole, a rhat_12 one first-leg index e1 at a time, and each
-    output column is summed in turn."""
+    The identity is checked in its Leibniz form, a (I - rhat_12) = [,] o
+    [,]_12, for every kind: an involutive rhat is the Hecke case at q = 1,
+    and with [,] (I + rhat) = 0 and rhat natural for [,] the cyclic form
+    a (I + rhat_12 rhat_23 + rhat_23 rhat_12) = 0 holds exactly when this
+    one does.  Neither rhat_12 nor [,]_12 moves the third leg, so the check
+    walks over its index c.  It holds only the N^4 columns (e1, e2, c) of
+    a, and compares each with its image under rhat_12 plus [,] o [,]_12
+    there."""
     n2 = bl.braiding.N ** 2
-    n4 = n2 * n2
     br, rh = bl.bracket, bl.rhat
-    if bl.braiding.kind == HECKE:
-        for c in range(n2):
-            a = [lincomb((v, br[e1 * n2 + s]) for s, v in br[e2 * n2 + c].items())
-                 for e1 in range(n2) for e2 in range(n2)]
-            # column (k, c): a = a rhat_12 + [,] o [,]_12
-            for k, ak in enumerate(a):
-                if ak != lincomb(itertools.chain(
-                        ((v, a[r]) for r, v in rh[k].items()),
-                        ((v, br[r * n2 + c]) for r, v in br[k].items()))):
-                    return False
-        return True
-    a = [lincomb((v, br[e1 * n2 + s]) for s, v in col.items())
-         for e1 in range(n2) for col in br]
-    a23 = [lincomb((v, a[e1 * n4 + r]) for r, v in col.items())
-           for e1 in range(n2) for col in rh]
-    for e1 in range(n2):
-        # the columns (e1, r2, r3) of a rhat_12, at r2*N^2 + r3
-        a12 = [lincomb((v, a[u * n2 + r3]) for u, v in rh[e1 * n2 + r2].items())
-               for r2 in range(n2) for r3 in range(n2)]
-        for k, ak in enumerate(a[e1 * n4:(e1 + 1) * n4]):
-            e2, e3 = divmod(k, n2)
-            if lincomb(itertools.chain(
-                    ((ONE, ak),),
-                    ((v, a12[r]) for r, v in rh[k].items()),
-                    ((v, a23[r * n2 + e3]) for r, v in rh[e1 * n2 + e2].items()))):
+    for c in range(n2):
+        a = [lincomb((v, br[e1 * n2 + s]) for s, v in br[e2 * n2 + c].items())
+             for e1 in range(n2) for e2 in range(n2)]
+        # column (k, c): a = a rhat_12 + [,] o [,]_12
+        for k, ak in enumerate(a):
+            if ak != lincomb(itertools.chain(
+                    ((v, a[r]) for r, v in rh[k].items()),
+                    ((v, br[r * n2 + c]) for r, v in br[k].items()))):
                 return False
     return True
 
@@ -647,13 +630,11 @@ def verify_lie(bl: BraidedLie) -> dict[str, list]:
     list: the defining property of the reconstructed operator (defining),
     the R-trace normalization on generators (trace_generators), vanishing
     of the R-trace on all basis brackets (trace_brackets), the Jacobi
-    identity in its Hecke or involutive form (jacobi), and the consistency
-    of the quadratic L-identity with the bracket (quadratic_consistency).
-    The Jacobi identity is checked leg-locally and, in the Hecke form, one
-    third-leg index at a time (_jacobi_holds).
+    identity (jacobi), and the consistency of the quadratic L-identity with
+    the bracket (quadratic_consistency).  The Jacobi identity is checked
+    leg-locally, one third-leg index at a time (_jacobi_holds).
     """
-    b = bl.braiding
-    N = b.N
+    N = bl.braiding.N
     n2 = N * N
 
     # trace on generators: alpha * delta
@@ -681,11 +662,10 @@ def verify_lie(bl: BraidedLie) -> dict[str, list]:
     quadratic = ([] if mat_mul(bl.quadratic, bl.bracket) == bl.linear
                  else [("quadratic",)])
 
-    # Jacobi identity.  The Hecke form is the Leibniz one,
+    # Jacobi identity in its Leibniz form,
     #   [,] o [,]_23 o (I - rhat_12) = [,] o [,]_12,
     # whose q -> 1 limit is the classical [x,[y,z]] - [y,[x,z]] = [[x,y],z].
-    jacobi = [] if _jacobi_holds(bl) else [
-        ("jacobi-hecke",) if b.kind == HECKE else ("jacobi-involutive",)]
+    jacobi = [] if _jacobi_holds(bl) else [("jacobi-hecke",)]
 
     return {"defining": defining, "trace_generators": trace_generators,
             "trace_brackets": trace_brackets, "jacobi": jacobi,

@@ -4,7 +4,9 @@ replaced, kept as its reference.
 It formed both sides of the Jacobi identity as N^2 x N^6 matrices on
 End(V)^(x)3, by columns, and compared them: every [,] and rhat acted on
 two adjacent legs through its nonzero column entries, but all N^6 columns
-of a side were held at once."""
+of a side were held at once.  For an involutive braiding it forms the
+cyclic side, where the streamed check reads the Leibniz one for every
+kind, so comparing the two checks one form against the other."""
 
 from qfock.braidings import HECKE
 from qfock.scalars import ONE, Scalar

@@ -156,16 +156,16 @@ class TestAcceptance:
         assert not out["defining"]            # reconstruction property
         assert not out["trace_generators"]    # Tr_R l_i^j = alpha delta
         assert not out["trace_brackets"]      # Tr_R [ , ] = 0 on all basis pairs
-        assert not out["jacobi"]              # Hecke Jacobi, all 64 basis triples
+        assert not out["jacobi"]              # Leibniz Jacobi, all 64 basis triples
         assert not out["quadratic_consistency"]
         for maker in (lambda: make_flip(2), lambda: make_flip(3),
                       lambda: make_superflip(1, 1)):
             assert not verify_lie(braided_lie(maker()))["jacobi"]
         elapsed = time.perf_counter() - t0
         assert elapsed < 120.0
-        report(6, "braided Lie: defining property, R-traces, Hecke Jacobi "
-                  "(N=2, all End(V)^3 basis coordinates), involutive Jacobi "
-                  "for flip and super-flip", elapsed, 120)
+        report(6, "braided Lie: defining property, R-traces, Leibniz-form "
+                  "Jacobi (N=2, all End(V)^3 basis coordinates), the same "
+                  "form for flip and super-flip", elapsed, 120)
 
     def test_7_poincare(self):
         t0 = time.perf_counter()

@@ -258,6 +258,19 @@ class TestVerify:
         assert err.startswith("error: MalformedTable:") and named in err
         assert json.loads(out.read_text())["exit_status"] == 2
 
+    @pytest.mark.parametrize("series", [[], {}], ids=["list", "dict"])
+    @pytest.mark.parametrize("base", ["bmw-sympl-2", "std-hecke-2"])
+    def test_series_not_a_string_is_bad_input(self, base, series, tmp_path, capsys):
+        """A series that is neither null nor a string is a malformed table,
+        for a BMW table and for one that reads no series."""
+        doc = json.loads(builtin_table_path(base).read_text())
+        doc["series"] = series
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(doc))
+        assert run(["verify", "--table", str(path), "--suite", "braiding"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedTable:") and "series must be a string" in err
+
     def test_each_compatibility_record_shows_its_own_witnesses(
             self, tmp_path, monkeypatch):
         """One exchange coefficient of the std-hecke N = 2 double bumped:
@@ -302,6 +315,27 @@ class TestVerify:
         assert run(["verify", "--braiding", "std-hecke", "--n", "2",
                     "--suite", "braiding", "--q", "0"]) == 2
         assert "NonGenericPoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("braiding, n, q, roots", [
+        ("bmw-orth", "3", "1", "q = mu = 1"),
+        ("bmw-orth", "3", "-1", "-1/q = mu = 1"),
+        ("bmw-orth", "4", "-1", "q = mu = -1"),
+        ("bmw-sympl", "2", "1", "-1/q = mu = -1"),
+    ], ids=["orth-3-at-1", "orth-3-at-minus-1", "orth-4-at-minus-1", "sympl-2-at-1"])
+    def test_evaluation_at_a_repeated_root_is_bad_input(self, braiding, n, q, roots, capsys):
+        """A q0 where two roots of the minimal polynomial coincide is no
+        generic point, as the same braiding written as a table at q0 is
+        refused at load."""
+        assert run(["verify", "--braiding", braiding, "--n", n,
+                    "--suite", "braiding", "--q", q]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: NonGenericPoint: --q {q}: repeated root {roots} ")
+
+    def test_hecke_at_q_minus_one_is_generic(self, capsys):
+        # the roots q = -1 and -1/q = 1 stay distinct
+        assert run(["verify", "--braiding", "std-hecke", "--n", "2",
+                    "--suite", "braiding", "--q", "-1"]) == 0
+        assert "[PASS] evaluation-cross-check" in capsys.readouterr().out
 
     # 9e9999 is a rational of 10,000 digits, past Python's int-to-text limit
     @pytest.mark.parametrize("q", ["1/0", "3/0", "abc", "9e9999"])
@@ -695,8 +729,7 @@ class TestGatingRecordsCanFail:
                         "rtrace-brackets", "bracket-quadratic-consistency"):
             assert witness[passing] is None
 
-    @pytest.mark.parametrize("braiding, jacobi", [("std-hecke", "jacobi-hecke"),
-                                                  ("flip", "jacobi-involutive")])
+    @pytest.mark.parametrize("braiding", ["std-hecke", "flip"])
     @pytest.mark.parametrize("field, failing", [
         ("bracket", {"rtrace-brackets", "jacobi", "bracket-quadratic-consistency"}),
         ("rhat", {"rhat-defining", "jacobi"}),
@@ -704,7 +737,7 @@ class TestGatingRecordsCanFail:
         ("alpha", {"rtrace-generators"}),
     ])
     def test_each_lie_record_shows_its_own_witnesses(
-            self, braiding, jacobi, field, failing, tmp_path, monkeypatch):
+            self, braiding, field, failing, tmp_path, monkeypatch):
         """ONE added to one Lie input at N = 2 (the nonzero entry of the
         bracket or the twist in the first row that has one, rtrace[1] or
         alpha): the records it breaks fail, and each failing record's
@@ -730,7 +763,7 @@ class TestGatingRecordsCanFail:
         assert _failing_gating_checks(
             ["--braiding", braiding, "--n", "2", "--suite", "lie"], out) == failing
         labels = {"rhat-defining": "defining", "rtrace-generators": "trace-gen",
-                  "rtrace-brackets": "trace-bracket", "jacobi": jacobi,
+                  "rtrace-brackets": "trace-bracket", "jacobi": "jacobi-hecke",
                   "bracket-quadratic-consistency": "quadratic"}
         for c in json.loads(out.read_text())["checks"]:
             if c["check_id"] in failing:

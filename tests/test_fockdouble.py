@@ -14,6 +14,8 @@ from qfock.braidings import (
     MU_KIND,
     SYM,
     Braiding,
+    _relabeled,
+    _vstar_v,
     braiding_to_table,
     dual_square,
     exchange_table,
@@ -55,7 +57,7 @@ from qfock.quadalgebras import (
     super_sym_dims,
 )
 from qfock.scalars import ONE, Q, QINV, ZERO, Scalar, sum_into
-from qfock.tensorops import LinOperator, enc_index, mat_transpose
+from qfock.tensorops import LinOperator, Row, enc_index, mat_transpose, place
 
 import formal_reference
 import grid_reference
@@ -1053,6 +1055,9 @@ class TestBraidedLie:
         lambda: make_standard_hecke(3),
         lambda: twisted(make_standard_hecke(3)),
         lambda: super_hecke(2, 1),
+        lambda: make_superflip(1, 2),
+        lambda: make_superflip(0, 2),
+        lambda: conjugated(make_flip(3), GAUGES["upper"](3)),
     ])
     def test_streamed_jacobi_matches_reference(self, maker):
         bl = braided_lie(maker())
@@ -1071,8 +1076,50 @@ class TestBraidedLie:
         assert {c % n2 for c, (x, y) in enumerate(zip(lhs, rhs)) if x != y} == {z}
         assert not _jacobi_holds(last)
 
-    def test_streamed_jacobi_holds_less_memory(self):
-        bl = braided_lie(make_standard_hecke(4))
+    @pytest.mark.parametrize("maker", [lambda: make_flip(2),
+                                       lambda: make_superflip(1, 1)])
+    def test_involutive_forms_agree_on_every_bump(self, maker):
+        """The streamed check runs the Leibniz form on an involutive
+        braiding, the reference the cyclic one; with ONE added to any one
+        nonzero entry of the twist or the bracket the two verdicts agree."""
+        bl = braided_lie(maker())
+        for field in ("rhat", "bracket"):
+            cols = getattr(bl, field)
+            for c, r in [(c, r) for c, col in enumerate(cols) for r in col]:
+                bumped = [dict(col) for col in cols]
+                bumped[c][r] = bumped[c][r] + ONE
+                cur = copy.copy(bl)
+                setattr(cur, field, bumped)
+                lhs, rhs = jacobi_sides(cur)
+                assert _jacobi_holds(cur) == (lhs == rhs), (field, c, r)
+
+    @pytest.mark.parametrize("maker", [
+        lambda: make_flip(2),
+        lambda: make_flip(3),
+        lambda: make_superflip(2, 1),
+        lambda: make_superflip(1, 2),
+        lambda: make_standard_hecke(2),
+        lambda: make_standard_hecke(3),
+        lambda: twisted(make_standard_hecke(3)),
+        lambda: super_hecke(2, 1),
+        lambda: super_hecke(1, 2),
+        lambda: form_braiding(FORMS[3]),
+        *(lambda g=g: conjugated(make_standard_hecke(3), g(3)) for g in GAUGES.values()),
+    ])
+    def test_twist_equals_its_closed_form(self, maker):
+        """The solved twist equals X_23 (R^-1)_12 D_34 P_23 on the legs
+        (V, V*, V, V*) of l_e1 (x) l_e2, a formula that does not read the
+        defining property it is solved from."""
+        b = maker()
+        assert _closed_form_twist(b) == braided_lie(b).rhat
+
+    @pytest.mark.parametrize("maker", [
+        lambda: make_standard_hecke(4),
+        lambda: make_flip(4),
+        lambda: make_superflip(2, 2),
+    ])
+    def test_streamed_jacobi_holds_less_memory(self, maker):
+        bl = braided_lie(maker())
 
         def peak(check):
             tracemalloc.start()
@@ -1084,6 +1131,19 @@ class TestBraidedLie:
 
         streamed, whole = peak(_jacobi_holds), peak(jacobi_sides)
         assert 3 * streamed < whole, (streamed, whole)
+
+
+def _closed_form_twist(b: Braiding) -> list[Row]:
+    """The twist of End(V) (x) End(V) by columns, X_23 (R^-1)_12 D_34 P_23
+    on the legs (V, V*, V, V*) of l_e1 (x) l_e2: P is the extension of R to
+    V* (x) V, D the one to V* (x) V*, and X the entries of R read as a map
+    V (x) V* -> V* (x) V."""
+    x = _relabeled(b.R, lambda l, j, k, i: ((k, l), (i, j)), ("V", "V*"), ("V*", "V"))
+    legs = ("V", "V", "V*", "V*")
+    op = (place(x, (2, 3), 4, labels=legs) @ place(b.R.inverse(), (1, 2), 4, labels=legs)
+          @ place(dual_square(b.R), (3, 4), 4, labels=legs)
+          @ place(_vstar_v(b), (2, 3), 4, labels=("V", "V*", "V", "V*")))
+    return mat_transpose(op.rows, b.N ** 4)
 
 
 def _corrupt(bl: BraidedLie, field: str) -> BraidedLie:

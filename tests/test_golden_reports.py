@@ -27,6 +27,9 @@ returned a dict with a `passed` flag came to return failure lists: the
 passing witness of `left-dual-variant` (flip 2 and 3, std-hecke 2 and 3,
 superflip 1|1) and of `mu-eigenspace-degree2` (the four BMW reports), a
 dict repr, became null.
+The flip 2 and 3 and superflip 1|1 `suite-all` reports were regenerated
+when the involutive Jacobi check came to run in the Leibniz form: their
+`jacobi` anchor changed from the cyclic form to the Leibniz one.
 `test_report_only_records_are_the_named_exceptions` holds every record that
 does not gate to the one kind that may not: the BMW refusals `braided-lie`
 and `currents`.  `test_no_witness_is_a_passed_dict` keeps the dict reports
