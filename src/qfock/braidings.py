@@ -386,6 +386,14 @@ def dual_square(op: LinOperator) -> LinOperator:
     return _relabeled(op, lambda j, i, l, k: ((k, l), (i, j)), ("V*", "V*"))
 
 
+def mixed_transport(op: LinOperator) -> LinOperator:
+    """The entries of an operator X on V (x) V read as a map V (x) V* ->
+    V* (x) V: x_i (x) x^j -> x^k (x) x_l X_ki^lj.  Of R^-1 it is the
+    extension of R to V (x) V*, and of R the inverse of the one to V* (x) V."""
+    return _relabeled(op, lambda l, j, k, i: ((k, l), (i, j)),
+                      ("V", "V*"), ("V*", "V"))
+
+
 def _vstar_v(b: Braiding) -> LinOperator:
     """The extension of R to V* (x) V: R(x^i (x) x_j) = x_l (x) x^k Psi_kj^li."""
     return _relabeled(b.psi, lambda l, i, k, j: ((l, k), (i, j)),
@@ -402,10 +410,7 @@ def extend_to_duals(b: Braiding) -> DualExtensions:
         r_inv = b.R.inverse()
     except NotInvertible:
         raise NotInvertible("braiding is not invertible; duals undefined")
-    # R(x_i (x) x^j) = x^k (x) x_l (R^{-1})_ki^lj
-    v_vstar = _relabeled(r_inv, lambda l, j, k, i: ((k, l), (i, j)),
-                         ("V", "V*"), ("V*", "V"))
-    return DualExtensions(v_vstar, _vstar_v(b), dual_square(b.R))
+    return DualExtensions(mixed_transport(r_inv), _vstar_v(b), dual_square(b.R))
 
 
 @dataclass

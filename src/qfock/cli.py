@@ -23,6 +23,7 @@ from .braidings import (
     BMW,
     HECKE,
     INVOLUTIVE,
+    TABLE_MAX_N,
     Braiding,
     baxterize,
     braiding_to_table,
@@ -132,10 +133,19 @@ def _resolve_braiding(cfg: RunConfig) -> Braiding:
     if cfg.table:
         return load_braiding_table(cfg.table)
     name = cfg.braiding or "std-hecke"
+    if name == "superflip":
+        m, n = _superflip_split(cfg.mn)
+        option, size = "--mn", m + n
+    else:
+        option, size = "--n", cfg.n
+    # the bound on a table's N, applied before any constructor runs
+    if size > TABLE_MAX_N:
+        raise SizeLimitExceeded(f"{option} gives N = {size}, above "
+                                f"TABLE_MAX_N = {TABLE_MAX_N}")
     if name == "flip":
         return make_flip(cfg.n)
     if name == "superflip":
-        return make_superflip(*_superflip_split(cfg.mn))
+        return make_superflip(m, n)
     if name == "std-hecke":
         return make_standard_hecke(cfg.n)
     if name in ("bmw-orth", "bmw-sympl"):
@@ -245,6 +255,9 @@ def _suite_double(rep: Report, b: Braiding, cfg: RunConfig):
                    left_dual_variant_report(d))
 
 
+_TWIST_ANCHOR = "twist P_23^-1 (R^-1 (x) D) P_23 from the dual extensions of R"
+
+
 def _suite_lie(rep: Report, b: Braiding, cfg: RunConfig):
     if b.kind == BMW:
         rep.add("braided-lie", "not defined for BMW braidings (refused)", None,
@@ -255,10 +268,9 @@ def _suite_lie(rep: Report, b: Braiding, cfg: RunConfig):
     except SizeLimitExceeded:
         raise
     except QfockError as exc:
-        rep.add("rhat-reconstruction", "twist solved from its defining property",
-                False, witness=exc)
+        rep.add("rhat-reconstruction", _TWIST_ANCHOR, False, witness=exc)
         return
-    rep.add("rhat-reconstruction", "twist solved from its defining property", True)
+    rep.add("rhat-reconstruction", _TWIST_ANCHOR, True)
     out = verify_lie(bl)
     _add_found(rep, "rhat-defining", "R12 L1 R12 L1 maps to L1 R12 L1 R12",
                out["defining"])
@@ -337,7 +349,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     rep = Report("qfock", __version__, _config_echo(cfg))
     try:
         b = _resolve_braiding(cfg)
-    except InvalidArgument:
+    except (InvalidArgument, SizeLimitExceeded):
         raise
     except QfockError as exc:
         # a table document that is not a table is bad input (exit 2); a
@@ -485,6 +497,10 @@ def main(argv=None) -> int:
     command = args.pop("command")
     cfg = RunConfig(**args)
     try:
+        # argparse hands `--opt=--` over as an empty list
+        for option, value in args.items():
+            if isinstance(value, list):
+                raise InvalidArgument(f"--{option} needs a value, got {value!r}")
         for flag in ("kmax", "window", "degree"):
             if getattr(cfg, flag) < 0:
                 raise InvalidArgument(
@@ -494,8 +510,7 @@ def main(argv=None) -> int:
                 # printed as the braiding suite will print it: a rational
                 # too long for int-to-text conversion is a ValueError
                 str(Fraction(cfg.q))
-            # argparse hands `--q=--` over as [], a TypeError for Fraction
-            except (TypeError, ValueError, ZeroDivisionError):
+            except (ValueError, ZeroDivisionError):
                 raise InvalidArgument(
                     f"--q must be 'generic' or a rational like 3/2 short "
                     f"enough to print, got {cfg.q!r}") from None

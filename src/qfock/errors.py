@@ -59,7 +59,7 @@ class EmptyComponent(QfockError):
 
 
 class RhatNotDetermined(QfockError):
-    """The linear solve reconstructing the braided-Lie operator is singular."""
+    """The braided-Lie R-trace cannot be normalized: B C is not scalar."""
 
 
 class InvalidArgument(QfockError):

@@ -3,7 +3,7 @@ creation algebra B (quotient of T(V)) and an annihilation algebra A
 (quotient of T(V*)), the annihilation action, the L-matrix identities and
 the braided Lie structure.
 
-The permutation rule is stored in solved form
+The permutation rule is stored as a rewrite
 
     x^l x_k  =  s * Psi_jk^il  x_i x^j  +  B_k^l,
 
@@ -57,8 +57,10 @@ from .braidings import (
     MU_KIND,
     SYM,
     Braiding,
+    _vstar_v,
     dual_square,
     exchange_table,
+    mixed_transport,
     relation_operator,
 )
 from .errors import (
@@ -78,7 +80,6 @@ from .tensorops import (
     mat_mul,
     mat_transpose,
     place,
-    solve,
 )
 
 BOSONIC = "bosonic"
@@ -530,33 +531,27 @@ def left_dual_variant_report(d: FockDouble) -> list[tuple]:
 @dataclass
 class BraidedLie:
     """The braided Lie data, each map by columns over the N^4 basis
-    elements l_e1 (x) l_e2 of End(V) (x) End(V), e = i*N + j for l_i^j,
-    and the L-identity R12 L1 R12 L1 - L1 R12 L1 R12 = R12 L1 - L1 R12 it
-    is solved from, by rows: row x*N^2 + y holds the coefficients of cell
-    (x, y) of a side."""
+    elements l_e1 (x) l_e2 of End(V) (x) End(V), e = i*N + j for l_i^j."""
     braiding: Braiding
     rhat: list[Row]       # the twist, End(V) (x) End(V) -> itself
     comp: list[Row]       # composition l (x) l -> l, rows over the N^2 l_e
     bracket: list[Row]    # comp o (I - rhat)
     rtrace: list[Scalar]  # R-trace of each l_i^j
     alpha: Scalar
-    quadratic: list[Row]  # R12 L1 R12 L1 over the l_e1 (x) l_e2
-    twisted: list[Row]    # L1 R12 L1 R12, the image of `quadratic` under rhat
-    linear: list[Row]     # R12 L1 - L1 R12 over the l_e
 
 
 # The Lie suite's cost grows fast with N: at N = 6 `verify --suite lie`
-# takes about 0.7 s and peaks at 20 MB RSS on a 2-vCPU box, most of the
-# time in the streamed Jacobi check (_jacobi_holds) and 0.1 s in the twist
-# solve of braided_lie, a system of N^4 = 1296 sparse rows in as many
-# unknowns (2401 at N = 7).
+# takes about 0.8 s and peaks at 20 MB RSS on a 2-vCPU box, most of the
+# time in the streamed Jacobi check (_jacobi_holds), which walks N^6
+# columns in N^2 blocks.
 LIE_MAX_N = 6
 
 
 def braided_lie(b: Braiding) -> BraidedLie:
-    """Reconstruct the braided-Lie operator on End(V) (x) End(V) by a
-    linear solve from its defining property, and assemble the composition,
-    bracket and R-trace data."""
+    """Build the braided-Lie twist on End(V) (x) End(V) from the dual
+    extensions of R, and assemble the composition, bracket and R-trace
+    data.  verify_lie holds the twist against the L-identity it is meant
+    to satisfy."""
     if b.kind not in (HECKE, INVOLUTIVE):
         raise UnsupportedDouble("braided Lie structure needs a Hecke or involutive braiding")
     if not b.skew.strict:
@@ -565,17 +560,17 @@ def braided_lie(b: Braiding) -> BraidedLie:
     if N > LIE_MAX_N:
         raise SizeLimitExceeded(
             f"braided Lie structure at N = {N} exceeds the limit N <= {LIE_MAX_N}: "
-            f"its twist is solved from a sparse linear system of {N ** 4} rows "
-            f"in {N ** 4} unknowns")
-    quadratic, twisted, o_l, l_o = l_identity_sides(b.R, b.R)
-    linear = _row_differences(o_l, l_o)
+            f"its Jacobi check walks {N ** 6} columns in {N ** 2} blocks")
 
-    # rhat applied to the coefficient vector of each cell of the first side
-    # gives the same cell of the second: rhat = X^T with M1 X = M2, so the
-    # rows of X are the columns of rhat
-    rhat = solve(quadratic, twisted, N ** 4)
-    if rhat is None:
-        raise RhatNotDetermined("coefficient matrix of the defining property is singular")
+    # the twist is P_23^-1 (R^-1)_12 D_34 P_23 on the legs (V, V*, V, V*)
+    # of l_e1 (x) l_e2, with P and D the extensions of R to V* (x) V and
+    # to V* (x) V*; rhat holds it by columns
+    legs = ("V", "V", "V*", "V*")
+    twist = (place(mixed_transport(b.R), (2, 3), 4, labels=legs)
+             @ place(b.R.inverse(), (1, 2), 4, labels=legs)
+             @ place(dual_square(b.R), (3, 4), 4, labels=legs)
+             @ place(_vstar_v(b), (2, 3), 4, labels=("V", "V*", "V", "V*")))
+    rhat = mat_transpose(twist.rows, N ** 4)
 
     # l_i^j l_k^m = B_k^j l_i^m; columns phi = (i*N + j)*N^2 + k*N + m
     comp = [{i * N + m: v} if (v := b.B[k].get(j)) is not None else {}
@@ -594,7 +589,7 @@ def braided_lie(b: Braiding) -> BraidedLie:
     alpha = b.alpha
     if alpha is None:
         raise RhatNotDetermined("B*C is not scalar; the R-trace is not normalized")
-    return BraidedLie(b, rhat, comp, bracket, rtrace, alpha, quadratic, twisted, linear)
+    return BraidedLie(b, rhat, comp, bracket, rtrace, alpha)
 
 
 def _jacobi_holds(bl: BraidedLie) -> bool:
@@ -627,15 +622,17 @@ def _jacobi_holds(bl: BraidedLie) -> bool:
 
 def verify_lie(bl: BraidedLie) -> dict[str, list]:
     """Full verification of the braided Lie data, each check a witness
-    list: the defining property of the reconstructed operator (defining),
-    the R-trace normalization on generators (trace_generators), vanishing
+    list: the defining property of the twist (defining), the R-trace
+    normalization on generators (trace_generators), vanishing
     of the R-trace on all basis brackets (trace_brackets), the Jacobi
     identity (jacobi), and the consistency of the quadratic L-identity with
     the bracket (quadratic_consistency).  The Jacobi identity is checked
     leg-locally, one third-leg index at a time (_jacobi_holds).
     """
-    N = bl.braiding.N
+    b = bl.braiding
+    N = b.N
     n2 = N * N
+    quadratic, twisted, o_l, l_o = l_identity_sides(b.R, b.R)
 
     # trace on generators: alpha * delta
     trace_generators = [("trace-gen", i, j)
@@ -652,15 +649,15 @@ def verify_lie(bl: BraidedLie) -> dict[str, list]:
             trace_brackets.append(("trace-bracket", phi))
 
     # defining property: rhat takes each cell of the first quadratic side
-    # to the same cell of the second
+    # R12 L1 R12 L1 to the same cell of the second, L1 R12 L1 R12
     defining = [("defining", *divmod(xy, n2)) for xy, (got, want)
-                in enumerate(zip(mat_mul(bl.quadratic, bl.rhat), bl.twisted))
+                in enumerate(zip(mat_mul(quadratic, bl.rhat), twisted))
                 if got != want]
 
     # quadratic-identity consistency: comp((I - rhat) cell) of the first
     # quadratic side matches the cell of the linear side R12 L1 - L1 R12
-    quadratic = ([] if mat_mul(bl.quadratic, bl.bracket) == bl.linear
-                 else [("quadratic",)])
+    consistency = ([] if mat_mul(quadratic, bl.bracket) == _row_differences(o_l, l_o)
+                   else [("quadratic",)])
 
     # Jacobi identity in its Leibniz form,
     #   [,] o [,]_23 o (I - rhat_12) = [,] o [,]_12,
@@ -669,4 +666,4 @@ def verify_lie(bl: BraidedLie) -> dict[str, list]:
 
     return {"defining": defining, "trace_generators": trace_generators,
             "trace_brackets": trace_brackets, "jacobi": jacobi,
-            "quadratic_consistency": quadratic}
+            "quadratic_consistency": consistency}

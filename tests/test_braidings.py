@@ -22,6 +22,7 @@ from qfock.braidings import (
     make_flip,
     make_standard_hecke,
     make_superflip,
+    mixed_transport,
     projector_decomposition_ok,
     projectors,
     skew_inverse,
@@ -187,6 +188,24 @@ class TestDuals:
         assert dense(ext.v_vstar) == flip_entries
         assert dense(ext.vstar_v) == flip_entries
         assert dense(ext.vstar_vstar) == flip_entries
+
+    @pytest.mark.parametrize("maker", [
+        lambda: make_flip(3),
+        lambda: make_superflip(2, 1),
+        lambda: make_standard_hecke(2),
+        lambda: make_standard_hecke(3),
+        lambda: make_bmw(3, "orthogonal"),
+        lambda: make_bmw(2, "symplectic"),
+    ])
+    def test_r_on_v_vstar_inverts_the_vstar_v_extension(self, maker):
+        """R read as a map V (x) V* -> V* (x) V is the inverse of the
+        extension of R to V* (x) V: that is the defining contraction of the
+        skew inverse."""
+        b = maker()
+        p = extend_to_duals(b).vstar_v
+        p_inv = mixed_transport(b.R)
+        assert p_inv @ p == LinOperator.identity(b.N, 2, ("V*", "V"))
+        assert p @ p_inv == LinOperator.identity(b.N, 2, ("V", "V*"))
 
     def test_vstar_v_reproduces_psi(self):
         b = make_standard_hecke(2)

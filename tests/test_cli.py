@@ -348,12 +348,6 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: InvalidArgument: --q ")
 
-    def test_double_dash_q_is_bad_input(self, capsys):
-        # argparse strips the `--` and gives --q an empty list
-        assert run(["verify", "--braiding", "std-hecke", "--n", "2",
-                    "--suite", "braiding", "--q=--"]) == 2
-        assert "InvalidArgument" in capsys.readouterr().err
-
     @given(st.text(alphabet="0123456789/-+. e", max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_any_short_q_exits_0_1_or_2(self, q):
@@ -407,6 +401,40 @@ class TestVerify:
         assert "InvalidArgument" in captured.err
         assert "--mn" in captured.err and "m,n" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("option", ["braiding", "table", "n", "mn", "q", "flavor",
+                                        "suite", "kmax", "window", "degree", "out"])
+    def test_double_dash_value_is_bad_input(self, option, capsys):
+        # argparse hands `--opt=--` over as an empty list
+        assert run(["verify", "--braiding", "superflip", f"--{option}=--"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: InvalidArgument")
+        assert f"--{option} " in captured.err
+
+    @pytest.mark.parametrize("braiding, constructor, option, at, past", [
+        ("flip", "make_flip", "n", "32", "33"),
+        ("std-hecke", "make_standard_hecke", "n", "32", "33"),
+        ("bmw-orth", "make_bmw", "n", "32", "33"),
+        ("bmw-sympl", "make_bmw", "n", "32", "33"),
+        ("superflip", "make_superflip", "mn", "31,1", "31,2"),
+        ("superflip", "make_superflip", "mn", "0,32", "33,0"),
+    ])
+    def test_size_above_the_table_bound_is_refused_before_building(
+            self, braiding, constructor, option, at, past, monkeypatch, capsys):
+        """N = TABLE_MAX_N = 32 reaches the constructor, and N = 33 is
+        refused before it runs."""
+        calls = []
+        monkeypatch.setattr(cli, constructor, lambda *args: calls.append(args))
+        cfg = cli.RunConfig(braiding=braiding, **{option: at if option == "mn" else int(at)})
+        cli._resolve_braiding(cfg)
+        assert len(calls) == 1
+        assert run(["verify", "--braiding", braiding, f"--{option}", past,
+                    "--suite", "braiding"]) == 2
+        assert len(calls) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SizeLimitExceeded")
+        assert f"--{option} " in err and "TABLE_MAX_N = 32" in err
 
     def test_lie_size_limit(self, capsys):
         t0 = time.perf_counter()
@@ -728,6 +756,32 @@ class TestGatingRecordsCanFail:
         for passing in ("rhat-reconstruction", "rtrace-generators",
                         "rtrace-brackets", "bracket-quadratic-consistency"):
             assert witness[passing] is None
+
+    @pytest.mark.parametrize("braiding, n", [("std-hecke", 2), ("std-hecke", 3),
+                                             ("flip", 2)])
+    def test_bumped_mixed_extension_fails_the_twist(self, braiding, n, tmp_path,
+                                                     monkeypatch):
+        """ONE added at (0, 0) of the extension of R to V* (x) V that the
+        twist is built from: the twist no longer satisfies its defining
+        property, and the bracket built on it fails its trace, Jacobi and
+        consistency records, while the R-trace of the generators, which
+        does not read the twist, still passes."""
+        real = fockdouble._vstar_v
+
+        def bumped(b):
+            op = real(b)
+            return op + LinOperator.from_terms([(0, 0, ONE)], op.dim, op.legs,
+                                               op.labels, op.labels_out)
+
+        monkeypatch.setattr(fockdouble, "_vstar_v", bumped)
+        out = tmp_path / "rep.json"
+        assert _failing_gating_checks(
+            ["--braiding", braiding, "--n", str(n), "--suite", "lie"], out) == {
+                "rhat-defining", "rtrace-brackets", "jacobi",
+                "bracket-quadratic-consistency"}
+        verdicts = {c["check_id"]: c["verdict"]
+                    for c in json.loads(out.read_text())["checks"]}
+        assert verdicts["rhat-reconstruction"] == verdicts["rtrace-generators"] == "pass"
 
     @pytest.mark.parametrize("braiding", ["std-hecke", "flip"])
     @pytest.mark.parametrize("field, failing", [

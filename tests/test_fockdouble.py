@@ -14,8 +14,6 @@ from qfock.braidings import (
     MU_KIND,
     SYM,
     Braiding,
-    _relabeled,
-    _vstar_v,
     braiding_to_table,
     dual_square,
     exchange_table,
@@ -57,7 +55,7 @@ from qfock.quadalgebras import (
     super_sym_dims,
 )
 from qfock.scalars import ONE, Q, QINV, ZERO, Scalar, sum_into
-from qfock.tensorops import LinOperator, Row, enc_index, mat_transpose, place
+from qfock.tensorops import LinOperator, Row, enc_index, mat_transpose, place, solve
 
 import formal_reference
 import grid_reference
@@ -1107,11 +1105,10 @@ class TestBraidedLie:
         *(lambda g=g: conjugated(make_standard_hecke(3), g(3)) for g in GAUGES.values()),
     ])
     def test_twist_equals_its_closed_form(self, maker):
-        """The solved twist equals X_23 (R^-1)_12 D_34 P_23 on the legs
-        (V, V*, V, V*) of l_e1 (x) l_e2, a formula that does not read the
-        defining property it is solved from."""
+        """The twist built from the dual extensions of R equals the one
+        solved from its defining property, which determines it."""
         b = maker()
-        assert _closed_form_twist(b) == braided_lie(b).rhat
+        assert braided_lie(b).rhat == _solved_twist(b)
 
     @pytest.mark.parametrize("maker", [
         lambda: make_standard_hecke(4),
@@ -1133,17 +1130,15 @@ class TestBraidedLie:
         assert 3 * streamed < whole, (streamed, whole)
 
 
-def _closed_form_twist(b: Braiding) -> list[Row]:
-    """The twist of End(V) (x) End(V) by columns, X_23 (R^-1)_12 D_34 P_23
-    on the legs (V, V*, V, V*) of l_e1 (x) l_e2: P is the extension of R to
-    V* (x) V, D the one to V* (x) V*, and X the entries of R read as a map
-    V (x) V* -> V* (x) V."""
-    x = _relabeled(b.R, lambda l, j, k, i: ((k, l), (i, j)), ("V", "V*"), ("V*", "V"))
-    legs = ("V", "V", "V*", "V*")
-    op = (place(x, (2, 3), 4, labels=legs) @ place(b.R.inverse(), (1, 2), 4, labels=legs)
-          @ place(dual_square(b.R), (3, 4), 4, labels=legs)
-          @ place(_vstar_v(b), (2, 3), 4, labels=("V", "V*", "V", "V*")))
-    return mat_transpose(op.rows, b.N ** 4)
+def _solved_twist(b: Braiding) -> list[Row]:
+    """The twist of End(V) (x) End(V) by columns, solved from its defining
+    property: it takes each cell of the first side R12 L1 R12 L1 of the
+    L-identity to the same cell of the second, L1 R12 L1 R12, so it is X^T
+    with M1 X = M2, and the rows of X are its columns."""
+    quadratic, twisted_side, _, _ = l_identity_sides(b.R, b.R)
+    x = solve(quadratic, twisted_side, b.N ** 4)
+    assert x is not None
+    return x
 
 
 def _corrupt(bl: BraidedLie, field: str) -> BraidedLie:
