@@ -129,6 +129,10 @@ class Report:
         return json.dumps(doc, indent=1, sort_keys=True)
 
 
+# the least N of each builtin read from --n; bmw-sympl also needs it even
+MIN_N = {"flip": 1, "std-hecke": 2, "bmw-orth": 2, "bmw-sympl": 2}
+
+
 def _resolve_braiding(cfg: RunConfig) -> Braiding:
     if cfg.table:
         return load_braiding_table(cfg.table)
@@ -136,21 +140,26 @@ def _resolve_braiding(cfg: RunConfig) -> Braiding:
     if name == "superflip":
         m, n = _superflip_split(cfg.mn)
         option, size = "--mn", m + n
-    else:
+    elif name in MIN_N:
         option, size = "--n", cfg.n
-    # the bound on a table's N, applied before any constructor runs
+    else:
+        raise InvalidArgument(f"unknown braiding {name!r}")
+    # the bound on a table's N and each builtin's least N, applied before
+    # any constructor runs
     if size > TABLE_MAX_N:
         raise SizeLimitExceeded(f"{option} gives N = {size}, above "
                                 f"TABLE_MAX_N = {TABLE_MAX_N}")
+    even = name == "bmw-sympl"
+    if name in MIN_N and (size < MIN_N[name] or (even and size % 2)):
+        raise InvalidArgument(f"--n gives N = {size}, but {name} needs "
+                              f"{'an even ' if even else ''}N >= {MIN_N[name]}")
     if name == "flip":
         return make_flip(cfg.n)
     if name == "superflip":
         return make_superflip(m, n)
     if name == "std-hecke":
         return make_standard_hecke(cfg.n)
-    if name in ("bmw-orth", "bmw-sympl"):
-        return make_bmw(cfg.n, "orthogonal" if name == "bmw-orth" else "symplectic")
-    raise InvalidArgument(f"unknown braiding {name!r}")
+    return make_bmw(cfg.n, "orthogonal" if name == "bmw-orth" else "symplectic")
 
 
 def _superflip_split(mn: str) -> tuple[int, int]:
@@ -248,7 +257,7 @@ def _suite_double(rep: Report, b: Braiding, cfg: RunConfig):
             break
         rep.add(f"representation-identity-k{k}",
                 "the L-identity holds for the representing matrices",
-                representation_l_relations_ok(d, k))
+                representation_l_relations_ok(d, fock_representation(d, k)))
     if family == FAMILY_HECKE and flavor == BOSONIC:
         _add_found(rep, "left-dual-variant", "left-dual rule is diamond and "
                    "ideal consistent after the B^{-1} change of basis",
@@ -426,7 +435,7 @@ def cmd_repr(cfg: RunConfig) -> int:
         "b_matrix": _pairing_doc(b.B),
         "matrices": {f"l[{i+1}][{j+1}]": columns_doc(reps[(i, j)])
                      for i in range(b.N) for j in range(b.N)},
-        "identity_holds": representation_l_relations_ok(d, k),
+        "identity_holds": representation_l_relations_ok(d, reps),
     }
     _print_doc(doc, cfg)
     return 0 if doc["identity_holds"] else 1

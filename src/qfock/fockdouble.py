@@ -458,14 +458,15 @@ def fock_representation(d: FockDouble, k: int) -> dict[tuple[int, int], list[Row
     return out
 
 
-def representation_l_relations_ok(d: FockDouble, k: int) -> bool:
-    """Check the family L-identity for the representing matrices on
-    component k.  Every cell's net combination, the one verify_l_relations
-    evaluates (outer grid the double's G), must give the zero matrix once each
-    generator-pair key is replaced by the written product of the sparse
-    representing matrices, each distinct key formed once: on column lists
-    the product a b is mat_mul(b, a)."""
-    reps = fock_representation(d, k)
+def representation_l_relations_ok(d: FockDouble,
+                                  reps: dict[tuple[int, int], list[Row]]) -> bool:
+    """Check the family L-identity for the representing matrices reps of d
+    on one component, as fock_representation gives them.  Every cell's net
+    combination, the one verify_l_relations evaluates (outer grid the
+    double's G), must give the zero matrix once each generator-pair key is
+    replaced by the written product of the sparse representing matrices,
+    each distinct key formed once: on column lists the product a b is
+    mat_mul(b, a)."""
     N = d.braiding.N
 
     def matrix(key: tuple) -> dict[tuple[int, int], Scalar]:
@@ -540,10 +541,12 @@ class BraidedLie:
     alpha: Scalar
 
 
-# The Lie suite's cost grows fast with N: at N = 6 `verify --suite lie`
-# takes about 0.8 s and peaks at 20 MB RSS on a 2-vCPU box, most of the
-# time in the streamed Jacobi check (_jacobi_holds), which walks N^6
-# columns in N^2 blocks.
+# The Lie suite's cost grows fast with N.  On a 2-vCPU box, `verify
+# --suite lie` on std-hecke takes about 0.2 s at N = 4 and 0.5 s at N = 6,
+# with a peak RSS of 17 and 19 MB; at N = 8, with this limit raised, it
+# takes 1.1 to 1.6 s and 23 MB.  Most of the time is the streamed Jacobi
+# check (_jacobi_holds), which walks the nonzero summands of N^2
+# third-leg blocks of N^4 columns each.
 LIE_MAX_N = 6
 
 
@@ -595,28 +598,43 @@ def braided_lie(b: Braiding) -> BraidedLie:
 def _jacobi_holds(bl: BraidedLie) -> bool:
     """Whether the Jacobi identity holds on End(V)^(x)3, whose column
     (e1, e2, e3) is e1*N^4 + e2*N^2 + e3; a = [,] o [,]_23 takes it to
-    [l_e1, [l_e2, l_e3]].  Each [,] and rhat acts on its two legs through
-    its nonzero column entries, and the first failing column ends the check.
+    [l_e1, [l_e2, l_e3]].  The first failing third-leg block ends the check.
 
     The identity is checked in its Leibniz form, a (I - rhat_12) = [,] o
     [,]_12, for every kind: an involutive rhat is the Hecke case at q = 1,
     and with [,] (I + rhat) = 0 and rhat natural for [,] the cyclic form
     a (I + rhat_12 rhat_23 + rhat_23 rhat_12) = 0 holds exactly when this
     one does.  Neither rhat_12 nor [,]_12 moves the third leg, so the check
-    walks over its index c.  It holds only the N^4 columns (e1, e2, c) of
-    a, and compares each with its image under rhat_12 plus [,] o [,]_12
-    there."""
+    walks over its index c.  It holds only the nonzero columns (e1, e2, c)
+    of a, built from the nonzero [l_e2, l_c] and [l_e1, l_s].  It scatters
+    each of them through its row of the twist, and each nonzero [l_r, l_c]
+    through row r of the bracket, which gives a rhat_12 + [,] o [,]_12 on
+    the block; a must equal it there, column by column.  Every summand it
+    adds is nonzero."""
     n2 = bl.braiding.N ** 2
-    br, rh = bl.bracket, bl.rhat
+    br = bl.bracket
+    twist_rows = mat_transpose(bl.rhat, n2 * n2)
+    bracket_rows = mat_transpose(br, n2)
+    # live[s]: the e1 whose bracket column [l_e1, l_s] is nonzero
+    live = [[e1 for e1 in range(n2) if br[e1 * n2 + s]] for s in range(n2)]
     for c in range(n2):
-        a = [lincomb((v, br[e1 * n2 + s]) for s, v in br[e2 * n2 + c].items())
-             for e1 in range(n2) for e2 in range(n2)]
-        # column (k, c): a = a rhat_12 + [,] o [,]_12
-        for k, ak in enumerate(a):
-            if ak != lincomb(itertools.chain(
-                    ((v, a[r]) for r, v in rh[k].items()),
-                    ((v, br[r * n2 + c]) for r, v in br[k].items()))):
-                return False
+        a: dict[int, Row] = {}
+        for e2 in range(n2):
+            for s, v in br[e2 * n2 + c].items():
+                for e1 in live[s]:
+                    sum_into(a.setdefault(e1 * n2 + e2, {}), br[e1 * n2 + s], v)
+        a = {k: col for k, col in a.items() if col}
+        # a rhat_12 + [,] o [,]_12 on the columns (k, c)
+        image: dict[int, Row] = {}
+        for r, ar in a.items():
+            for k, v in twist_rows[r].items():
+                sum_into(image.setdefault(k, {}), ar, v)
+        for r, row in enumerate(bracket_rows):
+            if brc := br[r * n2 + c]:
+                for k, v in row.items():
+                    sum_into(image.setdefault(k, {}), brc, v)
+        if a != {k: col for k, col in image.items() if col}:
+            return False
     return True
 
 
@@ -632,6 +650,12 @@ def verify_lie(bl: BraidedLie) -> dict[str, list]:
     b = bl.braiding
     N = b.N
     n2 = N * N
+    # Jacobi identity in its Leibniz form,
+    #   [,] o [,]_23 o (I - rhat_12) = [,] o [,]_12,
+    # whose q -> 1 limit is the classical [x,[y,z]] - [y,[x,z]] = [[x,y],z];
+    # checked before the L-identity sides are built, so that its working
+    # set and theirs never add up
+    jacobi = [] if _jacobi_holds(bl) else [("jacobi-hecke",)]
     quadratic, twisted, o_l, l_o = l_identity_sides(b.R, b.R)
 
     # trace on generators: alpha * delta
@@ -658,11 +682,6 @@ def verify_lie(bl: BraidedLie) -> dict[str, list]:
     # quadratic side matches the cell of the linear side R12 L1 - L1 R12
     consistency = ([] if mat_mul(quadratic, bl.bracket) == _row_differences(o_l, l_o)
                    else [("quadratic",)])
-
-    # Jacobi identity in its Leibniz form,
-    #   [,] o [,]_23 o (I - rhat_12) = [,] o [,]_12,
-    # whose q -> 1 limit is the classical [x,[y,z]] - [y,[x,z]] = [[x,y],z].
-    jacobi = [] if _jacobi_holds(bl) else [("jacobi-hecke",)]
 
     return {"defining": defining, "trace_generators": trace_generators,
             "trace_brackets": trace_brackets, "jacobi": jacobi,

@@ -26,6 +26,7 @@ from qfock.currents import make_current_double, verify_yang
 from qfock.errors import InvalidTable, UnsupportedDouble
 from qfock.fockdouble import (
     braided_lie,
+    fock_representation,
     make_double,
     representation_l_relations_ok,
     verify_compatibility,
@@ -127,8 +128,8 @@ class TestAcceptance:
         d2 = make_double(make_standard_hecke(2), "bosonic")
         d3 = make_double(make_standard_hecke(3), "bosonic")
         for k in (1, 2, 3):
-            assert representation_l_relations_ok(d2, k)
-            assert representation_l_relations_ok(d3, k)
+            assert representation_l_relations_ok(d2, fock_representation(d2, k))
+            assert representation_l_relations_ok(d3, fock_representation(d3, k))
         elapsed = time.perf_counter() - t0
         report(4, "modified reflection identity exact in the double for "
                   "N=2,3 and for the representing matrices, k <= 3", elapsed,

@@ -436,6 +436,31 @@ class TestVerify:
         assert err.startswith("error: SizeLimitExceeded")
         assert f"--{option} " in err and "TABLE_MAX_N = 32" in err
 
+    @pytest.mark.parametrize("braiding, constructor, accepted, refused", [
+        ("flip", "make_flip", 1, 0),
+        ("std-hecke", "make_standard_hecke", 2, 1),
+        ("bmw-orth", "make_bmw", 2, 1),
+        ("bmw-sympl", "make_bmw", 2, 1),
+        ("bmw-sympl", "make_bmw", 4, 3),
+    ])
+    def test_size_below_the_builtin_minimum_is_bad_input(
+            self, braiding, constructor, accepted, refused, monkeypatch, capsys):
+        """An accepted N reaches the builtin's constructor, and the first
+        refused one (below the minimum, or odd for bmw-sympl) exits 2 before
+        it runs, with an InvalidArgument that names --n."""
+        calls = []
+        monkeypatch.setattr(cli, constructor, lambda *args: calls.append(args))
+        cli._resolve_braiding(cli.RunConfig(braiding=braiding, n=accepted))
+        assert len(calls) == 1
+        assert run(["verify", "--braiding", braiding, "--n", str(refused),
+                    "--suite", "braiding"]) == 2
+        assert len(calls) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: InvalidArgument")
+        assert f"--n gives N = {refused}, but {braiding} needs " in captured.err
+        assert f"N >= {cli.MIN_N[braiding]}\n" in captured.err
+
     def test_lie_size_limit(self, capsys):
         t0 = time.perf_counter()
         code = run(["verify", "--braiding", "std-hecke", "--n", "7",
@@ -847,11 +872,13 @@ def _mutation():
     def drop(key):
         return lambda doc: doc.pop(key, None)
 
+    # each change puts in a copy of its value: a junk [] or {} is one object
+    # across examples, and a document that held it twice could hold itself
     def retype(key, value):
-        return lambda doc: doc.__setitem__(key, value)
+        return lambda doc: doc.__setitem__(key, copy.deepcopy(value))
 
     def index(at, key, value):
-        return lambda doc: entry(doc, at).__setitem__(key, value)
+        return lambda doc: entry(doc, at).__setitem__(key, copy.deepcopy(value))
 
     def drop_entry_field(at, key):
         return lambda doc: entry(doc, at).pop(key, None)
@@ -873,7 +900,7 @@ def _mutation():
     def append_junk(value):
         def change(doc):
             if isinstance(doc.get("entries"), list):
-                doc["entries"].append(value)
+                doc["entries"].append(copy.deepcopy(value))
         return change
 
     at = st.integers(0, 40)
@@ -1010,7 +1037,6 @@ class TestReprExport:
             cols[0][0] = cols[0].get(0, ZERO) + ONE
             return {**reps, (0, 0): cols}
 
-        monkeypatch.setattr(fockdouble, "fock_representation", bumped)
         monkeypatch.setattr(cli, "fock_representation", bumped)
         assert run(["repr", "--braiding", "std-hecke", "--n", "2",
                     "--degree", "2"]) == 1
