@@ -33,8 +33,9 @@ the image of braidings.relation_operator; that operator, the double's G,
 is both the G of the closed compatibility identity and the outer grid of
 the L-identity, for every family.  Every q here is the braiding's own b.q.
 
-verify_compatibility, verify_l_relations and verify_lie return one
-witness list per verdict, empty when it holds.
+verify_compatibility and verify_lie yield (check id, anchor, witnesses)
+for each of their checks as it finishes, and verify_l_relations returns
+its witness list; an empty list is a pass.
 
 An element of the double is a read-only dict {(creation word,
 annihilation word): Scalar} of reduced normal-ordered terms.  All
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .braidings import (
@@ -354,30 +356,31 @@ def verify_l_relations(d: FockDouble) -> list[tuple]:
 # compatibility verification
 # ---------------------------------------------------------------------------
 
-def _rule_failures(N: int, hi: str, lo: str, algebras: dict,
-                   order) -> tuple[list[tuple], list[tuple]]:
-    """The ideal and diamond witnesses of a permutation rule that sorts the
-    `hi` tokens after the `lo` ones, order(word) being its reduced normal
-    form.  Ideals: a quadratic relation of the lo side after a hi generator,
-    or of the hi side before a lo generator, must order to zero; witness
-    ("<tag>-ideal", generator, relation).  Diamond: a mixed degree-3 word
-    must order as the words its same-tag runs reduce to in their quotients
-    do; witness ("diamond", word)."""
+def _rule_groups(N: int, hi: str, lo: str, algebras: dict):
+    """Yield the ideal groups, then the diamond groups, of a permutation
+    rule that sorts the `hi` tokens after the `lo` ones: combinations of
+    mixed words that must order to zero.  Ideals: a quadratic relation of
+    the lo side after a hi generator, or of the hi side before a lo
+    generator, keyed (tag, generator, relation index).  Diamond: a mixed
+    degree-3 word minus the product of the normal forms of its same-tag
+    runs, keyed ("diamond", word)."""
     groups: dict = {}
     for tag, other, before in ((lo, hi, True), (hi, lo, False)):
         for r, rel in enumerate(algebras[tag].relations):
             for g in range(N):
                 gen = ((other, g),)
-                groups[("ideal", tag, g, r)] = {
+                groups[(tag, g, r)] = {
                     gen + ((tag, i), (tag, j)) if before else ((tag, i), (tag, j)) + gen: c
                     for (i, j), c in rel.items()}
+    yield groups
+    groups = {}
     for pattern in itertools.product((hi, lo), repeat=3):
         if hi not in pattern or lo not in pattern:
             continue
         for idx in itertools.product(range(N), repeat=3):
             word = tuple(zip(pattern, idx))
-            # minus the product of the runs' normal forms; a word whose
-            # runs are already reduced cancels to the empty combination
+            # a word whose runs are already reduced cancels to the empty
+            # combination
             combination: dict[tuple[Token, ...], Scalar] = {(): _MINUS_ONE}
             for tag, run in itertools.groupby(word, key=lambda t: t[0]):
                 nf = algebras[tag].normal_form_word(tuple(i for _, i in run))
@@ -385,16 +388,23 @@ def _rule_failures(N: int, hi: str, lo: str, algebras: dict,
                                for w, c in combination.items() for rw, cr in nf.items()}
             add_term(combination, word, ONE)
             groups[("diamond", word)] = combination
-    failed = nonzero_sums(groups, order)
-    ideal = [(f"{tag}-ideal", g, tuple(algebras[tag].relations[r]))
-             for _, tag, g, r in (key for key in failed if key[0] == "ideal")]
-    return ideal, [key for key in failed if key[0] == "diamond"]
+    yield groups
 
 
-def verify_compatibility(d: FockDouble) -> dict[str, list]:
-    """Three exact checks that the permutation rule respects the quotient
-    relations on both sides, each a witness list: closed_identity,
-    ideal_checks and diamond.
+def _rule_failures(N: int, hi: str, lo: str, algebras: dict, order):
+    """Yield the ideal witnesses ("<tag>-ideal", generator, relation), then
+    the diamond witnesses ("diamond", word), of _rule_groups, order(word)
+    being the rule's reduced normal form; both share one memo of order."""
+    order, groups = functools.cache(order), _rule_groups(N, hi, lo, algebras)
+    yield [(f"{tag}-ideal", g, tuple(algebras[tag].relations[r]))
+           for tag, g, r in nonzero_sums(next(groups), order)]
+    yield nonzero_sums(next(groups), order)
+
+
+def verify_compatibility(d: FockDouble) -> Iterator[tuple[str, str, list]]:
+    """Yield (check id, anchor, witnesses) for three exact checks that the
+    permutation rule respects the quotient relations on both sides, each
+    as it finishes:
 
     (i) the closed matrix identity behind the compatibility proof, checked
         on free words sorted by the double's own rule (_rewrite), where
@@ -423,10 +433,13 @@ def verify_compatibility(d: FockDouble) -> dict[str, list]:
         groups[(i2, i3, j3)][(("a", a), ("b", bb), ("b", e))] = minus_c * v
     closed = nonzero_sums(
         groups, lambda word: _rewrite(word, d.rule, d._order_cache, "a", "b"))
-
-    ideal, diamond = _rule_failures(N, "a", "b", {"a": d.A, "b": d.B}, d.normal_order)
-    return {"closed_identity": [("closed", key) for key in closed],
-            "ideal_checks": ideal, "diamond": diamond}
+    yield ("compatibility-closed-identity",
+           "G(R23) x2 x3 x^<3| = q^{+-2} x^<1| R12 R23 G(R12) x1 x2",
+           [("closed", key) for key in closed])
+    yield from zip(("compatibility-ideals", "diamond-degree-3"),
+                   ("relations times a generator order to zero",
+                    "two rewrite orders agree on mixed words"),
+                   _rule_failures(N, "a", "b", {"a": d.A, "b": d.B}, d.normal_order))
 
 
 # ---------------------------------------------------------------------------
@@ -638,14 +651,13 @@ def _jacobi_holds(bl: BraidedLie) -> bool:
     return True
 
 
-def verify_lie(bl: BraidedLie) -> dict[str, list]:
-    """Full verification of the braided Lie data, each check a witness
-    list: the defining property of the twist (defining), the R-trace
-    normalization on generators (trace_generators), vanishing
-    of the R-trace on all basis brackets (trace_brackets), the Jacobi
-    identity (jacobi), and the consistency of the quadratic L-identity with
-    the bracket (quadratic_consistency).  The Jacobi identity is checked
-    leg-locally, one third-leg index at a time (_jacobi_holds).
+def verify_lie(bl: BraidedLie) -> Iterator[tuple[str, str, list]]:
+    """Yield (check id, anchor, witnesses) for each check of the braided
+    Lie data as it finishes: the Jacobi identity, checked leg-locally one
+    third-leg index at a time (_jacobi_holds), the R-trace normalization
+    on generators, the vanishing of the R-trace on all basis brackets, the
+    defining property of the twist, and the consistency of the quadratic
+    L-identity with the bracket.
     """
     b = bl.braiding
     N = b.N
@@ -655,13 +667,13 @@ def verify_lie(bl: BraidedLie) -> dict[str, list]:
     # whose q -> 1 limit is the classical [x,[y,z]] - [y,[x,z]] = [[x,y],z];
     # checked before the L-identity sides are built, so that its working
     # set and theirs never add up
-    jacobi = [] if _jacobi_holds(bl) else [("jacobi-hecke",)]
-    quadratic, twisted, o_l, l_o = l_identity_sides(b.R, b.R)
+    yield ("jacobi", "[,][,]_23 (I - twist_12) = [,][,]_12",
+           [] if _jacobi_holds(bl) else [("jacobi-hecke",)])
 
     # trace on generators: alpha * delta
-    trace_generators = [("trace-gen", i, j)
-                        for i, j in itertools.product(range(N), repeat=2)
-                        if bl.rtrace[i * N + j] != (bl.alpha if i == j else ZERO)]
+    yield ("rtrace-generators", "Tr_R l_i^j = alpha delta_i^j",
+           [("trace-gen", i, j) for i, j in itertools.product(range(N), repeat=2)
+            if bl.rtrace[i * N + j] != (bl.alpha if i == j else ZERO)])
 
     # trace on brackets: Tr_R [l_e1, l_e2] = 0
     trace_brackets = []
@@ -671,18 +683,18 @@ def verify_lie(bl: BraidedLie) -> dict[str, list]:
             acc = acc + bl.rtrace[e] * v
         if not acc.is_zero():
             trace_brackets.append(("trace-bracket", phi))
+    yield "rtrace-brackets", "Tr_R of every basis bracket vanishes", trace_brackets
 
     # defining property: rhat takes each cell of the first quadratic side
     # R12 L1 R12 L1 to the same cell of the second, L1 R12 L1 R12
-    defining = [("defining", *divmod(xy, n2)) for xy, (got, want)
-                in enumerate(zip(mat_mul(quadratic, bl.rhat), twisted))
-                if got != want]
+    quadratic, twisted, o_l, l_o = l_identity_sides(b.R, b.R)
+    yield ("rhat-defining", "R12 L1 R12 L1 maps to L1 R12 L1 R12",
+           [("defining", *divmod(xy, n2)) for xy, (got, want)
+            in enumerate(zip(mat_mul(quadratic, bl.rhat), twisted)) if got != want])
 
     # quadratic-identity consistency: comp((I - rhat) cell) of the first
     # quadratic side matches the cell of the linear side R12 L1 - L1 R12
-    consistency = ([] if mat_mul(quadratic, bl.bracket) == _row_differences(o_l, l_o)
-                   else [("quadratic",)])
-
-    return {"defining": defining, "trace_generators": trace_generators,
-            "trace_brackets": trace_brackets, "jacobi": jacobi,
-            "quadratic_consistency": consistency}
+    yield ("bracket-quadratic-consistency",
+           "composing the quadratic identity reproduces the bracket",
+           [] if mat_mul(quadratic, bl.bracket) == _row_differences(o_l, l_o)
+           else [("quadratic",)])

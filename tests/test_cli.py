@@ -143,6 +143,41 @@ class TestVerify:
         assert checks[0]["check_id"] == "load-braiding"
         assert {c["seconds"] for c in checks} == {1.0}
 
+    @pytest.mark.parametrize("suite, slowed, before", [
+        ("lie", "jacobi", "rhat-reconstruction"),
+        ("lie", "rhat-defining", "rtrace-brackets"),
+        ("double", "diamond-degree-3", "compatibility-ideals"),
+    ])
+    def test_streamed_records_time_their_own_check(self, suite, slowed, before,
+                                                   tmp_path, monkeypatch):
+        """verify_lie and verify_compatibility yield each record as its
+        check finishes: 0.2 s added to the Jacobi check, to the building of
+        the L-identity sides or to the diamond evaluation lands on its own
+        record and not on the one before."""
+        # the fockdouble call inside the slowed check, and which of its calls
+        # belong to that check
+        name, when = {
+            "jacobi": ("_jacobi_holds", lambda bl: True),
+            "rhat-defining": ("l_identity_sides", lambda R, O: True),
+            "diamond-degree-3": ("nonzero_sums", lambda groups, value_of: any(
+                key[0] == "diamond" for key in groups)),
+        }[slowed]
+        real = getattr(fockdouble, name)
+
+        def slow(*args):
+            if when(*args):
+                time.sleep(0.2)
+            return real(*args)
+
+        monkeypatch.setattr(fockdouble, name, slow)
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--braiding", "std-hecke", "--n", "2",
+                    "--suite", suite, "--out", str(out)]) == 0
+        seconds = {c["check_id"]: c["seconds"]
+                   for c in json.loads(out.read_text())["checks"]}
+        assert seconds[slowed] >= 0.2
+        assert seconds[before] < 0.2
+
     def test_evaluation_cross_check(self, capsys):
         assert run(["verify", "--braiding", "std-hecke", "--n", "2",
                     "--suite", "braiding", "--q", "3/2"]) == 0
@@ -347,6 +382,25 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: InvalidArgument: --q ")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "double"], ["verify", "--suite", "lie"],
+        ["verify", "--suite", "poincare"], ["verify", "--suite", "currents"],
+        ["poincare"], ["repr"], ["export"],
+    ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+    def test_q_without_the_braiding_suite_is_bad_input(self, argv, capsys):
+        """Only the braiding suite reads --q, so a run without it refuses a
+        --q other than generic rather than echo a q it never evaluated at."""
+        assert run([*argv, "--braiding", "std-hecke", "--n", "2", "--q", "3/2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: InvalidArgument: --q 3/2 ")
+        assert run([*argv, "--braiding", "std-hecke", "--n", "2", "--q", "generic"]) == 0
+
+    def test_q_with_every_suite_runs_the_cross_check(self, capsys):
+        assert run(["verify", "--braiding", "flip", "--n", "1", "--suite", "all",
+                    "--q", "3/2"]) == 0
+        assert "[PASS] evaluation-cross-check" in capsys.readouterr().out
 
     @given(st.text(alphabet="0123456789/-+. e", max_size=6))
     @settings(max_examples=60, deadline=None)

@@ -66,6 +66,11 @@ from jacobi_reference import jacobi_sides
 from rewriting_reference import normal_order_act, pending_rewrite
 
 
+def _records(checks) -> dict:
+    """The witness lists of a check's yielded records, keyed by check id."""
+    return {check_id: found for check_id, _, found in checks}
+
+
 def dense_columns(cols, nrows):
     """The full grid of a matrix given by sparse columns {row: entry}."""
     return [[col.get(r, ZERO) for col in cols] for r in range(nrows)]
@@ -379,8 +384,9 @@ DOUBLES = [
 class TestCompatibility:
     @pytest.mark.parametrize("name,maker", DOUBLES)
     def test_compatibility_suite(self, name, maker):
-        rep = verify_compatibility(maker())
-        assert set(rep) == {"closed_identity", "ideal_checks", "diamond"}
+        rep = _records(verify_compatibility(maker()))
+        assert set(rep) == {"compatibility-closed-identity", "compatibility-ideals",
+                            "diamond-degree-3"}
         assert not any(rep.values()), rep
 
     @pytest.mark.parametrize("name,maker", CLOSED_IDENTITY_DOUBLES)
@@ -396,9 +402,30 @@ class TestCompatibility:
                 fast = fockdouble._rewrite(word, d.rule, d._order_cache, "a", "b")
                 assert fast == fockdouble._reduce_keys(fast, free, d.A), word
 
+    @pytest.mark.parametrize("maker", [lambda: make_bmw(3, "orthogonal"),
+                                       lambda: make_standard_hecke(3)],
+                             ids=["bmw-orth-3", "std-hecke-3"])
+    def test_rule_checks_order_each_word_once(self, maker, monkeypatch):
+        """The ideal and the diamond pass share one memo of the order
+        function: verify_compatibility orders each distinct word of their
+        groups once, though the two share words."""
+        d = make_double(maker(), family_flavor(maker())[1])
+        ideal, diamond = (
+            {w for combination in groups.values() for w in combination}
+            for groups in fockdouble._rule_groups(d.braiding.N, "a", "b",
+                                                  {"a": d.A, "b": d.B}))
+        assert ideal & diamond
+        calls = []
+        real = fockdouble.FockDouble.normal_order
+        monkeypatch.setattr(fockdouble.FockDouble, "normal_order",
+                            lambda self, word: calls.append(word) or real(self, word))
+        assert not any(_records(verify_compatibility(d)).values())
+        assert len(calls) == len(ideal | diamond)
+        assert set(calls) == ideal | diamond
+
     def test_hecke_n3_compatibility(self):
         d = make_double(make_standard_hecke(3), "bosonic")
-        rep = verify_compatibility(d)
+        rep = _records(verify_compatibility(d))
         assert not any(rep.values()), rep
 
     def test_corrupted_exchange_tensor_fails_diamond(self):
@@ -406,9 +433,9 @@ class TestCompatibility:
         (i, j, c) = d.exchange[(0, 1)][0]
         d.exchange[(0, 1)][0] = (i, j, c + ONE)
         d._order_cache.clear()
-        rep = verify_compatibility(d)
-        assert rep["diamond"]
-        assert all(w[0] == "diamond" for w in rep["diamond"])
+        rep = _records(verify_compatibility(d))
+        assert rep["diamond-degree-3"]
+        assert all(w[0] == "diamond" for w in rep["diamond-degree-3"])
 
     @given(st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 1)),
                     min_size=0, max_size=2),
@@ -562,13 +589,13 @@ class TestDoubleMutations:
     ])
     def test_corruption_flips_the_double_checks(self, name, corrupt, l_failures):
         d = corrupt(mutation_double(name))
-        comp = verify_compatibility(d)
-        assert comp["closed_identity"]
-        assert all(w[0] == "closed" for w in comp["closed_identity"])
-        assert comp["ideal_checks"]
-        assert all(w[0] in ("a-ideal", "b-ideal") for w in comp["ideal_checks"])
-        assert comp["diamond"]
-        assert all(w[0] == "diamond" for w in comp["diamond"])
+        comp = _records(verify_compatibility(d))
+        assert comp["compatibility-closed-identity"]
+        assert all(w[0] == "closed" for w in comp["compatibility-closed-identity"])
+        assert comp["compatibility-ideals"]
+        assert all(w[0] in ("a-ideal", "b-ideal") for w in comp["compatibility-ideals"])
+        assert comp["diamond-degree-3"]
+        assert all(w[0] == "diamond" for w in comp["diamond-degree-3"])
         assert len(verify_l_relations(d)) == l_failures
         # the representations see the pairing constant, not the exchange
         reps_ok = corrupt is bump_exchange
@@ -820,7 +847,7 @@ class TestSpecializedBraidings:
         b = specialize(make(), q0)
         for flavor in flavors:
             d = make_double(b, flavor)
-            comp = verify_compatibility(d)
+            comp = _records(verify_compatibility(d))
             assert not any(comp.values()), comp
             assert not verify_l_relations(d)
             assert representation_l_relations_ok(d, fock_representation(d, 2))
@@ -1002,9 +1029,9 @@ class TestBraidedLie:
         lambda: make_standard_hecke(2),
     ])
     def test_full_lie_verification(self, maker):
-        rep = verify_lie(braided_lie(maker()))
-        assert set(rep) == {"defining", "trace_generators", "trace_brackets",
-                            "jacobi", "quadratic_consistency"}
+        rep = _records(verify_lie(braided_lie(maker())))
+        assert set(rep) == {"rhat-defining", "rtrace-generators", "rtrace-brackets",
+                            "jacobi", "bracket-quadratic-consistency"}
         assert not any(rep.values()), rep
 
     def test_alpha_matches_trace_of_generators(self):
@@ -1018,15 +1045,15 @@ class TestBraidedLie:
     @pytest.mark.parametrize("maker", [lambda: make_standard_hecke(2),
                                        lambda: make_flip(2)])
     @pytest.mark.parametrize("field, flipped", [
-        ("bracket", {"trace_brackets", "jacobi", "quadratic_consistency"}),
-        ("rhat", {"defining", "jacobi"}),
-        ("rtrace", {"trace_generators", "trace_brackets"}),
-        ("alpha", {"trace_generators"}),
+        ("bracket", {"rtrace-brackets", "jacobi", "bracket-quadratic-consistency"}),
+        ("rhat", {"rhat-defining", "jacobi"}),
+        ("rtrace", {"rtrace-generators", "rtrace-brackets"}),
+        ("alpha", {"rtrace-generators"}),
     ])
     def test_corruption_fails_its_checks(self, maker, field, flipped):
         bl = braided_lie(maker())
-        assert not any(verify_lie(bl).values())
-        rep = verify_lie(_corrupt(bl, field))
+        assert not any(_records(verify_lie(bl)).values())
+        rep = _records(verify_lie(_corrupt(bl, field)))
         assert {k for k, found in rep.items() if found} == flipped
 
     @pytest.mark.parametrize("maker", [

@@ -34,6 +34,11 @@ The flip 2 and 3, std-hecke 2 and 3 and superflip 1|1 `suite-all` reports
 were regenerated when the braided-Lie twist came to be built from the dual
 extensions of R instead of solved from its defining property: their
 `rhat-reconstruction` anchor changed, and nothing else.
+The same five `suite-all` reports (flip-n-2, flip-n-3, superflip-mn-1_1,
+std-hecke-n-2 and std-hecke-n-3) were regenerated when `verify_lie` came
+to yield each record as its check finishes, in the order it computes
+them: `jacobi` and `rhat-defining` swapped places, and nothing else
+changed.
 `test_report_only_records_are_the_named_exceptions` holds every record that
 does not gate to the one kind that may not: the BMW refusals `braided-lie`
 and `currents`.  `test_no_witness_is_a_passed_dict` keeps the dict reports
