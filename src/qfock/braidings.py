@@ -31,6 +31,7 @@ from pathlib import Path
 from .errors import (
     DivisionByZero,
     InconsistentMu,
+    InvalidArgument,
     InvalidTable,
     MalformedTable,
     NonGenericPoint,
@@ -167,7 +168,7 @@ class Braiding:
 
 def make_flip(N: int) -> Braiding:
     if N < 1:
-        raise ValueError("N must be at least 1")
+        raise InvalidArgument(f"N = {N}, but flip needs N >= 1")
     return Braiding(N, LinOperator.flip(N), INVOLUTIVE, name=f"flip-{N}")
 
 
@@ -197,7 +198,7 @@ def make_standard_hecke(N: int) -> Braiding:
     to the flip.
     """
     if N < 2:
-        raise ValueError("N must be at least 2")
+        raise InvalidArgument(f"N = {N}, but std-hecke needs N >= 2")
     qdiff = Q - QINV
     terms = []
     for i in range(N):
@@ -240,13 +241,13 @@ def make_bmw(N: int, series: str) -> Braiding:
     rho_i = N/2 - i on the second.  For odd orthogonal N the half-integer
     rho off the middle index are lowered by 1/2, an orbit-constant
     diagonal change of basis that touches no checked property.  Raises
-    ValueError unless N >= 2, and N is even for the symplectic series.
+    InvalidArgument unless N >= 2, and N is even for the symplectic series.
     """
     if series not in ("orthogonal", "symplectic"):
-        raise ValueError(f"unknown series {series!r}")
+        raise InvalidArgument(f"unknown series {series!r}")
     if N < 2 or (series == "symplectic" and N % 2):
-        raise ValueError(f"no {series} BMW braiding at N = {N}: N must be at "
-                         f"least 2{', and even' if series == 'symplectic' else ''}")
+        raise InvalidArgument(f"N = {N}, but bmw-{series} needs "
+                              f"{'an even ' * (series == 'symplectic')}N >= 2")
     rho, eps = _rho_eps(N, series)
     terms = []
 

@@ -66,6 +66,10 @@ from .scalars import ONE, ZERO
 from .tensorops import mat_mul
 
 SUITES = ("braiding", "double", "lie", "poincare", "currents", "all")
+# what each command and each verify suite reads beyond --out and the braiding source
+READS = {"braiding": ("q",), "double": ("flavor", "degree"), "lie": (),
+         "poincare": ("kmax",), "currents": ("window", "degree"),
+         "repr": ("flavor", "degree"), "export": (), "verify": ("suite",)}
 
 
 @dataclass
@@ -130,10 +134,6 @@ class Report:
         return json.dumps(doc, indent=1, sort_keys=True)
 
 
-# the least N of each builtin read from --n; bmw-sympl also needs it even
-MIN_N = {"flip": 1, "std-hecke": 2, "bmw-orth": 2, "bmw-sympl": 2}
-
-
 def _resolve_braiding(cfg: RunConfig) -> Braiding:
     if cfg.table:
         return load_braiding_table(cfg.table)
@@ -141,26 +141,35 @@ def _resolve_braiding(cfg: RunConfig) -> Braiding:
     if name == "superflip":
         m, n = _superflip_split(cfg.mn)
         option, size = "--mn", m + n
-    elif name in MIN_N:
-        option, size = "--n", cfg.n
     else:
-        raise InvalidArgument(f"unknown braiding {name!r}")
-    # the bound on a table's N and each builtin's least N, applied before
-    # any constructor runs
+        option, size = "--n", cfg.n
+    # the bound on a table's N, applied before any constructor runs; each
+    # builtin's constructor checks its least N first
     if size > TABLE_MAX_N:
         raise SizeLimitExceeded(f"{option} gives N = {size}, above "
                                 f"TABLE_MAX_N = {TABLE_MAX_N}")
-    even = name == "bmw-sympl"
-    if name in MIN_N and (size < MIN_N[name] or (even and size % 2)):
-        raise InvalidArgument(f"--n gives N = {size}, but {name} needs "
-                              f"{'an even ' if even else ''}N >= {MIN_N[name]}")
-    if name == "flip":
-        return make_flip(cfg.n)
-    if name == "superflip":
-        return make_superflip(m, n)
-    if name == "std-hecke":
-        return make_standard_hecke(cfg.n)
-    return make_bmw(cfg.n, "orthogonal" if name == "bmw-orth" else "symplectic")
+    try:
+        if name == "superflip":
+            return make_superflip(m, n)
+        if name == "flip":
+            return make_flip(cfg.n)
+        if name == "std-hecke":
+            return make_standard_hecke(cfg.n)
+        return make_bmw(cfg.n, "orthogonal" if name == "bmw-orth" else "symplectic")
+    except InvalidArgument as exc:
+        raise InvalidArgument(f"{option} gives {exc}") from None
+
+
+def _reads(command: str, cfg: RunConfig) -> set[str]:
+    """The options that a run reads: --out, the READS of its command and, for
+    verify, of its suites (`all` reads those of all five), and the braiding
+    source: --table alone, or --braiding with --mn (superflip) or --n."""
+    runs = [command]
+    if command == "verify":
+        runs += SUITES[:-1] if cfg.suite == "all" else [cfg.suite]
+    source = (["table"] if cfg.table else
+              ["braiding", "mn" if cfg.braiding == "superflip" else "n"])
+    return {"out", *source}.union(*(READS[r] for r in runs))
 
 
 def _superflip_split(mn: str) -> tuple[int, int]:
@@ -495,10 +504,13 @@ def main(argv=None) -> int:
         for option, value in args.items():
             if isinstance(value, list):
                 raise InvalidArgument(f"--{option} needs a value, got {value!r}")
-        for flag in ("kmax", "window", "degree"):
-            if getattr(cfg, flag) < 0:
-                raise InvalidArgument(
-                    f"--{flag} must be >= 0, got {getattr(cfg, flag)}")
+        reads, defaults = _reads(command, cfg), asdict(RunConfig())
+        for option, value in args.items():
+            if option not in reads and value != defaults[option]:
+                run = command + (f" --suite {cfg.suite}" if command == "verify" else "")
+                raise InvalidArgument(f"--{option} {value} is not read by {run}")
+            if option in ("kmax", "window", "degree") and value < 0:
+                raise InvalidArgument(f"--{option} must be >= 0, got {value}")
         if cfg.q != "generic":
             try:
                 # printed as the braiding suite will print it: a rational
@@ -508,9 +520,6 @@ def main(argv=None) -> int:
                 raise InvalidArgument(
                     f"--q must be 'generic' or a rational like 3/2 short "
                     f"enough to print, got {cfg.q!r}") from None
-            if command != "verify" or cfg.suite not in ("braiding", "all"):
-                raise InvalidArgument(f"--q {cfg.q} is read by the braiding "
-                                      f"suite alone, which this run does not have")
         return {"verify": cmd_verify, "poincare": cmd_poincare,
                 "repr": cmd_repr, "export": cmd_export}[command](cfg)
     except (QfockError, ValueError) as exc:

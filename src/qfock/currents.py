@@ -112,7 +112,7 @@ def zf_act(cd: CurrentDouble, a_modes, terms: dict[ModeWord, Scalar]) -> dict[Mo
         a_modes = [a_modes]
     top = max((abs(m) for w in terms for _, m in w), default=0)
     if top > cd.window:
-        raise WindowOverflow(f"mode {top} outside window {cd.window}", top)
+        raise WindowOverflow(f"mode {top} outside window {cd.window}")
     return annihilate(cd.rule, cd.annihilated, a_modes, terms)
 
 
@@ -413,7 +413,7 @@ def _exchange_relation_span(cd: CurrentDouble):
             echelon_insert(rows, row)
         ranks.append(len(rows))
     if ranks[0] != ranks[1]:
-        raise WindowOverflow("relation span did not stabilize", far)
+        raise WindowOverflow("relation span did not stabilize")
     return rows, index, {t: p for p, t in index.items()}
 
 
@@ -505,8 +505,7 @@ def verify_yang(cd: CurrentDouble, degree: int = 1) -> dict:
             return {p: d for p, d in _differences(*buckets, {}, theta, M).items() if d}
         if not all(t1_readout(x, interior) == t1_readout(x, interior + 3)
                    for x in range(n2)):
-            raise WindowOverflow("interior mode window too small; enlarge the window",
-                                 interior + 3)
+            raise WindowOverflow("interior mode window too small; enlarge the window")
     return report
 
 

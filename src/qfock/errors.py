@@ -62,8 +62,8 @@ class RhatNotDetermined(QfockError):
     """The braided-Lie R-trace cannot be normalized: B C is not scalar."""
 
 
-class InvalidArgument(QfockError):
-    """A command-line value lies outside its admissible range."""
+class InvalidArgument(QfockError, ValueError):
+    """An argument outside its admissible range, or an option its run does not read."""
 
 
 class SizeLimitExceeded(QfockError):
@@ -71,8 +71,4 @@ class SizeLimitExceeded(QfockError):
 
 
 class WindowOverflow(QfockError):
-    """A mode computation escaped its window; carries the needed size."""
-
-    def __init__(self, message: str, needed: int | None = None):
-        super().__init__(message)
-        self.needed = needed
+    """A mode computation escaped its window."""

@@ -9,13 +9,14 @@ projection.  Pivots are chosen on the lexicographically largest words, so
 the surviving basis consists of the lexicographically earliest free words.
 
 Degree caches grow monotonically; every computed component stores its
-basis and the reduction of every non-basis candidate word, from which the
-projection of an arbitrary free tensor is assembled recursively.
+basis, and the reduction of every non-basis candidate word is stored once,
+as that word's normal form, from which the projection of an arbitrary free
+tensor is assembled recursively.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 
@@ -30,11 +31,8 @@ Tensor = dict[Word, Scalar]
 
 @dataclass
 class Component:
-    degree: int
     basis: list[Word]
     basis_index: dict[Word, int]
-    # reduction of every non-basis candidate (prefix-basis-word + generator)
-    reduction: dict[Word, Tensor] = field(default_factory=dict)
 
 
 class GradedQuotient:
@@ -56,10 +54,10 @@ class GradedQuotient:
         if got is not None:
             return got
         if k == 0:
-            comp = Component(0, [()], {(): 0})
+            comp = Component([()], {(): 0})
         elif k == 1:
             basis = [(i,) for i in range(self.N)]
-            comp = Component(1, basis, {w: i for i, w in enumerate(basis)})
+            comp = Component(basis, {w: i for i, w in enumerate(basis)})
         else:
             comp = self._build_component(k)
         self._components[k] = comp
@@ -85,12 +83,11 @@ class GradedQuotient:
         red = row_reduce(rows, len(words))
         lead = {words[p] for p in red.pivots}
         basis = [w for w in reversed(words) if w not in lead]
-        comp = Component(k, basis, {w: i for i, w in enumerate(basis)})
         for prow, pcol in zip(red.rows, red.pivots):
-            comp.reduction[words[pcol]] = {
+            self._nf_cache[words[pcol]] = {
                 words[col]: -coeff
                 for col, coeff in sorted(prow.items(), reverse=True) if col != pcol}
-        return comp
+        return Component(basis, {w: i for i, w in enumerate(basis)})
 
     # -- projection -------------------------------------------------------
 
@@ -101,9 +98,7 @@ class GradedQuotient:
             return cached
         k = len(word)
         comp = self.component(k)
-        if word in comp.basis_index:
-            out = {word: ONE}
-        elif k < 2:
+        if k < 2 or word in comp.basis_index:
             out = {word: ONE}
         else:
             prefix_nf = self.normal_form_word(word[:-1])
@@ -114,7 +109,7 @@ class GradedQuotient:
                 if cand in comp.basis_index:
                     add_term(acc, cand, c)
                 else:
-                    for w2, d in comp.reduction[cand].items():
+                    for w2, d in self._nf_cache[cand].items():
                         add_term(acc, w2, c * d)
             out = acc
         self._nf_cache[word] = out

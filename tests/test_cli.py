@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import copy
+import io
 import json
 import re
 import tempfile
@@ -37,6 +39,19 @@ from hecke_families import super_hecke
 
 def run(argv):
     return main(argv)
+
+
+def count_operator_builds(monkeypatch) -> list:
+    """A list that gains an entry at each LinOperator.from_terms call, the
+    way every braiding's operator is built."""
+    built, real = [], LinOperator.from_terms
+
+    def counted(*args, **kwargs):
+        built.append(args[1:])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(LinOperator, "from_terms", staticmethod(counted))
+    return built
 
 
 def _corrupted_json(b: Braiding, corrupt) -> str:
@@ -490,30 +505,29 @@ class TestVerify:
         assert err.startswith("error: SizeLimitExceeded")
         assert f"--{option} " in err and "TABLE_MAX_N = 32" in err
 
-    @pytest.mark.parametrize("braiding, constructor, accepted, refused", [
-        ("flip", "make_flip", 1, 0),
-        ("std-hecke", "make_standard_hecke", 2, 1),
-        ("bmw-orth", "make_bmw", 2, 1),
-        ("bmw-sympl", "make_bmw", 2, 1),
-        ("bmw-sympl", "make_bmw", 4, 3),
+    @pytest.mark.parametrize("braiding, accepted, refused, needs", [
+        ("flip", 1, 0, "flip needs N >= 1"),
+        ("std-hecke", 2, 1, "std-hecke needs N >= 2"),
+        ("bmw-orth", 2, 1, "bmw-orthogonal needs N >= 2"),
+        ("bmw-sympl", 2, 1, "bmw-symplectic needs an even N >= 2"),
+        ("bmw-sympl", 4, 3, "bmw-symplectic needs an even N >= 2"),
     ])
     def test_size_below_the_builtin_minimum_is_bad_input(
-            self, braiding, constructor, accepted, refused, monkeypatch, capsys):
-        """An accepted N reaches the builtin's constructor, and the first
-        refused one (below the minimum, or odd for bmw-sympl) exits 2 before
-        it runs, with an InvalidArgument that names --n."""
-        calls = []
-        monkeypatch.setattr(cli, constructor, lambda *args: calls.append(args))
+            self, braiding, accepted, refused, needs, monkeypatch, capsys):
+        """An accepted N builds operators, and the first refused one (below
+        the minimum, or odd for bmw-sympl) exits 2 before any operator is
+        built, with the constructor's InvalidArgument prefixed by --n."""
+        built = count_operator_builds(monkeypatch)
         cli._resolve_braiding(cli.RunConfig(braiding=braiding, n=accepted))
-        assert len(calls) == 1
+        assert built
+        built.clear()
         assert run(["verify", "--braiding", braiding, "--n", str(refused),
                     "--suite", "braiding"]) == 2
-        assert len(calls) == 1
+        assert not built
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: InvalidArgument")
-        assert f"--n gives N = {refused}, but {braiding} needs " in captured.err
-        assert f"N >= {cli.MIN_N[braiding]}\n" in captured.err
+        assert captured.err == (f"error: InvalidArgument: --n gives N = {refused}, "
+                                f"but {needs}\n")
 
     def test_lie_size_limit(self, capsys):
         t0 = time.perf_counter()
@@ -977,11 +991,87 @@ def _mutation():
     )
 
 
+# what each run reads beyond --out and the braiding source, written out
+# apart from cli.READS: by verify suite, then by command
+RUN_READS = {
+    ("verify", "braiding"): {"suite", "q"},
+    ("verify", "double"): {"suite", "flavor", "degree"},
+    ("verify", "lie"): {"suite"},
+    ("verify", "poincare"): {"suite", "kmax"},
+    ("verify", "currents"): {"suite", "window", "degree"},
+    ("verify", "all"): {"suite", "q", "flavor", "degree", "kmax", "window"},
+    ("poincare",): {"kmax"},
+    ("repr",): {"flavor", "degree"},
+    ("export",): set(),
+}
+# each braiding source as arguments and the options it reads
+SOURCES = {
+    "std-hecke": (["--braiding", "std-hecke", "--n", "2"], {"braiding", "n"}),
+    "superflip": (["--braiding", "superflip", "--mn", "1,1"], {"braiding", "mn"}),
+    "table": (["--table", str(builtin_table_path("std-hecke-2"))], {"table"}),
+}
+# a value other than the default for each option that a run may leave
+# unread, and the default as written on the command line where it has one
+OTHER = {"braiding": "flip", "n": "3", "mn": "2,1", "q": "3/2", "flavor": "fermionic",
+         "suite": "lie", "kmax": "3", "window": "1", "degree": "2"}
+DEFAULT = {"n": "2", "mn": "1,1", "q": "generic", "suite": "all", "kmax": "4",
+           "window": "2", "degree": "1"}
+
+
+def _unread_cases():
+    for run_key, reads in RUN_READS.items():
+        run_argv = ["verify", "--suite", run_key[1]] if len(run_key) == 2 else [*run_key]
+        for source, (_, source_reads) in SOURCES.items():
+            for option in OTHER:
+                if option not in reads | source_reads:
+                    yield pytest.param(run_argv, source, option,
+                                       id=f"{'-'.join(run_key)}-{source}-{option}")
+
+
+class TestUnreadOptions:
+    @pytest.mark.parametrize("run_argv, source, option", list(_unread_cases()))
+    def test_unread_option_is_bad_input(self, run_argv, source, option,
+                                        monkeypatch, capsys):
+        """An option outside the run's read set, given a value other than
+        its default, exits 2 before any operator is built; given its
+        default, the run goes ahead."""
+        built = count_operator_builds(monkeypatch)
+        argv = [*run_argv, *SOURCES[source][0]]
+        assert run([*argv, f"--{option}", OTHER[option]]) == 2
+        captured = capsys.readouterr()
+        assert not built
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: InvalidArgument: --{option} {OTHER[option]} is not read by ")
+        if option in DEFAULT:
+            assert run([*argv, f"--{option}", DEFAULT[option]]) == 0
+            assert built
+
+    @pytest.mark.parametrize("argv, option", [
+        (["verify", "--table", str(builtin_table_path("std-hecke-2")), "--braiding", "flip",
+          "--n", "7", "--suite", "braiding"], "--braiding flip"),
+        (["verify", "--braiding", "bmw-orth", "--n", "3", "--suite", "braiding",
+          "--flavor", "fermionic"], "--flavor fermionic"),
+        (["verify", "--suite", "lie", "--window", "7", "--kmax", "9"], "--kmax 9"),
+        (["export", "--braiding", "bmw-orth", "--n", "3", "--window", "9",
+          "--flavor", "fermionic", "--suite", "lie"], "--flavor fermionic"),
+    ], ids=["table-with-builtin", "flavor-on-braiding-suite", "sizes-on-lie",
+            "export-with-verify-options"])
+    def test_options_that_were_echoed_unread(self, argv, option, monkeypatch, capsys):
+        """Runs that once exited 0 and echoed a config they never read."""
+        built = count_operator_builds(monkeypatch)
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert not built and captured.out == ""
+        assert captured.err.startswith(f"error: InvalidArgument: {option} is not read by ")
+
+
 class TestSizeArgumentFuzz:
-    """verify on each builtin braiding and each single suite, with size
-    arguments at, below and past their bounds, exits 0, 1 or 2 and raises
-    nothing.  The window stops at 1: window 2 with degree 2 at N = 3 takes
-    seconds on its own."""
+    """verify on each builtin braiding and each single suite, with the size
+    arguments that the run reads at, below and past their bounds, exits 0, 1
+    or 2, raises nothing and is never refused for an unread option.  The
+    window stops at 1: window 2 with degree 2 at N = 3 takes seconds on its
+    own."""
 
     @given(st.sampled_from(["flip", "superflip", "std-hecke", "bmw-orth", "bmw-sympl"]),
            st.sampled_from(["braiding", "double", "lie", "poincare", "currents"]),
@@ -989,10 +1079,16 @@ class TestSizeArgumentFuzz:
            st.integers(-1, 6), st.integers(-1, 3), st.integers(-1, 1))
     @settings(max_examples=100, deadline=None)
     def test_size_arguments(self, braiding, suite, n, mn, kmax, degree, window):
+        sizes = {"n": n, "mn": mn, "kmax": kmax, "degree": degree, "window": window}
+        reads = RUN_READS[("verify", suite)] | {"mn" if braiding == "superflip" else "n"}
         # --flag=<value>, so that a value that looks like a flag reaches qfock
-        assert main(["verify", "--braiding", braiding, "--suite", suite,
-                     f"--n={n}", f"--mn={mn}", f"--kmax={kmax}",
-                     f"--degree={degree}", f"--window={window}"]) in (0, 1, 2)
+        argv = ["verify", "--braiding", braiding, "--suite", suite,
+                *(f"--{option}={value}" for option, value in sizes.items()
+                  if option in reads)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) in (0, 1, 2)
+        assert "is not read by" not in err.getvalue()
 
 
 class TestLoaderFuzz:

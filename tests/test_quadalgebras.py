@@ -16,8 +16,16 @@ from qfock.scalars import ONE, ZERO, Scalar
 from dense_elimination import dense_row_reduce
 
 
-def full_span_dim(alg, k):
-    """Independent oracle: rank of all relation placements in degree k."""
+def _code(word, N):
+    code = 0
+    for t in word:
+        code = code * N + t
+    return code
+
+
+def placed_relation_rows(alg, k):
+    """Every relation placed on two adjacent slots of degree k, as dense rows
+    over the N^k words in lexicographic order."""
     N = alg.N
     ncols = N ** k
     rows = []
@@ -26,13 +34,15 @@ def full_span_dim(alg, k):
             for outer in itertools.product(range(N), repeat=k - 2):
                 row = [ZERO] * ncols
                 for (i, j), c in rel.items():
-                    word = outer[:pos] + (i, j) + outer[pos:]
-                    code = 0
-                    for t in word:
-                        code = code * N + t
+                    code = _code(outer[:pos] + (i, j) + outer[pos:], N)
                     row[code] = row[code] + c
                 rows.append(row)
-    return ncols - dense_row_reduce(rows).rank
+    return rows
+
+
+def full_span_dim(alg, k):
+    """Independent oracle: rank of all relation placements in degree k."""
+    return alg.N ** k - dense_row_reduce(placed_relation_rows(alg, k)).rank
 
 
 class TestClassicalFlip:
@@ -138,6 +148,30 @@ class TestNormalForm:
         for w in comp.basis:
             nf = alg.normal_form(w)
             assert nf == {w: ONE}
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_candidate_normal_form_is_the_stored_reduction(self, k):
+        """Building degree k stores the reduction of each non-basis
+        candidate (a degree k-1 basis word and a generator) as its normal
+        form, which normal_form_word hands back as stored: a combination of
+        basis words that differs from the candidate by placed relations."""
+        alg = make_algebra(make_standard_hecke(3), "sym", "V")
+        prev, comp = alg.component(k - 1), alg.component(k)
+        candidates = [w + (g,) for w in prev.basis for g in range(alg.N)
+                      if w + (g,) not in comp.basis_index]
+        assert candidates
+        stored = {w: alg._nf_cache[w] for w in candidates}
+        relations = placed_relation_rows(alg, k)
+        rank = dense_row_reduce(relations).rank
+        for w in candidates:
+            nf = alg.normal_form_word(w)
+            assert nf is stored[w]
+            assert set(nf) <= set(comp.basis)
+            row = [ZERO] * alg.N ** k
+            row[_code(w, alg.N)] = ONE
+            for y, c in nf.items():
+                row[_code(y, alg.N)] = row[_code(y, alg.N)] - c
+            assert dense_row_reduce([*relations, row]).rank == rank
 
     @given(st.lists(st.integers(0, 1), min_size=3, max_size=3),
            st.lists(st.integers(0, 1), min_size=3, max_size=3))

@@ -190,7 +190,7 @@ def relation_span(cd):
             echelon_insert(rows, row)
         ranks.append(len(rows))
     if ranks[0] != ranks[1]:
-        raise WindowOverflow("relation span did not stabilize", far)
+        raise WindowOverflow("relation span did not stabilize")
     return rows, index, {t: p for p, t in index.items()}
 
 
@@ -252,6 +252,5 @@ def verify_yang(cd, degree=1):
                 if lhs(*small, eu, ev) != lhs(*big, eu, ev):
                     stable = False
         if not stable:
-            raise WindowOverflow("interior mode window too small; enlarge the window",
-                                 interior + 3)
+            raise WindowOverflow("interior mode window too small; enlarge the window")
     return report
