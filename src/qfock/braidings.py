@@ -173,11 +173,13 @@ def make_flip(N: int) -> Braiding:
 
 
 def make_superflip(m: int, n: int) -> Braiding:
-    """Graded flip on a space with m even and n odd basis directions."""
+    """Graded flip on a space with m even and n odd basis directions.
+
+    InvalidArgument unless m and n are at least 0 and m + n at least 1."""
     N = m + n
     if m < 0 or n < 0 or N < 1:
-        raise ValueError(f"no superflip at m = {m}, n = {n}: m and n must be "
-                         f"at least 0, and m + n at least 1")
+        raise InvalidArgument(f"no superflip at m,n = {m},{n}: m and n must be "
+                              f"at least 0, and m + n at least 1")
     minus = Scalar.from_int(-1)
     terms = ((enc_index((j, i), N), enc_index((i, j), N),
               minus if (i >= m and j >= m) else ONE)

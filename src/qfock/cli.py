@@ -173,13 +173,13 @@ def _reads(command: str, cfg: RunConfig) -> set[str]:
 
 
 def _superflip_split(mn: str) -> tuple[int, int]:
-    """The --mn value m,n: two integers >= 0 with m + n >= 1."""
+    """The --mn value m,n: two unsigned integers.  make_superflip holds the
+    rule on their sizes."""
     match = re.fullmatch(r"\s*(\d+)\s*,\s*(\d+)\s*", mn)
-    m, n = (int(t) for t in match.groups()) if match else (0, 0)
-    if m + n < 1:
-        raise InvalidArgument(f"--mn must be m,n: two integers >= 0 with "
-                              f"m + n >= 1, got {mn!r}")
-    return m, n
+    if not match:
+        raise InvalidArgument(f"--mn must be m,n: two unsigned integers, got {mn!r}")
+    m, n = match.groups()
+    return int(m), int(n)
 
 
 def _family_flavor_of(b: Braiding, cfg: RunConfig) -> tuple[str, str]:

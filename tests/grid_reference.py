@@ -38,8 +38,10 @@ def cleared(op: LinOperator) -> LinOperator:
     """D * op, with D the product of the distinct non-monomial denominators
     among op's entries (D = 1 when op is Laurent)."""
     clear = ONE
-    for den in {v.den for _, _, v in op.nonzeros() if len(v.den) > 1}:
-        clear = clear * Scalar(den, ONE.den)
+    dens = {tuple(map(tuple, v.to_pairs()["den"])) for _, _, v in op.nonzeros()}
+    for den in dens:
+        if len(den) > 1:
+            clear = clear * Scalar.make(dict(den), {0: 1})
     return op.scale(clear)
 
 

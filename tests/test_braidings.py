@@ -32,6 +32,7 @@ from qfock.braidings import (
 )
 from qfock.errors import (
     InconsistentMu,
+    InvalidArgument,
     InvalidTable,
     NotSkewInvertible,
     NotStrictlySkewInvertible,
@@ -101,9 +102,10 @@ class TestSuperflip:
         assert not b.validate()
         assert b.skew.strict
 
-    @pytest.mark.parametrize("m,n", [(-1, 3), (2, -1), (0, 0)])
+    @pytest.mark.parametrize("m,n", [(-1, 3), (-1, 2), (2, -1), (0, 0)])
     def test_negative_or_empty_split_rejected(self, m, n):
-        with pytest.raises(ValueError, match="at least 0"):
+        # the constructor holds the size rule alone, as the CLI only parses --mn
+        with pytest.raises(InvalidArgument, match="at least 0"):
             make_superflip(m, n)
 
 

@@ -471,6 +471,14 @@ class TestVerify:
         assert "--mn" in captured.err and "m,n" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", ["verify", "export"])
+    def test_empty_superflip_is_refused_by_the_constructor(self, command, capsys):
+        # --mn 0,0 parses; make_superflip refuses it, and the CLI names --mn
+        assert run([command, "--braiding", "superflip", "--mn", "0,0"]) == 2
+        err = capsys.readouterr().err
+        assert "InvalidArgument: --mn gives no superflip at m,n = 0,0" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("option", ["braiding", "table", "n", "mn", "q", "flavor",
                                         "suite", "kmax", "window", "degree", "out"])
     def test_double_dash_value_is_bad_input(self, option, capsys):

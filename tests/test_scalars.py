@@ -10,6 +10,8 @@ from qfock.scalars import (
     add_term, nonzero_sums, sum_into,
 )
 
+import scalar_reference as ref
+
 
 def poly(d):
     return Scalar.make(d, {0: 1})
@@ -27,6 +29,38 @@ def scalars(draw, allow_zero=True):
     return s
 
 
+# Wide scalars, for the ring laws and for the differential tests against
+# scalar_reference.Scalar, the list-of-pairs Scalar that the packed one
+# replaced: both are built from the same numerator and denominator dicts,
+# and every operation must give the same canonical form.  The coefficients
+# reach past a packed digit (|c| < 2^63) and past 2^64, the numerators run
+# to 24 terms, and the exponents span q^-40 .. q^40.
+
+WIDE = [2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1, 2**63, 2**63 + 1,
+        2**64 - 1, 2**64, 2**64 + 1, 3 * 2**63, 2**90]
+wide_coeffs = st.one_of(st.integers(-9, 9),
+                        st.sampled_from(WIDE + [-c for c in WIDE]),
+                        st.integers(-2**66, 2**66))
+wide_numerators = st.one_of(
+    st.dictionaries(st.integers(-40, 40), wide_coeffs, max_size=6),
+    st.builds(lambda lo, cs: {lo + i: c for i, c in enumerate(cs)},
+              st.integers(-12, 12), st.lists(wide_coeffs, min_size=20, max_size=24)),
+    st.builds(lambda a, b: {-40: a, 40: b}, wide_coeffs, wide_coeffs),
+)
+wide_denominators = st.one_of(
+    st.just({0: 1}),
+    st.builds(lambda k, d: {k: d}, st.integers(-3, 3),
+              st.sampled_from([1, 2, 3, 6, -4, 2**63, -(2**64 + 1)])),
+    st.sampled_from([{0: 1, 1: 1}, {0: 2, 2: -3}, {1: 1, 3: -1}, {0: -1, 2: 5, 3: 2}]),
+)
+
+
+@st.composite
+def with_reference(draw, numerators=wide_numerators, denominators=wide_denominators):
+    num, den = draw(numerators), draw(denominators)
+    return Scalar.make(num, den), ref.Scalar.make(num, den)
+
+
 class TestCanonicalForm:
     def test_zero_normalizes(self):
         assert Scalar.make({}, {0: 5}) == ZERO
@@ -38,13 +72,13 @@ class TestCanonicalForm:
         assert a == poly({1: 1, 0: 1})
 
     def test_denominator_shifted_to_zero(self):
-        a = Scalar.make({0: 1}, {3: 2, 5: 4})
-        assert min(e for e, _ in a.den) == 0
-        assert a.den[-1][1] > 0
+        den = Scalar.make({0: 1}, {3: 2, 5: 4}).to_pairs()["den"]
+        assert min(e for e, _ in den) == 0
+        assert den[-1][1] > 0
 
     def test_sign_convention(self):
-        a = Scalar.make({0: 1}, {1: -1, 0: 1})
-        assert a.den[-1][1] > 0
+        den = Scalar.make({0: 1}, {1: -1, 0: 1}).to_pairs()["den"]
+        assert den[-1][1] > 0
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(DivisionByZero):
@@ -158,8 +192,12 @@ class TestEvaluate:
             Q.evaluate(0)
 
 
-@given(scalars(), scalars(), scalars())
-@settings(max_examples=150)
+# the ring laws, also on wide coefficients, long numerators and wide gaps
+any_scalars = st.one_of(scalars(), with_reference().map(lambda pair: pair[0]))
+
+
+@given(any_scalars, any_scalars, any_scalars)
+@settings(max_examples=150, deadline=None)
 def test_field_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
@@ -202,13 +240,14 @@ def test_canonical_equality_iff_value_equality(a, b):
 
 @given(scalars())
 def test_canonical_invariants(a):
-    exps = [e for e, _ in a.den]
-    assert min(exps) == 0                      # denominator starts at q^0
-    assert a.den[-1][1] > 0                    # positive leading coefficient
+    pairs = a.to_pairs()
+    num, den = ({e: c for e, c in pairs[k]} for k in ("num", "den"))
+    assert min(den) == 0                       # denominator starts at q^0
+    assert den[max(den)] > 0                   # positive leading coefficient
     if not a.is_zero():
-        low = min(e for e, _ in a.num)
-        shifted_num = {e - low: c for e, c in a.num}
-        assert _pgcd(shifted_num, dict(a.den)) == {0: 1}   # fully reduced
+        low = min(num)
+        shifted_num = {e - low: c for e, c in num.items()}
+        assert _pgcd(shifted_num, den) == {0: 1}   # fully reduced
 
 
 # -- the Laurent fast path of Scalar.make ----------------------------------
@@ -252,7 +291,7 @@ def test_laurent_add_and_mul_match_gcd_path(n1, n2, f):
     assert (a + b, a * b) == want                       # cold memo
     hits = _laurent_add.cache_info().hits + _laurent_mul.cache_info().hits
     assert (a + b, a * b) == want                       # warm memo
-    if a.num and b.num and not (a.is_one() or b.is_one()):
+    if not (a.is_zero() or b.is_zero() or a.is_one() or b.is_one()):
         assert _laurent_add.cache_info().hits + _laurent_mul.cache_info().hits == hits + 2
 
 
@@ -280,9 +319,139 @@ def test_monomial_denominator_skips_gcd(monkeypatch):
 
     monkeypatch.setattr("qfock.scalars._pgcd", counting)
     # (4 - 6 q^3) / (-2 q^2) = (3 q^3 - 2) / q^2
-    assert Scalar.make({0: 4, 3: -6}, {2: -2}) == Scalar(((-2, -2), (1, 3)), ((0, 1),))
-    assert Scalar.make({1: 3}, {0: 6}) == Scalar(((1, 1),), ((0, 2),))
+    assert Scalar.make({0: 4, 3: -6}, {2: -2}).to_pairs() == {"num": [[-2, -2], [1, 3]],
+                                                            "den": [[0, 1]]}
+    assert Scalar.make({1: 3}, {0: 6}).to_pairs() == {"num": [[1, 1]], "den": [[0, 2]]}
     assert calls == []
     # (q^2 - 1)/(q - 1) = q + 1 needs the gcd
     assert Scalar.make({2: 1, 0: -1}, {1: 1, 0: -1}) == poly({1: 1, 0: 1})
     assert len(calls) >= 1
+
+
+# -- the packed kernel against the reference ---------------------------------
+
+def assert_agrees(a: Scalar, r: ref.Scalar) -> None:
+    assert a.to_pairs() == r.to_pairs()
+    assert repr(a) == repr(r)
+    assert (a.is_zero(), a.is_one()) == (r.is_zero(), r.is_one())
+
+
+@given(with_reference(), with_reference(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_operations_agree_with_the_reference(x, y, same):
+    (a, ra), (b, rb) = x, y
+    if same:  # an equal value built apart from a
+        b, rb = Scalar.from_pairs(ra.to_pairs()), ref.Scalar.from_pairs(ra.to_pairs())
+    assert_agrees(a, ra)
+    assert_agrees(b, rb)
+    assert_agrees(a + b, ra + rb)
+    assert_agrees(a - b, ra - rb)
+    assert_agrees(a * b, ra * rb)
+    assert_agrees(-a, -ra)
+    if not rb.is_zero():
+        assert_agrees(a / b, ra / rb)
+        assert_agrees(b.inverse(), rb.inverse())
+    assert (a == b) == (ra == rb)
+    if a == b:
+        assert hash(a) == hash(b)
+    c = (a + b) - b
+    assert c == a and hash(c) == hash(a)
+    q0 = Fraction(5, 3)
+    try:
+        want = ra.evaluate(q0)
+    except NonGenericPoint:
+        with pytest.raises(NonGenericPoint):
+            a.evaluate(q0)
+    else:
+        assert a.evaluate(q0) == want
+
+
+@given(with_reference(st.dictionaries(st.integers(-40, 40), wide_coeffs, max_size=4)),
+       st.integers(-2, 3))
+@settings(max_examples=100, deadline=None)
+def test_powers_agree_with_the_reference(x, n):
+    a, ra = x
+    if ra.is_zero() and n < 0:
+        return
+    assert_agrees(a ** n, ra ** n)
+
+
+def test_digit_boundary_agrees_with_the_reference():
+    # 2^63 - 1 is the largest packed coefficient; 2^63 and beyond are held
+    # as pairs, and a sum that returns below the boundary is packed again
+    for c in (2**63 - 1, 2**63, 2**63 + 1, 2**64):
+        for sign in (1, -1):
+            a, ra = Scalar.q_power(3, sign * c), ref.Scalar.q_power(3, sign * c)
+            assert_agrees(a, ra)
+            one = Scalar.q_power(3, sign)
+            assert_agrees(a + one, ra + ref.Scalar.q_power(3, sign))
+            assert_agrees(a - one, ra - ref.Scalar.q_power(3, sign))
+            assert_agrees(a + one - one, ra)
+
+
+def test_products_across_the_overflow_guard():
+    # A packed product runs only when the operands' coefficient bounds keep
+    # every digit of the result below 2^63.  (q + 1)(q - 1) = q^2 - 1 carries
+    # the bound 4 for an exact 2, so forty such factors reach the guard
+    # (4^32 = 2^64) on bounds alone: each operand's bound is then made
+    # exact, and every product still takes the memo.
+    f, rf = (Q + ONE) * (Q - ONE), (ref.Q + ref.ONE) * (ref.Q - ref.ONE)
+    p, rp = ONE, ref.ONE
+    _laurent_mul.cache_clear()
+    for _ in range(40):
+        p, rp = p * f, rp * rf
+        assert_agrees(p, rp)
+    assert _laurent_mul.cache_info().misses == 39   # the first is ONE * f
+    # (q + 1)^k has coefficients up to C(k, k/2), past 2^63 from k = 67:
+    # past the guard the product is computed over pairs, and its values
+    # with wide coefficients are held as pairs
+    g, rg = Q + ONE, ref.Q + ref.ONE
+    powers, rpowers = [ONE], [ref.ONE]
+    for _ in range(72):
+        powers.append(powers[-1] * g)
+        rpowers.append(rpowers[-1] * rg)
+        assert_agrees(powers[-1], rpowers[-1])
+    top, rtop = powers[-1], rpowers[-1]
+    assert max(abs(c) for _, c in top.to_pairs()["num"]) >= 2**63
+    assert_agrees(top / powers[-2], rtop / rpowers[-2])   # back to q + 1
+    assert_agrees(top - top, rtop - rtop)
+    assert_agrees(top * QINV + ONE, rtop * ref.QINV + ref.ONE)
+    half, rhalf = Scalar.from_fraction(Fraction(1, 2)), ref.Scalar.from_fraction(Fraction(1, 2))
+    assert_agrees(top * half, rtop * rhalf)
+    # integer denominators: (2^62 q + 1)/3 * (2^62 q - 1)/5 passes the guard
+    a, ra = (Scalar.make({1: 2**62, 0: 1}, {0: 3}), ref.Scalar.make({1: 2**62, 0: 1}, {0: 3}))
+    b, rb = (Scalar.make({1: 2**62, 0: -1}, {0: 5}), ref.Scalar.make({1: 2**62, 0: -1}, {0: 5}))
+    assert_agrees(a * b, ra * rb)
+    assert_agrees(a + b, ra + rb)
+    assert_agrees(a * b / b, ra)
+
+
+def test_bmw_double_scalar_work_is_pinned(monkeypatch, capsys):
+    # Deterministic counts of the scalar work of `verify --braiding bmw-orth
+    # --n 3 --suite double --degree 3`: Scalar.make, + and * calls, and the
+    # misses of the two Laurent memos.  The list-of-pairs Scalar read the
+    # same five numbers (make 56, add 4765, mul 10278, add misses 3008, mul
+    # misses 4641): the packed kernel sits behind the memo, whose keys map
+    # one-to-one to the old ones, so it sees the same hits and misses.
+    from qfock import cli
+
+    calls = {"make": 0, "add": 0, "mul": 0}
+    make, add, mul = Scalar.__dict__["make"].__func__, Scalar.__add__, Scalar.__mul__
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Scalar, "make", staticmethod(counted("make", make)))
+    monkeypatch.setattr(Scalar, "__add__", counted("add", add))
+    monkeypatch.setattr(Scalar, "__mul__", counted("mul", mul))
+    _laurent_add.cache_clear()
+    _laurent_mul.cache_clear()
+    assert cli.main(["verify", "--braiding", "bmw-orth", "--n", "3",
+                     "--suite", "double", "--degree", "3"]) == 0
+    capsys.readouterr()
+    assert calls == {"make": 56, "add": 4765, "mul": 10278}
+    assert _laurent_add.cache_info().misses == 3008
+    assert _laurent_mul.cache_info().misses == 4641
