@@ -15,6 +15,11 @@ which in matrix form says Psi is the inverse of the partial transpose
 A[(k,i),(l,j)] = R_ij^kl.  The partial traces B = Tr_1 Psi and C = Tr_2 Psi
 drive the dual pairings and, through B*C = alpha*I, the normalization of
 the R-trace.
+
+The spectral idempotents are kept in cleared form, P_lambda = Q / d with a
+Laurent numerator Q and a scalar d (`projectors`, cached as
+`Braiding.lagrange`), and every identity read off them is multiplied
+through by the d, so that no entry gains a polynomial denominator.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
 from importlib import resources
+from itertools import combinations
 from math import isqrt
 from operator import add, matmul, mul
 from pathlib import Path
@@ -102,14 +108,14 @@ class Braiding:
             return expected_mu(self.series, self.N, self.q)
         return None
 
-    # -- cached skew inverse and spectral projectors ---------------------
+    # -- cached skew inverse and spectral idempotents ---------------------
 
     @cached_property
     def skew(self) -> SkewData:
         return skew_inverse(self)
 
     @cached_property
-    def spectral_projectors(self) -> dict[str, LinOperator]:
+    def lagrange(self) -> dict[str, tuple[LinOperator, Scalar]]:
         return projectors(self)
 
     @property
@@ -470,7 +476,7 @@ def exchange_table(psi: LinOperator, s: Scalar,
 
 
 # ---------------------------------------------------------------------------
-# spectral projectors
+# spectral idempotents
 # ---------------------------------------------------------------------------
 
 def eigenvalues(b: Braiding) -> dict[str, Scalar]:
@@ -490,16 +496,21 @@ def root_product(b: Braiding, roots) -> LinOperator:
     return reduce(matmul, (b.R + ident.scale(-root) for root in roots))
 
 
-def projectors(b: Braiding) -> dict[str, LinOperator]:
-    """The spectral idempotents of R by root (Lagrange): P_lambda is the
-    product of (R - mu I)/(lambda - mu) over the other roots mu.  Raises
-    DivisionByZero when two roots coincide."""
+def projectors(b: Braiding) -> dict[str, tuple[LinOperator, Scalar]]:
+    """The spectral idempotents of R by root (Lagrange), in cleared form:
+    P_lambda = Q / d with Q the product of (R - mu I) over the other roots
+    mu, which is Laurent when R and the roots are, and d the product of
+    (lambda - mu).  Raises DivisionByZero when two roots coincide, where
+    the idempotents do not exist."""
     roots = eigenvalues(b)
     out = {}
     for name, root in roots.items():
         others = [mu for other, mu in roots.items() if other != name]
         denom = reduce(mul, (root - mu for mu in others))
-        out[name] = root_product(b, others).scale(denom.inverse())
+        if denom.is_zero():
+            raise DivisionByZero(f"no spectral idempotent for the root {name}: "
+                                 f"it coincides with another root")
+        out[name] = (root_product(b, others), denom)
     return out
 
 
@@ -522,22 +533,32 @@ def relation_operator(b: Braiding, kind: str) -> LinOperator:
 
 
 def projector_decomposition_ok(b: Braiding) -> bool:
-    """Orthogonal idempotents that sum to I and to R when weighted by root."""
-    projs = b.spectral_projectors
-    roots = eigenvalues(b)
-    ident = LinOperator.identity(b.N, 2)
-    total = None
-    for p in projs.values():
-        if (p @ p) != p:
-            return False
-        total = p if total is None else total + p
-    if total != ident:
+    """The idempotents P = Q / d of b.lagrange are orthogonal, sum to I,
+    and sum to R when weighted by root, each identity multiplied through by
+    nonzero denominators so that no inverse is taken: Q Q = d Q, Q Q' = 0,
+    sum e Q = D I and sum lambda e Q = D R, with D the product of the d and
+    e that of the other ones.  A zero d fails, since it would weaken
+    Q Q = d Q to Q Q = 0.  Q Q' = 0 is checked in one order of each pair:
+    if idempotents P_1, ..., P_k sum to I and P_i P_j = 0 for i < j, then
+    the sum over l < j of P_j P_l is P_j - P_j = 0, and multiplying it by
+    P_i on the right gives P_j P_i = 0 for i = j - 1, j - 2, ... in turn."""
+    pairs = b.lagrange
+    if any(d.is_zero() for _, d in pairs.values()):
         return False
-    for k1, p1 in projs.items():
-        for k2, p2 in projs.items():
-            if k1 != k2 and not (p1 @ p2).is_zero():
-                return False
-    return reduce(add, (p.scale(roots[name]) for name, p in projs.items())) == b.R
+    if any(p @ p != p.scale(d) for p, d in pairs.values()):
+        return False
+    if any(not (p1 @ p2).is_zero() for (p1, _), (p2, _) in combinations(pairs.values(), 2)):
+        return False
+    roots = eigenvalues(b)
+    weighted = {name: p.scale(reduce(mul, (d for other, (_, d) in pairs.items()
+                                           if other != name)))
+                for name, (p, _) in pairs.items()}
+    D = reduce(mul, (d for _, d in pairs.values()))
+    # D I built directly, where I.scale(D) would take N^2 products
+    d_ident = LinOperator.from_terms(((c, c, D) for c in range(b.N ** 2)), b.N, 2)
+    if reduce(add, weighted.values()) != d_ident:
+        return False
+    return reduce(add, (p.scale(roots[name]) for name, p in weighted.items())) == b.R.scale(D)
 
 
 # ---------------------------------------------------------------------------

@@ -188,11 +188,13 @@ def mu_eigenspace_degree2_report(b: Braiding) -> list[tuple]:
     (braidings.MU_KIND: sym for the orthogonal series, lambda for the
     symplectic one) and ("survives-in-<kind>", v) in the other one; empty
     when the rank-one invariant line survives in the first quotient and
-    dies in the second.  Nothing beyond degree 2 is claimed.
+    dies in the second.  The eigenspace is read as the image of the
+    Laurent numerator Q_mu of braidings.projectors, which is the image of
+    P_mu.  Nothing beyond degree 2 is claimed.
     """
     if b.kind != BMW:
         raise UnsupportedConstruction("mu eigenspace exists only for BMW braidings")
-    mu_vectors = _image_basis(b.spectral_projectors["mu"])
+    mu_vectors = _image_basis(b.lagrange["mu"][0])
     keeps = MU_KIND[b.series]
     kills = LAMBDA if keeps == SYM else SYM
     surv, die = make_algebra(b, keeps, "V"), make_algebra(b, kills, "V")

@@ -21,7 +21,9 @@ v = c_0 + c_1 B + c_2 B^2 + ... in base B = 2^64, with balanced digits
 positive integer coprime to the coefficients.  Balanced digits are unique,
 so the canonical form is the triple (s, v, d) and equality and hashing
 compare integers.  A sum is an aligned integer sum (low digits that cancel
-are stripped), a product is one integer product, and negation is -v.
+are stripped), a product is one integer product, and negation is -v.  The
+inverse of a one-digit c q^s / d with d < 2^63 is d q^-s / |c|, and a
+packed value divided by one is a packed product.
 
 Exactness never rests on an assumed size.  Each packed scalar carries an
 upper bound on the sum of the absolute values of its coefficients, which
@@ -422,6 +424,10 @@ class Scalar:
             raise DivisionByZero("division by the zero scalar")
         if self._v == 0:
             return ZERO
+        if self._d and (inv := _monomial_inverse(other)) is not None:
+            out = _packed_product(self, inv)
+            if out is not None:
+                return out
         num, den = self._pairs()
         onum, oden = other._pairs()
         return Scalar.make(_pmul(num, oden), _pmul(den, onum))
@@ -429,6 +435,9 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if self._v == 0:
             raise DivisionByZero("inverse of the zero scalar")
+        out = _monomial_inverse(self)
+        if out is not None:
+            return out
         num, den = self._pairs()
         return Scalar.make(dict(den), dict(num))
 
@@ -571,6 +580,16 @@ def _packed_product(a: Scalar, b: Scalar) -> Scalar | None:
     if bound >= _HALF:
         return None
     return _reduced(a._s + b._s, a._v * b._v, a._d * b._d, bound)
+
+
+def _monomial_inverse(a: Scalar) -> Scalar | None:
+    """1 / a for a nonzero packed a = c q^s / d with one digit c and
+    d < 2^63: d q^-s / |c|, the sign of c moved to the numerator (c and d
+    are coprime, so that is canonical); None for any other a."""
+    v, d = a._v, a._d
+    if d and -_HALF < v < _HALF and d < _HALF:
+        return Scalar(-a._s, d if v > 0 else -d, v if v > 0 else -v, d)
+    return None
 
 
 def _reduced(s: int, v: int, den: int, bound: int) -> Scalar:

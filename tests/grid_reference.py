@@ -1,8 +1,11 @@
 """The projector route to the relation operators and the L-identity's outer
 grid, kept as the reference for the Laurent products of
-braidings.relation_operator; and the hand-expanded spectral idempotents and
-minimal polynomial, kept as the reference for the root table
-(braidings.eigenvalues) that projectors and kind_polynomial_ok read.
+braidings.relation_operator; the normalized spectral idempotents and their
+decomposition check, kept as the reference for the cleared Lagrange data
+(braidings.projectors) and its check (braidings.projector_decomposition_ok);
+and the hand-expanded spectral idempotents and minimal polynomial, kept as
+the reference for the root table (braidings.eigenvalues) that projectors
+and kind_polynomial_ok read.
 
 For a BMW braiding the relation operator of the kind its series fixes was
 the middle spectral idempotent, and that of the other kind the sum of the
@@ -12,7 +15,19 @@ for BMW that sum scaled by the product D of its distinct non-monomial
 denominators, so that every coefficient stays Laurent.
 """
 
-from qfock.braidings import BMW, HECKE, INVOLUTIVE, LAMBDA, SYM, Braiding
+from functools import reduce
+from operator import add, mul
+
+from qfock.braidings import (
+    BMW,
+    HECKE,
+    INVOLUTIVE,
+    LAMBDA,
+    SYM,
+    Braiding,
+    eigenvalues,
+    root_product,
+)
 from qfock.scalars import ONE, Scalar
 from qfock.tensorops import LinOperator
 
@@ -28,10 +43,48 @@ def projector_relation_operator(b: Braiding, kind: str) -> LinOperator:
         ident = LinOperator.identity(b.N, 2)
         return ident.scale(b.q) - b.R if kind == SYM else ident.scale(b.q.inverse()) + b.R
     middle, fixed = BMW_MIDDLE[b.series]
+    projectors = normalized_projectors(b)
     if kind == fixed:
-        return b.spectral_projectors[middle]
-    first, second = (p for key, p in b.spectral_projectors.items() if key != middle)
+        return projectors[middle]
+    first, second = (p for key, p in projectors.items() if key != middle)
     return first + second
+
+
+def normalized_projectors(b: Braiding) -> dict[str, LinOperator]:
+    """The spectral idempotents of R by root (Lagrange): P_lambda is the
+    product of (R - mu I)/(lambda - mu) over the other roots mu.  Raises
+    DivisionByZero when two roots coincide."""
+    roots = eigenvalues(b)
+    out = {}
+    for name, root in roots.items():
+        others = [mu for other, mu in roots.items() if other != name]
+        denom = reduce(mul, (root - mu for mu in others))
+        out[name] = root_product(b, others).scale(denom.inverse())
+    return out
+
+
+def normalized(lagrange: dict[str, tuple[LinOperator, Scalar]]) -> dict[str, LinOperator]:
+    """The idempotents P = Q / d of cleared Lagrange data {root: (Q, d)}."""
+    return {name: p.scale(d.inverse()) for name, (p, d) in lagrange.items()}
+
+
+def normalized_decomposition_ok(b: Braiding, projs: dict[str, LinOperator]) -> bool:
+    """Orthogonal idempotents projs that sum to I and to R when weighted by
+    root."""
+    roots = eigenvalues(b)
+    ident = LinOperator.identity(b.N, 2)
+    total = None
+    for p in projs.values():
+        if (p @ p) != p:
+            return False
+        total = p if total is None else total + p
+    if total != ident:
+        return False
+    for k1, p1 in projs.items():
+        for k2, p2 in projs.items():
+            if k1 != k2 and not (p1 @ p2).is_zero():
+                return False
+    return reduce(add, (p.scale(roots[name]) for name, p in projs.items())) == b.R
 
 
 def cleared(op: LinOperator) -> LinOperator:

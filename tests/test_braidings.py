@@ -6,6 +6,7 @@ import pytest
 
 from qfock.braidings import (
     BMW,
+    HECKE,
     TABLE_MAX_EXPONENT,
     Braiding,
     CurrentBraiding,
@@ -14,6 +15,7 @@ from qfock.braidings import (
     builtin_table_path,
     dual_pairings,
     dual_square,
+    eigenvalues,
     expected_mu,
     extend_to_duals,
     load_braiding_table,
@@ -25,12 +27,14 @@ from qfock.braidings import (
     mixed_transport,
     projector_decomposition_ok,
     projectors,
+    root_product,
     skew_inverse,
     specialize,
     spectral_braid_certificate,
     unitarity_certificate,
 )
 from qfock.errors import (
+    DivisionByZero,
     InconsistentMu,
     InvalidArgument,
     InvalidTable,
@@ -44,7 +48,7 @@ from qfock.fockdouble import (
     verify_compatibility,
     verify_l_relations,
 )
-from qfock.quadalgebras import make_algebra, super_sym_dims
+from qfock.quadalgebras import _image_basis, make_algebra, super_sym_dims
 from qfock.scalars import ONE, Q, QINV, ZERO, Scalar
 from qfock.tensorops import (
     LinOperator,
@@ -54,7 +58,9 @@ from qfock.tensorops import (
     place,
 )
 
+import grid_reference
 from dense_operators import dense, from_dense
+from hecke_families import FORMS, form_braiding, super_hecke
 
 
 def identity_rows(N):
@@ -119,8 +125,8 @@ class TestStandardHecke:
     def test_n2_eigenspace_dimensions(self):
         b = make_standard_hecke(2)
         pr = projectors(b)
-        assert kernel_image(pr["q"].rows, 4).rank == 3
-        assert kernel_image(pr["-1/q"].rows, 4).rank == 1
+        assert kernel_image(pr["q"][0].rows, 4).rank == 3
+        assert kernel_image(pr["-1/q"][0].rows, 4).rank == 1
 
     def test_n2_image_rank_of_hecke_relation_map(self):
         b = make_standard_hecke(2)
@@ -256,12 +262,13 @@ class TestDuals:
 
 class TestProjectors:
     def test_flip_symmetrizer(self):
+        """P_q = (I + R)/2 and P_-1/q = (I - R)/2, held as Q / d."""
         b = make_flip(2)
         pr = projectors(b)
         ident = LinOperator.identity(2, 2)
-        half = Scalar.make({0: 1}, {0: 2})
-        assert pr["q"] == (ident + b.R).scale(half)
-        assert pr["-1/q"] == (ident - b.R).scale(half)
+        two = Scalar.from_int(2)
+        assert pr["q"] == (ident + b.R, two)
+        assert pr["-1/q"] == (b.R - ident, -two)
 
     @pytest.mark.parametrize("maker", [make_flip, make_standard_hecke])
     def test_completeness(self, maker):
@@ -270,18 +277,116 @@ class TestProjectors:
     def test_bmw_orthogonal_mu_rank_one(self):
         b = load_builtin("bmw-orth-3")
         pr = projectors(b)
-        assert kernel_image(pr["mu"].rows, 9).rank == 1
+        assert kernel_image(pr["mu"][0].rows, 9).rank == 1
 
     def test_bmw_ranks(self):
         b = load_builtin("bmw-orth-3")
         pr = projectors(b)
-        ranks = {k: kernel_image(p.rows, p.size).rank for k, p in pr.items()}
+        ranks = {k: kernel_image(p.rows, p.size).rank for k, (p, _) in pr.items()}
         assert ranks == {"q": 5, "-1/q": 3, "mu": 1}
         assert projector_decomposition_ok(b)
         s = load_builtin("bmw-sympl-2")
         prs = projectors(s)
-        ranks = {k: kernel_image(p.rows, p.size).rank for k, p in prs.items()}
+        ranks = {k: kernel_image(p.rows, p.size).rank for k, (p, _) in prs.items()}
         assert ranks == {"q": 3, "-1/q": 0, "mu": 1}
+
+
+def _twice_r() -> Braiding:
+    """std-hecke N = 2 with R doubled: no Hecke braiding."""
+    r = make_standard_hecke(2).R
+    return Braiding(2, r.scale(Scalar.from_int(2)), HECKE, name="twice-r")
+
+
+# every builtin braiding, the Hecke families of tests/hecke_families.py,
+# and the twice-R corruption
+CLEARED_BRAIDINGS = {
+    "flip-3": lambda: make_flip(3),
+    "superflip-2|1": lambda: make_superflip(2, 1),
+    **{name: (lambda name=name: load_builtin(name))
+       for name in ("std-hecke-2", "std-hecke-3", "bmw-orth-3", "bmw-sympl-2")},
+    "std-hecke-4": lambda: make_standard_hecke(4),
+    "bmw-orth-4": lambda: make_bmw(4, "orthogonal"),
+    "bmw-sympl-4": lambda: make_bmw(4, "symplectic"),
+    "super-hecke-2|1": lambda: super_hecke(2, 1),
+    "super-hecke-1|2": lambda: super_hecke(1, 2),
+    **{f"form-{n}": (lambda n=n: form_braiding(FORMS[n])) for n in sorted(FORMS)},
+    "twice-r": _twice_r,
+}
+
+
+class TestClearedIdempotents:
+    """The cleared Lagrange data (Q, d) and its decomposition check against
+    the normalized idempotents and check they replace
+    (tests/grid_reference.py)."""
+
+    @pytest.mark.parametrize("name", sorted(CLEARED_BRAIDINGS))
+    def test_equal_to_the_normalized_reference(self, name):
+        b = CLEARED_BRAIDINGS[name]()
+        reference = grid_reference.normalized_projectors(b)
+        assert grid_reference.normalized(b.lagrange) == reference
+        assert reference == grid_reference.hand_projectors(b)
+        verdict = projector_decomposition_ok(b)
+        assert verdict is grid_reference.normalized_decomposition_ok(b, reference)
+        assert verdict is (name != "twice-r")
+
+    @pytest.mark.parametrize("series, N", [("orthogonal", 3), ("orthogonal", 4),
+                                           ("orthogonal", 5), ("symplectic", 2),
+                                           ("symplectic", 4)])
+    def test_mu_image_basis_is_that_of_the_idempotent(self, series, N):
+        b = make_bmw(N, series)
+        reference = grid_reference.normalized_projectors(b)["mu"]
+        assert _image_basis(b.lagrange["mu"][0]) == _image_basis(reference)
+
+    def test_numerators_are_laurent(self):
+        """No entry of a numerator Q has a polynomial denominator."""
+        for name in ("bmw-orth-3", "bmw-sympl-2"):
+            for p, d in load_builtin(name).lagrange.values():
+                assert len(d.to_pairs()["den"]) == 1
+                assert all(len(v.to_pairs()["den"]) == 1 for _, _, v in p.nonzeros())
+
+
+def _coincident() -> Braiding:
+    """bmw-orth 3 at q = 1, where its series fixes mu = q^(1-N) = 1, the
+    root q."""
+    return specialize(make_bmw(3, "orthogonal"), 1)
+
+
+class TestCoincidentRoots:
+    def test_mu_equals_q(self):
+        b = _coincident()
+        roots = eigenvalues(b)
+        assert roots["mu"] == roots["q"]
+        assert b.repeated_roots()
+        with pytest.raises(InvalidTable, match="repeated root q = mu"):
+            load_braiding_table(braiding_to_table(b))
+
+    def test_lagrange_data_is_refused(self):
+        with pytest.raises(DivisionByZero):
+            projectors(_coincident())
+        with pytest.raises(DivisionByZero):
+            _coincident().lagrange
+        with pytest.raises(DivisionByZero):
+            projector_decomposition_ok(_coincident())
+        with pytest.raises(DivisionByZero):
+            grid_reference.normalized_projectors(_coincident())
+
+    def test_zero_denominator_fails_the_check(self):
+        """The Lagrange data built without the refusal: Q and d vanish at
+        both coinciding roots, so Q Q = d Q and each weighted sum read
+        0 = 0 there; the check fails on a zero d instead."""
+        b = _coincident()
+        roots = eigenvalues(b)
+        data = {}
+        for name, root in roots.items():
+            others = [mu for other, mu in roots.items() if other != name]
+            d = ONE
+            for mu in others:
+                d = d * (root - mu)
+            data[name] = (root_product(b, others), d)
+        assert {name for name, (p, d) in data.items()
+                if d.is_zero() and p.is_zero()} == {"q", "mu"}
+        b.lagrange = data
+        assert not projector_decomposition_ok(b)
 
 
 class TestTables:

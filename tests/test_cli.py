@@ -34,6 +34,7 @@ from qfock.errors import NonGenericPoint, QfockError
 from qfock.tensorops import LinOperator
 from qfock.scalars import Q, ONE, ZERO, Scalar
 
+from grid_reference import normalized, normalized_decomposition_ok
 from hecke_families import super_hecke
 
 
@@ -548,13 +549,28 @@ class TestVerify:
 
 
 def bump_projector(b, key="q"):
-    """ONE added to the first nonzero entry of b's memoized projector."""
-    pr = b.spectral_projectors
-    op = pr[key]
+    """ONE added to the first nonzero entry of the numerator Q of b's
+    memoized Lagrange data (Q, d) for the root `key`."""
+    pr = b.lagrange
+    op, d = pr[key]
     r = next(r for r, row in enumerate(op.rows) if row)
     c = min(op.rows[r])
-    pr[key] = op + LinOperator.from_terms([(r, c, ONE)], op.dim, op.legs,
-                                          op.labels, op.labels_out)
+    pr[key] = (op + LinOperator.from_terms([(r, c, ONE)], op.dim, op.legs,
+                                           op.labels, op.labels_out), d)
+
+
+def bump_denominator(b, key="q"):
+    """ONE added to the denominator d of b's memoized Lagrange data (Q, d)
+    for the root `key`."""
+    op, d = b.lagrange[key]
+    b.lagrange[key] = (op, d + ONE)
+
+
+def double_numerator(b, key="q"):
+    """The numerator Q of b's memoized Lagrange data (Q, d) for the root
+    `key` scaled by 2."""
+    op, d = b.lagrange[key]
+    b.lagrange[key] = (op.scale(Scalar.from_int(2)), d)
 
 
 class TestDualPairingsMutation:
@@ -627,6 +643,38 @@ class TestProjectorMutation:
         assert "[FAIL] projector-decomposition" in out
         assert out.count("[FAIL]") == 1
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda b: bump_projector(b, "-1/q"),
+        bump_denominator,
+        double_numerator,
+    ], ids=["bumped-numerator", "bumped-denominator", "doubled-numerator"])
+    @pytest.mark.parametrize("make, argv", [
+        (lambda: make_standard_hecke(2), ["--braiding", "std-hecke", "--n", "2"]),
+        (lambda: load_builtin("bmw-orth-3"), ["--braiding", "bmw-orth", "--n", "3"]),
+    ], ids=["std-hecke-2", "bmw-orth-3"])
+    def test_corrupted_lagrange_data_fails_decomposition(self, make, argv, corrupt,
+                                                         monkeypatch, capsys):
+        """A numerator entry, a denominator, or a whole numerator of the
+        cleared idempotents off: the check and the normalized reference
+        both fail, and in a run only projector-decomposition does."""
+        b = make()
+        corrupt(b)
+        assert not projector_decomposition_ok(b)
+        assert not normalized_decomposition_ok(b, normalized(b.lagrange))
+
+        real = cli._resolve_braiding
+
+        def corrupted(cfg):
+            out = real(cfg)
+            corrupt(out)
+            return out
+
+        monkeypatch.setattr(cli, "_resolve_braiding", corrupted)
+        assert run(["verify", *argv, "--suite", "braiding"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] projector-decomposition" in out
+        assert out.count("[FAIL]") == 1
+
 
 def _failing_gating_checks(argv, out) -> set[str]:
     assert run(["verify", *argv, "--out", str(out)]) == 1
@@ -641,10 +689,11 @@ def _sheared(r: LinOperator) -> LinOperator:
     return (ident + e01) @ r @ (ident - e01)
 
 
-def _with_mu(b: Braiding, mu: LinOperator) -> Braiding:
-    """A copy of the BMW braiding b whose mu idempotent is `mu`."""
+def _with_mu(b: Braiding, mu: tuple[LinOperator, Scalar]) -> Braiding:
+    """A copy of the BMW braiding b whose Lagrange data (Q, d) for mu is
+    `mu`."""
     copy = Braiding(b.N, b.R, b.kind, series=b.series, q=b.q, name=b.name)
-    copy.spectral_projectors = {**b.spectral_projectors, "mu": mu}
+    copy.lagrange = {**b.lagrange, "mu": mu}
     return copy
 
 
@@ -692,7 +741,7 @@ class TestGatingRecordsCanFail:
 
         def swapped(b):
             middle = {SYM: "-1/q", LAMBDA: "q"}[braidings.MU_KIND[b.series]]
-            return real(_with_mu(b, b.spectral_projectors[middle]))
+            return real(_with_mu(b, b.lagrange[middle]))
 
         monkeypatch.setattr(cli, "mu_eigenspace_degree2_report", swapped)
         assert _failing_gating_checks(
@@ -701,17 +750,18 @@ class TestGatingRecordsCanFail:
 
     @pytest.mark.parametrize("braiding, n", [("bmw-orth", "3"), ("bmw-sympl", "4")])
     def test_wider_idempotent_in_place_of_mu(self, braiding, n, tmp_path, monkeypatch):
-        """The mu record handed a copy of the braiding whose mu idempotent
-        is P_mu plus the other idempotent that the kind keeping mu keeps
-        (q for sym, -1/q for lambda): its image of rank 1 + 5 still survives
-        in that quotient and dies in the other one, so only the rank fails.
+        """The mu record handed a copy of the braiding whose mu numerator
+        is Q_mu plus that of the other idempotent that the kind keeping mu
+        keeps (q for sym, -1/q for lambda), which has the image of P_mu plus
+        that idempotent: its image of rank 1 + 5 still survives in that
+        quotient and dies in the other one, so only the rank fails.
         bmw-sympl 2 has no such copy: its -1/q eigenspace is zero."""
         real = cli.mu_eigenspace_degree2_report
 
         def widened(b):
             kept = {SYM: "q", LAMBDA: "-1/q"}[braidings.MU_KIND[b.series]]
-            projectors = b.spectral_projectors
-            return real(_with_mu(b, projectors["mu"] + projectors[kept]))
+            (q_mu, d_mu), (q_kept, _) = b.lagrange["mu"], b.lagrange[kept]
+            return real(_with_mu(b, (q_mu + q_kept, d_mu)))
 
         monkeypatch.setattr(cli, "mu_eigenspace_degree2_report", widened)
         out = tmp_path / "rep.json"

@@ -426,13 +426,103 @@ def test_products_across_the_overflow_guard():
     assert_agrees(a * b / b, ra)
 
 
+# Divisors c q^s / d: one-digit c of either sign, with d on both sides of
+# 2^63, where the packed inverse hands over to the pairs path.
+MONOMIAL_EDGE = [2**62, 2**63 - 1, 2**63, 2**63 + 1, 2**64 + 1]
+monomial_divisors = st.builds(
+    lambda c, s, d: (c, s, d),
+    st.one_of(st.integers(-9, 9).filter(bool),
+              st.sampled_from([2**62, 2**63 - 1, -(2**62), -(2**63 - 1), 2**63, -(2**64)])),
+    st.integers(-40, 40),
+    st.one_of(st.integers(1, 12), st.sampled_from(MONOMIAL_EDGE)))
+
+
+@given(with_reference(), monomial_divisors)
+@settings(max_examples=200, deadline=None)
+def test_division_by_a_monomial_agrees_with_the_reference(x, divisor):
+    (a, ra), (c, s, d) = x, divisor
+    b, rb = Scalar.make({s: c}, {0: d}), ref.Scalar.make({s: c}, {0: d})
+    assert_agrees(b, rb)
+    assert_agrees(b.inverse(), rb.inverse())
+    assert_agrees(a / b, ra / rb)
+    assert_agrees(a / b * b, ra)
+    assert_agrees(b.inverse().inverse(), rb)
+
+
+def test_division_by_a_packed_monomial_skips_make(monkeypatch):
+    """The inverse of c q^s / d with one digit c and d < 2^63 is packed
+    directly, and so is a packed dividend over it; d = 2^63, two digits and
+    a polynomial denominator take Scalar.make."""
+    calls = []
+    make = Scalar.__dict__["make"].__func__
+
+    def counted(num, den):
+        calls.append((num, den))
+        return make(num, den)
+
+    x = Scalar.make({0: 3, 2: -5, 70: 2}, {0: 7})
+    fast = [Q, QINV, Scalar.from_int(-2), Scalar.make({3: -6}, {0: 35})]
+    widest = Scalar.make({-4: -(2**63 - 1)}, {0: 2**63 - 2})
+    slow = [Scalar.make({0: 1}, {0: 2**63}), Q + ONE,
+            Scalar.make({0: 1}, {0: 1, 1: 1})]
+    monkeypatch.setattr(Scalar, "make", staticmethod(counted))
+    for b in fast:
+        b.inverse()
+        x / b
+    assert widest.inverse().to_pairs() == {"num": [[4, -(2**63 - 2)]],
+                                           "den": [[0, 2**63 - 1]]}
+    assert calls == []
+    # x / widest passes the product guard's bound, and is computed over pairs
+    x / widest
+    assert len(calls) == 1
+    calls.clear()
+    for b in slow:
+        b.inverse()
+    assert len(calls) == len(slow)
+
+
+def test_bmw_braiding_scalar_work_is_pinned(monkeypatch, capsys):
+    # Deterministic counts of the Scalar.make calls of `verify --braiding
+    # bmw-orth --n 3 --suite braiding`: all of them, those with a polynomial
+    # denominator, and those made inside Scalar.inverse.  The normalized
+    # spectral projectors and a make per inverse made 620, 581 and 48; the
+    # cleared Lagrange data and the packed monomial inverse leave these.
+    from qfock import cli
+
+    calls = {"make": 0, "polyden": 0, "in_inverse": 0}
+    depth = [0]
+    make, inverse = Scalar.__dict__["make"].__func__, Scalar.inverse
+
+    def counted_make(num, den):
+        calls["make"] += 1
+        calls["polyden"] += sum(1 for c in den.values() if c) > 1
+        calls["in_inverse"] += depth[0] > 0
+        return make(num, den)
+
+    def counted_inverse(self):
+        depth[0] += 1
+        try:
+            return inverse(self)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Scalar, "make", staticmethod(counted_make))
+    monkeypatch.setattr(Scalar, "inverse", counted_inverse)
+    assert cli.main(["verify", "--braiding", "bmw-orth", "--n", "3",
+                     "--suite", "braiding"]) == 0
+    capsys.readouterr()
+    assert calls == {"make": 21, "polyden": 21, "in_inverse": 7}
+
+
 def test_bmw_double_scalar_work_is_pinned(monkeypatch, capsys):
     # Deterministic counts of the scalar work of `verify --braiding bmw-orth
     # --n 3 --suite double --degree 3`: Scalar.make, + and * calls, and the
     # misses of the two Laurent memos.  The list-of-pairs Scalar read the
-    # same five numbers (make 56, add 4765, mul 10278, add misses 3008, mul
-    # misses 4641): the packed kernel sits behind the memo, whose keys map
-    # one-to-one to the old ones, so it sees the same hits and misses.
+    # same four counts of + and * work (add 4765, mul 10278, add misses
+    # 3008, mul misses 4641): the packed kernel sits behind the memo, whose
+    # keys map one-to-one to the old ones, so it sees the same hits and
+    # misses.  It made 56 make calls; the packed inverse of a monomial
+    # c q^s / d takes no make, which leaves 20.
     from qfock import cli
 
     calls = {"make": 0, "add": 0, "mul": 0}
@@ -452,6 +542,6 @@ def test_bmw_double_scalar_work_is_pinned(monkeypatch, capsys):
     assert cli.main(["verify", "--braiding", "bmw-orth", "--n", "3",
                      "--suite", "double", "--degree", "3"]) == 0
     capsys.readouterr()
-    assert calls == {"make": 56, "add": 4765, "mul": 10278}
+    assert calls == {"make": 20, "add": 4765, "mul": 10278}
     assert _laurent_add.cache_info().misses == 3008
     assert _laurent_mul.cache_info().misses == 4641
