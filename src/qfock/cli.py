@@ -36,9 +36,11 @@ from .braidings import (
     make_superflip,
     projector_decomposition_ok,
     specialize,
+    spectral_braid_certificate,
     superflip_limit,
+    unitarity_certificate,
 )
-from .currents import current_relation_check, make_current_double, verify_yang
+from .currents import WINDOW_MAX, current_relation_check, make_current_double, verify_yang
 from .errors import (
     InvalidArgument,
     MalformedTable,
@@ -322,9 +324,9 @@ def _suite_currents(rep: Report, b: Braiding, cfg: RunConfig):
     cb = baxterize(b)
     _add_found(rep, "spectral-braid-certificate",
                "R12(u,v) R23(u,w) R12(v,w) = R23(v,w) R12(u,w) R23(u,v)",
-               cb.braid_certificate)
+               spectral_braid_certificate(cb))
     _add_found(rep, "spectral-unitarity-certificate",
-               "R(u,v) R(v,u) = g(u,v) g(v,u) I", cb.unitarity_certificate)
+               "R(u,v) R(v,u) = g(u,v) g(v,u) I", unitarity_certificate(cb))
     cd = make_current_double(cb, cfg.window)
     _add_found(rep, "current-relations-a-side", "exchange system consistent",
                current_relation_check(cd))
@@ -511,6 +513,9 @@ def main(argv=None) -> int:
                 raise InvalidArgument(f"--{option} {value} is not read by {run}")
             if option in ("kmax", "window", "degree") and value < 0:
                 raise InvalidArgument(f"--{option} must be >= 0, got {value}")
+        if cfg.window > WINDOW_MAX:
+            raise InvalidArgument(f"--window {cfg.window} is above "
+                                  f"WINDOW_MAX = {WINDOW_MAX}")
         if cfg.q != "generic":
             try:
                 # printed as the braiding suite will print it: a rational

@@ -39,6 +39,8 @@ from .braidings import (
     CurrentBraiding,
     dual_square,
     exchange_table,
+    spectral_braid_certificate,
+    unitarity_certificate,
 )
 from .errors import WindowOverflow
 from .fockdouble import _pass, annihilate, l_identity_sides
@@ -47,6 +49,10 @@ from .tensorops import echelon_insert, enc_index, remainder
 
 Mode = tuple[int, int]               # (generator index, mode number)
 ModeWord = tuple[Mode, ...]
+
+# The largest mode window verify_yang takes (its desk scale); the CLI
+# refuses a larger --window before any suite runs.
+WINDOW_MAX = 4
 
 
 @dataclass
@@ -452,8 +458,8 @@ def verify_yang(cd: CurrentDouble, degree: int = 1) -> dict:
     the T1 readout must agree, or WindowOverflow is raised.
     """
     M = cd.window
-    if degree > 2 or M > 4:
-        raise WindowOverflow("desk scale is degree <= 2 and window <= 4")
+    if degree > 2 or M > WINDOW_MAX:
+        raise WindowOverflow(f"desk scale is degree <= 2 and window <= {WINDOW_MAX}")
     N = cd.N
     n2 = N * N
     theta = cd.cb.pole()[1]
@@ -522,13 +528,12 @@ def current_relation_check(cd: CurrentDouble) -> list[tuple]:
     consistent iff the normalized spectral braiding is involutive and
     satisfies the spectral braid relation.  Both are certified exactly, as
     identities of polynomials in the spectral variables expanded over words
-    in the dual-square transport of R.  The same two certificates on R
-    itself are the braiding's own `braid_certificate` and
-    `unitarity_certificate`.
+    in the dual-square transport of R: `spectral_braid_certificate` and
+    `unitarity_certificate`, which the currents suite also runs on R itself.
     """
     base = cd.cb.base
     dual = Braiding(base.N, dual_square(base.R), base.kind,
                     series=base.series, q=base.q, name=f"dual({base.name})")
     dual_cb = CurrentBraiding(dual)
-    return ([("braid", m) for m in dual_cb.braid_certificate]
-            + [("unitarity", w) for w in dual_cb.unitarity_certificate])
+    return ([("braid", m) for m in spectral_braid_certificate(dual_cb)]
+            + [("unitarity", w) for w in unitarity_certificate(dual_cb)])

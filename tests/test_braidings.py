@@ -1,9 +1,12 @@
+import functools
 import itertools
 import json
 from fractions import Fraction
+from operator import add
 
 import pytest
 
+from qfock import braidings
 from qfock.braidings import (
     BMW,
     HECKE,
@@ -60,6 +63,7 @@ from qfock.tensorops import (
 
 import grid_reference
 from dense_operators import dense, from_dense
+from gauge import twisted
 from hecke_families import FORMS, form_braiding, super_hecke
 
 
@@ -389,6 +393,66 @@ class TestCoincidentRoots:
         assert not projector_decomposition_ok(b)
 
 
+class TestDecompositionIdentitiesAlone:
+    """Corruptions of the cached Lagrange data, of the root table or of R
+    that break one identity of projector_decomposition_ok and keep the
+    others.  Orthogonality never fails alone: idempotents that sum to I
+    over a field of characteristic 0 are orthogonal (rank = trace, so
+    their images are a direct sum).  Idempotency fails alone only on three
+    roots: on two, P_1 + P_2 = I and P_1 P_2 = 0 give P_1 = P_1 P_1 and
+    then P_2 = I - P_1 is idempotent."""
+
+    @pytest.mark.parametrize("name", ["std-hecke-2", "bmw-orth-3", "bmw-sympl-2"])
+    def test_swapped_roots_fail_the_reconstruction(self, name, monkeypatch):
+        """The roots q and -1/q swapped after b.lagrange is cached: Q and
+        d are untouched, so only sum lambda e Q = D R reads the swap, and
+        the minimal polynomial, a product over the roots, still holds."""
+        b = load_builtin(name)
+        b.lagrange
+        real = braidings.eigenvalues
+
+        def swapped(b):
+            roots = real(b)
+            return {**roots, "q": roots["-1/q"], "-1/q": roots["q"]}
+
+        monkeypatch.setattr(braidings, "eigenvalues", swapped)
+        assert b.kind_polynomial_ok()
+        assert not projector_decomposition_ok(b)
+
+    @pytest.mark.parametrize("name, dropped", [("std-hecke-2", "-1/q"),
+                                               ("bmw-orth-3", "mu"),
+                                               ("bmw-sympl-2", "mu")])
+    def test_dropped_idempotent_fails_the_completeness(self, name, dropped):
+        """One Q zeroed, and R replaced by sum lambda Q / d over the others,
+        a singular R: the idempotents are still idempotent and orthogonal
+        and reconstruct R, but no longer sum to I.  With R invertible the
+        other three identities imply completeness, so a corruption that
+        fails it alone must make R singular."""
+        b = load_builtin(name)
+        roots = eigenvalues(b)
+        q_dropped, d_dropped = b.lagrange[dropped]
+        b.lagrange = {**b.lagrange, dropped: (q_dropped.scale(ZERO), d_dropped)}
+        b.R = functools.reduce(add, (p.scale(roots[n] * d.inverse())
+                                     for n, (p, d) in b.lagrange.items() if n != dropped))
+        assert not projector_decomposition_ok(b)
+
+    def test_idempotent_failing_alone_on_three_roots(self):
+        """On bmw-orth 3: P_q = E_00, P_mu = E_10 + E_11 and
+        P_-1/q = I - P_q - P_mu, each over d = 1, with R = sum lambda P.
+        They sum to I, P_i P_j = 0 for i < j, and they reconstruct R, but
+        P_-1/q P_-1/q = P_-1/q + E_10."""
+        b = load_builtin("bmw-orth-3")
+        ident = LinOperator.identity(b.N, 2)
+        p_q = LinOperator.from_terms([(0, 0, ONE)], b.N, 2)
+        p_mu = LinOperator.from_terms([(1, 0, ONE), (1, 1, ONE)], b.N, 2)
+        p_minus = ident - p_q - p_mu
+        assert p_minus @ p_minus == p_minus + LinOperator.from_terms([(1, 0, ONE)], b.N, 2)
+        b.lagrange = {"q": (p_q, ONE), "-1/q": (p_minus, ONE), "mu": (p_mu, ONE)}
+        roots = eigenvalues(b)
+        b.R = functools.reduce(add, (p.scale(roots[n]) for n, (p, _) in b.lagrange.items()))
+        assert not projector_decomposition_ok(b)
+
+
 class TestTables:
     def test_roundtrip(self):
         b = make_standard_hecke(2)
@@ -537,17 +601,17 @@ class TestBaxterize:
         cb = baxterize(make(2))
         u, v = Fraction(3), Fraction(1)
         ident = LinOperator.identity(2, 2)
-        assert cb.r_at(u, v) == cb.base.R - ident.scale(h)
-        assert cb.g_at(u, v) == g
+        assert r_at(cb, u, v) == cb.base.R - ident.scale(h)
+        assert g_at(cb, u, v) == g
         with pytest.raises(ZeroDivisionError):
-            cb.r_at(u, u)
+            r_at(cb, u, u)
 
     def test_trig_normalized_involutive_at_samples(self):
         cb = baxterize(make_standard_hecke(2))
         ident = LinOperator.identity(2, 2)
         for u, v in ((2, 3), (5, 7), (3, 11)):
             u, v = Fraction(u), Fraction(v)
-            assert cb.normalized_at(u, v) @ cb.normalized_at(v, u) == ident
+            assert normalized_at(cb, u, v) @ normalized_at(cb, v, u) == ident
 
     def test_unsupported_bases(self):
         with pytest.raises(UnsupportedBase):
@@ -569,8 +633,32 @@ class TestBaxterize:
 # reference.  Cleared by (u-v)(u-w)(v-w), every entry of the spectral braid
 # relation is a polynomial of degree <= 2 in each spectral variable, so
 # agreement on 4 points per variable (64 points; 16 for unitarity) is a
-# proof of identity.
+# proof of identity.  The unitarity reference also runs the three-point
+# spot check of the normalized form, on the pointwise R(u,v), g(u,v) and
+# R(u,v) / g(u,v) below; the library builds only the cleared forms.
 # ---------------------------------------------------------------------------
+
+# R(u,v) = R - h(u,v) I and g(u,v) = s - h(u,v) with the pole
+# h(u,v) = (a u + b)/(u - v), (a, b, s) the constants of
+# CurrentBraiding._affine.
+def r_at(cb, u: Fraction, v: Fraction) -> LinOperator:
+    ident = LinOperator.identity(cb.base.N, 2, cb.base.R.labels)
+    return cb.base.R - ident.scale(cb._affine()[2] - g_at(cb, u, v))
+
+
+def g_at(cb, u: Fraction, v: Fraction) -> Scalar:
+    if u == v:
+        raise ZeroDivisionError("R(u,v) has a pole at u = v")
+    a, b, s = cb._affine()
+    return s - (a * Scalar.from_fraction(u) + b) * Scalar.from_fraction(1 / (u - v))
+
+
+def normalized_at(cb, u: Fraction, v: Fraction) -> LinOperator:
+    g = g_at(cb, u, v)
+    if g.is_zero():
+        raise ZeroDivisionError("normalizer vanishes at this point")
+    return r_at(cb, u, v).scale(g.inverse())
+
 
 _GRID = [Fraction(x) for x in (2, 3, 5, 7)]
 
@@ -604,6 +692,19 @@ def grid_braid_passed(cb):
     return True
 
 
+def spot_unitarity_failures(cb):
+    """The spot check of the normalized form at the first three points
+    where g(u,v) g(v,u) is nonzero: each (u, v) where R(u,v) R(v,u) /
+    (g(u,v) g(v,u)) is not I."""
+    ident = LinOperator.identity(cb.base.N, 2, cb.base.R.labels)
+    candidates = [(Fraction(u), Fraction(v)) for u, v in
+                  ((2, 3), (5, 7), (3, 11), (2, 5), (3, 7), (11, 2))]
+    points = [(u, v) for u, v in candidates
+              if not (g_at(cb, u, v).is_zero() or g_at(cb, v, u).is_zero())][:3]
+    return [(u, v) for u, v in points
+            if normalized_at(cb, u, v) @ normalized_at(cb, v, u) != ident]
+
+
 def grid_unitarity_passed(cb):
     """The 16-point grid and the three-point spot check of the normalized
     form, as the grid certificate ran them."""
@@ -612,17 +713,7 @@ def grid_unitarity_passed(cb):
         lhs = _grid_cleared_r(cb, u, v) @ _grid_cleared_r(cb, v, u)
         if lhs != ident.scale(_grid_cleared_g(cb, u, v) * _grid_cleared_g(cb, v, u)):
             return False
-    checked = 0
-    for u, v in ((2, 3), (5, 7), (3, 11), (2, 5), (3, 7), (11, 2)):
-        u, v = Fraction(u), Fraction(v)
-        if cb.g_at(u, v).is_zero() or cb.g_at(v, u).is_zero():
-            continue
-        if cb.normalized_at(u, v) @ cb.normalized_at(v, u) != ident:
-            return False
-        checked += 1
-        if checked == 3:
-            break
-    return True
+    return not spot_unitarity_failures(cb)
 
 
 def dual_transport(b):
@@ -645,11 +736,15 @@ _CERTIFIED = {
     "superflip-1|1": lambda: make_superflip(1, 1),
     "std-hecke-2": lambda: make_standard_hecke(2),
     "std-hecke-3": lambda: make_standard_hecke(3),
+    # R is not symmetric
+    "twisted-std-hecke-2": lambda: twisted(make_standard_hecke(2)),
+    "super-hecke-1|1": lambda: super_hecke(1, 1),
 }
 
 
 def _bumps():
-    for name in ("flip-2", "superflip-1|1", "std-hecke-2"):
+    for name in ("flip-2", "superflip-1|1", "std-hecke-2", "twisted-std-hecke-2",
+                 "super-hecke-1|1"):
         b = _CERTIFIED[name]()
         for out, row in enumerate(dense(b.R)):
             for inp, e in enumerate(row):
@@ -686,20 +781,21 @@ class TestSpectralCertificates:
     def test_one_corrupted_entry_fails_both(self, name, braid_failures):
         """R_10^01 bumped.  The failing monomials are the exponents of
         u, v, w whose coefficient is a nonzero operator; for unitarity
-        they are those of the -(u - v)^2 in front of R^2, followed by the
-        three spot points, where the rational normalizer skips (2, 3)."""
+        they are those of the -(u - v)^2 in front of R^2.  The reference
+        fails too, and so does each of its three spot points, where the
+        rational normalizer skips (2, 3)."""
         b = _CERTIFIED[name]()
         cb = baxterize(bumped(b, enc_index((0, 1), 2), enc_index((1, 0), 2)))
         spots = [(5, 7), (3, 11), (2, 5)] if name == "flip-2" else [(2, 3), (5, 7), (3, 11)]
         assert spectral_braid_certificate(cb) == braid_failures
-        assert unitarity_certificate(cb) == [(0, 2, 0), (1, 1, 0), (2, 0, 0)] + [
-            ("spot", Fraction(u), Fraction(v)) for u, v in spots]
+        assert unitarity_certificate(cb) == [(0, 2, 0), (1, 1, 0), (2, 0, 0)]
+        assert grid_unitarity_passed(cb) is False
+        assert spot_unitarity_failures(cb) == [(Fraction(u), Fraction(v)) for u, v in spots]
 
     def test_operator_work_of_one_certificate_pair(self, monkeypatch):
         """R is placed once at (1,2) and once at (2,3); the braid relation
-        forms its six word products, unitarity R^2 and its three spot
-        products.  Nothing depends on a grid size."""
-        import qfock.braidings as braidings
+        forms its six word products and unitarity R^2.  Nothing depends on
+        a grid size."""
         calls = {"place": 0, "matmul": 0}
         real_place, real_matmul = braidings.place, LinOperator.__matmul__
 
@@ -714,9 +810,9 @@ class TestSpectralCertificates:
         cb = baxterize(make_standard_hecke(3))
         monkeypatch.setattr(braidings, "place", counted_place)
         monkeypatch.setattr(LinOperator, "__matmul__", counted_matmul)
-        assert not cb.braid_certificate
-        assert not cb.unitarity_certificate
-        assert calls == {"place": 2, "matmul": 6 + 1 + 3}
+        assert not spectral_braid_certificate(cb)
+        assert not unitarity_certificate(cb)
+        assert calls == {"place": 2, "matmul": 6 + 1}
 
 
 class TestStrictness:

@@ -30,6 +30,7 @@ from qfock.braidings import (
     superflip_limit,
 )
 from qfock.cli import main
+from qfock.currents import WINDOW_MAX
 from qfock.errors import NonGenericPoint, QfockError
 from qfock.tensorops import LinOperator
 from qfock.scalars import Q, ONE, ZERO, Scalar
@@ -461,6 +462,28 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
         assert "InvalidArgument" in captured.err and flag in captured.err
+
+    def test_window_above_the_limit_is_refused_before_any_suite(
+            self, monkeypatch, capsys):
+        """A --window above currents.WINDOW_MAX exits 2 before the braiding
+        is built, so no suite runs and no partial report is left."""
+        built = count_operator_builds(monkeypatch)
+        assert run(["verify", "--braiding", "std-hecke", "--n", "5", "--suite", "all",
+                    "--window", str(WINDOW_MAX + 1)]) == 2
+        assert not built
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: InvalidArgument: --window {WINDOW_MAX + 1} "
+                                f"is above WINDOW_MAX = {WINDOW_MAX}\n")
+
+    def test_window_at_the_limit_reaches_the_run(self, monkeypatch):
+        """WINDOW_MAX itself is accepted; the run is stubbed, so no window-4
+        suite runs."""
+        windows = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda cfg: windows.append(cfg.window) or 0)
+        for window in (WINDOW_MAX, WINDOW_MAX + 1):
+            run(["verify", "--suite", "currents", "--window", str(window)])
+        assert windows == [WINDOW_MAX]
 
     @pytest.mark.parametrize("command", ["verify", "export"])
     @pytest.mark.parametrize("mn", ["1", "a,b", "-1,3", "2,-1", "0,0", "1,1,1"])

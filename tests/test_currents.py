@@ -1,11 +1,12 @@
 import itertools
+import json
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfock import braidings, currents
+from qfock import cli, currents
 from qfock.braidings import (
     HECKE, baxterize, make_flip, make_standard_hecke, make_superflip,
 )
@@ -742,30 +743,40 @@ class TestRelationChecks:
     def test_a_side_certificates(self, maker):
         assert not current_relation_check(maker())
 
-    @pytest.mark.parametrize("failing, certificate", [
-        ("spectral_braid_certificate", "braid_certificate"),
-        ("unitarity_certificate", "unitarity_certificate"),
+    @pytest.mark.parametrize("failing, record, tag", [
+        ("spectral_braid_certificate", "spectral-braid-certificate", "braid"),
+        ("unitarity_certificate", "spectral-unitarity-certificate", "unitarity"),
     ])
-    def test_either_certificate_can_fail(self, monkeypatch, failing, certificate):
-        """A failing certificate function fails the braiding's own
-        certificate and the a-side check on the dual square, which tags
-        its failures "braid" or "unitarity"."""
-        monkeypatch.setattr(braidings, failing, lambda cb: [(1, 0, 0)])
-        cd = flip_double()
-        assert getattr(cd.cb, certificate) == [(1, 0, 0)]
-        tag = certificate.removesuffix("_certificate")
-        assert current_relation_check(cd) == [(tag, (1, 0, 0))]
+    def test_either_certificate_can_fail(self, monkeypatch, capsys, tmp_path,
+                                         failing, record, tag):
+        """A failing certificate function, patched where the CLI and the
+        a-side check look it up, fails the braiding's own record and the
+        a-side check on the dual square, which tags its failures "braid"
+        or "unitarity"."""
+        for module in (cli, currents):
+            monkeypatch.setattr(module, failing, lambda cb: [(1, 0, 0)])
+        assert current_relation_check(flip_double()) == [(tag, (1, 0, 0))]
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "--braiding", "flip", "--n", "2", "--suite", "currents",
+                         "--window", "0", "--out", str(out)]) == 1
+        capsys.readouterr()
+        checks = json.loads(out.read_text())["checks"]
+        assert {c["check_id"] for c in checks if c["verdict"] == "fail"} == {
+            record, "current-relations-a-side"}
 
-    def test_certificates_are_computed_once(self, monkeypatch):
+    def test_certificates_are_computed_once(self, monkeypatch, capsys):
+        """A whole currents suite runs each certificate once on R and once
+        on its dual square."""
         calls = []
-        for name in ("spectral_braid_certificate", "unitarity_certificate"):
-            real = getattr(braidings, name)
-            monkeypatch.setattr(braidings, name,
-                                lambda cb, real=real, name=name:
-                                calls.append(name) or real(cb))
-        cd = flip_double()
-        for _ in range(2):
-            assert not cd.cb.braid_certificate
-            assert not cd.cb.unitarity_certificate
-        assert sorted(calls) == ["spectral_braid_certificate",
-                                 "unitarity_certificate"]
+        for module in (cli, currents):
+            for name in ("spectral_braid_certificate", "unitarity_certificate"):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name,
+                                    lambda cb, real=real, name=name:
+                                    calls.append((name, cb.base.name)) or real(cb))
+        assert cli.main(["verify", "--braiding", "std-hecke", "--n", "2",
+                         "--suite", "currents", "--window", "0"]) == 0
+        capsys.readouterr()
+        assert sorted(calls) == [(name, base) for name in ("spectral_braid_certificate",
+                                                           "unitarity_certificate")
+                                 for base in ("dual(std-hecke-2)", "std-hecke-2")]

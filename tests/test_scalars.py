@@ -514,6 +514,27 @@ def test_bmw_braiding_scalar_work_is_pinned(monkeypatch, capsys):
     assert calls == {"make": 21, "polyden": 21, "in_inverse": 7}
 
 
+def test_hecke_currents_scalar_work_is_pinned(monkeypatch, capsys):
+    # `verify --braiding std-hecke --n 3 --suite currents` makes no
+    # Scalar.make call.  The spot check of the normalized R(u,v) / g(u,v)
+    # made 300, every one with a polynomial denominator; the cleared forms
+    # of the spectral certificates stay Laurent.
+    from qfock import cli
+
+    calls = []
+    make = Scalar.__dict__["make"].__func__
+
+    def counted(num, den):
+        calls.append(den)
+        return make(num, den)
+
+    monkeypatch.setattr(Scalar, "make", staticmethod(counted))
+    assert cli.main(["verify", "--braiding", "std-hecke", "--n", "3",
+                     "--suite", "currents"]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
 def test_bmw_double_scalar_work_is_pinned(monkeypatch, capsys):
     # Deterministic counts of the scalar work of `verify --braiding bmw-orth
     # --n 3 --suite double --degree 3`: Scalar.make, + and * calls, and the
