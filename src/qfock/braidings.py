@@ -5,7 +5,9 @@ symmetry of GL_q type, and the BMW symmetries of orthogonal or symplectic
 type at any admissible N.  Every constructed braiding self-validates: the
 braid relation and the minimal polynomial, whose roots must be distinct, are
 checked exactly, and table loading fails hard if the transcription does not
-pass the suite.
+pass the suite.  Each of these facts is decided once per braiding and cached
+as a failure list (`Braiding.failures`), which validation, the loader and
+the braiding suite all read.
 
 The skew inverse Psi is obtained from the defining contraction
 
@@ -18,8 +20,9 @@ the R-trace.
 
 The spectral idempotents are kept in cleared form, P_lambda = Q / d with a
 Laurent numerator Q and a scalar d (`projectors`, cached as
-`Braiding.lagrange`), and every identity read off them is multiplied
-through by the d, so that no entry gains a polynomial denominator.
+`Braiding.lagrange`).  Only the image of Q_mu is read off them, so no
+entry gains a polynomial denominator; their decomposition of R is the
+minimal polynomial's verdict (`projector_decomposition_ok`).
 """
 
 from __future__ import annotations
@@ -29,9 +32,8 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
 from importlib import resources
-from itertools import combinations
 from math import isqrt
-from operator import add, matmul, mul
+from operator import matmul, mul
 from pathlib import Path
 
 from .errors import (
@@ -89,7 +91,8 @@ def default_q(kind: str) -> Scalar:
 
 
 class Braiding:
-    """An exactly validated braiding with cached skew-inverse data."""
+    """An exactly validated braiding with its structural verdicts and
+    skew-inverse data cached."""
 
     def __init__(self, N: int, R: LinOperator, kind: str,
                  series: str | None = None, q: Scalar | None = None,
@@ -135,6 +138,17 @@ class Braiding:
         return self.skew.alpha
 
     # -- structural checks ----------------------------------------------
+    # R is never reassigned after construction, so each fact is decided once
+
+    @cached_property
+    def failures(self) -> dict[str, list[str]]:
+        """The violated structural facts, one failure list per fact (empty
+        when it holds): the braid relation, the minimal polynomial, and
+        the distinctness of its roots."""
+        poly = f"{self.kind} minimal polynomial violated"
+        return {"braid-relation": [] if self.braid_ok() else ["braid relation violated"],
+                "minimal-polynomial": [] if self.kind_polynomial_ok() else [poly],
+                "distinct-roots": self.repeated_roots()}
 
     def braid_ok(self) -> bool:
         r12 = place(self.R, (1, 2), 3)
@@ -156,12 +170,7 @@ class Braiding:
     def validate(self) -> list[str]:
         """List of violated structural properties (empty when sound): the
         braid relation, the minimal polynomial, and distinct roots."""
-        issues = []
-        if not self.braid_ok():
-            issues.append("braid relation violated")
-        if not self.kind_polynomial_ok():
-            issues.append(f"{self.kind} minimal polynomial violated")
-        return issues + self.repeated_roots()
+        return [issue for found in self.failures.values() for issue in found]
 
     def __repr__(self) -> str:
         tag = self.name or self.kind
@@ -171,6 +180,15 @@ class Braiding:
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
+
+def _validated(b: Braiding, what: str) -> Braiding:
+    """b, once it passes self-validation; AssertionError naming `what` if
+    it does not."""
+    issues = b.validate()
+    if issues:
+        raise AssertionError(f"{what} failed self-validation: {issues}")
+    return b
+
 
 def make_flip(N: int) -> Braiding:
     if N < 1:
@@ -190,12 +208,8 @@ def make_superflip(m: int, n: int) -> Braiding:
     terms = ((enc_index((j, i), N), enc_index((i, j), N),
               minus if (i >= m and j >= m) else ONE)
              for i in range(N) for j in range(N))
-    b = Braiding(N, LinOperator.from_terms(terms, N, 2), INVOLUTIVE,
-                 name=f"superflip-{m}|{n}")
-    issues = b.validate()
-    if issues:
-        raise AssertionError(f"superflip failed self-validation: {issues}")
-    return b
+    return _validated(Braiding(N, LinOperator.from_terms(terms, N, 2), INVOLUTIVE,
+                               name=f"superflip-{m}|{n}"), "superflip")
 
 
 def make_standard_hecke(N: int) -> Braiding:
@@ -217,11 +231,8 @@ def make_standard_hecke(N: int) -> Braiding:
                 terms.append((enc_index((j, i), N), enc_index((i, j), N), ONE))
                 if i > j:
                     terms.append((enc_index((i, j), N), enc_index((i, j), N), qdiff))
-    b = Braiding(N, LinOperator.from_terms(terms, N, 2), HECKE, name=f"std-hecke-{N}")
-    issues = b.validate()
-    if issues:
-        raise AssertionError(f"standard Hecke failed self-validation: {issues}")
-    return b
+    return _validated(Braiding(N, LinOperator.from_terms(terms, N, 2), HECKE,
+                               name=f"std-hecke-{N}"), "standard Hecke")
 
 
 def _rho_eps(N: int, series: str) -> tuple[list[int], list[int]]:
@@ -276,12 +287,8 @@ def make_bmw(N: int, series: str) -> Braiding:
             term(i, j, j, i, qdiff)
             coeff = qdiff * Scalar.q_power(rho[i] - rho[j], eps[i] * eps[j])
             term(i, j, N - 1 - i, N - 1 - j, -coeff)
-    b = Braiding(N, LinOperator.from_terms(terms, N, 2), BMW, series=series,
-                 name=f"bmw-{series}-{N}")
-    issues = b.validate()
-    if issues:
-        raise AssertionError(f"BMW {series} failed self-validation: {issues}")
-    return b
+    return _validated(Braiding(N, LinOperator.from_terms(terms, N, 2), BMW, series=series,
+                               name=f"bmw-{series}-{N}"), f"BMW {series}")
 
 
 def specialize(b: Braiding, q0: Fraction | int) -> Braiding:
@@ -533,32 +540,19 @@ def relation_operator(b: Braiding, kind: str) -> LinOperator:
 
 
 def projector_decomposition_ok(b: Braiding) -> bool:
-    """The idempotents P = Q / d of b.lagrange are orthogonal, sum to I,
-    and sum to R when weighted by root, each identity multiplied through by
-    nonzero denominators so that no inverse is taken: Q Q = d Q, Q Q' = 0,
-    sum e Q = D I and sum lambda e Q = D R, with D the product of the d and
-    e that of the other ones.  A zero d fails, since it would weaken
-    Q Q = d Q to Q Q = 0.  Q Q' = 0 is checked in one order of each pair:
-    if idempotents P_1, ..., P_k sum to I and P_i P_j = 0 for i < j, then
-    the sum over l < j of P_j P_l is P_j - P_j = 0, and multiplying it by
-    P_i on the right gives P_j P_i = 0 for i = j - 1, j - 2, ... in turn."""
-    pairs = b.lagrange
-    if any(d.is_zero() for _, d in pairs.values()):
-        return False
-    if any(p @ p != p.scale(d) for p, d in pairs.values()):
-        return False
-    if any(not (p1 @ p2).is_zero() for (p1, _), (p2, _) in combinations(pairs.values(), 2)):
-        return False
-    roots = eigenvalues(b)
-    weighted = {name: p.scale(reduce(mul, (d for other, (_, d) in pairs.items()
-                                           if other != name)))
-                for name, (p, _) in pairs.items()}
-    D = reduce(mul, (d for _, d in pairs.values()))
-    # D I built directly, where I.scale(D) would take N^2 products
-    d_ident = LinOperator.from_terms(((c, c, D) for c in range(b.N ** 2)), b.N, 2)
-    if reduce(add, weighted.values()) != d_ident:
-        return False
-    return reduce(add, (p.scale(roots[name]) for name, p in weighted.items())) == b.R.scale(D)
+    """The spectral idempotents P = Q / d of b.lagrange are orthogonal, sum
+    to I and sum to R when weighted by root: for distinct roots this is
+    the minimal polynomial p(R) = 0, and it reads that cached verdict.
+    Completeness (sum e Q = D I) and reconstruction (sum lambda e Q = D R,
+    D the product of the d and e that of the other ones) are Lagrange
+    interpolation of 1 and of x, identities of polynomials of degree below
+    that of p, so they hold for every operator R.  Q_i (Q_i - d_i) vanishes
+    at every root, so p divides it and p(R) = 0 gives Q Q = d Q; conversely,
+    idempotents that sum to I and reconstruct R make R diagonalizable with
+    eigenvalues among the roots, so p(R) = 0.  Orthogonality follows from
+    idempotency and completeness.  Coinciding roots fail: the idempotents
+    do not exist there."""
+    return not (b.failures["minimal-polynomial"] or b.failures["distinct-roots"])
 
 
 # ---------------------------------------------------------------------------

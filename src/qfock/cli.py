@@ -204,11 +204,12 @@ def _add_found(rep: Report, check_id: str, anchor: str, found: list):
 
 
 def _suite_braiding(rep: Report, b: Braiding, cfg: RunConfig):
-    rep.add("braid-relation", "R12 R23 R12 = R23 R12 R23", b.braid_ok())
+    found = b.failures
+    rep.add("braid-relation", "R12 R23 R12 = R23 R12 R23", not found["braid-relation"])
     poly = {INVOLUTIVE: "R^2 = I",
             HECKE: "(R - q)(R + 1/q) = 0",
             BMW: "(R - q)(R + 1/q)(R - mu) = 0"}[b.kind]
-    rep.add("minimal-polynomial", poly, b.kind_polynomial_ok())
+    rep.add("minimal-polynomial", poly, not found["minimal-polynomial"])
     try:
         skew = b.skew
     except QfockError as exc:
@@ -234,13 +235,12 @@ def _suite_braiding(rep: Report, b: Braiding, cfg: RunConfig):
                    mu_eigenspace_degree2_report(b))
     if cfg.q != "generic":
         q0 = Fraction(cfg.q)       # main has checked that it parses
-        at_q0 = specialize(b, q0)
-        repeated = at_q0.repeated_roots()
-        if repeated:
-            raise NonGenericPoint(f"--q {q0}: {'; '.join(repeated)}")
+        at_q0 = specialize(b, q0).failures
+        if at_q0["distinct-roots"]:
+            raise NonGenericPoint(f"--q {q0}: {'; '.join(at_q0['distinct-roots'])}")
         rep.add("evaluation-cross-check",
                 f"braid and minimal polynomial at q = {q0}",
-                at_q0.braid_ok() and at_q0.kind_polynomial_ok())
+                not (at_q0["braid-relation"] or at_q0["minimal-polynomial"]))
 
 
 def _suite_double(rep: Report, b: Braiding, cfg: RunConfig):

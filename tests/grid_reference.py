@@ -2,10 +2,12 @@
 grid, kept as the reference for the Laurent products of
 braidings.relation_operator; the normalized spectral idempotents and their
 decomposition check, kept as the reference for the cleared Lagrange data
-(braidings.projectors) and its check (braidings.projector_decomposition_ok);
-and the hand-expanded spectral idempotents and minimal polynomial, kept as
-the reference for the root table (braidings.eigenvalues) that projectors
-and kind_polynomial_ok read.
+(braidings.projectors); the four cleared decomposition identities, kept as
+the reference for braidings.projector_decomposition_ok, which reads the
+minimal-polynomial verdict that they are equivalent to when the roots are
+distinct; and the hand-expanded spectral idempotents and minimal
+polynomial, kept as the reference for the root table
+(braidings.eigenvalues) that projectors and kind_polynomial_ok read.
 
 For a BMW braiding the relation operator of the kind its series fixes was
 the middle spectral idempotent, and that of the other kind the sum of the
@@ -16,6 +18,7 @@ denominators, so that every coefficient stays Laurent.
 """
 
 from functools import reduce
+from itertools import combinations
 from operator import add, mul
 
 from qfock.braidings import (
@@ -85,6 +88,35 @@ def normalized_decomposition_ok(b: Braiding, projs: dict[str, LinOperator]) -> b
             if k1 != k2 and not (p1 @ p2).is_zero():
                 return False
     return reduce(add, (p.scale(roots[name]) for name, p in projs.items())) == b.R
+
+
+def cleared_decomposition_ok(b: Braiding) -> bool:
+    """The idempotents P = Q / d of b.lagrange are orthogonal, sum to I,
+    and sum to R when weighted by root, each identity multiplied through by
+    nonzero denominators so that no inverse is taken: Q Q = d Q, Q Q' = 0,
+    sum e Q = D I and sum lambda e Q = D R, with D the product of the d and
+    e that of the other ones.  A zero d fails, since it would weaken
+    Q Q = d Q to Q Q = 0.  Q Q' = 0 is checked in one order of each pair:
+    if idempotents P_1, ..., P_k sum to I and P_i P_j = 0 for i < j, then
+    the sum over l < j of P_j P_l is P_j - P_j = 0, and multiplying it by
+    P_i on the right gives P_j P_i = 0 for i = j - 1, j - 2, ... in turn."""
+    pairs = b.lagrange
+    if any(d.is_zero() for _, d in pairs.values()):
+        return False
+    if any(p @ p != p.scale(d) for p, d in pairs.values()):
+        return False
+    if any(not (p1 @ p2).is_zero() for (p1, _), (p2, _) in combinations(pairs.values(), 2)):
+        return False
+    roots = eigenvalues(b)
+    weighted = {name: p.scale(reduce(mul, (d for other, (_, d) in pairs.items()
+                                           if other != name)))
+                for name, (p, _) in pairs.items()}
+    D = reduce(mul, (d for _, d in pairs.values()))
+    # D I built directly, where I.scale(D) would take N^2 products
+    d_ident = LinOperator.from_terms(((c, c, D) for c in range(b.N ** 2)), b.N, 2)
+    if reduce(add, weighted.values()) != d_ident:
+        return False
+    return reduce(add, (p.scale(roots[name]) for name, p in weighted.items())) == b.R.scale(D)
 
 
 def cleared(op: LinOperator) -> LinOperator:

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import random
 from fractions import Fraction
 from operator import add
 
@@ -319,9 +320,9 @@ CLEARED_BRAIDINGS = {
 
 
 class TestClearedIdempotents:
-    """The cleared Lagrange data (Q, d) and its decomposition check against
-    the normalized idempotents and check they replace
-    (tests/grid_reference.py)."""
+    """The cleared Lagrange data (Q, d) and its cleared decomposition check
+    against the normalized idempotents and check they replace, and the
+    record's verdict against both (tests/grid_reference.py)."""
 
     @pytest.mark.parametrize("name", sorted(CLEARED_BRAIDINGS))
     def test_equal_to_the_normalized_reference(self, name):
@@ -329,9 +330,10 @@ class TestClearedIdempotents:
         reference = grid_reference.normalized_projectors(b)
         assert grid_reference.normalized(b.lagrange) == reference
         assert reference == grid_reference.hand_projectors(b)
-        verdict = projector_decomposition_ok(b)
+        verdict = grid_reference.cleared_decomposition_ok(b)
         assert verdict is grid_reference.normalized_decomposition_ok(b, reference)
         assert verdict is (name != "twice-r")
+        assert projector_decomposition_ok(b) is verdict
 
     @pytest.mark.parametrize("series, N", [("orthogonal", 3), ("orthogonal", 4),
                                            ("orthogonal", 5), ("symplectic", 2),
@@ -365,14 +367,17 @@ class TestCoincidentRoots:
             load_braiding_table(braiding_to_table(b))
 
     def test_lagrange_data_is_refused(self):
+        """The idempotents do not exist, so the record fails on the
+        repeated root without building them."""
         with pytest.raises(DivisionByZero):
             projectors(_coincident())
         with pytest.raises(DivisionByZero):
             _coincident().lagrange
         with pytest.raises(DivisionByZero):
-            projector_decomposition_ok(_coincident())
+            grid_reference.cleared_decomposition_ok(_coincident())
         with pytest.raises(DivisionByZero):
             grid_reference.normalized_projectors(_coincident())
+        assert projector_decomposition_ok(_coincident()) is False
 
     def test_zero_denominator_fails_the_check(self):
         """The Lagrange data built without the refusal: Q and d vanish at
@@ -390,15 +395,23 @@ class TestCoincidentRoots:
         assert {name for name, (p, d) in data.items()
                 if d.is_zero() and p.is_zero()} == {"q", "mu"}
         b.lagrange = data
-        assert not projector_decomposition_ok(b)
+        assert not grid_reference.cleared_decomposition_ok(b)
+
+
+def _rebuilt(b: Braiding, r: LinOperator) -> Braiding:
+    """A fresh braiding of b's kind, series and q on the operator r; not
+    validated (a Braiding caches its structural verdicts, so R is never
+    reassigned)."""
+    return Braiding(b.N, r, b.kind, series=b.series, q=b.q, name=b.name)
 
 
 class TestDecompositionIdentitiesAlone:
     """Corruptions of the cached Lagrange data, of the root table or of R
-    that break one identity of projector_decomposition_ok and keep the
-    others.  Orthogonality never fails alone: idempotents that sum to I
-    over a field of characteristic 0 are orthogonal (rank = trace, so
-    their images are a direct sum).  Idempotency fails alone only on three
+    that break one identity of the cleared decomposition check
+    (grid_reference.cleared_decomposition_ok) and keep the others.
+    Orthogonality never fails alone: idempotents that sum to I over a
+    field of characteristic 0 are orthogonal (rank = trace, so their
+    images are a direct sum).  Idempotency fails alone only on three
     roots: on two, P_1 + P_2 = I and P_1 P_2 = 0 give P_1 = P_1 P_1 and
     then P_2 = I - P_1 is idempotent."""
 
@@ -416,8 +429,9 @@ class TestDecompositionIdentitiesAlone:
             return {**roots, "q": roots["-1/q"], "-1/q": roots["q"]}
 
         monkeypatch.setattr(braidings, "eigenvalues", swapped)
+        monkeypatch.setattr(grid_reference, "eigenvalues", swapped)
         assert b.kind_polynomial_ok()
-        assert not projector_decomposition_ok(b)
+        assert not grid_reference.cleared_decomposition_ok(b)
 
     @pytest.mark.parametrize("name, dropped", [("std-hecke-2", "-1/q"),
                                                ("bmw-orth-3", "mu"),
@@ -431,10 +445,12 @@ class TestDecompositionIdentitiesAlone:
         b = load_builtin(name)
         roots = eigenvalues(b)
         q_dropped, d_dropped = b.lagrange[dropped]
-        b.lagrange = {**b.lagrange, dropped: (q_dropped.scale(ZERO), d_dropped)}
-        b.R = functools.reduce(add, (p.scale(roots[n] * d.inverse())
-                                     for n, (p, d) in b.lagrange.items() if n != dropped))
-        assert not projector_decomposition_ok(b)
+        lagrange = {**b.lagrange, dropped: (q_dropped.scale(ZERO), d_dropped)}
+        b = _rebuilt(b, functools.reduce(add, (p.scale(roots[n] * d.inverse())
+                                               for n, (p, d) in lagrange.items()
+                                               if n != dropped)))
+        b.lagrange = lagrange
+        assert not grid_reference.cleared_decomposition_ok(b)
 
     def test_idempotent_failing_alone_on_three_roots(self):
         """On bmw-orth 3: P_q = E_00, P_mu = E_10 + E_11 and
@@ -447,10 +463,48 @@ class TestDecompositionIdentitiesAlone:
         p_mu = LinOperator.from_terms([(1, 0, ONE), (1, 1, ONE)], b.N, 2)
         p_minus = ident - p_q - p_mu
         assert p_minus @ p_minus == p_minus + LinOperator.from_terms([(1, 0, ONE)], b.N, 2)
-        b.lagrange = {"q": (p_q, ONE), "-1/q": (p_minus, ONE), "mu": (p_mu, ONE)}
+        lagrange = {"q": (p_q, ONE), "-1/q": (p_minus, ONE), "mu": (p_mu, ONE)}
         roots = eigenvalues(b)
-        b.R = functools.reduce(add, (p.scale(roots[n]) for n, (p, _) in b.lagrange.items()))
-        assert not projector_decomposition_ok(b)
+        b = _rebuilt(b, functools.reduce(add, (p.scale(roots[n])
+                                               for n, (p, _) in lagrange.items())))
+        b.lagrange = lagrange
+        assert not grid_reference.cleared_decomposition_ok(b)
+
+
+# the braidings of the equivalence sweep, built once at collection
+_SWEPT = {
+    "std-hecke-3": make_standard_hecke(3),
+    "bmw-orth-3": make_bmw(3, "orthogonal"),
+    "bmw-sympl-2": make_bmw(2, "symplectic"),
+    "bmw-sympl-4": make_bmw(4, "symplectic"),
+    "flip-3": make_flip(3),
+    "superflip-2|1": make_superflip(2, 1),
+}
+
+
+def _swept_bumps():
+    """Single-entry bumps by ONE of R on each swept braiding: at up to 8 of
+    its nonzero entries and at 8 random positions, from a fixed seed."""
+    rng = random.Random(20221)
+    for name, b in _SWEPT.items():
+        nonzero = sorted((r, c) for r, c, _ in b.R.nonzeros())
+        cells = rng.sample(nonzero, min(8, len(nonzero)))
+        cells += [(rng.randrange(b.R.size), rng.randrange(b.R.size)) for _ in range(8)]
+        for out, inp in cells:
+            yield pytest.param(name, out, inp, id=f"{name}-{out}-{inp}")
+
+
+@pytest.mark.parametrize("name, out, inp", list(_swept_bumps()))
+def test_decomposition_is_the_minimal_polynomial(name, out, inp):
+    """For distinct roots the four cleared decomposition identities hold
+    exactly when the minimal polynomial does (projector_decomposition_ok's
+    docstring), so the record, which reads the minimal-polynomial verdict,
+    agrees with the identities on every bumped R."""
+    b = _SWEPT[name]
+    b = _rebuilt(b, b.R + LinOperator.from_terms([(out, inp, ONE)], b.N, 2))
+    verdict = b.kind_polynomial_ok()
+    assert grid_reference.cleared_decomposition_ok(b) is verdict
+    assert projector_decomposition_ok(b) is verdict
 
 
 class TestTables:

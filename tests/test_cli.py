@@ -25,17 +25,16 @@ from qfock.braidings import (
     make_flip,
     make_standard_hecke,
     make_superflip,
-    projector_decomposition_ok,
     specialize,
     superflip_limit,
 )
 from qfock.cli import main
 from qfock.currents import WINDOW_MAX
-from qfock.errors import NonGenericPoint, QfockError
+from qfock.errors import InvalidTable, NonGenericPoint, QfockError
 from qfock.tensorops import LinOperator
 from qfock.scalars import Q, ONE, ZERO, Scalar
 
-from grid_reference import normalized, normalized_decomposition_ok
+from grid_reference import cleared_decomposition_ok, normalized, normalized_decomposition_ok
 from hecke_families import super_hecke
 
 
@@ -596,6 +595,74 @@ def double_numerator(b, key="q"):
     b.lagrange[key] = (op.scale(Scalar.from_int(2)), d)
 
 
+class TestEachFactDecidedOnce:
+    """The braid relation and the minimal polynomial are decided once per
+    braiding and cached (Braiding.failures), whether the constructor, the
+    loader or the braiding suite asks first, and once more on the braiding
+    that --q specializes.  Only the BMW mu record builds Lagrange data."""
+
+    @staticmethod
+    def _count(monkeypatch) -> dict[str, int]:
+        calls = dict.fromkeys(("braid_ok", "kind_polynomial_ok", "projectors"), 0)
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in ("braid_ok", "kind_polynomial_ok"):
+            monkeypatch.setattr(Braiding, name, counted(name, getattr(Braiding, name)))
+        monkeypatch.setattr(braidings, "projectors",
+                            counted("projectors", braidings.projectors))
+        return calls
+
+    @pytest.mark.parametrize("argv, each, lagrange", [
+        (["--braiding", "std-hecke", "--n", "2"], 1, 0),
+        (["--table", None], 1, 0),      # None: the exported std-hecke 2
+        # make_flip does not validate, so the suite asks first
+        (["--braiding", "flip", "--n", "2"], 1, 0),
+        (["--braiding", "std-hecke", "--n", "2", "--q", "3/2"], 2, 0),
+        (["--braiding", "bmw-orth", "--n", "3"], 1, 1),
+    ], ids=["constructor", "table", "lazy", "q0", "bmw"])
+    def test_one_decision_per_braiding(self, argv, each, lagrange, tmp_path, monkeypatch):
+        table = tmp_path / "std-hecke-2.json"
+        table.write_text(json.dumps(braiding_to_table(make_standard_hecke(2))))
+        argv = [str(table) if a is None else a for a in argv]
+        calls = self._count(monkeypatch)
+        assert run(["verify", *argv, "--suite", "braiding"]) == 0
+        assert calls == {"braid_ok": each, "kind_polynomial_ok": each,
+                         "projectors": lagrange}
+
+
+def _table_bumps():
+    for name, make in (("std-hecke-2", lambda: make_standard_hecke(2)),
+                       ("bmw-orth-3", lambda: make_bmw(3, "orthogonal")),
+                       ("flip-2", lambda: make_flip(2))):
+        for k in range(len(braiding_to_table(make())["entries"])):
+            yield pytest.param(make, k, id=f"{name}-entry-{k}")
+
+
+class TestTheLoadDecidesFirst:
+    """A table that the loader accepts is a braiding; one whose entry is
+    bumped stops at load-braiding, before any suite runs."""
+
+    @pytest.mark.parametrize("make, k", list(_table_bumps()))
+    def test_bumped_entry_fails_the_load_alone(self, make, k, tmp_path):
+        doc = braiding_to_table(make())
+        entry = doc["entries"][k]
+        entry["value"] = (Scalar.from_pairs(entry["value"]) + ONE).to_pairs()
+        path, out = tmp_path / "bumped.json", tmp_path / "rep.json"
+        path.write_text(json.dumps(doc))
+        assert run(["verify", "--table", str(path), "--suite", "all",
+                    "--out", str(out)]) == 1
+        checks = json.loads(out.read_text())["checks"]
+        assert [(c["check_id"], c["verdict"]) for c in checks] == [("load-braiding", "fail")]
+        with pytest.raises(InvalidTable) as refused:
+            load_braiding_table(doc)
+        assert checks[0]["witness"] == str(refused.value)
+
+
 class TestDualPairingsMutation:
     def _bump_left(self, monkeypatch):
         """One left-pairing entry, <x^1, x_1>_l, off by one: the V* (x) V
@@ -643,60 +710,36 @@ class TestDualPairingsMutation:
 
 
 class TestProjectorMutation:
-    @pytest.mark.parametrize("make, argv", [
-        (lambda: make_standard_hecke(2), ["--braiding", "std-hecke", "--n", "2"]),
-        (lambda: load_builtin("bmw-orth-3"), ["--braiding", "bmw-orth", "--n", "3"]),
+    """Corrupted cleared Lagrange data fails the cleared decomposition check
+    and its normalized reference (tests/grid_reference.py).  No record
+    reads these entries: projector-decomposition is the minimal
+    polynomial's verdict, which TestGatingRecordsCanFail fails through R."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_standard_hecke(2), lambda: load_builtin("bmw-orth-3"),
     ], ids=["std-hecke-2", "bmw-orth-3"])
-    def test_bumped_projector_fails_decomposition(self, make, argv, monkeypatch, capsys):
+    def test_bumped_projector_fails_decomposition(self, make):
         b = make()
-        assert projector_decomposition_ok(b)
+        assert cleared_decomposition_ok(b)
         bump_projector(b)
-        assert not projector_decomposition_ok(b)
-
-        real = cli._resolve_braiding
-
-        def bumped(cfg):
-            out = real(cfg)
-            bump_projector(out)
-            return out
-
-        monkeypatch.setattr(cli, "_resolve_braiding", bumped)
-        assert run(["verify", *argv, "--suite", "braiding"]) == 1
-        out = capsys.readouterr().out
-        assert "[FAIL] projector-decomposition" in out
-        assert out.count("[FAIL]") == 1
+        assert not cleared_decomposition_ok(b)
 
     @pytest.mark.parametrize("corrupt", [
         lambda b: bump_projector(b, "-1/q"),
         bump_denominator,
         double_numerator,
     ], ids=["bumped-numerator", "bumped-denominator", "doubled-numerator"])
-    @pytest.mark.parametrize("make, argv", [
-        (lambda: make_standard_hecke(2), ["--braiding", "std-hecke", "--n", "2"]),
-        (lambda: load_builtin("bmw-orth-3"), ["--braiding", "bmw-orth", "--n", "3"]),
+    @pytest.mark.parametrize("make", [
+        lambda: make_standard_hecke(2), lambda: load_builtin("bmw-orth-3"),
     ], ids=["std-hecke-2", "bmw-orth-3"])
-    def test_corrupted_lagrange_data_fails_decomposition(self, make, argv, corrupt,
-                                                         monkeypatch, capsys):
+    def test_corrupted_lagrange_data_fails_decomposition(self, make, corrupt):
         """A numerator entry, a denominator, or a whole numerator of the
         cleared idempotents off: the check and the normalized reference
-        both fail, and in a run only projector-decomposition does."""
+        both fail."""
         b = make()
         corrupt(b)
-        assert not projector_decomposition_ok(b)
+        assert not cleared_decomposition_ok(b)
         assert not normalized_decomposition_ok(b, normalized(b.lagrange))
-
-        real = cli._resolve_braiding
-
-        def corrupted(cfg):
-            out = real(cfg)
-            corrupt(out)
-            return out
-
-        monkeypatch.setattr(cli, "_resolve_braiding", corrupted)
-        assert run(["verify", *argv, "--suite", "braiding"]) == 1
-        out = capsys.readouterr().out
-        assert "[FAIL] projector-decomposition" in out
-        assert out.count("[FAIL]") == 1
 
 
 def _failing_gating_checks(argv, out) -> set[str]:
@@ -739,6 +782,17 @@ class TestGatingRecordsCanFail:
                             lambda cfg: Braiding(2, r, braidings.HECKE, name="corrupted"))
         assert _failing_gating_checks(["--suite", "braiding"],
                                       tmp_path / "rep.json") == failing
+
+    def test_sheared_r_fails_the_evaluation_cross_check(self, tmp_path, monkeypatch):
+        """The sheared R keeps the minimal polynomial and breaks the braid
+        relation, so at q = 3/2 the cross-check fails on the specialized
+        braiding's braid-relation list alone."""
+        r = _sheared(make_standard_hecke(2).R)
+        monkeypatch.setattr(cli, "_resolve_braiding",
+                            lambda cfg: Braiding(2, r, braidings.HECKE, name="sheared"))
+        assert _failing_gating_checks(["--suite", "braiding", "--q", "3/2"],
+                                      tmp_path / "rep.json") == {
+            "braid-relation", "evaluation-cross-check"}
 
     def test_singular_b_fails_strict_skew_invertibility(self, tmp_path, monkeypatch):
         real = cli._resolve_braiding

@@ -830,6 +830,7 @@ class TestSpecializedBraidings:
         b = specialize(make(), q0)
         assert b.validate() == []
         assert projector_decomposition_ok(b)
+        assert grid_reference.cleared_decomposition_ok(b)
         # the sym and lambda relation spaces are complementary
         assert (relation_operator(b, SYM) @ relation_operator(b, LAMBDA)).is_zero()
         assert all(len(make_algebra(b, kind, space).relations)
