@@ -7,7 +7,7 @@ braid relation and the minimal polynomial, whose roots must be distinct, are
 checked exactly, and table loading fails hard if the transcription does not
 pass the suite.  Each of these facts is decided once per braiding and cached
 as a failure list (`Braiding.failures`), which validation, the loader and
-the braiding suite all read.
+the braiding suite's records all read.
 
 The skew inverse Psi is obtained from the defining contraction
 
@@ -46,6 +46,7 @@ from .errors import (
     NotInvertible,
     NotSkewInvertible,
     NotStrictlySkewInvertible,
+    QfockError,
     UnsupportedBase,
     UnsupportedConstruction,
 )
@@ -483,7 +484,7 @@ def exchange_table(psi: LinOperator, s: Scalar,
 
 
 # ---------------------------------------------------------------------------
-# spectral idempotents
+# spectral idempotents, and the braiding suite's records
 # ---------------------------------------------------------------------------
 
 def eigenvalues(b: Braiding) -> dict[str, Scalar]:
@@ -495,6 +496,10 @@ def eigenvalues(b: Braiding) -> dict[str, Scalar]:
                                       f"braiding of series {b.series!r}")
     roots = {"q": b.q, "-1/q": -b.q.inverse()}
     return roots if b.mu is None else {**roots, "mu": b.mu}
+
+
+MINIMAL_POLYNOMIAL = {INVOLUTIVE: "R^2 = I", HECKE: "(R - q)(R + 1/q) = 0",
+                      BMW: "(R - q)(R + 1/q)(R - mu) = 0"}
 
 
 def root_product(b: Braiding, roots) -> LinOperator:
@@ -540,9 +545,14 @@ def relation_operator(b: Braiding, kind: str) -> LinOperator:
 
 
 def projector_decomposition_ok(b: Braiding) -> bool:
-    """The spectral idempotents P = Q / d of b.lagrange are orthogonal, sum
-    to I and sum to R when weighted by root: for distinct roots this is
-    the minimal polynomial p(R) = 0, and it reads that cached verdict.
+    """Whether projector_decomposition_failures(b) is empty."""
+    return not projector_decomposition_failures(b)
+
+
+def projector_decomposition_failures(b: Braiding) -> list[str]:
+    """Why the spectral idempotents P = Q / d of b.lagrange are not
+    orthogonal, summing to I and to R weighted by root: for distinct roots
+    that is p(R) = 0, so it reads the cached minimal-polynomial failures.
     Completeness (sum e Q = D I) and reconstruction (sum lambda e Q = D R,
     D the product of the d and e that of the other ones) are Lagrange
     interpolation of 1 and of x, identities of polynomials of degree below
@@ -552,7 +562,43 @@ def projector_decomposition_ok(b: Braiding) -> bool:
     eigenvalues among the roots, so p(R) = 0.  Orthogonality follows from
     idempotency and completeness.  Coinciding roots fail: the idempotents
     do not exist there."""
-    return not (b.failures["minimal-polynomial"] or b.failures["distinct-roots"])
+    return b.failures["minimal-polynomial"] + b.failures["distinct-roots"]
+
+
+def braiding_records(b: Braiding):
+    """Yield the structural records of b, each as it is decided; the
+    witness of strict-skew-invertibility gives alpha."""
+    yield "braid-relation", "R12 R23 R12 = R23 R12 R23", b.failures["braid-relation"]
+    yield "minimal-polynomial", MINIMAL_POLYNOMIAL[b.kind], b.failures["minimal-polynomial"]
+    try:
+        skew = b.skew
+    except QfockError as exc:
+        yield "skew-inverse", "R_ij^kl Psi_lm^jn = delta delta", [exc], exc
+    else:
+        yield "skew-inverse", "R_ij^kl Psi_lm^jn = delta delta", []
+        yield ("strict-skew-invertibility", "B = Tr_1 Psi and C = Tr_2 Psi invertible",
+               [] if skew.strict else ["B or C is singular"],
+               f"alpha = {skew.alpha!r}" if skew.alpha is not None else "B C is not scalar")
+        if skew.strict:
+            dp = dual_pairings(b)
+            # the tilde pairing is checked by its defining property, so that
+            # it can fail apart from the left pairing and from skew.B_inv
+            yield ("dual-pairings", "left pairing = B; tilde pairing = B^{-1}",
+                   [("left-row", i) for i, row in enumerate(dp.left) if row != b.B[i]]
+                   + [("tilde-row", i) for i, row in enumerate(mat_mul(dp.left, dp.tilde_right))
+                      if row != {i: ONE}])
+    yield ("projector-decomposition", "idempotent, complementary, reconstruct R",
+           projector_decomposition_failures(b))
+
+
+def evaluation_records(b: Braiding, q0: Fraction):
+    """Yield the evaluation-cross-check record of b at q = q0, where two
+    roots may not coincide, as a table at q0 may not: NonGenericPoint."""
+    at_q0 = specialize(b, q0).failures
+    if at_q0["distinct-roots"]:
+        raise NonGenericPoint(f"--q {q0}: {'; '.join(at_q0['distinct-roots'])}")
+    yield ("evaluation-cross-check", f"braid and minimal polynomial at q = {q0}",
+           at_q0["braid-relation"] + at_q0["minimal-polynomial"])
 
 
 # ---------------------------------------------------------------------------
@@ -770,12 +816,13 @@ def load_braiding_table(doc: dict | str | Path) -> Braiding:
 
     A document that cannot be read as a table (unreadable, not JSON, a
     field missing or mistyped, an N above TABLE_MAX_N, an index out of
-    range, an exponent above TABLE_MAX_EXPONENT, a zero q or denominator)
-    raises MalformedTable.  The property suite is the transcription
-    oracle: a table that violates the braid relation or its declared
-    minimal polynomial, whose roots are not distinct, or whose braiding is
-    not skew-invertible, is rejected with InvalidTable, and a BMW mu not
-    matching its series with InconsistentMu.
+    range, two entries at one (i, j, k, l), an exponent above
+    TABLE_MAX_EXPONENT, a zero q or denominator) raises MalformedTable.
+    The property suite is the transcription oracle: a table that violates
+    the braid relation or its declared minimal polynomial, whose roots are
+    not distinct, or whose braiding is not skew-invertible, is rejected
+    with InvalidTable, and a BMW mu not matching its series with
+    InconsistentMu.
     """
     if isinstance(doc, (str, Path)):
         try:
@@ -820,7 +867,7 @@ def load_braiding_table(doc: dict | str | Path) -> Braiding:
             raise MalformedTable("BMW table must declare its series")
         if mu is None:
             raise MalformedTable("BMW table must declare mu")
-    values = {}   # a repeated (i, j, k, l) keeps its last value
+    values = {}
     for ent in raw_entries:
         if not isinstance(ent, dict) or \
                 any(type(ent.get(key)) is not int for key in "ijkl"):
@@ -829,8 +876,10 @@ def load_braiding_table(doc: dict | str | Path) -> Braiding:
         i, j, k, l = (ent[key] - 1 for key in "ijkl")
         if not all(0 <= t < N for t in (i, j, k, l)):
             raise MalformedTable(f"index out of range in entry {ent}")
-        values[enc_index((k, l), N), enc_index((i, j), N)] = \
-            _table_scalar(ent.get("value"), f"value of entry {ent!r}")
+        at = enc_index((k, l), N), enc_index((i, j), N)
+        if at in values:
+            raise MalformedTable(f"entry {ent!r} repeats the indices of an earlier entry")
+        values[at] = _table_scalar(ent.get("value"), f"value of entry {ent!r}")
     r = LinOperator.from_terms(((o, c, v) for (o, c), v in values.items()), N, 2)
     b = Braiding(N, r, kind, series=series, q=q, name=name)
     if kind == BMW and mu != b.mu:

@@ -3,10 +3,12 @@ verification suites, emit Poincare tables, representation matrices and
 machine-readable JSON reports.
 
 Every check record carries a stable id and an anchor string naming the
-identity it verifies, so reports are auditable (the multi-record checks
-yield both with each record as its check finishes).  Reports are deterministic
-for a fixed configuration up to the timing fields; the process exit code
-is nonzero exactly when a gating check failed or an error surfaced.
+identity it verifies, so reports are auditable.  Each suite's records,
+(check id, anchor, failures[, witness]) as Report.add takes them, come
+from the module that decides them as each check finishes (SUITE_RECORDS).
+Reports are deterministic for a fixed configuration up to the timing
+fields; the process exit code is nonzero exactly when a gating check
+failed or an error surfaced.
 """
 
 from __future__ import annotations
@@ -18,56 +20,52 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from . import __version__
 from .braidings import (
-    BMW,
-    HECKE,
-    INVOLUTIVE,
     TABLE_MAX_N,
     Braiding,
-    baxterize,
+    braiding_records,
     braiding_to_table,
-    dual_pairings,
+    evaluation_records,
     load_braiding_table,
     make_bmw,
     make_flip,
     make_standard_hecke,
     make_superflip,
-    projector_decomposition_ok,
-    specialize,
-    spectral_braid_certificate,
-    superflip_limit,
-    unitarity_certificate,
 )
-from .currents import WINDOW_MAX, current_relation_check, make_current_double, verify_yang
+from .currents import WINDOW_MAX, current_records
 from .errors import (
     InvalidArgument,
     MalformedTable,
-    NonGenericPoint,
     QfockError,
     SizeLimitExceeded,
     UnsupportedDouble,
 )
 from .fockdouble import (
     BOSONIC,
-    FAMILY_HECKE,
     FERMIONIC,
-    braided_lie,
+    double_records,
     family_flavor,
-    left_dual_variant_report,
-    make_double,
     fock_representation,
+    lie_records,
+    make_double,
     representation_l_relations_ok,
-    verify_compatibility,
-    verify_l_relations,
-    verify_lie,
 )
-from .quadalgebras import make_algebra, mu_eigenspace_degree2_report, super_sym_dims
-from .scalars import ONE, ZERO
-from .tensorops import mat_mul
+from .quadalgebras import mu_eigenspace_records, poincare_records
+from .scalars import ZERO
 
-SUITES = ("braiding", "double", "lie", "poincare", "currents", "all")
+# each verify suite's records, from the modules that decide them, in `all`'s order
+SUITE_RECORDS = {
+    "braiding": lambda b, cfg: chain(
+        braiding_records(b), mu_eigenspace_records(b),
+        () if cfg.q == "generic" else evaluation_records(b, Fraction(cfg.q))),
+    "double": lambda b, cfg: double_records(b, _family_flavor_of(b, cfg)[1], cfg.degree),
+    "lie": lambda b, cfg: lie_records(b),
+    "poincare": lambda b, cfg: poincare_records(b, cfg.kmax),
+    "currents": lambda b, cfg: current_records(b, cfg.window, cfg.degree),
+}
 # what each command and each verify suite reads beyond --out and the braiding source
 READS = {"braiding": ("q",), "double": ("flavor", "degree"), "lie": (),
          "poincare": ("kmax",), "currents": ("window", "degree"),
@@ -110,14 +108,15 @@ class Report:
     _clock: float = field(default_factory=lambda: time.perf_counter(),
                           init=False, repr=False, compare=False)
 
-    def add(self, check_id: str, anchor: str, passed: bool | None, witness=None):
-        """Append a record, which gates unless passed is None (report-only);
-        its seconds are the time since the previous record, or since the
-        report was made."""
+    def add(self, check_id: str, anchor: str, failures: list | None, witness=None):
+        """Append a record, report-only when `failures` is None and else a
+        pass exactly when it is empty; its witness is the one given, else the
+        first three failures, and its seconds run from the clock reading."""
         now = time.perf_counter()
         seconds, self._clock = now - self._clock, now
-        verdict = "report-only" if passed is None else "pass" if passed else "fail"
-        self.checks.append(CheckRecord(check_id, anchor, verdict, passed is not None,
+        witness = failures[:3] if witness is None and failures else witness
+        verdict = "report-only" if failures is None else "fail" if failures else "pass"
+        self.checks.append(CheckRecord(check_id, anchor, verdict, failures is not None,
                                        None if witness is None else str(witness)[:400],
                                        round(seconds, 4)))
 
@@ -168,7 +167,7 @@ def _reads(command: str, cfg: RunConfig) -> set[str]:
     source: --table alone, or --braiding with --mn (superflip) or --n."""
     runs = [command]
     if command == "verify":
-        runs += SUITES[:-1] if cfg.suite == "all" else [cfg.suite]
+        runs += SUITE_RECORDS if cfg.suite == "all" else [cfg.suite]
     source = (["table"] if cfg.table else
               ["braiding", "mn" if cfg.braiding == "superflip" else "n"])
     return {"out", *source}.union(*(READS[r] for r in runs))
@@ -194,159 +193,6 @@ def _family_flavor_of(b: Braiding, cfg: RunConfig) -> tuple[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# suites
-# ---------------------------------------------------------------------------
-
-def _add_found(rep: Report, check_id: str, anchor: str, found: list):
-    """A gating record that passes when `found`, its witness list, is empty
-    and shows its first three witnesses when it fails."""
-    rep.add(check_id, anchor, not found, witness=found[:3] or None)
-
-
-def _suite_braiding(rep: Report, b: Braiding, cfg: RunConfig):
-    found = b.failures
-    rep.add("braid-relation", "R12 R23 R12 = R23 R12 R23", not found["braid-relation"])
-    poly = {INVOLUTIVE: "R^2 = I",
-            HECKE: "(R - q)(R + 1/q) = 0",
-            BMW: "(R - q)(R + 1/q)(R - mu) = 0"}[b.kind]
-    rep.add("minimal-polynomial", poly, not found["minimal-polynomial"])
-    try:
-        skew = b.skew
-    except QfockError as exc:
-        rep.add("skew-inverse", "R_ij^kl Psi_lm^jn = delta delta", False, witness=exc)
-    else:
-        rep.add("skew-inverse", "R_ij^kl Psi_lm^jn = delta delta", True)
-        rep.add("strict-skew-invertibility", "B = Tr_1 Psi and C = Tr_2 Psi invertible",
-                skew.strict,
-                witness=f"alpha = {skew.alpha!r}" if skew.alpha is not None
-                else "B C is not scalar")
-        if skew.strict:
-            dp = dual_pairings(b)
-            # the tilde pairing is checked by its defining property, so that
-            # it can fail apart from the left pairing and from skew.B_inv
-            pair_ok = (dp.left == b.B and mat_mul(dp.left, dp.tilde_right)
-                       == [{i: ONE} for i in range(b.N)])
-            rep.add("dual-pairings", "left pairing = B; tilde pairing = B^{-1}", pair_ok)
-    rep.add("projector-decomposition", "idempotent, complementary, reconstruct R",
-            projector_decomposition_ok(b))
-    if b.kind == BMW:
-        _add_found(rep, "mu-eigenspace-degree2",
-                   "invariant line survives in the expected degree-2 quotient",
-                   mu_eigenspace_degree2_report(b))
-    if cfg.q != "generic":
-        q0 = Fraction(cfg.q)       # main has checked that it parses
-        at_q0 = specialize(b, q0).failures
-        if at_q0["distinct-roots"]:
-            raise NonGenericPoint(f"--q {q0}: {'; '.join(at_q0['distinct-roots'])}")
-        rep.add("evaluation-cross-check",
-                f"braid and minimal polynomial at q = {q0}",
-                not (at_q0["braid-relation"] or at_q0["minimal-polynomial"]))
-
-
-def _suite_double(rep: Report, b: Braiding, cfg: RunConfig):
-    family, flavor = _family_flavor_of(b, cfg)
-    try:
-        d = make_double(b, flavor)
-    except QfockError as exc:
-        rep.add("double-construction", f"double ({family}, {flavor})", False,
-                witness=exc)
-        return
-    rep.add("double-construction", f"double ({family}, {flavor})", True)
-    for record in verify_compatibility(d):
-        _add_found(rep, *record)
-    anchor = ("R12 L1 R12 L1 - L1 R12 L1 R12 = R12 L1 - L1 R12"
-              if family == FAMILY_HECKE else
-              "PP12 L1 R12 L1 - L1 R12 L1 PP12 = PP12 L1 - L1 PP12")
-    _add_found(rep, "l-quadratic-identity", anchor, verify_l_relations(d))
-    for k in range(1, max(1, min(cfg.degree, 3)) + 1):
-        if not d.B.component(k).basis:
-            break
-        rep.add(f"representation-identity-k{k}",
-                "the L-identity holds for the representing matrices",
-                representation_l_relations_ok(d, fock_representation(d, k)))
-    if family == FAMILY_HECKE and flavor == BOSONIC:
-        _add_found(rep, "left-dual-variant", "left-dual rule is diamond and "
-                   "ideal consistent after the B^{-1} change of basis",
-                   left_dual_variant_report(d))
-
-
-_TWIST_ANCHOR = "twist P_23^-1 (R^-1 (x) D) P_23 from the dual extensions of R"
-
-
-def _suite_lie(rep: Report, b: Braiding, cfg: RunConfig):
-    if b.kind == BMW:
-        rep.add("braided-lie", "not defined for BMW braidings (refused)", None,
-                witness="the BMW quadratic identity determines no twist")
-        return
-    try:
-        bl = braided_lie(b)
-    except SizeLimitExceeded:
-        raise
-    except QfockError as exc:
-        rep.add("rhat-reconstruction", _TWIST_ANCHOR, False, witness=exc)
-        return
-    rep.add("rhat-reconstruction", _TWIST_ANCHOR, True)
-    for record in verify_lie(bl):
-        _add_found(rep, *record)
-
-
-def _poincare_table(rep: Report, b: Braiding, kmax: int,
-                    split: tuple[int, int] | None) -> dict:
-    """{"sym(V)": {"dims", "expected"}, ...} through degree kmax: expected
-    is the series of the superflip (m, n) = split that R is at q = 1, and
-    gates a record; with no split it is None and there is no record."""
-    table = {}
-    for kind in ("sym", "lambda"):
-        expected = None if split is None else \
-            super_sym_dims(*(split if kind == "sym" else split[::-1]), kmax)
-        for space in ("V", "V*"):
-            dims = make_algebra(b, kind, space).poincare(kmax)
-            table[f"{kind}({space})"] = {"dims": dims, "expected": expected}
-            if expected is not None:
-                rep.add(f"poincare-{kind}-{space}",
-                        "dimensions match the series of the superflip that R "
-                        "is at q = 1", dims == expected,
-                        witness=f"dims={dims} expected={expected} of (m, n) = {split}")
-    return table
-
-
-def _suite_poincare(rep: Report, b: Braiding, cfg: RunConfig):
-    split = superflip_limit(b)
-    if split is not None:
-        _poincare_table(rep, b, cfg.kmax, split)
-
-
-def _suite_currents(rep: Report, b: Braiding, cfg: RunConfig):
-    if b.kind == BMW:
-        rep.add("currents", "Baxterization is defined for involutive and "
-                "Hecke bases only (refused)", None)
-        return
-    cb = baxterize(b)
-    _add_found(rep, "spectral-braid-certificate",
-               "R12(u,v) R23(u,w) R12(v,w) = R23(v,w) R12(u,w) R23(u,v)",
-               spectral_braid_certificate(cb))
-    _add_found(rep, "spectral-unitarity-certificate",
-               "R(u,v) R(v,u) = g(u,v) g(v,u) I", unitarity_certificate(cb))
-    cd = make_current_double(cb, cfg.window)
-    _add_found(rep, "current-relations-a-side", "exchange system consistent",
-               current_relation_check(cd))
-    # the single-mode kets are always checked, so degree 0 is degree 1
-    degree = max(1, min(cfg.degree, 2))
-    out = verify_yang(cd, degree)
-    # degree <= 1 gates and the residue is reported; mismatches come before Report.add's cut
-    found = out["mismatches"]
-    shown = f"first mismatches (ket, cell, (r, s)): {found[:3]}; " if found else ""
-    witness = (f"{out['matrix_elements']} elements, window {out['window']}, "
-               f"degree {out['degree']}; {shown}{out['comparison']}")
-    if degree >= 2:
-        witness += f"; {out['degree2_residual_classes']} residual classes"
-    rep.add("spectral-l-identity",
-            "R12(u,v) L1(u) R12 L1(v) - L1(v) R12 L1(u) R12(u,v) = "
-            "(R12 L1(u) - L1(u) R12) delta(u-v), matrix elements",
-            not found, witness=witness)
-
-
-# ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
@@ -360,28 +206,26 @@ def cmd_verify(cfg: RunConfig) -> int:
         # a table document that is not a table is bad input (exit 2); a
         # well-formed table whose braiding fails its properties is a gating
         # failure (exit 1)
-        rep.add("load-braiding", "construct or load the braiding", False, witness=exc)
+        rep.add("load-braiding", "construct or load the braiding", [exc], witness=exc)
         rep.bad_input = isinstance(exc, MalformedTable)
         _emit(rep, cfg)
         if rep.bad_input:
             raise
         return 1
-    rep.add("load-braiding", "construct or load the braiding", True,
-            witness=b.name)
-    suites = [cfg.suite] if cfg.suite != "all" else SUITES[:-1]
-    for suite in suites:
-        {"braiding": _suite_braiding, "double": _suite_double,
-         "lie": _suite_lie, "poincare": _suite_poincare,
-         "currents": _suite_currents}[suite](rep, b, cfg)
+    rep.add("load-braiding", "construct or load the braiding", [], witness=b.name)
+    for suite in [cfg.suite] if cfg.suite != "all" else SUITE_RECORDS:
+        for record in SUITE_RECORDS[suite](b, cfg):
+            rep.add(*record)
     _emit(rep, cfg)
     return 1 if rep.failed else 0
 
 
 def cmd_poincare(cfg: RunConfig) -> int:
     rep = Report("qfock", __version__, _config_echo(cfg))
-    b = _resolve_braiding(cfg)
-    print(json.dumps(_poincare_table(rep, b, cfg.kmax, superflip_limit(b)),
-                     indent=1, sort_keys=True))
+    table: dict = {}
+    for record in poincare_records(_resolve_braiding(cfg), cfg.kmax, table):
+        rep.add(*record)
+    print(json.dumps(table, indent=1, sort_keys=True))
     _emit(rep, cfg, quiet=True)
     return 1 if rep.failed else 0
 
@@ -488,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--flavor", choices=[BOSONIC, FERMIONIC],
                        help="flavor of the double (default bosonic); a BMW "
                             "series fixes it")
-        p.add_argument("--suite", choices=SUITES)
+        p.add_argument("--suite", choices=[*SUITE_RECORDS, "all"])
         p.add_argument("--kmax", type=int)
         p.add_argument("--window", type=int)
         p.add_argument("--degree", type=int)

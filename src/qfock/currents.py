@@ -35,8 +35,10 @@ from itertools import product
 from math import inf
 
 from .braidings import (
+    BMW,
     Braiding,
     CurrentBraiding,
+    baxterize,
     dual_square,
     exchange_table,
     spectral_braid_certificate,
@@ -516,7 +518,7 @@ def verify_yang(cd: CurrentDouble, degree: int = 1) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# defining-relation check
+# defining-relation check, and the suite's records
 # ---------------------------------------------------------------------------
 
 def current_relation_check(cd: CurrentDouble) -> list[tuple]:
@@ -537,3 +539,32 @@ def current_relation_check(cd: CurrentDouble) -> list[tuple]:
     dual_cb = CurrentBraiding(dual)
     return ([("braid", m) for m in spectral_braid_certificate(dual_cb)]
             + [("unitarity", w) for w in unitarity_certificate(dual_cb)])
+
+
+def current_records(b: Braiding, window: int, degree: int):
+    """Yield the records of the current double on the Baxterization of b,
+    or of its refusal for a BMW b; spectral-l-identity's gives its counts."""
+    if b.kind == BMW:
+        yield ("currents", "Baxterization is defined for involutive and "
+               "Hecke bases only (refused)", None)
+        return
+    cb = baxterize(b)
+    yield ("spectral-braid-certificate",
+           "R12(u,v) R23(u,w) R12(v,w) = R23(v,w) R12(u,w) R23(u,v)",
+           spectral_braid_certificate(cb))
+    yield ("spectral-unitarity-certificate", "R(u,v) R(v,u) = g(u,v) g(v,u) I",
+           unitarity_certificate(cb))
+    cd = make_current_double(cb, window)
+    yield "current-relations-a-side", "exchange system consistent", current_relation_check(cd)
+    # the single-mode kets are always checked, so degree 0 is degree 1
+    out = verify_yang(cd, max(1, min(degree, 2)))
+    # degree <= 1 gates and the residue is reported; mismatches come before Report.add's cut
+    found = out["mismatches"]
+    shown = f"first mismatches (ket, cell, (r, s)): {found[:3]}; " if found else ""
+    witness = (f"{out['matrix_elements']} elements, window {out['window']}, "
+               f"degree {out['degree']}; {shown}{out['comparison']}")
+    if out["degree"] >= 2:
+        witness += f"; {out['degree2_residual_classes']} residual classes"
+    yield ("spectral-l-identity",
+           "R12(u,v) L1(u) R12 L1(v) - L1(v) R12 L1(u) R12(u,v) = "
+           "(R12 L1(u) - L1(u) R12) delta(u-v), matrix elements", found, witness)

@@ -33,10 +33,6 @@ the image of braidings.relation_operator; that operator, the double's G,
 is both the G of the closed compatibility identity and the outer grid of
 the L-identity, for every family.  Every q here is the braiding's own b.q.
 
-verify_compatibility and verify_lie yield (check id, anchor, witnesses)
-for each of their checks as it finishes, and verify_l_relations returns
-its witness list; an empty list is a pass.
-
 An element of the double is a read-only dict {(creation word,
 annihilation word): Scalar} of reduced normal-ordered terms.  All
 identity verifications here are exact comparisons of such elements;
@@ -53,6 +49,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .braidings import (
+    BMW,
     HECKE,
     INVOLUTIVE,
     LAMBDA,
@@ -68,6 +65,7 @@ from .braidings import (
 from .errors import (
     EmptyComponent,
     NotStrictlySkewInvertible,
+    QfockError,
     RhatNotDetermined,
     SizeLimitExceeded,
     UnsupportedDouble,
@@ -473,13 +471,17 @@ def fock_representation(d: FockDouble, k: int) -> dict[tuple[int, int], list[Row
 
 def representation_l_relations_ok(d: FockDouble,
                                   reps: dict[tuple[int, int], list[Row]]) -> bool:
-    """Check the family L-identity for the representing matrices reps of d
-    on one component, as fock_representation gives them.  Every cell's net
-    combination, the one verify_l_relations evaluates (outer grid the
-    double's G), must give the zero matrix once each generator-pair key is
-    replaced by the written product of the sparse representing matrices,
-    each distinct key formed once: on column lists the product a b is
-    mat_mul(b, a)."""
+    """Whether representation_l_failures(d, reps) is empty."""
+    return not representation_l_failures(d, reps)
+
+
+def representation_l_failures(d: FockDouble,
+                              reps: dict[tuple[int, int], list[Row]]) -> list:
+    """The failing cells (x, y) of the family L-identity for the matrices
+    reps of d on one component (fock_representation): each cell's net
+    combination of verify_l_relations, with every key replaced by the
+    written product of the sparse matrices (on column lists a b is
+    mat_mul(b, a)), each distinct key formed once, must be zero."""
     N = d.braiding.N
 
     def matrix(key: tuple) -> dict[tuple[int, int], Scalar]:
@@ -487,7 +489,34 @@ def representation_l_relations_ok(d: FockDouble,
                                 (reps[divmod(e, N)] for e in key))
         return {(r, c): v for c, col in enumerate(cols) for r, v in col.items()}
 
-    return not nonzero_sums(d.l_identity_cells, matrix)
+    return nonzero_sums(d.l_identity_cells, matrix)
+
+
+def double_records(b: Braiding, flavor: str | None, degree: int):
+    """Yield the records of the double of b and flavor: construction,
+    compatibility, the L-identity in the double and on each nonzero creation
+    component of degree 1 to max(1, min(degree, 3)), the left-dual variant."""
+    family, flavor = family_flavor(b, flavor)
+    anchor = f"double ({family}, {flavor})"
+    try:
+        d = make_double(b, flavor)
+    except QfockError as exc:
+        yield "double-construction", anchor, [exc], exc
+        return
+    yield "double-construction", anchor, []
+    yield from verify_compatibility(d)
+    o = "R12" if family == FAMILY_HECKE else "PP12"
+    yield ("l-quadratic-identity", f"{o} L1 R12 L1 - L1 R12 L1 {o} = {o} L1 - L1 {o}",
+           verify_l_relations(d))
+    for k in range(1, max(1, min(degree, 3)) + 1):
+        if not d.B.component(k).basis:
+            break
+        yield (f"representation-identity-k{k}",
+               "the L-identity holds for the representing matrices",
+               representation_l_failures(d, fock_representation(d, k)))
+    if family == FAMILY_HECKE and flavor == BOSONIC:
+        yield ("left-dual-variant", "left-dual rule is diamond and ideal consistent "
+               "after the B^{-1} change of basis", left_dual_variant_report(d))
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +680,25 @@ def _jacobi_holds(bl: BraidedLie) -> bool:
     return True
 
 
+def lie_records(b: Braiding):
+    """Yield the records of the braided Lie structure on b, or of its
+    refusal for a BMW b: the twist, then verify_lie's."""
+    if b.kind == BMW:
+        yield ("braided-lie", "not defined for BMW braidings (refused)", None,
+               "the BMW quadratic identity determines no twist")
+        return
+    anchor = "twist P_23^-1 (R^-1 (x) D) P_23 from the dual extensions of R"
+    try:
+        bl = braided_lie(b)
+    except SizeLimitExceeded:
+        raise
+    except QfockError as exc:
+        yield "rhat-reconstruction", anchor, [exc], exc
+    else:
+        yield "rhat-reconstruction", anchor, []
+        yield from verify_lie(bl)
+
+
 def verify_lie(bl: BraidedLie) -> Iterator[tuple[str, str, list]]:
     """Yield (check id, anchor, witnesses) for each check of the braided
     Lie data as it finishes: the Jacobi identity, checked leg-locally one
@@ -676,14 +724,9 @@ def verify_lie(bl: BraidedLie) -> Iterator[tuple[str, str, list]]:
             if bl.rtrace[i * N + j] != (bl.alpha if i == j else ZERO)])
 
     # trace on brackets: Tr_R [l_e1, l_e2] = 0
-    trace_brackets = []
-    for phi, col in enumerate(bl.bracket):
-        acc = ZERO
-        for e, v in col.items():
-            acc = acc + bl.rtrace[e] * v
-        if not acc.is_zero():
-            trace_brackets.append(("trace-bracket", phi))
-    yield "rtrace-brackets", "Tr_R of every basis bracket vanishes", trace_brackets
+    yield "rtrace-brackets", "Tr_R of every basis bracket vanishes", [
+        ("trace-bracket", phi) for phi, col in enumerate(bl.bracket)
+        if not sum((bl.rtrace[e] * v for e, v in col.items()), ZERO).is_zero()]
 
     # defining property: rhat takes each cell of the first quadratic side
     # R12 L1 R12 L1 to the same cell of the second, L1 R12 L1 R12

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 
-from .braidings import BMW, LAMBDA, MU_KIND, SYM, Braiding, dual_square, relation_operator
+from .braidings import (BMW, LAMBDA, MU_KIND, SYM, Braiding, dual_square, relation_operator,
+                        superflip_limit)
 from .errors import UnsupportedConstruction
 from .scalars import ONE, Scalar, add_term
 from .tensorops import LinOperator, row_reduce
@@ -208,6 +209,14 @@ def mu_eigenspace_degree2_report(b: Braiding) -> list[tuple]:
     return failures
 
 
+def mu_eigenspace_records(b: Braiding):
+    """Yield the mu-eigenspace-degree2 record of b if it is BMW."""
+    if b.kind == BMW:
+        yield ("mu-eigenspace-degree2",
+               "invariant line survives in the expected degree-2 quotient",
+               mu_eigenspace_degree2_report(b))
+
+
 def super_sym_dims(m: int, n: int, kmax: int) -> list[int]:
     """Degrees 0..kmax of (1 + t)^n / (1 - t)^m, the Sym series of the super
     space (m|n); its Lambda series has m and n swapped."""
@@ -215,3 +224,26 @@ def super_sym_dims(m: int, n: int, kmax: int) -> list[int]:
     for _ in range(m):
         dims = list(accumulate(dims))     # times 1 / (1 - t)
     return dims
+
+
+def poincare_records(b: Braiding, kmax: int, table: dict | None = None):
+    """Yield a record for each of Sym and Lambda of V and V*: its dims to
+    degree kmax against the series of the superflip (m, n) that R is at
+    q = 1, failing at each degree where they differ; none when R is no
+    superflip there.  A `table` gains "<kind>(<space>)": {"dims",
+    "expected"} for all four, expected None without (m, n)."""
+    split = superflip_limit(b)
+    if split is None and table is None:
+        return
+    for kind in (SYM, LAMBDA):
+        expected = None if split is None else \
+            super_sym_dims(*(split if kind == SYM else split[::-1]), kmax)
+        for space in ("V", "V*"):
+            dims = make_algebra(b, kind, space).poincare(kmax)
+            if table is not None:
+                table[f"{kind}({space})"] = {"dims": dims, "expected": expected}
+            if expected is not None:
+                yield (f"poincare-{kind}-{space}",
+                       "dimensions match the series of the superflip that R is at q = 1",
+                       [k for k, (got, want) in enumerate(zip(dims, expected)) if got != want],
+                       f"dims={dims} expected={expected} of (m, n) = {split}")

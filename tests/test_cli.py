@@ -2,6 +2,7 @@ import ast
 import contextlib
 import copy
 import io
+import itertools
 import json
 import re
 import tempfile
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfock import braidings, cli, fockdouble, quadalgebras
+from qfock import braidings, cli, currents, fockdouble, quadalgebras
 from qfock.braidings import (
     LAMBDA,
     SYM,
@@ -249,9 +250,13 @@ class TestVerify:
         ("hecke", lambda d: d.update(N=0), "N must be"),
         ("hecke", lambda d: d.update(N=-1), "N must be"),
         ("hecke", lambda d: d.update(N="two"), "N must be"),
+        # entry 0 again, with the value 7, ahead of itself
+        ("hecke", lambda d: d["entries"].insert(0, {
+            **d["entries"][0], "value": Scalar.from_int(7).to_pairs()}),
+         "repeats the indices of an earlier entry"),
     ], ids=["entry-without-i", "index-not-an-integer", "value-not-pairs",
             "mu-not-pairs", "entries-not-a-list", "entry-not-a-dict", "n-zero",
-            "n-negative", "n-not-an-integer"])
+            "n-negative", "n-not-an-integer", "repeated-entry"])
     def test_malformed_table_is_one_failed_load(self, base, corrupt, named,
                                                 tmp_path, capsys):
         doc = braiding_to_table(make_standard_hecke(2) if base == "hecke"
@@ -326,7 +331,7 @@ class TestVerify:
             self, tmp_path, monkeypatch):
         """One exchange coefficient of the std-hecke N = 2 double bumped:
         all three compatibility records fail, each naming its own words."""
-        real = cli.make_double
+        real = fockdouble.make_double
 
         def bumped(b, flavor):
             d = real(b, flavor)
@@ -334,7 +339,7 @@ class TestVerify:
             d.exchange[(0, 1)] = [(i, j, c + ONE), *rest]
             return d
 
-        monkeypatch.setattr(cli, "make_double", bumped)
+        monkeypatch.setattr(fockdouble, "make_double", bumped)
         out = tmp_path / "rep.json"
         assert run(["verify", "--braiding", "std-hecke", "--n", "2",
                     "--suite", "double", "--out", str(out)]) == 1
@@ -678,14 +683,14 @@ class TestDualPairingsMutation:
 
     def _bump_tilde(self, monkeypatch):
         """The left pairing intact and one tilde-pairing entry off by one."""
-        real = cli.dual_pairings
+        real = braidings.dual_pairings
 
         def bumped(b):
             dp = real(b)
             dp.tilde_right[0] = {**dp.tilde_right[0], 1: ONE}
             return dp
 
-        monkeypatch.setattr(cli, "dual_pairings", bumped)
+        monkeypatch.setattr(braidings, "dual_pairings", bumped)
 
     def _bump_inverse(self, monkeypatch):
         """Every inverse that braidings computes off by ONE at (0, 1): the
@@ -699,14 +704,25 @@ class TestDualPairingsMutation:
 
         monkeypatch.setattr(braidings, "mat_inv", bumped)
 
-    @pytest.mark.parametrize("corrupt", ["_bump_left", "_bump_tilde", "_bump_inverse"])
-    def test_corrupted_pairing_fails(self, corrupt, monkeypatch, capsys):
+    @pytest.mark.parametrize("corrupt, witness", [
+        ("_bump_left", "[('left-row', 0)]"),
+        ("_bump_tilde", "[('tilde-row', 0)]"),
+        ("_bump_inverse", "[('tilde-row', 0)]"),
+    ], ids=["_bump_left", "_bump_tilde", "_bump_inverse"])
+    def test_corrupted_pairing_fails(self, corrupt, witness, tmp_path, monkeypatch, capsys):
+        """The record fails alone and names the rows of the pairing that
+        fails: the left pairing against B, or its product with the tilde
+        pairing against I."""
         getattr(self, corrupt)(monkeypatch)
+        out = tmp_path / "rep.json"
         assert run(["verify", "--braiding", "std-hecke", "--n", "2",
-                    "--suite", "braiding"]) == 1
-        out = capsys.readouterr().out
-        assert "[FAIL] dual-pairings" in out
-        assert out.count("[FAIL]") == 1
+                    "--suite", "braiding", "--out", str(out)]) == 1
+        printed = capsys.readouterr().out
+        assert "[FAIL] dual-pairings" in printed
+        assert printed.count("[FAIL]") == 1
+        [record] = [c for c in json.loads(out.read_text())["checks"]
+                    if c["check_id"] == "dual-pairings"]
+        assert record["witness"] == witness
 
 
 class TestProjectorMutation:
@@ -743,9 +759,13 @@ class TestProjectorMutation:
 
 
 def _failing_gating_checks(argv, out) -> set[str]:
+    """The gating records that fail in `verify argv`; each names its
+    failures in its witness."""
     assert run(["verify", *argv, "--out", str(out)]) == 1
-    return {c["check_id"] for c in json.loads(out.read_text())["checks"]
-            if c["gating"] and c["verdict"] == "fail"}
+    failing = [c for c in json.loads(out.read_text())["checks"]
+               if c["gating"] and c["verdict"] == "fail"]
+    assert all(c["witness"] for c in failing), failing
+    return {c["check_id"] for c in failing}
 
 
 def _sheared(r: LinOperator) -> LinOperator:
@@ -771,17 +791,21 @@ class TestGatingRecordsCanFail:
         # the Hecke projectors are read off the minimal polynomial, so they
         # no longer reconstruct 2R either
         (lambda r: r.scale(Scalar.from_int(2)),
-         {"minimal-polynomial", "projector-decomposition"}),
-        (_sheared, {"braid-relation"}),
+         {"minimal-polynomial": "['hecke minimal polynomial violated']",
+          "projector-decomposition": "['hecke minimal polynomial violated']"}),
+        (_sheared, {"braid-relation": "['braid relation violated']"}),
         (lambda r: LinOperator.identity(r.dim, r.legs, r.labels).scale(Q),
-         {"skew-inverse"}),
+         {"skew-inverse": "partial transpose of R is singular"}),
     ], ids=["twice-r", "sheared-r", "q-identity"])
     def test_corrupted_braiding(self, corrupt, failing, tmp_path, monkeypatch):
+        """The failing records, each with the witness that names its failure."""
         r = corrupt(make_standard_hecke(2).R)
         monkeypatch.setattr(cli, "_resolve_braiding",
                             lambda cfg: Braiding(2, r, braidings.HECKE, name="corrupted"))
-        assert _failing_gating_checks(["--suite", "braiding"],
-                                      tmp_path / "rep.json") == failing
+        out = tmp_path / "rep.json"
+        assert _failing_gating_checks(["--suite", "braiding"], out) == set(failing)
+        witnesses = {c["check_id"]: c["witness"] for c in json.loads(out.read_text())["checks"]}
+        assert {check_id: witnesses[check_id] for check_id in failing} == failing
 
     def test_sheared_r_fails_the_evaluation_cross_check(self, tmp_path, monkeypatch):
         """The sheared R keeps the minimal polynomial and breaks the braid
@@ -790,9 +814,12 @@ class TestGatingRecordsCanFail:
         r = _sheared(make_standard_hecke(2).R)
         monkeypatch.setattr(cli, "_resolve_braiding",
                             lambda cfg: Braiding(2, r, braidings.HECKE, name="sheared"))
-        assert _failing_gating_checks(["--suite", "braiding", "--q", "3/2"],
-                                      tmp_path / "rep.json") == {
+        out = tmp_path / "rep.json"
+        assert _failing_gating_checks(["--suite", "braiding", "--q", "3/2"], out) == {
             "braid-relation", "evaluation-cross-check"}
+        [record] = [c for c in json.loads(out.read_text())["checks"]
+                    if c["check_id"] == "evaluation-cross-check"]
+        assert record["witness"] == "['braid relation violated']"
 
     def test_singular_b_fails_strict_skew_invertibility(self, tmp_path, monkeypatch):
         real = cli._resolve_braiding
@@ -814,13 +841,13 @@ class TestGatingRecordsCanFail:
         is the series' middle one, the eigenspace that the kind keeping mu
         drops: that image is not one invariant line that survives in one
         quotient and dies in the other."""
-        real = cli.mu_eigenspace_degree2_report
+        real = quadalgebras.mu_eigenspace_degree2_report
 
         def swapped(b):
             middle = {SYM: "-1/q", LAMBDA: "q"}[braidings.MU_KIND[b.series]]
             return real(_with_mu(b, b.lagrange[middle]))
 
-        monkeypatch.setattr(cli, "mu_eigenspace_degree2_report", swapped)
+        monkeypatch.setattr(quadalgebras, "mu_eigenspace_degree2_report", swapped)
         assert _failing_gating_checks(
             ["--braiding", braiding, "--n", n, "--suite", "braiding"],
             tmp_path / "rep.json") == {"mu-eigenspace-degree2"}
@@ -833,14 +860,14 @@ class TestGatingRecordsCanFail:
         that idempotent: its image of rank 1 + 5 still survives in that
         quotient and dies in the other one, so only the rank fails.
         bmw-sympl 2 has no such copy: its -1/q eigenspace is zero."""
-        real = cli.mu_eigenspace_degree2_report
+        real = quadalgebras.mu_eigenspace_degree2_report
 
         def widened(b):
             kept = {SYM: "q", LAMBDA: "-1/q"}[braidings.MU_KIND[b.series]]
             (q_mu, d_mu), (q_kept, _) = b.lagrange["mu"], b.lagrange[kept]
             return real(_with_mu(b, (q_mu + q_kept, d_mu)))
 
-        monkeypatch.setattr(cli, "mu_eigenspace_degree2_report", widened)
+        monkeypatch.setattr(quadalgebras, "mu_eigenspace_degree2_report", widened)
         out = tmp_path / "rep.json"
         assert _failing_gating_checks(
             ["--braiding", braiding, "--n", n, "--suite", "braiding"],
@@ -914,38 +941,114 @@ class TestGatingRecordsCanFail:
         assert _failing_gating_checks(argv, tmp_path / "rep.json") == {
             f"poincare-{kind}-{space}" for kind in ("sym", "lambda") for space in ("V", "V*")}
 
+    @pytest.mark.parametrize("kind, space, record", [
+        ("sym", "V", "poincare-sym-V"), ("sym", "V*", "poincare-sym-V*"),
+        ("lambda", "V", "poincare-lambda-V"), ("lambda", "V*", "poincare-lambda-V*")])
     @pytest.mark.parametrize("make", [lambda: make_standard_hecke(3),
                                       lambda: make_superflip(2, 1),
                                       lambda: super_hecke(2, 1)],
                              ids=["std-hecke-3", "superflip-2|1", "super-hecke-2|1"])
-    def test_one_dropped_sym_relation_fails_poincare_sym_v(self, make, tmp_path, monkeypatch):
+    def test_one_dropped_relation_fails_its_poincare_record(self, make, kind, space, record,
+                                                            tmp_path, monkeypatch):
+        """The first relation of one of the four algebras dropped: its own
+        record fails, and no other."""
         table = tmp_path / "table.json"
         table.write_text(json.dumps(braiding_to_table(make())))
-        real = cli.make_algebra
+        real = quadalgebras.make_algebra
 
-        def dropped(b, kind, space):
-            alg = real(b, kind, space)
-            if (kind, space) == ("sym", "V"):
+        def dropped(b, kind_, space_):
+            alg = real(b, kind_, space_)
+            if (kind_, space_) == (kind, space):
                 alg.relations = alg.relations[1:]
             return alg
 
-        monkeypatch.setattr(cli, "make_algebra", dropped)
+        monkeypatch.setattr(quadalgebras, "make_algebra", dropped)
         argv = ["--table", str(table), "--suite", "poincare"]
-        assert _failing_gating_checks(argv, tmp_path / "rep.json") == {"poincare-sym-V"}
+        assert _failing_gating_checks(argv, tmp_path / "rep.json") == {record}
+
+    def test_singular_b_fails_the_double_construction(self, tmp_path, monkeypatch):
+        """B made singular as the double is made (the braiding suite does
+        not run, so strictness is not checked first): the construction fails
+        and names the reason, and no other double record runs."""
+        real = fockdouble.make_double
+
+        def singular(b, flavor):
+            b.skew.B_inv = None
+            return real(b, flavor)
+
+        monkeypatch.setattr(fockdouble, "make_double", singular)
+        out = tmp_path / "rep.json"
+        assert _failing_gating_checks(
+            ["--braiding", "std-hecke", "--n", "2", "--suite", "double"],
+            out) == {"double-construction"}
+        checks = json.loads(out.read_text())["checks"]
+        assert [(c["check_id"], c["witness"]) for c in checks[1:]] == [
+            ("double-construction", "doubles need invertible partial traces of Psi")]
+
+    @pytest.mark.parametrize("braiding, n", [("std-hecke", "2"), ("bmw-orth", "3")])
+    def test_bumped_l_identity_side_fails_every_l_identity_record(
+            self, braiding, n, tmp_path, monkeypatch):
+        """ONE added to the first entry of the written side O L1 of the
+        L-identity: its first cell fails in the double and on every
+        component.  No corruption fails l-quadratic-identity alone at this
+        level, as the representation records evaluate the same cells."""
+        real = fockdouble.l_identity_sides
+
+        def bumped(R, O):
+            sides = real(R, O)
+            o_l = sides[2]
+            x = next(x for x, row in enumerate(o_l) if row)
+            c = min(o_l[x])
+            o_l[x] = {**o_l[x], c: o_l[x][c] + ONE}
+            return sides
+
+        monkeypatch.setattr(fockdouble, "l_identity_sides", bumped)
+        out = tmp_path / "rep.json"
+        failing = {"l-quadratic-identity", "representation-identity-k1",
+                   "representation-identity-k2", "representation-identity-k3"}
+        assert _failing_gating_checks(
+            ["--braiding", braiding, "--n", n, "--suite", "double", "--degree", "3"],
+            out) == failing
+        assert {c["witness"] for c in json.loads(out.read_text())["checks"]
+                if c["check_id"] in failing} == {"[(1, 0)]"}
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_bumped_representation_fails_its_degree(self, k, tmp_path, monkeypatch):
+        """ONE added at (0, 0) of the l_1^1 matrix on the degree-k component
+        of std-hecke N = 2 alone: the record of that degree fails and names
+        its first failing cells."""
+        real = fockdouble.fock_representation
+
+        def bumped(d, degree):
+            reps = real(d, degree)
+            if degree != k:
+                return reps
+            cols = [dict(col) for col in reps[(0, 0)]]
+            cols[0][0] = cols[0].get(0, ZERO) + ONE
+            return {**reps, (0, 0): cols}
+
+        monkeypatch.setattr(fockdouble, "fock_representation", bumped)
+        out = tmp_path / "rep.json"
+        assert _failing_gating_checks(
+            ["--braiding", "std-hecke", "--n", "2", "--suite", "double", "--degree", "3"],
+            out) == {f"representation-identity-k{k}"}
+        [record] = [c for c in json.loads(out.read_text())["checks"]
+                    if c["check_id"] == f"representation-identity-k{k}"]
+        assert record["witness"] == "[(0, 1), (0, 2), (1, 0)]"
 
     @pytest.mark.parametrize("degree", ["1", "2"])
     def test_bumped_pairing_constant_fails_the_spectral_identity(
             self, degree, tmp_path, monkeypatch, capsys):
         """The pairing constant of the current double bumped: the strict
         degree <= 1 comparison fails and gates at every --degree."""
-        real = cli.make_current_double
+        real = currents.make_current_double
 
         def bumped(cb, window):
             cd = real(cb, window)
             cd.constant[(0, 0)] = cd.constant[(0, 0)] + ONE
             return cd
 
-        monkeypatch.setattr(cli, "make_current_double", bumped)
+        monkeypatch.setattr(currents, "make_current_double", bumped)
         out = tmp_path / "rep.json"
         assert run(["verify", "--braiding", "std-hecke", "--n", "2", "--suite", "currents",
                     "--window", "1", "--degree", degree, "--out", str(out)]) == 1
@@ -960,7 +1063,7 @@ class TestGatingRecordsCanFail:
         """ONE added to the first nonzero entry of the std-hecke N = 2 twist:
         the defining property and the Jacobi identity fail, each record
         names its witnesses, and the passing records name none."""
-        real = cli.braided_lie
+        real = fockdouble.braided_lie
 
         def bumped(b):
             bl = copy.copy(real(b))
@@ -970,7 +1073,7 @@ class TestGatingRecordsCanFail:
             col[r] = col[r] + ONE
             return bl
 
-        monkeypatch.setattr(cli, "braided_lie", bumped)
+        monkeypatch.setattr(fockdouble, "braided_lie", bumped)
         out = tmp_path / "rep.json"
         assert _failing_gating_checks(
             ["--braiding", "std-hecke", "--n", "2", "--suite", "lie"],
@@ -1024,7 +1127,7 @@ class TestGatingRecordsCanFail:
         bracket or the twist in the first row that has one, rtrace[1] or
         alpha): the records it breaks fail, and each failing record's
         witnesses carry its own label."""
-        real = cli.braided_lie
+        real = fockdouble.braided_lie
 
         def bumped(b):
             bl = copy.copy(real(b))
@@ -1040,7 +1143,7 @@ class TestGatingRecordsCanFail:
                 setattr(bl, field, cols)
             return bl
 
-        monkeypatch.setattr(cli, "braided_lie", bumped)
+        monkeypatch.setattr(fockdouble, "braided_lie", bumped)
         out = tmp_path / "rep.json"
         assert _failing_gating_checks(
             ["--braiding", braiding, "--n", "2", "--suite", "lie"], out) == failing
@@ -1342,3 +1445,36 @@ class TestReprExport:
         code = run(["verify", "--braiding", "flip", "--n", "0", "--suite",
                     "braiding"])
         assert code in (1, 2)
+
+
+def _rendered(record) -> tuple:
+    """(check id, anchor, verdict, witness) of a record (check id, anchor,
+    failures[, witness]) as a report shows it: report-only when failures is
+    None, else a pass exactly when it is empty; the witness is the one
+    given, else the first three failures."""
+    check_id, anchor, failures, witness = (*record, None)[:4]
+    if witness is None and failures:
+        witness = failures[:3]
+    verdict = "report-only" if failures is None else "fail" if failures else "pass"
+    return check_id, anchor, verdict, None if witness is None else str(witness)[:400]
+
+
+class TestSuitesNeedNoCli:
+    """Each module's record generators, called without the CLI, give the
+    records of the golden `verify --suite all` report after load-braiding,
+    in order."""
+
+    @pytest.mark.parametrize("golden, b", [
+        ("braiding-std-hecke-n-3-suite-all.json", lambda: make_standard_hecke(3)),
+        ("braiding-bmw-orth-n-3-suite-all-degree-3.json", lambda: make_bmw(3, "orthogonal")),
+    ], ids=["std-hecke-3", "bmw-orth-3-degree-3"])
+    def test_generators_give_the_golden_records(self, golden, b):
+        doc = json.loads((Path(__file__).resolve().parent / "golden" / golden).read_text())
+        cfg, b = doc["config"], b()
+        records = itertools.chain(
+            braidings.braiding_records(b), quadalgebras.mu_eigenspace_records(b),
+            fockdouble.double_records(b, None, cfg["degree"]), fockdouble.lie_records(b),
+            quadalgebras.poincare_records(b, cfg["kmax"]),
+            currents.current_records(b, cfg["window"], cfg["degree"]))
+        assert [_rendered(r) for r in records] == [
+            (c["check_id"], c["anchor"], c["verdict"], c["witness"]) for c in doc["checks"][1:]]

@@ -749,12 +749,11 @@ class TestRelationChecks:
     ])
     def test_either_certificate_can_fail(self, monkeypatch, capsys, tmp_path,
                                          failing, record, tag):
-        """A failing certificate function, patched where the CLI and the
-        a-side check look it up, fails the braiding's own record and the
+        """A failing certificate function, patched where the currents
+        records and the a-side check look it up, fails the braiding's own record and the
         a-side check on the dual square, which tags its failures "braid"
         or "unitarity"."""
-        for module in (cli, currents):
-            monkeypatch.setattr(module, failing, lambda cb: [(1, 0, 0)])
+        monkeypatch.setattr(currents, failing, lambda cb: [(1, 0, 0)])
         assert current_relation_check(flip_double()) == [(tag, (1, 0, 0))]
         out = tmp_path / "report.json"
         assert cli.main(["verify", "--braiding", "flip", "--n", "2", "--suite", "currents",
@@ -768,12 +767,11 @@ class TestRelationChecks:
         """A whole currents suite runs each certificate once on R and once
         on its dual square."""
         calls = []
-        for module in (cli, currents):
-            for name in ("spectral_braid_certificate", "unitarity_certificate"):
-                real = getattr(module, name)
-                monkeypatch.setattr(module, name,
-                                    lambda cb, real=real, name=name:
-                                    calls.append((name, cb.base.name)) or real(cb))
+        for name in ("spectral_braid_certificate", "unitarity_certificate"):
+            real = getattr(currents, name)
+            monkeypatch.setattr(currents, name,
+                                lambda cb, real=real, name=name:
+                                calls.append((name, cb.base.name)) or real(cb))
         assert cli.main(["verify", "--braiding", "std-hecke", "--n", "2",
                          "--suite", "currents", "--window", "0"]) == 0
         capsys.readouterr()
