@@ -28,7 +28,6 @@ minimal polynomial's verdict (`projector_decomposition_ok`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
 from importlib import resources
@@ -70,16 +69,19 @@ SYM = "sym"
 LAMBDA = "lambda"
 
 
-@dataclass
 class SkewData:
     """Psi and its partial traces B = Tr_1 Psi and C = Tr_2 Psi, N sparse
     rows each: B[i][j] = sum_k Psi_ki^kj, and likewise C over leg 2."""
-    psi: LinOperator
-    B: list[Row]
-    C: list[Row]
-    B_inv: list[Row] | None
-    C_inv: list[Row] | None
-    alpha: Scalar | None
+
+    def __init__(self, psi: LinOperator, B: list[Row], C: list[Row],
+                 B_inv: list[Row] | None, C_inv: list[Row] | None,
+                 alpha: Scalar | None):
+        self.psi = psi
+        self.B = B
+        self.C = C
+        self.B_inv = B_inv
+        self.C_inv = C_inv
+        self.alpha = alpha
 
     @property
     def strict(self) -> bool:
@@ -121,6 +123,12 @@ class Braiding:
     @cached_property
     def lagrange(self) -> dict[str, tuple[LinOperator, Scalar]]:
         return projectors(self)
+
+    @cached_property
+    def algebras(self) -> dict:
+        """The graded quotients of quadalgebras.make_algebra, by (kind,
+        space), each built once."""
+        return {}
 
     @property
     def psi(self) -> LinOperator:
@@ -388,11 +396,12 @@ def _scalar_multiple(a: list[Row]) -> Scalar | None:
 # dual extensions and pairings
 # ---------------------------------------------------------------------------
 
-@dataclass
 class DualExtensions:
-    v_vstar: LinOperator    # acts on V (x) V*
-    vstar_v: LinOperator    # acts on V* (x) V
-    vstar_vstar: LinOperator  # acts on V* (x) V*
+    def __init__(self, v_vstar: LinOperator, vstar_v: LinOperator,
+                 vstar_vstar: LinOperator):
+        self.v_vstar = v_vstar            # acts on V (x) V*
+        self.vstar_v = vstar_v            # acts on V* (x) V
+        self.vstar_vstar = vstar_vstar    # acts on V* (x) V*
 
 
 def dual_square(op: LinOperator) -> LinOperator:
@@ -430,12 +439,13 @@ def extend_to_duals(b: Braiding) -> DualExtensions:
     return DualExtensions(mixed_transport(r_inv), _vstar_v(b), dual_square(b.R))
 
 
-@dataclass
 class DualPairings:
     """The left and tilde pairings, N sparse rows each; the right pairing
     <x_i, x^j>_r = delta is the identity."""
-    left: list[Row]                 # <x^j, x_i>_l, row i column j
-    tilde_right: list[Row] | None   # <x_i, x~^j>_r; None when left is singular
+
+    def __init__(self, left: list[Row], tilde_right: list[Row] | None):
+        self.left = left                  # <x^j, x_i>_l, row i column j
+        self.tilde_right = tilde_right    # <x_i, x~^j>_r; None when left is singular
 
 
 def dual_pairings(b: Braiding) -> DualPairings:
@@ -596,7 +606,7 @@ def evaluation_records(b: Braiding, q0: Fraction):
     roots may not coincide, as a table at q0 may not: NonGenericPoint."""
     at_q0 = specialize(b, q0).failures
     if at_q0["distinct-roots"]:
-        raise NonGenericPoint(f"--q {q0}: {'; '.join(at_q0['distinct-roots'])}")
+        raise NonGenericPoint('; '.join(at_q0['distinct-roots']))
     yield ("evaluation-cross-check", f"braid and minimal polynomial at q = {q0}",
            at_q0["braid-relation"] + at_q0["minimal-polynomial"])
 
@@ -619,7 +629,6 @@ def _linear(coeffs: dict[int, Scalar], const: Scalar) -> Poly:
     return out
 
 
-@dataclass
 class CurrentBraiding:
     """A spectral-parameter braiding R(u,v) = R - h(u,v)*I with its
     normalizer g(u,v) = s - h(u,v), obtained by Baxterizing a constant
@@ -627,7 +636,8 @@ class CurrentBraiding:
     if Hecke.  The pole is h(u,v) = (a u + b)/(u - v), and only the forms
     cleared of it are built, so no entry gains a polynomial denominator."""
 
-    base: Braiding
+    def __init__(self, base: Braiding):
+        self.base = base
 
     # The cleared (pole-free) forms are affine in the spectral variables,
     #   cleared R(x, y) = (x - y) R - (a x + b) I,

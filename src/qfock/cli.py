@@ -18,7 +18,6 @@ import json
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import chain
 
@@ -39,6 +38,7 @@ from .currents import WINDOW_MAX, current_records
 from .errors import (
     InvalidArgument,
     MalformedTable,
+    NonGenericPoint,
     QfockError,
     SizeLimitExceeded,
     UnsupportedDouble,
@@ -60,7 +60,7 @@ from .scalars import ZERO
 SUITE_RECORDS = {
     "braiding": lambda b, cfg: chain(
         braiding_records(b), mu_eigenspace_records(b),
-        () if cfg.q == "generic" else evaluation_records(b, Fraction(cfg.q))),
+        () if cfg.q == "generic" else _evaluation_records(b, Fraction(cfg.q))),
     "double": lambda b, cfg: double_records(b, _family_flavor_of(b, cfg)[1], cfg.degree),
     "lie": lambda b, cfg: lie_records(b),
     "poincare": lambda b, cfg: poincare_records(b, cfg.kmax),
@@ -72,41 +72,44 @@ READS = {"braiding": ("q",), "double": ("flavor", "degree"), "lie": (),
          "repr": ("flavor", "degree"), "export": (), "verify": ("suite",)}
 
 
-@dataclass
 class RunConfig:
-    braiding: str | None = None
-    table: str | None = None
-    n: int = 2
-    mn: str = "1,1"
-    q: str = "generic"
-    flavor: str | None = None
-    suite: str = "all"
-    kmax: int = 4
-    window: int = 2
-    degree: int = 1
-    out: str | None = None
+    def __init__(self, braiding: str | None = None, table: str | None = None,
+                 n: int = 2, mn: str = "1,1", q: str = "generic",
+                 flavor: str | None = None, suite: str = "all", kmax: int = 4,
+                 window: int = 2, degree: int = 1, out: str | None = None):
+        self.braiding = braiding
+        self.table = table
+        self.n = n
+        self.mn = mn
+        self.q = q
+        self.flavor = flavor
+        self.suite = suite
+        self.kmax = kmax
+        self.window = window
+        self.degree = degree
+        self.out = out
 
 
-@dataclass
 class CheckRecord:
-    check_id: str
-    anchor: str
-    verdict: str           # "pass" | "fail" | "report-only"
-    gating: bool
-    witness: str | None = None
-    seconds: float = 0.0
+    def __init__(self, check_id: str, anchor: str, verdict: str, gating: bool,
+                 witness: str | None = None, seconds: float = 0.0):
+        self.check_id = check_id
+        self.anchor = anchor
+        self.verdict = verdict      # "pass" | "fail" | "report-only"
+        self.gating = gating
+        self.witness = witness
+        self.seconds = seconds
 
 
-@dataclass
 class Report:
-    tool: str
-    version: str
-    config: dict
-    checks: list[CheckRecord] = field(default_factory=list)
-    bad_input: bool = False
-    # the clock reading at the last record, or when the report was made
-    _clock: float = field(default_factory=lambda: time.perf_counter(),
-                          init=False, repr=False, compare=False)
+    def __init__(self, tool: str, version: str, config: dict):
+        self.tool = tool
+        self.version = version
+        self.config = config
+        self.checks: list[CheckRecord] = []
+        self.bad_input = False
+        # the clock reading at the last record, or when the report was made
+        self._clock = time.perf_counter()
 
     def add(self, check_id: str, anchor: str, failures: list | None, witness=None):
         """Append a record, report-only when `failures` is None and else a
@@ -129,7 +132,7 @@ class Report:
             "tool": self.tool,
             "version": self.version,
             "config": self.config,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [vars(c) for c in self.checks],
             "exit_status": 2 if self.bad_input else 1 if self.failed else 0,
         }
         return json.dumps(doc, indent=1, sort_keys=True)
@@ -181,6 +184,15 @@ def _superflip_split(mn: str) -> tuple[int, int]:
         raise InvalidArgument(f"--mn must be m,n: two unsigned integers, got {mn!r}")
     m, n = match.groups()
     return int(m), int(n)
+
+
+def _evaluation_records(b: Braiding, q0: Fraction):
+    """evaluation_records of b at --q q0: a q0 that is no generic point is
+    bad input, named by the option."""
+    try:
+        yield from evaluation_records(b, q0)
+    except NonGenericPoint as exc:
+        raise NonGenericPoint(f"--q {q0}: {exc}") from None
 
 
 def _family_flavor_of(b: Braiding, cfg: RunConfig) -> tuple[str, str]:
@@ -295,7 +307,7 @@ def cmd_export(cfg: RunConfig) -> int:
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    return {k: v for k, v in asdict(cfg).items() if v is not None}
+    return {k: v for k, v in vars(cfg).items() if v is not None}
 
 
 def _emit(rep: Report, cfg: RunConfig, quiet: bool = False):
@@ -337,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--window", type=int)
         p.add_argument("--degree", type=int)
         p.add_argument("--out", help="write the JSON report here")
-        p.set_defaults(**asdict(RunConfig()))
+        p.set_defaults(**vars(RunConfig()))
     return parser
 
 
@@ -350,7 +362,7 @@ def main(argv=None) -> int:
         for option, value in args.items():
             if isinstance(value, list):
                 raise InvalidArgument(f"--{option} needs a value, got {value!r}")
-        reads, defaults = _reads(command, cfg), asdict(RunConfig())
+        reads, defaults = _reads(command, cfg), vars(RunConfig())
         for option, value in args.items():
             if option not in reads and value != defaults[option]:
                 run = command + (f" --suite {cfg.suite}" if command == "verify" else "")

@@ -29,7 +29,6 @@ summation terminates on the nose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from math import inf
@@ -57,21 +56,16 @@ ModeWord = tuple[Mode, ...]
 WINDOW_MAX = 4
 
 
-@dataclass
 class CurrentDouble:
     """The mode-level double built on a Baxterized constant braiding."""
 
-    cb: CurrentBraiding
-    window: int
-    exchange: dict = field(init=False)
-    constant: dict = field(init=False)
-    # the _pass memo of self.rule; lives as long as the double
-    annihilated: dict = field(init=False, default_factory=dict,
-                              repr=False, compare=False)
-
-    def __post_init__(self):
-        b = self.cb.base
+    def __init__(self, cb: CurrentBraiding, window: int):
+        self.cb = cb
+        self.window = window
+        b = cb.base
         self.exchange, self.constant = exchange_table(b.psi, b.q.inverse(), b.B)
+        # the _pass memo of self.rule; lives as long as the double
+        self.annihilated: dict = {}
 
     def rule(self, a_mode: Mode, b_mode: Mode):
         """The mode permutation rule on x^a[k] x_b[l]: the moves ((i, l),

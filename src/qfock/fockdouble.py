@@ -46,7 +46,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .braidings import (
     BMW,
@@ -571,16 +570,18 @@ def left_dual_variant_report(d: FockDouble) -> list[tuple]:
 # braided Lie structure
 # ---------------------------------------------------------------------------
 
-@dataclass
 class BraidedLie:
     """The braided Lie data, each map by columns over the N^4 basis
     elements l_e1 (x) l_e2 of End(V) (x) End(V), e = i*N + j for l_i^j."""
-    braiding: Braiding
-    rhat: list[Row]       # the twist, End(V) (x) End(V) -> itself
-    comp: list[Row]       # composition l (x) l -> l, rows over the N^2 l_e
-    bracket: list[Row]    # comp o (I - rhat)
-    rtrace: list[Scalar]  # R-trace of each l_i^j
-    alpha: Scalar
+
+    def __init__(self, braiding: Braiding, rhat: list[Row], comp: list[Row],
+                 bracket: list[Row], rtrace: list[Scalar], alpha: Scalar):
+        self.braiding = braiding
+        self.rhat = rhat          # the twist, End(V) (x) End(V) -> itself
+        self.comp = comp          # composition l (x) l -> l, rows over the N^2 l_e
+        self.bracket = bracket    # comp o (I - rhat)
+        self.rtrace = rtrace      # R-trace of each l_i^j
+        self.alpha = alpha
 
 
 # The Lie suite's cost grows fast with N.  On a 2-vCPU box, `verify

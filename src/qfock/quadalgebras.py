@@ -16,7 +16,6 @@ tensor is assembled recursively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 
@@ -30,10 +29,10 @@ Word = tuple[int, ...]
 Tensor = dict[Word, Scalar]
 
 
-@dataclass
 class Component:
-    basis: list[Word]
-    basis_index: dict[Word, int]
+    def __init__(self, basis: list[Word], basis_index: dict[Word, int]):
+        self.basis = basis
+        self.basis_index = basis_index
 
 
 class GradedQuotient:
@@ -172,10 +171,14 @@ def _image_basis(op: LinOperator) -> list[Tensor]:
 def make_algebra(b: Braiding, kind: str, space: str) -> GradedQuotient:
     """The R-symmetric (sym) or R-skew-symmetric (lambda) algebra of V or
     V*: the quotient by the image of braidings.relation_operator(b, kind),
-    transported to V* (x) V* for V*."""
-    relations = _image_basis(_on_square(relation_operator(b, kind), space))
-    name = f"{kind}({space}) over {b.name or b.kind}"
-    return GradedQuotient(b.N, relations, name)
+    transported to V* (x) V* for V*.  Built once per braiding and kept in
+    b.algebras, so every suite of a run reads the same degree caches."""
+    alg = b.algebras.get((kind, space))
+    if alg is None:
+        relations = _image_basis(_on_square(relation_operator(b, kind), space))
+        alg = b.algebras[(kind, space)] = GradedQuotient(
+            b.N, relations, f"{kind}({space}) over {b.name or b.kind}")
+    return alg
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,7 @@ row echelon form in which each pivot row leads at its smallest column
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import BadPlacement, NotInvertible
 from .scalars import ONE, ZERO, Scalar, add_term, sum_into
@@ -59,21 +58,29 @@ def dec_index(code: int, dim: int, legs: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class LinOperator:
-    legs: int
-    dim: int
-    labels: tuple[str, ...]                  # input leg labels
-    rows: list[Row]                          # dim ** legs sparse rows
-    labels_out: tuple[str, ...] = ()         # output leg labels; () means same
+    """A linear operator on a tensor power of a dim-dimensional space, by
+    its dim ** legs sparse rows; equal when all five fields are."""
 
-    def __post_init__(self):
-        if len(self.labels) != self.legs:
+    def __init__(self, legs: int, dim: int, labels: tuple[str, ...],
+                 rows: list[Row], labels_out: tuple[str, ...] = ()):
+        if len(labels) != legs:
             raise ValueError("one label per leg required")
-        if not self.labels_out:
-            object.__setattr__(self, "labels_out", self.labels)
-        elif len(self.labels_out) != self.legs:
+        if labels_out and len(labels_out) != legs:
             raise ValueError("one output label per leg required")
+        self.legs = legs
+        self.dim = dim
+        self.labels = labels            # input leg labels
+        self.rows = rows
+        self.labels_out = labels_out or labels   # output leg labels; () means same
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.legs, self.dim, self.labels, self.rows, self.labels_out) == \
+            (other.legs, other.dim, other.labels, other.rows, other.labels_out)
+
+    __hash__ = None   # rows is a mutable list
 
     # -- constructors ---------------------------------------------------
 
@@ -270,12 +277,13 @@ def echelon_insert(rows: dict[int, Row], row: Row) -> None:
     rows[c] = new
 
 
-@dataclass
 class Reduced:
     """Reduced row echelon form: unit pivots, eliminated above and below."""
-    pivots: list[int]           # pivot column of each row, ascending
-    rows: list[Row]
-    ncols: int
+
+    def __init__(self, pivots: list[int], rows: list[Row], ncols: int):
+        self.pivots = pivots        # pivot column of each row, ascending
+        self.rows = rows
+        self.ncols = ncols
 
     @property
     def rank(self) -> int:
@@ -299,11 +307,11 @@ def row_reduce(rows: Iterable[Row], ncols: int) -> Reduced:
     return Reduced(pivots, [pivot_rows[p] for p in pivots], ncols)
 
 
-@dataclass
 class KernelImage:
-    rank: int
-    kernel_basis: list[Row]
-    image_basis: list[Row]
+    def __init__(self, rank: int, kernel_basis: list[Row], image_basis: list[Row]):
+        self.rank = rank
+        self.kernel_basis = kernel_basis
+        self.image_basis = image_basis
 
 
 def kernel_image(rows: list[Row], ncols: int) -> KernelImage:

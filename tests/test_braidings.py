@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from operator import add
 
@@ -20,6 +21,7 @@ from qfock.braidings import (
     dual_pairings,
     dual_square,
     eigenvalues,
+    evaluation_records,
     expected_mu,
     extend_to_duals,
     load_braiding_table,
@@ -31,6 +33,7 @@ from qfock.braidings import (
     mixed_transport,
     projector_decomposition_ok,
     projectors,
+    relation_operator,
     root_product,
     skew_inverse,
     specialize,
@@ -42,9 +45,11 @@ from qfock.errors import (
     InconsistentMu,
     InvalidArgument,
     InvalidTable,
+    NonGenericPoint,
     NotSkewInvertible,
     NotStrictlySkewInvertible,
     UnsupportedBase,
+    UnsupportedConstruction,
 )
 from qfock.fockdouble import (
     family_flavor,
@@ -52,7 +57,13 @@ from qfock.fockdouble import (
     verify_compatibility,
     verify_l_relations,
 )
-from qfock.quadalgebras import _image_basis, make_algebra, super_sym_dims
+from qfock.quadalgebras import (
+    _image_basis,
+    _on_square,
+    make_algebra,
+    mu_eigenspace_degree2_report,
+    super_sym_dims,
+)
 from qfock.scalars import ONE, Q, QINV, ZERO, Scalar
 from qfock.tensorops import (
     LinOperator,
@@ -396,6 +407,29 @@ class TestCoincidentRoots:
                 if d.is_zero() and p.is_zero()} == {"q", "mu"}
         b.lagrange = data
         assert not grid_reference.cleared_decomposition_ok(b)
+
+    def test_evaluation_records_name_no_option(self):
+        """The library names the coinciding roots and no command-line
+        option; the CLI adds the --q prefix."""
+        with pytest.raises(NonGenericPoint) as exc:
+            list(evaluation_records(make_bmw(3, "orthogonal"), Fraction(1)))
+        assert str(exc.value).startswith("repeated root q = mu = 1 ")
+        assert "--q" not in str(exc.value)
+
+
+@pytest.mark.parametrize("construct, message", [
+    # a BMW braiding of no series has no mu, so no minimal polynomial
+    (lambda: eigenvalues(Braiding(3, make_bmw(3, "orthogonal").R, BMW)),
+     "no minimal polynomial for a bmw braiding of series None"),
+    (lambda: relation_operator(make_standard_hecke(2), "cubic"),
+     "unknown algebra kind 'cubic'"),
+    (lambda: _on_square(make_standard_hecke(2).R, "W"), "unknown space 'W'"),
+    (lambda: mu_eigenspace_degree2_report(make_standard_hecke(2)),
+     "mu eigenspace exists only for BMW braidings"),
+], ids=["eigenvalues", "relation-operator", "on-square", "mu-eigenspace"])
+def test_unsupported_construction(construct, message):
+    with pytest.raises(UnsupportedConstruction, match=f"^{re.escape(message)}$"):
+        construct()
 
 
 def _rebuilt(b: Braiding, r: LinOperator) -> Braiding:

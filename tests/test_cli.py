@@ -5,6 +5,8 @@ import io
 import itertools
 import json
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -638,6 +640,39 @@ class TestEachFactDecidedOnce:
         assert run(["verify", *argv, "--suite", "braiding"]) == 0
         assert calls == {"braid_ok": each, "kind_polynomial_ok": each,
                          "projectors": lagrange}
+
+
+class TestEachAlgebraBuiltOnce:
+    """Each graded quotient is built once per braiding (Braiding.algebras),
+    so the mu record, the double and the Poincare suite of one run share
+    its degree components."""
+
+    @pytest.mark.parametrize("argv, builds", [
+        (["--braiding", "bmw-orth", "--n", "3", "--degree", "3"], 12),
+        (["--braiding", "std-hecke", "--n", "3"], 13),
+    ], ids=["bmw-orth-3", "std-hecke-3"])
+    def test_component_builds_per_run(self, argv, builds, monkeypatch, capsys):
+        built, real = [], quadalgebras.GradedQuotient._build_component
+
+        def counted(alg, k):
+            built.append((alg.name, k))
+            return real(alg, k)
+
+        monkeypatch.setattr(quadalgebras.GradedQuotient, "_build_component", counted)
+        assert run(["verify", *argv, "--suite", "all"]) == 0
+        assert len(built) == len(set(built)) == builds
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    """Start-up stays light: importing qfock.cli loads neither dataclasses
+    nor the inspect and ast modules that it pulls in.  -S keeps site hooks
+    from preloading modules into the child."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import qfock.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def _table_bumps():
