@@ -165,8 +165,6 @@ class Braiding:
         return r12 @ r23 @ r12 == r23 @ r12 @ r23
 
     def kind_polynomial_ok(self) -> bool:
-        # every relation space reads b.q, so an involutive braiding is held
-        # to (R - q)(R + 1/q) at its own q too; at q = 1 this is R^2 = I
         return root_product(self, eigenvalues(self).values()).is_zero()
 
     def repeated_roots(self) -> list[str]:
@@ -830,9 +828,9 @@ def load_braiding_table(doc: dict | str | Path) -> Braiding:
     TABLE_MAX_EXPONENT, a zero q or denominator) raises MalformedTable.
     The property suite is the transcription oracle: a table that violates
     the braid relation or its declared minimal polynomial, whose roots are
-    not distinct, or whose braiding is not skew-invertible, is rejected
-    with InvalidTable, and a BMW mu not matching its series with
-    InconsistentMu.
+    not distinct, whose braiding is not skew-invertible, or that is
+    involutive at a q other than 1, is rejected with InvalidTable, and a
+    BMW mu not matching its series with InconsistentMu.
     """
     if isinstance(doc, (str, Path)):
         try:
@@ -897,6 +895,9 @@ def load_braiding_table(doc: dict | str | Path) -> Braiding:
     issues = b.validate()
     if issues:
         raise InvalidTable("; ".join(issues))
+    if kind == INVOLUTIVE and q != ONE:
+        raise InvalidTable(f"an involutive table is read at q = 1, where its minimal "
+                           f"polynomial is R^2 = I; its q is {q!r}")
     try:
         b.skew
     except NotSkewInvertible:

@@ -943,6 +943,28 @@ class TestGatingRecordsCanFail:
                                       tmp_path / "rep.json") == {"load-braiding"}
         assert "involutive minimal polynomial violated" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("suite", ["braiding", "currents"])
+    def test_involutive_table_off_q_one_is_refused(self, suite, tmp_path, capsys):
+        """std-hecke 2 declared involutive at its own q solves the
+        (R - q)(R + 1/q) that validation reads at b.q, but not R^2 = I,
+        the minimal polynomial of an involutive braiding, under which the
+        currents suite Baxterizes it rationally: it is refused at load,
+        naming q, before any suite runs."""
+        doc = braiding_to_table(make_standard_hecke(2))
+        doc["kind"] = "involutive"
+        doc["q"] = Q.to_pairs()
+        table = tmp_path / "hecke-as-involutive.json"
+        table.write_text(json.dumps(doc))
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--table", str(table), "--suite", suite,
+                    "--out", str(out)]) == 1
+        [record] = json.loads(out.read_text())["checks"]
+        assert (record["check_id"], record["verdict"]) == ("load-braiding", "fail")
+        assert record["witness"].endswith(f"its q is {Q!r}")
+        assert "[PASS]" not in capsys.readouterr().out
+        with pytest.raises(InvalidTable, match="involutive table is read at q = 1"):
+            load_braiding_table(doc)
+
     @pytest.mark.parametrize("n, series, repeated", [
         (3, "orthogonal", "q = mu = 1"), (2, "symplectic", "-1/q = mu = -1")])
     def test_repeated_root_table_is_refused(self, n, series, repeated, tmp_path):
