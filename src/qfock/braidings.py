@@ -22,7 +22,8 @@ The spectral idempotents are kept in cleared form, P_lambda = Q / d with a
 Laurent numerator Q and a scalar d (`projectors`, cached as
 `Braiding.lagrange`).  Only the image of Q_mu is read off them, so no
 entry gains a polynomial denominator; their decomposition of R is the
-minimal polynomial's verdict (`projector_decomposition_ok`).
+minimal polynomial's verdict (`projector_decomposition_ok`), and so is the
+unitarity of a Baxterization, whose cleared difference is (u-v)^2 p(R).
 """
 
 from __future__ import annotations
@@ -637,34 +638,29 @@ class CurrentBraiding:
     def __init__(self, base: Braiding):
         self.base = base
 
-    # The cleared (pole-free) forms are affine in the spectral variables,
+    # The cleared (pole-free) R is affine in the spectral variables,
     #   cleared R(x, y) = (x - y) R - (a x + b) I,
-    #   cleared g(x, y) = s (x - y) - (a x + b),
-    # with (a, b, s) = (q - 1/q, 0, q) on a Hecke base and (0, 1, 1) on an
+    # with (a, b) = (q - 1/q, 0) on a Hecke base and (0, 1) on an
     # involutive one.  Variables are numbered 0, 1, 2 for u, v, w.
-    def _affine(self) -> tuple[Scalar, Scalar, Scalar]:
+    def _affine(self) -> tuple[Scalar, Scalar]:
         if self.base.kind == INVOLUTIVE:
-            return ZERO, ONE, ONE
+            return ZERO, ONE
         q = self.base.q
-        return q - q.inverse(), ZERO, q
+        return q - q.inverse(), ZERO
 
     def pole(self) -> tuple[Scalar, int]:
         """(c, theta) with h(u,v) = c u^(1-theta) / (u - v), whose expansion
         in |u| > |v| is c sum_{p>=0} v^p u^(-p-theta): (a, 0) trigonometric
         and (b, 1) rational."""
-        a, b, _ = self._affine()
+        a, b = self._affine()
         return (b, 1) if self.base.kind == INVOLUTIVE else (a, 0)
 
     def cleared_r_form(self, x: int, y: int, letter: str) -> Factor:
         """The cleared R(x, y) as a factor: `letter` standing for R, with
         its polynomial, and the identity (None) with its polynomial."""
-        a, b, _ = self._affine()
+        a, b = self._affine()
         return [(letter, _linear({x: ONE, y: -ONE}, ZERO)),
                 (None, _linear({x: -a}, -b))]
-
-    def cleared_g_form(self, x: int, y: int) -> Poly:
-        a, b, s = self._affine()
-        return _linear({x: s - a, y: -s}, -b)
 
 
 def baxterize(b: Braiding) -> CurrentBraiding:
@@ -690,28 +686,6 @@ def _expand(factors: list[Factor]) -> dict[tuple[Monomial, tuple[str, ...]], Sca
     return out
 
 
-def _word_identity_failures(lhs: list[Factor], rhs: list[Factor],
-                            letters: dict[str, LinOperator],
-                            ident: LinOperator) -> list[Monomial]:
-    """The monomials whose coefficient in lhs - rhs, a combination of
-    words in the letters, is not the zero operator.  Each word product
-    that occurs is formed once, from its prefix."""
-    diff = _expand(lhs)
-    sum_into(diff, _expand(rhs), -ONE)
-    ops = {(): ident, **{(l,): op for l, op in letters.items()}}
-
-    def word_op(word: tuple[str, ...]) -> LinOperator:
-        if word not in ops:
-            ops[word] = word_op(word[:-1]) @ letters[word[-1]]
-        return ops[word]
-
-    by_mono: dict[Monomial, dict] = {}
-    for mono, word in sorted(diff):
-        by_mono.setdefault(mono, {})[word] = diff[mono, word]
-    return nonzero_sums(by_mono, lambda word: {
-        (r, col): e for r, col, e in word_op(word).nonzeros()})
-
-
 def spectral_braid_certificate(cb: CurrentBraiding) -> list[Monomial]:
     """Certify R12(u,v) R23(u,w) R12(v,w) = R23(v,w) R12(u,w) R23(u,v)
     exactly in Q(q)[u, v, w] (x) End(V^3): the failing monomials.
@@ -720,31 +694,40 @@ def spectral_braid_certificate(cb: CurrentBraiding) -> list[Monomial]:
     affine in R, so each side expands into polynomials in u, v, w times
     words of length <= 3 in R12 and R23; the relation holds iff the
     coefficient of every monomial, a combination of those words, is zero.
+    Each word product that occurs is formed once, from its prefix.
     """
     lab3 = (cb.base.R.labels[0],) * 3
     letters = {"R12": place(cb.base.R, (1, 2), 3, labels=lab3),
                "R23": place(cb.base.R, (2, 3), 3, labels=lab3)}
+    ops = {(): LinOperator.identity(cb.base.N, 3, lab3),
+           **{(l,): op for l, op in letters.items()}}
+
+    def word_op(word: tuple[str, ...]) -> LinOperator:
+        if word not in ops:
+            ops[word] = word_op(word[:-1]) @ letters[word[-1]]
+        return ops[word]
+
     r = cb.cleared_r_form
     u, v, w = 0, 1, 2
-    return _word_identity_failures(
-        [r(u, v, "R12"), r(u, w, "R23"), r(v, w, "R12")],
-        [r(v, w, "R23"), r(u, w, "R12"), r(u, v, "R23")],
-        letters, LinOperator.identity(cb.base.N, 3, lab3))
+    diff = _expand([r(u, v, "R12"), r(u, w, "R23"), r(v, w, "R12")])
+    sum_into(diff, _expand([r(v, w, "R23"), r(u, w, "R12"), r(u, v, "R23")]), -ONE)
+    by_mono: dict[Monomial, dict] = {}
+    for mono, word in sorted(diff):
+        by_mono.setdefault(mono, {})[word] = diff[mono, word]
+    return nonzero_sums(by_mono, lambda word: {
+        (row, col): e for row, col, e in word_op(word).nonzeros()})
 
 
 def unitarity_certificate(cb: CurrentBraiding) -> list[Monomial]:
     """Certify g-normalized involutivity R(u,v)R(v,u) = g(u,v)g(v,u) I
-    exactly in Q(q)[u, v] (x) End(V^2), over the words I, R and R^2: the
-    failing monomials.
-
-    Both sides are multiplied by (u-v)^2.  A pass also proves the
-    normalized form R(u,v)R(v,u) / (g(u,v)g(v,u)) = I at every point where
-    g(u,v)g(v,u) is nonzero.
-    """
-    r, g = cb.cleared_r_form, cb.cleared_g_form   # variables u = 0, v = 1
-    return _word_identity_failures(
-        [r(0, 1, "R"), r(1, 0, "R")], [[(None, g(0, 1))], [(None, g(1, 0))]],
-        {"R": cb.base.R}, LinOperator.identity(cb.base.N, 2, cb.base.R.labels))
+    exactly in Q(q)[u, v] (x) End(V^2): the failing monomials.  Cleared of
+    the pole, R(x,y) = (x-y) R - (a x + b) I and g(x,y) = s (x-y) - (a x + b)
+    with s = q (Hecke) or 1 (involutive), so the sides differ by
+    -(u-v)^2 (R^2 - a R - s (s - a) I) = -(u-v)^2 p(R), p the minimal
+    polynomial: it fails at the monomials of (u-v)^2 exactly when p(R) does
+    not vanish.  A pass also proves R(u,v)R(v,u) / (g(u,v)g(v,u)) = I at
+    every point where g(u,v)g(v,u) is nonzero."""
+    return [(0, 2, 0), (1, 1, 0), (2, 0, 0)] if cb.base.failures["minimal-polynomial"] else []
 
 
 # ---------------------------------------------------------------------------

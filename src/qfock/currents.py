@@ -25,6 +25,9 @@ realized here by substituting the middle exchange symbolically before any
 series expansion: what remains of the pole side is a sum of four-factor
 current words in which annihilators only ever meet ket modes, so its pole
 summation terminates on the nose.
+
+The spectral certificates run once, on R; the dual square's fail at the
+same monomials, so the a-side record reads R's (current_relation_check).
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .braidings import (
     Braiding,
     CurrentBraiding,
     baxterize,
-    dual_square,
     exchange_table,
     spectral_braid_certificate,
     unitarity_certificate,
@@ -331,15 +333,15 @@ def _yang_expressions(cd: CurrentDouble):
                 es = divmod(col, n2) if len(variables) == 2 else (col,)
                 add_term(cell, (factors(es, variables), dist), -c if negate else c)
 
-    s = b.q.inverse() * cd.cb.pole()[0]
-    moves = exchange_table(b.psi, s, b.B)[0]     # (z, w) -> (i, j, s Psi_jw^iz)
+    pole = cd.cb.pole()[0]     # times each exchange move (i, j, q^-1 Psi_jw^iz)
     t2: list[dict] = [{} for _ in range(n2 * n2)]
     for r, c, rv in sorted(b.R.nonzeros(), key=lambda t: t[:2]):
         (w, y2), (z, x2) = divmod(r, N), divmod(c, N)
+        rc = rv * pole
         for x1, y1 in product(range(N), repeat=2):
             cell = t2[enc_index((x1, x2), N) * n2 + enc_index((y1, y2), N)]
-            for i, j, sp in moves[(z, w)]:
-                coeff = rv * sp
+            for i, j, sp in cd.exchange[(z, w)]:
+                coeff = rc * sp
                 add_term(cell, ((("c", x1, "u"), ("c", i, "v"),
                                  ("a", j, "u"), ("a", y1, "v")), None), coeff)
                 add_term(cell, ((("c", x1, "v"), ("c", i, "u"),
@@ -515,24 +517,19 @@ def verify_yang(cd: CurrentDouble, degree: int = 1) -> dict:
 # defining-relation check, and the suite's records
 # ---------------------------------------------------------------------------
 
-def current_relation_check(cd: CurrentDouble) -> list[tuple]:
-    """Consistency of the defining current relations on the dual square:
-    ("braid", m) and ("unitarity", w) for each failure m, w of the two
-    certificates, empty on a pass.
+def current_relation_check(braid: list, unitarity: list) -> list[tuple]:
+    """Consistency of the defining current relations on the dual square,
+    read off R's certificates: ("braid", m) and ("unitarity", w) for each
+    failing monomial m of `braid` and w of `unitarity`, empty on a pass.
 
-    The pairwise and triple reorderings of the relation system are
-    consistent iff the normalized spectral braiding is involutive and
-    satisfies the spectral braid relation.  Both are certified exactly, as
-    identities of polynomials in the spectral variables expanded over words
-    in the dual-square transport of R: `spectral_braid_certificate` and
-    `unitarity_certificate`, which the currents suite also runs on R itself.
-    """
-    base = cd.cb.base
-    dual = Braiding(base.N, dual_square(base.R), base.kind,
-                    series=base.series, q=base.q, name=f"dual({base.name})")
-    dual_cb = CurrentBraiding(dual)
-    return ([("braid", m) for m in spectral_braid_certificate(dual_cb)]
-            + [("unitarity", w) for w in unitarity_certificate(dual_cb)])
+    The relation system is consistent iff the normalized spectral braiding
+    on D = dual_square(R) is involutive and satisfies the spectral braid
+    relation.  T(X) = P X^T P, P reversing the legs, is an invertible
+    anti-automorphism of End(V^3) with T(R12) = D23, T(R23) = D12 and
+    T(I) = I, so at each monomial D's cleared braid difference is -T of
+    R's, and its unitarity difference is T of R's with u and v swapped,
+    which keeps the failing monomials, those of (u-v)^2."""
+    return [("braid", m) for m in braid] + [("unitarity", w) for w in unitarity]
 
 
 def current_records(b: Braiding, window: int, degree: int):
@@ -543,13 +540,14 @@ def current_records(b: Braiding, window: int, degree: int):
                "Hecke bases only (refused)", None)
         return
     cb = baxterize(b)
+    braid = spectral_braid_certificate(cb)
     yield ("spectral-braid-certificate",
-           "R12(u,v) R23(u,w) R12(v,w) = R23(v,w) R12(u,w) R23(u,v)",
-           spectral_braid_certificate(cb))
-    yield ("spectral-unitarity-certificate", "R(u,v) R(v,u) = g(u,v) g(v,u) I",
-           unitarity_certificate(cb))
+           "R12(u,v) R23(u,w) R12(v,w) = R23(v,w) R12(u,w) R23(u,v)", braid)
+    unitarity = unitarity_certificate(cb)
+    yield "spectral-unitarity-certificate", "R(u,v) R(v,u) = g(u,v) g(v,u) I", unitarity
+    yield ("current-relations-a-side", "exchange system consistent",
+           current_relation_check(braid, unitarity))
     cd = make_current_double(cb, window)
-    yield "current-relations-a-side", "exchange system consistent", current_relation_check(cd)
     # the single-mode kets are always checked, so degree 0 is degree 1
     out = verify_yang(cd, max(1, min(degree, 2)))
     # degree <= 1 gates and the residue is reported; mismatches come before Report.add's cut

@@ -20,9 +20,10 @@ double (currents).  _rewrite sorts with _pass and _moved, the terms whose
 annihilator came out on the right.  What can fail is
 compatibility with the quotients: the closed matrix identity is checked
 on free words sorted by the double's own rule, and the diamond test
-compares, on every mixed degree-3 word, normal ordering the free word and
-then reducing (exchange first) with reducing each same-tag run in its
-quotient and then normal ordering (reduce first).
+compares, on each degree-3 word where a relation overlaps the rule,
+normal ordering the free word and then reducing (exchange first) with
+reducing each same-tag run in its quotient and then normal ordering
+(reduce first).
 
 The braiding fixes the double's family and, for BMW, its flavor
 (family_flavor): Hecke and involutive braidings give the hecke family,
@@ -360,7 +361,10 @@ def _rule_groups(N: int, hi: str, lo: str, algebras: dict):
     the lo side after a hi generator, or of the hi side before a lo
     generator, keyed (tag, generator, relation index).  Diamond: a mixed
     degree-3 word minus the product of the normal forms of its same-tag
-    runs, keyed ("diamond", word)."""
+    runs, keyed ("diamond", word), for the two overlaps (hi, hi, lo) and
+    (hi, lo, lo) alone.  In (hi, lo, hi) and (lo, hi, lo) every run is one
+    letter, so the combination is empty; (lo, hi, hi) and (lo, lo, hi) are
+    sorted, so ordering the word is reducing its runs, the other side."""
     groups: dict = {}
     for tag, other, before in ((lo, hi, True), (hi, lo, False)):
         for r, rel in enumerate(algebras[tag].relations):
@@ -371,9 +375,7 @@ def _rule_groups(N: int, hi: str, lo: str, algebras: dict):
                     for (i, j), c in rel.items()}
     yield groups
     groups = {}
-    for pattern in itertools.product((hi, lo), repeat=3):
-        if hi not in pattern or lo not in pattern:
-            continue
+    for pattern in ((hi, hi, lo), (hi, lo, lo)):
         for idx in itertools.product(range(N), repeat=3):
             word = tuple(zip(pattern, idx))
             # a word whose runs are already reduced cancels to the empty
@@ -409,9 +411,9 @@ def verify_compatibility(d: FockDouble) -> Iterator[tuple[str, str, list]]:
         sorted words need no quotient reduction;
     (ii) ideal annihilation in the quotient double: each relation times a
         generator normal-orders to zero;
-    (iii) the diamond test on every mixed degree-3 word: normal ordering
-        the free word (exchange first) agrees with reducing each same-tag
-        run in its quotient first and then normal ordering.
+    (iii) the diamond test on the overlap words (a, a, b) and (a, b, b):
+        normal ordering the free word (exchange first) agrees with reducing
+        each same-tag run in its quotient first and then normal ordering.
     """
     b = d.braiding
     N = b.N

@@ -3,9 +3,13 @@ replaced, kept as references for them: the pending-word loop that sorted a
 mixed word by the permutation rule, the recursion that let one dual mode
 of a current double act on a creation word, and the annihilation action of
 the Fock double computed by normal ordering the mixed word and keeping the
-terms with no annihilator left."""
+terms with no annihilator left.  Also the diamond test over all six
+mixed patterns of degree 3, which fockdouble._rule_groups trims to the two
+overlaps."""
 
-from qfock.scalars import ONE, add_term
+import itertools
+
+from qfock.scalars import ONE, Scalar, add_term
 
 
 def pending_rewrite(word, exchange, constant, hi, lo):
@@ -67,3 +71,23 @@ def normal_order_act(d, a_elem, v):
                 if not aw2:
                     add_term(out, bw2, ca * cb * c)
     return out
+
+
+def full_diamond_groups(N, hi, lo, algebras):
+    """The diamond groups of a rule sorting `hi` after `lo` on every mixed
+    degree-3 word, all six patterns: the word minus the product of the
+    normal forms of its same-tag runs, keyed ("diamond", word)."""
+    groups = {}
+    for pattern in itertools.product((hi, lo), repeat=3):
+        if hi not in pattern or lo not in pattern:
+            continue
+        for idx in itertools.product(range(N), repeat=3):
+            word = tuple(zip(pattern, idx))
+            combination = {(): Scalar.from_int(-1)}
+            for tag, run in itertools.groupby(word, key=lambda t: t[0]):
+                nf = algebras[tag].normal_form_word(tuple(i for _, i in run))
+                combination = {w + tuple((tag, i) for i in rw): c * cr
+                               for w, c in combination.items() for rw, cr in nf.items()}
+            add_term(combination, word, ONE)
+            groups[("diamond", word)] = combination
+    return groups

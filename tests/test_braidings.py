@@ -64,7 +64,7 @@ from qfock.quadalgebras import (
     mu_eigenspace_degree2_report,
     super_sym_dims,
 )
-from qfock.scalars import ONE, Q, QINV, ZERO, Scalar
+from qfock.scalars import ONE, Q, QINV, ZERO, Scalar, nonzero_sums, sum_into
 from qfock.tensorops import (
     LinOperator,
     enc_index,
@@ -727,18 +727,43 @@ class TestBaxterize:
 # ---------------------------------------------------------------------------
 
 # R(u,v) = R - h(u,v) I and g(u,v) = s - h(u,v) with the pole
-# h(u,v) = (a u + b)/(u - v), (a, b, s) the constants of
-# CurrentBraiding._affine.
+# h(u,v) = (a u + b)/(u - v), (a, b) the constants of
+# CurrentBraiding._affine and s = q (Hecke) or 1 (involutive).
+def affine_constants(cb) -> tuple[Scalar, Scalar, Scalar]:
+    a, b = cb._affine()
+    return a, b, ONE if cb.base.kind == "involutive" else cb.base.q
+
+
 def r_at(cb, u: Fraction, v: Fraction) -> LinOperator:
     ident = LinOperator.identity(cb.base.N, 2, cb.base.R.labels)
-    return cb.base.R - ident.scale(cb._affine()[2] - g_at(cb, u, v))
+    return cb.base.R - ident.scale(affine_constants(cb)[2] - g_at(cb, u, v))
 
 
 def g_at(cb, u: Fraction, v: Fraction) -> Scalar:
     if u == v:
         raise ZeroDivisionError("R(u,v) has a pole at u = v")
-    a, b, s = cb._affine()
+    a, b, s = affine_constants(cb)
     return s - (a * Scalar.from_fraction(u) + b) * Scalar.from_fraction(1 / (u - v))
+
+
+def expanded_unitarity_failures(cb):
+    """The failing monomials of R(u,v) R(v,u) = g(u,v) g(v,u) I, both sides
+    multiplied by (u-v)^2 and expanded over the words I, R and R^2: the
+    expansion that the closed form of unitarity_certificate replaced."""
+    a, b, s = affine_constants(cb)
+
+    def g(x, y):
+        return [(None, braidings._linear({x: s - a, y: -s}, -b))]
+
+    r, R = cb.cleared_r_form, cb.base.R
+    diff = braidings._expand([r(0, 1, "R"), r(1, 0, "R")])
+    sum_into(diff, braidings._expand([g(0, 1), g(1, 0)]), -ONE)
+    words = {(): LinOperator.identity(cb.base.N, 2, R.labels), ("R",): R, ("R", "R"): R @ R}
+    by_mono = {}
+    for mono, word in sorted(diff):
+        by_mono.setdefault(mono, {})[word] = diff[mono, word]
+    return nonzero_sums(by_mono, lambda word: {
+        (row, col): e for row, col, e in words[word].nonzeros()})
 
 
 def normalized_at(cb, u: Fraction, v: Fraction) -> LinOperator:
@@ -805,9 +830,11 @@ def grid_unitarity_passed(cb):
 
 
 def dual_transport(b):
-    """The braiding of the a-side certificates: R on V* (x) V*."""
-    return Braiding(b.N, dual_square(b.R), b.kind, series=b.series, q=b.q,
-                    name=f"dual({b.name})")
+    """The dual square of R, the braiding of the a-side relations, read on
+    V (x) V through the dual basis, so that its structural facts (which
+    place and compare operators on V legs) can be decided too."""
+    return Braiding(b.N, LinOperator(2, b.N, ("V", "V"), dual_square(b.R).rows),
+                    b.kind, series=b.series, q=b.q, name=f"dual({b.name})")
 
 
 def bumped(b, out, inp):
@@ -861,6 +888,29 @@ class TestSpectralCertificates:
         assert (not spectral_braid_certificate(cb)) is grid_braid_passed(cb)
         assert (not unitarity_certificate(cb)) is grid_unitarity_passed(cb)
 
+    @pytest.mark.parametrize("transport", [False, True], ids=["R", "dual"])
+    @pytest.mark.parametrize("name,out,inp", list(_bumps()))
+    def test_closed_unitarity_equals_the_expansion(self, name, out, inp, transport):
+        """The closed form, the minimal polynomial's verdict at the monomials
+        of (u-v)^2, lists what the expansion over I, R and R^2 lists."""
+        b = bumped(_CERTIFIED[name](), out, inp)
+        if transport:
+            b = dual_transport(b)
+        cb = CurrentBraiding(b)
+        assert unitarity_certificate(cb) == expanded_unitarity_failures(cb)
+
+    @pytest.mark.parametrize("name,out,inp", list(_bumps()))
+    def test_dual_square_certificates_equal_those_of_r(self, name, out, inp):
+        """The transport X -> P X^T P takes R's cleared braid and unitarity
+        differences to the dual square's, monomial by monomial (unitarity
+        with u and v swapped), so the failing monomials agree; the
+        a-side record reads R's lists for that reason."""
+        b = bumped(_CERTIFIED[name](), out, inp)
+        cb, dual = CurrentBraiding(b), CurrentBraiding(dual_transport(b))
+        assert spectral_braid_certificate(dual) == spectral_braid_certificate(cb)
+        assert expanded_unitarity_failures(dual) == expanded_unitarity_failures(cb)
+        assert unitarity_certificate(dual) == unitarity_certificate(cb)
+
     @pytest.mark.parametrize("name,braid_failures", [
         ("flip-2", [(0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0)]),
         ("std-hecke-2", [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 1, 1), (1, 2, 0),
@@ -882,8 +932,9 @@ class TestSpectralCertificates:
 
     def test_operator_work_of_one_certificate_pair(self, monkeypatch):
         """R is placed once at (1,2) and once at (2,3); the braid relation
-        forms its six word products and unitarity R^2.  Nothing depends on
-        a grid size."""
+        forms its six word products, and unitarity reads the minimal
+        polynomial that validation cached.  Nothing depends on a grid
+        size."""
         calls = {"place": 0, "matmul": 0}
         real_place, real_matmul = braidings.place, LinOperator.__matmul__
 
@@ -900,7 +951,7 @@ class TestSpectralCertificates:
         monkeypatch.setattr(LinOperator, "__matmul__", counted_matmul)
         assert not spectral_braid_certificate(cb)
         assert not unitarity_certificate(cb)
-        assert calls == {"place": 2, "matmul": 6 + 1}
+        assert calls == {"place": 2, "matmul": 6}
 
 
 class TestStrictness:

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfock import cli, currents
+from qfock import braidings, cli, currents
 from qfock.braidings import (
     HECKE, baxterize, make_flip, make_standard_hecke, make_superflip,
+    spectral_braid_certificate, unitarity_certificate,
 )
 from qfock.currents import (
     OPEN,
@@ -513,15 +514,18 @@ class TestYang:
         # and 2156, and at that order one product per prefix entry instead
         # of one per coefficient group gave 1061 and 2152 from more products.
         # T1 cells in the term order of the formal written products (the
-        # reference in formal_reference.py) give 1071 and 2143.
-        assert _laurent_mul.cache_info().misses == 1070
+        # reference in formal_reference.py) give 1071 and 2143.  A second
+        # exchange table at s = q^-1 c for T2, in place of the double's own
+        # table times c, gave 1070.
+        assert _laurent_mul.cache_info().misses == 1066
         assert _laurent_add.cache_info().misses == 2244
         assert absent_key_adds == []
 
     def test_evaluation_work_is_pinned(self, monkeypatch):
         # The Scalar products of one degree-2 call and the entries of its
-        # prefix memo.  11,098 of the products are the evaluation's and 82
-        # build T1 and T2; formal written products built them with 193.
+        # prefix memo.  11,098 of the products are the evaluation's and 81
+        # build T1 and T2; formal written products built them with 193, and
+        # a second exchange table for T2 with 82.
         # One product per entry instead of one per coefficient group made
         # 25,339 products (with the formal build), and a memo that keeps
         # every key of the band for every reader holds 2,781 entries on
@@ -544,7 +548,7 @@ class TestYang:
         monkeypatch.setattr(Scalar, "__mul__", real_mul)
         assert not rep["mismatches"] and rep["degree2_residual_classes"] == 1104
         [memo] = {id(m): m for m in memos}.values()
-        assert len(products) == 11180
+        assert len(products) == 11179
         assert len(memo) == 251
         assert sum(len(entries) for groups in memo.values()
                    for _, entries in groups) == 1341
@@ -741,7 +745,15 @@ class TestRelationSpan:
 class TestRelationChecks:
     @pytest.mark.parametrize("maker", [flip_double, hecke_double])
     def test_a_side_certificates(self, maker):
-        assert not current_relation_check(maker())
+        cb = maker().cb
+        assert not current_relation_check(spectral_braid_certificate(cb),
+                                          unitarity_certificate(cb))
+
+    def test_a_side_tags_the_failures_of_r(self):
+        """The dual square's certificates fail at R's monomials, so the
+        a-side check tags R's lists, braid first."""
+        assert current_relation_check([(1, 0, 0)], [(0, 2, 0), (2, 0, 0)]) == [
+            ("braid", (1, 0, 0)), ("unitarity", (0, 2, 0)), ("unitarity", (2, 0, 0))]
 
     @pytest.mark.parametrize("failing, record, tag", [
         ("spectral_braid_certificate", "spectral-braid-certificate", "braid"),
@@ -750,11 +762,9 @@ class TestRelationChecks:
     def test_either_certificate_can_fail(self, monkeypatch, capsys, tmp_path,
                                          failing, record, tag):
         """A failing certificate function, patched where the currents
-        records and the a-side check look it up, fails the braiding's own record and the
-        a-side check on the dual square, which tags its failures "braid"
-        or "unitarity"."""
+        records look it up, fails the braiding's own record and the a-side
+        check, which tags its failures "braid" or "unitarity"."""
         monkeypatch.setattr(currents, failing, lambda cb: [(1, 0, 0)])
-        assert current_relation_check(flip_double()) == [(tag, (1, 0, 0))]
         out = tmp_path / "report.json"
         assert cli.main(["verify", "--braiding", "flip", "--n", "2", "--suite", "currents",
                          "--window", "0", "--out", str(out)]) == 1
@@ -762,19 +772,25 @@ class TestRelationChecks:
         checks = json.loads(out.read_text())["checks"]
         assert {c["check_id"] for c in checks if c["verdict"] == "fail"} == {
             record, "current-relations-a-side"}
+        [a_side] = [c for c in checks if c["check_id"] == "current-relations-a-side"]
+        assert f"('{tag}', (1, 0, 0))" in a_side["witness"]
 
     def test_certificates_are_computed_once(self, monkeypatch, capsys):
-        """A whole currents suite runs each certificate once on R and once
-        on its dual square."""
-        calls = []
+        """A whole currents suite runs each certificate once, on R; the
+        a-side check builds no dual braiding and reads R's lists."""
+        calls, built = [], []
         for name in ("spectral_braid_certificate", "unitarity_certificate"):
             real = getattr(currents, name)
             monkeypatch.setattr(currents, name,
                                 lambda cb, real=real, name=name:
                                 calls.append((name, cb.base.name)) or real(cb))
+        init = braidings.Braiding.__init__
+        monkeypatch.setattr(braidings.Braiding, "__init__",
+                            lambda self, *args, **kwargs:
+                            built.append(args) or init(self, *args, **kwargs))
         assert cli.main(["verify", "--braiding", "std-hecke", "--n", "2",
                          "--suite", "currents", "--window", "0"]) == 0
         capsys.readouterr()
-        assert sorted(calls) == [(name, base) for name in ("spectral_braid_certificate",
-                                                           "unitarity_certificate")
-                                 for base in ("dual(std-hecke-2)", "std-hecke-2")]
+        assert sorted(calls) == [("spectral_braid_certificate", "std-hecke-2"),
+                                 ("unitarity_certificate", "std-hecke-2")]
+        assert len(built) == 1

@@ -63,7 +63,7 @@ from dense_operators import dense, dense_identity, dense_matmul, from_dense
 from gauge import GAUGES, conjugated, twisted
 from hecke_families import FORMS, form_braiding, super_hecke
 from jacobi_reference import jacobi_sides
-from rewriting_reference import normal_order_act, pending_rewrite
+from rewriting_reference import full_diamond_groups, normal_order_act, pending_rewrite
 
 
 def _records(checks) -> dict:
@@ -601,6 +601,81 @@ class TestDoubleMutations:
         reps_ok = corrupt is bump_exchange
         for k in _nonempty_degrees(d):
             assert representation_l_relations_ok(d, fock_representation(d, k)) is reps_ok
+
+
+def rule_bumps():
+    """Single corruptions of the double's rule on ENGINE_DOUBLES: ONE added
+    to the first exchange move of each (l, k) that has one, or to each
+    pairing constant."""
+    for name, (maker, arg, flavor) in sorted(ENGINE_DOUBLES.items()):
+        d = make_double(maker(arg), flavor)
+        for key in sorted(d.exchange):
+            if d.exchange[key]:
+                yield pytest.param(name, "exchange", key, id=f"{name}-exchange-{key}")
+            yield pytest.param(name, "constant", key, id=f"{name}-constant-{key}")
+
+
+def bumped_double(name, which, key):
+    maker, arg, flavor = ENGINE_DOUBLES[name]
+    d = make_double(maker(arg), flavor)
+    if which == "exchange":
+        (i, j, c), *rest = d.exchange[key]
+        d.exchange[key] = [(i, j, c + ONE), *rest]
+    else:
+        d.constant[key] = d.constant[key] + ONE
+    return d
+
+
+def with_full_diamond(monkeypatch):
+    """Patch fockdouble._rule_groups to yield the diamond groups of all six
+    mixed patterns after its own ideal groups."""
+    real = fockdouble._rule_groups
+
+    def full(N, hi, lo, algebras):
+        yield next(real(N, hi, lo, algebras))
+        yield full_diamond_groups(N, hi, lo, algebras)
+
+    monkeypatch.setattr(fockdouble, "_rule_groups", full)
+
+
+class TestTwoOverlaps:
+    """The diamond test walks the overlaps (hi, hi, lo) and (hi, lo, lo)
+    alone: the four other mixed patterns cancel or are sorted."""
+
+    @pytest.mark.parametrize("name,which,key", list(rule_bumps()))
+    def test_same_witnesses_as_all_six_patterns(self, name, which, key, monkeypatch):
+        trimmed = _records(verify_compatibility(bumped_double(name, which, key)))
+        with_full_diamond(monkeypatch)
+        full = _records(verify_compatibility(bumped_double(name, which, key)))
+        assert trimmed == full
+
+    @pytest.mark.parametrize("maker", [lambda: make_flip(2), lambda: make_standard_hecke(2),
+                                       lambda: make_standard_hecke(3)],
+                             ids=["flip-2", "std-hecke-2", "std-hecke-3"])
+    @pytest.mark.parametrize("which", [None, "exchange", "constant"])
+    def test_left_dual_variant_as_all_six_patterns(self, maker, which, monkeypatch):
+        build = fockdouble.exchange_table
+
+        def corrupted(*args):
+            moves, constants = build(*args)
+            bump_rule(moves, constants, which)
+            return moves, constants
+
+        d = make_double(maker(), "bosonic")
+        monkeypatch.setattr(fockdouble, "exchange_table", corrupted)
+        trimmed = left_dual_variant_report(d)
+        with_full_diamond(monkeypatch)
+        assert left_dual_variant_report(d) == trimmed
+
+    @pytest.mark.parametrize("name,which,key", list(rule_bumps()))
+    def test_ideals_fail_exactly_when_the_diamond_does(self, name, which, key):
+        """Found here, and pinned as a verdict, not as witnesses: each
+        overlap combination is a generator times w - nf(w), and those span
+        the degree-2 relations times a generator, so compatibility-ideals
+        and diamond-degree-3 agree.  Both records are kept: their witness
+        forms differ."""
+        comp = _records(verify_compatibility(bumped_double(name, which, key)))
+        assert bool(comp["compatibility-ideals"]) is bool(comp["diamond-degree-3"])
 
 
 class TestLRelations:
