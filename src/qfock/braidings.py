@@ -101,6 +101,10 @@ class Braiding:
     def __init__(self, N: int, R: LinOperator, kind: str,
                  series: str | None = None, q: Scalar | None = None,
                  name: str = ""):
+        # the structural facts place R and compare it with identities on V legs
+        if (R.labels, R.labels_out) != (("V", "V"), ("V", "V")):
+            raise InvalidArgument(f"a braiding's R acts on V (x) V, but this one maps "
+                                  f"{R.labels} to {R.labels_out}")
         self.N = N
         self.R = R
         self.kind = kind

@@ -14,12 +14,14 @@ failed or an error surfaced.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import re
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .braidings import (
@@ -135,7 +137,65 @@ class Report:
             "checks": [vars(c) for c in self.checks],
             "exit_status": 2 if self.bad_input else 1 if self.failed else 0,
         }
-        return json.dumps(doc, indent=1, sort_keys=True)
+        return _dumps(doc)
+
+
+_INF = float("inf")
+
+
+def _leaf(o) -> str | None:
+    """A JSON string, number, bool or null spelled as json spells it, or
+    None for anything else."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INF:
+            return "Infinity"
+        return "-Infinity" if o == -_INF else float.__repr__(o)
+    return None
+
+
+def _dumps(obj) -> str:
+    """json.dumps(obj, indent=1, sort_keys=True), byte for byte, for a
+    document whose dict keys are strings, as every qfock document's are
+    (another key is a TypeError).  Each container is rendered once per
+    depth: a dict or list that the document holds in several places (the
+    zero entry of a matrix) is written once and its text reused, keyed by
+    (id, depth) for the length of the call."""
+    memo: dict[tuple[int, int], str] = {}
+
+    def render(o, depth: int) -> str:
+        text = _leaf(o)
+        if text is None:
+            text = memo.get((id(o), depth))
+        if text is not None:
+            return text
+        inner = "\n" + " " * (depth + 1)
+        if isinstance(o, (list, tuple)):
+            parts = [render(v, depth + 1) for v in o]
+            brackets = "[]"
+        elif isinstance(o, dict):
+            parts = [f"{encode_basestring_ascii(k)}: {render(v, depth + 1)}"
+                     for k, v in sorted(o.items())]
+            brackets = "{}"
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        text = (f"{brackets[0]}{inner}{(',' + inner).join(parts)}\n{' ' * depth}{brackets[1]}"
+                if parts else brackets)
+        memo[(id(o), depth)] = text
+        return text
+
+    return render(obj, 0)
 
 
 def _resolve_braiding(cfg: RunConfig) -> Braiding:
@@ -237,19 +297,28 @@ def cmd_poincare(cfg: RunConfig) -> int:
     table: dict = {}
     for record in poincare_records(_resolve_braiding(cfg), cfg.kmax, table):
         rep.add(*record)
-    print(json.dumps(table, indent=1, sort_keys=True))
+    print(_dumps(table))
     _emit(rep, cfg, quiet=True)
     return 1 if rep.failed else 0
 
 
 def _matrix_doc(rows: int, cols: int, entry) -> dict:
-    """A matrix as printed: every entry(r, c), zeros included, by rows."""
+    """A matrix as printed: every entry(r, c), zeros included, by rows.
+    Equal entries share one pairs dict, which _dumps renders once."""
+    pairs: dict = {}
+
+    def cell(r: int, c: int) -> dict:
+        x = entry(r, c)
+        doc = pairs.get(x)
+        if doc is None:
+            doc = pairs[x] = x.to_pairs()
+        return doc
+
     return {
         "rows": rows,
         "cols": cols,
         "index_base": 1,
-        "entries": [[entry(r, c).to_pairs() for c in range(cols)]
-                    for r in range(rows)],
+        "entries": [[cell(r, c) for c in range(cols)] for r in range(rows)],
     }
 
 
@@ -259,12 +328,20 @@ def _pairing_doc(mat) -> dict:
 
 def _print_doc(doc: dict, cfg: RunConfig) -> None:
     """Write doc as JSON to --out, or print it when --out is absent."""
-    payload = json.dumps(doc, indent=1, sort_keys=True)
+    payload = _dumps(doc)
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        _write_out(cfg.out, payload)
     else:
         print(payload)
+
+
+def _write_out(path: str, payload: str) -> None:
+    """Write payload and a newline to --out; a failed write is bad input."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(payload + "\n")
+    except OSError as exc:
+        raise InvalidArgument(f"--out {path}: cannot write: {exc.strerror or exc}") from None
 
 
 def cmd_repr(cfg: RunConfig) -> int:
@@ -306,6 +383,15 @@ def cmd_export(cfg: RunConfig) -> int:
     return 0
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out that names a directory, or whose directory is missing."""
+    if os.path.isdir(path):
+        raise InvalidArgument(f"--out {path} is a directory")
+    folder = os.path.dirname(path)
+    if folder and not os.path.isdir(folder):
+        raise InvalidArgument(f"--out {path}: no directory {folder}")
+
+
 def _config_echo(cfg: RunConfig) -> dict:
     return {k: v for k, v in vars(cfg).items() if v is not None}
 
@@ -320,11 +406,12 @@ def _emit(rep: Report, cfg: RunConfig, quiet: bool = False):
                 line += f"  [{c.witness}]"
             print(line)
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(rep.to_json() + "\n")
+        _write_out(cfg.out, rep.to_json())
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qfock",
         description="exact verification of braidings, Fock doubles and currents")
@@ -381,6 +468,8 @@ def main(argv=None) -> int:
                 raise InvalidArgument(
                     f"--q must be 'generic' or a rational like 3/2 short "
                     f"enough to print, got {cfg.q!r}") from None
+        if cfg.out:
+            _check_out(cfg.out)
         return {"verify": cmd_verify, "poincare": cmd_poincare,
                 "repr": cmd_repr, "export": cmd_export}[command](cfg)
     except (QfockError, ValueError) as exc:

@@ -258,6 +258,19 @@ class TestDuals:
         rhs = b3 @ b2 @ b1
         assert lhs == rhs
 
+    @pytest.mark.parametrize("labels, labels_out", [
+        (("V*", "V*"), ("V*", "V*")),
+        (("V", "V*"), ("V*", "V")),
+        (("V", "V"), ("V", "V*")),
+    ])
+    def test_braiding_refuses_r_with_dual_legs(self, labels, labels_out):
+        """The structural facts place R on V legs, so an R with a V* leg is
+        refused at construction, and the message names its labels."""
+        b = make_standard_hecke(2)
+        r = LinOperator(2, 2, labels, b.R.rows, labels_out)
+        with pytest.raises(InvalidArgument, match=re.escape(f"{labels} to {labels_out}")):
+            Braiding(2, r, b.kind, q=b.q)
+
     def test_dual_square_satisfies_same_minimal_polynomial(self):
         b = make_standard_hecke(3)
         rs = dual_square(b.R)

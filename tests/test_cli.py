@@ -1535,3 +1535,98 @@ class TestSuitesNeedNoCli:
             currents.current_records(b, cfg["window"], cfg["degree"]))
         assert [_rendered(r) for r in records] == [
             (c["check_id"], c["anchor"], c["verdict"], c["witness"]) for c in doc["checks"][1:]]
+
+
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(), st.floats(0, 100).map(lambda x: round(x, 4)),
+    st.text())
+_json_docs = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=30)
+
+
+class TestDocumentWriter:
+    """cli._dumps writes every document byte for byte as
+    json.dumps(obj, indent=1, sort_keys=True) does."""
+
+    @given(_json_docs, _json_docs)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, doc, shared):
+        """Any document, and one holding an object at depths 1, 2 and 3
+        (twice at depth 2), which the writer renders with the indent of
+        each place."""
+        for d in (doc, {"a": shared, "b": [shared, {"c": shared, "d": doc}, shared]}):
+            assert cli._dumps(d) == json.dumps(d, indent=1, sort_keys=True)
+
+    def test_non_ascii_empty_and_special_values(self):
+        doc = {"é": ["☃\n\"", [], {}, float("nan"), float("inf"),
+                     -float("inf"), -0.0, 0.1 + 0.2, True, False, None, 10 ** 30],
+               "": {"": []}, "seconds": round(1 / 3, 4)}
+        assert cli._dumps(doc) == json.dumps(doc, indent=1, sort_keys=True)
+
+    def test_refuses_a_set_and_a_key_that_is_no_string(self):
+        with pytest.raises(TypeError):
+            cli._dumps({"x": {1, 2}})
+        with pytest.raises(TypeError):
+            cli._dumps({1: 0})
+
+    def test_matrix_doc_shares_equal_entries(self):
+        """Equal Scalars share one pairs dict, so the writer renders the
+        zero entry once; the printed matrix is the one json.dumps prints."""
+        doc = cli._matrix_doc(3, 3, lambda r, c: ONE if r == c else ZERO)
+        cells = [cell for row in doc["entries"] for cell in row]
+        assert len({id(cell) for cell in cells}) == 2
+        assert cli._dumps(doc) == json.dumps(doc, indent=1, sort_keys=True)
+
+
+class TestOneParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_option_leaks_into_the_next_run(self, tmp_path, capsys):
+        """The cached parser keeps no value of an earlier run: --degree 3
+        in one run, then no --degree, echoes the default degree 1."""
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        argv = ["verify", "--braiding", "std-hecke", "--n", "2", "--suite", "double"]
+        assert main([*argv, "--degree", "3", "--out", str(first)]) == 0
+        assert main([*argv, "--out", str(second)]) == 0
+        assert json.loads(first.read_text())["config"]["degree"] == 3
+        assert json.loads(second.read_text())["config"]["degree"] == 1
+
+
+_OUT_COMMANDS = {
+    "verify": ["verify", "--braiding", "std-hecke", "--n", "2", "--suite", "braiding"],
+    "repr": ["repr", "--braiding", "std-hecke", "--n", "2"],
+    "poincare": ["poincare", "--braiding", "std-hecke", "--n", "2"],
+    "export": ["export", "--braiding", "std-hecke", "--n", "2"],
+}
+
+
+class TestUnwritableOut:
+    """An --out that cannot be written exits 2 with an error line naming
+    it, never a traceback: a directory, or a path whose directory is
+    missing, is refused before the braiding is built; a write that fails
+    is refused when it fails."""
+
+    @pytest.mark.parametrize("command", _OUT_COMMANDS)
+    @pytest.mark.parametrize("where", ["directory", "missing-directory"])
+    def test_refused_before_anything_is_built(self, command, where, tmp_path,
+                                              monkeypatch, capsys):
+        resolved = []
+        monkeypatch.setattr(cli, "_resolve_braiding",
+                            lambda cfg: resolved.append(cfg) or make_standard_hecke(2))
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"
+        assert main([*_OUT_COMMANDS[command], "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert resolved == [] and captured.out == ""
+        assert captured.err.startswith(f"error: InvalidArgument: --out {out}")
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", _OUT_COMMANDS)
+    def test_failed_write_exits_2(self, command, capsys):
+        assert main([*_OUT_COMMANDS[command], "--out", "/dev/full"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidArgument: --out /dev/full: cannot write")
