@@ -7,8 +7,7 @@ identity it verifies, so reports are auditable.  Each suite's records,
 (check id, anchor, failures[, witness]) as Report.add takes them, come
 from the module that decides them as each check finishes (SUITE_RECORDS).
 Reports are deterministic for a fixed configuration up to the timing
-fields; the process exit code is nonzero exactly when a gating check
-failed or an error surfaced.
+fields; the exit statuses are listed at `main`.
 """
 
 from __future__ import annotations
@@ -441,8 +440,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  The exit status is 0 when every gating check
+    passed, 1 when one failed, 2 on bad input, 130 on an interrupt, and 141
+    (128 + SIGPIPE, as a shell reports a writer that SIGPIPE ends) when
+    standard output was closed before the output was complete."""
     args = vars(build_parser().parse_args(argv))
     command = args.pop("command")
+    try:
+        status = _run(command, args)
+        # a pipe closed after the last write is met here, not at exit
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return 141
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
+
+
+def _stdout_to_devnull() -> None:
+    """Point a closed stdout at os.devnull, so that the flush at exit of
+    what it still buffers writes nowhere.  A stdout without a file
+    descriptor of its own (a StringIO) is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def _run(command: str, args: dict) -> int:
     cfg = RunConfig(**args)
     try:
         # argparse hands `--opt=--` over as an empty list

@@ -1,14 +1,14 @@
-import ast
 import contextlib
 import copy
 import io
 import itertools
 import json
-import re
+import os
 import subprocess
 import sys
 import tempfile
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -17,28 +17,23 @@ from hypothesis import strategies as st
 
 from qfock import braidings, cli, currents, fockdouble, quadalgebras
 from qfock.braidings import (
-    LAMBDA,
-    SYM,
     Braiding,
     braiding_to_table,
     builtin_table_path,
     load_braiding_table,
     load_builtin,
     make_bmw,
-    make_flip,
     make_standard_hecke,
-    make_superflip,
     specialize,
     superflip_limit,
 )
 from qfock.cli import main
 from qfock.currents import WINDOW_MAX
-from qfock.errors import InvalidTable, NonGenericPoint, QfockError
+from qfock.errors import NonGenericPoint, QfockError
 from qfock.tensorops import LinOperator
-from qfock.scalars import Q, ONE, ZERO, Scalar
+from qfock.scalars import ONE, ZERO, Scalar
 
 from grid_reference import cleared_decomposition_ok, normalized, normalized_decomposition_ok
-from hecke_families import super_hecke
 
 
 def run(argv):
@@ -81,59 +76,6 @@ class TestVerify:
         ids = [c["check_id"] for c in doc["checks"]]
         assert "braid-relation" in ids and "dual-pairings" in ids
         assert all(c["verdict"] in ("pass", "report-only") for c in doc["checks"])
-
-    def test_corrupted_table_rejected(self, tmp_path):
-        doc = braiding_to_table(make_standard_hecke(2))
-        for ent in doc["entries"]:
-            if (ent["i"], ent["j"], ent["k"], ent["l"]) == (1, 2, 2, 1):
-                ent["value"] = (Q + Q).to_pairs()
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        out = tmp_path / "rep.json"
-        code = run(["verify", "--table", str(path), "--out", str(out)])
-        assert code == 1
-        rep = json.loads(out.read_text())
-        assert rep["exit_status"] == 1
-        assert rep["checks"][0]["verdict"] == "fail"
-
-    @pytest.mark.parametrize("make, braid_failures", [
-        (lambda: make_standard_hecke(2), [(0, 1, 2), (0, 2, 1), (1, 0, 2)]),
-        (lambda: make_flip(2), [(0, 1, 1), (0, 2, 0), (1, 0, 1)]),
-    ], ids=["std-hecke-2", "flip-2"])
-    def test_corrupted_table_fails_the_current_certificates(
-            self, tmp_path, monkeypatch, make, braid_failures):
-        """One R entry bumped by ONE.  The table loader rejects the copy
-        on its own braid and minimal-polynomial checks; with those turned
-        off, both spectral certificates and the relation check on the dual
-        square fail, and their witnesses name the first failing monomials
-        (those of test_braidings' test_one_corrupted_entry_fails_both)."""
-        doc = braiding_to_table(make())
-        for ent in doc["entries"]:
-            if (ent["i"], ent["j"], ent["k"], ent["l"]) == (1, 2, 2, 1):
-                ent["value"] = (Scalar.from_pairs(ent["value"]) + ONE).to_pairs()
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        out = tmp_path / "rep.json"
-        argv = ["verify", "--table", str(path), "--suite", "currents",
-                "--out", str(out)]
-
-        def records():
-            return {c["check_id"]: (c["verdict"], c["witness"])
-                    for c in json.loads(out.read_text())["checks"]}
-
-        assert run(argv) == 1
-        assert {cid: v for cid, (v, _) in records().items()} == {"load-braiding": "fail"}
-        monkeypatch.setattr(Braiding, "validate", lambda self: [])
-        assert run(argv) == 1
-        got = records()
-        assert {cid for cid, (v, _) in got.items() if v == "fail"} == {
-            "spectral-braid-certificate", "spectral-unitarity-certificate",
-            "current-relations-a-side"}
-        assert got["spectral-braid-certificate"] == ("fail", str(braid_failures))
-        assert got["spectral-unitarity-certificate"] == (
-            "fail", str([(0, 2, 0), (1, 1, 0), (2, 0, 0)]))
-        assert got["current-relations-a-side"] == (
-            "fail", str([("braid", m) for m in braid_failures]))
 
     def test_report_deterministic_modulo_timing(self, tmp_path):
         outs = []
@@ -328,46 +270,6 @@ class TestVerify:
         assert run(["verify", "--table", str(path), "--suite", "braiding"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: MalformedTable:") and "series must be a string" in err
-
-    def test_each_compatibility_record_shows_its_own_witnesses(
-            self, tmp_path, monkeypatch):
-        """One exchange coefficient of the std-hecke N = 2 double bumped:
-        all three compatibility records fail, each naming its own words."""
-        real = fockdouble.make_double
-
-        def bumped(b, flavor):
-            d = real(b, flavor)
-            (i, j, c), *rest = d.exchange[(0, 1)]
-            d.exchange[(0, 1)] = [(i, j, c + ONE), *rest]
-            return d
-
-        monkeypatch.setattr(fockdouble, "make_double", bumped)
-        out = tmp_path / "rep.json"
-        assert run(["verify", "--braiding", "std-hecke", "--n", "2",
-                    "--suite", "double", "--out", str(out)]) == 1
-        checks = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
-        for check_id, labels in (("compatibility-closed-identity", {"closed"}),
-                                 ("compatibility-ideals", {"a-ideal", "b-ideal"}),
-                                 ("diamond-degree-3", {"diamond"})):
-            check = checks[check_id]
-            assert check["verdict"] == "fail"
-            named = {w[0] for w in ast.literal_eval(check["witness"])}
-            assert named and named <= labels, (check_id, named)
-
-    def test_evaluation_cross_check_fails_on_a_corrupted_table(
-            self, tmp_path, monkeypatch, capsys):
-        """One R entry bumped by ONE, with the loader's own braid and
-        minimal-polynomial checks turned off: the check at q = 3/2 fails."""
-        doc = braiding_to_table(make_standard_hecke(2))
-        for ent in doc["entries"]:
-            if (ent["i"], ent["j"], ent["k"], ent["l"]) == (1, 2, 2, 1):
-                ent["value"] = (Scalar.from_pairs(ent["value"]) + ONE).to_pairs()
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        monkeypatch.setattr(Braiding, "validate", lambda self: [])
-        assert run(["verify", "--table", str(path), "--suite", "braiding",
-                    "--q", "3/2"]) == 1
-        assert "[FAIL] evaluation-cross-check" in capsys.readouterr().out
 
     def test_evaluation_at_a_pole_is_bad_input(self, capsys):
         assert run(["verify", "--braiding", "std-hecke", "--n", "2",
@@ -675,96 +577,12 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     assert done.stdout == "[]\n"
 
 
-def _table_bumps():
-    for name, make in (("std-hecke-2", lambda: make_standard_hecke(2)),
-                       ("bmw-orth-3", lambda: make_bmw(3, "orthogonal")),
-                       ("flip-2", lambda: make_flip(2))):
-        for k in range(len(braiding_to_table(make())["entries"])):
-            yield pytest.param(make, k, id=f"{name}-entry-{k}")
-
-
-class TestTheLoadDecidesFirst:
-    """A table that the loader accepts is a braiding; one whose entry is
-    bumped stops at load-braiding, before any suite runs."""
-
-    @pytest.mark.parametrize("make, k", list(_table_bumps()))
-    def test_bumped_entry_fails_the_load_alone(self, make, k, tmp_path):
-        doc = braiding_to_table(make())
-        entry = doc["entries"][k]
-        entry["value"] = (Scalar.from_pairs(entry["value"]) + ONE).to_pairs()
-        path, out = tmp_path / "bumped.json", tmp_path / "rep.json"
-        path.write_text(json.dumps(doc))
-        assert run(["verify", "--table", str(path), "--suite", "all",
-                    "--out", str(out)]) == 1
-        checks = json.loads(out.read_text())["checks"]
-        assert [(c["check_id"], c["verdict"]) for c in checks] == [("load-braiding", "fail")]
-        with pytest.raises(InvalidTable) as refused:
-            load_braiding_table(doc)
-        assert checks[0]["witness"] == str(refused.value)
-
-
-class TestDualPairingsMutation:
-    def _bump_left(self, monkeypatch):
-        """One left-pairing entry, <x^1, x_1>_l, off by one: the V* (x) V
-        extension gains ONE at out (x_1, x^1), in (x^1, x_1)."""
-        real = braidings._vstar_v
-
-        def bumped(b):
-            op = real(b)
-            return op + LinOperator.from_terms([(0, 0, ONE)], op.dim, op.legs,
-                                               op.labels, op.labels_out)
-
-        monkeypatch.setattr(braidings, "_vstar_v", bumped)
-
-    def _bump_tilde(self, monkeypatch):
-        """The left pairing intact and one tilde-pairing entry off by one."""
-        real = braidings.dual_pairings
-
-        def bumped(b):
-            dp = real(b)
-            dp.tilde_right[0] = {**dp.tilde_right[0], 1: ONE}
-            return dp
-
-        monkeypatch.setattr(braidings, "dual_pairings", bumped)
-
-    def _bump_inverse(self, monkeypatch):
-        """Every inverse that braidings computes off by ONE at (0, 1): the
-        tilde pairing and skew.B_inv then agree, but neither inverts B."""
-        real = braidings.mat_inv
-
-        def bumped(a):
-            x = real(a)
-            x[0] = {**x[0], 1: x[0].get(1, ZERO) + ONE}
-            return x
-
-        monkeypatch.setattr(braidings, "mat_inv", bumped)
-
-    @pytest.mark.parametrize("corrupt, witness", [
-        ("_bump_left", "[('left-row', 0)]"),
-        ("_bump_tilde", "[('tilde-row', 0)]"),
-        ("_bump_inverse", "[('tilde-row', 0)]"),
-    ], ids=["_bump_left", "_bump_tilde", "_bump_inverse"])
-    def test_corrupted_pairing_fails(self, corrupt, witness, tmp_path, monkeypatch, capsys):
-        """The record fails alone and names the rows of the pairing that
-        fails: the left pairing against B, or its product with the tilde
-        pairing against I."""
-        getattr(self, corrupt)(monkeypatch)
-        out = tmp_path / "rep.json"
-        assert run(["verify", "--braiding", "std-hecke", "--n", "2",
-                    "--suite", "braiding", "--out", str(out)]) == 1
-        printed = capsys.readouterr().out
-        assert "[FAIL] dual-pairings" in printed
-        assert printed.count("[FAIL]") == 1
-        [record] = [c for c in json.loads(out.read_text())["checks"]
-                    if c["check_id"] == "dual-pairings"]
-        assert record["witness"] == witness
-
-
 class TestProjectorMutation:
     """Corrupted cleared Lagrange data fails the cleared decomposition check
     and its normalized reference (tests/grid_reference.py).  No record
     reads these entries: projector-decomposition is the minimal
-    polynomial's verdict, which TestGatingRecordsCanFail fails through R."""
+    polynomial's verdict, which rows of tests/test_corruptions.py fail
+    through R."""
 
     @pytest.mark.parametrize("make", [
         lambda: make_standard_hecke(2), lambda: load_builtin("bmw-orth-3"),
@@ -793,424 +611,16 @@ class TestProjectorMutation:
         assert not normalized_decomposition_ok(b, normalized(b.lagrange))
 
 
-def _failing_gating_checks(argv, out) -> set[str]:
-    """The gating records that fail in `verify argv`; each names its
-    failures in its witness."""
-    assert run(["verify", *argv, "--out", str(out)]) == 1
-    failing = [c for c in json.loads(out.read_text())["checks"]
-               if c["gating"] and c["verdict"] == "fail"]
-    assert all(c["witness"] for c in failing), failing
-    return {c["check_id"] for c in failing}
-
-
-def _sheared(r: LinOperator) -> LinOperator:
-    """A R A^{-1} with A = I + E_01 on V (x) V, which is not a g (x) g."""
-    ident = LinOperator.identity(r.dim, r.legs, r.labels)
-    e01 = LinOperator.from_terms([(0, 1, ONE)], r.dim, r.legs, r.labels, r.labels_out)
-    return (ident + e01) @ r @ (ident - e01)
-
-
-def _with_mu(b: Braiding, mu: tuple[LinOperator, Scalar]) -> Braiding:
-    """A copy of the BMW braiding b whose Lagrange data (Q, d) for mu is
-    `mu`."""
-    copy = Braiding(b.N, b.R, b.kind, series=b.series, q=b.q, name=b.name)
-    copy.lagrange = {**b.lagrange, "mu": mu}
-    return copy
-
-
 class TestGatingRecordsCanFail:
-    """Each gating braiding, double and Poincare record fails on a braiding
-    or an algebra built to break its identity."""
-
-    @pytest.mark.parametrize("corrupt, failing", [
-        # the Hecke projectors are read off the minimal polynomial, so they
-        # no longer reconstruct 2R either
-        (lambda r: r.scale(Scalar.from_int(2)),
-         {"minimal-polynomial": "['hecke minimal polynomial violated']",
-          "projector-decomposition": "['hecke minimal polynomial violated']"}),
-        (_sheared, {"braid-relation": "['braid relation violated']"}),
-        (lambda r: LinOperator.identity(r.dim, r.legs, r.labels).scale(Q),
-         {"skew-inverse": "partial transpose of R is singular"}),
-    ], ids=["twice-r", "sheared-r", "q-identity"])
-    def test_corrupted_braiding(self, corrupt, failing, tmp_path, monkeypatch):
-        """The failing records, each with the witness that names its failure."""
-        r = corrupt(make_standard_hecke(2).R)
-        monkeypatch.setattr(cli, "_resolve_braiding",
-                            lambda cfg: Braiding(2, r, braidings.HECKE, name="corrupted"))
-        out = tmp_path / "rep.json"
-        assert _failing_gating_checks(["--suite", "braiding"], out) == set(failing)
-        witnesses = {c["check_id"]: c["witness"] for c in json.loads(out.read_text())["checks"]}
-        assert {check_id: witnesses[check_id] for check_id in failing} == failing
-
-    def test_sheared_r_fails_the_evaluation_cross_check(self, tmp_path, monkeypatch):
-        """The sheared R keeps the minimal polynomial and breaks the braid
-        relation, so at q = 3/2 the cross-check fails on the specialized
-        braiding's braid-relation list alone."""
-        r = _sheared(make_standard_hecke(2).R)
-        monkeypatch.setattr(cli, "_resolve_braiding",
-                            lambda cfg: Braiding(2, r, braidings.HECKE, name="sheared"))
-        out = tmp_path / "rep.json"
-        assert _failing_gating_checks(["--suite", "braiding", "--q", "3/2"], out) == {
-            "braid-relation", "evaluation-cross-check"}
-        [record] = [c for c in json.loads(out.read_text())["checks"]
-                    if c["check_id"] == "evaluation-cross-check"]
-        assert record["witness"] == "['braid relation violated']"
-
-    def test_singular_b_fails_strict_skew_invertibility(self, tmp_path, monkeypatch):
-        real = cli._resolve_braiding
-
-        def singular(cfg):
-            b = real(cfg)
-            b.skew.B_inv = None
-            return b
-
-        monkeypatch.setattr(cli, "_resolve_braiding", singular)
-        assert _failing_gating_checks(
-            ["--braiding", "std-hecke", "--n", "2", "--suite", "braiding"],
-            tmp_path / "rep.json") == {"strict-skew-invertibility"}
-
-    @pytest.mark.parametrize("braiding, n", [("bmw-orth", "3"), ("bmw-orth", "4"),
-                                             ("bmw-sympl", "2"), ("bmw-sympl", "4")])
-    def test_middle_idempotent_in_place_of_mu(self, braiding, n, tmp_path, monkeypatch):
-        """The mu record handed a copy of the braiding whose mu idempotent
-        is the series' middle one, the eigenspace that the kind keeping mu
-        drops: that image is not one invariant line that survives in one
-        quotient and dies in the other."""
-        real = quadalgebras.mu_eigenspace_degree2_report
-
-        def swapped(b):
-            middle = {SYM: "-1/q", LAMBDA: "q"}[braidings.MU_KIND[b.series]]
-            return real(_with_mu(b, b.lagrange[middle]))
-
-        monkeypatch.setattr(quadalgebras, "mu_eigenspace_degree2_report", swapped)
-        assert _failing_gating_checks(
-            ["--braiding", braiding, "--n", n, "--suite", "braiding"],
-            tmp_path / "rep.json") == {"mu-eigenspace-degree2"}
-
-    @pytest.mark.parametrize("braiding, n", [("bmw-orth", "3"), ("bmw-sympl", "4")])
-    def test_wider_idempotent_in_place_of_mu(self, braiding, n, tmp_path, monkeypatch):
-        """The mu record handed a copy of the braiding whose mu numerator
-        is Q_mu plus that of the other idempotent that the kind keeping mu
-        keeps (q for sym, -1/q for lambda), which has the image of P_mu plus
-        that idempotent: its image of rank 1 + 5 still survives in that
-        quotient and dies in the other one, so only the rank fails.
-        bmw-sympl 2 has no such copy: its -1/q eigenspace is zero."""
-        real = quadalgebras.mu_eigenspace_degree2_report
-
-        def widened(b):
-            kept = {SYM: "q", LAMBDA: "-1/q"}[braidings.MU_KIND[b.series]]
-            (q_mu, d_mu), (q_kept, _) = b.lagrange["mu"], b.lagrange[kept]
-            return real(_with_mu(b, (q_mu + q_kept, d_mu)))
-
-        monkeypatch.setattr(quadalgebras, "mu_eigenspace_degree2_report", widened)
-        out = tmp_path / "rep.json"
-        assert _failing_gating_checks(
-            ["--braiding", braiding, "--n", n, "--suite", "braiding"],
-            out) == {"mu-eigenspace-degree2"}
-        [record] = [c for c in json.loads(out.read_text())["checks"]
-                    if c["check_id"] == "mu-eigenspace-degree2"]
-        assert record["witness"] == "[('mu-rank', 6)]"
-
-    def test_dropped_left_dual_relation(self, tmp_path, monkeypatch):
-        """One transported relation dropped from the left-dual side of the
-        std-hecke N = 3 double: the variant rule no longer orders the
-        relations to zero."""
-        real = fockdouble.GradedQuotient
-
-        def dropped(N, relations, name=""):
-            if name == "left-dual side":
-                relations = relations[:-1]
-            return real(N, relations, name)
-
-        monkeypatch.setattr(fockdouble, "GradedQuotient", dropped)
-        out = tmp_path / "rep.json"
-        assert _failing_gating_checks(
-            ["--braiding", "std-hecke", "--n", "3", "--suite", "double"],
-            out) == {"left-dual-variant"}
-        [record] = [c for c in json.loads(out.read_text())["checks"]
-                    if c["check_id"] == "left-dual-variant"]
-        assert re.search(r"\('[bt]-ideal', ", record["witness"])
-
-    def test_involutive_table_is_held_to_its_q(self, tmp_path, capsys):
-        """An involutive R = flip with q = 2 solves R^2 = I but not
-        (R - q)(R + 1/q) = 0, which every relation space reads; it is
-        refused at load."""
-        doc = braiding_to_table(make_flip(2))
-        doc["q"] = Scalar.from_int(2).to_pairs()
-        table = tmp_path / "flip-q2.json"
-        table.write_text(json.dumps(doc))
-        assert _failing_gating_checks(["--table", str(table), "--suite", "braiding"],
-                                      tmp_path / "rep.json") == {"load-braiding"}
-        assert "involutive minimal polynomial violated" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("suite", ["braiding", "currents"])
-    def test_involutive_table_off_q_one_is_refused(self, suite, tmp_path, capsys):
-        """std-hecke 2 declared involutive at its own q solves the
-        (R - q)(R + 1/q) that validation reads at b.q, but not R^2 = I,
-        the minimal polynomial of an involutive braiding, under which the
-        currents suite Baxterizes it rationally: it is refused at load,
-        naming q, before any suite runs."""
-        doc = braiding_to_table(make_standard_hecke(2))
-        doc["kind"] = "involutive"
-        doc["q"] = Q.to_pairs()
-        table = tmp_path / "hecke-as-involutive.json"
-        table.write_text(json.dumps(doc))
-        out = tmp_path / "rep.json"
-        assert run(["verify", "--table", str(table), "--suite", suite,
-                    "--out", str(out)]) == 1
-        [record] = json.loads(out.read_text())["checks"]
-        assert (record["check_id"], record["verdict"]) == ("load-braiding", "fail")
-        assert record["witness"].endswith(f"its q is {Q!r}")
-        assert "[PASS]" not in capsys.readouterr().out
-        with pytest.raises(InvalidTable, match="involutive table is read at q = 1"):
-            load_braiding_table(doc)
-
-    @pytest.mark.parametrize("n, series, repeated", [
-        (3, "orthogonal", "q = mu = 1"), (2, "symplectic", "-1/q = mu = -1")])
-    def test_repeated_root_table_is_refused(self, n, series, repeated, tmp_path):
-        """A BMW table at q = 1 whose mu equals another root solves its
-        minimal polynomial but has no spectral idempotents: it is refused
-        at load, with one failing record that names the repeated root."""
-        table = tmp_path / "table.json"
-        table.write_text(json.dumps(braiding_to_table(specialize(make_bmw(n, series), 1))))
-        out = tmp_path / "rep.json"
-        assert run(["verify", "--table", str(table), "--suite", "braiding",
-                    "--out", str(out)]) == 1
-        [record] = json.loads(out.read_text())["checks"]
-        assert (record["check_id"], record["verdict"]) == ("load-braiding", "fail")
-        assert f"repeated root {repeated} " in record["witness"]
+    """The corruptions that fail each gating record are the rows of
+    tests/test_corruptions.py.  Their passing neighbour stays here: a table
+    that the loader's distinct-roots rule accepts."""
 
     def test_hecke_table_at_q_minus_one_passes(self, tmp_path):
         """At q = -1 the Hecke roots q and -1/q are -1 and 1, distinct."""
         table = tmp_path / "table.json"
         table.write_text(json.dumps(braiding_to_table(specialize(make_standard_hecke(2), -1))))
         assert run(["verify", "--table", str(table), "--suite", "all"]) == 0
-
-    @pytest.mark.parametrize("target", [
-        ["--braiding", "std-hecke", "--n", "2"],
-        ["--braiding", "bmw-orth", "--n", "3"],
-        ["--braiding", "bmw-sympl", "--n", "2"],
-    ], ids=["std-hecke-2", "bmw-orth-3", "bmw-sympl-2"])
-    def test_truncated_relations_fail_every_poincare_record(self, target, tmp_path, monkeypatch):
-        real = quadalgebras._image_basis
-        monkeypatch.setattr(quadalgebras, "_image_basis", lambda op: real(op)[:-1])
-        argv = target + ["--suite", "poincare"]
-        assert _failing_gating_checks(argv, tmp_path / "rep.json") == {
-            f"poincare-{kind}-{space}" for kind in ("sym", "lambda") for space in ("V", "V*")}
-
-    @pytest.mark.parametrize("kind, space, record", [
-        ("sym", "V", "poincare-sym-V"), ("sym", "V*", "poincare-sym-V*"),
-        ("lambda", "V", "poincare-lambda-V"), ("lambda", "V*", "poincare-lambda-V*")])
-    @pytest.mark.parametrize("make", [lambda: make_standard_hecke(3),
-                                      lambda: make_superflip(2, 1),
-                                      lambda: super_hecke(2, 1)],
-                             ids=["std-hecke-3", "superflip-2|1", "super-hecke-2|1"])
-    def test_one_dropped_relation_fails_its_poincare_record(self, make, kind, space, record,
-                                                            tmp_path, monkeypatch):
-        """The first relation of one of the four algebras dropped: its own
-        record fails, and no other."""
-        table = tmp_path / "table.json"
-        table.write_text(json.dumps(braiding_to_table(make())))
-        real = quadalgebras.make_algebra
-
-        def dropped(b, kind_, space_):
-            alg = real(b, kind_, space_)
-            if (kind_, space_) == (kind, space):
-                alg.relations = alg.relations[1:]
-            return alg
-
-        monkeypatch.setattr(quadalgebras, "make_algebra", dropped)
-        argv = ["--table", str(table), "--suite", "poincare"]
-        assert _failing_gating_checks(argv, tmp_path / "rep.json") == {record}
-
-    def test_singular_b_fails_the_double_construction(self, tmp_path, monkeypatch):
-        """B made singular as the double is made (the braiding suite does
-        not run, so strictness is not checked first): the construction fails
-        and names the reason, and no other double record runs."""
-        real = fockdouble.make_double
-
-        def singular(b, flavor):
-            b.skew.B_inv = None
-            return real(b, flavor)
-
-        monkeypatch.setattr(fockdouble, "make_double", singular)
-        out = tmp_path / "rep.json"
-        assert _failing_gating_checks(
-            ["--braiding", "std-hecke", "--n", "2", "--suite", "double"],
-            out) == {"double-construction"}
-        checks = json.loads(out.read_text())["checks"]
-        assert [(c["check_id"], c["witness"]) for c in checks[1:]] == [
-            ("double-construction", "doubles need invertible partial traces of Psi")]
-
-    @pytest.mark.parametrize("braiding, n", [("std-hecke", "2"), ("bmw-orth", "3")])
-    def test_bumped_l_identity_side_fails_every_l_identity_record(
-            self, braiding, n, tmp_path, monkeypatch):
-        """ONE added to the first entry of the written side O L1 of the
-        L-identity: its first cell fails in the double and on every
-        component.  No corruption fails l-quadratic-identity alone at this
-        level, as the representation records evaluate the same cells."""
-        real = fockdouble.l_identity_sides
-
-        def bumped(R, O):
-            sides = real(R, O)
-            o_l = sides[2]
-            x = next(x for x, row in enumerate(o_l) if row)
-            c = min(o_l[x])
-            o_l[x] = {**o_l[x], c: o_l[x][c] + ONE}
-            return sides
-
-        monkeypatch.setattr(fockdouble, "l_identity_sides", bumped)
-        out = tmp_path / "rep.json"
-        failing = {"l-quadratic-identity", "representation-identity-k1",
-                   "representation-identity-k2", "representation-identity-k3"}
-        assert _failing_gating_checks(
-            ["--braiding", braiding, "--n", n, "--suite", "double", "--degree", "3"],
-            out) == failing
-        assert {c["witness"] for c in json.loads(out.read_text())["checks"]
-                if c["check_id"] in failing} == {"[(1, 0)]"}
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_bumped_representation_fails_its_degree(self, k, tmp_path, monkeypatch):
-        """ONE added at (0, 0) of the l_1^1 matrix on the degree-k component
-        of std-hecke N = 2 alone: the record of that degree fails and names
-        its first failing cells."""
-        real = fockdouble.fock_representation
-
-        def bumped(d, degree):
-            reps = real(d, degree)
-            if degree != k:
-                return reps
-            cols = [dict(col) for col in reps[(0, 0)]]
-            cols[0][0] = cols[0].get(0, ZERO) + ONE
-            return {**reps, (0, 0): cols}
-
-        monkeypatch.setattr(fockdouble, "fock_representation", bumped)
-        out = tmp_path / "rep.json"
-        assert _failing_gating_checks(
-            ["--braiding", "std-hecke", "--n", "2", "--suite", "double", "--degree", "3"],
-            out) == {f"representation-identity-k{k}"}
-        [record] = [c for c in json.loads(out.read_text())["checks"]
-                    if c["check_id"] == f"representation-identity-k{k}"]
-        assert record["witness"] == "[(0, 1), (0, 2), (1, 0)]"
-
-    @pytest.mark.parametrize("degree", ["1", "2"])
-    def test_bumped_pairing_constant_fails_the_spectral_identity(
-            self, degree, tmp_path, monkeypatch, capsys):
-        """The pairing constant of the current double bumped: the strict
-        degree <= 1 comparison fails and gates at every --degree."""
-        real = currents.make_current_double
-
-        def bumped(cb, window):
-            cd = real(cb, window)
-            cd.constant[(0, 0)] = cd.constant[(0, 0)] + ONE
-            return cd
-
-        monkeypatch.setattr(currents, "make_current_double", bumped)
-        out = tmp_path / "rep.json"
-        assert run(["verify", "--braiding", "std-hecke", "--n", "2", "--suite", "currents",
-                    "--window", "1", "--degree", degree, "--out", str(out)]) == 1
-        assert "[FAIL] spectral-l-identity" in capsys.readouterr().out
-        [record] = [c for c in json.loads(out.read_text())["checks"]
-                    if c["check_id"] == "spectral-l-identity"]
-        # the witness leads with the element count that harnesses parse
-        assert record["gating"] and re.match(r"\d+ elements", record["witness"])
-        assert record["witness"].endswith("residual classes") == (degree == "2")
-
-    def test_corrupted_twist_names_its_cells(self, tmp_path, monkeypatch):
-        """ONE added to the first nonzero entry of the std-hecke N = 2 twist:
-        the defining property and the Jacobi identity fail, each record
-        names its witnesses, and the passing records name none."""
-        real = fockdouble.braided_lie
-
-        def bumped(b):
-            bl = copy.copy(real(b))
-            bl.rhat = [dict(col) for col in bl.rhat]
-            col = next(col for col in bl.rhat if col)
-            r = min(col)
-            col[r] = col[r] + ONE
-            return bl
-
-        monkeypatch.setattr(fockdouble, "braided_lie", bumped)
-        out = tmp_path / "rep.json"
-        assert _failing_gating_checks(
-            ["--braiding", "std-hecke", "--n", "2", "--suite", "lie"],
-            out) == {"rhat-defining", "jacobi"}
-        witness = {c["check_id"]: c["witness"]
-                   for c in json.loads(out.read_text())["checks"]}
-        cells = re.findall(r"\('defining', (\d+), (\d+)\)", witness["rhat-defining"])
-        assert 1 <= len(cells) <= 3
-        assert all(int(x) < 4 and int(y) < 4 for x, y in cells)
-        assert witness["jacobi"] == "[('jacobi-hecke',)]"
-        for passing in ("rhat-reconstruction", "rtrace-generators",
-                        "rtrace-brackets", "bracket-quadratic-consistency"):
-            assert witness[passing] is None
-
-    @pytest.mark.parametrize("braiding, n", [("std-hecke", 2), ("std-hecke", 3),
-                                             ("flip", 2)])
-    def test_bumped_mixed_extension_fails_the_twist(self, braiding, n, tmp_path,
-                                                     monkeypatch):
-        """ONE added at (0, 0) of the extension of R to V* (x) V that the
-        twist is built from: the twist no longer satisfies its defining
-        property, and the bracket built on it fails its trace, Jacobi and
-        consistency records, while the R-trace of the generators, which
-        does not read the twist, still passes."""
-        real = fockdouble._vstar_v
-
-        def bumped(b):
-            op = real(b)
-            return op + LinOperator.from_terms([(0, 0, ONE)], op.dim, op.legs,
-                                               op.labels, op.labels_out)
-
-        monkeypatch.setattr(fockdouble, "_vstar_v", bumped)
-        out = tmp_path / "rep.json"
-        assert _failing_gating_checks(
-            ["--braiding", braiding, "--n", str(n), "--suite", "lie"], out) == {
-                "rhat-defining", "rtrace-brackets", "jacobi",
-                "bracket-quadratic-consistency"}
-        verdicts = {c["check_id"]: c["verdict"]
-                    for c in json.loads(out.read_text())["checks"]}
-        assert verdicts["rhat-reconstruction"] == verdicts["rtrace-generators"] == "pass"
-
-    @pytest.mark.parametrize("braiding", ["std-hecke", "flip"])
-    @pytest.mark.parametrize("field, failing", [
-        ("bracket", {"rtrace-brackets", "jacobi", "bracket-quadratic-consistency"}),
-        ("rhat", {"rhat-defining", "jacobi"}),
-        ("rtrace", {"rtrace-generators", "rtrace-brackets"}),
-        ("alpha", {"rtrace-generators"}),
-    ])
-    def test_each_lie_record_shows_its_own_witnesses(
-            self, braiding, field, failing, tmp_path, monkeypatch):
-        """ONE added to one Lie input at N = 2 (the nonzero entry of the
-        bracket or the twist in the first row that has one, rtrace[1] or
-        alpha): the records it breaks fail, and each failing record's
-        witnesses carry its own label."""
-        real = fockdouble.braided_lie
-
-        def bumped(b):
-            bl = copy.copy(real(b))
-            if field == "alpha":
-                bl.alpha = bl.alpha + ONE
-            elif field == "rtrace":
-                bl.rtrace = list(bl.rtrace)
-                bl.rtrace[1] = bl.rtrace[1] + ONE
-            else:
-                cols = [dict(col) for col in getattr(bl, field)]
-                r, c = min((r, c) for c, col in enumerate(cols) for r in col)
-                cols[c][r] = cols[c][r] + ONE
-                setattr(bl, field, cols)
-            return bl
-
-        monkeypatch.setattr(fockdouble, "braided_lie", bumped)
-        out = tmp_path / "rep.json"
-        assert _failing_gating_checks(
-            ["--braiding", braiding, "--n", "2", "--suite", "lie"], out) == failing
-        labels = {"rhat-defining": "defining", "rtrace-generators": "trace-gen",
-                  "rtrace-brackets": "trace-bracket", "jacobi": "jacobi-hecke",
-                  "bracket-quadratic-consistency": "quadratic"}
-        for c in json.loads(out.read_text())["checks"]:
-            if c["check_id"] in failing:
-                named = {w[0] for w in ast.literal_eval(c["witness"])}
-                assert named == {labels[c["check_id"]]}, c
 
 
 def _mutation():
@@ -1630,3 +1040,43 @@ class TestUnwritableOut:
         assert main([*_OUT_COMMANDS[command], "--out", "/dev/full"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: InvalidArgument: --out /dev/full: cannot write")
+
+
+class TestExitContract:
+    """A closed standard output exits 141 (128 + SIGPIPE) and an interrupt
+    130, each without a traceback."""
+
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    @pytest.mark.parametrize("command", _OUT_COMMANDS)
+    def test_closed_stdout_exits_141(self, command, method, monkeypatch, capsys):
+        """Closed at the first write, or after the last one, before the
+        flush; this stdout has no file descriptor."""
+        def closed(*args):
+            raise BrokenPipeError(32, "Broken pipe")
+        stdout = {"write": len, "flush": lambda: None, method: closed}
+        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(**stdout))
+        assert main(_OUT_COMMANDS[command]) == 141
+        assert capsys.readouterr().err == ""
+
+    def test_interrupt_exits_130(self, monkeypatch, capsys):
+        def interrupted(b, cfg):
+            raise KeyboardInterrupt
+        monkeypatch.setitem(cli.SUITE_RECORDS, "lie", interrupted)
+        assert main(["verify", "--braiding", "flip", "--n", "2", "--suite", "lie"]) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+
+    def test_reader_that_stops_after_one_line(self):
+        """The 623,548-byte repr document is far larger than a pipe's
+        buffer, so the writer meets the closed pipe."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        child = subprocess.Popen(
+            [sys.executable, "-m", "qfock.cli", "repr", "--braiding", "bmw-orth",
+             "--n", "4", "--degree", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert child.stdout.readline() == b"{\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 141
+        assert err == b""     # no traceback and no error line

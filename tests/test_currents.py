@@ -1,5 +1,4 @@
 import itertools
-import json
 import sys
 
 import pytest
@@ -40,6 +39,7 @@ import yang_reference
 from dense_elimination import dense_row_reduce
 from gauge import conjugated, twisted, upper
 from rewriting_reference import recursive_annihilate
+from test_corruptions import bump_constant, bump_exchange
 from yang_reference import full_relation_instances
 
 
@@ -58,18 +58,6 @@ def superflip_double(window=2):
 def twisted_double(window=2):
     return make_current_double(
         baxterize(twisted(make_standard_hecke(2))), window)
-
-
-def bump_exchange(cd):
-    """Add ONE to the first coefficient of one exchange move."""
-    (i, j, c), *rest = cd.exchange[(0, 1)]
-    cd.exchange[(0, 1)] = [(i, j, c + ONE), *rest]
-    return cd
-
-
-def bump_constant(cd):
-    cd.constant[(0, 0)] = cd.constant[(0, 0)] + ONE
-    return cd
 
 
 # ---------------------------------------------------------------------------
@@ -754,26 +742,6 @@ class TestRelationChecks:
         a-side check tags R's lists, braid first."""
         assert current_relation_check([(1, 0, 0)], [(0, 2, 0), (2, 0, 0)]) == [
             ("braid", (1, 0, 0)), ("unitarity", (0, 2, 0)), ("unitarity", (2, 0, 0))]
-
-    @pytest.mark.parametrize("failing, record, tag", [
-        ("spectral_braid_certificate", "spectral-braid-certificate", "braid"),
-        ("unitarity_certificate", "spectral-unitarity-certificate", "unitarity"),
-    ])
-    def test_either_certificate_can_fail(self, monkeypatch, capsys, tmp_path,
-                                         failing, record, tag):
-        """A failing certificate function, patched where the currents
-        records look it up, fails the braiding's own record and the a-side
-        check, which tags its failures "braid" or "unitarity"."""
-        monkeypatch.setattr(currents, failing, lambda cb: [(1, 0, 0)])
-        out = tmp_path / "report.json"
-        assert cli.main(["verify", "--braiding", "flip", "--n", "2", "--suite", "currents",
-                         "--window", "0", "--out", str(out)]) == 1
-        capsys.readouterr()
-        checks = json.loads(out.read_text())["checks"]
-        assert {c["check_id"] for c in checks if c["verdict"] == "fail"} == {
-            record, "current-relations-a-side"}
-        [a_side] = [c for c in checks if c["check_id"] == "current-relations-a-side"]
-        assert f"('{tag}', (1, 0, 0))" in a_side["witness"]
 
     def test_certificates_are_computed_once(self, monkeypatch, capsys):
         """A whole currents suite runs each certificate once, on R; the

@@ -64,6 +64,7 @@ from gauge import GAUGES, conjugated, twisted
 from hecke_families import FORMS, form_braiding, super_hecke
 from jacobi_reference import jacobi_sides
 from rewriting_reference import full_diamond_groups, normal_order_act, pending_rewrite
+from test_corruptions import bump_constant, bump_exchange
 
 
 def _records(checks) -> dict:
@@ -448,18 +449,6 @@ class TestCompatibility:
         d = make_double(make_standard_hecke(2), "fermionic")
         w1, w2 = tuple(w1), tuple(w2)
         assert d.normal_order(w1 + w2) == d.multiply(d.normal_order(w1), d.normal_order(w2))
-
-
-def bump_exchange(d):
-    """Add ONE to the coefficient of the first exchange move of (0, 1)."""
-    (i, j, c), *rest = d.exchange[(0, 1)]
-    d.exchange[(0, 1)] = [(i, j, c + ONE), *rest]
-    return d
-
-
-def bump_constant(d):
-    d.constant[(0, 0)] = d.constant[(0, 0)] + ONE
-    return d
 
 
 MUTATION_DOUBLES = {
