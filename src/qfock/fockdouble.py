@@ -19,11 +19,9 @@ folds it into the annihilation action of the double and of the current
 double (currents).  _rewrite sorts with _pass and _moved, the terms whose
 annihilator came out on the right.  What can fail is
 compatibility with the quotients: the closed matrix identity is checked
-on free words sorted by the double's own rule, and the diamond test
-compares, on each degree-3 word where a relation overlaps the rule,
-normal ordering the free word and then reducing (exchange first) with
-reducing each same-tag run in its quotient and then normal ordering
-(reduce first).
+on free words sorted by the double's own rule, and each relation times a
+generator must normal-order to zero, which also decides the diamond test
+of exchange-first against reduce-first ordering (_rule_failures).
 
 The braiding fixes the double's family and, for BMW, its flavor
 (family_flavor): Hecke and involutive braidings give the hecke family,
@@ -354,17 +352,23 @@ def verify_l_relations(d: FockDouble) -> list[tuple]:
 # compatibility verification
 # ---------------------------------------------------------------------------
 
-def _rule_groups(N: int, hi: str, lo: str, algebras: dict):
-    """Yield the ideal groups, then the diamond groups, of a permutation
-    rule that sorts the `hi` tokens after the `lo` ones: combinations of
-    mixed words that must order to zero.  Ideals: a quadratic relation of
-    the lo side after a hi generator, or of the hi side before a lo
-    generator, keyed (tag, generator, relation index).  Diamond: a mixed
-    degree-3 word minus the product of the normal forms of its same-tag
-    runs, keyed ("diamond", word), for the two overlaps (hi, hi, lo) and
-    (hi, lo, lo) alone.  In (hi, lo, hi) and (lo, hi, lo) every run is one
-    letter, so the combination is empty; (lo, hi, hi) and (lo, lo, hi) are
-    sorted, so ordering the word is reducing its runs, the other side."""
+def _rule_failures(N: int, hi: str, lo: str, algebras: dict, order) -> list[tuple]:
+    """The witnesses ("<tag>-ideal", generator, relation) of a permutation
+    rule that sorts the `hi` tokens after the `lo` ones, order(word) being
+    the rule's reduced normal form: each quadratic relation of the lo side
+    after a hi generator, and of the hi side before a lo generator, must
+    order to zero.  An empty list is a pass.
+
+    These groups decide the diamond test too (Bergman 1978).  Its two
+    rewrite orders can differ only where a relation overlaps the rule, on
+    the words (hi, hi, lo) and (hi, lo, lo); in (hi, lo, hi) and (lo, hi,
+    lo) every same-tag run is one letter, and (lo, hi, hi) and (lo, lo, hi)
+    are sorted.  On an overlap word the two orders differ by
+    order(w - nf(w) times a generator), w a degree-2 word of one side and
+    nf its normal form in that side's quotient.  As w ranges, the w - nf(w)
+    span that side's relation space, and so does its relation basis; order
+    is linear, so every diamond combination orders to zero exactly when
+    every group here does."""
     groups: dict = {}
     for tag, other, before in ((lo, hi, True), (hi, lo, False)):
         for r, rel in enumerate(algebras[tag].relations):
@@ -373,31 +377,8 @@ def _rule_groups(N: int, hi: str, lo: str, algebras: dict):
                 groups[(tag, g, r)] = {
                     gen + ((tag, i), (tag, j)) if before else ((tag, i), (tag, j)) + gen: c
                     for (i, j), c in rel.items()}
-    yield groups
-    groups = {}
-    for pattern in ((hi, hi, lo), (hi, lo, lo)):
-        for idx in itertools.product(range(N), repeat=3):
-            word = tuple(zip(pattern, idx))
-            # a word whose runs are already reduced cancels to the empty
-            # combination
-            combination: dict[tuple[Token, ...], Scalar] = {(): _MINUS_ONE}
-            for tag, run in itertools.groupby(word, key=lambda t: t[0]):
-                nf = algebras[tag].normal_form_word(tuple(i for _, i in run))
-                combination = {w + tuple((tag, i) for i in rw): c * cr
-                               for w, c in combination.items() for rw, cr in nf.items()}
-            add_term(combination, word, ONE)
-            groups[("diamond", word)] = combination
-    yield groups
-
-
-def _rule_failures(N: int, hi: str, lo: str, algebras: dict, order):
-    """Yield the ideal witnesses ("<tag>-ideal", generator, relation), then
-    the diamond witnesses ("diamond", word), of _rule_groups, order(word)
-    being the rule's reduced normal form; both share one memo of order."""
-    order, groups = functools.cache(order), _rule_groups(N, hi, lo, algebras)
-    yield [(f"{tag}-ideal", g, tuple(algebras[tag].relations[r]))
-           for tag, g, r in nonzero_sums(next(groups), order)]
-    yield nonzero_sums(next(groups), order)
+    return [(f"{tag}-ideal", g, tuple(algebras[tag].relations[r]))
+            for tag, g, r in nonzero_sums(groups, order)]
 
 
 def verify_compatibility(d: FockDouble) -> Iterator[tuple[str, str, list]]:
@@ -410,10 +391,12 @@ def verify_compatibility(d: FockDouble) -> Iterator[tuple[str, str, list]]:
         both sides are nonzero: each word holds one annihilator, so the
         sorted words need no quotient reduction;
     (ii) ideal annihilation in the quotient double: each relation times a
-        generator normal-orders to zero;
+        generator normal-orders to zero (_rule_failures);
     (iii) the diamond test on the overlap words (a, a, b) and (a, b, b):
         normal ordering the free word (exchange first) agrees with reducing
         each same-tag run in its quotient first and then normal ordering.
+        It holds exactly when (ii) does (see _rule_failures), so it reads
+        the verdict and the witnesses of (ii).
     """
     b = d.braiding
     N = b.N
@@ -435,10 +418,9 @@ def verify_compatibility(d: FockDouble) -> Iterator[tuple[str, str, list]]:
     yield ("compatibility-closed-identity",
            "G(R23) x2 x3 x^<3| = q^{+-2} x^<1| R12 R23 G(R12) x1 x2",
            [("closed", key) for key in closed])
-    yield from zip(("compatibility-ideals", "diamond-degree-3"),
-                   ("relations times a generator order to zero",
-                    "two rewrite orders agree on mixed words"),
-                   _rule_failures(N, "a", "b", {"a": d.A, "b": d.B}, d.normal_order))
+    ideals = _rule_failures(N, "a", "b", {"a": d.A, "b": d.B}, d.normal_order)
+    yield "compatibility-ideals", "relations times a generator order to zero", ideals
+    yield "diamond-degree-3", "two rewrite orders agree on mixed words", ideals
 
 
 # ---------------------------------------------------------------------------
@@ -526,15 +508,15 @@ def double_records(b: Braiding, flavor: str | None, degree: int):
 
 def left_dual_variant_report(d: FockDouble) -> list[tuple]:
     """Consistency of the left-dual permutation rule of a bosonic
-    Hecke-family double d: its "diamond" witnesses, then its "b-ideal" and
-    "t-ideal" ones (_rule_failures), empty on a pass.
+    Hecke-family double d: its "b-ideal" and "t-ideal" witnesses
+    (_rule_failures), empty on a pass.
 
     The variant rule  x_k x~^l = q^{-1} Psi_kj^li x~^j x_i + C_k^l  orders
     left-dual generators in front of creation generators.  The dual-side
     relations of d are transported into the left-dual basis through the
     change of basis x^a = B_t^a x~^t, and the variant must pass the same
-    diamond and ideal-annihilation checks as the main double.  No
-    isomorphism between the two doubles is asserted.
+    ideal-annihilation check as the main double, which decides its diamond
+    test too.  No isomorphism between the two doubles is asserted.
     """
     if d.family != FAMILY_HECKE or d.flavor != BOSONIC:
         raise UnsupportedDouble("the left-dual variant is stated for the "
@@ -564,8 +546,7 @@ def left_dual_variant_report(d: FockDouble) -> list[tuple]:
     def order(word: tuple[Token, ...]) -> dict[Key, Scalar]:
         return _reduce_keys(_rewrite(word, rule, memo, "b", "t"), atilde, d.B)
 
-    ideal, diamond = _rule_failures(N, "b", "t", {"b": d.B, "t": atilde}, order)
-    return diamond + ideal
+    return _rule_failures(N, "b", "t", {"b": d.B, "t": atilde}, order)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +571,7 @@ class BraidedLie:
 # --suite lie` on std-hecke takes about 0.2 s at N = 4 and 0.5 s at N = 6,
 # with a peak RSS of 17 and 19 MB; at N = 8, with this limit raised, it
 # takes 1.1 to 1.6 s and 23 MB.  Most of the time is the streamed Jacobi
-# check (_jacobi_holds), which walks the nonzero summands of N^2
+# check (_jacobi_failure), which walks the nonzero summands of N^2
 # third-leg blocks of N^4 columns each.
 LIE_MAX_N = 6
 
@@ -640,10 +621,12 @@ def braided_lie(b: Braiding) -> BraidedLie:
     return BraidedLie(b, rhat, comp, bracket, rtrace, alpha)
 
 
-def _jacobi_holds(bl: BraidedLie) -> bool:
-    """Whether the Jacobi identity holds on End(V)^(x)3, whose column
+def _jacobi_failure(bl: BraidedLie) -> tuple[int, tuple[int, int]] | None:
+    """Where the Jacobi identity fails on End(V)^(x)3, whose column
     (e1, e2, e3) is e1*N^4 + e2*N^2 + e3; a = [,] o [,]_23 takes it to
-    [l_e1, [l_e2, l_e3]].  The first failing third-leg block ends the check.
+    [l_e1, [l_e2, l_e3]].  The first failing third-leg block c ends the
+    check, which returns c and the first column (e1, e2) of that block
+    where the two sides differ; None when the identity holds.
 
     The identity is checked in its Leibniz form, a (I - rhat_12) = [,] o
     [,]_12, for every kind: an involutive rhat is the Hecke case at q = 1,
@@ -678,9 +661,11 @@ def _jacobi_holds(bl: BraidedLie) -> bool:
             if brc := br[r * n2 + c]:
                 for k, v in row.items():
                     sum_into(image.setdefault(k, {}), brc, v)
-        if a != {k: col for k, col in image.items() if col}:
-            return False
-    return True
+        image = {k: col for k, col in image.items() if col}
+        if a != image:
+            return c, divmod(min(k for k in a.keys() | image.keys()
+                                 if a.get(k) != image.get(k)), n2)
+    return None
 
 
 def lie_records(b: Braiding):
@@ -705,7 +690,7 @@ def lie_records(b: Braiding):
 def verify_lie(bl: BraidedLie) -> Iterator[tuple[str, str, list]]:
     """Yield (check id, anchor, witnesses) for each check of the braided
     Lie data as it finishes: the Jacobi identity, checked leg-locally one
-    third-leg index at a time (_jacobi_holds), the R-trace normalization
+    third-leg index at a time (_jacobi_failure), the R-trace normalization
     on generators, the vanishing of the R-trace on all basis brackets, the
     defining property of the twist, and the consistency of the quadratic
     L-identity with the bracket.
@@ -718,8 +703,9 @@ def verify_lie(bl: BraidedLie) -> Iterator[tuple[str, str, list]]:
     # whose q -> 1 limit is the classical [x,[y,z]] - [y,[x,z]] = [[x,y],z];
     # checked before the L-identity sides are built, so that its working
     # set and theirs never add up
+    failure = _jacobi_failure(bl)
     yield ("jacobi", "[,][,]_23 (I - twist_12) = [,][,]_12",
-           [] if _jacobi_holds(bl) else [("jacobi-hecke",)])
+           [] if failure is None else [("jacobi-hecke", *failure)])
 
     # trace on generators: alpha * delta
     yield ("rtrace-generators", "Tr_R l_i^j = alpha delta_i^j",

@@ -4,8 +4,9 @@ mixed word by the permutation rule, the recursion that let one dual mode
 of a current double act on a creation word, and the annihilation action of
 the Fock double computed by normal ordering the mixed word and keeping the
 terms with no annihilator left.  Also the diamond test over all six
-mixed patterns of degree 3, which fockdouble._rule_groups trims to the two
-overlaps."""
+mixed patterns of degree 3, the reference for the verdict of
+fockdouble._rule_failures: its ideal groups, a relation of one side beside
+a generator of the other, fail exactly when these groups do."""
 
 import itertools
 

@@ -107,21 +107,23 @@ class TestVerify:
     @pytest.mark.parametrize("suite, slowed, before", [
         ("lie", "jacobi", "rhat-reconstruction"),
         ("lie", "rhat-defining", "rtrace-brackets"),
-        ("double", "diamond-degree-3", "compatibility-ideals"),
+        ("double", "compatibility-ideals", "compatibility-closed-identity"),
     ])
     def test_streamed_records_time_their_own_check(self, suite, slowed, before,
                                                    tmp_path, monkeypatch):
         """verify_lie and verify_compatibility yield each record as its
         check finishes: 0.2 s added to the Jacobi check, to the building of
-        the L-identity sides or to the diamond evaluation lands on its own
-        record and not on the one before."""
+        the L-identity sides or to the one evaluation of the ideal groups,
+        which diamond-degree-3 reads too, lands on its own record and not on
+        the one before."""
         # the fockdouble call inside the slowed check, and which of its calls
         # belong to that check
         name, when = {
-            "jacobi": ("_jacobi_holds", lambda bl: True),
+            "jacobi": ("_jacobi_failure", lambda bl: True),
             "rhat-defining": ("l_identity_sides", lambda R, O: True),
-            "diamond-degree-3": ("nonzero_sums", lambda groups, value_of: any(
-                key[0] == "diamond" for key in groups)),
+            # the ideal groups are the ones keyed (tag, generator, relation)
+            "compatibility-ideals": ("nonzero_sums", lambda groups, value_of: any(
+                isinstance(key[0], str) for key in groups)),
         }[slowed]
         real = getattr(fockdouble, name)
 

@@ -432,19 +432,25 @@ def _double_rows():
               (fockdouble, "GradedQuotient", without_last_left_dual_relation),
               {"left-dual-variant"}, witness={"left-dual-variant": matching(r"\('[bt]-ideal', ")})
     # one exchange coefficient bumped: the three compatibility records fail
-    # together, each naming its own words (two of them decide one fact)
-    for name, argv, target in (
-            ("std-hecke-2", on("std-hecke", 2, "double"), "compatibility-closed-identity"),
+    # together; the diamond test holds exactly when the ideal check does, so
+    # diamond-degree-3 reads the ideal witnesses (fockdouble._rule_failures)
+    for name, argv, target, ideals in (
+            ("std-hecke-2", on("std-hecke", 2, "double"), "compatibility-closed-identity",
+             [("b-ideal", 0, ((0, 1), (1, 0))), ("a-ideal", 1, ((0, 1), (1, 0)))]),
             ("std-hecke-2-fermionic", on("std-hecke", 2, "double", "--flavor", "fermionic"),
-             "compatibility-ideals"),
-            ("bmw-orth-3", on("bmw-orth", 3, "double"), "diamond-degree-3")):
+             "compatibility-ideals",
+             [("b-ideal", 0, ((0, 1), (1, 0))), ("a-ideal", 1, ((0, 1), (1, 0))),
+              ("a-ideal", 0, ((0, 0),))]),
+            ("bmw-orth-3", on("bmw-orth", 3, "double"), "diamond-degree-3",
+             [("b-ideal", 1, ((1, 2), (2, 1))), ("b-ideal", 2, ((1, 2), (2, 1))),
+              ("b-ideal", 0, ((0, 2), (1, 1), (2, 0)))])):
         yield Row(f"{name}-bumped-exchange", target, argv, INTERNAL,
                   returned_by(fockdouble, "make_double", bump_exchange),
                   {"compatibility-closed-identity", "compatibility-ideals",
                    "diamond-degree-3", "l-quadratic-identity"},
                   witness={"compatibility-closed-identity": named_by("closed"),
-                           "compatibility-ideals": named_by("a-ideal", "b-ideal"),
-                           "diamond-degree-3": named_by("diamond")})
+                           "compatibility-ideals": str(ideals),
+                           "diamond-degree-3": str(ideals)})
     # the first cell fails in the double and on every component: no
     # corruption fails l-quadratic-identity alone at this level, as the
     # representation records evaluate the same cells
@@ -474,12 +480,17 @@ def _lie_rows():
               "rtrace-brackets": "trace-bracket", "jacobi": "jacobi-hecke",
               "bracket-quadratic-consistency": "quadratic"}
 
-    def witnesses(failing):
+    def witnesses(failing, jacobi=None):
         """Each failing record's witnesses carry its own label, and the
-        passing records name none."""
-        return {"rhat-reconstruction": None,
-                **{record: named_by(label) if record in failing else None
-                   for record, label in labels.items()}}
+        passing records name none; a failing jacobi names its first
+        failing third-leg block c and that block's first failing column
+        (e1, e2), given as (c, (e1, e2))."""
+        found = {"rhat-reconstruction": None,
+                 **{record: named_by(label) if record in failing else None
+                    for record, label in labels.items()}}
+        if jacobi is not None:
+            found["jacobi"] = str([("jacobi-hecke", *jacobi)])
+        return found
 
     # the twist built from a bumped extension of R to V* (x) V no longer
     # satisfies its defining property, and the bracket built on it fails its
@@ -489,18 +500,20 @@ def _lie_rows():
     for braiding, n in (("std-hecke", 2), ("std-hecke", 3), ("flip", 2)):
         yield Row(f"{braiding}-{n}-bumped-extension", "jacobi", on(braiding, n, "lie"),
                   INTERNAL, returned_by(fockdouble, "_vstar_v", plus_one_at_00), failing,
-                  witness=witnesses(failing))
-    for field, target, failing in (
+                  witness=witnesses(failing, (0, (0, 0))))
+    for field, target, failing, jacobi in (
             ("bracket", "bracket-quadratic-consistency",
-             {"rtrace-brackets", "jacobi", "bracket-quadratic-consistency"}),
-            ("rhat", "rhat-defining", {"rhat-defining", "jacobi"}),
-            ("rtrace", "rtrace-brackets", {"rtrace-generators", "rtrace-brackets"}),
-            ("alpha", "rtrace-generators", {"rtrace-generators"})):
-        witness = witnesses(failing)
-        if field == "rhat":
-            # the bumped twist entry (0, 0) fails one to three defining cells
-            witness.update({"rhat-defining": defining_cells, "jacobi": "[('jacobi-hecke',)]"})
+             {"rtrace-brackets", "jacobi", "bracket-quadratic-consistency"},
+             {"std-hecke": (0, (0, 0)), "flip": (0, (1, 2))}),
+            ("rhat", "rhat-defining", {"rhat-defining", "jacobi"},
+             {"std-hecke": (0, (0, 0)), "flip": (1, (0, 0))}),
+            ("rtrace", "rtrace-brackets", {"rtrace-generators", "rtrace-brackets"}, {}),
+            ("alpha", "rtrace-generators", {"rtrace-generators"}, {})):
         for braiding in ("std-hecke", "flip"):
+            witness = witnesses(failing, jacobi.get(braiding))
+            if field == "rhat":
+                # the bumped twist entry (0, 0) fails one to three defining cells
+                witness["rhat-defining"] = defining_cells
             yield Row(f"{braiding}-2-bumped-{field}", target, on(braiding, 2, "lie"),
                       INTERNAL, bumped_lie(field), failing, witness=witness)
 
@@ -569,15 +582,10 @@ def test_row(row, tmp_path, monkeypatch):
         assert witnesses["load-braiding"] == str(refused.value)
 
 
-def test_every_gating_record_is_a_target(tmp_path, capsys):
+def test_every_gating_record_is_a_target():
     """The rows' targets are the gating records of every golden verify
-    report and of the evaluation cross-check at --q 3/2, and each row's
-    target fails in it."""
-    out = tmp_path / "report.json"
-    assert cli.main(["verify", *on("std-hecke", 2, "braiding", "--q", "3/2"),
-                     "--out", str(out)]) == 0
+    report, and each row's target fails in it."""
     reports = [json.loads(path.read_text()) for path in GOLDEN.glob("braiding-*.json")]
-    reports.append(json.loads(out.read_text()))
     emitted = {c["check_id"] for report in reports for c in report["checks"] if c["gating"]}
     assert {row.target for row in ROWS} == emitted
     assert all(row.target in row.failing for row in ROWS)

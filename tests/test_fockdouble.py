@@ -34,7 +34,7 @@ from qfock import fockdouble, scalars, tensorops
 from qfock.errors import EmptyComponent, UnsupportedDouble
 from qfock.fockdouble import (
     BraidedLie,
-    _jacobi_holds,
+    _jacobi_failure,
     _row_differences,
     braided_lie,
     family_flavor,
@@ -54,7 +54,7 @@ from qfock.quadalgebras import (
     make_algebra,
     super_sym_dims,
 )
-from qfock.scalars import ONE, Q, QINV, ZERO, Scalar, sum_into
+from qfock.scalars import ONE, Q, QINV, ZERO, Scalar, nonzero_sums, sum_into
 from qfock.tensorops import LinOperator, Row, enc_index, mat_transpose, place, solve
 
 import formal_reference
@@ -407,36 +407,42 @@ class TestCompatibility:
                                        lambda: make_standard_hecke(3)],
                              ids=["bmw-orth-3", "std-hecke-3"])
     def test_rule_checks_order_each_word_once(self, maker, monkeypatch):
-        """The ideal and the diamond pass share one memo of the order
-        function: verify_compatibility orders each distinct word of their
-        groups once, though the two share words."""
+        """verify_compatibility normal-orders each distinct word of the
+        ideal groups once, though groups share words, and no other word: a
+        relation word of the creation side after an annihilator, or of the
+        annihilation side before a creator."""
         d = make_double(maker(), family_flavor(maker())[1])
-        ideal, diamond = (
-            {w for combination in groups.values() for w in combination}
-            for groups in fockdouble._rule_groups(d.braiding.N, "a", "b",
-                                                  {"a": d.A, "b": d.B}))
-        assert ideal & diamond
+        gens = range(d.braiding.N)
+        words = ({(("a", g), ("b", i), ("b", j)) for rel in d.B.relations
+                  for i, j in rel for g in gens}
+                 | {(("a", i), ("a", j), ("b", g)) for rel in d.A.relations
+                    for i, j in rel for g in gens})
         calls = []
         real = fockdouble.FockDouble.normal_order
         monkeypatch.setattr(fockdouble.FockDouble, "normal_order",
                             lambda self, word: calls.append(word) or real(self, word))
         assert not any(_records(verify_compatibility(d)).values())
-        assert len(calls) == len(ideal | diamond)
-        assert set(calls) == ideal | diamond
+        assert len(calls) == len(words)
+        assert set(calls) == words
 
     def test_hecke_n3_compatibility(self):
         d = make_double(make_standard_hecke(3), "bosonic")
         rep = _records(verify_compatibility(d))
         assert not any(rep.values()), rep
 
-    def test_corrupted_exchange_tensor_fails_diamond(self):
+    def test_corrupted_exchange_tensor_fails_both_rule_records(self):
+        """A bumped exchange coefficient fails the diamond test over all six
+        mixed patterns, and diamond-degree-3 shows the ideal witnesses."""
         d = make_double(make_standard_hecke(2), "bosonic")
         (i, j, c) = d.exchange[(0, 1)][0]
         d.exchange[(0, 1)][0] = (i, j, c + ONE)
         d._order_cache.clear()
         rep = _records(verify_compatibility(d))
-        assert rep["diamond-degree-3"]
-        assert all(w[0] == "diamond" for w in rep["diamond-degree-3"])
+        assert rep["compatibility-ideals"]
+        assert rep["diamond-degree-3"] == rep["compatibility-ideals"]
+        assert {w[0] for w in rep["diamond-degree-3"]} <= {"a-ideal", "b-ideal"}
+        assert nonzero_sums(full_diamond_groups(2, "a", "b", {"a": d.A, "b": d.B}),
+                            d.normal_order)
 
     @given(st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 1)),
                     min_size=0, max_size=2),
@@ -583,8 +589,7 @@ class TestDoubleMutations:
         assert all(w[0] == "closed" for w in comp["compatibility-closed-identity"])
         assert comp["compatibility-ideals"]
         assert all(w[0] in ("a-ideal", "b-ideal") for w in comp["compatibility-ideals"])
-        assert comp["diamond-degree-3"]
-        assert all(w[0] == "diamond" for w in comp["diamond-degree-3"])
+        assert comp["diamond-degree-3"] == comp["compatibility-ideals"]
         assert len(verify_l_relations(d)) == l_failures
         # the representations see the pairing constant, not the exchange
         reps_ok = corrupt is bump_exchange
@@ -615,34 +620,50 @@ def bumped_double(name, which, key):
     return d
 
 
-def with_full_diamond(monkeypatch):
-    """Patch fockdouble._rule_groups to yield the diamond groups of all six
-    mixed patterns after its own ideal groups."""
-    real = fockdouble._rule_groups
+def with_reference_verdicts(monkeypatch) -> list:
+    """Patch fockdouble._rule_failures to record, on each call, its
+    witnesses, the failing groups of the diamond test over all six mixed
+    patterns of degree 3 (full_diamond_groups) on the same sides and the
+    same order function, and the rule's two tags (hi, lo)."""
+    real = fockdouble._rule_failures
+    calls = []
 
-    def full(N, hi, lo, algebras):
-        yield next(real(N, hi, lo, algebras))
-        yield full_diamond_groups(N, hi, lo, algebras)
+    def recorded(N, hi, lo, algebras, order):
+        found = real(N, hi, lo, algebras, order)
+        calls.append((found, nonzero_sums(full_diamond_groups(N, hi, lo, algebras), order),
+                      (hi, lo)))
+        return found
 
-    monkeypatch.setattr(fockdouble, "_rule_groups", full)
+    monkeypatch.setattr(fockdouble, "_rule_failures", recorded)
+    return calls
 
 
-class TestTwoOverlaps:
-    """The diamond test walks the overlaps (hi, hi, lo) and (hi, lo, lo)
-    alone: the four other mixed patterns cancel or are sorted."""
+def compatibility_cases():
+    """Every single rule bump of the ENGINE_DOUBLES, then the left-dual
+    variant of three bosonic Hecke-family doubles, intact and with its rule
+    bumped (bump_rule)."""
+    for param in rule_bumps():
+        yield pytest.param("double", *param.values, id=param.id)
+    for name in ("flip2-bos", "hecke2-bos", "hecke3-bos"):
+        for which in (None, "exchange", "constant"):
+            yield pytest.param("left-dual", name, which, None,
+                               id=f"left-dual-{name}-{which}")
 
-    @pytest.mark.parametrize("name,which,key", list(rule_bumps()))
-    def test_same_witnesses_as_all_six_patterns(self, name, which, key, monkeypatch):
-        trimmed = _records(verify_compatibility(bumped_double(name, which, key)))
-        with_full_diamond(monkeypatch)
-        full = _records(verify_compatibility(bumped_double(name, which, key)))
-        assert trimmed == full
 
-    @pytest.mark.parametrize("maker", [lambda: make_flip(2), lambda: make_standard_hecke(2),
-                                       lambda: make_standard_hecke(3)],
-                             ids=["flip-2", "std-hecke-2", "std-hecke-3"])
-    @pytest.mark.parametrize("which", [None, "exchange", "constant"])
-    def test_left_dual_variant_as_all_six_patterns(self, maker, which, monkeypatch):
+def checked_rule(rule, name, which, key, monkeypatch):
+    """Run the compatibility check of one case of compatibility_cases:
+    the double's rule records, which must agree, or the left-dual report.
+    Returns the witnesses and the one recorded with_reference_verdicts
+    call."""
+    if rule == "double":
+        d = bumped_double(name, which, key)
+        calls = with_reference_verdicts(monkeypatch)
+        comp = _records(verify_compatibility(d))
+        assert comp["diamond-degree-3"] == comp["compatibility-ideals"]
+        got = comp["compatibility-ideals"]
+    else:
+        maker, arg, flavor = ENGINE_DOUBLES[name]
+        d = make_double(maker(arg), flavor)
         build = fockdouble.exchange_table
 
         def corrupted(*args):
@@ -650,21 +671,38 @@ class TestTwoOverlaps:
             bump_rule(moves, constants, which)
             return moves, constants
 
-        d = make_double(maker(), "bosonic")
         monkeypatch.setattr(fockdouble, "exchange_table", corrupted)
-        trimmed = left_dual_variant_report(d)
-        with_full_diamond(monkeypatch)
-        assert left_dual_variant_report(d) == trimmed
+        calls = with_reference_verdicts(monkeypatch)
+        got = left_dual_variant_report(d)
+    [call] = calls
+    return got, call
 
-    @pytest.mark.parametrize("name,which,key", list(rule_bumps()))
-    def test_ideals_fail_exactly_when_the_diamond_does(self, name, which, key):
-        """Found here, and pinned as a verdict, not as witnesses: each
-        overlap combination is a generator times w - nf(w), and those span
-        the degree-2 relations times a generator, so compatibility-ideals
-        and diamond-degree-3 agree.  Both records are kept: their witness
-        forms differ."""
-        comp = _records(verify_compatibility(bumped_double(name, which, key)))
-        assert bool(comp["compatibility-ideals"]) is bool(comp["diamond-degree-3"])
+
+class TestOneCompatibilityEngine:
+    """The ideal groups of _rule_failures are the one compatibility engine:
+    its verdict is the diamond test's over all six mixed patterns of
+    degree 3, and diamond-degree-3 reads compatibility-ideals' witnesses."""
+
+    @pytest.mark.parametrize("rule,name,which,key", list(compatibility_cases()))
+    def test_verdict_equals_the_full_diamond(self, rule, name, which, key, monkeypatch):
+        got, (found, reference, _) = checked_rule(rule, name, which, key, monkeypatch)
+        assert got == found
+        assert bool(found) is bool(reference), (found, reference)
+
+    @pytest.mark.parametrize("rule,name,which,key", list(compatibility_cases()))
+    def test_failing_generators_as_the_full_diamond(self, rule, name, which, key,
+                                                    monkeypatch):
+        """The derivation holds side by side and generator by generator: the
+        relations of one side beside generator g order to zero exactly when
+        the diamond words of that side's overlap with g do.  Only the
+        overlaps (hi, hi, lo) and (hi, lo, lo) fail; in the other four mixed
+        patterns the two rewrite orders agree without a relation."""
+        _, (found, reference, (hi, lo)) = checked_rule(rule, name, which, key, monkeypatch)
+        patterns = {tuple(tag for tag, _ in word) for _, word in reference}
+        assert patterns <= {(hi, hi, lo), (hi, lo, lo)}
+        assert ({(label.removesuffix("-ideal"), g) for label, g, _ in found}
+                == {(word[0][0], word[2][1]) if word[1][0] == hi else (word[2][0], word[0][1])
+                    for _, word in reference})
 
 
 class TestLRelations:
@@ -1151,21 +1189,27 @@ class TestBraidedLie:
         lambda: conjugated(make_flip(3), GAUGES["upper"](3)),
     ])
     def test_streamed_jacobi_matches_reference(self, maker):
+        """The streamed check fails exactly when the reference does.  On a
+        Hecke braiding, where both read the Leibniz form, it names the
+        reference's first differing third-leg block c and that block's
+        first differing column (e1, e2)."""
         bl = braided_lie(maker())
+        n2 = bl.braiding.N ** 2
         for cur in (bl, _corrupt(bl, "bracket"), _corrupt(bl, "rhat")):
             lhs, rhs = jacobi_sides(cur)
-            assert _jacobi_holds(cur) == (lhs == rhs)
-        assert _jacobi_holds(bl)
+            assert (_jacobi_failure(cur) is None) == (lhs == rhs)
+            if bl.braiding.kind == HECKE:
+                assert _jacobi_failure(cur) == first_jacobi_difference(lhs, rhs, n2)
+        assert _jacobi_failure(bl) is None
         # a bracket whose one nonzero entry is [l_z, l_z] = l_z, z the last
         # generator: the sides differ only in the last third-leg block,
         # columns (e1, e2, z), so a stream that skips that block passes
-        n2 = bl.braiding.N ** 2
         z = n2 - 1
         last = copy.copy(bl)
         last.bracket = [{}] * (n2 * n2 - 1) + [{z: ONE}]
         lhs, rhs = jacobi_sides(last)
         assert {c % n2 for c, (x, y) in enumerate(zip(lhs, rhs)) if x != y} == {z}
-        assert not _jacobi_holds(last)
+        assert _jacobi_failure(last)[0] == z
 
     @pytest.mark.parametrize("maker", [lambda: make_flip(2),
                                        lambda: make_superflip(1, 1)])
@@ -1182,7 +1226,7 @@ class TestBraidedLie:
                 cur = copy.copy(bl)
                 setattr(cur, field, bumped)
                 lhs, rhs = jacobi_sides(cur)
-                assert _jacobi_holds(cur) == (lhs == rhs), (field, c, r)
+                assert (_jacobi_failure(cur) is None) == (lhs == rhs), (field, c, r)
 
     @pytest.mark.parametrize("maker", [lambda: make_flip(2),
                                        lambda: make_standard_hecke(2),
@@ -1206,7 +1250,7 @@ class TestBraidedLie:
             setattr(cur, field, filled)
             lhs, rhs = jacobi_sides(cur)
             assert lhs != rhs, (field, c, r)
-            assert not _jacobi_holds(cur), (field, c, r)
+            assert _jacobi_failure(cur) is not None, (field, c, r)
 
     def test_jacobi_work_on_std_hecke_4(self, monkeypatch):
         """The check adds only nonzero summands: on std-hecke N = 4 it makes
@@ -1228,7 +1272,7 @@ class TestBraidedLie:
         monkeypatch.setattr(fockdouble, "sum_into", counted_sum)
         monkeypatch.setattr(tensorops, "sum_into", counted_sum)
         monkeypatch.setattr(Scalar, "__mul__", counted_mul)
-        assert _jacobi_holds(bl)
+        assert _jacobi_failure(bl) is None
         assert calls["mul"] <= 8978, calls
         assert calls["sum_into"] <= 19264 // 2, calls
 
@@ -1267,8 +1311,19 @@ class TestBraidedLie:
             finally:
                 tracemalloc.stop()
 
-        streamed, whole = peak(_jacobi_holds), peak(jacobi_sides)
+        streamed, whole = peak(_jacobi_failure), peak(jacobi_sides)
         assert 3 * streamed < whole, (streamed, whole)
+
+
+def first_jacobi_difference(lhs, rhs, n2):
+    """The first third-leg block c at which the reference Jacobi sides
+    differ, with the first column (e1, e2) of that block where they do;
+    None when they agree.  Column (e1, e2, c) is e1*N^4 + e2*N^2 + c."""
+    differing = [divmod(col, n2) for col, (x, y) in enumerate(zip(lhs, rhs)) if x != y]
+    if not differing:
+        return None
+    k, c = min(differing, key=lambda kc: (kc[1], kc[0]))
+    return c, divmod(k, n2)
 
 
 def _solved_twist(b: Braiding) -> list[Row]:
@@ -1381,11 +1436,8 @@ class TestLeftDualVariant:
 
         monkeypatch.setattr(fockdouble, "exchange_table", corrupted)
         rep = left_dual_variant_report(d)
-        tags = [w[0] for w in rep]
-        assert "diamond" in tags
-        assert {"b-ideal", "t-ideal"} & set(tags)
-        # the diamond witnesses come first, then the ideal ones
-        assert tags == sorted(tags, key=lambda t: t != "diamond")
+        assert rep
+        assert {w[0] for w in rep} <= {"b-ideal", "t-ideal"}
 
 
     def test_corrupted_variant_rule_names_its_relations(self, monkeypatch):
@@ -1413,9 +1465,8 @@ class TestLeftDualVariant:
         [tilde] = made
         relations = {"b": {tuple(r) for r in d.B.relations},
                      "t": {tuple(r) for r in tilde.relations}}
-        ideal = [w for w in rep if w[0] != "diamond"]
-        assert {w[0] for w in ideal} == {"b-ideal", "t-ideal"}
-        for label, g, rel in ideal:
+        assert {w[0] for w in rep} == {"b-ideal", "t-ideal"}
+        for label, g, rel in rep:
             assert g in range(b.N) and rel in relations[label[0]]
 
 
