@@ -96,21 +96,25 @@ def default_q(kind: str) -> Scalar:
 
 class Braiding:
     """An exactly validated braiding with its structural verdicts and
-    skew-inverse data cached."""
+    skew-inverse data cached.  N is R's dimension; an involutive braiding is
+    at q = 1 (InvalidArgument at another q, after its validate() failures)."""
 
-    def __init__(self, N: int, R: LinOperator, kind: str,
-                 series: str | None = None, q: Scalar | None = None,
-                 name: str = ""):
+    def __init__(self, R: LinOperator, kind: str, series: str | None = None,
+                 q: Scalar | None = None, name: str = ""):
         # the structural facts place R and compare it with identities on V legs
         if (R.labels, R.labels_out) != (("V", "V"), ("V", "V")):
             raise InvalidArgument(f"a braiding's R acts on V (x) V, but this one maps "
                                   f"{R.labels} to {R.labels_out}")
-        self.N = N
+        self.N = R.dim
         self.R = R
         self.kind = kind
         self.series = series
         self.q = q if q is not None else default_q(kind)
         self.name = name
+        if kind == INVOLUTIVE and self.q != ONE:
+            raise InvalidArgument("; ".join(self.validate() + [
+                f"an involutive braiding is at q = 1, where its minimal polynomial "
+                f"is R^2 = I; its q is {self.q!r}"]))
 
     @cached_property
     def mu(self) -> Scalar | None:
@@ -205,7 +209,7 @@ def _validated(b: Braiding, what: str) -> Braiding:
 def make_flip(N: int) -> Braiding:
     if N < 1:
         raise InvalidArgument(f"N = {N}, but flip needs N >= 1")
-    return Braiding(N, LinOperator.flip(N), INVOLUTIVE, name=f"flip-{N}")
+    return _validated(Braiding(LinOperator.flip(N), INVOLUTIVE, name=f"flip-{N}"), "flip")
 
 
 def make_superflip(m: int, n: int) -> Braiding:
@@ -220,7 +224,7 @@ def make_superflip(m: int, n: int) -> Braiding:
     terms = ((enc_index((j, i), N), enc_index((i, j), N),
               minus if (i >= m and j >= m) else ONE)
              for i in range(N) for j in range(N))
-    return _validated(Braiding(N, LinOperator.from_terms(terms, N, 2), INVOLUTIVE,
+    return _validated(Braiding(LinOperator.from_terms(terms, N, 2), INVOLUTIVE,
                                name=f"superflip-{m}|{n}"), "superflip")
 
 
@@ -243,7 +247,7 @@ def make_standard_hecke(N: int) -> Braiding:
                 terms.append((enc_index((j, i), N), enc_index((i, j), N), ONE))
                 if i > j:
                     terms.append((enc_index((i, j), N), enc_index((i, j), N), qdiff))
-    return _validated(Braiding(N, LinOperator.from_terms(terms, N, 2), HECKE,
+    return _validated(Braiding(LinOperator.from_terms(terms, N, 2), HECKE,
                                name=f"std-hecke-{N}"), "standard Hecke")
 
 
@@ -299,7 +303,7 @@ def make_bmw(N: int, series: str) -> Braiding:
             term(i, j, j, i, qdiff)
             coeff = qdiff * Scalar.q_power(rho[i] - rho[j], eps[i] * eps[j])
             term(i, j, N - 1 - i, N - 1 - j, -coeff)
-    return _validated(Braiding(N, LinOperator.from_terms(terms, N, 2), BMW, series=series,
+    return _validated(Braiding(LinOperator.from_terms(terms, N, 2), BMW, series=series,
                                name=f"bmw-{series}-{N}"), f"BMW {series}")
 
 
@@ -312,7 +316,7 @@ def specialize(b: Braiding, q0: Fraction | int) -> Braiding:
 
     r = LinOperator.from_terms(((o, c, at(v)) for o, c, v in b.R.nonzeros()),
                                b.N, 2, b.R.labels, b.R.labels_out)
-    return Braiding(b.N, r, b.kind, b.series, at(b.q), name=f"{b.name} at q = {q0}")
+    return Braiding(r, b.kind, b.series, at(b.q), name=f"{b.name} at q = {q0}")
 
 
 def superflip_limit(b: Braiding) -> tuple[int, int] | None:
@@ -636,35 +640,30 @@ class CurrentBraiding:
     """A spectral-parameter braiding R(u,v) = R - h(u,v)*I with its
     normalizer g(u,v) = s - h(u,v), obtained by Baxterizing a constant
     braiding (Jones 1990): rationally if it is involutive, trigonometrically
-    if Hecke.  The pole is h(u,v) = (a u + b)/(u - v), and only the forms
-    cleared of it are built, so no entry gains a polynomial denominator."""
+    if Hecke.  The pole is h(u,v) = c u^(1-theta)/(u - v), and only the
+    cleared forms are built, so no entry gains a polynomial denominator."""
 
     def __init__(self, base: Braiding):
         self.base = base
 
-    # The cleared (pole-free) R is affine in the spectral variables,
-    #   cleared R(x, y) = (x - y) R - (a x + b) I,
-    # with (a, b) = (q - 1/q, 0) on a Hecke base and (0, 1) on an
-    # involutive one.  Variables are numbered 0, 1, 2 for u, v, w.
-    def _affine(self) -> tuple[Scalar, Scalar]:
-        if self.base.kind == INVOLUTIVE:
-            return ZERO, ONE
-        q = self.base.q
-        return q - q.inverse(), ZERO
-
     def pole(self) -> tuple[Scalar, int]:
         """(c, theta) with h(u,v) = c u^(1-theta) / (u - v), whose expansion
-        in |u| > |v| is c sum_{p>=0} v^p u^(-p-theta): (a, 0) trigonometric
-        and (b, 1) rational."""
-        a, b = self._affine()
-        return (b, 1) if self.base.kind == INVOLUTIVE else (a, 0)
+        in |u| > |v| is c sum_{p>=0} v^p u^(-p-theta): (q - 1/q, 0)
+        trigonometric on a Hecke base and (1, 1) rational on an involutive
+        one, whose q is 1."""
+        if self.base.kind == INVOLUTIVE:
+            return ONE, 1
+        q = self.base.q
+        return q - q.inverse(), 0
 
     def cleared_r_form(self, x: int, y: int, letter: str) -> Factor:
-        """The cleared R(x, y) as a factor: `letter` standing for R, with
-        its polynomial, and the identity (None) with its polynomial."""
-        a, b = self._affine()
-        return [(letter, _linear({x: ONE, y: -ONE}, ZERO)),
-                (None, _linear({x: -a}, -b))]
+        """The cleared (pole-free) R(x, y) = (x - y) R - c x^(1-theta) I as
+        a factor: `letter` standing for R, with its polynomial, and the
+        identity (None) with its polynomial.  Variables are numbered 0, 1,
+        2 for u, v, w."""
+        c, theta = self.pole()
+        pole_term = _linear({}, -c) if theta else _linear({x: -c}, ZERO)
+        return [(letter, _linear({x: ONE, y: -ONE}, ZERO)), (None, pole_term)]
 
 
 def baxterize(b: Braiding) -> CurrentBraiding:
@@ -725,12 +724,12 @@ def spectral_braid_certificate(cb: CurrentBraiding) -> list[Monomial]:
 def unitarity_certificate(cb: CurrentBraiding) -> list[Monomial]:
     """Certify g-normalized involutivity R(u,v)R(v,u) = g(u,v)g(v,u) I
     exactly in Q(q)[u, v] (x) End(V^2): the failing monomials.  Cleared of
-    the pole, R(x,y) = (x-y) R - (a x + b) I and g(x,y) = s (x-y) - (a x + b)
-    with s = q (Hecke) or 1 (involutive), so the sides differ by
-    -(u-v)^2 (R^2 - a R - s (s - a) I) = -(u-v)^2 p(R), p the minimal
-    polynomial: it fails at the monomials of (u-v)^2 exactly when p(R) does
-    not vanish.  A pass also proves R(u,v)R(v,u) / (g(u,v)g(v,u)) = I at
-    every point where g(u,v)g(v,u) is nonzero."""
+    the pole, R(x,y) = (x-y) R - c x^(1-theta) I and g(x,y) = s (x-y) -
+    c x^(1-theta), s = q (Hecke) or 1 (involutive), so with a = (1-theta) c
+    the sides differ by -(u-v)^2 (R^2 - a R - s (s - a) I) = -(u-v)^2 p(R),
+    p the minimal polynomial: it fails at the monomials of (u-v)^2 exactly
+    when p(R) does not vanish.  A pass also proves R(u,v)R(v,u) /
+    (g(u,v)g(v,u)) = I at every point where g(u,v)g(v,u) is nonzero."""
     return [(0, 2, 0), (1, 1, 0), (2, 0, 0)] if cb.base.failures["minimal-polynomial"] else []
 
 
@@ -815,9 +814,9 @@ def load_braiding_table(doc: dict | str | Path) -> Braiding:
     TABLE_MAX_EXPONENT, a zero q or denominator) raises MalformedTable.
     The property suite is the transcription oracle: a table that violates
     the braid relation or its declared minimal polynomial, whose roots are
-    not distinct, whose braiding is not skew-invertible, or that is
-    involutive at a q other than 1, is rejected with InvalidTable, and a
-    BMW mu not matching its series with InconsistentMu.
+    not distinct, whose braiding is not skew-invertible, or that Braiding
+    refuses (involutive at a q other than 1) is rejected with InvalidTable,
+    and a BMW mu not matching its series with InconsistentMu.
     """
     if isinstance(doc, (str, Path)):
         try:
@@ -876,15 +875,15 @@ def load_braiding_table(doc: dict | str | Path) -> Braiding:
             raise MalformedTable(f"entry {ent!r} repeats the indices of an earlier entry")
         values[at] = _table_scalar(ent.get("value"), f"value of entry {ent!r}")
     r = LinOperator.from_terms(((o, c, v) for (o, c), v in values.items()), N, 2)
-    b = Braiding(N, r, kind, series=series, q=q, name=name)
+    try:
+        b = Braiding(r, kind, series=series, q=q, name=name)
+    except InvalidArgument as exc:
+        raise InvalidTable(str(exc))
     if kind == BMW and mu != b.mu:
         raise InconsistentMu(f"mu {mu!r} does not match the {series} series at N={N}")
     issues = b.validate()
     if issues:
         raise InvalidTable("; ".join(issues))
-    if kind == INVOLUTIVE and q != ONE:
-        raise InvalidTable(f"an involutive table is read at q = 1, where its minimal "
-                           f"polynomial is R^2 = I; its q is {q!r}")
     try:
         b.skew
     except NotSkewInvertible:

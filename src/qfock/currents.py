@@ -372,7 +372,7 @@ def _relation_instances(cd: CurrentDouble, mode_pairs):
     N = b.N
     M = cd.window
     cf, theta = cd.cb.pole()
-    qmain = b.q     # ONE for the involutive base of a rational current
+    minus_q = -b.q
     columns: dict[int, list] = {}       # (i, j) -> the nonzero R_ij^kl, (k, l) ascending
     for r, c, v in sorted(b.R.nonzeros(), key=lambda t: t[:2]):
         columns.setdefault(c, []).append((divmod(r, N), v))
@@ -385,7 +385,7 @@ def _relation_instances(cd: CurrentDouble, mode_pairs):
             terms.append((((i, m - p - theta), (j, n + p)), -cf))
             terms.append((((i, n + p), (j, m - p - theta)), cf))
         if inside:
-            terms.append((((i, n), (j, m)), -qmain))
+            terms.append((((i, n), (j, m)), minus_q))
         yield [(pair, c) for pair, c in terms if not c.is_zero()]
 
 

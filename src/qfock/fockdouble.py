@@ -108,8 +108,8 @@ class FockDouble:
         # c*I (a != 0) for O = R (Hecke family) and for O the sum of the two
         # BMW idempotents beside the middle one, and fails where O does
         self.G: LinOperator = relation_operator(braiding, kind)
-        qpar = braiding.q  # ONE for involutive braidings
-        self.sign_coeff = qpar.inverse() if self.flavor == BOSONIC else -qpar
+        q = braiding.q
+        self.sign_coeff = q.inverse() if self.flavor == BOSONIC else -q
         self.exchange, self.constant = exchange_table(
             braiding.psi, self.sign_coeff, braiding.B)
         self._order_cache: dict = {}      # the _pass memo of self.rule

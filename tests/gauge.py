@@ -52,8 +52,7 @@ def conjugated(b: Braiding, g: Matrix, tag: str = "gauged") -> Braiding:
         ((enc_index((a, b2), N), enc_index((c, d), N), Scalar.from_int(v * w))
          for (a, c), v in g.items() for (b2, d), w in g.items()), N, 2)
     r = gg @ b.R @ gg.inverse()
-    return Braiding(N, r, b.kind, series=b.series, q=b.q,
-                    name=f"{b.name} {tag}")
+    return Braiding(r, b.kind, series=b.series, q=b.q, name=f"{b.name} {tag}")
 
 
 def twisted(b: Braiding) -> Braiding:
@@ -71,8 +70,7 @@ def twisted(b: Braiding) -> Braiding:
 
     r = LinOperator.from_terms(((r, c, scaled(r, c, v)) for r, c, v in b.R.nonzeros()),
                                N, 2)
-    return Braiding(N, r, b.kind, series=b.series, q=b.q,
-                    name=f"{b.name} twisted")
+    return Braiding(r, b.kind, series=b.series, q=b.q, name=f"{b.name} twisted")
 
 
 def main(argv: list[str]) -> int:

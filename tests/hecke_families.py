@@ -45,8 +45,7 @@ def super_hecke(m: int, n: int) -> Braiding:
                 terms.append((enc_index((j, i), N), enc_index((i, j), N), sign))
                 if i > j:
                     terms.append((enc_index((i, j), N), enc_index((i, j), N), qdiff))
-    return Braiding(N, LinOperator.from_terms(terms, N, 2), HECKE,
-                    name=f"super-hecke-{m}|{n}")
+    return Braiding(LinOperator.from_terms(terms, N, 2), HECKE, name=f"super-hecke-{m}|{n}")
 
 
 def form_braiding(E: list[Row]) -> Braiding:
@@ -60,7 +59,7 @@ def form_braiding(E: list[Row]) -> Braiding:
     outer = ((enc_index((k, l), N), enc_index((i, j), N), v * w)
              for k, row in enumerate(E) for l, v in row.items()
              for i, inv_row in enumerate(inv) for j, w in inv_row.items())
-    return Braiding(N, LinOperator.from_terms([*ident, *outer], N, 2), HECKE,
+    return Braiding(LinOperator.from_terms([*ident, *outer], N, 2), HECKE,
                     name=f"form-{N}")
 
 

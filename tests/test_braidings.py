@@ -131,6 +131,53 @@ class TestSuperflip:
             make_superflip(m, n)
 
 
+class TestConstructorContract:
+    """A Braiding takes only what fixes it: N is R's dimension, and an
+    involutive braiding is at q = 1."""
+
+    def test_involutive_braiding_at_another_q_is_refused(self):
+        """The refusal lists the braiding's own validation failures at
+        that q first, then names the q."""
+        with pytest.raises(InvalidArgument) as refused:
+            Braiding(LinOperator.flip(2), "involutive", q=Scalar.from_int(2))
+        assert str(refused.value) == (
+            "involutive minimal polynomial violated; an involutive braiding is at "
+            f"q = 1, where its minimal polynomial is R^2 = I; its q is {Scalar.from_int(2)!r}")
+
+    @pytest.mark.parametrize("make", [lambda: make_flip(2), lambda: make_superflip(1, 1)],
+                             ids=["flip-2", "superflip-1|1"])
+    def test_specialize_keeps_an_involutive_braiding_at_q_1(self, make):
+        at = specialize(make(), Fraction(3, 2))
+        assert at.kind == "involutive" and at.q == ONE
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_flip(3), lambda: make_superflip(2, 1), lambda: make_standard_hecke(3),
+        lambda: make_bmw(3, "orthogonal"), lambda: make_bmw(4, "symplectic"),
+        lambda: specialize(make_standard_hecke(2), 2), lambda: load_builtin("std-hecke-2"),
+        lambda: super_hecke(1, 2), lambda: twisted(make_standard_hecke(2))],
+        ids=["flip", "superflip", "std-hecke", "bmw-orth", "bmw-sympl", "specialized",
+             "table", "super-hecke", "twisted"])
+    def test_n_is_read_from_r(self, make):
+        b = make()
+        assert b.N == b.R.dim
+
+    @pytest.mark.parametrize("make", [lambda: make_flip(3), lambda: make_superflip(2, 1),
+                                      lambda: make_standard_hecke(2),
+                                      lambda: make_bmw(3, "orthogonal")],
+                             ids=["flip", "superflip", "std-hecke", "bmw"])
+    def test_every_builtin_is_validated_at_construction(self, make):
+        """Each builtin constructor decides the structural facts before it
+        returns, so they are cached on the braiding it hands out."""
+        assert "failures" in make().__dict__
+
+    def test_flip_failing_validation_is_refused(self, monkeypatch):
+        flip = LinOperator.flip
+        monkeypatch.setattr(LinOperator, "flip",
+                            staticmethod(lambda N: flip(N).scale(Scalar.from_int(2))))
+        with pytest.raises(AssertionError, match="^flip failed self-validation"):
+            make_flip(2)
+
+
 class TestStandardHecke:
     def test_n2_hecke_condition_exact(self):
         b = make_standard_hecke(2)
@@ -189,7 +236,7 @@ class TestSkewInverseErrors:
     def test_rank_deficient_operator_rejected(self):
         rows = [[ZERO] * 4 for _ in range(4)]
         rows[0][0] = ONE
-        fake = Braiding(2, from_dense(rows, 2, 2), "involutive")
+        fake = Braiding(from_dense(rows, 2, 2), "involutive")
         with pytest.raises(NotSkewInvertible):
             skew_inverse(fake)
 
@@ -199,7 +246,7 @@ class TestSkewInverseErrors:
         ident = LinOperator.identity(2, 2)
         half = Scalar.make({0: 1}, {0: 2})
         sym = (ident + p).scale(half)   # rank-3 idempotent, not invertible
-        fake = Braiding(2, sym, "involutive")
+        fake = Braiding(sym, "involutive")
         with pytest.raises(NotInvertible):
             extend_to_duals(fake)
 
@@ -269,7 +316,7 @@ class TestDuals:
         b = make_standard_hecke(2)
         r = LinOperator(2, 2, labels, b.R.rows, labels_out)
         with pytest.raises(InvalidArgument, match=re.escape(f"{labels} to {labels_out}")):
-            Braiding(2, r, b.kind, q=b.q)
+            Braiding(r, b.kind, q=b.q)
 
     def test_dual_square_satisfies_same_minimal_polynomial(self):
         b = make_standard_hecke(3)
@@ -323,7 +370,7 @@ class TestProjectors:
 def _twice_r() -> Braiding:
     """std-hecke N = 2 with R doubled: no Hecke braiding."""
     r = make_standard_hecke(2).R
-    return Braiding(2, r.scale(Scalar.from_int(2)), HECKE, name="twice-r")
+    return Braiding(r.scale(Scalar.from_int(2)), HECKE, name="twice-r")
 
 
 # every builtin braiding, the Hecke families of tests/hecke_families.py,
@@ -432,7 +479,7 @@ class TestCoincidentRoots:
 
 @pytest.mark.parametrize("construct, message", [
     # a BMW braiding of no series has no mu, so no minimal polynomial
-    (lambda: eigenvalues(Braiding(3, make_bmw(3, "orthogonal").R, BMW)),
+    (lambda: eigenvalues(Braiding(make_bmw(3, "orthogonal").R, BMW)),
      "no minimal polynomial for a bmw braiding of series None"),
     (lambda: relation_operator(make_standard_hecke(2), "cubic"),
      "unknown algebra kind 'cubic'"),
@@ -449,7 +496,7 @@ def _rebuilt(b: Braiding, r: LinOperator) -> Braiding:
     """A fresh braiding of b's kind, series and q on the operator r; not
     validated (a Braiding caches its structural verdicts, so R is never
     reassigned)."""
-    return Braiding(b.N, r, b.kind, series=b.series, q=b.q, name=b.name)
+    return Braiding(r, b.kind, series=b.series, q=b.q, name=b.name)
 
 
 class TestDecompositionIdentitiesAlone:
@@ -740,11 +787,14 @@ class TestBaxterize:
 # ---------------------------------------------------------------------------
 
 # R(u,v) = R - h(u,v) I and g(u,v) = s - h(u,v) with the pole
-# h(u,v) = (a u + b)/(u - v), (a, b) the constants of
-# CurrentBraiding._affine and s = q (Hecke) or 1 (involutive).
+# h(u,v) = (a u + b)/(u - v): (a, b, s) = (0, 1, 1) on an involutive base
+# (rational) and (q - 1/q, 0, q) on a Hecke one (trigonometric), worked out
+# here from the kind and q rather than read from CurrentBraiding.pole.
 def affine_constants(cb) -> tuple[Scalar, Scalar, Scalar]:
-    a, b = cb._affine()
-    return a, b, ONE if cb.base.kind == "involutive" else cb.base.q
+    if cb.base.kind == "involutive":
+        return ZERO, ONE, ONE
+    q = cb.base.q
+    return q - q.inverse(), ZERO, q
 
 
 def r_at(cb, u: Fraction, v: Fraction) -> LinOperator:
@@ -846,7 +896,7 @@ def dual_transport(b):
     """The dual square of R, the braiding of the a-side relations, read on
     V (x) V through the dual basis, so that its structural facts (which
     place and compare operators on V legs) can be decided too."""
-    return Braiding(b.N, LinOperator(2, b.N, ("V", "V"), dual_square(b.R).rows),
+    return Braiding(LinOperator(2, b.N, ("V", "V"), dual_square(b.R).rows),
                     b.kind, series=b.series, q=b.q, name=f"dual({b.name})")
 
 
@@ -854,8 +904,7 @@ def bumped(b, out, inp):
     """b with ONE added to its R entry at (out, in); not validated."""
     rows = dense(b.R)
     rows[out][inp] = rows[out][inp] + ONE
-    return Braiding(b.N, from_dense(rows, b.N, 2), b.kind,
-                    q=b.q, name=f"bumped({b.name})")
+    return Braiding(from_dense(rows, b.N, 2), b.kind, q=b.q, name=f"bumped({b.name})")
 
 
 _CERTIFIED = {

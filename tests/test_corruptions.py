@@ -112,7 +112,7 @@ def resolving(make, corrupt, kind=HECKE):
     def wrap(real):
         def resolve(cfg):
             b = make()
-            return Braiding(b.N, corrupt(b.R), kind, name="corrupted")
+            return Braiding(corrupt(b.R), kind, name="corrupted")
         return resolve
     return cli, "_resolve_braiding", wrap
 
@@ -168,7 +168,7 @@ def mu_from(choose):
     (Q, d) for mu is choose(b)."""
     def wrap(real):
         def report(b):
-            copied = Braiding(b.N, b.R, b.kind, series=b.series, q=b.q, name=b.name)
+            copied = Braiding(b.R, b.kind, series=b.series, q=b.q, name=b.name)
             copied.lagrange = {**b.lagrange, "mu": choose(b)}
             return real(copied)
         return report
@@ -292,6 +292,12 @@ def l_identity_counts(residual):
 hecke2, flip2 = partial(make_standard_hecke, 2), partial(make_flip, 2)
 
 
+def involutive_at(q):
+    """The Braiding constructor's refusal of an involutive braiding at q."""
+    return (f"an involutive braiding is at q = 1, where its minimal polynomial "
+            f"is R^2 = I; its q is {q!r}")
+
+
 def _load_rows():
     makes = (("std-hecke-2", hecke2), ("bmw-orth-3", lambda: make_bmw(3, "orthogonal")),
              ("flip-2", flip2))
@@ -302,11 +308,13 @@ def _load_rows():
     yield Row("std-hecke-2-1221-is-2q", "load-braiding", [], INPUT,
               edited(hecke2, bump_entry(R_1221, lambda v: Q + Q)), {"load-braiding"})
     # R = flip with q = 2 solves R^2 = I but not (R - q)(R + 1/q) = 0,
-    # which every relation space reads
+    # which every relation space reads: the constructor's refusal names
+    # that failure before the q
     yield Row("flip-2-at-q-2", "load-braiding", ["--suite", "braiding"], INPUT,
               edited(flip2, lambda doc: doc.update(q=Scalar.from_int(2).to_pairs())),
               {"load-braiding"},
-              witness={"load-braiding": "involutive minimal polynomial violated"})
+              witness={"load-braiding": "involutive minimal polynomial violated; "
+                       f"{involutive_at(Scalar.from_int(2))}"})
     # std-hecke 2 declared involutive at its own q solves the (R - q)(R + 1/q)
     # that validation reads at b.q, but not R^2 = I, under which the currents
     # suite Baxterizes it rationally
@@ -314,8 +322,7 @@ def _load_rows():
         yield Row(f"std-hecke-2-involutive-{suite}", "load-braiding", ["--suite", suite],
                   INPUT, edited(hecke2, lambda doc: doc.update(kind="involutive", q=Q.to_pairs())),
                   {"load-braiding"},
-                  witness={"load-braiding": "an involutive table is read at q = 1, where "
-                           f"its minimal polynomial is R^2 = I; its q is {Q!r}"})
+                  witness={"load-braiding": involutive_at(Q)})
     # a BMW table at q = 1 whose mu equals another root solves its minimal
     # polynomial but has no spectral idempotents
     for name, n, series, repeated in (("bmw-orth-3", 3, "orthogonal", "q = mu = 1"),

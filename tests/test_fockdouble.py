@@ -798,8 +798,7 @@ class TestGridAgainstProjectorRoute:
     def test_net_rows_are_one_multiple_of_the_reference(self, name, bumped):
         b = GRID_BRAIDINGS[name]()
         if bumped:
-            b = Braiding(b.N, _bumped(b.R), b.kind, series=b.series, q=b.q,
-                         name=b.name)
+            b = Braiding(_bumped(b.R), b.kind, series=b.series, q=b.q, name=b.name)
         kinds = (SYM, LAMBDA) if b.kind != BMW else (MU_KIND[b.series],)
         reference = _net_rows(b.R, grid_reference.outer_grid(b))
         assert reference
@@ -833,8 +832,7 @@ class TestRootTable:
         if q0 is not None:
             b = specialize(b, q0)
         if bumped:
-            b = Braiding(b.N, _bumped(b.R), b.kind, series=b.series, q=b.q,
-                         name=b.name)
+            b = Braiding(_bumped(b.R), b.kind, series=b.series, q=b.q, name=b.name)
         assert grid_reference.normalized(projectors(b)) == grid_reference.hand_projectors(b)
         assert b.kind_polynomial_ok() is grid_reference.hand_kind_polynomial_ok(b)
         assert b.kind_polynomial_ok() is not bumped
