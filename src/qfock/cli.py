@@ -35,7 +35,7 @@ from .braidings import (
     make_standard_hecke,
     make_superflip,
 )
-from .currents import WINDOW_MAX, current_records
+from .currents import KET_DEGREE_MAX, WINDOW_MAX, current_records
 from .errors import (
     InvalidArgument,
     MalformedTable,
@@ -47,6 +47,7 @@ from .errors import (
 from .fockdouble import (
     BOSONIC,
     FERMIONIC,
+    REPRESENTATION_DEGREE_MAX,
     double_records,
     family_flavor,
     fock_representation,
@@ -67,6 +68,8 @@ SUITE_RECORDS = {
     "poincare": lambda b, cfg: poincare_records(b, cfg.kmax),
     "currents": lambda b, cfg: current_records(b, cfg.window, cfg.degree),
 }
+# the largest --degree each verify suite reads
+DEGREE_MAX = {"double": REPRESENTATION_DEGREE_MAX, "currents": KET_DEGREE_MAX}
 # what each command and each verify suite reads beyond --out and the braiding source
 READS = {"braiding": ("q",), "double": ("flavor", "degree"), "lie": (),
          "poincare": ("kmax",), "currents": ("window", "degree"),
@@ -229,10 +232,15 @@ def _reads(command: str, cfg: RunConfig) -> set[str]:
     source: --table alone, or --braiding with --mn (superflip) or --n."""
     runs = [command]
     if command == "verify":
-        runs += SUITE_RECORDS if cfg.suite == "all" else [cfg.suite]
+        runs += _suites(cfg)
     source = (["table"] if cfg.table else
               ["braiding", "mn" if cfg.braiding == "superflip" else "n"])
     return {"out", *source}.union(*(READS[r] for r in runs))
+
+
+def _suites(cfg: RunConfig) -> list[str]:
+    """The verify suites that --suite selects, in `all`'s order."""
+    return list(SUITE_RECORDS) if cfg.suite == "all" else [cfg.suite]
 
 
 def _superflip_split(mn: str) -> tuple[int, int]:
@@ -284,7 +292,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             raise
         return 1
     rep.add("load-braiding", "construct or load the braiding", [], witness=b.name)
-    for suite in [cfg.suite] if cfg.suite != "all" else SUITE_RECORDS:
+    for suite in _suites(cfg):
         for record in SUITE_RECORDS[suite](b, cfg):
             rep.add(*record)
     _emit(rep, cfg)
@@ -489,6 +497,11 @@ def _run(command: str, args: dict) -> int:
         if cfg.window > WINDOW_MAX:
             raise InvalidArgument(f"--window {cfg.window} is above "
                                   f"WINDOW_MAX = {WINDOW_MAX}")
+        if command == "verify" and "degree" in reads:
+            cap = max(DEGREE_MAX[s] for s in _suites(cfg) if s in DEGREE_MAX)
+            if cfg.degree > cap:
+                raise InvalidArgument(f"--degree {cfg.degree} is above {cap}, the "
+                                      f"largest degree verify --suite {cfg.suite} reads")
         if cfg.q != "generic":
             try:
                 # printed as the braiding suite will print it: a rational

@@ -53,9 +53,11 @@ from .tensorops import echelon_insert, enc_index, remainder
 Mode = tuple[int, int]               # (generator index, mode number)
 ModeWord = tuple[Mode, ...]
 
-# The largest mode window verify_yang takes (its desk scale); the CLI
-# refuses a larger --window before any suite runs.
+# The largest mode window and ket degree verify_yang takes (its desk
+# scale); the CLI refuses a larger --window, and a --degree above the
+# largest that the selected suites read, before any suite runs.
 WINDOW_MAX = 4
+KET_DEGREE_MAX = 2
 
 
 class CurrentDouble:
@@ -456,8 +458,9 @@ def verify_yang(cd: CurrentDouble, degree: int = 1) -> dict:
     the T1 readout must agree, or WindowOverflow is raised.
     """
     M = cd.window
-    if degree > 2 or M > WINDOW_MAX:
-        raise WindowOverflow(f"desk scale is degree <= 2 and window <= {WINDOW_MAX}")
+    if degree > KET_DEGREE_MAX or M > WINDOW_MAX:
+        raise WindowOverflow(f"desk scale is degree <= {KET_DEGREE_MAX} "
+                             f"and window <= {WINDOW_MAX}")
     N = cd.N
     n2 = N * N
     theta = cd.cb.pole()[1]
@@ -549,7 +552,7 @@ def current_records(b: Braiding, window: int, degree: int):
            current_relation_check(braid, unitarity))
     cd = make_current_double(cb, window)
     # the single-mode kets are always checked, so degree 0 is degree 1
-    out = verify_yang(cd, max(1, min(degree, 2)))
+    out = verify_yang(cd, max(1, min(degree, KET_DEGREE_MAX)))
     # degree <= 1 gates and the residue is reported; mismatches come before Report.add's cut
     found = out["mismatches"]
     shown = f"first mismatches (ket, cell, (r, s)): {found[:3]}; " if found else ""

@@ -80,6 +80,11 @@ from .tensorops import (
     place,
 )
 
+# The highest creation component on which the double suite checks the
+# representation identity; the CLI refuses a --degree above the largest
+# that the selected suites read.
+REPRESENTATION_DEGREE_MAX = 3
+
 BOSONIC = "bosonic"
 FERMIONIC = "fermionic"
 
@@ -478,7 +483,8 @@ def representation_l_failures(d: FockDouble,
 def double_records(b: Braiding, flavor: str | None, degree: int):
     """Yield the records of the double of b and flavor: construction,
     compatibility, the L-identity in the double and on each nonzero creation
-    component of degree 1 to max(1, min(degree, 3)), the left-dual variant."""
+    component of degree 1 to max(1, min(degree, REPRESENTATION_DEGREE_MAX)),
+    the left-dual variant."""
     family, flavor = family_flavor(b, flavor)
     anchor = f"double ({family}, {flavor})"
     try:
@@ -491,7 +497,7 @@ def double_records(b: Braiding, flavor: str | None, degree: int):
     o = "R12" if family == FAMILY_HECKE else "PP12"
     yield ("l-quadratic-identity", f"{o} L1 R12 L1 - L1 R12 L1 {o} = {o} L1 - L1 {o}",
            verify_l_relations(d))
-    for k in range(1, max(1, min(degree, 3)) + 1):
+    for k in range(1, max(1, min(degree, REPRESENTATION_DEGREE_MAX)) + 1):
         if not d.B.component(k).basis:
             break
         yield (f"representation-identity-k{k}",

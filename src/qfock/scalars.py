@@ -38,6 +38,17 @@ primitive-PRS gcd runs only for true polynomial denominators.  Which form a
 value takes depends on the value alone, so equal values are always equal
 forms.
 
+A verdict that a linear combination of sparse values vanishes
+(:func:`nonzero_sums`, behind every L-identity, ideal and braid
+certificate) needs no scalar at all when every scalar in it is Laurent.
+Per key, the products c_v x_v shifted to the key's lowest exponent sum to
+the integer P(2^64), P the key's true sum polynomial, while the sum of
+l1(c) l1(x) over the terms caps every coefficient of P.  A nonzero integer
+is a nonzero P, and a zero integer under a cap below 2^63 is P = 0 by the
+uniqueness of balanced digits.  Any other group, with an integer or
+polynomial denominator or a zero integer under a cap of 2^63 or more, is
+summed as scalars.
+
 The verifiers repeat few distinct Laurent (d = 1) sums and products, so
 those go through a memo (`_laurent_add`, `_laurent_mul`), a bounded LRU
 cache keyed by the two packed numerators.  On `verify --suite currents
@@ -666,16 +677,78 @@ def sum_into(out: dict, src: dict, scale: Scalar = ONE) -> None:
 def nonzero_sums(groups: dict, value_of) -> list:
     """The keys g, in the order of groups, whose sum of c * value_of(w) over
     the combination groups[g] = {w: c} is not zero; value_of(w) is a
-    sparse dict, and each distinct w is evaluated once."""
+    sparse dict, and each distinct w is evaluated once.
+
+    A group whose scalars are all packed Laurent polynomials (d = 1) is
+    decided on integers (_packed_nonzero): per key, the products c_v x_v
+    summed at the key's lowest exponent give P(2^64) for the key's true sum
+    P, beside the bound l1(c) l1(x) summed over its terms, which caps every
+    coefficient of P.  A nonzero integer is a nonzero P; a zero integer is
+    P = 0 once the bound is below 2^63, since balanced base-2^64 digits are
+    unique.  Any other group (an integer or polynomial denominator, or a
+    zero integer under a bound of 2^63 or more) is summed in Q(q) by
+    _summed_nonzero."""
     values: dict = {}
     failures = []
     for g, combination in groups.items():
-        total: dict = {}
+        terms = []
         for w, c in combination.items():
             value = values.get(w)
             if value is None:
                 value = values[w] = value_of(w)
-            sum_into(total, value, c)
-        if total:
+            terms.append((c, value))
+        nonzero = _packed_nonzero(terms)
+        if nonzero is None:
+            nonzero = _summed_nonzero(terms)
+        if nonzero:
             failures.append(g)
     return failures
+
+
+def _packed_nonzero(terms: list) -> bool | None:
+    """Whether the sum of c * value over the (c, value) terms is nonzero,
+    read off one aligned integer per key, or None when that cannot decide
+    it (see nonzero_sums)."""
+    # key -> [lowest exponent, integer sum at that exponent, bound]
+    acc: dict = {}
+    for c, value in terms:
+        if c._d != 1:
+            return None
+        cs, cv, cl = c._s, c._v, c._l
+        if cl >= _HALF:
+            # a memo result carries _HALF until a caller lowers it
+            cl = c._exact_bound()
+        for key, x in value.items():
+            if x._d != 1:
+                return None
+            xl = x._l
+            if xl >= _HALF:
+                xl = x._exact_bound()
+            t = cs + x._s
+            a = acc.get(key)
+            if a is None:
+                acc[key] = [t, cv * x._v, cl * xl]
+                continue
+            s = a[0]
+            if t >= s:
+                a[1] += (cv * x._v) << ((t - s) << 6)
+            else:
+                a[0] = t
+                a[1] = cv * x._v + (a[1] << ((s - t) << 6))
+            a[2] += cl * xl
+    decided: bool | None = False
+    for _, v, bound in acc.values():
+        if v:
+            return True
+        if bound >= _HALF:
+            decided = None
+    return decided
+
+
+def _summed_nonzero(terms: list) -> bool:
+    """Whether the sum of c * value over the (c, value) terms is nonzero,
+    summed in Q(q)."""
+    total: dict = {}
+    for c, value in terms:
+        sum_into(total, value, c)
+    return bool(total)

@@ -1046,7 +1046,8 @@ class TestUnwritableOut:
 
 class TestExitContract:
     """A closed standard output exits 141 (128 + SIGPIPE) and an interrupt
-    130, each without a traceback."""
+    130, each without a traceback; a --degree that the run cannot read
+    exits 2."""
 
     @pytest.mark.parametrize("method", ["write", "flush"])
     @pytest.mark.parametrize("command", _OUT_COMMANDS)
@@ -1059,6 +1060,29 @@ class TestExitContract:
         monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(**stdout))
         assert main(_OUT_COMMANDS[command]) == 141
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("suite, cap", [("double", 3), ("currents", 2), ("all", 3)])
+    def test_degree_above_what_the_suites_read_exits_2(self, suite, cap, monkeypatch,
+                                                       capsys):
+        """A --degree above the largest degree that the selected suites read
+        (the double's representation components, the currents' kets) exits
+        2 before the braiding is built; the cap itself reaches the run."""
+        built = count_operator_builds(monkeypatch)
+        argv = ["verify", "--braiding", "std-hecke", "--n", "2", "--suite", suite]
+        assert main([*argv, "--degree", str(cap + 1)]) == 2
+        assert not built
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: InvalidArgument: --degree {cap + 1} is above "
+                                f"{cap}, the largest degree verify --suite {suite} reads\n")
+        degrees = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda cfg: degrees.append(cfg.degree) or 0)
+        assert main([*argv, "--degree", str(cap)]) == 0
+        assert degrees == [cap]
+
+    def test_repr_reads_any_degree(self, capsys):
+        assert main(["repr", "--braiding", "std-hecke", "--n", "2", "--degree", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["k"] == 5
 
     def test_interrupt_exits_130(self, monkeypatch, capsys):
         def interrupted(b, cfg):

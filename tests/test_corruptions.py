@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from qfock import braidings, cli, currents, fockdouble, quadalgebras
+from qfock import braidings, cli, currents, fockdouble, quadalgebras, scalars
 from qfock.braidings import (
     HECKE,
     INVOLUTIVE,
@@ -587,6 +587,23 @@ def test_row(row, tmp_path, monkeypatch):
         with pytest.raises(InvalidTable) as refused:
             load_braiding_table(doc)
         assert witnesses["load-braiding"] == str(refused.value)
+
+
+L_IDENTITY_ROWS = [row for row in ROWS if row.target == "l-quadratic-identity"
+                   or row.target.startswith("representation-identity-k")]
+
+
+@pytest.mark.parametrize("row", L_IDENTITY_ROWS, ids=[row.id for row in L_IDENTITY_ROWS])
+def test_l_identity_rows_fail_on_the_packed_path(row, tmp_path, monkeypatch):
+    """A bumped L-identity side or representation matrix stays Laurent, so
+    every group of the run, the failing cells among them, is decided on
+    packed integers (scalars._packed_nonzero)."""
+    summed = []
+    real = scalars._summed_nonzero
+    monkeypatch.setattr(scalars, "_summed_nonzero",
+                        lambda *args: summed.append(args) or real(*args))
+    test_row(row, tmp_path, monkeypatch)
+    assert summed == []
 
 
 def test_every_gating_record_is_a_target():

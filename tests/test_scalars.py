@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qfock.scalars as scalars_module
+from qfock import cli, fockdouble
 from qfock.errors import DivisionByZero, NonGenericPoint
 from qfock.scalars import (
-    ONE, Q, QINV, ZERO, Scalar, _laurent_add, _laurent_mul, _padd, _pgcd, _pmul,
+    _HALF, ONE, Q, QINV, ZERO, Scalar, _laurent_add, _laurent_mul, _padd, _pgcd, _pmul,
     add_term, nonzero_sums, sum_into,
 )
 
 import scalar_reference as ref
+from hecke_families import FORMS, form_braiding
 
 
 def poly(d):
@@ -547,7 +550,10 @@ def test_bmw_double_scalar_work_is_pinned(monkeypatch, capsys):
     # mixed patterns of degree 3, not the two overlaps, made add 4765, mul
     # 10278 and add misses 3008.  The two-overlap diamond test beside the
     # ideal check, which decides the same fact, made add 4651, mul 9816 and
-    # mul misses 4641.
+    # mul misses 4641.  Summing every nonzero_sums group as scalars made
+    # add 4549, mul 9632, add misses 3005 and mul misses 4636; deciding the
+    # Laurent groups on packed integers leaves the + and * of building the
+    # double, its L-identity sides and the representation matrices.
     from qfock import cli
 
     calls = {"make": 0, "add": 0, "mul": 0}
@@ -567,6 +573,204 @@ def test_bmw_double_scalar_work_is_pinned(monkeypatch, capsys):
     assert cli.main(["verify", "--braiding", "bmw-orth", "--n", "3",
                      "--suite", "double", "--degree", "3"]) == 0
     capsys.readouterr()
-    assert calls == {"make": 20, "add": 4549, "mul": 9632}
-    assert _laurent_add.cache_info().misses == 3005
-    assert _laurent_mul.cache_info().misses == 4636
+    assert calls == {"make": 20, "add": 426, "mul": 3828}
+    assert _laurent_add.cache_info().misses == 226
+    assert _laurent_mul.cache_info().misses == 662
+
+
+# ---------------------------------------------------------------------------
+# nonzero_sums: the packed decision against the summed loop
+# ---------------------------------------------------------------------------
+
+def summed_nonzero_sums(groups: dict, value_of) -> list:
+    """nonzero_sums as it was before the packed decision, the reference:
+    every group summed as scalars."""
+    values: dict = {}
+    failures = []
+    for g, combination in groups.items():
+        total: dict = {}
+        for w, c in combination.items():
+            value = values.get(w)
+            if value is None:
+                value = values[w] = value_of(w)
+            sum_into(total, value, c)
+        if total:
+            failures.append(g)
+    return failures
+
+
+def count_paths(monkeypatch) -> dict:
+    """Count the groups that nonzero_sums decides ("groups") and those of
+    them that leave the packed path for the summed loop ("summed")."""
+    counts = {"groups": 0, "summed": 0}
+    for name, key in (("_packed_nonzero", "groups"), ("_summed_nonzero", "summed")):
+        def counted(*args, real=getattr(scalars_module, name), key=key):
+            counts[key] += 1
+            return real(*args)
+        monkeypatch.setattr(scalars_module, name, counted)
+    return counts
+
+
+def unbound(x: Scalar) -> Scalar:
+    """x as a Laurent memo result leaves the memo: its bound still _HALF."""
+    out = _laurent_mul.__wrapped__(x._s, x._v, 0, 1)
+    assert out == x and out._l == _HALF
+    return out
+
+
+# Scalars are drawn as specs and built afresh for each side, since adding a
+# memo result lowers its bound in place.  Coefficients near 2^62 - 2^63 make
+# bounds that force the summed loop, and with small ones their products
+# alias in base 2^64.
+PACKED_EDGE = [2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1, 4]
+small_coeffs = st.integers(-3, 3)
+spec_coeffs = st.one_of(small_coeffs, small_coeffs, small_coeffs, small_coeffs,
+                        st.sampled_from(PACKED_EDGE + [-c for c in PACKED_EDGE]))
+laurent_specs = st.tuples(st.just("laurent"),
+                          st.dictionaries(st.integers(-3, 3), spec_coeffs, max_size=3),
+                          st.booleans())
+# in a table that has them, one draw in ten is a 1/2 or a polynomial denominator
+scalar_specs = st.one_of(*[laurent_specs] * 8, st.just(("half",)), st.just(("polyden",)))
+WORDS = ["u", "v", "w", "x"]
+
+
+def build(spec) -> Scalar:
+    if spec[0] == "half":
+        return Scalar.from_fraction(Fraction(1, 2))
+    if spec[0] == "polyden":
+        return Scalar.make({0: 1}, {0: 1, 1: 1})
+    _, terms, memo_result = spec
+    x = Scalar.make(terms, {0: 1})
+    return unbound(x) if memo_result and x._d == 1 and x._v else x
+
+
+@st.composite
+def group_tables(draw):
+    """(values, groups) specs: values[w] = {key: spec}, and groups g ->
+    {word: spec}, with ("neg", w) the word whose value is -value(w).  Beside
+    the drawn groups, each of the first two is added with its negation
+    (cancelling exactly), that sum with one coefficient bumped by ONE, and
+    that sum plus 2^62 * 4 q^e - q^(e+1) at key "a", which is 0 at q = 2^64.
+    Half the tables are Laurent throughout."""
+    specs = draw(st.sampled_from([laurent_specs, scalar_specs]))
+    values = {w: draw(st.dictionaries(st.sampled_from("abc"), specs, max_size=3))
+              for w in WORDS}
+    e, memo_result = draw(st.integers(-2, 2)), draw(st.booleans())
+    values["big"] = {"a": ("laurent", {e: 4}, memo_result)}
+    values["up"] = {"a": ("laurent", {e + 1: 1}, memo_result)}
+    words = st.sampled_from(WORDS + [("neg", w) for w in WORDS])
+    drawn = draw(st.lists(st.dictionaries(words, specs, max_size=4), max_size=5))
+    groups = dict(enumerate(drawn))
+    for i, group in enumerate(drawn[:2]):
+        base = {w: spec for w, spec in group.items() if not isinstance(w, tuple)}
+        cancel = {**base, **{("neg", w): spec for w, spec in base.items()}}
+        groups[("cancel", i)] = cancel
+        if cancel:
+            groups[("bumped", i)] = {**cancel, next(iter(cancel)): ("bump", next(iter(base.values())))}
+        groups[("alias", i)] = {**cancel, "big": ("laurent", {0: 2**62}, False),
+                                "up": ("laurent", {0: -1}, False)}
+    return values, groups
+
+
+def built(values: dict, groups: dict, calls: list):
+    """The groups and the value_of of one side, each scalar built afresh."""
+    def coefficient(spec):
+        return build(spec[1]) + ONE if spec[0] == "bump" else build(spec)
+
+    def value_of(w):
+        calls.append(w)
+        negate = isinstance(w, tuple)
+        return {k: -build(s) if negate else build(s)
+                for k, s in values[w[1] if negate else w].items()}
+
+    return ({g: {w: coefficient(s) for w, s in group.items()}
+             for g, group in groups.items()}, value_of)
+
+
+@given(group_tables())
+@settings(max_examples=400, deadline=None)
+def test_packed_decision_agrees_with_the_summed_loop(table):
+    """The same failure list in the same order, each word evaluated once."""
+    calls, ref_calls = [], []
+    got = nonzero_sums(*built(*table, calls))
+    assert got == summed_nonzero_sums(*built(*table, ref_calls))
+    assert calls == ref_calls
+    assert len(calls) == len(set(calls))
+
+
+class TestPackedDecision:
+    """Which path decides a group, on groups built to reach each one."""
+
+    def decide(self, monkeypatch, groups, values):
+        counts = count_paths(monkeypatch)
+        got = nonzero_sums(groups, values.__getitem__)
+        assert got == summed_nonzero_sums(groups, values.__getitem__)
+        return got, counts["summed"]
+
+    def test_exact_cancellation_and_a_bump_stay_packed(self, monkeypatch):
+        a = Scalar.make({-2: 3, 1: -(2**40)}, {0: 1})
+        values = {"u": {"k": a, "l": Q}, "v": {"k": -a, "l": -Q}, "w": {"k": QINV}}
+        groups = {"cancel": {"u": Q + ONE, "v": Q + ONE},
+                  "bumped": {"u": Q + ONE, "v": Q},
+                  # the shifts differ: q^-1 q + (-1) 1 at key k
+                  "shifted": {"w": Q, "u": ZERO, "v": ZERO}}
+        assert self.decide(monkeypatch, groups, values) == (["bumped", "shifted"], 0)
+
+    def test_aliasing_digits_leave_the_packed_path(self, monkeypatch):
+        # 2^62 * 4 - q = 2^64 - q, whose value at q = 2^64 is 0: the bound
+        # 2^64 + 1 sends the group to the summed loop, which finds it nonzero
+        big = Scalar.from_int(2**62)
+        values = {"u": {"k": Scalar.from_int(4)}, "v": {"k": Q}}
+        assert self.decide(monkeypatch, {"g": {"u": big, "v": -ONE}}, values) == (["g"], 1)
+        # a true zero under the same bound is summed too
+        values["v"] = {"k": Scalar.from_int(-4)}
+        assert self.decide(monkeypatch, {"g": {"u": big, "v": big}}, values) == ([], 1)
+
+    def test_the_bound_is_summed_over_the_terms(self, monkeypatch):
+        # four terms 2^62 and one -q: each bound is below 2^63, their sum is not
+        big = Scalar.from_int(2**62)
+        values = {w: {"k": ONE} for w in "uvwx"} | {"y": {"k": Q}}
+        groups = {"g": {**dict.fromkeys("uvwx", big), "y": -ONE}}
+        assert self.decide(monkeypatch, groups, values) == (["g"], 1)
+
+    def test_a_nonzero_integer_decides_at_any_bound(self, monkeypatch):
+        big = Scalar.from_int(2**63 - 1)
+        values = {"u": {"k": big}, "v": {"k": ONE}}
+        assert self.decide(monkeypatch, {"g": {"u": big, "v": ONE}}, values) == (["g"], 0)
+
+    @pytest.mark.parametrize("entry", [Scalar.from_fraction(Fraction(1, 2)),
+                                       Scalar.make({0: 1}, {0: 1, 1: 1})],
+                             ids=["half", "polynomial-denominator"])
+    def test_a_denominator_leaves_the_packed_path(self, entry, monkeypatch):
+        values = {"u": {"k": entry}, "v": {"k": -entry}, "w": {"k": ONE}}
+        groups = {"in-value": {"u": ONE, "v": ONE}, "in-coefficient": {"w": entry}}
+        assert self.decide(monkeypatch, groups, values) == (["in-coefficient"], 2)
+
+    def test_memo_results_are_read_at_their_exact_bound(self, monkeypatch):
+        c = unbound(Scalar.make({0: 2, 3: -1}, {0: 1}))
+        x = unbound(Scalar.make({1: 5}, {0: 1}))
+        values = {"u": {"k": x}, "v": {"k": -x}}
+        assert self.decide(monkeypatch, {"g": {"u": c, "v": c}}, values) == ([], 0)
+        assert (c._l, x._l) == (3, 5)
+
+
+@pytest.mark.parametrize("argv, groups", [
+    (["--braiding", "bmw-orth", "--n", "3", "--suite", "all", "--degree", "3"], 353),
+    (["--braiding", "std-hecke", "--n", "3", "--suite", "all"], 214),
+])
+def test_builtin_groups_stay_packed(argv, groups, monkeypatch, capsys):
+    """Every group of these runs, L-identities, compatibility, ideals and
+    the braid certificate, is decided on packed integers."""
+    counts = count_paths(monkeypatch)
+    assert cli.main(["verify", *argv]) == 0
+    capsys.readouterr()
+    assert counts == {"groups": groups, "summed": 0}
+
+
+def test_form_braiding_groups_leave_the_packed_path(monkeypatch):
+    """E^-1 of the 4x4 form braiding holds 1/2, so some groups of its double
+    are summed as scalars, and the double passes."""
+    counts = count_paths(monkeypatch)
+    records = list(fockdouble.double_records(form_braiding(FORMS[4]), None, 1))
+    assert [r[0] for r in records if r[2]] == []
+    assert counts["summed"] >= 1
